@@ -106,10 +106,7 @@ def fhat0(mask: Mask, m: int) -> Fhat0Result:
     total = None
     for _, blk in mask.items():
         total = blk if total is None else total + blk
-    if mask.backend == "exact":
-        t_op = total.scale(QC(Fraction(1, m)))
-    else:
-        t_op = total.scale(1.0 / m)
+    t_op = total.scale(Fraction(1, m))
     basis = kernel_basis(t_op - Mat.identity(mask.r, mask.backend))
     if not basis:
         return Fhat0Result(None, "empty", 0)
@@ -127,20 +124,14 @@ def condition_d_residual(mask: Mask, dilation: Dilation, v: VCollection,
     Only group elements whose inverse carries a mask coefficient
     contribute, so the sum is finite.
     """
-    is_float = v.backend == "float" or mask.backend == "float"
-    acc = v.block(s).to_float() if is_float else v.block(s)
+    acc = v.block(s)
     A = dilation.A
     for alpha, d_blk in mask.items():
         if dilation.coset_index(inverse(alpha)) != i:
             continue
-        if is_float:
-            d_blk = d_blk.to_float()
         for t in range(s + 1):
             lead = build_Q_tilde(alpha, s, t) @ build_A_s(A, t)
-            if is_float:
-                lead = lead.to_float()
-            vt = v.block(t).to_float() if is_float else v.block(t)
-            acc = acc - lead @ vt @ d_blk
+            acc = acc - lead @ v.block(t) @ d_blk
     return acc
 
 
@@ -175,8 +166,6 @@ def _assemble(mask: Mask, dilation: Dilation, s_max: int) -> Mat:
                     if coset_of[alpha] != i:
                         continue
                     lead = build_Q_tilde(alpha, s, t) @ build_A_s(A, t)
-                    if backend == "float":
-                        lead = lead.to_float()
                     acc = acc - kron(lead, d_blk.transpose())
                 blocks.append(acc)
             rows.append(Mat.hstack(blocks))
@@ -286,8 +275,7 @@ def max_accuracy(mask: Mask, triple: CrystalTriple, dilation: Dilation,
         if nz:
             lead = x
             break
-    witness = chosen.scale(QC_ONE / lead if chosen.backend == "exact"
-                           else 1.0 / lead)
+    witness = chosen.scale(1 / lead)
     gate = _gate_value(
         Mat.column([witness.block(0).entry(0, j) for j in range(r)],
                    backend=witness.backend),
@@ -402,12 +390,9 @@ def sufficient_check(mask: Mask, triple: CrystalTriple, dilation: Dilation,
     eigen_ok = True
     if moments_ok:
         for s in range(1, p):
-            mat = Mat.zeros(dim_degree(d, s), dim_degree(d, s),
-                            "exact" if exact else "float")
+            mat = Mat.zeros(dim_degree(d, s), dim_degree(d, s), mask.backend)
             for b in range(r):
                 term = build_A_s(triple.group[b], s) @ build_A_s(dilation.A, s)
-                if not exact:
-                    term = term.to_float()
                 mat = mat + term.scale(beta[(b, zero_alpha)])
             eigen_flags[s] = not has_eigenvalue_one(mat)
             eigen_ok = eigen_ok and eigen_flags[s]
@@ -428,8 +413,6 @@ def sufficient_check(mask: Mask, triple: CrystalTriple, dilation: Dilation,
             for s in range(p):
                 for t in range(s + 1):
                     q = build_Q_st(e.true_translation(), s, t)
-                    if not exact:
-                        q = q.to_float()
                     key = (b, s, t)
                     if key not in inner:
                         inner[key] = [Mat.zeros(dim_degree(d, s),
@@ -452,25 +435,18 @@ def sufficient_check(mask: Mask, triple: CrystalTriple, dilation: Dilation,
                         notes.append(f"moment matrix block ({s},{t}) "
                                      "differs across cosets")
                         conditions_ok = False
-                    bt = build_A_s(triple.group[b], t)
-                    if not exact:
-                        bt = bt.to_float()
-                    acc = acc + parts[0] @ bt
+                    acc = acc + parts[0] @ build_A_s(triple.group[b], t)
                 moment_mats[(s, t)] = acc
     if conditions_ok:
         blocks = [Mat.from_rows([[one]], backend=mask.backend)]
         for s in range(1, p):
             ds = dim_degree(d, s)
-            a_s = build_A_s(dilation.A, s)
-            if not exact:
-                a_s = a_s.to_float()
-            lhs = Mat.identity(ds, mask.backend) - moment_mats[(s, s)] @ a_s
+            lhs = (Mat.identity(ds, mask.backend)
+                   - moment_mats[(s, s)] @ build_A_s(dilation.A, s))
             rhs = Mat.zeros(ds, 1, mask.backend)
             for t in range(s):
-                a_t = build_A_s(dilation.A, t)
-                if not exact:
-                    a_t = a_t.to_float()
-                rhs = rhs + moment_mats[(s, t)] @ a_t @ blocks[t]
+                rhs = (rhs + moment_mats[(s, t)] @ build_A_s(dilation.A, t)
+                       @ blocks[t])
             blocks.append(lhs.inverse() @ rhs)
         v_chain = VCollection(d, tuple(blocks))
         chain_zero = all(
@@ -501,8 +477,6 @@ def verify_equivalence(mask: Mask, dilation: Dilation, v: VCollection,
     the group; 'c': the same relation at the digit representatives.  All
     residuals are exact zeros on the exact backend.
     """
-    is_float = v.backend == "float" or mask.backend == "float"
-    vv = v.to_float() if is_float and v.backend == "exact" else v
     details = {}
 
     def record(kind, s, where, mat):
@@ -510,24 +484,19 @@ def verify_equivalence(mask: Mask, dilation: Dilation, v: VCollection,
 
     for s in range(v.p):
         for i in range(dilation.m):
-            record("d", s, i, condition_d_residual(mask, dilation, vv, s, i))
+            record("d", s, i, condition_d_residual(mask, dilation, v, s, i))
 
     def relation_residual(sigma, s):
-        acc = eval_y(sigma, vv, s)
-        a_s = build_A_s(dilation.A, s)
-        if is_float:
-            a_s = a_s.to_float()
+        acc = eval_y(sigma, v, s)
         total = None
         for alpha, d_blk in mask.items():
             gamma = dilation.deconj(compose(alpha, sigma))
             if gamma is None:
                 continue
-            if is_float:
-                d_blk = d_blk.to_float()
-            term = eval_y(gamma, vv, s) @ d_blk
+            term = eval_y(gamma, v, s) @ d_blk
             total = term if total is None else total + term
         if total is not None:
-            acc = acc - a_s @ total
+            acc = acc - build_A_s(dilation.A, s) @ total
         return acc
 
     for s in range(v.p):
@@ -541,8 +510,8 @@ def verify_equivalence(mask: Mask, dilation: Dilation, v: VCollection,
         return max(vals) if vals else 0.0
 
     md, mb, mc = cap("d"), cap("b"), cap("c")
-    bound = 0.0 if (not is_float) else tol
-    passed = max(md, mb, mc) <= bound
+    exact = v.backend == mask.backend == "exact"
+    passed = max(md, mb, mc) <= (0.0 if exact else tol)
     return EquivalenceReport(p=v.p, max_residual_d=md, max_residual_b=mb,
                              max_residual_c=mc, passed=passed,
                              details=details)

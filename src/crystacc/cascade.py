@@ -56,6 +56,11 @@ class GridField:
         return [self.lo[j] + self.h * np.arange(self.shape[j])
                 for j in range(self.d)]
 
+    def nodes(self) -> np.ndarray:
+        """Coordinates of every node, one row each, in the row order of
+        ``data.reshape(-1, r)``."""
+        return _node_points(self.lo, self.h, self.shape)
+
     def sample(self, points) -> np.ndarray:
         """Multilinear interpolation at arbitrary points, zero outside."""
         pts = np.asarray(points, dtype=float).reshape(-1, self.d)
@@ -293,8 +298,7 @@ def refinement_residual(field: GridField, mask: Mask,
                         dilation: Dilation) -> float:
     """Largest node defect of the refinement equation for the field: the
     sup difference between the field and one more refinement step."""
-    nodes = _node_points(field.lo, field.h, field.shape)
-    plans = _build_plans(mask, dilation, nodes, field.lo, field.h,
+    plans = _build_plans(mask, dilation, field.nodes(), field.lo, field.h,
                          field.shape)
     nxt = None
     for plan, d_t in plans:
@@ -360,7 +364,6 @@ def reproduction_values(field: GridField, v: VCollection, s: int,
     pts = np.asarray(points, dtype=float).reshape(-1, field.d)
     t = field.triple
     f = t.floats()
-    vv = v.to_float() if v.backend == "exact" else v
     xmax = float(np.max(np.linalg.norm(pts, axis=1))) if len(pts) else 0.0
     out = np.zeros((len(pts), dim_degree(field.d, s)), dtype=complex)
     excluded = np.zeros(len(pts), dtype=bool)
@@ -380,7 +383,7 @@ def reproduction_values(field: GridField, v: VCollection, s: int,
                 <= field.support_radius + field.h)
         excluded |= (outside & near)
         vals = field.sample(target)
-        y = eval_y(e, vv, s).np()
+        y = eval_y(e, v, s).np()
         out += vals @ y.T
     return out, excluded
 
@@ -412,8 +415,7 @@ def reproduce(field: GridField, v: VCollection, s: int, sample_points,
 
     # closed-form candidates for C from the field integral
     integral = field._flat.sum(axis=0) * field.h ** field.d
-    v0 = (v.block(0).to_float() if v.backend == "exact"
-          else v.block(0)).np().ravel()
+    v0 = v.block(0).np().ravel()
     gate = complex(np.dot(v0, integral))
     det_r = abs(np.linalg.det(field.triple.floats()["R"]))
     vol = det_r / field.triple.order
@@ -435,8 +437,9 @@ def reproduce(field: GridField, v: VCollection, s: int, sample_points,
 
 def _probe_block(field: GridField, v: VCollection | None, s: int,
                  pts: np.ndarray, C: complex) -> tuple:
-    """Best-fitting degree-s block given the lower blocks: least squares
-    for v_[s] in G_[s] = C X_[s].  Returns (residual, extended v, C).
+    """Best-fitting degree-s block given the lower blocks (a float
+    collection): least squares for v_[s] in G_[s] = C X_[s].  Returns
+    (residual, extended v, C).
 
     With no blocks at all (solver accuracy 0) the degree-0 row itself is
     fitted against the constant 1, fixing the scale.
@@ -459,14 +462,12 @@ def _probe_block(field: GridField, v: VCollection | None, s: int,
         if v is not None:
             partial = None
             for tt in range(min(s, v.p)):
-                q = build_Q_tilde(e, s, tt).to_float().np()
-                term = vals @ (q @ v.block(tt).to_float().np()
-                               if v.backend == "exact"
-                               else q @ v.block(tt).np()).T
+                q = build_Q_tilde(e, s, tt).np()
+                term = vals @ (q @ v.block(tt).np()).T
                 partial = term if partial is None else partial + term
             if partial is not None:
                 base += partial
-        q_ss = build_Q_tilde(e, s, s).to_float().np()
+        q_ss = build_Q_tilde(e, s, s).np()
         # unknown W is d_s x r; the gamma term is q_ss @ W @ vals[x]
         design += np.einsum("ab,nc->nabc", q_ss, vals).reshape(n, d_s,
                                                                d_s * r)
@@ -484,9 +485,48 @@ def _probe_block(field: GridField, v: VCollection | None, s: int,
         new_v = VCollection(field.d, (block,))
         new_c = complex(1.0)
     else:
-        new_v = (v.to_float() if v.backend == "exact" else v).extended(block)
+        new_v = v.extended(block)
         new_c = C
     return residual, new_v, new_c
+
+
+@dataclass
+class DegreeCheck:
+    """Outcome of the cascade check at one degree s: report is the
+    reproduction test of a witness block, or None when the block was
+    fitted by least squares."""
+
+    s: int
+    residual: float
+    verdict: bool
+    report: ReproductionReport | None
+
+
+def verify_degrees(field: GridField, witness: VCollection | None, p_max: int,
+                   tolerance: float, sample_count: int, seed: int):
+    """Yield a :class:`DegreeCheck` for each degree s < p_max on sampled
+    nodes of the field.
+
+    Witness blocks from the exact solver drive the reproduction test for
+    the degrees they cover; past them, each degree gets its best-fitting
+    block (least squares), so a failure is a failure of every possible
+    extension, not of one candidate.  A failing degree does not stop the
+    scan; the fitted blocks keep extending the collection.
+    """
+    pts = sample_points(field, sample_count, seed)
+    # the oracle is float throughout: convert the witness once, not in
+    # every eval_y over the gamma cover
+    v = witness.to_float() if witness is not None else None
+    C = None
+    for s in range(p_max):
+        if v is not None and s < v.p:
+            rep = reproduce(field, v, s, pts, tol=tolerance)
+            if s == 0:
+                C = rep.C
+            yield DegreeCheck(s, rep.residual, rep.verdict, rep)
+        else:
+            residual, v, C = _probe_block(field, v, s, pts, C)
+            yield DegreeCheck(s, residual, residual < tolerance, None)
 
 
 def empirical_accuracy(mask: Mask, triple: CrystalTriple, dilation: Dilation,
@@ -494,13 +534,9 @@ def empirical_accuracy(mask: Mask, triple: CrystalTriple, dilation: Dilation,
                        grid_exponent: int = 8, tolerance: float = 1e-5,
                        sample_count: int = 32, seed: int = 2026,
                        strict: bool = True) -> int:
-    """Brute-force accuracy estimate from the cascade field.
-
-    Witness blocks from the exact solver drive the reproduction test for
-    the degrees the solver certifies; past them, each degree gets its
-    best-fitting block (least squares), so a failure is a failure of every
-    possible extension, not of one candidate.  Returns the largest s+1 at
-    or below p_max with all residuals under the tolerance.  With strict,
+    """Brute-force accuracy estimate from the cascade field: the largest
+    s+1 at or below p_max for which every degree up to s passes
+    :func:`verify_degrees` with the exact solver's witness.  With strict,
     cascade non-convergence raises; otherwise the divergent field speaks
     for itself through the residuals.
     """
@@ -511,21 +547,10 @@ def empirical_accuracy(mask: Mask, triple: CrystalTriple, dilation: Dilation,
     if not result.converged and strict:
         raise CascadeError("cascade did not converge: last sup difference "
                            f"{result.sup_diffs[-1]:.3g}")
-    field = result.field
-    pts = sample_points(field, sample_count, seed)
-    v = cert.witness.to_float() if cert.witness is not None else None
-    C = None
     level = 0
-    for s in range(p_max):
-        if v is not None and s < v.p:
-            rep = reproduce(field, v, s, pts, tol=tolerance)
-            if s == 0:
-                C = rep.C
-            ok = rep.verdict
-        else:
-            residual, v, C = _probe_block(field, v, s, pts, C)
-            ok = residual < tolerance
-        if not ok:
+    for check in verify_degrees(result.field, cert.witness, p_max, tolerance,
+                                sample_count, seed):
+        if not check.verdict:
             break
-        level = s + 1
+        level = check.s + 1
     return level

@@ -65,9 +65,7 @@ def _parse_scalar(value):
     if isinstance(value, list) and len(value) == 2:
         re_part, im_part = (_parse_scalar(v) for v in value)
         if isinstance(re_part, float) or isinstance(im_part, float):
-            def as_float(x):
-                return x if isinstance(x, float) else float(x.to_complex().real)
-            return complex(as_float(re_part), as_float(im_part))
+            return complex(complex(re_part).real, complex(im_part).real)
         return QC(re_part.re, im_part.re)
     raise CliError(EXIT_MALFORMED, f"cannot read coefficient {value!r}")
 
@@ -93,6 +91,24 @@ def _load_config(path: str) -> dict:
     if not isinstance(cfg, dict):
         raise CliError(EXIT_MALFORMED, "config must be a JSON object")
     return cfg
+
+
+def _option(cfg: dict, name: str, default, kind=int, minimum=None):
+    """Entry ``name`` of the config's ``options`` object as ``kind``, or
+    ``default`` when absent; a value that is not one is malformed input."""
+    options = cfg.get("options", {})
+    if not isinstance(options, dict):
+        raise CliError(EXIT_MALFORMED, "'options' must be a JSON object")
+    value = options.get(name, default)
+    try:
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise CliError(EXIT_MALFORMED, f"option {name!r} must be "
+                       f"{kind.__name__}, got {value!r}")
+    if minimum is not None and out < minimum:
+        raise CliError(EXIT_MALFORMED,
+                       f"option {name!r} must be at least {minimum}")
+    return out
 
 
 def _build_triple(cfg: dict) -> CrystalTriple:
@@ -159,13 +175,9 @@ def _build_mask(cfg: dict, triple: CrystalTriple) -> Mask:
         r = len(rows)
         if any(len(row) != r for row in rows):
             raise CliError(EXIT_SHAPE, f"mask entry {pos}: block not square")
-        if any(isinstance(x, (float, complex)) for row in rows for x in row):
-            data = np.array([[complex(x) if isinstance(x, (float, complex))
-                              else x.to_complex() for x in row]
-                             for row in rows])
-            blk = Mat.from_array(data)
-        else:
-            blk = Mat.from_rows(rows)
+        inexact = any(isinstance(x, (float, complex))
+                      for row in rows for x in row)
+        blk = Mat.from_rows(rows, backend="float" if inexact else "exact")
         key = triple.element(g, tuple(k))
         if key in blocks:
             raise CliError(EXIT_MALFORMED,
@@ -244,11 +256,10 @@ def cmd_accuracy(args) -> int:
     triple = _build_triple(cfg)
     dilation = _build_dilation(cfg, triple)
     mask = _build_mask(cfg, triple)
-    options = cfg.get("options", {})
     if args.p_max is not None and args.p_max < 1:
         raise CliError(EXIT_MALFORMED, "--p-max must be at least 1")
     p_max = args.p_max if args.p_max is not None \
-        else int(options.get("p_max", 6))
+        else _option(cfg, "p_max", 6, minimum=1)
     report = {"schema_version": SCHEMA_VERSION, "method": args.method,
               "p_max": p_max}
     cert = None
@@ -274,7 +285,7 @@ def cmd_accuracy(args) -> int:
         elif args.p_max is not None:
             p_claim = args.p_max
         else:
-            p_claim = int(options.get("p_max", 2))
+            p_claim = _option(cfg, "p_max", 2, minimum=1)
         suff = sufficient_check(mask, triple, dilation, p_claim)
         report["sufficient"] = {
             "p": suff.p,
@@ -301,7 +312,6 @@ def cmd_cascade(args) -> int:
     triple = _build_triple(cfg)
     dilation = _build_dilation(cfg, triple)
     mask = _build_mask(cfg, triple)
-    options = cfg.get("options", {})
     if args.iters is not None and args.iters < 1:
         raise CliError(EXIT_MALFORMED, "--iters must be at least 1")
     if args.grid is not None and args.grid < 0:
@@ -309,15 +319,15 @@ def cmd_cascade(args) -> int:
     if args.verify_p is not None and args.verify_p < 0:
         raise CliError(EXIT_MALFORMED, "--verify-p must be nonnegative")
     iters = args.iters if args.iters is not None \
-        else int(options.get("iterations", 12))
+        else _option(cfg, "iterations", 12, minimum=1)
     grid_q = args.grid if args.grid is not None \
-        else int(options.get("grid_exponent", 8))
-    tol = float(options.get("tolerance", 1e-5))
-    count = int(options.get("sample_count", 32))
+        else _option(cfg, "grid_exponent", 8, minimum=0)
+    tol = _option(cfg, "tolerance", 1e-5, kind=float)
+    count = _option(cfg, "sample_count", 32, minimum=1)
     seed = args.seed
 
     p_max = args.verify_p if args.verify_p is not None \
-        else int(options.get("p_max", 6))
+        else _option(cfg, "p_max", 6, minimum=1)
     cert = max_accuracy(mask, triple, dilation, max(p_max, 1))
     verify_p = args.verify_p if args.verify_p is not None \
         else max(cert.p, 1)
@@ -345,29 +355,17 @@ def cmd_cascade(args) -> int:
     reports = []
     level = 0
     if not report["degenerate"]:
-        pts = cascade_mod.sample_points(field, count, seed)
-        v = cert.witness.to_float() if cert.witness is not None else None
-        c_est = None
-        for s in range(verify_p):
-            if v is not None and s < cert.p:
-                rep = cascade_mod.reproduce(field, v, s, pts, tol=tol)
-                if s == 0:
-                    c_est = rep.C
-                entry = {"s": s, "residual": rep.residual,
-                         "verdict": rep.verdict, "probed": False,
-                         "C": _scalar_json(rep.C),
-                         "excluded": rep.excluded,
-                         "matched_form": rep.matched_form}
-                ok = rep.verdict
-            else:
-                residual, v, c_est = cascade_mod._probe_block(
-                    field, v, s, pts, c_est)
-                ok = residual < tol
-                entry = {"s": s, "residual": residual, "verdict": ok,
-                         "probed": True}
+        for check in cascade_mod.verify_degrees(field, cert.witness, verify_p,
+                                                tol, count, seed):
+            rep = check.report
+            entry = {"s": check.s, "residual": check.residual,
+                     "verdict": check.verdict, "probed": rep is None}
+            if rep is not None:
+                entry.update(C=_scalar_json(rep.C), excluded=rep.excluded,
+                             matched_form=rep.matched_form)
             reports.append(entry)
-            if ok and level == s:
-                level = s + 1
+            if check.verdict and level == check.s:
+                level = check.s + 1
     report["reports"] = reports
     report["empirical_accuracy"] = level
 
@@ -379,7 +377,6 @@ def cmd_cascade(args) -> int:
 
 
 def _dump_field_csv(field, path: str) -> None:
-    nodes = cascade_mod._node_points(field.lo, field.h, field.shape)
     flat = field.data.reshape(-1, field.r)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -387,7 +384,7 @@ def _dump_field_csv(field, path: str) -> None:
         for c in range(field.r):
             header += [f"re{c}", f"im{c}"]
         writer.writerow(header)
-        for row, vals in zip(nodes, flat):
+        for row, vals in zip(field.nodes(), flat):
             out = [repr(float(x)) for x in row]
             for c in range(field.r):
                 out += [repr(float(vals[c].real)), repr(float(vals[c].imag))]

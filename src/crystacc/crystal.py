@@ -89,6 +89,8 @@ class CrystalTriple:
                 raise GroupValidationError(f"no inverse for point element {i}")
             self.inverse_table.append(j)
         self._float_cache: dict | None = None
+        # build_Q_tilde blocks keyed by (g, k, s, t); they die with the triple
+        self.q_tilde_cache: dict = {}
 
     def _find(self, m: Mat) -> int:
         for i, g in enumerate(self.group):

@@ -4,8 +4,10 @@ Two matrix backends share one interface: ``exact`` stores complex numbers
 with rational real and imaginary parts and every operation is exact, while
 ``float`` stores a complex128 numpy array and rank decisions go through an
 absolute singular-value tolerance (default 1e-9, after scaling rows to unit
-norm).  Everything downstream picks the backend once, from the input data,
-and never mixes the two inside a computation.
+norm).  Arithmetic on mixed operands (``@``, ``+``, ``-``, :func:`kron`, and
+:meth:`Mat.scale` by a float or complex scalar) promotes to float, so the
+float backend wins; exact inputs never meet a float and stay exact end to
+end.
 """
 
 from __future__ import annotations
@@ -114,6 +116,8 @@ class QC:
     def to_complex(self) -> complex:
         return complex(self.re) + 1j * complex(self.im)
 
+    __complex__ = to_complex
+
     def __repr__(self):
         if self.im == 0:
             return f"QC({self.re})"
@@ -209,6 +213,11 @@ class Mat:
             return list(self._exact[i])
         return [complex(x) for x in self._arr[i]]
 
+    def col(self, j: int) -> "Mat":
+        if self.backend == "exact":
+            return Mat.column([self._exact[i][j] for i in range(self.rows)])
+        return Mat.from_array(self._arr[:, j].reshape(-1, 1))
+
     def np(self) -> np.ndarray:
         """complex128 view of the matrix (copies the exact backend)."""
         if self.backend == "float":
@@ -223,12 +232,8 @@ class Mat:
 
     # -- arithmetic -------------------------------------------------------
 
-    def _check_same(self, other: "Mat"):
-        if self.backend != other.backend:
-            raise TypeError("mixed matrix backends")
-
     def __matmul__(self, other: "Mat") -> "Mat":
-        self._check_same(other)
+        self, other = _promote(self, other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
         if self.backend == "float":
@@ -249,7 +254,7 @@ class Mat:
         return Mat(self.rows, other.cols, "exact", exact_data=out)
 
     def __add__(self, other: "Mat") -> "Mat":
-        self._check_same(other)
+        self, other = _promote(self, other)
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} + {other.shape}")
         if self.backend == "float":
@@ -265,10 +270,10 @@ class Mat:
         return self.scale(-1)
 
     def scale(self, s) -> "Mat":
-        if self.backend == "float":
-            if isinstance(s, QC):
-                s = s.to_complex()
-            return Mat.from_array(self._arr * complex(s))
+        """Entrywise product with a scalar; a float or complex scalar
+        promotes an exact matrix to float."""
+        if self.backend == "float" or isinstance(s, (float, complex)):
+            return Mat.from_array(self.np() * complex(s))
         s = QC.parse(s)
         data = [[s * x for x in row] for row in self._exact]
         return Mat(self.rows, self.cols, "exact", exact_data=data)
@@ -368,6 +373,13 @@ class Mat:
         return f"Mat({self.rows}x{self.cols}, {self.backend})"
 
 
+def _promote(a: Mat, b: Mat) -> tuple[Mat, Mat]:
+    """The two operands on one backend: float when either one is float."""
+    if a.backend == b.backend:
+        return a, b
+    return a.to_float(), b.to_float()
+
+
 # -- elimination-based queries ---------------------------------------------
 
 
@@ -449,16 +461,6 @@ def kernel_basis(m: Mat, tol: float = DEFAULT_TOL) -> list[Mat]:
     return basis
 
 
-def col(self: Mat, j: int) -> Mat:
-    if self.backend == "exact":
-        return Mat.column([self._exact[i][j] for i in range(self.rows)])
-    return Mat.from_array(self._arr[:, j].reshape(-1, 1))
-
-
-Mat.col = col
-del col
-
-
 def det(m: Mat):
     """Determinant; QC on the exact backend, complex on the float backend."""
     if m.rows != m.cols:
@@ -487,9 +489,8 @@ def det(m: Mat):
 
 
 def kron(a: Mat, b: Mat) -> Mat:
-    """Kronecker product a (x) b on a shared backend."""
-    if a.backend != b.backend:
-        raise TypeError("mixed matrix backends")
+    """Kronecker product a (x) b; mixed backends promote to float."""
+    a, b = _promote(a, b)
     if a.backend == "float":
         return Mat.from_array(np.kron(a.np(), b.np()))
     data = []

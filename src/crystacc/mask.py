@@ -179,10 +179,8 @@ def lift_scalar_to_matrix(scalar_mask: Mask, dilation: Dilation) -> Mask:
         raise MaskShapeError("dilation belongs to a different triple")
     r = t.order
     inv = t.inverse_table
-    backend = scalar_mask.backend
     scalars = {(e.g, e.k): blk.entry(0, 0)
                for e, blk in scalar_mask.items()}
-    zero = QC(0) if backend == "exact" else 0j
     points = {_int_apply(t.int_reps[j], e.k)
               for e in scalar_mask.support() for j in range(r)}
     out_triple = lattice_triple(t)
@@ -194,14 +192,13 @@ def lift_scalar_to_matrix(scalar_mask: Mask, dilation: Dilation) -> Mask:
             row = []
             for j in range(r):
                 w = _int_apply(t.int_reps[inv[j]], k)
-                val = scalars.get((dilation.rho[i][j], w), zero)
-                nz = (not val.is_zero()) if backend == "exact" else val != 0
-                seen_nonzero = seen_nonzero or nz
+                val = scalars.get((dilation.rho[i][j], w), 0)
+                seen_nonzero = seen_nonzero or val != 0
                 row.append(val)
             rows.append(row)
         if seen_nonzero:
-            blocks[out_triple.translation(k)] = Mat.from_rows(rows,
-                                                              backend=backend)
+            blocks[out_triple.translation(k)] = Mat.from_rows(
+                rows, backend=scalar_mask.backend)
     if not blocks:
         raise MaskShapeError("cannot lift a zero mask")
     return Mask(out_triple, blocks, r=r)
@@ -222,18 +219,17 @@ def extract_scalar(matrix_mask: Mask, triple: CrystalTriple,
             f"point group order {triple.order}")
     if dilation.triple is not triple:
         raise MaskShapeError("dilation belongs to a different triple")
-    backend = matrix_mask.backend
     entries = {}
     for e, blk in matrix_mask.items():
         if e.g != 0:
             raise MaskShapeError("matrix mask must live on the bare lattice")
         for i in range(triple.order):
             val = blk.entry(0, i)
-            if (val.is_zero() if backend == "exact" else val == 0):
+            if val == 0:
                 continue
             l = _int_apply(triple.int_reps[triple.inverse_table[i]], e.k)
-            entries[triple.element(i, l)] = Mat.from_rows([[val]],
-                                                          backend=backend)
+            entries[triple.element(i, l)] = Mat.from_rows(
+                [[val]], backend=matrix_mask.backend)
     if not entries:
         raise MaskShapeError("cannot extract from a zero mask")
     return Mask(triple, entries, r=1)

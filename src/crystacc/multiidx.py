@@ -12,7 +12,9 @@ matrices:
   a crystal element gamma = (b, l), namely Q_[s,t](l) b_[t]^{-1}.
 
 The builders are exact: they accept rational data only.  Results are cached,
-keyed by value, since the same group elements recur throughout a run.
+since the same group elements recur throughout a run: ``build_A_s`` and
+``build_Q_st`` by value, ``build_Q_tilde`` on the element's own triple, so
+those entries die with the triple.
 """
 
 from __future__ import annotations
@@ -155,14 +157,18 @@ def build_Q_st(y, s: int, t: int) -> Mat:
     return _build_q_cached(tuple(QC.parse(v) for v in y), s, t)
 
 
-@lru_cache(maxsize=None)
 def build_Q_tilde(gamma, s: int, t: int) -> Mat:
     """Block of the substitution X_[s](gamma^{-1} x) = sum_t Qt_[s,t](gamma)
     X_[t](x) for a crystal element gamma = (b, l): Q_[s,t](l) b_[t]^{-1}."""
     if t > s:
         raise ValueError("Q~_[s,t] requires t <= s")
-    q = build_Q_st(gamma.true_translation(), s, t)
-    return q @ build_A_s(gamma.point_matrix_inverse(), t)
+    cache = gamma.triple.q_tilde_cache
+    key = (gamma.g, gamma.k, s, t)
+    out = cache.get(key)
+    if out is None:
+        q = build_Q_st(gamma.true_translation(), s, t)
+        out = cache[key] = q @ build_A_s(gamma.point_matrix_inverse(), t)
+    return out
 
 
 @dataclass(frozen=True)
@@ -216,9 +222,6 @@ def eval_y(gamma, v: VCollection, s: int) -> Mat:
         raise ValueError(f"degree {s} needs v blocks up to {s}")
     acc = None
     for t in range(s + 1):
-        q = build_Q_tilde(gamma, s, t)
-        if v.backend == "float":
-            q = q.to_float()
-        term = q @ v.block(t)
+        term = build_Q_tilde(gamma, s, t) @ v.block(t)
         acc = term if acc is None else acc + term
     return acc

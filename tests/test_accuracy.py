@@ -263,3 +263,25 @@ def test_float_backend_solver_agrees_with_exact(line, hat):
     assert cert.p == 2
     w0 = cert.witness.block(0).entry(0, 0)
     assert abs(w0 - 1.0) < 1e-9
+
+
+def test_float_copy_reaches_the_exact_verdicts(line, bspline4):
+    t, dil = line
+    exact = max_accuracy(bspline4, t, dil, p_max=6)
+    assert exact.p == 4
+    assert exact.witness.backend == "exact"
+    assert isinstance(exact.gate, QC)
+    fmask = bspline4.to_float()
+    cert = max_accuracy(fmask, t, dil, p_max=6)
+    assert cert.p == exact.p
+    assert cert.witness.backend == "float"
+    for p in (4, 5):
+        want = sufficient_check(bspline4, t, dil, p)
+        got = sufficient_check(fmask, t, dil, p)
+        assert got.passed == want.passed == (p == 4)
+    assert sufficient_check(bspline4, t, dil, 4).v_chain.backend == "exact"
+    sample = [t.translation((k,)) for k in range(-3, 4)]
+    # the exact witness against the float mask mixes backends
+    for mask, v in ((bspline4, exact.witness), (fmask, cert.witness),
+                    (fmask, exact.witness)):
+        assert verify_equivalence(mask, dil, v, sample).passed

@@ -300,3 +300,27 @@ def test_cascade_csv_dump(tmp_path, capsys):
     lines = out_path.read_text(encoding="utf-8").strip().splitlines()
     assert lines[0] == "x0,re0,im0"
     assert len(lines) == 1 + 65  # header plus one row per node
+
+
+@pytest.mark.parametrize("command,options", [
+    ("accuracy", {"p_max": "x"}),
+    ("accuracy", []),
+    ("accuracy", None),
+    ("accuracy", {"p_max": 0}),
+    ("accuracy", {"p_max": float("inf")}),
+    ("cascade", {"p_max": "x"}),
+    ("cascade", []),
+    ("cascade", {"iterations": "many"}),
+    ("cascade", {"grid_exponent": -1}),
+    ("cascade", {"tolerance": [1e-5]}),
+    ("cascade", {"sample_count": 0}),
+])
+def test_malformed_options_exit_1(tmp_path, capsys, command, options):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(HAT_CFG, options=options)),
+                    encoding="utf-8")
+    code = main([command, str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_MALFORMED
+    assert "option" in json.loads(captured.out)["error"]
+    assert "Traceback" not in captured.err

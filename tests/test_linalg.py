@@ -179,3 +179,21 @@ def test_eigenvalue_one_vs_characteristic(data):
     m = Mat.from_rows(entries)
     shifted = m - Mat.identity(3)
     assert has_eigenvalue_one(m) == (det(shifted) == QC(0))
+
+
+def test_mixed_backends_promote_to_float():
+    e = Mat.from_rows([[1, Fraction(1, 3)], [0, QC(2, -1)]])
+    f = Mat.from_rows([[0.5, 1j], [2.0, -0.25]], backend="float")
+    ea, fa = e.np(), f.np()
+    for out, ref in ((e @ f, ea @ fa), (f @ e, fa @ ea), (e + f, ea + fa),
+                     (f - e, fa - ea), (kron(e, f), np.kron(ea, fa)),
+                     (kron(f, e), np.kron(fa, ea)),
+                     (e.scale(0.5), ea * 0.5), (e.scale(2j), ea * 2j)):
+        assert out.backend == "float"
+        assert np.array_equal(out.np(), ref)
+    # exact operands and exact scalars stay exact
+    assert (e @ e).backend == "exact"
+    assert kron(e, e).backend == "exact"
+    assert e.scale(Fraction(1, 2)).backend == "exact"
+    i_e = Mat.from_rows([[QC(0, 1), QC(0, Fraction(1, 3))], [0, QC(1, 2)]])
+    assert e.scale(QC(0, 1)) == i_e

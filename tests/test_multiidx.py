@@ -1,14 +1,18 @@
 """Graded monomial bases and the shift/dilation operator blocks."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crystacc.crystal import compose
+from crystacc.accuracy import max_accuracy
+from crystacc.crystal import catalog_triple, check_admissible, compose
 from crystacc.linalg import Mat, QC
+from crystacc.mask import Mask
 from crystacc.multiidx import (VCollection, build_A_s, build_Q_st,
                                build_Q_tilde, dim_degree, enumerate_degree,
                                eval_X, eval_y)
@@ -170,3 +174,17 @@ def test_cocycle_on_pm(pm, s, seed):
 def test_vcollection_shape_checks():
     with pytest.raises(ValueError):
         VCollection(2, (Mat.from_rows([[1]]), Mat.from_rows([[1]])))
+
+
+def test_dropped_triple_is_garbage_collected():
+    """The Q~ blocks are cached on the triple, so no module-level cache
+    keeps a triple alive after its last user lets go."""
+    t = catalog_triple("p1m", 1)
+    dil = check_admissible(Mat.from_rows([[2]]), t)
+    mask = Mask.scalar(t, {(g, (k,)): Fraction(c, 4) for g in (0, 1)
+                           for k, c in ((-1, 1), (0, 2), (1, 1))})
+    assert max_accuracy(mask, t, dil, p_max=3).p == 2
+    ref = weakref.ref(t)
+    del t, dil, mask
+    gc.collect()
+    assert ref() is None
