@@ -19,7 +19,8 @@ import numpy as np
 
 from .crystal import CrystalTriple, Dilation, compose, inverse
 from .linalg import (DEFAULT_TOL, Mat, QC, QC_ONE, QC_ZERO,
-                     has_eigenvalue_one, kernel_basis, kron, solve_affine)
+                     has_eigenvalue_one, kernel_basis, kron, negligible,
+                     solve_affine)
 from .mask import Mask, MaskShapeError, coefficient
 from .multiidx import (VCollection, build_A_s, build_Q_st, build_Q_tilde,
                        dim_degree, enumerate_degree, eval_y)
@@ -253,13 +254,9 @@ def max_accuracy(mask: Mask, triple: CrystalTriple, dilation: Dilation,
         diagnostics["kernel_dims"][s] = len(basis)
         pick = None
         if proj > 0:
-            for b in basis:
-                val = _gate_value(b, gate_vec, r)
-                nz = (not val.is_zero()) if isinstance(val, QC) \
-                    else abs(val) > gate_tol
-                if nz:
-                    pick = b
-                    break
+            pick = next((b for b in basis
+                         if not negligible(_gate_value(b, gate_vec, r),
+                                           gate_tol)), None)
         if pick is None:
             diagnostics["first_failing_degree"] = s
             break
@@ -267,14 +264,8 @@ def max_accuracy(mask: Mask, triple: CrystalTriple, dilation: Dilation,
         chosen = _unpack_witness(pick, d, r, s)
     if p == 0:
         return AccuracyCertificate(0, None, "condition-d", None, diagnostics)
-    v0 = chosen.block(0)
-    lead = None
-    for j in range(r):
-        x = v0.entry(0, j)
-        nz = (not x.is_zero()) if chosen.backend == "exact" else abs(x) > 1e-12
-        if nz:
-            lead = x
-            break
+    lead = next(x for x in chosen.block(0).row_list(0)
+                if not negligible(x, 1e-12))
     witness = chosen.scale(1 / lead)
     gate = _gate_value(
         Mat.column([witness.block(0).entry(0, j) for j in range(r)],
@@ -291,11 +282,9 @@ def _power_product(xs, alpha, one):
     return out
 
 
-def _values_equal(vals, exact: bool, tol: float = DEFAULT_TOL) -> bool:
-    if exact:
-        return all(v == vals[0] for v in vals[1:])
-    scale = max(1.0, max(abs(v) for v in vals))
-    return all(abs(v - vals[0]) <= tol * scale for v in vals[1:])
+def _values_equal(vals, tol: float = DEFAULT_TOL) -> bool:
+    scale = max([1.0] + [abs(v) for v in vals if not isinstance(v, QC)])
+    return all(negligible(v - vals[0], tol * scale) for v in vals[1:])
 
 
 def sufficient_check(mask: Mask, triple: CrystalTriple, dilation: Dilation,
@@ -335,10 +324,7 @@ def sufficient_check(mask: Mask, triple: CrystalTriple, dilation: Dilation,
     total = zero
     for _, blk in mask.items():
         total = total + blk.entry(0, 0)
-    if exact:
-        sum_rule_ok = total == QC(m)
-    else:
-        sum_rule_ok = abs(total - m) <= DEFAULT_TOL * m
+    sum_rule_ok = negligible(total - m, DEFAULT_TOL * m)
 
     # Per-coset moments of the inverse-indexed coefficients.  A support
     # element e contributes its coefficient to (b, l) = inverse(e): the
@@ -358,7 +344,7 @@ def sufficient_check(mask: Mask, triple: CrystalTriple, dilation: Dilation,
     beta = {}
     moments_ok = True
     for key, sums in per_coset.items():
-        if _values_equal(sums, exact):
+        if _values_equal(sums):
             beta[key] = sums[0]
         else:
             moments_ok = False
@@ -379,7 +365,7 @@ def sufficient_check(mask: Mask, triple: CrystalTriple, dilation: Dilation,
             direct[b][i] = direct[b][i] + blk.entry(0, 0)
         for b in range(r):
             vals = direct[b] + [beta[(b, zero_alpha)]]
-            if not _values_equal(vals, exact):
+            if not _values_equal(vals):
                 beta0_consistent = False
         if not beta0_consistent:
             notes.append("alpha = 0 moments disagree between the two "

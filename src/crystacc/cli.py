@@ -62,7 +62,8 @@ def _parse_scalar(value):
         return QC(Fraction(value))
     if isinstance(value, float):
         return value
-    if isinstance(value, list) and len(value) == 2:
+    if (isinstance(value, list) and len(value) == 2
+            and not any(isinstance(v, list) for v in value)):
         re_part, im_part = (_parse_scalar(v) for v in value)
         if isinstance(re_part, float) or isinstance(im_part, float):
             return complex(complex(re_part).real, complex(im_part).real)
@@ -71,13 +72,19 @@ def _parse_scalar(value):
 
 
 def _parse_matrix(rows, what: str) -> Mat:
+    """A lattice, dilation or generator: a nonempty list of equally long
+    rows of real exact rationals."""
     if not (isinstance(rows, list) and rows
             and all(isinstance(r, list) for r in rows)):
         raise CliError(EXIT_MALFORMED, f"{what} must be a nested list")
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise CliError(EXIT_MALFORMED, f"{what} rows differ in length")
     parsed = [[_parse_scalar(x) for x in row] for row in rows]
     if any(isinstance(x, (float, complex)) for row in parsed for x in row):
         raise CliError(EXIT_MALFORMED, f"{what} must be exact rationals")
-    return Mat.from_rows([[x.re for x in row] for row in parsed])
+    if any(x.im != 0 for row in parsed for x in row):
+        raise CliError(EXIT_MALFORMED, f"{what} must be real")
+    return Mat.from_rows(parsed)
 
 
 def _load_config(path: str) -> dict:
@@ -118,6 +125,9 @@ def _build_triple(cfg: dict) -> CrystalTriple:
         raise CliError(EXIT_MALFORMED, "config needs an integer 'dimension'")
     group = cfg.get("group", "p1")
     lattice = cfg.get("lattice")
+    if not isinstance(group, (str, list)):
+        raise CliError(EXIT_MALFORMED, "'group' must be a catalog name or a "
+                       "list of generator matrices")
     try:
         if isinstance(group, str):
             if group not in catalog_names(dim):
@@ -169,8 +179,12 @@ def _build_mask(cfg: dict, triple: CrystalTriple) -> Mask:
                 or not all(isinstance(x, int) for x in k)):
             raise CliError(EXIT_MALFORMED,
                            f"mask entry {pos}: k must be {triple.d} integers")
-        if not isinstance(coef, list):
-            coef = [[coef]]
+        if not (isinstance(coef, list)
+                and any(isinstance(x, list) for x in coef)):
+            coef = [[coef]]  # one scalar, possibly an [re, im] pair
+        if not all(isinstance(row, list) for row in coef):
+            raise CliError(EXIT_MALFORMED,
+                           f"mask entry {pos}: coef rows must be lists")
         rows = [[_parse_scalar(x) for x in row] for row in coef]
         r = len(rows)
         if any(len(row) != r for row in rows):

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import Mat, QC, det, smith_normal_form
+from .linalg import Mat, QC, det, integer_rows, smith_normal_form
 
 
 class GroupValidationError(ValueError):
@@ -37,20 +37,6 @@ class AdmissibilityError(ValueError):
 
 def _int_apply(m: list[list[int]], k) -> tuple[int, ...]:
     return tuple(sum(row[j] * k[j] for j in range(len(k))) for row in m)
-
-
-def _mat_to_int(m: Mat) -> list[list[int]] | None:
-    """Nested int lists when every entry is a real integer, else None."""
-    out = []
-    for i in range(m.rows):
-        row = []
-        for j in range(m.cols):
-            x = m.entry(i, j)
-            if x.im != 0 or x.re.denominator != 1:
-                return None
-            row.append(int(x.re))
-        out.append(row)
-    return out
 
 
 def _is_real(m: Mat) -> bool:
@@ -73,7 +59,7 @@ class CrystalTriple:
         self.name = name
         self.int_reps = []
         for g in self.group:
-            rep = _mat_to_int(self.R_inv @ g @ self.R)
+            rep = integer_rows(self.R_inv @ g @ self.R)
             assert rep is not None  # validate_triple checked this
             self.int_reps.append(rep)
         self.product_table = [
@@ -144,6 +130,7 @@ def validate_triple(R: Mat, group: list[Mat], name: str | None = None) -> Crysta
         raise GroupValidationError("point group is empty")
     if group[0] != ident:
         raise GroupValidationError("point group must list the identity first")
+    R_inv = R.inverse()
     seen = set()
     for idx, g in enumerate(group):
         if g.backend != "exact" or g.shape != (d, d) or not _is_real(g):
@@ -155,7 +142,7 @@ def validate_triple(R: Mat, group: list[Mat], name: str | None = None) -> Crysta
         if key in seen:
             raise GroupValidationError(f"point element {idx} is a duplicate")
         seen.add(key)
-        if _mat_to_int(R.inverse() @ g @ R) is None:
+        if integer_rows(R_inv @ g @ R) is None:
             raise GroupValidationError(f"point element {idx} does not "
                                        "preserve the lattice")
     return CrystalTriple(R, group, name=name)  # closure checked in _find
@@ -166,6 +153,9 @@ def generate_group(generators: list[Mat], max_order: int = 48) -> list[Mat]:
     if not generators:
         raise GroupValidationError("no generators given")
     d = generators[0].rows
+    if any(g.shape != (d, d) for g in generators):
+        raise GroupValidationError("generators must be square matrices of "
+                                   "one size")
     elements = [Mat.identity(d)]
     frontier = list(elements)
     while frontier:
@@ -312,14 +302,11 @@ class Dilation:
 
     def deconj(self, e: CrystalElement) -> CrystalElement | None:
         """A^{-1} e A when that lies in Gamma, else None."""
-        col = self.M_inv @ Mat.column(e.k)
-        k = []
-        for i in range(self.triple.d):
-            x = col.entry(i, 0)
-            if x.im != 0 or x.re.denominator != 1:
-                return None
-            k.append(int(x.re))
-        return CrystalElement(self.triple, self.h_inv[e.g], tuple(k))
+        col = integer_rows(self.M_inv @ Mat.column(e.k))
+        if col is None:
+            return None
+        return CrystalElement(self.triple, self.h_inv[e.g],
+                              tuple(row[0] for row in col))
 
     def __repr__(self):
         return f"Dilation(m={self.m})"
@@ -335,7 +322,8 @@ def check_admissible(A: Mat, triple: CrystalTriple) -> Dilation:
         raise AdmissibilityError("dilation must be an exact d x d matrix")
     if not _is_real(A):
         raise AdmissibilityError("dilation must be real")
-    if det(A).is_zero():
+    det_a = det(A)
+    if det_a.is_zero():
         raise AdmissibilityError("dilation is singular")
     eigs = np.linalg.eigvals(A.np())
     if np.min(np.abs(eigs)) <= 1 + 1e-9:
@@ -344,12 +332,13 @@ def check_admissible(A: Mat, triple: CrystalTriple) -> Dilation:
     b = np.linalg.matrix_power(np.linalg.inv(A.np()), 64)
     if np.linalg.norm(b, 2) ** (1 / 64) >= 1 + 1e-6:
         raise AdmissibilityError("inverse powers of the dilation do not contract")
-    M = _mat_to_int(triple.R_inv @ A @ triple.R)
+    M = integer_rows(triple.R_inv @ A @ triple.R)
     if M is None:
         raise AdmissibilityError("dilation does not map the lattice into itself")
+    A_inv = A.inverse()
     h = []
     for i, g in enumerate(triple.group):
-        conj = A @ g @ A.inverse()
+        conj = A @ g @ A_inv
         match = next((j for j, gj in enumerate(triple.group) if gj == conj),
                      None)
         if match is None:
@@ -358,8 +347,7 @@ def check_admissible(A: Mat, triple: CrystalTriple) -> Dilation:
                 "outside the group")
         h.append(match)
     dil = Dilation(triple, A, M, tuple(h))
-    m_det = det(A).re
-    if abs(m_det) != dil.m:
+    if abs(det_a.re) != dil.m:
         raise AdmissibilityError("digit count does not match |det A|")
     return dil
 

@@ -8,6 +8,13 @@ norm).  Arithmetic on mixed operands (``@``, ``+``, ``-``, :func:`kron`, and
 :meth:`Mat.scale` by a float or complex scalar) promotes to float, so the
 float backend wins; exact inputs never meet a float and stay exact end to
 end.
+
+Exact arithmetic is decided here once.  One Gauss-Jordan elimination,
+``_rref_exact``, serves :func:`rank`, :func:`kernel_basis`, :func:`det` (the
+signed product of its pivots) and :meth:`Mat.inverse` (the rref of
+``[A | I]``); :func:`integer_rows` is the one reader of integer matrices;
+and :func:`negligible` is the one scalar zero test: exact values are zero
+only when they equal zero, floats when their modulus is within a tolerance.
 """
 
 from __future__ import annotations
@@ -126,6 +133,15 @@ class QC:
 
 QC_ZERO = QC(0)
 QC_ONE = QC(1)
+
+
+def negligible(x, tol: float) -> bool:
+    """The one scalar zero test: an exact QC is zero only when it equals
+    zero (``tol`` is ignored); a float or complex is zero when
+    ``|x| <= tol``."""
+    if isinstance(x, QC):
+        return x.is_zero()
+    return abs(x) <= tol
 
 
 class Mat:
@@ -344,30 +360,16 @@ class Mat:
     # -- inverse ----------------------------------------------------------
 
     def inverse(self) -> "Mat":
+        """Exact: the right half of the rref of [A | I]; float: numpy."""
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         if self.backend == "float":
             return Mat.from_array(np.linalg.inv(self._arr))
         n = self.rows
-        a = [list(row) for row in self._exact]
-        inv = [[QC(1) if i == j else QC(0) for j in range(n)] for i in range(n)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if not a[r][col].is_zero()),
-                         None)
-            if pivot is None:
-                raise ValueError("singular matrix")
-            a[col], a[pivot] = a[pivot], a[col]
-            inv[col], inv[pivot] = inv[pivot], inv[col]
-            p = a[col][col]
-            a[col] = [x / p for x in a[col]]
-            inv[col] = [x / p for x in inv[col]]
-            for r in range(n):
-                if r == col or a[r][col].is_zero():
-                    continue
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-        return Mat(n, n, "exact", exact_data=inv)
+        a, pivots, _ = _rref_exact(Mat.hstack([self, Mat.identity(n)]))
+        if pivots != list(range(n)):
+            raise ValueError("singular matrix")
+        return Mat(n, n, "exact", exact_data=[row[n:] for row in a])
 
     def __repr__(self):
         return f"Mat({self.rows}x{self.cols}, {self.backend})"
@@ -383,18 +385,25 @@ def _promote(a: Mat, b: Mat) -> tuple[Mat, Mat]:
 # -- elimination-based queries ---------------------------------------------
 
 
-def _rref_exact(m: Mat) -> tuple[list[list[QC]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
+def _rref_exact(m: Mat) -> tuple[list[list[QC]], list[int], QC]:
+    """Reduced row echelon form by Gauss-Jordan elimination, the one exact
+    elimination in the package; returns (rows, pivot column indices, signed
+    product of the pivots).  For a square matrix with pivots in every column
+    that product is the determinant."""
     a = [list(row) for row in (m._exact or [])]
     pivots: list[int] = []
+    prod = QC_ONE
     r = 0
     for col in range(m.cols):
         pivot = next((i for i in range(r, m.rows) if not a[i][col].is_zero()),
                      None)
         if pivot is None:
             continue
-        a[r], a[pivot] = a[pivot], a[r]
+        if pivot != r:
+            a[r], a[pivot] = a[pivot], a[r]
+            prod = -prod
         p = a[r][col]
+        prod = prod * p
         a[r] = [x / p for x in a[r]]
         for i in range(m.rows):
             if i == r or a[i][col].is_zero():
@@ -405,17 +414,20 @@ def _rref_exact(m: Mat) -> tuple[list[list[QC]], list[int]]:
         r += 1
         if r == m.rows:
             break
-    return a, pivots
+    return a, pivots, prod
 
 
-def _scaled_svd(m: Mat):
+def _scaled_svd(m: Mat, tol: float):
     """Singular values and right singular vectors after rows are scaled to
-    unit norm (zero rows are left alone; they do not constrain anything)."""
+    unit norm.  Rows of norm at most ``tol`` are zero up to rounding: they
+    are set to zero rather than blown up to unit norm, since they do not
+    constrain anything."""
     arr = m.np().copy()
     if arr.shape[0]:
         norms = np.linalg.norm(arr, axis=1)
-        nz = norms > 0
+        nz = norms > tol
         arr[nz] = arr[nz] / norms[nz, None]
+        arr[~nz] = 0
     _, s, vh = np.linalg.svd(arr, full_matrices=True)
     full = np.zeros(arr.shape[1])
     full[: s.shape[0]] = s
@@ -427,7 +439,7 @@ def rank(m: Mat, tol: float = DEFAULT_TOL) -> int:
         return 0
     if m.backend == "exact":
         return len(_rref_exact(m)[1])
-    s, _ = _scaled_svd(m)
+    s, _ = _scaled_svd(m, tol)
     return int(np.sum(s > tol))
 
 
@@ -443,7 +455,7 @@ def kernel_basis(m: Mat, tol: float = DEFAULT_TOL) -> list[Mat]:
     if m.rows == 0:
         return [Mat.identity(m.cols, m.backend).col(j) for j in range(m.cols)]
     if m.backend == "exact":
-        a, pivots = _rref_exact(m)
+        a, pivots, _ = _rref_exact(m)
         free = [c for c in range(m.cols) if c not in pivots]
         basis = []
         for f in free:
@@ -453,7 +465,7 @@ def kernel_basis(m: Mat, tol: float = DEFAULT_TOL) -> list[Mat]:
                 v[pc] = -a[r][f]
             basis.append(Mat.column(v))
         return basis
-    s, vh = _scaled_svd(m)
+    s, vh = _scaled_svd(m, tol)
     basis = []
     for i in range(m.cols):
         if s[i] <= tol:
@@ -467,25 +479,8 @@ def det(m: Mat):
         raise ValueError("determinant of a non-square matrix")
     if m.backend == "float":
         return complex(np.linalg.det(m._arr))
-    a = [list(row) for row in m._exact]
-    n = m.rows
-    result = QC(1)
-    for col_ in range(n):
-        pivot = next((r for r in range(col_, n) if not a[r][col_].is_zero()),
-                     None)
-        if pivot is None:
-            return QC(0)
-        if pivot != col_:
-            a[col_], a[pivot] = a[pivot], a[col_]
-            result = -result
-        p = a[col_][col_]
-        result = result * p
-        for r in range(col_ + 1, n):
-            if a[r][col_].is_zero():
-                continue
-            f = a[r][col_] / p
-            a[r] = [x - f * y for x, y in zip(a[r], a[col_])]
-    return result
+    _, pivots, prod = _rref_exact(m)
+    return prod if len(pivots) == m.rows else QC_ZERO
 
 
 def kron(a: Mat, b: Mat) -> Mat:
@@ -531,30 +526,27 @@ def solve_affine(k: Mat, selected: Sequence[int],
     return basis, rank(pm, tol=tol)
 
 
-# -- Smith normal form ------------------------------------------------------
+# -- integer matrices -------------------------------------------------------
 
 
-def _int_matrix(m) -> list[list[int]]:
-    if isinstance(m, Mat):
-        if m.backend != "exact":
-            raise TypeError("integer matrix expected")
-        out = []
-        for row in m._exact:
-            out_row = []
-            for x in row:
-                if x.im != 0 or x.re.denominator != 1:
-                    raise ValueError(f"non-integer entry {x!r}")
-                out_row.append(int(x.re))
-            out.append(out_row)
-        return out
-    return [[int(x) for x in row] for row in m]
+def integer_rows(m: Mat) -> list[list[int]] | None:
+    """Entries as nested int lists when every entry is a real integer;
+    None otherwise, and for every float matrix."""
+    if m.backend != "exact":
+        return None
+    if any(x.im != 0 or x.re.denominator != 1 for row in m._exact for x in row):
+        return None
+    return [[int(x.re) for x in row] for row in m._exact]
 
 
-def smith_normal_form(m) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Smith normal form of an integer matrix: U @ M @ V = S with U, V
-    unimodular and S diagonal, nonnegative, each diagonal entry dividing
-    the next.  Returns (U, S, V) as nested integer lists."""
-    a = _int_matrix(m)
+def smith_normal_form(m: list[list[int]]) -> tuple[list[list[int]],
+                                                  list[list[int]],
+                                                  list[list[int]]]:
+    """Smith normal form of an integer matrix given as nested int lists:
+    U @ M @ V = S with U, V unimodular and S diagonal, nonnegative, each
+    diagonal entry dividing the next.  Returns (U, S, V) as nested integer
+    lists."""
+    a = [list(row) for row in m]
     n_rows = len(a)
     n_cols = len(a[0]) if n_rows else 0
     u = [[1 if i == j else 0 for j in range(n_rows)] for i in range(n_rows)]

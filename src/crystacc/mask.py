@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .crystal import (CrystalElement, CrystalTriple, Dilation, _int_apply,
                       compose, inverse, validate_triple)
-from .linalg import DEFAULT_TOL, Mat, QC
+from .linalg import DEFAULT_TOL, Mat, QC, negligible
 
 
 class MaskShapeError(ValueError):
@@ -283,19 +283,14 @@ def check_gamma_A_symmetry(matrix_mask: Mask, symmetry: SymmetryData,
     for k in list(points):
         for i in range(symmetry.r):
             points.add(_int_apply(symmetry.point_maps[i], k))
-    exact = matrix_mask.backend == "exact"
     zero = Mat.zeros(symmetry.r, symmetry.r, backend=matrix_mask.backend)
     for k in points:
         blk = stored.get(k, zero)
         for i in range(symmetry.r):
             partner = stored.get(_int_apply(symmetry.point_maps[i], k), zero)
             for j in range(symmetry.r):
-                lhs = blk.entry(i, j)
-                rhs = partner.entry(0, symmetry.rho[i][j])
-                if exact:
-                    if lhs != rhs:
-                        return False
-                elif abs(lhs - rhs) > tol:
+                if not negligible(blk.entry(i, j)
+                                  - partner.entry(0, symmetry.rho[i][j]), tol):
                     return False
     return True
 

@@ -285,3 +285,17 @@ def test_float_copy_reaches_the_exact_verdicts(line, bspline4):
     for mask, v in ((bspline4, exact.witness), (fmask, cert.witness),
                     (fmask, exact.witness)):
         assert verify_equivalence(mask, dil, v, sample).passed
+
+
+def test_float_mask_with_a_rounding_size_row_keeps_its_accuracy(line):
+    """The float copy of (1/6, 1/2, 2/3, 1/2, 1/6) has a degree-0 system
+    row of size ~1e-16; counted as a zero row, not scaled to unit norm, it
+    leaves the float solver at the exact accuracy 2."""
+    t, dil = line
+    coefs = [Fraction(1, 6), Fraction(1, 2), Fraction(2, 3), Fraction(1, 2),
+             Fraction(1, 6)]
+    exact = Mask.scalar(t, dict(enumerate(coefs)))
+    floats = Mask.scalar(t, {k: float(c) for k, c in enumerate(coefs)})
+    assert floats.backend == "float"
+    for mask in (exact, floats):
+        assert max_accuracy(mask, t, dil, p_max=4).p == 2

@@ -324,3 +324,51 @@ def test_malformed_options_exit_1(tmp_path, capsys, command, options):
     assert code == EXIT_MALFORMED
     assert "option" in json.loads(captured.out)["error"]
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command,cfg,code", [
+    ("accuracy", {"mask": [{"g": 0, "k": [0], "coef": []}]}, EXIT_MALFORMED),
+    ("accuracy", {"mask": [{"g": 0, "k": [0], "coef": [[1], 2]}]},
+     EXIT_MALFORMED),
+    ("accuracy", {"mask": [{"g": 0, "k": [0], "coef": [[[[1, 2], [3, 4]]]]}]},
+     EXIT_MALFORMED),
+    ("check-group", {"dimension": 2, "dilation": [[2, 0], [0]]},
+     EXIT_MALFORMED),
+    ("check-group", {"lattice": [[1], []]}, EXIT_MALFORMED),
+    ("check-group", {"group": [[[1, 0], [0]]], "dimension": 2,
+                     "dilation": [[2, 0], [0, 2]]}, EXIT_MALFORMED),
+    ("check-group", {"group": [[[1, 0, 0], [0, 1, 0]]], "dimension": 2,
+                     "dilation": [[2, 0], [0, 2]]}, EXIT_BAD_GROUP),
+    ("accuracy", {"group": 5}, EXIT_MALFORMED),
+    # complex entries are refused, not cut down to their real parts
+    ("check-group", {"dimension": 2,
+                     "dilation": [["2", ["0", "1"]], ["0", "2"]]},
+     EXIT_MALFORMED),
+    ("check-group", {"lattice": [[["1", "1"]]]}, EXIT_MALFORMED),
+    ("check-group", {"group": [[[["-1", "1"]]]]}, EXIT_MALFORMED),
+])
+def test_malformed_shapes_end_in_a_json_error(tmp_path, capsys, command, cfg,
+                                              code):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(HAT_CFG, **cfg)), encoding="utf-8")
+    assert main([command, str(path)]) == code
+    captured = capsys.readouterr()
+    assert "error" in json.loads(captured.out)
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("forms", [
+    ("1/2", ["1/2", 0], [[["1/2", 0]]]),
+    (0.5, [0.5, 0], [[[0.5, 0]]]),
+])
+def test_scalar_coef_pair_reads_as_one_complex_scalar(tmp_path, capsys,
+                                                      forms):
+    outs = []
+    for coef in forms:
+        mask = [dict(HAT_CFG["mask"][0], coef=coef)] + HAT_CFG["mask"][1:]
+        code, out = run_cli(tmp_path, capsys, dict(HAT_CFG, mask=mask),
+                            ["accuracy", "CFG"])
+        assert code == EXIT_OK
+        outs.append(out)
+    assert outs[0]["accuracy"] == 2
+    assert outs[1] == outs[0] and outs[2] == outs[0]

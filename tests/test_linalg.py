@@ -1,15 +1,17 @@
 """Exact and floating linear algebra: kernels, Smith form, eigenvalue-1."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from crystacc.linalg import (Mat, QC, det, has_eigenvalue_one, kernel_basis,
-                             kron, rank, smith_normal_form, solve_affine)
+from crystacc.linalg import (Mat, QC, det, has_eigenvalue_one, integer_rows,
+                             kernel_basis, kron, rank, smith_normal_form,
+                             solve_affine)
 
 
 def test_qc_exact_arithmetic():
@@ -197,3 +199,63 @@ def test_mixed_backends_promote_to_float():
     assert e.scale(Fraction(1, 2)).backend == "exact"
     i_e = Mat.from_rows([[QC(0, 1), QC(0, Fraction(1, 3))], [0, QC(1, 2)]])
     assert e.scale(QC(0, 1)) == i_e
+
+
+def _leibniz_det(rows) -> QC:
+    """Reference determinant: the sum over permutations, no elimination."""
+    n = len(rows)
+    total = QC(0)
+    for perm in itertools.permutations(range(n)):
+        odd = sum(perm[i] > perm[j]
+                  for i in range(n) for j in range(i + 1, n)) % 2
+        term = QC(-1 if odd else 1)
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total + term
+    return total
+
+
+small_qc = st.one_of(st.just(QC(0)), st.builds(QC, small_fraction),
+                     st.builds(QC, small_fraction, small_fraction))
+
+
+@seed(2026)
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.booleans(), st.data())
+def test_elimination_against_leibniz(n, repeat_row, data):
+    """det, the eigenvalue-1 test and inverse, all served by one
+    Gauss-Jordan elimination, against a permutation-sum determinant; a
+    repeated row makes singular inputs common."""
+    rows = [[data.draw(small_qc) for _ in range(n)] for _ in range(n)]
+    if repeat_row and n > 1:
+        rows[-1] = [data.draw(small_qc) * x for x in rows[0]]
+    m = Mat.from_rows(rows)
+    ref = _leibniz_det(rows)
+    assert det(m) == ref
+    shifted = [[x - (1 if i == j else 0) for j, x in enumerate(row)]
+               for i, row in enumerate(rows)]
+    assert has_eigenvalue_one(m) == (_leibniz_det(shifted) == QC(0))
+    if ref == QC(0):
+        with pytest.raises(ValueError):
+            m.inverse()
+    else:
+        inv = m.inverse()
+        assert m @ inv == Mat.identity(n)
+        assert inv @ m == Mat.identity(n)
+
+
+@seed(2026)
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_integer_rows_reads_real_integers_only(rows, cols, data):
+    entry = st.one_of(st.builds(QC, st.integers(-9, 9)), small_qc)
+    m = Mat.from_rows([[data.draw(entry) for _ in range(cols)]
+                       for _ in range(rows)])
+    ints = integer_rows(m)
+    entries = [m.entry(i, j) for i in range(rows) for j in range(cols)]
+    if any(x.im != 0 or x.re.denominator != 1 for x in entries):
+        assert ints is None
+    else:
+        assert ints == [[int(m.entry(i, j).re) for j in range(cols)]
+                        for i in range(rows)]
+    assert integer_rows(m.to_float()) is None
