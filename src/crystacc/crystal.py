@@ -51,17 +51,15 @@ class CrystalTriple:
     triple and refuse to combine across triples.
     """
 
-    def __init__(self, R: Mat, group: list[Mat], name: str | None = None):
+    def __init__(self, R: Mat, R_inv: Mat, group: list[Mat],
+                 int_reps: list[list[list[int]]], name: str | None = None):
         self.d = R.rows
         self.R = R
-        self.R_inv = R.inverse()
+        self.R_inv = R_inv
         self.group = list(group)
         self.name = name
-        self.int_reps = []
-        for g in self.group:
-            rep = integer_rows(self.R_inv @ g @ self.R)
-            assert rep is not None  # validate_triple checked this
-            self.int_reps.append(rep)
+        # R^{-1} g R for each point element, as validate_triple found them
+        self.int_reps = int_reps
         self.product_table = [
             [self._find(self.group[i] @ self.group[j]) for j in range(len(group))]
             for i in range(len(group))
@@ -128,24 +126,29 @@ def validate_triple(R: Mat, group: list[Mat], name: str | None = None) -> Crysta
     ident = Mat.identity(d)
     if not group:
         raise GroupValidationError("point group is empty")
-    if group[0] != ident:
-        raise GroupValidationError("point group must list the identity first")
-    R_inv = R.inverse()
-    seen = set()
     for idx, g in enumerate(group):
         if g.backend != "exact" or g.shape != (d, d) or not _is_real(g):
             raise GroupValidationError(f"point element {idx} is not a real "
                                        f"exact {d}x{d} matrix")
+    if group[0] != ident:
+        raise GroupValidationError("point group must list the identity first")
+    R_inv = R.inverse()
+    seen = set()
+    int_reps = []
+    for idx, g in enumerate(group):
         if g.transpose() @ g != ident:
             raise GroupValidationError(f"point element {idx} is not orthogonal")
         key = tuple(tuple((e.re, e.im) for e in g.row_list(i)) for i in range(d))
         if key in seen:
             raise GroupValidationError(f"point element {idx} is a duplicate")
         seen.add(key)
-        if integer_rows(R_inv @ g @ R) is None:
+        rep = integer_rows(R_inv @ g @ R)
+        if rep is None:
             raise GroupValidationError(f"point element {idx} does not "
                                        "preserve the lattice")
-    return CrystalTriple(R, group, name=name)  # closure checked in _find
+        int_reps.append(rep)
+    # closure checked in _find
+    return CrystalTriple(R, R_inv, group, int_reps, name=name)
 
 
 def generate_group(generators: list[Mat], max_order: int = 48) -> list[Mat]:
@@ -246,11 +249,11 @@ class Dilation:
     are U^{-1} t for t running row-major over prod(range(S_ii)).
     """
 
-    def __init__(self, triple: CrystalTriple, A: Mat, M: list[list[int]],
-                 h: tuple[int, ...]):
+    def __init__(self, triple: CrystalTriple, A: Mat, A_inv: Mat,
+                 M: list[list[int]], h: tuple[int, ...]):
         self.triple = triple
         self.A = A
-        self.A_inv = A.inverse()
+        self.A_inv = A_inv
         self.M = M
         self.M_mat = Mat.from_rows(M)
         self.M_inv = self.M_mat.inverse()
@@ -346,7 +349,7 @@ def check_admissible(A: Mat, triple: CrystalTriple) -> Dilation:
                 f"conjugation by the dilation maps point element {i} "
                 "outside the group")
         h.append(match)
-    dil = Dilation(triple, A, M, tuple(h))
+    dil = Dilation(triple, A, A_inv, M, tuple(h))
     if abs(det_a.re) != dil.m:
         raise AdmissibilityError("digit count does not match |det A|")
     return dil

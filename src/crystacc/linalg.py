@@ -10,15 +10,23 @@ float backend wins; exact inputs never meet a float and stay exact end to
 end.
 
 Exact arithmetic is decided here once.  One Gauss-Jordan elimination,
-``_rref_exact``, serves :func:`rank`, :func:`kernel_basis`, :func:`det` (the
-signed product of its pivots) and :meth:`Mat.inverse` (the rref of
-``[A | I]``); :func:`integer_rows` is the one reader of integer matrices;
-and :func:`negligible` is the one scalar zero test: exact values are zero
-only when they equal zero, floats when their modulus is within a tolerance.
+``_rref_exact``, serves :func:`rank`, :func:`kernel_basis`, :func:`det` and
+:meth:`Mat.inverse` (the rref of ``[A | I]``).  It is fraction-free: each
+row is scaled to integers by the lcm of its denominators, every elimination
+step divides exactly by the previous pivot (Bareiss), and the pivot rows are
+divided by the last pivot once, at the end; real data runs on Python ints,
+complex data on QC with integer parts, through the same loop.  The
+determinant is the sign of the row swaps times the last pivot, over the
+product of the row scales.  :func:`integer_rows` is the one reader of
+integer matrices, and :func:`negligible` is the one scalar zero test: exact
+values are zero only when they equal zero, floats when their modulus is
+within a tolerance.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -269,18 +277,22 @@ class Mat:
             out.append(out_row)
         return Mat(self.rows, other.cols, "exact", exact_data=out)
 
-    def __add__(self, other: "Mat") -> "Mat":
+    def _entrywise(self, other: "Mat", op, symbol: str) -> "Mat":
         self, other = _promote(self, other)
         if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} + {other.shape}")
+            raise ValueError(f"shape mismatch {self.shape} {symbol} "
+                             f"{other.shape}")
         if self.backend == "float":
-            return Mat.from_array(self._arr + other._arr)
-        data = [[self._exact[i][j] + other._exact[i][j]
-                 for j in range(self.cols)] for i in range(self.rows)]
+            return Mat.from_array(op(self._arr, other._arr))
+        data = [[op(x, y) for x, y in zip(row, other_row)]
+                for row, other_row in zip(self._exact, other._exact)]
         return Mat(self.rows, self.cols, "exact", exact_data=data)
 
+    def __add__(self, other: "Mat") -> "Mat":
+        return self._entrywise(other, operator.add, "+")
+
     def __sub__(self, other: "Mat") -> "Mat":
-        return self + (-other)
+        return self._entrywise(other, operator.sub, "-")
 
     def __neg__(self) -> "Mat":
         return self.scale(-1)
@@ -386,35 +398,58 @@ def _promote(a: Mat, b: Mat) -> tuple[Mat, Mat]:
 
 
 def _rref_exact(m: Mat) -> tuple[list[list[QC]], list[int], QC]:
-    """Reduced row echelon form by Gauss-Jordan elimination, the one exact
-    elimination in the package; returns (rows, pivot column indices, signed
-    product of the pivots).  For a square matrix with pivots in every column
-    that product is the determinant."""
-    a = [list(row) for row in (m._exact or [])]
+    """Reduced row echelon form by fraction-free Gauss-Jordan elimination,
+    the one exact elimination in the package; returns (rows, pivot column
+    indices, determinant); the determinant is meaningful only for a square
+    matrix with pivots in every column.
+
+    After pivot ``p`` every other row ``x`` of the integer-scaled matrix
+    becomes ``(p*x - f*y) / prev``, with ``y`` the pivot row, ``f`` the
+    row's entry in the pivot column and ``prev`` the previous pivot; by
+    Sylvester's identity every division is exact.  A row with ``f = 0`` is
+    still rescaled by ``p / prev``, so every pivot row carries the latest
+    pivot and one division by the last pivot at the end gives the rref."""
+    rows = m._exact or []
+    scales = [math.lcm(*(q.denominator for x in row for q in (x.re, x.im)))
+              for row in rows]
+    real = all(x.im == 0 for row in rows for x in row)
+    if real:
+        zero, div = 0, operator.floordiv
+        a = [[x.re.numerator * (s // x.re.denominator) for x in row]
+             for row, s in zip(rows, scales)]
+    else:
+        zero, div = QC_ZERO, operator.truediv
+        a = [[x * s for x in row] for row, s in zip(rows, scales)]
     pivots: list[int] = []
-    prod = QC_ONE
+    sign, prev = 1, 1
     r = 0
     for col in range(m.cols):
-        pivot = next((i for i in range(r, m.rows) if not a[i][col].is_zero()),
+        pivot = next((i for i in range(r, m.rows) if a[i][col] != zero),
                      None)
         if pivot is None:
             continue
         if pivot != r:
             a[r], a[pivot] = a[pivot], a[r]
-            prod = -prod
-        p = a[r][col]
-        prod = prod * p
-        a[r] = [x / p for x in a[r]]
-        for i in range(m.rows):
-            if i == r or a[i][col].is_zero():
+            sign = -sign
+        y = a[r]
+        p = y[col]
+        for i, x in enumerate(a):
+            if i == r:
                 continue
-            f = a[i][col]
-            a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+            f = x[col]
+            if f == zero:
+                a[i] = [div(p * e, prev) for e in x]
+            else:
+                a[i] = [div(p * e - f * g, prev) for e, g in zip(x, y)]
+        prev = p
         pivots.append(col)
         r += 1
         if r == m.rows:
             break
-    return a, pivots, prod
+    out = [[QC_ZERO if e == zero else QC(Fraction(e, prev)) if real
+            else e / prev for e in x] for x in a[:r]]
+    out += [[QC_ZERO] * m.cols for _ in range(r, m.rows)]
+    return out, pivots, QC(Fraction(sign, math.prod(scales))) * prev
 
 
 def _scaled_svd(m: Mat, tol: float):

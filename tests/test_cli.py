@@ -1,8 +1,12 @@
 """End-to-end command-line runs through main(argv), in process."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
 from crystacc.cli import (DEFAULT_SEED, EXIT_BAD_GROUP, EXIT_INADMISSIBLE,
                           EXIT_MALFORMED, EXIT_NO_CONVERGENCE, EXIT_OK,
@@ -346,6 +350,9 @@ def test_malformed_options_exit_1(tmp_path, capsys, command, options):
      EXIT_MALFORMED),
     ("check-group", {"lattice": [[["1", "1"]]]}, EXIT_MALFORMED),
     ("check-group", {"group": [[[["-1", "1"]]]]}, EXIT_MALFORMED),
+    # a generator of the wrong size is named as such
+    ("check-group", {"dimension": 2, "group": [[[-1]]],
+                     "dilation": [[2, 0], [0, 2]]}, EXIT_BAD_GROUP),
 ])
 def test_malformed_shapes_end_in_a_json_error(tmp_path, capsys, command, cfg,
                                               code):
@@ -372,3 +379,73 @@ def test_scalar_coef_pair_reads_as_one_complex_scalar(tmp_path, capsys,
         outs.append(out)
     assert outs[0]["accuracy"] == 2
     assert outs[1] == outs[0] and outs[2] == outs[0]
+
+
+# -- fuzzed configs ---------------------------------------------------------
+
+ABSENT = object()
+EXIT_CODES = {EXIT_OK, EXIT_MALFORMED, EXIT_BAD_GROUP, EXIT_INADMISSIBLE,
+              EXIT_SHAPE, EXIT_NO_CONVERGENCE}
+
+json_leaf = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                      st.floats(-4, 4), st.sampled_from(["1/2", "x", "",
+                                                         "1/0", "-3"]))
+json_any = st.recursive(
+    json_leaf, lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(["g", "k", "coef", "p_max"]), inner,
+                        max_size=3)),
+    max_leaves=8)
+scalar = st.sampled_from(["1/2", 1, 0, 0.5, ["1/2", "1/4"], [0.5, 0]])
+coef = st.one_of(scalar, st.builds(lambda x: [[x]], scalar),
+                 st.lists(st.lists(scalar, min_size=2, max_size=2),
+                          min_size=2, max_size=2), json_any)
+GROUPS = {1: ["p1", "p1m", [[[-1]]]],
+          2: ["p1", "pm", "p4m", [[[0, -1], [1, 0]]], [[[1, 0], [0, -1]]]]}
+DILATIONS = {1: [[[2]], [[-2]], [[3]], [[1]]],
+             2: [[[2, 0], [0, 2]], [[2, 0], [0, 2]], [[1, 1], [-1, 1]],
+                 [[0, 0], [0, 0]]]}
+LATTICES = {1: [[[1]], [["1/2"]]], 2: [[[1, 0], [0, 1]], [["1/2", 0], [0, 1]]]}
+
+
+@st.composite
+def config(draw):
+    """A documented config in one or two dimensions, then up to two of its
+    fields replaced by any JSON value or dropped."""
+    d = draw(st.sampled_from([1, 2]))
+    entry = st.fixed_dictionaries({
+        "g": st.sampled_from([0, 0, 1, 2]),
+        "k": st.lists(st.integers(-1, 1), min_size=d, max_size=d),
+        "coef": coef})
+    cfg = {"group": draw(st.sampled_from(GROUPS[d])), "dimension": d,
+           "dilation": draw(st.sampled_from(DILATIONS[d])),
+           "lattice": draw(st.sampled_from([ABSENT, ABSENT] + LATTICES[d])),
+           "mask": draw(st.lists(entry, min_size=1, max_size=3)),
+           "options": draw(st.sampled_from([ABSENT, {"p_max": 2}]))}
+    for name in draw(st.lists(st.sampled_from(sorted(cfg)), max_size=2)):
+        cfg[name] = draw(st.one_of(json_any, st.just(ABSENT)))
+    return {k: v for k, v in cfg.items() if v is not ABSENT}
+
+
+command = st.sampled_from([["check-group"], ["accuracy", "--p-max", "2"],
+                           ["lift"], ["extract"]])
+
+
+@seed(2026)
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(command, config())
+def test_fuzzed_configs_end_in_a_documented_exit(tmp_path_factory, argv,
+                                                 cfg):
+    """Any config, well formed or not, ends in an exit code the module
+    docstring documents, with a JSON error whenever it is not 0, and never
+    in an uncaught exception."""
+    path = tmp_path_factory.mktemp("fuzz") / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([argv[0], str(path), *argv[1:]])
+    assert code in EXIT_CODES
+    if code != EXIT_OK:
+        assert "error" in json.loads(out.getvalue())
+    assert "Traceback" not in err.getvalue()

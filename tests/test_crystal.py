@@ -49,6 +49,32 @@ def test_validate_rejects_nonorthogonal():
         validate_triple(Mat.identity(2), [Mat.identity(2), shear], "bad")
 
 
+def test_wrong_size_generator_names_its_size():
+    """A point element of the wrong size is reported as such, not as a
+    missing identity."""
+    with pytest.raises(GroupValidationError, match="point element 0 is not "
+                       "a real exact 2x2 matrix"):
+        validate_triple(Mat.identity(2), [Mat.from_rows([[1]])])
+
+
+def test_p4m_doubling_inverts_each_matrix_once(monkeypatch):
+    """Building p4m with A = 2I inverts R, A and M = R^{-1} A R once each:
+    the triple and the dilation reuse what validation computed."""
+    inverted = []
+    original = Mat.inverse
+
+    def counting(self):
+        inverted.append(self.shape)
+        return original(self)
+
+    monkeypatch.setattr(Mat, "inverse", counting)
+    t = catalog_triple("p4m", 2)
+    dil = check_admissible(Mat.from_rows([[2, 0], [0, 2]]), t)
+    assert len(inverted) == 3
+    assert t.R_inv == Mat.identity(2)
+    assert dil.A_inv == Mat.identity(2).scale(QC(Fraction(1, 2)))
+
+
 def test_compose_pm_example(pm):
     t, _ = pm
     # S is the reflection fixing the x-axis; catalog index 1

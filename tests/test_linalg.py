@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from crystacc.linalg import (Mat, QC, det, has_eigenvalue_one, integer_rows,
-                             kernel_basis, kron, rank, smith_normal_form,
-                             solve_affine)
+from crystacc.linalg import (Mat, QC, _rref_exact, det, has_eigenvalue_one,
+                             integer_rows, kernel_basis, kron, rank,
+                             smith_normal_form, solve_affine)
 
 
 def test_qc_exact_arithmetic():
@@ -259,3 +259,60 @@ def test_integer_rows_reads_real_integers_only(rows, cols, data):
         assert ints == [[int(m.entry(i, j).re) for j in range(cols)]
                         for i in range(rows)]
     assert integer_rows(m.to_float()) is None
+
+
+def _rref_reference(rows, n_cols):
+    """Reference rref: textbook Gauss-Jordan on QC values, dividing each
+    pivot row by its pivot and clearing the column with fractions."""
+    a = [list(row) for row in rows]
+    pivots, prod, r = [], QC(1), 0
+    for col in range(n_cols):
+        pivot = next((i for i in range(r, len(a)) if a[i][col] != QC(0)),
+                     None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            a[r], a[pivot] = a[pivot], a[r]
+            prod = -prod
+        p = a[r][col]
+        prod = prod * p
+        a[r] = [x / p for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col] != QC(0):
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+        r += 1
+    return a, pivots, prod
+
+
+@seed(2026)
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 8), st.booleans(),
+       st.sampled_from(["plain", "repeat", "combine", "wide"]), st.data())
+def test_fraction_free_elimination_against_gauss_jordan(n_rows, n_cols, real,
+                                                         shape, data):
+    """The fraction-free elimination gives the rref, pivots and determinant
+    of a textbook Gauss-Jordan elimination; repeated and combined rows force
+    rank deficiency, and ``[A | I]`` blocks are the inverse's input."""
+    entry = st.builds(QC, small_fraction) if real else small_qc
+    if shape == "wide":
+        n_cols = n_rows
+    rows = [[data.draw(entry) for _ in range(n_cols)] for _ in range(n_rows)]
+    if n_rows > 1 and shape == "repeat":
+        rows[-1] = list(rows[0])
+    elif n_rows > 2 and shape == "combine":
+        c0, c1 = data.draw(entry), data.draw(entry)
+        rows[-1] = [c0 * x + c1 * y for x, y in zip(rows[0], rows[1])]
+    if shape == "wide":
+        rows = [row + [QC(int(i == j)) for j in range(n_rows)]
+                for i, row in enumerate(rows)]
+    m = Mat.from_rows(rows)
+    got, pivots, got_det = _rref_exact(m)
+    want, want_pivots, prod = _rref_reference(rows, m.cols)
+    assert pivots == want_pivots
+    assert got == want
+    if m.rows == m.cols and len(pivots) == m.rows:
+        assert got_det == prod
+    for v in kernel_basis(m):
+        assert (m @ v).is_zero()
