@@ -18,9 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from .crystal import CrystalTriple, Dilation, compose, inverse
-from .linalg import (DEFAULT_TOL, Mat, QC, QC_ONE, QC_ZERO,
-                     has_eigenvalue_one, kernel_basis, kron, negligible,
-                     solve_affine)
+from .linalg import (Mat, QC_ONE, QC_ZERO, has_eigenvalue_one,
+                     kernel_basis, kron, negligible, solve_affine)
 from .mask import Mask, MaskShapeError, coefficient
 from .multiidx import (VCollection, build_A_s, build_Q_st, build_Q_tilde,
                        dim_degree, enumerate_degree, eval_y)
@@ -46,7 +45,9 @@ class AccuracyCertificate:
     """Outcome of max_accuracy: the accuracy p, a witness coefficient
     collection for degrees 0..p-1 (None when p = 0), the solver used, the
     gate value v_[0] . fhat(0) of the witness, and solver diagnostics
-    (per-degree kernel dimensions, first failing degree, direction label).
+    (per-degree kernel dimensions, first failing degree, direction label,
+    and for a mask read from floats the largest relative change of a
+    coefficient).
     """
 
     p: int
@@ -108,7 +109,7 @@ def fhat0(mask: Mask, m: int) -> Fhat0Result:
     for _, blk in mask.items():
         total = blk if total is None else total + blk
     t_op = total.scale(Fraction(1, m))
-    basis = kernel_basis(t_op - Mat.identity(mask.r, mask.backend))
+    basis = kernel_basis(t_op - Mat.identity(mask.r))
     if not basis:
         return Fhat0Result(None, "empty", 0)
     if len(basis) == 1:
@@ -147,7 +148,6 @@ def _assemble(mask: Mask, dilation: Dilation, s_max: int) -> Mat:
     """
     tri = mask.triple
     d, r = tri.d, mask.r
-    backend = mask.backend
     A = dilation.A
     widths = [dim_degree(d, t) * r for t in range(s_max + 1)]
     coset_of = {alpha: dilation.coset_index(inverse(alpha))
@@ -159,10 +159,10 @@ def _assemble(mask: Mask, dilation: Dilation, s_max: int) -> Mat:
             blocks = []
             for t in range(s_max + 1):
                 if t > s:
-                    blocks.append(Mat.zeros(ds * r, widths[t], backend))
+                    blocks.append(Mat.zeros(ds * r, widths[t]))
                     continue
-                acc = (Mat.identity(ds * r, backend) if t == s
-                       else Mat.zeros(ds * r, widths[t], backend))
+                acc = (Mat.identity(ds * r) if t == s
+                       else Mat.zeros(ds * r, widths[t]))
                 for alpha, d_blk in mask.items():
                     if coset_of[alpha] != i:
                         continue
@@ -180,16 +180,17 @@ def _unpack_witness(column: Mat, d: int, r: int, s_max: int) -> VCollection:
         dt = dim_degree(d, t)
         rows = [[column.entry(off + a * r + b, 0) for b in range(r)]
                 for a in range(dt)]
-        blocks.append(Mat.from_rows(rows, backend=column.backend, cols=r))
+        blocks.append(Mat.from_rows(rows, cols=r))
         off += dt * r
     return VCollection(d, tuple(blocks))
 
 
 def _gate_value(column: Mat, gate_vec: Mat, r: int):
     """v_[0] . fhat(0) for a stacked kernel column (the first r stacked
-    coordinates are the degree-0 row).  Float columns are normalized first
-    so the magnitude is comparable against a fixed threshold."""
-    if column.backend == "exact" and gate_vec.backend == "exact":
+    coordinates are the degree-0 row).  A float gate vector (the cascade's
+    estimate) is met by the normalized column, so the magnitude is
+    comparable against a fixed threshold."""
+    if gate_vec.backend == "exact":
         acc = QC_ZERO
         for j in range(r):
             acc = acc + column.entry(j, 0) * gate_vec.entry(j, 0)
@@ -232,6 +233,8 @@ def max_accuracy(mask: Mask, triple: CrystalTriple, dilation: Dilation,
                       else "sufficient direction"),
         "fhat0_status": fh.status,
     }
+    if mask.float_change is not None:
+        diagnostics["float_max_relative_change"] = mask.float_change
     if fh.status == "empty":
         diagnostics["first_failing_degree"] = 0
         diagnostics["note"] = ("the averaged coefficient sum has no "
@@ -240,7 +243,7 @@ def max_accuracy(mask: Mask, triple: CrystalTriple, dilation: Dilation,
         return AccuracyCertificate(0, None, "condition-d", None, diagnostics)
     if fh.status == "ok":
         gate_vec = fh.vector
-        gate_tol = DEFAULT_TOL
+        gate_tol = 0.0  # an exact gate value is compared with zero
     else:
         from .cascade import estimate_fhat0
         gate_vec = estimate_fhat0(mask, triple, dilation)
@@ -264,12 +267,10 @@ def max_accuracy(mask: Mask, triple: CrystalTriple, dilation: Dilation,
         chosen = _unpack_witness(pick, d, r, s)
     if p == 0:
         return AccuracyCertificate(0, None, "condition-d", None, diagnostics)
-    lead = next(x for x in chosen.block(0).row_list(0)
-                if not negligible(x, 1e-12))
+    lead = next(x for x in chosen.block(0).row_list(0) if not x.is_zero())
     witness = chosen.scale(1 / lead)
     gate = _gate_value(
-        Mat.column([witness.block(0).entry(0, j) for j in range(r)],
-                   backend=witness.backend),
+        Mat.column([witness.block(0).entry(0, j) for j in range(r)]),
         gate_vec, r)
     return AccuracyCertificate(p, witness, "condition-d", gate, diagnostics)
 
@@ -280,11 +281,6 @@ def _power_product(xs, alpha, one):
         for _ in range(a):
             out = out * x
     return out
-
-
-def _values_equal(vals, tol: float = DEFAULT_TOL) -> bool:
-    scale = max([1.0] + [abs(v) for v in vals if not isinstance(v, QC)])
-    return all(negligible(v - vals[0], tol * scale) for v in vals[1:])
 
 
 def sufficient_check(mask: Mask, triple: CrystalTriple, dilation: Dilation,
@@ -314,37 +310,33 @@ def sufficient_check(mask: Mask, triple: CrystalTriple, dilation: Dilation,
         raise ValueError("target accuracy must be at least 1")
     d, r = triple.d, triple.order
     m = dilation.m
-    exact = mask.backend == "exact"
-    one = QC_ONE if exact else 1.0 + 0j
-    zero = QC_ZERO if exact else 0.0 + 0j
     notes = ["degree-s eigenvalue screen runs over 1 <= s < p; at s = 0 "
              "the screened matrix equals the scalar 1 whenever the sum "
              "rule holds"]
 
-    total = zero
+    total = QC_ZERO
     for _, blk in mask.items():
         total = total + blk.entry(0, 0)
-    sum_rule_ok = negligible(total - m, DEFAULT_TOL * m)
+    sum_rule_ok = total == m
 
     # Per-coset moments of the inverse-indexed coefficients.  A support
     # element e contributes its coefficient to (b, l) = inverse(e): the
     # needed c at (b, l)^{-1} is then just the coefficient at e.
     alphas = [a for s in range(p) for a in enumerate_degree(d, s)]
-    per_coset = {(b, a): [zero] * m for b in range(r) for a in alphas}
+    per_coset = {(b, a): [QC_ZERO] * m for b in range(r) for a in alphas}
     for e, blk in mask.items():
         sigma = inverse(e)
         i = dilation.translation_coset(sigma.k)
         l_true = sigma.true_translation()
-        if not exact:
-            l_true = tuple(x.to_complex() for x in l_true)
         c = blk.entry(0, 0)
         for a in alphas:
             per_coset[(sigma.g, a)][i] = (per_coset[(sigma.g, a)][i]
-                                          + _power_product(l_true, a, one) * c)
+                                          + _power_product(l_true, a, QC_ONE)
+                                          * c)
     beta = {}
     moments_ok = True
     for key, sums in per_coset.items():
-        if _values_equal(sums):
+        if len(set(sums)) == 1:
             beta[key] = sums[0]
         else:
             moments_ok = False
@@ -358,14 +350,14 @@ def sufficient_check(mask: Mask, triple: CrystalTriple, dilation: Dilation,
     zero_alpha = (0,) * d
     beta0_consistent = True
     if moments_ok and sum_rule_ok:
-        direct = {b: [zero] * m for b in range(r)}
+        direct = {b: [QC_ZERO] * m for b in range(r)}
         for e, blk in mask.items():
             b = triple.inverse_table[e.g]
             i = dilation.translation_coset(e.k)
             direct[b][i] = direct[b][i] + blk.entry(0, 0)
         for b in range(r):
             vals = direct[b] + [beta[(b, zero_alpha)]]
-            if not _values_equal(vals):
+            if len(set(vals)) != 1:
                 beta0_consistent = False
         if not beta0_consistent:
             notes.append("alpha = 0 moments disagree between the two "
@@ -376,7 +368,7 @@ def sufficient_check(mask: Mask, triple: CrystalTriple, dilation: Dilation,
     eigen_ok = True
     if moments_ok:
         for s in range(1, p):
-            mat = Mat.zeros(dim_degree(d, s), dim_degree(d, s), mask.backend)
+            mat = Mat.zeros(dim_degree(d, s), dim_degree(d, s))
             for b in range(r):
                 term = build_A_s(triple.group[b], s) @ build_A_s(dilation.A, s)
                 mat = mat + term.scale(beta[(b, zero_alpha)])
@@ -402,15 +394,13 @@ def sufficient_check(mask: Mask, triple: CrystalTriple, dilation: Dilation,
                     key = (b, s, t)
                     if key not in inner:
                         inner[key] = [Mat.zeros(dim_degree(d, s),
-                                                dim_degree(d, t),
-                                                mask.backend)
+                                                dim_degree(d, t))
                                       for _ in range(m)]
                     inner[key][i] = inner[key][i] + q.scale(c)
         moment_mats = {}
         for s in range(p):
             for t in range(s + 1):
-                acc = Mat.zeros(dim_degree(d, s), dim_degree(d, t),
-                                mask.backend)
+                acc = Mat.zeros(dim_degree(d, s), dim_degree(d, t))
                 for b in range(r):
                     key = (b, s, t)
                     if key not in inner:
@@ -424,12 +414,12 @@ def sufficient_check(mask: Mask, triple: CrystalTriple, dilation: Dilation,
                     acc = acc + parts[0] @ build_A_s(triple.group[b], t)
                 moment_mats[(s, t)] = acc
     if conditions_ok:
-        blocks = [Mat.from_rows([[one]], backend=mask.backend)]
+        blocks = [Mat.identity(1)]
         for s in range(1, p):
             ds = dim_degree(d, s)
-            lhs = (Mat.identity(ds, mask.backend)
+            lhs = (Mat.identity(ds)
                    - moment_mats[(s, s)] @ build_A_s(dilation.A, s))
-            rhs = Mat.zeros(ds, 1, mask.backend)
+            rhs = Mat.zeros(ds, 1)
             for t in range(s):
                 rhs = (rhs + moment_mats[(s, t)] @ build_A_s(dilation.A, t)
                        @ blocks[t])
@@ -453,20 +443,22 @@ def sufficient_check(mask: Mask, triple: CrystalTriple, dilation: Dilation,
 
 
 def verify_equivalence(mask: Mask, dilation: Dilation, v: VCollection,
-                       sample, tol: float = DEFAULT_TOL) -> EquivalenceReport:
+                       sample) -> EquivalenceReport:
     """Re-check a witness through the three equivalent relations.
 
     'd': the per-coset conditions (the solver's own form, checked first);
     'b': y_[s](sigma) = A_[s] sum_gamma y_[s](gamma) d at
     (A gamma A^{-1}) sigma^{-1}, evaluated at every sampled sigma — the sum
     collapses to support terms alpha with gamma = A^{-1}(alpha sigma)A in
-    the group; 'c': the same relation at the digit representatives.  All
-    residuals are exact zeros on the exact backend.
+    the group; 'c': the same relation at the digit representatives.  The
+    witness passes only when every residual is exactly zero.
     """
     details = {}
+    zero = []
 
     def record(kind, s, where, mat):
         details[(kind, s, where)] = mat.max_abs()
+        zero.append(mat.is_zero())
 
     for s in range(v.p):
         for i in range(dilation.m):
@@ -496,8 +488,6 @@ def verify_equivalence(mask: Mask, dilation: Dilation, v: VCollection,
         return max(vals) if vals else 0.0
 
     md, mb, mc = cap("d"), cap("b"), cap("c")
-    exact = v.backend == mask.backend == "exact"
-    passed = max(md, mb, mc) <= (0.0 if exact else tol)
     return EquivalenceReport(p=v.p, max_residual_d=md, max_residual_b=mb,
-                             max_residual_c=mc, passed=passed,
+                             max_residual_c=mc, passed=all(zero),
                              details=details)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -229,6 +230,21 @@ def _node_points(lo: np.ndarray, h: float, shape: tuple) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
+def grid_bytes(d: int, r: int, n_elements: int, n_nodes: int) -> int:
+    """Estimated peak bytes of a cascade run on ``n_nodes`` grid nodes: the
+    node coordinates (d float64 each), four live iterates (the current and
+    next one, a term and a gather, r complex128 each) and one
+    interpolation plan per mask element (2^d corners, an int64 index and a
+    float64 weight per corner)."""
+    return n_nodes * (8 * d + 4 * 16 * r + n_elements * 2 ** d * 16)
+
+
+def memory_budget() -> int:
+    """Half of the physical memory, in bytes: the most a cascade run may
+    be estimated to need."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
+
+
 def _build_plans(mask: Mask, dilation: Dilation, nodes: np.ndarray,
                  lo: np.ndarray, h: float, shape: tuple) -> list:
     """One interpolation plan per mask element for the read locations
@@ -254,7 +270,10 @@ def cascade_iterate(mask: Mask, triple: CrystalTriple, dilation: Dilation,
     The seed is the indicator of the unit box [0,1)^d times the normalized
     integral direction, so the integral starts in the right eigenspace.
     Non-convergence (last sup difference above 1e-6) is reported in the
-    result, not raised.
+    result, not raised.  A grid whose :func:`grid_bytes` estimate exceeds
+    :func:`memory_budget` is refused before anything is allocated, and an
+    iterate that overflows to a non-finite value raises; both raise
+    :class:`CascadeError`.
     """
     if triple is not mask.triple or dilation.triple is not triple:
         raise ValueError("mask, triple and dilation must match")
@@ -272,6 +291,14 @@ def cascade_iterate(mask: Mask, triple: CrystalTriple, dilation: Dilation,
     n_side = int(math.ceil(radius / h))
     lo = np.full(d, -n_side * h)
     shape = (2 * n_side + 1,) * d
+    n_nodes = shape[0] ** d
+    need = grid_bytes(d, mask.r, len(mask.support()), n_nodes)
+    budget = memory_budget()
+    if need > budget:
+        raise CascadeError(
+            f"a grid of {n_nodes} nodes (spacing {h:g}) needs about "
+            f"{need / 2 ** 30:.1f} GiB, more than half of physical memory "
+            f"({budget / 2 ** 30:.1f} GiB); use a coarser grid")
     nodes = _node_points(lo, h, shape)
     seed = _seed_direction(mask, dilation)
     inside = np.all((nodes >= -1e-12) & (nodes < 1.0 - 1e-12), axis=1)
@@ -287,6 +314,10 @@ def cascade_iterate(mask: Mask, triple: CrystalTriple, dilation: Dilation,
         if nxt is None:
             nxt = np.zeros_like(data)
         sup_diffs.append(float(np.max(np.abs(nxt - data))))
+        if not math.isfinite(sup_diffs[-1]):
+            raise CascadeError(f"cascade iterate {len(sup_diffs)} is not "
+                               "finite: the mask's coefficients overflow "
+                               "floating point")
         data = nxt
     field = GridField(triple, h, lo, shape,
                       data.reshape(*shape, mask.r), radius)

@@ -2,9 +2,14 @@
 
 Commands: check-group, accuracy, cascade, lift, extract.  Exit codes:
 0 success, 1 malformed input, 2 invalid group, 3 inadmissible dilation,
-4 mask shape/multiplicity mismatch, 5 cascade non-convergence under
---strict.  Rational numbers travel as "p/q" strings so the exact pipeline
-survives JSON; plain JSON floats select the floating backend.
+4 mask shape/multiplicity mismatch, 5 cascade failure (non-convergence
+under --strict, a grid too coarse to sample, or a grid whose estimated
+memory exceeds half of physical memory).  Rational numbers travel as "p/q"
+strings so the exact pipeline survives JSON; a plain JSON float coefficient
+is read as a rational by the mask (``linalg.read_float``), every output
+stays exact, and ``accuracy`` reports the largest relative change as the
+``float_max_relative_change`` diagnostic.  NaN and infinities are
+malformed input.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -49,8 +55,9 @@ class CliError(Exception):
 # ---------------------------------------------------------------- parsing
 
 def _parse_scalar(value):
-    """One JSON coefficient: "p/q" string or int -> exact, float -> float,
-    [re, im] pair -> complex with the same rules."""
+    """One JSON coefficient: "p/q" string or int -> exact, float -> float
+    (read as a rational by the mask), [re, im] pair -> complex with the
+    same rules."""
     if isinstance(value, bool):
         raise CliError(EXIT_MALFORMED, "boolean is not a coefficient")
     if isinstance(value, str):
@@ -112,6 +119,8 @@ def _option(cfg: dict, name: str, default, kind=int, minimum=None):
     except (TypeError, ValueError, OverflowError):
         raise CliError(EXIT_MALFORMED, f"option {name!r} must be "
                        f"{kind.__name__}, got {value!r}")
+    if kind is float and not math.isfinite(out):
+        raise CliError(EXIT_MALFORMED, f"option {name!r} must be finite")
     if minimum is not None and out < minimum:
         raise CliError(EXIT_MALFORMED,
                        f"option {name!r} must be at least {minimum}")
@@ -201,6 +210,8 @@ def _build_mask(cfg: dict, triple: CrystalTriple) -> Mask:
         return Mask(triple, blocks)
     except MaskShapeError as exc:
         raise CliError(EXIT_SHAPE, f"bad mask: {exc}")
+    except ValueError as exc:
+        raise CliError(EXIT_MALFORMED, f"bad coefficient: {exc}")
 
 
 # ------------------------------------------------------------ serialization
@@ -219,11 +230,7 @@ def _scalar_json(x):
 
 
 def _mat_json(mat: Mat):
-    if mat.backend == "exact":
-        return [[_scalar_json(x) for x in mat.row_list(i)]
-                for i in range(mat.rows)]
-    arr = mat.np()
-    return [[_scalar_json(arr[i, j]) for j in range(mat.cols)]
+    return [[_scalar_json(x) for x in mat.row_list(i)]
             for i in range(mat.rows)]
 
 

@@ -1,13 +1,19 @@
-"""Exact and floating-point linear algebra kernels.
+"""Exact linear algebra kernels, plus the float matrices of the cascade.
 
 Two matrix backends share one interface: ``exact`` stores complex numbers
 with rational real and imaginary parts and every operation is exact, while
-``float`` stores a complex128 numpy array and rank decisions go through an
-absolute singular-value tolerance (default 1e-9, after scaling rows to unit
-norm).  Arithmetic on mixed operands (``@``, ``+``, ``-``, :func:`kron`, and
+``float`` stores a complex128 numpy array for the cascade oracle.
+Arithmetic on mixed operands (``@``, ``+``, ``-``, :func:`kron`, and
 :meth:`Mat.scale` by a float or complex scalar) promotes to float, so the
 float backend wins; exact inputs never meet a float and stay exact end to
-end.
+end.  Rank, kernels, determinants, inverses and the eigenvalue-1 test are
+exact only: they raise ``TypeError`` on a float matrix.
+
+Floats become exact once, through :func:`read_float`: a finite float ``x``
+is read as the rational closest to it with denominator at most
+``FLOAT_DENOMINATOR_CAP`` (10**6), kept only when its nearest double is
+``x`` itself, so the change is at most half an ulp; otherwise as the exact
+dyadic value of ``x``.  NaN and infinities are refused.
 
 Exact arithmetic is decided here once.  One Gauss-Jordan elimination,
 ``_rref_exact``, serves :func:`rank`, :func:`kernel_basis`, :func:`det` and
@@ -20,7 +26,7 @@ determinant is the sign of the row swaps times the last pivot, over the
 product of the row scales.  :func:`integer_rows` is the one reader of
 integer matrices, and :func:`negligible` is the one scalar zero test: exact
 values are zero only when they equal zero, floats when their modulus is
-within a tolerance.
+within a tolerance (the cascade's float gate estimate still meets it).
 """
 
 from __future__ import annotations
@@ -32,7 +38,18 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-DEFAULT_TOL = 1e-9
+FLOAT_DENOMINATOR_CAP = 10 ** 6
+
+
+def read_float(x: float) -> Fraction:
+    """The exact rational a float stands for: the fraction closest to ``x``
+    with denominator at most ``FLOAT_DENOMINATOR_CAP`` when it rounds back
+    to ``x``, else the exact dyadic value of ``x``.  NaN and infinities
+    raise ``ValueError``."""
+    if not math.isfinite(x):
+        raise ValueError(f"not a finite number: {x!r}")
+    q = Fraction(x).limit_denominator(FLOAT_DENOMINATOR_CAP)
+    return q if float(q) == x else Fraction(x)
 
 
 def _as_fraction(x) -> Fraction:
@@ -155,9 +172,9 @@ def negligible(x, tol: float) -> bool:
 class Mat:
     """Dense matrix on one of the two backends.
 
-    Construct through :meth:`from_rows`, :meth:`identity` or :meth:`zeros`.
-    Entries of an exact matrix are QC; entries of a float matrix are
-    complex.
+    Construct through :meth:`from_rows`, :meth:`identity`, :meth:`zeros`
+    or :meth:`column` (exact), or :meth:`from_array` (float).  Entries of
+    an exact matrix are QC; entries of a float matrix are complex.
     """
 
     __slots__ = ("rows", "cols", "backend", "_exact", "_arr")
@@ -202,24 +219,19 @@ class Mat:
         return Mat(arr.shape[0], arr.shape[1], "float", arr=arr)
 
     @staticmethod
-    def identity(n: int, backend: str = "exact") -> "Mat":
-        if backend == "exact":
-            data = [[QC(1) if i == j else QC(0) for j in range(n)]
-                    for i in range(n)]
-            return Mat(n, n, "exact", exact_data=data)
-        return Mat(n, n, "float", arr=np.eye(n, dtype=np.complex128))
+    def identity(n: int) -> "Mat":
+        data = [[QC(1) if i == j else QC(0) for j in range(n)]
+                for i in range(n)]
+        return Mat(n, n, "exact", exact_data=data)
 
     @staticmethod
-    def zeros(rows: int, cols: int, backend: str = "exact") -> "Mat":
-        if backend == "exact":
-            data = [[QC(0) for _ in range(cols)] for _ in range(rows)]
-            return Mat(rows, cols, "exact", exact_data=data)
-        return Mat(rows, cols, "float",
-                   arr=np.zeros((rows, cols), dtype=np.complex128))
+    def zeros(rows: int, cols: int) -> "Mat":
+        data = [[QC(0) for _ in range(cols)] for _ in range(rows)]
+        return Mat(rows, cols, "exact", exact_data=data)
 
     @staticmethod
-    def column(entries: Sequence, backend: str = "exact") -> "Mat":
-        return Mat.from_rows([[e] for e in entries], backend=backend, cols=1)
+    def column(entries: Sequence) -> "Mat":
+        return Mat.from_rows([[e] for e in entries], cols=1)
 
     # -- access -----------------------------------------------------------
 
@@ -238,9 +250,7 @@ class Mat:
         return [complex(x) for x in self._arr[i]]
 
     def col(self, j: int) -> "Mat":
-        if self.backend == "exact":
-            return Mat.column([self._exact[i][j] for i in range(self.rows)])
-        return Mat.from_array(self._arr[:, j].reshape(-1, 1))
+        return Mat.column([self._exact[i][j] for i in range(self.rows)])
 
     def np(self) -> np.ndarray:
         """complex128 view of the matrix (copies the exact backend)."""
@@ -307,8 +317,6 @@ class Mat:
         return Mat(self.rows, self.cols, "exact", exact_data=data)
 
     def transpose(self) -> "Mat":
-        if self.backend == "float":
-            return Mat.from_array(self._arr.T.copy())
         data = [[self._exact[i][j] for i in range(self.rows)]
                 for j in range(self.cols)]
         return Mat(self.cols, self.rows, "exact", exact_data=data)
@@ -324,23 +332,16 @@ class Mat:
                    for i in range(self.rows) for j in range(self.cols))
 
     def __hash__(self):
-        if self.backend == "exact":
-            return hash(tuple(tuple(row) for row in self._exact))
-        return hash(self._arr.tobytes())
+        return hash(tuple(tuple(row) for row in self._exact))
 
-    def is_zero(self, tol: float = DEFAULT_TOL) -> bool:
-        if self.backend == "exact":
-            return all(x.is_zero() for row in self._exact for x in row)
-        if self._arr.size == 0:
-            return True
-        return float(np.max(np.abs(self._arr))) <= tol
+    def is_zero(self) -> bool:
+        """Whether every entry of an exact matrix is zero."""
+        return all(x.is_zero() for row in self._exact for x in row)
 
     def max_abs(self) -> float:
-        """Largest entry modulus, as a float on either backend."""
+        """Largest entry modulus of an exact matrix, as a float."""
         if self.rows == 0 or self.cols == 0:
             return 0.0
-        if self.backend == "float":
-            return float(np.max(np.abs(self._arr)))
         return max(float(x.abs2()) for row in self._exact for x in row) ** 0.5
 
     # -- stacking ---------------------------------------------------------
@@ -350,13 +351,10 @@ class Mat:
         mats = list(mats)
         if not mats:
             raise ValueError("nothing to stack")
-        backend = mats[0].backend
         cols = mats[0].cols
         for m in mats:
-            if m.backend != backend or m.cols != cols:
+            if m.backend != "exact" or m.cols != cols:
                 raise ValueError("incompatible blocks")
-        if backend == "float":
-            return Mat.from_array(np.vstack([m._arr for m in mats]))
         data = []
         for m in mats:
             data.extend([list(row) for row in m._exact])
@@ -372,11 +370,11 @@ class Mat:
     # -- inverse ----------------------------------------------------------
 
     def inverse(self) -> "Mat":
-        """Exact: the right half of the rref of [A | I]; float: numpy."""
+        """Exact inverse: the right half of the rref of [A | I]."""
+        if self.backend != "exact":
+            raise TypeError("exact inverse of a float matrix")
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        if self.backend == "float":
-            return Mat.from_array(np.linalg.inv(self._arr))
         n = self.rows
         a, pivots, _ = _rref_exact(Mat.hstack([self, Mat.identity(n)]))
         if pivots != list(range(n)):
@@ -401,7 +399,9 @@ def _rref_exact(m: Mat) -> tuple[list[list[QC]], list[int], QC]:
     """Reduced row echelon form by fraction-free Gauss-Jordan elimination,
     the one exact elimination in the package; returns (rows, pivot column
     indices, determinant); the determinant is meaningful only for a square
-    matrix with pivots in every column.
+    matrix with pivots in every column.  A float matrix raises TypeError:
+    rank, kernels, determinants and inverses are decided exactly or not at
+    all.
 
     After pivot ``p`` every other row ``x`` of the integer-scaled matrix
     becomes ``(p*x - f*y) / prev``, with ``y`` the pivot row, ``f`` the
@@ -409,7 +409,9 @@ def _rref_exact(m: Mat) -> tuple[list[list[QC]], list[int], QC]:
     Sylvester's identity every division is exact.  A row with ``f = 0`` is
     still rescaled by ``p / prev``, so every pivot row carries the latest
     pivot and one division by the last pivot at the end gives the rref."""
-    rows = m._exact or []
+    if m.backend != "exact":
+        raise TypeError("exact elimination of a float matrix")
+    rows = m._exact
     scales = [math.lcm(*(q.denominator for x in row for q in (x.re, x.im)))
               for row in rows]
     real = all(x.im == 0 for row in rows for x in row)
@@ -452,68 +454,35 @@ def _rref_exact(m: Mat) -> tuple[list[list[QC]], list[int], QC]:
     return out, pivots, QC(Fraction(sign, math.prod(scales))) * prev
 
 
-def _scaled_svd(m: Mat, tol: float):
-    """Singular values and right singular vectors after rows are scaled to
-    unit norm.  Rows of norm at most ``tol`` are zero up to rounding: they
-    are set to zero rather than blown up to unit norm, since they do not
-    constrain anything."""
-    arr = m.np().copy()
-    if arr.shape[0]:
-        norms = np.linalg.norm(arr, axis=1)
-        nz = norms > tol
-        arr[nz] = arr[nz] / norms[nz, None]
-        arr[~nz] = 0
-    _, s, vh = np.linalg.svd(arr, full_matrices=True)
-    full = np.zeros(arr.shape[1])
-    full[: s.shape[0]] = s
-    return full, vh
-
-
-def rank(m: Mat, tol: float = DEFAULT_TOL) -> int:
+def rank(m: Mat) -> int:
     if m.rows == 0 or m.cols == 0:
         return 0
-    if m.backend == "exact":
-        return len(_rref_exact(m)[1])
-    s, _ = _scaled_svd(m, tol)
-    return int(np.sum(s > tol))
+    return len(_rref_exact(m)[1])
 
 
-def kernel_basis(m: Mat, tol: float = DEFAULT_TOL) -> list[Mat]:
-    """Basis of the right null space, as a list of column matrices.
-
-    Exact backend: Gaussian elimination, one basis column per free column.
-    Float backend: right singular vectors whose singular value is at most
-    ``tol`` after row scaling.
-    """
+def kernel_basis(m: Mat) -> list[Mat]:
+    """Basis of the right null space, as a list of column matrices: one
+    basis column per free column of the rref."""
     if m.cols == 0:
         return []
     if m.rows == 0:
-        return [Mat.identity(m.cols, m.backend).col(j) for j in range(m.cols)]
-    if m.backend == "exact":
-        a, pivots, _ = _rref_exact(m)
-        free = [c for c in range(m.cols) if c not in pivots]
-        basis = []
-        for f in free:
-            v = [QC(0)] * m.cols
-            v[f] = QC(1)
-            for r, pc in enumerate(pivots):
-                v[pc] = -a[r][f]
-            basis.append(Mat.column(v))
-        return basis
-    s, vh = _scaled_svd(m, tol)
+        return [Mat.identity(m.cols).col(j) for j in range(m.cols)]
+    a, pivots, _ = _rref_exact(m)
+    free = [c for c in range(m.cols) if c not in pivots]
     basis = []
-    for i in range(m.cols):
-        if s[i] <= tol:
-            basis.append(Mat.from_array(vh[i].conj().reshape(-1, 1)))
+    for f in free:
+        v = [QC(0)] * m.cols
+        v[f] = QC(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -a[r][f]
+        basis.append(Mat.column(v))
     return basis
 
 
-def det(m: Mat):
-    """Determinant; QC on the exact backend, complex on the float backend."""
+def det(m: Mat) -> QC:
+    """Exact determinant."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    if m.backend == "float":
-        return complex(np.linalg.det(m._arr))
     _, pivots, prod = _rref_exact(m)
     return prod if len(pivots) == m.rows else QC_ZERO
 
@@ -529,36 +498,30 @@ def kron(a: Mat, b: Mat) -> Mat:
             row = []
             for j in range(a.cols):
                 x = a._exact[i][j]
-                row.extend(x * y for y in b._exact[p])
+                if x.is_zero():
+                    row.extend([QC_ZERO] * b.cols)
+                else:
+                    row.extend(x * y for y in b._exact[p])
             data.append(row)
     return Mat(a.rows * b.rows, a.cols * b.cols, "exact", exact_data=data)
 
 
-def has_eigenvalue_one(m: Mat, tol: float = DEFAULT_TOL) -> bool:
-    """True when 1 is an eigenvalue: rank deficiency of M - I (exact) or a
-    near-zero smallest singular value of M - I (float)."""
+def has_eigenvalue_one(m: Mat) -> bool:
+    """True when 1 is an eigenvalue: M - I is rank deficient."""
     if m.rows != m.cols:
         raise ValueError("eigenvalue test needs a square matrix")
-    shifted = m - Mat.identity(m.rows, m.backend)
-    if m.backend == "exact":
-        return rank(shifted) < m.rows
-    if m.rows == 0:
-        return False
-    s = np.linalg.svd(shifted._arr, compute_uv=False)
-    return bool(s[-1] <= tol)
+    return rank(m - Mat.identity(m.rows)) < m.rows
 
 
-def solve_affine(k: Mat, selected: Sequence[int],
-                 tol: float = DEFAULT_TOL) -> tuple[list[Mat], int]:
+def solve_affine(k: Mat, selected: Sequence[int]) -> tuple[list[Mat], int]:
     """Kernel of ``k`` together with the dimension of its projection onto
     the coordinates listed in ``selected``."""
-    basis = kernel_basis(k, tol=tol)
+    basis = kernel_basis(k)
     if not basis:
         return [], 0
-    proj = Mat.hstack([b for b in basis])
+    proj = Mat.hstack(basis)
     rows = [proj.row_list(i) for i in selected]
-    pm = Mat.from_rows(rows, backend=proj.backend, cols=len(basis))
-    return basis, rank(pm, tol=tol)
+    return basis, rank(Mat.from_rows(rows, cols=len(basis)))
 
 
 # -- integer matrices -------------------------------------------------------

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .crystal import (CrystalElement, CrystalTriple, Dilation, _int_apply,
                       compose, inverse, validate_triple)
-from .linalg import DEFAULT_TOL, Mat, QC, negligible
+from .linalg import Mat, QC, read_float
 
 
 class MaskShapeError(ValueError):
@@ -29,16 +29,19 @@ class Mask:
 
     Blocks absent from the mapping are exact zeros, so every sum over the
     whole group reduces to a finite sum over :meth:`support`.  A mask is
-    immutable once built; all blocks share one backend (any float block
-    converts the rest to float).
+    immutable once built and always exact: float blocks are read entry by
+    entry through :func:`~crystacc.linalg.read_float`, and
+    ``float_change`` keeps the largest relative change |read - given| /
+    |given| of such an entry (None when no block was float).
     """
 
     def __init__(self, triple: CrystalTriple, coefficients: dict,
                  r: int | None = None):
         if not coefficients:
             raise MaskShapeError("mask needs at least one coefficient")
-        backend = "exact"
         size = None
+        blocks = {}
+        changes = []
         for key, blk in coefficients.items():
             if not isinstance(key, CrystalElement) or key.triple is not triple:
                 raise MaskShapeError(f"key {key!r} is not an element of the "
@@ -51,15 +54,13 @@ class Mask:
             elif blk.rows != size:
                 raise MaskShapeError("coefficient blocks differ in size")
             if blk.backend == "float":
-                backend = "float"
+                blk = _read_block(blk, changes)
+            blocks[key] = blk
         if r is not None and size != r:
             raise MaskShapeError(f"expected {r}x{r} blocks, got {size}x{size}")
-        blocks = dict(coefficients)
-        if backend == "float":
-            blocks = {k: b.to_float() for k, b in blocks.items()}
         self.triple = triple
         self.r = size
-        self.backend = backend
+        self.float_change = max(changes, default=None)
         self._blocks = blocks
         self._support = tuple(sorted(blocks, key=lambda e: (e.g, e.k)))
 
@@ -71,7 +72,7 @@ class Mask:
         lattice tuples, or bare integers in one dimension; the last two
         default the point part to the identity.  Values go through QC.parse
         (ints, Fractions, 'p/q' strings, [re, im] pairs); float or complex
-        values switch the whole mask to the float backend.
+        values are read as rationals by the mask.
         """
         coeffs = {}
         for key, val in entries.items():
@@ -84,7 +85,7 @@ class Mask:
                 e = triple.translation(key)
             else:
                 e = triple.translation((key,))
-            if isinstance(val, (float, complex)) and not isinstance(val, bool):
+            if isinstance(val, (float, complex)):
                 blk = Mat.from_rows([[val]], backend="float")
             else:
                 blk = Mat.from_rows([[QC.parse(val)]])
@@ -104,8 +105,7 @@ class Mask:
         return self._blocks.get(gamma)
 
     def to_float(self) -> "Mask":
-        if self.backend == "float":
-            return self
+        """The mask read back from double copies of its coefficients."""
         return Mask(self.triple,
                     {e: b.to_float() for e, b in self._blocks.items()},
                     r=self.r)
@@ -115,14 +115,14 @@ class Mask:
         underlying triples are compared by content, not identity."""
         if not isinstance(other, Mask):
             return NotImplemented
-        if self.r != other.r or self.backend != other.backend:
+        if self.r != other.r:
             return False
         t, u = self.triple, other.triple
         if t is not u and (t.d != u.d or t.R != u.R or t.group != u.group):
             return False
         mine = {(e.g, e.k): blk for e, blk in self._blocks.items()}
         theirs = {(e.g, e.k): blk for e, blk in other._blocks.items()}
-        zero = Mat.zeros(self.r, self.r, backend=self.backend)
+        zero = Mat.zeros(self.r, self.r)
         for key in set(mine) | set(theirs):
             if mine.get(key, zero) != theirs.get(key, zero):
                 return False
@@ -131,8 +131,23 @@ class Mask:
     __hash__ = None
 
     def __repr__(self):
-        return (f"Mask(r={self.r}, support={len(self._support)}, "
-                f"{self.backend})")
+        return f"Mask(r={self.r}, support={len(self._support)})"
+
+
+def _read_block(blk: Mat, changes: list) -> Mat:
+    """Exact copy of a float block by the reading rule; appends the
+    relative change of every nonzero entry to ``changes``."""
+    rows = []
+    for i in range(blk.rows):
+        row = []
+        for z in blk.row_list(i):
+            q = QC(read_float(z.real), read_float(z.imag))
+            if z:
+                given = QC(Fraction(z.real), Fraction(z.imag))
+                changes.append(float((q - given).abs2() / given.abs2()) ** 0.5)
+            row.append(q)
+        rows.append(row)
+    return Mat.from_rows(rows)
 
 
 def coefficient(mask: Mask, gamma: CrystalElement) -> Mat:
@@ -140,7 +155,7 @@ def coefficient(mask: Mask, gamma: CrystalElement) -> Mat:
     the support."""
     blk = mask.block(gamma)
     if blk is None:
-        return Mat.zeros(mask.r, mask.r, backend=mask.backend)
+        return Mat.zeros(mask.r, mask.r)
     return blk
 
 
@@ -197,8 +212,7 @@ def lift_scalar_to_matrix(scalar_mask: Mask, dilation: Dilation) -> Mask:
                 row.append(val)
             rows.append(row)
         if seen_nonzero:
-            blocks[out_triple.translation(k)] = Mat.from_rows(
-                rows, backend=scalar_mask.backend)
+            blocks[out_triple.translation(k)] = Mat.from_rows(rows)
     if not blocks:
         raise MaskShapeError("cannot lift a zero mask")
     return Mask(out_triple, blocks, r=r)
@@ -228,8 +242,7 @@ def extract_scalar(matrix_mask: Mask, triple: CrystalTriple,
             if val == 0:
                 continue
             l = _int_apply(triple.int_reps[triple.inverse_table[i]], e.k)
-            entries[triple.element(i, l)] = Mat.from_rows(
-                [[val]], backend=matrix_mask.backend)
+            entries[triple.element(i, l)] = Mat.from_rows([[val]])
     if not entries:
         raise MaskShapeError("cannot extract from a zero mask")
     return Mask(triple, entries, r=1)
@@ -261,14 +274,13 @@ class SymmetryData:
                    r=t.order, point_maps=maps)
 
 
-def check_gamma_A_symmetry(matrix_mask: Mask, symmetry: SymmetryData,
-                           tol: float = DEFAULT_TOL) -> bool:
+def check_gamma_A_symmetry(matrix_mask: Mask, symmetry: SymmetryData) -> bool:
     """Whether entry (i, j) at lattice point k always equals first-row
     entry rho_i(j) at the point g_{h(i)}^{-1}(k); absent blocks are zero.
 
     The scan covers every stored point and all its images under the point
     maps, so a nonzero first-row block cannot hide behind an absent
-    partner.  Exact masks compare exactly, float masks within tol.
+    partner.  Entries compare exactly.
     """
     if matrix_mask.r != symmetry.r:
         raise MaskShapeError(
@@ -283,14 +295,13 @@ def check_gamma_A_symmetry(matrix_mask: Mask, symmetry: SymmetryData,
     for k in list(points):
         for i in range(symmetry.r):
             points.add(_int_apply(symmetry.point_maps[i], k))
-    zero = Mat.zeros(symmetry.r, symmetry.r, backend=matrix_mask.backend)
+    zero = Mat.zeros(symmetry.r, symmetry.r)
     for k in points:
         blk = stored.get(k, zero)
         for i in range(symmetry.r):
             partner = stored.get(_int_apply(symmetry.point_maps[i], k), zero)
             for j in range(symmetry.r):
-                if not negligible(blk.entry(i, j)
-                                  - partner.entry(0, symmetry.rho[i][j]), tol):
+                if blk.entry(i, j) != partner.entry(0, symmetry.rho[i][j]):
                     return False
     return True
 
@@ -298,17 +309,9 @@ def check_gamma_A_symmetry(matrix_mask: Mask, symmetry: SymmetryData,
 def l2_budget(scalar_mask: Mask, m: int) -> bool:
     """Strict coefficient bound sum |c|^2 < m.
 
-    Exact masks compare as rationals, so the boundary case (the sum equal
-    to m) is false, not a rounding accident.
+    The sum is a rational, so the boundary case (the sum equal to m) is
+    false, not a rounding accident.
     """
     if scalar_mask.r != 1:
         raise MaskShapeError("the bound applies to multiplicity-1 masks")
-    if scalar_mask.backend == "exact":
-        total = Fraction(0)
-        for _, blk in scalar_mask.items():
-            total += blk.entry(0, 0).abs2()
-        return total < m
-    total = 0.0
-    for _, blk in scalar_mask.items():
-        total += abs(blk.entry(0, 0)) ** 2
-    return total < m
+    return sum(blk.entry(0, 0).abs2() for _, blk in scalar_mask.items()) < m

@@ -65,17 +65,11 @@ def _monomial(xs, alpha, one):
     return acc
 
 
-def eval_X(x, s: int, backend: str = "exact") -> Mat:
-    """Column X_[s](x) of all degree-s monomials at the point x."""
-    d = len(x)
-    if backend == "exact":
-        xs = [QC.parse(v) for v in x]
-        one = QC(1)
-    else:
-        xs = [complex(v) for v in x]
-        one = 1.0 + 0j
-    entries = [_monomial(xs, a, one) for a in enumerate_degree(d, s)]
-    return Mat.column(entries, backend=backend)
+def eval_X(x, s: int) -> Mat:
+    """Column X_[s](x) of all degree-s monomials at the exact point x."""
+    xs = [QC.parse(v) for v in x]
+    return Mat.column([_monomial(xs, a, QC(1))
+                       for a in enumerate_degree(len(x), s)])
 
 
 def _poly_mul(p: dict, q: dict) -> dict:
@@ -198,10 +192,6 @@ class VCollection:
     @property
     def r(self) -> int:
         return self.blocks[0].cols
-
-    @property
-    def backend(self) -> str:
-        return self.blocks[0].backend
 
     def block(self, s: int) -> Mat:
         return self.blocks[s]

@@ -257,45 +257,65 @@ def test_verify_equivalence_flags_bad_witness(line, hat):
                rep.max_residual_c) > 0
 
 
-def test_float_backend_solver_agrees_with_exact(line, hat):
+def test_float_hat_certificate_equals_the_exact_one(line, hat):
+    """The float copy of the hat reads back to the hat: accuracy 2 and the
+    exact witness, normalized to 1 in its first entry."""
     t, dil = line
+    exact = max_accuracy(hat, t, dil, p_max=3)
     cert = max_accuracy(hat.to_float(), t, dil, p_max=3)
-    assert cert.p == 2
-    w0 = cert.witness.block(0).entry(0, 0)
-    assert abs(w0 - 1.0) < 1e-9
+    assert cert.p == exact.p == 2
+    assert _witness_entries(cert) == _witness_entries(exact)
+    assert cert.witness.block(0).entry(0, 0) == QC(1)
+    assert cert.diagnostics.pop("float_max_relative_change") == 0.0
+    assert cert.diagnostics == exact.diagnostics
+    assert "float_max_relative_change" not in exact.diagnostics
 
 
 def test_float_copy_reaches_the_exact_verdicts(line, bspline4):
     t, dil = line
     exact = max_accuracy(bspline4, t, dil, p_max=6)
     assert exact.p == 4
-    assert exact.witness.backend == "exact"
     assert isinstance(exact.gate, QC)
     fmask = bspline4.to_float()
+    assert fmask == bspline4
     cert = max_accuracy(fmask, t, dil, p_max=6)
     assert cert.p == exact.p
-    assert cert.witness.backend == "float"
+    assert cert.witness == exact.witness and cert.gate == exact.gate
     for p in (4, 5):
         want = sufficient_check(bspline4, t, dil, p)
         got = sufficient_check(fmask, t, dil, p)
         assert got.passed == want.passed == (p == 4)
-    assert sufficient_check(bspline4, t, dil, 4).v_chain.backend == "exact"
     sample = [t.translation((k,)) for k in range(-3, 4)]
-    # the exact witness against the float mask mixes backends
-    for mask, v in ((bspline4, exact.witness), (fmask, cert.witness),
-                    (fmask, exact.witness)):
-        assert verify_equivalence(mask, dil, v, sample).passed
+    for mask in (bspline4, fmask):
+        assert verify_equivalence(mask, dil, exact.witness, sample).passed
 
 
 def test_float_mask_with_a_rounding_size_row_keeps_its_accuracy(line):
-    """The float copy of (1/6, 1/2, 2/3, 1/2, 1/6) has a degree-0 system
-    row of size ~1e-16; counted as a zero row, not scaled to unit norm, it
-    leaves the float solver at the exact accuracy 2."""
+    """The float copy of (1/6, 1/2, 2/3, 1/2, 1/6) sums to 2 - 2^-54 as
+    dyadic values; the reading rule snaps it back to the sixths, which
+    keeps the exact accuracy 2."""
     t, dil = line
     coefs = [Fraction(1, 6), Fraction(1, 2), Fraction(2, 3), Fraction(1, 2),
              Fraction(1, 6)]
     exact = Mask.scalar(t, dict(enumerate(coefs)))
     floats = Mask.scalar(t, {k: float(c) for k, c in enumerate(coefs)})
-    assert floats.backend == "float"
+    assert floats == exact
+    assert 0 < floats.float_change < 2 ** -53
     for mask in (exact, floats):
         assert max_accuracy(mask, t, dil, p_max=4).p == 2
+
+
+def test_float_order_6_mask_certifies_6(line):
+    """Float copy of a dyadic order-6 mask: its coefficients are read back
+    unchanged, so p_max=7 certifies 6, as the exact copy does."""
+    t, dil = line
+    coefs = [Fraction(c, 128)
+             for c in (-4, -23, -47, -23, 65, 131, 107, 43, 7)]
+    exact = Mask.scalar(t, dict(enumerate(coefs)))
+    floats = Mask.scalar(t, {k: float(c) for k, c in enumerate(coefs)})
+    assert floats == exact
+    assert floats.float_change == 0.0
+    for mask in (exact, floats):
+        cert = max_accuracy(mask, t, dil, p_max=7)
+        assert cert.p == 6
+        assert cert.diagnostics["first_failing_degree"] == 6

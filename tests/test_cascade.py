@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from crystacc.accuracy import max_accuracy
+import crystacc.cascade as cascade_mod
 from crystacc.cascade import (CascadeError, cascade_iterate, empirical_accuracy,
-                              estimate_fhat0, estimate_support,
+                              estimate_fhat0, estimate_support, grid_bytes,
                               refinement_residual, reproduce,
                               reproduction_values, sample_points)
 from crystacc.crystal import catalog_triple, check_admissible
@@ -254,3 +255,36 @@ def test_2d_tensor_hat(plane):
     assert res.converged
     assert empirical_accuracy(mask, t, dil, p_max=3, iterations=12,
                               grid_exponent=6) == 2
+
+
+def test_grid_bytes_estimate():
+    """Nodes, live iterates and one plan per mask element, per node; the
+    2D tensor quadratic B-spline (16 elements, radius 8.49) at the default
+    spacing 2^-8 has 4349^2 nodes and about 19.4 GB of plans."""
+    assert grid_bytes(1, 1, 3, 10) == 10 * (8 + 64 + 3 * 2 * 16)
+    assert grid_bytes(2, 3, 5, 7) == 7 * (16 + 3 * 64 + 5 * 4 * 16)
+    n = 4349 ** 2
+    plans = 16 * 4 * 16 * n
+    assert 19.3e9 < plans < 19.5e9
+    assert grid_bytes(2, 1, 16, n) == plans + n * (16 + 64)
+
+
+def test_cascade_refuses_a_grid_beyond_the_memory_budget(line, hat,
+                                                         monkeypatch):
+    t, dil = line
+    # the hat (support radius 2) at spacing 2^-6: 2 * 128 + 1 nodes
+    need = grid_bytes(1, 1, 3, 257)
+    monkeypatch.setattr(cascade_mod, "memory_budget", lambda: need - 1)
+    with pytest.raises(CascadeError, match="memory"):
+        cascade_iterate(hat, t, dil, iterations=2, grid_exponent=6)
+    monkeypatch.setattr(cascade_mod, "memory_budget", lambda: need)
+    assert cascade_iterate(hat, t, dil, iterations=2,
+                           grid_exponent=6).field.data.size == 257
+
+
+def test_cascade_refuses_an_overflowing_iterate(line):
+    t, dil = line
+    huge = Mask.scalar(t, {-1: 0.5, 0: 1e308, 1: 0.5})
+    with pytest.raises(CascadeError, match="not finite"):
+        with np.errstate(all="ignore"):
+            cascade_iterate(huge, t, dil, iterations=4, grid_exponent=4)

@@ -4,10 +4,12 @@ import contextlib
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
+import crystacc.cascade as cascade_mod
 from crystacc.cli import (DEFAULT_SEED, EXIT_BAD_GROUP, EXIT_INADMISSIBLE,
                           EXIT_MALFORMED, EXIT_NO_CONVERGENCE, EXIT_OK,
                           EXIT_SHAPE, SEED_ENV_VAR, build_parser, main)
@@ -179,7 +181,40 @@ def test_accuracy_float_coefficients(tmp_path, capsys):
                         ["accuracy", "CFG", "--method", "condition-d"])
     assert code == EXIT_OK
     assert out["accuracy"] == 2
-    assert abs(out["witness"][0][0][0] - 1.0) < 1e-9
+    assert out["witness"][0][0][0] == "1"
+    assert out["diagnostics"].pop("float_max_relative_change") == 0.0
+    _, exact = run_cli(tmp_path, capsys, HAT_CFG,
+                       ["accuracy", "CFG", "--method", "condition-d"])
+    assert out == exact
+
+
+def test_huge_float_coefficient_is_read_exactly(tmp_path, capsys):
+    """1e308 is an integer as a double: it is read exactly, certified
+    without a float solver, and its cascade overflow is a JSON error."""
+    cfg = dict(HAT_CFG)
+    cfg["mask"] = [{"k": [-1], "coef": 0.5}, {"k": [0], "coef": 1e308},
+                   {"k": [1], "coef": 0.5}]
+    code, out = run_cli(tmp_path, capsys, cfg, ["accuracy", "CFG"])
+    assert code == EXIT_OK
+    assert out["accuracy"] == 0
+    assert out["diagnostics"]["float_max_relative_change"] == 0.0
+    code, out = run_cli(tmp_path, capsys, cfg, ["lift", "CFG"])
+    assert code == EXIT_OK
+    assert out["entries"][1]["coef"] == [[str(int(1e308))]]
+    with np.errstate(all="ignore"):
+        code, out = run_cli(tmp_path, capsys, cfg,
+                            ["cascade", "CFG", "--grid", "4"])
+    assert code == EXIT_NO_CONVERGENCE
+    assert "not finite" in out["error"]
+
+
+def test_cascade_beyond_the_memory_budget_exits_5(tmp_path, capsys,
+                                                  monkeypatch):
+    monkeypatch.setattr(cascade_mod, "memory_budget", lambda: 2 ** 10)
+    code, out = run_cli(tmp_path, capsys, HAT_CFG,
+                        ["cascade", "CFG", "--grid", "6"])
+    assert code == EXIT_NO_CONVERGENCE
+    assert "physical memory" in out["error"]
 
 
 def test_boolean_coefficient_rejected(tmp_path, capsys):
@@ -318,6 +353,8 @@ def test_cascade_csv_dump(tmp_path, capsys):
     ("cascade", {"grid_exponent": -1}),
     ("cascade", {"tolerance": [1e-5]}),
     ("cascade", {"sample_count": 0}),
+    ("cascade", {"tolerance": float("nan")}),
+    ("cascade", {"tolerance": float("inf")}),
 ])
 def test_malformed_options_exit_1(tmp_path, capsys, command, options):
     path = tmp_path / "cfg.json"
@@ -353,6 +390,14 @@ def test_malformed_options_exit_1(tmp_path, capsys, command, options):
     # a generator of the wrong size is named as such
     ("check-group", {"dimension": 2, "group": [[[-1]]],
                      "dilation": [[2, 0], [0, 2]]}, EXIT_BAD_GROUP),
+    # non-finite coefficients are malformed, not read or certified
+    ("accuracy", {"mask": [{"k": [-1], "coef": 0.5},
+                           {"k": [0], "coef": float("nan")},
+                           {"k": [1], "coef": 0.5}]}, EXIT_MALFORMED),
+    ("accuracy", {"mask": [{"k": [0], "coef": float("inf")}]},
+     EXIT_MALFORMED),
+    ("lift", {"mask": [{"k": [0], "coef": [float("-inf"), 0]}]},
+     EXIT_MALFORMED),
 ])
 def test_malformed_shapes_end_in_a_json_error(tmp_path, capsys, command, cfg,
                                               code):
@@ -388,15 +433,18 @@ EXIT_CODES = {EXIT_OK, EXIT_MALFORMED, EXIT_BAD_GROUP, EXIT_INADMISSIBLE,
               EXIT_SHAPE, EXIT_NO_CONVERGENCE}
 
 json_leaf = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
-                      st.floats(-4, 4), st.sampled_from(["1/2", "x", "",
-                                                         "1/0", "-3"]))
+                      st.floats(-4, 4),
+                      st.sampled_from([float("nan"), float("inf"),
+                                       float("-inf"), 1e308]),
+                      st.sampled_from(["1/2", "x", "", "1/0", "-3"]))
 json_any = st.recursive(
     json_leaf, lambda inner: st.one_of(
         st.lists(inner, max_size=3),
         st.dictionaries(st.sampled_from(["g", "k", "coef", "p_max"]), inner,
                         max_size=3)),
     max_leaves=8)
-scalar = st.sampled_from(["1/2", 1, 0, 0.5, ["1/2", "1/4"], [0.5, 0]])
+scalar = st.sampled_from(["1/2", 1, 0, 0.5, ["1/2", "1/4"], [0.5, 0],
+                         float("nan"), float("inf"), -float("inf"), 1e308])
 coef = st.one_of(scalar, st.builds(lambda x: [[x]], scalar),
                  st.lists(st.lists(scalar, min_size=2, max_size=2),
                           min_size=2, max_size=2), json_any)

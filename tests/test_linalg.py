@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from crystacc.linalg import (Mat, QC, _rref_exact, det, has_eigenvalue_one,
-                             integer_rows, kernel_basis, kron, rank,
-                             smith_normal_form, solve_affine)
+from crystacc.linalg import (FLOAT_DENOMINATOR_CAP, Mat, QC, _rref_exact, det,
+                             has_eigenvalue_one, integer_rows, kernel_basis,
+                             kron, rank, read_float, smith_normal_form,
+                             solve_affine)
 
 
 def test_qc_exact_arithmetic():
@@ -62,11 +63,56 @@ def test_kernel_rank_one():
     assert (m @ v).is_zero()
 
 
-def test_kernel_float_backend():
+def test_kernel_refuses_a_float_matrix():
+    """The exact solver takes no float matrix; the same matrix read
+    exactly has the one kernel vector the float solver used to find."""
     m = Mat.from_array(np.array([[1.0, 1.0], [1.0, 1.0]]))
-    basis = kernel_basis(m)
+    for query in (kernel_basis, rank, det, has_eigenvalue_one, Mat.inverse,
+                  lambda x: solve_affine(x, [0])):
+        with pytest.raises(TypeError):
+            query(m)
+    exact = Mat.from_rows([[read_float(x.real) for x in m.row_list(i)]
+                           for i in range(2)])
+    basis = kernel_basis(exact)
     assert len(basis) == 1
-    assert np.max(np.abs((m @ basis[0]).np())) < 1e-9
+    assert (exact @ basis[0]).is_zero()
+
+
+@seed(2026)
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_read_float_rounds_back_to_the_float(x):
+    q = read_float(x)
+    assert isinstance(q, Fraction)
+    assert float(q) == x
+
+
+@seed(2026)
+@settings(max_examples=300, deadline=None)
+@given(st.fractions(min_value=-1000, max_value=1000, max_denominator=1000))
+def test_read_float_recovers_small_rationals(q):
+    assert read_float(float(q)) == q
+
+
+@seed(2026)
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-2 ** 40, 2 ** 40), st.integers(0, 19))
+def test_read_float_keeps_dyadic_values(num, k):
+    q = Fraction(num, 2 ** k)
+    assert read_float(float(q)) == q
+
+
+def test_read_float_edge_values():
+    assert read_float(1e308) == Fraction(1e308)
+    assert read_float(-0.0) == 0
+    assert read_float(1 / 3) == Fraction(1, 3)
+    # no rational within the cap rounds to 2**-30 + 2**-80 except itself
+    x = 2.0 ** -30 * (1 + 2.0 ** -50)
+    assert read_float(x) == Fraction(x)
+    assert read_float(x).denominator > FLOAT_DENOMINATOR_CAP
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError):
+            read_float(bad)
 
 
 def test_has_eigenvalue_one_cases():

@@ -32,17 +32,26 @@ def test_scalar_key_forms_agree(line):
 def test_scalar_value_parsing(line):
     t, _ = line
     m = Mask.scalar(t, {0: "1/3", 1: Fraction(1, 6), 2: 1})
-    assert m.backend == "exact"
+    assert m.float_change is None
     assert m.block(t.translation((0,))).entry(0, 0) == QC(Fraction(1, 3))
     assert m.block(t.translation((2,))).entry(0, 0) == QC(1)
 
 
-def test_float_value_switches_backend(line):
+def test_float_value_is_read_as_a_rational(line):
+    """A float value is read by the reading rule: the mask is exact, equal
+    to its exact copy, and records the largest relative change."""
     t, _ = line
-    m = Mask.scalar(t, {0: 0.5, 1: Fraction(1, 2)})
-    assert m.backend == "float"
+    m = Mask.scalar(t, {0: 0.5, 1: Fraction(1, 2), 2: 1 / 3})
+    assert m == Mask.scalar(t, {0: "1/2", 1: "1/2", 2: "1/3"})
     for _, blk in m.items():
-        assert blk.backend == "float"
+        assert blk.backend == "exact"
+    change = abs(Fraction(1, 3) - Fraction(1 / 3)) / Fraction(1 / 3)
+    assert m.float_change == pytest.approx(float(change), rel=1e-12)
+    assert 0 < m.float_change < 2 ** -53
+    assert Mask.scalar(t, {0: 0.5, 1: 0.25}).float_change == 0.0
+    assert m.to_float() == m
+    with pytest.raises(ValueError):
+        Mask.scalar(t, {0: float("nan")})
 
 
 def test_support_canonical_order(p1m):
