@@ -11,7 +11,8 @@ from .accuracy import (AccuracyCertificate, EquivalenceReport, Fhat0Result,
 from .cascade import (CascadeError, CascadeResult, GridField,
                       ReproductionReport, cascade_iterate, empirical_accuracy,
                       estimate_fhat0, estimate_support, refinement_residual,
-                      reproduce, reproduction_values, sample_points)
+                      reproduce, reproduction_values, sample_points,
+                      support_box)
 from .crystal import (AdmissibilityError, CrystalElement, CrystalTriple,
                       Dilation, GroupValidationError, catalog_names,
                       catalog_triple, check_admissible, compose,
@@ -42,6 +43,6 @@ __all__ = [
     "kron", "l2_budget", "lattice_triple", "lift_scalar_to_matrix",
     "max_accuracy", "rank", "refinement_residual", "reproduce",
     "reproduction_values", "sample_points", "smith_normal_form",
-    "sufficient_check", "transfer_entry", "validate_triple",
+    "sufficient_check", "support_box", "transfer_entry", "validate_triple",
     "verify_equivalence",
 ]

@@ -5,6 +5,16 @@ refinable function, then tests polynomial reproduction empirically.  This
 is the independent cross-check for the exact solvers: the two paths share
 no linear algebra beyond the mask itself.
 
+The grid is the box :func:`support_box` certifies: the box map
+B -> hull([0,1]^d and every A^{-1} g (B + R k) over the mask's support)
+is iterated in rationals on multiples of the spacing until a box contains
+[0,1]^d and its own image, checked exactly, so every iterate and the limit
+vanish outside it (the attractor of the maps x -> A^{-1} g (x + R k);
+Cavaretta, Dahmen and Micchelli, *Stationary Subdivision*, 1991).  When
+the box map does not certify within ``MAX_BOX_STEPS`` steps (it need not
+contract, e.g. for the quincunx A = [[1, 1], [1, -1]]), the grid falls back
+to the cube around the ball of :func:`estimate_support`.
+
 The grid iteration is node-exact whenever the dilation, the point group
 and the lattice are integral and the spacing is dyadic, because every read
 location is then itself a node; multilinear interpolation only enters for
@@ -18,6 +28,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -27,6 +38,9 @@ from .mask import Mask
 from .multiidx import VCollection, dim_degree, enumerate_degree, eval_y
 
 CONVERGENCE_TOL = 1e-6
+MAX_BOX_STEPS = 64
+# slack of the float tests of where a target lands against the grid box
+_EPS = 1e-9
 
 
 class CascadeError(RuntimeError):
@@ -37,11 +51,17 @@ class GridField:
     """Sampled approximation of the refinable function on a box grid.
 
     data has shape (*shape, r); node j of axis i sits at lo[i] + h*j.
-    Reads outside the box are zero, matching compact support.
+    Reads outside the box [lo, hi] are zero, matching compact support.
+    When certified, [lo, hi] is the box :func:`support_box` proved to hold
+    every iterate; otherwise it is the fallback cube around the ball of
+    :func:`estimate_support`.  support_radius is the size of that support
+    region, the length of the certified box's diagonal or the fallback
+    ball's diameter, and sets :func:`sample_points`' margin.
     """
 
     def __init__(self, triple: CrystalTriple, h: float, lo: np.ndarray,
-                 shape: tuple, data: np.ndarray, support_radius: float):
+                 shape: tuple, data: np.ndarray, support_radius: float,
+                 certified: bool = False):
         self.triple = triple
         self.d = triple.d
         self.h = float(h)
@@ -50,6 +70,7 @@ class GridField:
         self.data = data
         self.r = data.shape[-1]
         self.support_radius = float(support_radius)
+        self.certified = bool(certified)
         self.hi = self.lo + self.h * (np.asarray(self.shape) - 1)
         self._flat = data.reshape(-1, self.r)
 
@@ -105,13 +126,14 @@ class ReproductionReport:
 
 
 def estimate_support(mask: Mask, dilation: Dilation) -> float:
-    """Radius of a ball certain to contain every cascade iterate.
+    """Diameter of a ball meant to contain every cascade iterate; the
+    grid's fallback when :func:`support_box` does not certify a box.
 
     One refinement step maps supports by x -> A^{-1} g(x) + A^{-1} R k, so
     a ball of radius rho maps into one of radius |A^{-1}| (rho + t_max)
     with t_max the largest mask translation.  The affine map is iterated
-    from radius 1; the returned value doubles the stable radius as a
-    safety margin.
+    from radius 1 in floats; the returned value doubles the stable radius
+    as a safety margin.  Nothing is checked: this is an estimate.
     """
     t = mask.triple
     f = t.floats()
@@ -136,6 +158,75 @@ def estimate_support(mask: Mask, dilation: Dilation) -> float:
                                "iterations; the dilation does not contract "
                                "in the 2-norm")
     return 2.0 * max(rho, 1.0)
+
+
+def support_box(mask: Mask, dilation: Dilation, h) -> list | None:
+    """Exact box, with corners on multiples of h, certified to contain
+    every cascade iterate; None when none is found.
+
+    A read through mask element gamma = (g, k) at x is non-zero only if x
+    lies in A^{-1} g (S + R k), S the support of the iterate read (the read
+    map of :func:`_build_plans`).  The box map
+    B -> hull([0,1]^d and every A^{-1} g (B + R k)) is iterated in
+    rationals from [0,1]^d, each box snapped outward to multiples of h,
+    until a box contains its own image (which includes [0,1]^d).  The seed
+    lies in that box, and a support inside it maps inside it, so by
+    induction every iterate does.  Returns per-axis (lo, hi) Fraction
+    pairs, or None when no box certifies within ``MAX_BOX_STEPS`` steps.
+    """
+    h = Fraction(h)
+    t = mask.triple
+    maps = []
+    for e in mask.support():
+        lin = dilation.A_inv @ t.group[e.g]
+        shift = lin @ (t.R @ Mat.column(e.k))
+        maps.append(([[x.re for x in lin.row_list(i)] for i in range(t.d)],
+                     [shift.entry(i, 0).re for i in range(t.d)]))
+    unit = [(Fraction(0), Fraction(1))] * t.d
+    box = _snap(unit, h)
+    for _ in range(MAX_BOX_STEPS):
+        image = _hull([unit] + [_box_image(lin, shift, box)
+                                for lin, shift in maps])
+        if all(lo <= a and b <= hi for (lo, hi), (a, b) in zip(box, image)):
+            return box
+        box = _snap(_hull([box, image]), h)
+    return None
+
+
+def _box_image(lin: list, shift: list, box: list) -> list:
+    """Bounding box of {lin x + shift : x in box}, exactly."""
+    out = []
+    for row, c in zip(lin, shift):
+        lo = hi = c
+        for a, (l, u) in zip(row, box):
+            lo += min(a * l, a * u)
+            hi += max(a * l, a * u)
+        out.append((lo, hi))
+    return out
+
+
+def _hull(boxes: list) -> list:
+    return [(min(lo for lo, _ in axis), max(hi for _, hi in axis))
+            for axis in zip(*boxes)]
+
+
+def _snap(box: list, h: Fraction) -> list:
+    return [(math.floor(lo / h) * h, math.ceil(hi / h) * h) for lo, hi in box]
+
+
+def _grid_layout(mask: Mask, dilation: Dilation, h: float) -> tuple:
+    """(lo, shape, support_radius, certified) of the cascade grid: the
+    certified support box, or the cube around the estimated ball."""
+    d = mask.triple.d
+    box = support_box(mask, dilation, h)
+    if box is None:
+        radius = estimate_support(mask, dilation)
+        n_side = int(math.ceil(radius / h))
+        return np.full(d, -n_side * h), (2 * n_side + 1,) * d, radius, False
+    lo = np.array([float(l) for l, _ in box])
+    shape = tuple(int((u - l) / Fraction(h)) + 1 for l, u in box)
+    diagonal = math.hypot(*(float(u - l) for l, u in box))
+    return lo, shape, diagonal, True
 
 
 def _interp_plan(points: np.ndarray, lo: np.ndarray, h: float,
@@ -269,8 +360,11 @@ def cascade_iterate(mask: Mask, triple: CrystalTriple, dilation: Dilation,
 
     The seed is the indicator of the unit box [0,1)^d times the normalized
     integral direction, so the integral starts in the right eigenspace.
-    Non-convergence (last sup difference above 1e-6) is reported in the
-    result, not raised.  A grid whose :func:`grid_bytes` estimate exceeds
+    The grid spans the box of :func:`support_box` at spacing h (per-axis
+    node counts), or, when no box certifies, the cube around the ball of
+    :func:`estimate_support`; the field records which.  Non-convergence
+    (last sup difference above 1e-6) is reported in the result, not
+    raised.  A grid whose :func:`grid_bytes` estimate exceeds
     :func:`memory_budget` is refused before anything is allocated, and an
     iterate that overflows to a non-finite value raises; both raise
     :class:`CascadeError`.
@@ -287,11 +381,8 @@ def cascade_iterate(mask: Mask, triple: CrystalTriple, dilation: Dilation,
         q = 8 if grid_exponent is None else int(grid_exponent)
         h = 2.0 ** -q
     d = triple.d
-    radius = estimate_support(mask, dilation)
-    n_side = int(math.ceil(radius / h))
-    lo = np.full(d, -n_side * h)
-    shape = (2 * n_side + 1,) * d
-    n_nodes = shape[0] ** d
+    lo, shape, radius, certified = _grid_layout(mask, dilation, h)
+    n_nodes = math.prod(shape)
     need = grid_bytes(d, mask.r, len(mask.support()), n_nodes)
     budget = memory_budget()
     if need > budget:
@@ -320,7 +411,7 @@ def cascade_iterate(mask: Mask, triple: CrystalTriple, dilation: Dilation,
                                "floating point")
         data = nxt
     field = GridField(triple, h, lo, shape,
-                      data.reshape(*shape, mask.r), radius)
+                      data.reshape(*shape, mask.r), radius, certified)
     return CascadeResult(field, tuple(sup_diffs),
                          sup_diffs[-1] <= CONVERGENCE_TOL)
 
@@ -341,7 +432,8 @@ def refinement_residual(field: GridField, mask: Mask,
 def sample_points(field: GridField, count: int = 32,
                   seed: int = 2026) -> np.ndarray:
     """Random grid nodes in the central unit cell, keeping a margin of
-    support_radius * h from the cell boundary.
+    support_radius * h from the cell boundary: h times the length of the
+    certified box's diagonal, or times the fallback ball's diameter.
 
     Nodes rather than arbitrary points: at a node every lattice translate
     is read node-exactly, so the comparison measures the cascade itself
@@ -369,18 +461,34 @@ def sample_points(field: GridField, count: int = 32,
     return coords
 
 
-def _gamma_cover(field: GridField, xmax: float) -> list:
-    """Group elements gamma with gamma(sample region) possibly meeting the
-    field box; everything else reads zero."""
+def _gamma_cover(field: GridField, pts: np.ndarray) -> list:
+    """Group elements gamma that may carry a point within h of the grid
+    box: gamma(x) = g(x + R k) lands there only if k lies in
+    R^{-1} g^{-1} (the box widened by h) - R^{-1} x, bounded per axis over
+    the points.  Everything else reads zero."""
+    if len(pts) == 0:
+        return []
     t = field.triple
     f = t.floats()
     r_inv = np.linalg.inv(f["R"])
-    half = float(np.max(np.abs(np.stack([field.lo, field.hi]))))
-    reach = math.sqrt(t.d) * (half + xmax)
-    K = int(math.ceil(float(np.max(np.sum(np.abs(r_inv), axis=1))) * reach))
-    rng = range(-K, K + 1)
-    return [t.element(g, k) for g in range(t.order)
-            for k in itertools.product(rng, repeat=t.d)]
+    centre = (field.lo + field.hi) / 2
+    half = (field.hi - field.lo) / 2 + field.h + _EPS
+    y = pts @ r_inv.T
+    cover = []
+    for g in range(t.order):
+        m = r_inv @ f["group"][t.inverse_table[g]]
+        reach = np.abs(m) @ half
+        low = np.ceil(m @ centre - reach - y.max(axis=0)).astype(int)
+        high = np.floor(m @ centre + reach - y.min(axis=0)).astype(int)
+        ranges = [range(a, b + 1) for a, b in zip(low, high)]
+        cover += [t.element(g, k) for k in itertools.product(*ranges)]
+    return cover
+
+
+def _within(field: GridField, target: np.ndarray, margin: float) -> np.ndarray:
+    """Rows of target within margin of the grid box on every axis."""
+    return np.all((target >= field.lo - margin)
+                  & (target <= field.hi + margin), axis=1)
 
 
 def reproduction_values(field: GridField, v: VCollection, s: int,
@@ -389,30 +497,22 @@ def reproduction_values(field: GridField, v: VCollection, s: int,
     f(gamma(x)) at the given points.
 
     Returns (values (N, d_s), excluded) where excluded marks points with a
-    translate that lands near the support but off the grid box, so their
-    sum is truncated.
+    translate that lands off the grid box but within h of it, so their sum
+    may be truncated.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, field.d)
     t = field.triple
     f = t.floats()
-    xmax = float(np.max(np.linalg.norm(pts, axis=1))) if len(pts) else 0.0
     out = np.zeros((len(pts), dim_degree(field.d, s)), dtype=complex)
     excluded = np.zeros(len(pts), dtype=bool)
-    eps = 1e-9
-    for e in _gamma_cover(field, xmax):
+    for e in _gamma_cover(field, pts):
         g = f["group"][e.g]
         shift = f["R"] @ np.asarray(e.k, dtype=float)
         target = (pts + shift) @ g.T
-        outside = np.any((target < field.lo - eps)
-                         | (target > field.hi + eps), axis=1)
+        outside = ~_within(field, target, _EPS)
+        excluded |= outside & _within(field, target, field.h + _EPS)
         if outside.all():
-            near = (np.linalg.norm(target, axis=1)
-                    <= field.support_radius + field.h)
-            excluded |= near
             continue
-        near = (np.linalg.norm(target, axis=1)
-                <= field.support_radius + field.h)
-        excluded |= (outside & near)
         vals = field.sample(target)
         y = eval_y(e, v, s).np()
         out += vals @ y.T
@@ -473,15 +573,16 @@ def _probe_block(field: GridField, v: VCollection | None, s: int,
     (residual, extended v, C).
 
     With no blocks at all (solver accuracy 0) the degree-0 row itself is
-    fitted against the constant 1, fixing the scale.
+    fitted against the constant 1, fixing the scale.  A gamma whose
+    targets all lie farther than h from the grid box reads only zeros and
+    is skipped, with its exact Q-tilde blocks.
     """
     from .multiidx import build_Q_tilde
     t = field.triple
     f = t.floats()
     d_s = dim_degree(field.d, s)
     r = field.r
-    xmax = float(np.max(np.linalg.norm(pts, axis=1))) if len(pts) else 0.0
-    gammas = _gamma_cover(field, xmax)
+    gammas = _gamma_cover(field, pts)
     n = len(pts)
 
     base = np.zeros((n, d_s), dtype=complex)
@@ -489,7 +590,10 @@ def _probe_block(field: GridField, v: VCollection | None, s: int,
     for e in gammas:
         g = f["group"][e.g]
         shift = f["R"] @ np.asarray(e.k, dtype=float)
-        vals = field.sample((pts + shift) @ g.T)
+        target = (pts + shift) @ g.T
+        if not _within(field, target, field.h + _EPS).any():
+            continue
+        vals = field.sample(target)
         if v is not None:
             partial = None
             for tt in range(min(s, v.p)):

@@ -56,8 +56,9 @@ class CliError(Exception):
 
 def _parse_scalar(value):
     """One JSON coefficient: "p/q" string or int -> exact, float -> float
-    (read as a rational by the mask), [re, im] pair -> complex with the
-    same rules."""
+    (read as a rational by the mask), [re, im] pair -> exact when both
+    parts are, else an (re, im) tuple of Fraction and float parts, so the
+    mask reads each float part and keeps each exact one."""
     if isinstance(value, bool):
         raise CliError(EXIT_MALFORMED, "boolean is not a coefficient")
     if isinstance(value, str):
@@ -71,10 +72,10 @@ def _parse_scalar(value):
         return value
     if (isinstance(value, list) and len(value) == 2
             and not any(isinstance(v, list) for v in value)):
-        re_part, im_part = (_parse_scalar(v) for v in value)
-        if isinstance(re_part, float) or isinstance(im_part, float):
-            return complex(complex(re_part).real, complex(im_part).real)
-        return QC(re_part.re, im_part.re)
+        parts = tuple(p if isinstance(p, float) else p.re
+                      for p in (_parse_scalar(v) for v in value))
+        return parts if any(isinstance(p, float) for p in parts) \
+            else QC(*parts)
     raise CliError(EXIT_MALFORMED, f"cannot read coefficient {value!r}")
 
 
@@ -87,7 +88,7 @@ def _parse_matrix(rows, what: str) -> Mat:
     if any(len(r) != len(rows[0]) for r in rows):
         raise CliError(EXIT_MALFORMED, f"{what} rows differ in length")
     parsed = [[_parse_scalar(x) for x in row] for row in rows]
-    if any(isinstance(x, (float, complex)) for row in parsed for x in row):
+    if any(not isinstance(x, QC) for row in parsed for x in row):
         raise CliError(EXIT_MALFORMED, f"{what} must be exact rationals")
     if any(x.im != 0 for row in parsed for x in row):
         raise CliError(EXIT_MALFORMED, f"{what} must be real")
@@ -198,14 +199,11 @@ def _build_mask(cfg: dict, triple: CrystalTriple) -> Mask:
         r = len(rows)
         if any(len(row) != r for row in rows):
             raise CliError(EXIT_SHAPE, f"mask entry {pos}: block not square")
-        inexact = any(isinstance(x, (float, complex))
-                      for row in rows for x in row)
-        blk = Mat.from_rows(rows, backend="float" if inexact else "exact")
         key = triple.element(g, tuple(k))
         if key in blocks:
             raise CliError(EXIT_MALFORMED,
                            f"mask entry {pos}: duplicate element")
-        blocks[key] = blk
+        blocks[key] = rows
     try:
         return Mask(triple, blocks)
     except MaskShapeError as exc:

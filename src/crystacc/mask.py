@@ -28,11 +28,14 @@ class Mask:
     """Finite family of r x r coefficient blocks keyed by group elements.
 
     Blocks absent from the mapping are exact zeros, so every sum over the
-    whole group reduces to a finite sum over :meth:`support`.  A mask is
-    immutable once built and always exact: float blocks are read entry by
-    entry through :func:`~crystacc.linalg.read_float`, and
+    whole group reduces to a finite sum over :meth:`support`.  A block is a
+    square :class:`Mat` or a list of rows of coefficients; a coefficient is
+    exact (int, Fraction, "p/q" string, QC), a float or complex, or an
+    (re, im) pair whose parts are each exact or float.  A mask is
+    immutable once built and always exact: float parts are read one by one
+    through :func:`~crystacc.linalg.read_float`, exact parts are kept, and
     ``float_change`` keeps the largest relative change |read - given| /
-    |given| of such an entry (None when no block was float).
+    |given| of an entry with a float part (None when there was none).
     """
 
     def __init__(self, triple: CrystalTriple, coefficients: dict,
@@ -46,6 +49,12 @@ class Mask:
             if not isinstance(key, CrystalElement) or key.triple is not triple:
                 raise MaskShapeError(f"key {key!r} is not an element of the "
                                      "mask's own triple")
+            if isinstance(blk, Mat) and blk.backend == "float":
+                blk = [blk.row_list(i) for i in range(blk.rows)]
+            if (isinstance(blk, list) and blk
+                    and all(isinstance(row, list) for row in blk)):
+                blk = Mat.from_rows([[_read_entry(x, changes) for x in row]
+                                     for row in blk])
             if not isinstance(blk, Mat) or blk.rows != blk.cols:
                 raise MaskShapeError(f"coefficient at {key} is not a square "
                                      "matrix")
@@ -53,8 +62,6 @@ class Mask:
                 size = blk.rows
             elif blk.rows != size:
                 raise MaskShapeError("coefficient blocks differ in size")
-            if blk.backend == "float":
-                blk = _read_block(blk, changes)
             blocks[key] = blk
         if r is not None and size != r:
             raise MaskShapeError(f"expected {r}x{r} blocks, got {size}x{size}")
@@ -70,9 +77,8 @@ class Mask:
 
         Keys may be CrystalElements, (point index, lattice tuple) pairs,
         lattice tuples, or bare integers in one dimension; the last two
-        default the point part to the identity.  Values go through QC.parse
-        (ints, Fractions, 'p/q' strings, [re, im] pairs); float or complex
-        values are read as rationals by the mask.
+        default the point part to the identity.  Values are coefficients as
+        in the class docstring: float parts are read as rationals.
         """
         coeffs = {}
         for key, val in entries.items():
@@ -85,11 +91,7 @@ class Mask:
                 e = triple.translation(key)
             else:
                 e = triple.translation((key,))
-            if isinstance(val, (float, complex)):
-                blk = Mat.from_rows([[val]], backend="float")
-            else:
-                blk = Mat.from_rows([[QC.parse(val)]])
-            coeffs[e] = blk
+            coeffs[e] = [[val]]
         return cls(triple, coeffs, r=1)
 
     def support(self) -> tuple:
@@ -134,20 +136,19 @@ class Mask:
         return f"Mask(r={self.r}, support={len(self._support)})"
 
 
-def _read_block(blk: Mat, changes: list) -> Mat:
-    """Exact copy of a float block by the reading rule; appends the
-    relative change of every nonzero entry to ``changes``."""
-    rows = []
-    for i in range(blk.rows):
-        row = []
-        for z in blk.row_list(i):
-            q = QC(read_float(z.real), read_float(z.imag))
-            if z:
-                given = QC(Fraction(z.real), Fraction(z.imag))
-                changes.append(float((q - given).abs2() / given.abs2()) ** 0.5)
-            row.append(q)
-        rows.append(row)
-    return Mat.from_rows(rows)
+def _read_entry(x, changes: list) -> QC:
+    """One coefficient as an exact QC by the reading rule; when it has a
+    float part and is nonzero, appends its relative change to
+    ``changes``."""
+    parts = (x.real, x.imag) if isinstance(x, (float, complex)) else x
+    if not (isinstance(parts, (list, tuple))
+            and any(isinstance(p, float) for p in parts)):
+        return QC.parse(x)
+    q = QC(*(read_float(p) if isinstance(p, float) else p for p in parts))
+    given = QC(*(Fraction(p) if isinstance(p, float) else p for p in parts))
+    if not given.is_zero():
+        changes.append(float((q - given).abs2() / given.abs2()) ** 0.5)
+    return q
 
 
 def coefficient(mask: Mask, gamma: CrystalElement) -> Mat:

@@ -1,19 +1,23 @@
 """Cascade oracle: grid iteration, reproduction sums, empirical accuracy."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from crystacc.accuracy import max_accuracy
 import crystacc.cascade as cascade_mod
-from crystacc.cascade import (CascadeError, cascade_iterate, empirical_accuracy,
-                              estimate_fhat0, estimate_support, grid_bytes,
+from crystacc.cascade import (CascadeError, _probe_block, cascade_iterate,
+                              empirical_accuracy, estimate_fhat0,
+                              estimate_support, grid_bytes,
                               refinement_residual, reproduce,
-                              reproduction_values, sample_points)
+                              reproduction_values, sample_points, support_box)
 from crystacc.crystal import catalog_triple, check_admissible
-from crystacc.linalg import Mat
+from crystacc.linalg import Mat, integer_rows
 from crystacc.mask import Mask, lift_scalar_to_matrix
 
 
@@ -44,6 +48,16 @@ def test_support_radius_estimates(line, haar, hat, bspline4):
     assert abs(estimate_support(bspline4, dil) - 4.0) < 1e-6
 
 
+def test_support_boxes_of_classic_masks(line, haar, hat, bspline4):
+    """Each box is the hull of the refinable function's support, which
+    lies on the lattice of every spacing used here."""
+    _, dil = line
+    for h in (1.0, 2.0 ** -4, 2.0 ** -7):
+        assert support_box(haar, dil, h) == [(0, 1)]
+        assert support_box(hat, dil, h) == [(-1, 1)]
+        assert support_box(bspline4, dil, h) == [(-2, 2)]
+
+
 def test_haar_seed_is_already_fixed(haar_field):
     """The unit-box indicator is the exact fixed point of the Haar mask,
     so every sup difference vanishes from the first step."""
@@ -66,12 +80,15 @@ def test_hat_cascade_reaches_exact_fixed_point(hat_field):
 
 
 def test_grid_geometry(line, hat):
+    """The hat's grid is its certified support box [-1, 1]: 33 nodes at
+    h = 2^-4, and the margin size is the box's diagonal, 2."""
     t, dil = line
     res = cascade_iterate(hat, t, dil, iterations=1, grid_exponent=4)
     f = res.field
     assert f.h == 2.0 ** -4
-    assert f.shape == (65,)
-    assert f.lo[0] == -2.0 and f.hi[0] == 2.0
+    assert f.shape == (33,)
+    assert f.lo[0] == -1.0 and f.hi[0] == 1.0
+    assert f.certified
     assert f.support_radius == 2.0
 
 
@@ -142,9 +159,11 @@ def test_sample_points_margin_guard(line, hat):
 def test_reproduction_marks_truncated_points(line, hat):
     t, dil = line
     res = cascade_iterate(hat, t, dil, iterations=8, grid_exponent=4)
+    assert res.field.hi[0] == 1.0
     cert = max_accuracy(hat, t, dil, p_max=2)
-    # 0.03125 + 2 lands just beyond the box edge but within reach of the
-    # support ball, so its sum is flagged; 0.5 is fully covered
+    # 0.03125 + 1 lands off the box [-1, 1] but within h = 1/16 of it, so
+    # its sum is flagged; the translates of 0.5 land on the grid or at
+    # least h away from it (1.5), so its sum is fully covered
     vals, excluded = reproduction_values(res.field, cert.witness, 0,
                                          [[0.03125], [0.5]])
     assert excluded.tolist() == [True, False]
@@ -259,27 +278,215 @@ def test_2d_tensor_hat(plane):
 
 def test_grid_bytes_estimate():
     """Nodes, live iterates and one plan per mask element, per node; the
-    2D tensor quadratic B-spline (16 elements, radius 8.49) at the default
-    spacing 2^-8 has 4349^2 nodes and about 19.4 GB of plans."""
+    2D tensor quadratic B-spline (16 elements) on its certified box
+    [0, 3]^2 at the default spacing 2^-8 has 769^2 nodes and about 0.6 GB
+    of plans."""
     assert grid_bytes(1, 1, 3, 10) == 10 * (8 + 64 + 3 * 2 * 16)
     assert grid_bytes(2, 3, 5, 7) == 7 * (16 + 3 * 64 + 5 * 4 * 16)
-    n = 4349 ** 2
+    n = 769 ** 2
     plans = 16 * 4 * 16 * n
-    assert 19.3e9 < plans < 19.5e9
+    assert 0.60e9 < plans < 0.61e9
     assert grid_bytes(2, 1, 16, n) == plans + n * (16 + 64)
+
+
+def _quadratic_bspline_2d(t):
+    """Tensor square of the quadratic B-spline mask (1, 3, 3, 1) / 4 on
+    the 2D lattice; its refinable function lives on [0, 3]^2."""
+    c = [Fraction(1, 4), Fraction(3, 4), Fraction(3, 4), Fraction(1, 4)]
+    return Mask.scalar(t, {(i, j): a * b for i, a in enumerate(c)
+                           for j, b in enumerate(c)})
+
+
+def test_default_grid_of_the_quadratic_bspline_fits_in_1_gib(plane,
+                                                             monkeypatch):
+    """The default --grid 8 is sized through cascade_iterate's own path and
+    refused by a zero budget before anything is allocated."""
+    t, dil = plane
+    mask = _quadratic_bspline_2d(t)
+    assert support_box(mask, dil, 2.0 ** -8) == [(0, 3), (0, 3)]
+    seen = []
+
+    def spy(*args):
+        seen.append(args)
+        return grid_bytes(*args)
+
+    monkeypatch.setattr(cascade_mod, "grid_bytes", spy)
+    monkeypatch.setattr(cascade_mod, "memory_budget", lambda: 0)
+    with pytest.raises(CascadeError, match="memory"):
+        cascade_iterate(mask, t, dil, iterations=12, grid_exponent=8)
+    assert seen == [(2, 1, 16, 769 ** 2)]
+    assert grid_bytes(*seen[0]) < 2 ** 30
+
+
+# -- the certified box against a reference cascade --------------------------
+
+QUINCUNX = [[1, 1], [1, -1]]
+
+
+def _random_case(case, rnd):
+    """(mask, dilation, grid exponent) of one seeded case."""
+    def coef():
+        return Fraction(rnd.randint(-4, 8), rnd.randint(1, 4))
+
+    def factor():
+        start = rnd.randint(-3, 2)
+        return {start + i: coef() for i in range(rnd.randint(2, 5))}
+
+    if case == "p1-1d":
+        t = catalog_triple("p1", 1)
+        entries = factor()
+        a, q = [[2]], rnd.randint(2, 6)
+    elif case == "p1-2d":
+        t = catalog_triple("p1", 2)
+        f1, f2 = factor(), factor()
+        entries = {(i, j): x * y for i, x in f1.items()
+                   for j, y in f2.items()}
+        a, q = [[2, 0], [0, 2]], rnd.randint(2, 4)
+    elif case == "quincunx":
+        t = catalog_triple("p1", 2)
+        entries = {(0, 0): coef(), (1, 0): coef()}
+        for _ in range(rnd.randint(0, 3)):
+            entries[(rnd.randint(-2, 2), rnd.randint(-2, 2))] = coef()
+        a, q = QUINCUNX, rnd.randint(2, 3)
+    else:  # a p4 or p4m spread: rotated and reflected copies
+        t = catalog_triple(case, 2)
+        entries = {(0, (0, 0)): coef()}
+        for _ in range(rnd.randint(1, 5)):
+            k = (rnd.randint(-2, 2), rnd.randint(-2, 2))
+            entries[(rnd.randrange(t.order), k)] = coef()
+        a, q = [[2, 0], [0, 2]], rnd.randint(2, 4)
+    dil = check_admissible(Mat.from_rows(a), t)
+    # coefficients summing to m make the seed direction 1
+    total = sum(entries.values())
+    if total == 0:
+        key = next(iter(entries))
+        entries[key] += 1
+        total = 1
+    entries = {key: c * dil.m / total for key, c in entries.items()}
+    return Mask.scalar(t, entries), dil, q
+
+
+def _reference_cascade(mask, dil, q, iterations, first, n):
+    """Plain cascade of a scalar mask on the cube of n nodes per axis whose
+    node j sits at (first + j) h, h = 2^-q: every read is an integer index,
+    valid when R = I and every g^{-1} A is integral.  Returns the node
+    positions in units of h and the last iterate."""
+    t = mask.triple
+    d = t.d
+    scale = 2 ** q
+    a = np.array(integer_rows(dil.A))
+    pos = np.stack(np.meshgrid(*[np.arange(first, first + n)] * d,
+                               indexing="ij"), axis=-1).reshape(-1, d)
+    f = np.all((pos >= 0) & (pos < scale), axis=1).astype(float)  # seed 1
+    reads = []
+    for e, blk in mask.items():
+        g_inv = np.array(integer_rows(t.group[t.inverse_table[e.g]]))
+        idx = pos @ (g_inv @ a).T - scale * np.array(e.k) - first
+        ok = np.all((idx >= 0) & (idx < n), axis=1)
+        flat = np.ravel_multi_index(tuple(np.where(ok[:, None], idx, 0).T),
+                                    (n,) * d)
+        reads.append((ok, flat, float(blk.entry(0, 0).re)))
+    for _ in range(iterations):
+        f = sum(np.where(ok, c * f[flat], 0.0) for ok, flat, c in reads)
+    return pos, f
+
+
+@seed(2026)
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["p1-1d", "p1-2d", "p4", "p4m", "quincunx"]),
+       st.randoms(use_true_random=False))
+def test_box_grid_matches_a_reference_cascade(case, rnd):
+    """The iterate on the certified box equals a plain cascade on a cube
+    two units wider on every side at every common node, and the plain one
+    is zero at every node off the box; where no box certifies (quincunx),
+    the grid is the cube around the ball of estimate_support."""
+    mask, dil, q = _random_case(case, rnd)
+    t = mask.triple
+    h = 2.0 ** -q
+    iterations = 5
+    field = cascade_iterate(mask, t, dil, iterations, grid_exponent=q).field
+    box = support_box(mask, dil, h)
+    if case == "quincunx":
+        assert box is None and not field.certified
+        radius = estimate_support(mask, dil)
+        n_side = math.ceil(radius / h)
+        assert field.shape == (2 * n_side + 1,) * t.d
+        assert np.all(field.lo == -n_side * h)
+        assert field.support_radius == radius
+        return
+    assert field.certified
+    assert integer_rows(t.R) == integer_rows(Mat.identity(t.d))
+    box_idx = np.array([[lo / Fraction(h), hi / Fraction(h)]
+                        for lo, hi in box], dtype=np.int64)
+    assert np.all(field.lo == box_idx[:, 0] * h)
+    assert field.shape == tuple(box_idx[:, 1] - box_idx[:, 0] + 1)
+    # the box holds [0,1]^d and its image under every read map
+    lo, hi = box_idx[:, 0] * h, box_idx[:, 1] * h
+    assert np.all(lo <= 0) and np.all(hi >= 1)
+    a_inv = np.linalg.inv(np.array(integer_rows(dil.A), dtype=float))
+    for e in mask.support():
+        lin = a_inv @ np.array(integer_rows(t.group[e.g]), dtype=float)
+        centre = lin @ ((lo + hi) / 2 + np.array(e.k))
+        reach = np.abs(lin) @ ((hi - lo) / 2)
+        assert np.all(centre - reach >= lo - 1e-12)
+        assert np.all(centre + reach <= hi + 1e-12)
+    pad = 2 * 2 ** q
+    first = int(box_idx[:, 0].min()) - pad
+    n = int(box_idx[:, 1].max()) + pad - first + 1
+    pos, ref = _reference_cascade(mask, dil, q, iterations, first, n)
+    on_box = np.all((pos >= box_idx[:, 0]) & (pos <= box_idx[:, 1]), axis=1)
+    assert np.all(ref[~on_box] == 0.0)
+    nodes = np.rint(field.nodes() / h).astype(np.int64)
+    common = ref[np.ravel_multi_index(tuple((nodes - first).T), (n,) * t.d)]
+    got = field.data.reshape(-1)
+    assert np.all(got.imag == 0.0)
+    scale = max(1.0, float(np.max(np.abs(ref))))
+    assert np.allclose(got.real, common, rtol=0, atol=1e-12 * scale)
+
+
+def test_probe_block_skips_zero_reads(plane, monkeypatch):
+    """A wider gamma cover adds only gammas whose targets all lie off the
+    grid box; _probe_block skips them, Q-tilde blocks included, so the
+    fitted block and residual are the default cover's exactly."""
+    import crystacc.multiidx as multiidx_mod
+    t, dil = plane
+    mask = _quadratic_bspline_2d(t)
+    field = cascade_iterate(mask, t, dil, iterations=12,
+                            grid_exponent=4).field
+    v = max_accuracy(mask, t, dil, p_max=2).witness.to_float()
+    pts = sample_points(field, count=12)
+    calls = []
+    real_q = multiidx_mod.build_Q_tilde
+
+    def counting_q(*args):
+        calls.append(args)
+        return real_q(*args)
+
+    monkeypatch.setattr(multiidx_mod, "build_Q_tilde", counting_q)
+    default_cover = cascade_mod._gamma_cover(field, pts)
+    res_default, v_default, _ = _probe_block(field, v, 2, pts, 1.0)
+    n_default = len(calls)
+    wide = [t.element(g, k) for g in range(t.order)
+            for k in itertools.product(range(-6, 7), repeat=2)]
+    assert set(default_cover) < set(wide)
+    monkeypatch.setattr(cascade_mod, "_gamma_cover", lambda f, p: wide)
+    res_wide, v_wide, _ = _probe_block(field, v, 2, pts, 1.0)
+    assert res_wide == res_default
+    assert np.array_equal(v_wide.block(2).np(), v_default.block(2).np())
+    assert len(calls) == 2 * n_default
 
 
 def test_cascade_refuses_a_grid_beyond_the_memory_budget(line, hat,
                                                          monkeypatch):
     t, dil = line
-    # the hat (support radius 2) at spacing 2^-6: 2 * 128 + 1 nodes
-    need = grid_bytes(1, 1, 3, 257)
+    # the hat (support box [-1, 1]) at spacing 2^-6: 2 * 64 + 1 nodes
+    need = grid_bytes(1, 1, 3, 129)
     monkeypatch.setattr(cascade_mod, "memory_budget", lambda: need - 1)
     with pytest.raises(CascadeError, match="memory"):
         cascade_iterate(hat, t, dil, iterations=2, grid_exponent=6)
     monkeypatch.setattr(cascade_mod, "memory_budget", lambda: need)
     assert cascade_iterate(hat, t, dil, iterations=2,
-                           grid_exponent=6).field.data.size == 257
+                           grid_exponent=6).field.data.size == 129
 
 
 def test_cascade_refuses_an_overflowing_iterate(line):

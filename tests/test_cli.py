@@ -188,6 +188,26 @@ def test_accuracy_float_coefficients(tmp_path, capsys):
     assert out == exact
 
 
+def test_float_part_beside_an_exact_part_keeps_it_exact(tmp_path, capsys):
+    """A float in an [re, im] pair or in a block is read on its own; the
+    exact entries beside it stay exact."""
+    cfg = dict(HAT_CFG)
+    cfg["mask"] = [{"k": [-1], "coef": ["1/1234567", 0.5]}] + \
+        HAT_CFG["mask"][1:]
+    code, out = run_cli(tmp_path, capsys, cfg, ["lift", "CFG"])
+    assert code == EXIT_OK
+    assert out["entries"][0]["coef"] == [[["1/1234567", "1/2"]]]
+    code, out = run_cli(tmp_path, capsys, cfg, ["accuracy", "CFG"])
+    assert code == EXIT_OK
+    assert out["diagnostics"]["float_max_relative_change"] == 0.0
+    block = dict(PM_CFG, mask=[{"k": [0, 0],
+                                "coef": [["1/1234567", 0.1], [0.5, 1]]}])
+    code, out = run_cli(tmp_path, capsys, block,
+                        ["accuracy", "CFG", "--p-max", "1"])
+    assert code == EXIT_OK
+    assert 0 < out["diagnostics"]["float_max_relative_change"] < 2 ** -53
+
+
 def test_huge_float_coefficient_is_read_exactly(tmp_path, capsys):
     """1e308 is an integer as a double: it is read exactly, certified
     without a float solver, and its cascade overflow is a JSON error."""
@@ -329,6 +349,29 @@ def test_seed_flag_overrides_environment(tmp_path, capsys, monkeypatch):
     assert out["seed"] == 7
 
 
+QUADRATIC_BSPLINE_2D_CFG = {
+    "group": "p1",
+    "dimension": 2,
+    "dilation": [[2, 0], [0, 2]],
+    "mask": [{"k": [i, j], "coef": f"{a * b}/16"}
+             for i, a in enumerate((1, 3, 3, 1))
+             for j, b in enumerate((1, 3, 3, 1))],
+}
+
+
+def test_cascade_on_a_coarse_grid_of_the_quadratic_bspline(tmp_path,
+                                                          capsys):
+    """On its certified box [0, 3]^2 the tensor quadratic B-spline keeps a
+    sampling margin at h = 2^-4 and reaches the solver's accuracy."""
+    code, out = run_cli(tmp_path, capsys, QUADRATIC_BSPLINE_2D_CFG,
+                        ["cascade", "CFG", "--grid", "4", "--iters", "21",
+                         "--verify-p", "4"])
+    assert code == EXIT_OK
+    assert out["converged"]
+    assert out["solver_accuracy"] == 3
+    assert out["empirical_accuracy"] == 3
+
+
 def test_cascade_csv_dump(tmp_path, capsys):
     out_path = tmp_path / "field.csv"
     code, out = run_cli(tmp_path, capsys, HAT_CFG,
@@ -338,7 +381,10 @@ def test_cascade_csv_dump(tmp_path, capsys):
     assert out["csv"] == str(out_path)
     lines = out_path.read_text(encoding="utf-8").strip().splitlines()
     assert lines[0] == "x0,re0,im0"
-    assert len(lines) == 1 + 65  # header plus one row per node
+    # header plus one row per node of the hat's box [-1, 1] at h = 2^-4
+    assert len(lines) == 1 + 33
+    xs = [float(line.split(",")[0]) for line in lines[1:]]
+    assert xs[0] == -1.0 and xs[-1] == 1.0
 
 
 @pytest.mark.parametrize("command,options", [

@@ -54,6 +54,19 @@ def test_float_value_is_read_as_a_rational(line):
         Mask.scalar(t, {0: float("nan")})
 
 
+def test_float_part_of_a_pair_is_read_alone(line):
+    """An (re, im) pair with one float part keeps its exact part exact;
+    float_change covers the float part only."""
+    t, _ = line
+    m = Mask.scalar(t, {0: ("1/1234567", 1 / 3), 1: ["1/3", 0.5]})
+    assert m.block(t.translation((0,))).entry(0, 0) == \
+        QC(Fraction(1, 1234567), Fraction(1, 3))
+    assert m.block(t.translation((1,))).entry(0, 0) == \
+        QC(Fraction(1, 3), Fraction(1, 2))
+    assert 0 < m.float_change < 2 ** -53
+    assert Mask.scalar(t, {0: ("1/1234567", 0.5)}).float_change == 0.0
+
+
 def test_support_canonical_order(p1m):
     t, _ = p1m
     m = Mask.scalar(t, {(1, (0,)): 1, (0, (2,)): 2, (0, (-1,)): 3})
