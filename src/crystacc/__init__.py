@@ -10,9 +10,8 @@ from .accuracy import (AccuracyCertificate, EquivalenceReport, Fhat0Result,
                        max_accuracy, sufficient_check, verify_equivalence)
 from .cascade import (CascadeError, CascadeResult, GridField,
                       ReproductionReport, cascade_iterate, empirical_accuracy,
-                      estimate_fhat0, estimate_support, refinement_residual,
-                      reproduce, reproduction_values, sample_points,
-                      support_box)
+                      estimate_support, refinement_residual, reproduce,
+                      reproduction_values, sample_points, support_box)
 from .crystal import (AdmissibilityError, CrystalElement, CrystalTriple,
                       Dilation, GroupValidationError, catalog_names,
                       catalog_triple, check_admissible, compose,
@@ -38,7 +37,7 @@ __all__ = [
     "catalog_triple", "check_admissible", "check_gamma_A_symmetry",
     "coefficient", "compose", "condition_d_residual", "dim_degree",
     "elements_in_ball", "empirical_accuracy", "enumerate_degree",
-    "estimate_fhat0", "estimate_support", "eval_X", "eval_y",
+    "estimate_support", "eval_X", "eval_y",
     "extract_scalar", "fhat0", "generate_group", "inverse", "kernel_basis",
     "kron", "l2_budget", "lattice_triple", "lift_scalar_to_matrix",
     "max_accuracy", "rank", "refinement_residual", "reproduce",

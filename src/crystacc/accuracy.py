@@ -15,24 +15,26 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .crystal import CrystalTriple, Dilation, compose, inverse
-from .linalg import (Mat, QC_ONE, QC_ZERO, has_eigenvalue_one,
-                     kernel_basis, kron, negligible, solve_affine)
+from .linalg import (Mat, QC_ZERO, det, has_eigenvalue_one, kernel_basis,
+                     kron, solve_affine)
 from .mask import Mask, MaskShapeError, coefficient
 from .multiidx import (VCollection, build_A_s, build_Q_st, build_Q_tilde,
-                       dim_degree, enumerate_degree, eval_y)
+                       dim_degree, enumerate_degree, eval_X, eval_y)
 
 
 @dataclass
 class Fhat0Result:
-    """Direction of the zero-frequency value (the integral) of the
-    refinable function: an eigenvector of (1/m) sum of the mask blocks.
+    """Zero-frequency value (the integral) of the refinable function, up
+    to scale: a fixed vector of T = (1/m) sum of the mask blocks.
 
-    status is 'ok' when the eigenvalue-1 eigenspace is one-dimensional,
-    'empty' when 1 is not an eigenvalue (the integral must vanish), and
-    'indeterminate' when the eigenspace has dimension two or more.
+    status is 'ok' when the eigenvalue-1 eigenspace is one-dimensional and
+    vector spans it; 'empty' when 1 is not an eigenvalue (the integral
+    must vanish); 'indeterminate' when the eigenspace has dimension two or
+    more and 1 is semisimple, vector then being the projection of the
+    all-ones vector onto the eigenspace along the range of T - I; and
+    'defective' when the eigenspace has dimension two or more but 1 is not
+    semisimple, with no vector.  dimension is the eigenspace's dimension.
     """
 
     vector: Mat | None
@@ -99,22 +101,47 @@ class EquivalenceReport:
 
 
 def fhat0(mask: Mask, m: int) -> Fhat0Result:
-    """Integral direction forced by the refinement equation.
+    """Integral direction forced by the refinement equation, exactly.
 
     Integrating both sides shows the vector of integrals is fixed by
     T = (1/m) sum_gamma d_gamma.  A one-dimensional eigenspace determines
-    the direction up to scale; no eigenvalue 1 forces integral zero.
+    the direction up to scale; no eigenvalue 1 forces integral zero.  A
+    larger eigenspace ker N, N = T - I, does not; there the direction is
+    the projection K (W K)^{-1} W 1 of the all-ones vector onto ker N along
+    range N, with the columns of K spanning ker N and the rows of W
+    spanning ker N^T.  T fixes it, so it is exactly the integral of the
+    cascade seeded with it, whatever the rest of the spectrum, and it is
+    the limit of T^n 1 (the integral of the cascade seeded with the flat
+    vector) wherever that limit exists.  The projection exists exactly
+    when W K is invertible, that is when 1 is semisimple (Cabrelli, Heil
+    and Molter, J. Approx. Theory 95, 1998).
     """
     total = None
     for _, blk in mask.items():
         total = blk if total is None else total + blk
-    t_op = total.scale(Fraction(1, m))
-    basis = kernel_basis(t_op - Mat.identity(mask.r))
+    n_op = total.scale(Fraction(1, m)) - Mat.identity(mask.r)
+    basis = kernel_basis(n_op)
     if not basis:
         return Fhat0Result(None, "empty", 0)
     if len(basis) == 1:
         return Fhat0Result(basis[0], "ok", 1)
-    return Fhat0Result(None, "indeterminate", len(basis))
+    k = Mat.hstack(basis)
+    w = Mat.hstack(kernel_basis(n_op.transpose())).transpose()
+    wk = w @ k
+    if det(wk).is_zero():
+        return Fhat0Result(None, "defective", len(basis))
+    ones = Mat.column([1] * mask.r)
+    return Fhat0Result(k @ wk.inverse() @ (w @ ones), "indeterminate",
+                       len(basis))
+
+
+_NO_GATE = {
+    "empty": ("the averaged coefficient sum has no eigenvalue 1, so the "
+              "integral vanishes and the gate cannot be met"),
+    "defective": ("the eigenvalue 1 of the averaged coefficient sum is "
+                  "defective, so no integral direction is determined and "
+                  "the gate cannot be met"),
+}
 
 
 def condition_d_residual(mask: Mask, dilation: Dilation, v: VCollection,
@@ -186,21 +213,12 @@ def _unpack_witness(column: Mat, d: int, r: int, s_max: int) -> VCollection:
 
 
 def _gate_value(column: Mat, gate_vec: Mat, r: int):
-    """v_[0] . fhat(0) for a stacked kernel column (the first r stacked
-    coordinates are the degree-0 row).  A float gate vector (the cascade's
-    estimate) is met by the normalized column, so the magnitude is
-    comparable against a fixed threshold."""
-    if gate_vec.backend == "exact":
-        acc = QC_ZERO
-        for j in range(r):
-            acc = acc + column.entry(j, 0) * gate_vec.entry(j, 0)
-        return acc
-    arr = column.np().ravel()
-    norm = np.linalg.norm(arr)
-    if norm > 0:
-        arr = arr / norm
-    g = gate_vec.np().ravel()
-    return complex(np.dot(arr[:r], g[:r]))
+    """v_[0] . fhat(0), exactly, for a stacked kernel column (the first r
+    stacked coordinates are the degree-0 row)."""
+    acc = QC_ZERO
+    for j in range(r):
+        acc = acc + column.entry(j, 0) * gate_vec.entry(j, 0)
+    return acc
 
 
 def max_accuracy(mask: Mask, triple: CrystalTriple, dilation: Dilation,
@@ -209,9 +227,11 @@ def max_accuracy(mask: Mask, triple: CrystalTriple, dilation: Dilation,
 
     All degrees 0..s and all digit cosets are stacked into one homogeneous
     system; candidate accuracy s+1 is feasible when the kernel meets the
-    gate v_[0] . fhat(0) != 0.  Feasibility is monotone in s, so the scan
-    stops at the first failure.  The witness is scaled so its first
-    nonzero degree-0 entry is 1.
+    gate v_[0] . fhat(0) != 0, decided exactly against the vector of
+    :func:`fhat0`.  Feasibility is monotone in s, so the scan stops at the
+    first failure.  The witness is scaled so its first nonzero degree-0
+    entry is 1.  When fhat(0) must vanish (status 'empty') or is not
+    determined (status 'defective'), the gate cannot be met and p is 0.
 
     The certificate proves polynomial reproduction (the sufficient
     direction); it is also maximal whenever the translates of the
@@ -235,20 +255,10 @@ def max_accuracy(mask: Mask, triple: CrystalTriple, dilation: Dilation,
     }
     if mask.float_change is not None:
         diagnostics["float_max_relative_change"] = mask.float_change
-    if fh.status == "empty":
+    if fh.vector is None:
         diagnostics["first_failing_degree"] = 0
-        diagnostics["note"] = ("the averaged coefficient sum has no "
-                               "eigenvalue 1, so the integral vanishes and "
-                               "the gate cannot be met")
+        diagnostics["note"] = _NO_GATE[fh.status]
         return AccuracyCertificate(0, None, "condition-d", None, diagnostics)
-    if fh.status == "ok":
-        gate_vec = fh.vector
-        gate_tol = 0.0  # an exact gate value is compared with zero
-    else:
-        from .cascade import estimate_fhat0
-        gate_vec = estimate_fhat0(mask, triple, dilation)
-        gate_tol = 1e-6
-        diagnostics["gate_estimate"] = "cascade integral"
     p = 0
     chosen = None
     for s in range(p_max):
@@ -258,8 +268,8 @@ def max_accuracy(mask: Mask, triple: CrystalTriple, dilation: Dilation,
         pick = None
         if proj > 0:
             pick = next((b for b in basis
-                         if not negligible(_gate_value(b, gate_vec, r),
-                                           gate_tol)), None)
+                         if not _gate_value(b, fh.vector, r).is_zero()),
+                        None)
         if pick is None:
             diagnostics["first_failing_degree"] = s
             break
@@ -269,18 +279,8 @@ def max_accuracy(mask: Mask, triple: CrystalTriple, dilation: Dilation,
         return AccuracyCertificate(0, None, "condition-d", None, diagnostics)
     lead = next(x for x in chosen.block(0).row_list(0) if not x.is_zero())
     witness = chosen.scale(1 / lead)
-    gate = _gate_value(
-        Mat.column([witness.block(0).entry(0, j) for j in range(r)]),
-        gate_vec, r)
+    gate = _gate_value(witness.block(0).transpose(), fh.vector, r)
     return AccuracyCertificate(p, witness, "condition-d", gate, diagnostics)
-
-
-def _power_product(xs, alpha, one):
-    out = one
-    for x, a in zip(xs, alpha):
-        for _ in range(a):
-            out = out * x
-    return out
 
 
 def sufficient_check(mask: Mask, triple: CrystalTriple, dilation: Dilation,
@@ -322,17 +322,18 @@ def sufficient_check(mask: Mask, triple: CrystalTriple, dilation: Dilation,
     # Per-coset moments of the inverse-indexed coefficients.  A support
     # element e contributes its coefficient to (b, l) = inverse(e): the
     # needed c at (b, l)^{-1} is then just the coefficient at e.
-    alphas = [a for s in range(p) for a in enumerate_degree(d, s)]
-    per_coset = {(b, a): [QC_ZERO] * m for b in range(r) for a in alphas}
+    per_coset = {(b, a): [QC_ZERO] * m for b in range(r)
+                 for s in range(p) for a in enumerate_degree(d, s)}
     for e, blk in mask.items():
         sigma = inverse(e)
         i = dilation.translation_coset(sigma.k)
         l_true = sigma.true_translation()
         c = blk.entry(0, 0)
-        for a in alphas:
-            per_coset[(sigma.g, a)][i] = (per_coset[(sigma.g, a)][i]
-                                          + _power_product(l_true, a, QC_ONE)
-                                          * c)
+        for s in range(p):
+            x_s = eval_X(l_true, s)
+            for j, a in enumerate(enumerate_degree(d, s)):
+                key = (sigma.g, a)
+                per_coset[key][i] = per_coset[key][i] + x_s.entry(j, 0) * c
     beta = {}
     moments_ok = True
     for key, sums in per_coset.items():

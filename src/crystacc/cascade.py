@@ -2,8 +2,12 @@
 
 Iterates the refinement operator on a dyadic grid to approximate the
 refinable function, then tests polynomial reproduction empirically.  This
-is the independent cross-check for the exact solvers: the two paths share
-no linear algebra beyond the mask itself.
+is the floating-point cross-check for the exact solvers.  It computes on
+complex arrays taken once from exact data through ``Mat.np()``: the mask
+blocks, the seed's integral direction (the exact
+:func:`~crystacc.accuracy.fhat0` vector, or the flat vector when there is
+none) and the exact solver's witness, which :func:`verify_degrees` turns
+into a tuple of arrays, one per degree.
 
 The grid is the box :func:`support_box` certifies: the box map
 B -> hull([0,1]^d and every A^{-1} g (B + R k) over the mask's support)
@@ -32,10 +36,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from .accuracy import fhat0, max_accuracy
 from .crystal import CrystalTriple, Dilation
 from .linalg import Mat
 from .mask import Mask
-from .multiidx import VCollection, dim_degree, enumerate_degree, eval_y
+from .multiidx import (VCollection, build_Q_tilde, dim_degree,
+                       enumerate_degree)
 
 CONVERGENCE_TOL = 1e-6
 MAX_BOX_STEPS = 64
@@ -262,27 +268,6 @@ def _apply_plan(plan: list, flat_data: np.ndarray) -> np.ndarray:
     return out
 
 
-def _power_direction(mask: Mask, m: int) -> np.ndarray:
-    """Power limit of T = (1/m) sum of mask blocks from the flat vector;
-    the iteration mirrors how the integral of the cascade evolves."""
-    total = None
-    for _, blk in mask.items():
-        arr = blk.np()
-        total = arr if total is None else total + arr
-    T = total / m
-    u = np.ones(mask.r, dtype=complex) / math.sqrt(mask.r)
-    for _ in range(200):
-        nxt = T @ u
-        if np.linalg.norm(nxt - u) <= 1e-13 * (1.0 + np.linalg.norm(u)):
-            u = nxt
-            break
-        u = nxt
-    if (np.linalg.norm(u) < 1e-9
-            or np.linalg.norm(T @ u - u) > 1e-6 * (1.0 + np.linalg.norm(u))):
-        return np.zeros(mask.r, dtype=complex)
-    return u
-
-
 def _fix_phase(u: np.ndarray) -> np.ndarray:
     for x in u:
         if abs(x) > 1e-9:
@@ -290,29 +275,16 @@ def _fix_phase(u: np.ndarray) -> np.ndarray:
     return u
 
 
-def estimate_fhat0(mask: Mask, triple: CrystalTriple,
-                   dilation: Dilation) -> Mat:
-    """Unit-norm estimate of the integral direction of the cascade limit,
-    for masks where the eigenvalue-1 eigenspace is not one-dimensional.
-    A zero column signals that the iteration found no usable direction."""
-    u = _power_direction(mask, dilation.m)
-    n = np.linalg.norm(u)
-    if n < 1e-9:
-        return Mat.from_array(np.zeros((mask.r, 1)))
-    return Mat.from_array(_fix_phase(u / n).reshape(-1, 1))
-
-
 def _seed_direction(mask: Mask, dilation: Dilation) -> np.ndarray:
-    from .accuracy import fhat0
+    """Unit-norm, phase-fixed integral direction of the cascade seed: the
+    exact :func:`~crystacc.accuracy.fhat0` vector when there is one (the
+    eigenspace of T = (1/m) sum of mask blocks for eigenvalue 1, or the
+    projection of the flat vector onto it), else the flat vector."""
     fh = fhat0(mask, dilation.m)
-    if fh.status == "ok":
-        u = fh.vector.np().ravel()
-    else:
-        u = _power_direction(mask, dilation.m)
-    n = np.linalg.norm(u)
-    if n < 1e-12:
+    if fh.vector is None or fh.vector.is_zero():
         return np.ones(mask.r, dtype=complex) / math.sqrt(mask.r)
-    return _fix_phase(u / n)
+    u = fh.vector.np().ravel()
+    return _fix_phase(u / np.linalg.norm(u))
 
 
 def _node_points(lo: np.ndarray, h: float, shape: tuple) -> np.ndarray:
@@ -491,10 +463,18 @@ def _within(field: GridField, target: np.ndarray, margin: float) -> np.ndarray:
                   & (target <= field.hi + margin), axis=1)
 
 
-def reproduction_values(field: GridField, v: VCollection, s: int,
+def _eval_y(gamma, v: tuple, s: int) -> np.ndarray:
+    """y_[s](gamma) = sum_{t<=s} Qt_[s,t](gamma) v_[t] for a float
+    witness v (a tuple of complex arrays, block t of shape d_t x r)."""
+    terms = [build_Q_tilde(gamma, s, t).np() @ v[t] for t in range(s + 1)]
+    return sum(terms[1:], terms[0])
+
+
+def reproduction_values(field: GridField, v: tuple, s: int,
                         points) -> tuple:
     """Degree-s reproduction sums G_[s](x) = sum_gamma y_[s](gamma)
-    f(gamma(x)) at the given points.
+    f(gamma(x)) at the given points, for a float witness v (a tuple of
+    complex arrays, block t of shape d_t x r).
 
     Returns (values (N, d_s), excluded) where excluded marks points with a
     translate that lands off the grid box but within h of it, so their sum
@@ -514,8 +494,7 @@ def reproduction_values(field: GridField, v: VCollection, s: int,
         if outside.all():
             continue
         vals = field.sample(target)
-        y = eval_y(e, v, s).np()
-        out += vals @ y.T
+        out += vals @ _eval_y(e, v, s).T
     return out, excluded
 
 
@@ -525,10 +504,11 @@ def _monomial_matrix(pts: np.ndarray, s: int) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def reproduce(field: GridField, v: VCollection, s: int, sample_points,
+def reproduce(field: GridField, v: tuple, s: int, sample_points,
               tol: float = 1e-5) -> ReproductionReport:
-    """Test G_[s] = C X_[s] on the sample points, with C estimated from
-    the degree-0 sums (exact reproduction makes those constant)."""
+    """Test G_[s] = C X_[s] on the sample points for a float witness v (a
+    tuple of complex arrays), with C estimated from the degree-0 sums
+    (exact reproduction makes those constant)."""
     pts = np.asarray(sample_points, dtype=float).reshape(-1, field.d)
     g0, ex0 = reproduction_values(field, v, 0, pts)
     if s == 0:
@@ -546,7 +526,7 @@ def reproduce(field: GridField, v: VCollection, s: int, sample_points,
 
     # closed-form candidates for C from the field integral
     integral = field._flat.sum(axis=0) * field.h ** field.d
-    v0 = v.block(0).np().ravel()
+    v0 = v[0].ravel()
     gate = complex(np.dot(v0, integral))
     det_r = abs(np.linalg.det(field.triple.floats()["R"]))
     vol = det_r / field.triple.order
@@ -566,18 +546,17 @@ def reproduce(field: GridField, v: VCollection, s: int, sample_points,
         matched_form=matched)
 
 
-def _probe_block(field: GridField, v: VCollection | None, s: int,
+def _probe_block(field: GridField, v: tuple | None, s: int,
                  pts: np.ndarray, C: complex) -> tuple:
     """Best-fitting degree-s block given the lower blocks (a float
-    collection): least squares for v_[s] in G_[s] = C X_[s].  Returns
-    (residual, extended v, C).
+    witness: a tuple of complex arrays): least squares for v_[s] in
+    G_[s] = C X_[s].  Returns (residual, extended v, C).
 
     With no blocks at all (solver accuracy 0) the degree-0 row itself is
     fitted against the constant 1, fixing the scale.  A gamma whose
     targets all lie farther than h from the grid box reads only zeros and
     is skipped, with its exact Q-tilde blocks.
     """
-    from .multiidx import build_Q_tilde
     t = field.triple
     f = t.floats()
     d_s = dim_degree(field.d, s)
@@ -596,9 +575,9 @@ def _probe_block(field: GridField, v: VCollection | None, s: int,
         vals = field.sample(target)
         if v is not None:
             partial = None
-            for tt in range(min(s, v.p)):
+            for tt in range(min(s, len(v))):
                 q = build_Q_tilde(e, s, tt).np()
-                term = vals @ (q @ v.block(tt).np()).T
+                term = vals @ (q @ v[tt]).T
                 partial = term if partial is None else partial + term
             if partial is not None:
                 base += partial
@@ -615,12 +594,12 @@ def _probe_block(field: GridField, v: VCollection | None, s: int,
     sol, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
     fit = (design @ sol).reshape(n, d_s)
     residual = float(np.max(np.abs(base + fit - target)))
-    block = Mat.from_array(sol.reshape(d_s, r))
+    block = sol.reshape(d_s, r)
     if v is None:
-        new_v = VCollection(field.d, (block,))
+        new_v = (block,)
         new_c = complex(1.0)
     else:
-        new_v = v.extended(block)
+        new_v = v + (block,)
         new_c = C
     return residual, new_v, new_c
 
@@ -650,11 +629,12 @@ def verify_degrees(field: GridField, witness: VCollection | None, p_max: int,
     """
     pts = sample_points(field, sample_count, seed)
     # the oracle is float throughout: convert the witness once, not in
-    # every eval_y over the gamma cover
-    v = witness.to_float() if witness is not None else None
+    # every y_[s] over the gamma cover
+    v = (tuple(b.np() for b in witness.blocks) if witness is not None
+         else None)
     C = None
     for s in range(p_max):
-        if v is not None and s < v.p:
+        if v is not None and s < len(v):
             rep = reproduce(field, v, s, pts, tol=tolerance)
             if s == 0:
                 C = rep.C
@@ -675,7 +655,6 @@ def empirical_accuracy(mask: Mask, triple: CrystalTriple, dilation: Dilation,
     cascade non-convergence raises; otherwise the divergent field speaks
     for itself through the residuals.
     """
-    from .accuracy import max_accuracy
     cert = max_accuracy(mask, triple, dilation, p_max)
     result = cascade_iterate(mask, triple, dilation, iterations,
                              grid_exponent=grid_exponent)

@@ -27,7 +27,7 @@ import numpy as np
 from .accuracy import max_accuracy, sufficient_check
 from .crystal import (AdmissibilityError, CrystalTriple, Dilation,
                       GroupValidationError, catalog_names, catalog_triple,
-                      check_admissible, validate_triple)
+                      check_admissible, generate_group, validate_triple)
 from .linalg import Mat, QC
 from .mask import Mask, MaskShapeError, extract_scalar, lattice_triple, \
     lift_scalar_to_matrix
@@ -154,7 +154,6 @@ def _build_triple(cfg: dict) -> CrystalTriple:
             r_mat = (_parse_matrix(lattice, "lattice") if lattice is not None
                      else Mat.identity(dim))
             gens = [_parse_matrix(g, "group generator") for g in group]
-            from .crystal import generate_group
             triple = validate_triple(r_mat, generate_group(gens), "custom")
     except GroupValidationError as exc:
         raise CliError(EXIT_BAD_GROUP, f"invalid group: {exc}")

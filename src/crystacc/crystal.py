@@ -116,7 +116,7 @@ def validate_triple(R: Mat, group: list[Mat], name: str | None = None) -> Crysta
     matrix, when any g is not orthogonal or does not preserve the lattice,
     when the identity is missing or not first, or when G is not closed.
     """
-    if R.backend != "exact" or R.rows != R.cols:
+    if R.rows != R.cols:
         raise GroupValidationError("lattice basis must be a square exact matrix")
     if not _is_real(R):
         raise GroupValidationError("lattice basis must be real")
@@ -127,7 +127,7 @@ def validate_triple(R: Mat, group: list[Mat], name: str | None = None) -> Crysta
     if not group:
         raise GroupValidationError("point group is empty")
     for idx, g in enumerate(group):
-        if g.backend != "exact" or g.shape != (d, d) or not _is_real(g):
+        if g.shape != (d, d) or not _is_real(g):
             raise GroupValidationError(f"point element {idx} is not a real "
                                        f"exact {d}x{d} matrix")
     if group[0] != ident:
@@ -321,7 +321,7 @@ def check_admissible(A: Mat, triple: CrystalTriple) -> Dilation:
     Raises AdmissibilityError when A is singular or not expansive, when it
     does not map the lattice into itself, or when A G A^{-1} leaves G.
     """
-    if A.backend != "exact" or A.shape != (triple.d, triple.d):
+    if A.shape != (triple.d, triple.d):
         raise AdmissibilityError("dilation must be an exact d x d matrix")
     if not _is_real(A):
         raise AdmissibilityError("dilation must be real")

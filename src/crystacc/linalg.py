@@ -1,32 +1,25 @@
-"""Exact linear algebra kernels, plus the float matrices of the cascade.
+"""Exact linear algebra kernels.
 
-Two matrix backends share one interface: ``exact`` stores complex numbers
-with rational real and imaginary parts and every operation is exact, while
-``float`` stores a complex128 numpy array for the cascade oracle.
-Arithmetic on mixed operands (``@``, ``+``, ``-``, :func:`kron`, and
-:meth:`Mat.scale` by a float or complex scalar) promotes to float, so the
-float backend wins; exact inputs never meet a float and stay exact end to
-end.  Rank, kernels, determinants, inverses and the eigenvalue-1 test are
-exact only: they raise ``TypeError`` on a float matrix.
-
-Floats become exact once, through :func:`read_float`: a finite float ``x``
-is read as the rational closest to it with denominator at most
+One matrix type, :class:`Mat`, stores complex numbers with rational real
+and imaginary parts (:class:`QC`), and every operation on it is exact.
+Floats cross the boundary once in each direction: :meth:`Mat.np` is the one
+way out (the cascade oracle computes on those arrays), and
+:func:`read_float` the one way in.  :func:`read_float` reads a finite float
+``x`` as the rational closest to it with denominator at most
 ``FLOAT_DENOMINATOR_CAP`` (10**6), kept only when its nearest double is
 ``x`` itself, so the change is at most half an ulp; otherwise as the exact
 dyadic value of ``x``.  NaN and infinities are refused.
 
-Exact arithmetic is decided here once.  One Gauss-Jordan elimination,
-``_rref_exact``, serves :func:`rank`, :func:`kernel_basis`, :func:`det` and
-:meth:`Mat.inverse` (the rref of ``[A | I]``).  It is fraction-free: each
-row is scaled to integers by the lcm of its denominators, every elimination
-step divides exactly by the previous pivot (Bareiss), and the pivot rows are
-divided by the last pivot once, at the end; real data runs on Python ints,
-complex data on QC with integer parts, through the same loop.  The
-determinant is the sign of the row swaps times the last pivot, over the
-product of the row scales.  :func:`integer_rows` is the one reader of
-integer matrices, and :func:`negligible` is the one scalar zero test: exact
-values are zero only when they equal zero, floats when their modulus is
-within a tolerance (the cascade's float gate estimate still meets it).
+One Gauss-Jordan elimination, ``_rref_exact``, serves :func:`rank`,
+:func:`kernel_basis`, :func:`det` and :meth:`Mat.inverse` (the rref of
+``[A | I]``).  It is fraction-free: each row is scaled to integers by the
+lcm of its denominators, every elimination step divides exactly by the
+previous pivot (Bareiss), and the pivot rows are divided by the last pivot
+once, at the end; real data runs on Python ints, complex data on QC with
+integer parts, through the same loop.  The determinant is the sign of the
+row swaps times the last pivot, over the product of the row scales.
+:func:`integer_rows` is the one reader of integer matrices, and
+:meth:`QC.is_zero` (with :meth:`Mat.is_zero`) the one zero test.
 """
 
 from __future__ import annotations
@@ -54,7 +47,7 @@ def read_float(x: float) -> Fraction:
 
 def _as_fraction(x) -> Fraction:
     """Coerce ints, Fractions and 'p/q' strings to Fraction. Floats are
-    rejected so inexact data cannot leak into the exact backend."""
+    rejected so inexact data cannot leak into an exact matrix."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -157,40 +150,28 @@ class QC:
 
 
 QC_ZERO = QC(0)
-QC_ONE = QC(1)
-
-
-def negligible(x, tol: float) -> bool:
-    """The one scalar zero test: an exact QC is zero only when it equals
-    zero (``tol`` is ignored); a float or complex is zero when
-    ``|x| <= tol``."""
-    if isinstance(x, QC):
-        return x.is_zero()
-    return abs(x) <= tol
 
 
 class Mat:
-    """Dense matrix on one of the two backends.
+    """Dense exact matrix with QC entries.
 
     Construct through :meth:`from_rows`, :meth:`identity`, :meth:`zeros`
-    or :meth:`column` (exact), or :meth:`from_array` (float).  Entries of
-    an exact matrix are QC; entries of a float matrix are complex.
+    or :meth:`column`; :meth:`np` is the one way out to floats.
     """
 
-    __slots__ = ("rows", "cols", "backend", "_exact", "_arr")
+    __slots__ = ("rows", "cols", "_data")
 
-    def __init__(self, rows, cols, backend, exact_data=None, arr=None):
+    def __init__(self, rows, cols, data):
         self.rows = rows
         self.cols = cols
-        self.backend = backend
-        self._exact = exact_data
-        self._arr = arr
+        self._data = data
 
     # -- construction -----------------------------------------------------
 
     @staticmethod
-    def from_rows(rows: Sequence[Sequence], backend: str = "exact",
-                  cols: int | None = None) -> "Mat":
+    def from_rows(rows: Sequence[Sequence], cols: int | None = None) -> "Mat":
+        """Matrix of exact entries (QC, int, Fraction or "p/q"); a float
+        entry raises ``TypeError``."""
         rows = list(rows)
         n_rows = len(rows)
         if n_rows == 0:
@@ -199,35 +180,23 @@ class Mat:
             n_cols = cols
         else:
             n_cols = len(rows[0])
-        if backend == "exact":
-            data = []
-            for row in rows:
-                if len(row) != n_cols:
-                    raise ValueError("ragged rows")
-                data.append([QC.parse(x) for x in row])
-            return Mat(n_rows, n_cols, "exact", exact_data=data)
-        if backend == "float":
-            arr = np.asarray(rows, dtype=np.complex128).reshape(n_rows, n_cols)
-            return Mat(n_rows, n_cols, "float", arr=arr)
-        raise ValueError(f"unknown backend {backend!r}")
-
-    @staticmethod
-    def from_array(arr: np.ndarray) -> "Mat":
-        arr = np.asarray(arr, dtype=np.complex128)
-        if arr.ndim != 2:
-            raise ValueError("need a 2-d array")
-        return Mat(arr.shape[0], arr.shape[1], "float", arr=arr)
+        data = []
+        for row in rows:
+            if len(row) != n_cols:
+                raise ValueError("ragged rows")
+            data.append([QC.parse(x) for x in row])
+        return Mat(n_rows, n_cols, data)
 
     @staticmethod
     def identity(n: int) -> "Mat":
         data = [[QC(1) if i == j else QC(0) for j in range(n)]
                 for i in range(n)]
-        return Mat(n, n, "exact", exact_data=data)
+        return Mat(n, n, data)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Mat":
         data = [[QC(0) for _ in range(cols)] for _ in range(rows)]
-        return Mat(rows, cols, "exact", exact_data=data)
+        return Mat(rows, cols, data)
 
     @staticmethod
     def column(entries: Sequence) -> "Mat":
@@ -239,42 +208,28 @@ class Mat:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    def entry(self, i: int, j: int):
-        if self.backend == "exact":
-            return self._exact[i][j]
-        return complex(self._arr[i, j])
+    def entry(self, i: int, j: int) -> QC:
+        return self._data[i][j]
 
     def row_list(self, i: int) -> list:
-        if self.backend == "exact":
-            return list(self._exact[i])
-        return [complex(x) for x in self._arr[i]]
+        return list(self._data[i])
 
     def col(self, j: int) -> "Mat":
-        return Mat.column([self._exact[i][j] for i in range(self.rows)])
+        return Mat.column([self._data[i][j] for i in range(self.rows)])
 
     def np(self) -> np.ndarray:
-        """complex128 view of the matrix (copies the exact backend)."""
-        if self.backend == "float":
-            return self._arr
-        return np.array([[x.to_complex() for x in row] for row in self._exact],
+        """complex128 copy of the matrix: the one exact-to-float step."""
+        return np.array([[x.to_complex() for x in row] for row in self._data],
                         dtype=np.complex128)
-
-    def to_float(self) -> "Mat":
-        if self.backend == "float":
-            return self
-        return Mat.from_array(self.np())
 
     # -- arithmetic -------------------------------------------------------
 
     def __matmul__(self, other: "Mat") -> "Mat":
-        self, other = _promote(self, other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        if self.backend == "float":
-            return Mat.from_array(self._arr @ other._arr)
         out = []
         for i in range(self.rows):
-            row_i = self._exact[i]
+            row_i = self._data[i]
             out_row = []
             for j in range(other.cols):
                 acc = QC_ZERO
@@ -282,21 +237,18 @@ class Mat:
                     a = row_i[k]
                     if a.is_zero():
                         continue
-                    acc = acc + a * other._exact[k][j]
+                    acc = acc + a * other._data[k][j]
                 out_row.append(acc)
             out.append(out_row)
-        return Mat(self.rows, other.cols, "exact", exact_data=out)
+        return Mat(self.rows, other.cols, out)
 
     def _entrywise(self, other: "Mat", op, symbol: str) -> "Mat":
-        self, other = _promote(self, other)
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} {symbol} "
                              f"{other.shape}")
-        if self.backend == "float":
-            return Mat.from_array(op(self._arr, other._arr))
         data = [[op(x, y) for x, y in zip(row, other_row)]
-                for row, other_row in zip(self._exact, other._exact)]
-        return Mat(self.rows, self.cols, "exact", exact_data=data)
+                for row, other_row in zip(self._data, other._data)]
+        return Mat(self.rows, self.cols, data)
 
     def __add__(self, other: "Mat") -> "Mat":
         return self._entrywise(other, operator.add, "+")
@@ -308,41 +260,36 @@ class Mat:
         return self.scale(-1)
 
     def scale(self, s) -> "Mat":
-        """Entrywise product with a scalar; a float or complex scalar
-        promotes an exact matrix to float."""
-        if self.backend == "float" or isinstance(s, (float, complex)):
-            return Mat.from_array(self.np() * complex(s))
+        """Entrywise product with an exact scalar."""
         s = QC.parse(s)
-        data = [[s * x for x in row] for row in self._exact]
-        return Mat(self.rows, self.cols, "exact", exact_data=data)
+        data = [[s * x for x in row] for row in self._data]
+        return Mat(self.rows, self.cols, data)
 
     def transpose(self) -> "Mat":
-        data = [[self._exact[i][j] for i in range(self.rows)]
+        data = [[self._data[i][j] for i in range(self.rows)]
                 for j in range(self.cols)]
-        return Mat(self.cols, self.rows, "exact", exact_data=data)
+        return Mat(self.cols, self.rows, data)
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        if self.backend != other.backend or self.shape != other.shape:
+        if self.shape != other.shape:
             return False
-        if self.backend == "float":
-            return bool(np.array_equal(self._arr, other._arr))
-        return all(self._exact[i][j] == other._exact[i][j]
+        return all(self._data[i][j] == other._data[i][j]
                    for i in range(self.rows) for j in range(self.cols))
 
     def __hash__(self):
-        return hash(tuple(tuple(row) for row in self._exact))
+        return hash(tuple(tuple(row) for row in self._data))
 
     def is_zero(self) -> bool:
-        """Whether every entry of an exact matrix is zero."""
-        return all(x.is_zero() for row in self._exact for x in row)
+        """Whether every entry is zero."""
+        return all(x.is_zero() for row in self._data for x in row)
 
     def max_abs(self) -> float:
-        """Largest entry modulus of an exact matrix, as a float."""
+        """Largest entry modulus, as a float."""
         if self.rows == 0 or self.cols == 0:
             return 0.0
-        return max(float(x.abs2()) for row in self._exact for x in row) ** 0.5
+        return max(float(x.abs2()) for row in self._data for x in row) ** 0.5
 
     # -- stacking ---------------------------------------------------------
 
@@ -353,12 +300,12 @@ class Mat:
             raise ValueError("nothing to stack")
         cols = mats[0].cols
         for m in mats:
-            if m.backend != "exact" or m.cols != cols:
+            if m.cols != cols:
                 raise ValueError("incompatible blocks")
         data = []
         for m in mats:
-            data.extend([list(row) for row in m._exact])
-        return Mat(len(data), cols, "exact", exact_data=data)
+            data.extend([list(row) for row in m._data])
+        return Mat(len(data), cols, data)
 
     @staticmethod
     def hstack(mats: Iterable["Mat"]) -> "Mat":
@@ -371,25 +318,16 @@ class Mat:
 
     def inverse(self) -> "Mat":
         """Exact inverse: the right half of the rref of [A | I]."""
-        if self.backend != "exact":
-            raise TypeError("exact inverse of a float matrix")
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
         a, pivots, _ = _rref_exact(Mat.hstack([self, Mat.identity(n)]))
         if pivots != list(range(n)):
             raise ValueError("singular matrix")
-        return Mat(n, n, "exact", exact_data=[row[n:] for row in a])
+        return Mat(n, n, [row[n:] for row in a])
 
     def __repr__(self):
-        return f"Mat({self.rows}x{self.cols}, {self.backend})"
-
-
-def _promote(a: Mat, b: Mat) -> tuple[Mat, Mat]:
-    """The two operands on one backend: float when either one is float."""
-    if a.backend == b.backend:
-        return a, b
-    return a.to_float(), b.to_float()
+        return f"Mat({self.rows}x{self.cols})"
 
 
 # -- elimination-based queries ---------------------------------------------
@@ -399,9 +337,7 @@ def _rref_exact(m: Mat) -> tuple[list[list[QC]], list[int], QC]:
     """Reduced row echelon form by fraction-free Gauss-Jordan elimination,
     the one exact elimination in the package; returns (rows, pivot column
     indices, determinant); the determinant is meaningful only for a square
-    matrix with pivots in every column.  A float matrix raises TypeError:
-    rank, kernels, determinants and inverses are decided exactly or not at
-    all.
+    matrix with pivots in every column.
 
     After pivot ``p`` every other row ``x`` of the integer-scaled matrix
     becomes ``(p*x - f*y) / prev``, with ``y`` the pivot row, ``f`` the
@@ -409,9 +345,7 @@ def _rref_exact(m: Mat) -> tuple[list[list[QC]], list[int], QC]:
     Sylvester's identity every division is exact.  A row with ``f = 0`` is
     still rescaled by ``p / prev``, so every pivot row carries the latest
     pivot and one division by the last pivot at the end gives the rref."""
-    if m.backend != "exact":
-        raise TypeError("exact elimination of a float matrix")
-    rows = m._exact
+    rows = m._data
     scales = [math.lcm(*(q.denominator for x in row for q in (x.re, x.im)))
               for row in rows]
     real = all(x.im == 0 for row in rows for x in row)
@@ -488,22 +422,19 @@ def det(m: Mat) -> QC:
 
 
 def kron(a: Mat, b: Mat) -> Mat:
-    """Kronecker product a (x) b; mixed backends promote to float."""
-    a, b = _promote(a, b)
-    if a.backend == "float":
-        return Mat.from_array(np.kron(a.np(), b.np()))
+    """Kronecker product a (x) b."""
     data = []
     for i in range(a.rows):
         for p in range(b.rows):
             row = []
             for j in range(a.cols):
-                x = a._exact[i][j]
+                x = a._data[i][j]
                 if x.is_zero():
                     row.extend([QC_ZERO] * b.cols)
                 else:
-                    row.extend(x * y for y in b._exact[p])
+                    row.extend(x * y for y in b._data[p])
             data.append(row)
-    return Mat(a.rows * b.rows, a.cols * b.cols, "exact", exact_data=data)
+    return Mat(a.rows * b.rows, a.cols * b.cols, data)
 
 
 def has_eigenvalue_one(m: Mat) -> bool:
@@ -529,12 +460,10 @@ def solve_affine(k: Mat, selected: Sequence[int]) -> tuple[list[Mat], int]:
 
 def integer_rows(m: Mat) -> list[list[int]] | None:
     """Entries as nested int lists when every entry is a real integer;
-    None otherwise, and for every float matrix."""
-    if m.backend != "exact":
+    None otherwise."""
+    if any(x.im != 0 or x.re.denominator != 1 for row in m._data for x in row):
         return None
-    if any(x.im != 0 or x.re.denominator != 1 for row in m._exact for x in row):
-        return None
-    return [[int(x.re) for x in row] for row in m._exact]
+    return [[int(x.re) for x in row] for row in m._data]
 
 
 def smith_normal_form(m: list[list[int]]) -> tuple[list[list[int]],

@@ -49,8 +49,6 @@ class Mask:
             if not isinstance(key, CrystalElement) or key.triple is not triple:
                 raise MaskShapeError(f"key {key!r} is not an element of the "
                                      "mask's own triple")
-            if isinstance(blk, Mat) and blk.backend == "float":
-                blk = [blk.row_list(i) for i in range(blk.rows)]
             if (isinstance(blk, list) and blk
                     and all(isinstance(row, list) for row in blk)):
                 blk = Mat.from_rows([[_read_entry(x, changes) for x in row]
@@ -109,7 +107,7 @@ class Mask:
     def to_float(self) -> "Mask":
         """The mask read back from double copies of its coefficients."""
         return Mask(self.triple,
-                    {e: b.to_float() for e, b in self._blocks.items()},
+                    {e: b.np().tolist() for e, b in self._blocks.items()},
                     r=self.r)
 
     def __eq__(self, other):

@@ -85,8 +85,6 @@ def _poly_mul(p: dict, q: dict) -> dict:
 @lru_cache(maxsize=None)
 def build_A_s(a: Mat, s: int) -> Mat:
     """Matrix of the degree-s action: X_[s](Ax) = A_[s] X_[s](x)."""
-    if a.backend != "exact":
-        raise TypeError("graded matrices are built from exact input")
     if a.rows != a.cols:
         raise ValueError("square matrix required")
     d = a.rows
@@ -177,12 +175,11 @@ class VCollection:
         if not self.blocks:
             raise ValueError("empty collection")
         r = self.blocks[0].cols
-        backend = self.blocks[0].backend
         for s, b in enumerate(self.blocks):
             if b.rows != dim_degree(self.d, s):
                 raise ValueError(f"block {s} has {b.rows} rows, "
                                  f"expected {dim_degree(self.d, s)}")
-            if b.cols != r or b.backend != backend:
+            if b.cols != r:
                 raise ValueError("inconsistent blocks")
 
     @property
@@ -198,12 +195,6 @@ class VCollection:
 
     def scale(self, c) -> "VCollection":
         return VCollection(self.d, tuple(b.scale(c) for b in self.blocks))
-
-    def to_float(self) -> "VCollection":
-        return VCollection(self.d, tuple(b.to_float() for b in self.blocks))
-
-    def extended(self, block: Mat) -> "VCollection":
-        return VCollection(self.d, self.blocks + (block,))
 
 
 def eval_y(gamma, v: VCollection, s: int) -> Mat:

@@ -278,10 +278,11 @@ def test_criterion_8_refinement_fixed_point(line, haar, hat, capsys):
     for name, mask, degrees in (("hat", hat, (0, 1)), ("haar", haar, (0,))):
         field = fields[name]
         cert = max_accuracy(mask, t, dil, p_max=len(degrees))
+        v = tuple(b.np() for b in cert.witness.blocks)
         pts = sample_points(field, count=16)
         for s in degrees:
-            left, ex1 = reproduction_values(field, cert.witness, s, 2.0 * pts)
-            right, ex2 = reproduction_values(field, cert.witness, s, pts)
+            left, ex1 = reproduction_values(field, v, s, 2.0 * pts)
+            right, ex2 = reproduction_values(field, v, s, pts)
             keep = ~(ex1 | ex2)
             ok = ok and keep.any()
             gap = float(np.max(np.abs(left[keep] - (2.0 ** s) * right[keep])))

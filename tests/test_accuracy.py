@@ -2,12 +2,15 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
 from crystacc.accuracy import (condition_d_residual, fhat0, max_accuracy,
                                sufficient_check, verify_equivalence)
 from crystacc.crystal import check_admissible
-from crystacc.linalg import Mat, QC
+from crystacc.linalg import Mat, QC, det
 from crystacc.mask import Mask, MaskShapeError, lift_scalar_to_matrix
 from crystacc.multiidx import VCollection
 
@@ -42,6 +45,110 @@ def test_fhat0_of_lifted_mask_is_constant_vector(p1m, sym_hat):
     v = res.vector
     assert v.entry(0, 0) == v.entry(1, 0)
     assert not v.entry(0, 0).is_zero()
+
+
+def _diagonal_mask(t, components):
+    """p1 matrix mask whose i-th diagonal entry at k is components[i][k]
+    (zero elsewhere): r uncoupled scalar masks."""
+    r = len(components)
+    blocks = {}
+    for k in sorted({k for c in components for k in c}):
+        blocks[t.translation((k,))] = [
+            [components[i].get(k, 0) if i == j else 0 for j in range(r)]
+            for i in range(r)]
+    return Mask(t, blocks)
+
+
+def _mask_of_sum(t, m, t_op):
+    """p1 mask with one block, m * T at k = 0, so its averaged coefficient
+    sum (1/m) sum d_gamma is T."""
+    return Mask(t, {t.translation((0,)): t_op.scale(m)})
+
+
+BOX = {0: 1, 1: 1}
+HAT = {-1: Fraction(1, 2), 0: 1, 1: Fraction(1, 2)}
+
+
+def test_uncoupled_box_and_hat_decide_the_gate_exactly(line):
+    """T = I: the eigenspace is everything, the projection of the ones
+    vector is itself, and the hat component carries accuracy 2 with an
+    exact gate."""
+    t, dil = line
+    mask = _diagonal_mask(t, [BOX, HAT])
+    res = fhat0(mask, dil.m)
+    assert res.status == "indeterminate" and res.dimension == 2
+    assert res.vector == Mat.column([1, 1])
+    cert = max_accuracy(mask, t, dil, p_max=3)
+    assert cert.p == 2
+    assert isinstance(cert.gate, QC) and cert.gate == QC(1)
+    assert "gate_estimate" not in cert.diagnostics
+    assert cert.diagnostics["fhat0_status"] == "indeterminate"
+
+
+def test_growing_component_leaves_the_gate_on_the_eigenspace(line):
+    """T = diag(1, 1, 3): the float power iteration diverged here and read
+    accuracy 0; the exact projection (1, 1, 0) keeps the box and the hat."""
+    t, dil = line
+    mask = _diagonal_mask(t, [BOX, HAT, {0: 3, 1: 3}])
+    res = fhat0(mask, dil.m)
+    assert res.status == "indeterminate"
+    assert res.vector == Mat.column([1, 1, 0])
+    cert = max_accuracy(mask, t, dil, p_max=3)
+    assert cert.p >= 1
+    assert not cert.gate.is_zero()
+
+
+def test_defective_eigenvalue_one_has_no_gate(line):
+    """T = I (+) J_2: ker(T - I) has dimension 2, but 1 is not semisimple,
+    so no projection exists and the accuracy is 0."""
+    t, dil = line
+    t_op = Mat.from_rows([[1, 0, 0], [0, 1, 1], [0, 0, 1]])
+    mask = _mask_of_sum(t, dil.m, t_op)
+    res = fhat0(mask, dil.m)
+    assert res.status == "defective"
+    assert res.vector is None and res.dimension == 2
+    cert = max_accuracy(mask, t, dil, p_max=2)
+    assert cert.p == 0 and cert.witness is None and cert.gate is None
+    assert cert.diagnostics["first_failing_degree"] == 0
+    assert cert.diagnostics["kernel_dims"] == {}
+    assert "defective" in cert.diagnostics["note"]
+
+
+def _power_reference(t_op: np.ndarray, steps: int = 200) -> np.ndarray:
+    """Float power iteration of T from the all-ones vector: the integral
+    the cascade seeded with the flat vector tends to."""
+    u = np.ones(t_op.shape[0], dtype=complex)
+    for _ in range(steps):
+        u = t_op @ u
+    return u
+
+
+@seed(2026)
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 4), st.data())
+def test_exact_gate_vector_matches_power_iteration(line, r, data):
+    """T = S diag(1, 1, lambda...) S^{-1} with rational |lambda| < 1: the
+    exact projection has the direction of the float power limit."""
+    t, dil = line
+    s_rows = [[data.draw(st.integers(-2, 2)) for _ in range(r)]
+              for _ in range(r)]
+    s_mat = Mat.from_rows(s_rows)
+    assume(not det(s_mat).is_zero())
+    lams = [data.draw(st.integers(-3, 3)) for _ in range(r - 2)]
+    diag = Mat.from_rows([[(1 if i < 2 else Fraction(lams[i - 2], 4))
+                           if i == j else 0 for j in range(r)]
+                          for i in range(r)])
+    t_op = s_mat @ diag @ s_mat.inverse()
+    res = fhat0(_mask_of_sum(t, dil.m, t_op), dil.m)
+    assert res.status == "indeterminate" and res.dimension == 2
+    assert (t_op @ res.vector) == res.vector
+    ref = _power_reference(t_op.np())
+    exact = res.vector.np().ravel()
+    if res.vector.is_zero():
+        assert np.linalg.norm(ref) < 1e-9
+        return
+    np.testing.assert_allclose(ref / np.linalg.norm(ref),
+                               exact / np.linalg.norm(exact), atol=1e-9)
 
 
 def test_haar_accuracy_one(line, haar):

@@ -11,14 +11,20 @@ from hypothesis import strategies as st
 
 from crystacc.accuracy import max_accuracy
 import crystacc.cascade as cascade_mod
-from crystacc.cascade import (CascadeError, _probe_block, cascade_iterate,
-                              empirical_accuracy, estimate_fhat0,
+from crystacc.cascade import (CascadeError, _probe_block, _seed_direction,
+                              cascade_iterate, empirical_accuracy,
                               estimate_support, grid_bytes,
                               refinement_residual, reproduce,
                               reproduction_values, sample_points, support_box)
 from crystacc.crystal import catalog_triple, check_admissible
 from crystacc.linalg import Mat, integer_rows
 from crystacc.mask import Mask, lift_scalar_to_matrix
+
+
+def _float_witness(cert):
+    """The certificate's witness as the cascade takes it: a tuple of
+    complex arrays, one per degree."""
+    return tuple(b.np() for b in cert.witness.blocks)
 
 
 @pytest.fixture(scope="module")
@@ -164,7 +170,7 @@ def test_reproduction_marks_truncated_points(line, hat):
     # 0.03125 + 1 lands off the box [-1, 1] but within h = 1/16 of it, so
     # its sum is flagged; the translates of 0.5 land on the grid or at
     # least h away from it (1.5), so its sum is fully covered
-    vals, excluded = reproduction_values(res.field, cert.witness, 0,
+    vals, excluded = reproduction_values(res.field, _float_witness(cert), 0,
                                          [[0.03125], [0.5]])
     assert excluded.tolist() == [True, False]
     assert abs(vals[1, 0] - 1.0) < 1e-6
@@ -174,7 +180,7 @@ def test_reproduce_haar_partition_of_unity(line, haar, haar_field):
     t, dil = line
     cert = max_accuracy(haar, t, dil, p_max=1)
     pts = sample_points(haar_field.field, count=16)
-    rep = reproduce(haar_field.field, cert.witness, 0, pts)
+    rep = reproduce(haar_field.field, _float_witness(cert), 0, pts)
     assert rep.verdict
     assert rep.residual < 1e-9
     assert abs(rep.C - 1.0) < 1e-9
@@ -188,7 +194,7 @@ def test_reproduce_hat_linear_polynomials(line, hat, hat_field):
     cert = max_accuracy(hat, t, dil, p_max=2)
     pts = sample_points(hat_field.field, count=24)
     for s in (0, 1):
-        rep = reproduce(hat_field.field, cert.witness, s, pts)
+        rep = reproduce(hat_field.field, _float_witness(cert), s, pts)
         assert rep.verdict
         assert rep.residual < 1e-12
         assert abs(rep.C - 1.0) < 1e-9
@@ -212,18 +218,17 @@ def test_empirical_accuracy_divergent_mask(line, ones3):
     assert level == 0
 
 
-def test_estimate_fhat0_directions(line, hat, p1m, sym_hat):
-    t, dil = line
-    v = estimate_fhat0(hat, t, dil)
-    assert abs(v.entry(0, 0) - 1.0) < 1e-6
+def test_seed_directions(line, hat, p1m, sym_hat):
+    _, dil = line
+    v = _seed_direction(hat, dil)
+    assert abs(v[0] - 1.0) < 1e-6
     _, dil1 = p1m
     lifted = lift_scalar_to_matrix(sym_hat, dil1)
-    lat = lifted.triple
-    lat_dil = check_admissible(Mat.from_rows([[2]]), lat)
-    w = estimate_fhat0(lifted, lat, lat_dil)
+    lat_dil = check_admissible(Mat.from_rows([[2]]), lifted.triple)
+    w = _seed_direction(lifted, lat_dil)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    assert abs(w.entry(0, 0) - inv_sqrt2) < 1e-6
-    assert abs(w.entry(1, 0) - inv_sqrt2) < 1e-6
+    assert abs(w[0] - inv_sqrt2) < 1e-6
+    assert abs(w[1] - inv_sqrt2) < 1e-6
 
 
 def test_lifted_hat_matches_gate_over_volume(p1m, sym_hat):
@@ -239,7 +244,7 @@ def test_lifted_hat_matches_gate_over_volume(p1m, sym_hat):
     assert res.converged
     cert = max_accuracy(lifted, lat, lat_dil, p_max=2)
     pts = sample_points(res.field, count=16)
-    rep = reproduce(res.field, cert.witness, 0, pts)
+    rep = reproduce(res.field, _float_witness(cert), 0, pts)
     assert rep.verdict
     assert abs(rep.C - math.sqrt(2.0)) < 1e-3
     assert rep.matched_form == "gate-over-volume"
@@ -250,12 +255,12 @@ def test_lifted_hat_matches_gate_over_volume(p1m, sym_hat):
 def test_dilation_covariance_of_reproduction_sums(line, hat, hat_field):
     """G_[s](A x) = A_[s] G_[s](x) wherever both sides are fully covered."""
     t, dil = line
-    cert = max_accuracy(hat, t, dil, p_max=2)
+    v = _float_witness(max_accuracy(hat, t, dil, p_max=2))
     f = hat_field.field
     pts = sample_points(f, count=12)
     for s in (0, 1):
-        left, ex1 = reproduction_values(f, cert.witness, s, 2.0 * pts)
-        right, ex2 = reproduction_values(f, cert.witness, s, pts)
+        left, ex1 = reproduction_values(f, v, s, 2.0 * pts)
+        right, ex2 = reproduction_values(f, v, s, pts)
         keep = ~(ex1 | ex2)
         assert keep.any()
         scale = 2.0 ** s
@@ -448,21 +453,20 @@ def test_probe_block_skips_zero_reads(plane, monkeypatch):
     """A wider gamma cover adds only gammas whose targets all lie off the
     grid box; _probe_block skips them, Q-tilde blocks included, so the
     fitted block and residual are the default cover's exactly."""
-    import crystacc.multiidx as multiidx_mod
     t, dil = plane
     mask = _quadratic_bspline_2d(t)
     field = cascade_iterate(mask, t, dil, iterations=12,
                             grid_exponent=4).field
-    v = max_accuracy(mask, t, dil, p_max=2).witness.to_float()
+    v = _float_witness(max_accuracy(mask, t, dil, p_max=2))
     pts = sample_points(field, count=12)
     calls = []
-    real_q = multiidx_mod.build_Q_tilde
+    real_q = cascade_mod.build_Q_tilde
 
     def counting_q(*args):
         calls.append(args)
         return real_q(*args)
 
-    monkeypatch.setattr(multiidx_mod, "build_Q_tilde", counting_q)
+    monkeypatch.setattr(cascade_mod, "build_Q_tilde", counting_q)
     default_cover = cascade_mod._gamma_cover(field, pts)
     res_default, v_default, _ = _probe_block(field, v, 2, pts, 1.0)
     n_default = len(calls)
@@ -472,7 +476,7 @@ def test_probe_block_skips_zero_reads(plane, monkeypatch):
     monkeypatch.setattr(cascade_mod, "_gamma_cover", lambda f, p: wide)
     res_wide, v_wide, _ = _probe_block(field, v, 2, pts, 1.0)
     assert res_wide == res_default
-    assert np.array_equal(v_wide.block(2).np(), v_default.block(2).np())
+    assert np.array_equal(v_wide[2], v_default[2])
     assert len(calls) == 2 * n_default
 
 
@@ -487,6 +491,18 @@ def test_cascade_refuses_a_grid_beyond_the_memory_budget(line, hat,
     monkeypatch.setattr(cascade_mod, "memory_budget", lambda: need)
     assert cascade_iterate(hat, t, dil, iterations=2,
                            grid_exponent=6).field.data.size == 129
+
+
+def test_cascade_without_eigenvalue_one_diverges_visibly(line):
+    """The p1 mask (8, 8) averages to T = 8: the flat seed grows eightfold
+    per step, so the run reports non-convergence on a non-zero field (a
+    float power iteration used to overflow here into a zero seed)."""
+    t, dil = line
+    res = cascade_iterate(Mask.scalar(t, {0: 8, 1: 8}), t, dil,
+                          iterations=3, grid_exponent=4)
+    assert not res.converged
+    assert res.sup_diffs == (7.0, 56.0, 448.0)
+    assert np.max(np.abs(res.field.data)) > 0
 
 
 def test_cascade_refuses_an_overflowing_iterate(line):

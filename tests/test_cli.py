@@ -286,6 +286,17 @@ def test_cascade_zero_mask_degenerate(tmp_path, capsys):
     assert out["empirical_accuracy"] == 0
 
 
+def test_cascade_of_a_growing_mask_is_not_degenerate(tmp_path, capsys):
+    cfg = dict(HAT_CFG)
+    cfg["mask"] = [{"g": 0, "k": [k], "coef": 8} for k in (0, 1)]
+    code, out = run_cli(tmp_path, capsys, cfg,
+                        ["cascade", "CFG", "--iters", "3", "--grid", "4"])
+    assert code == EXIT_OK
+    assert out["converged"] is False
+    assert out["degenerate"] is False
+    assert out["field_max"] > 0
+
+
 def test_lift_extract_round_trip(tmp_path, capsys):
     cfg = dict(PM_CFG)
     cfg["mask"] = PM_MASK
