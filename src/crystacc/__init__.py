@@ -10,7 +10,7 @@ from .accuracy import (AccuracyCertificate, EquivalenceReport, Fhat0Result,
                        max_accuracy, sufficient_check, verify_equivalence)
 from .cascade import (CascadeError, CascadeResult, GridField,
                       ReproductionReport, cascade_iterate, empirical_accuracy,
-                      estimate_support, refinement_residual, reproduce,
+                      empirical_level, refinement_residual, reproduce,
                       reproduction_values, sample_points, support_box)
 from .crystal import (AdmissibilityError, CrystalElement, CrystalTriple,
                       Dilation, GroupValidationError, catalog_names,
@@ -36,12 +36,11 @@ __all__ = [
     "build_Q_st", "build_Q_tilde", "cascade_iterate", "catalog_names",
     "catalog_triple", "check_admissible", "check_gamma_A_symmetry",
     "coefficient", "compose", "condition_d_residual", "dim_degree",
-    "elements_in_ball", "empirical_accuracy", "enumerate_degree",
-    "estimate_support", "eval_X", "eval_y",
-    "extract_scalar", "fhat0", "generate_group", "inverse", "kernel_basis",
-    "kron", "l2_budget", "lattice_triple", "lift_scalar_to_matrix",
-    "max_accuracy", "rank", "refinement_residual", "reproduce",
-    "reproduction_values", "sample_points", "smith_normal_form",
-    "sufficient_check", "support_box", "transfer_entry", "validate_triple",
-    "verify_equivalence",
+    "elements_in_ball", "empirical_accuracy", "empirical_level",
+    "enumerate_degree", "eval_X", "eval_y", "extract_scalar", "fhat0",
+    "generate_group", "inverse", "kernel_basis", "kron", "l2_budget",
+    "lattice_triple", "lift_scalar_to_matrix", "max_accuracy", "rank",
+    "refinement_residual", "reproduce", "reproduction_values", "sample_points",
+    "smith_normal_form", "sufficient_check", "support_box", "transfer_entry",
+    "validate_triple", "verify_equivalence",
 ]

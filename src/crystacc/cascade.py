@@ -9,15 +9,16 @@ blocks, the seed's integral direction (the exact
 none) and the exact solver's witness, which :func:`verify_degrees` turns
 into a tuple of arrays, one per degree.
 
-The grid is the box :func:`support_box` certifies: the box map
-B -> hull([0,1]^d and every A^{-1} g (B + R k) over the mask's support)
+The grid is the one box :func:`support_box` certifies for every
+admissible dilation: the n-step box map, whose maps x -> A^{-n} g' x + c
+compose the maps x -> A^{-1} g (x + R k) of the mask's support n times,
 is iterated in rationals on multiples of the spacing until a box contains
-[0,1]^d and its own image, checked exactly, so every iterate and the limit
-vanish outside it (the attractor of the maps x -> A^{-1} g (x + R k);
-Cavaretta, Dahmen and Micchelli, *Stationary Subdivision*, 1991).  When
-the box map does not certify within ``MAX_BOX_STEPS`` steps (it need not
-contract, e.g. for the quincunx A = [[1, 1], [1, -1]]), the grid falls back
-to the cube around the ball of :func:`estimate_support`.
+[0,1]^d and its own n-step image, checked exactly (n = 1 unless the
+one-step map does not contract, as for the quincunx A = [[1, 1], [1, -1]]).
+The grid is the hull of that box and its first n - 1 one-step images, so
+every iterate and the limit vanish outside it (the attractor of the maps
+x -> A^{-1} g (x + R k); Hutchinson, 1981; Cavaretta, Dahmen and
+Micchelli, *Stationary Subdivision*, 1991).
 
 The grid iteration is node-exact whenever the dilation, the point group
 and the lattice are integral and the spacing is dyadic, because every read
@@ -57,17 +58,14 @@ class GridField:
     """Sampled approximation of the refinable function on a box grid.
 
     data has shape (*shape, r); node j of axis i sits at lo[i] + h*j.
-    Reads outside the box [lo, hi] are zero, matching compact support.
-    When certified, [lo, hi] is the box :func:`support_box` proved to hold
-    every iterate; otherwise it is the fallback cube around the ball of
-    :func:`estimate_support`.  support_radius is the size of that support
-    region, the length of the certified box's diagonal or the fallback
-    ball's diameter, and sets :func:`sample_points`' margin.
+    Reads outside the box [lo, hi] are zero, matching compact support:
+    [lo, hi] is the box :func:`support_box` proved to hold every iterate.
+    support_radius, the length of its diagonal, sets
+    :func:`sample_points`' margin.
     """
 
     def __init__(self, triple: CrystalTriple, h: float, lo: np.ndarray,
-                 shape: tuple, data: np.ndarray, support_radius: float,
-                 certified: bool = False):
+                 shape: tuple, data: np.ndarray):
         self.triple = triple
         self.d = triple.d
         self.h = float(h)
@@ -75,9 +73,8 @@ class GridField:
         self.shape = tuple(shape)
         self.data = data
         self.r = data.shape[-1]
-        self.support_radius = float(support_radius)
-        self.certified = bool(certified)
         self.hi = self.lo + self.h * (np.asarray(self.shape) - 1)
+        self.support_radius = math.hypot(*(self.hi - self.lo))
         self._flat = data.reshape(-1, self.r)
 
     def axes(self) -> list:
@@ -131,83 +128,83 @@ class ReproductionReport:
     matched_form: str
 
 
-def estimate_support(mask: Mask, dilation: Dilation) -> float:
-    """Diameter of a ball meant to contain every cascade iterate; the
-    grid's fallback when :func:`support_box` does not certify a box.
-
-    One refinement step maps supports by x -> A^{-1} g(x) + A^{-1} R k, so
-    a ball of radius rho maps into one of radius |A^{-1}| (rho + t_max)
-    with t_max the largest mask translation.  The affine map is iterated
-    from radius 1 in floats; the returned value doubles the stable radius
-    as a safety margin.  Nothing is checked: this is an estimate.
-    """
-    t = mask.triple
-    f = t.floats()
-    t_max = 0.0
-    for e, _ in mask.items():
-        t_max = max(t_max, float(np.linalg.norm(f["R"] @ np.asarray(e.k,
-                                                                    float))))
-    a_inv = float(np.linalg.norm(np.linalg.inv(dilation.A.np().real), 2))
-    rho = 1.0
-    grew_every_step = True
-    for _ in range(64):
-        nxt = a_inv * (rho + t_max)
-        if nxt <= rho:
-            grew_every_step = False
-        if abs(nxt - rho) <= 1e-9 * max(1.0, rho):
-            rho = nxt
-            break
-        rho = nxt
-    else:
-        if grew_every_step:
-            raise CascadeError("support radius estimate grew for 64 "
-                               "iterations; the dilation does not contract "
-                               "in the 2-norm")
-    return 2.0 * max(rho, 1.0)
-
-
-def support_box(mask: Mask, dilation: Dilation, h) -> list | None:
+def support_box(mask: Mask, dilation: Dilation, h) -> list:
     """Exact box, with corners on multiples of h, certified to contain
-    every cascade iterate; None when none is found.
+    every cascade iterate; per-axis (lo, hi) Fraction pairs.
 
     A read through mask element gamma = (g, k) at x is non-zero only if x
     lies in A^{-1} g (S + R k), S the support of the iterate read (the read
-    map of :func:`_build_plans`).  The box map
-    B -> hull([0,1]^d and every A^{-1} g (B + R k)) is iterated in
-    rationals from [0,1]^d, each box snapped outward to multiples of h,
-    until a box contains its own image (which includes [0,1]^d).  The seed
-    lies in that box, and a support inside it maps inside it, so by
-    induction every iterate does.  Returns per-axis (lo, hi) Fraction
-    pairs, or None when no box certifies within ``MAX_BOX_STEPS`` steps.
+    map of :func:`_build_plans`).  Elements with the same linear part
+    A^{-1} g share one box of shifts, so the one-step box map F sends B to
+    hull([0,1]^d and every A^{-1} g B + shifts).  Composed n times, the
+    maps have linear parts A^{-n} g' with g' in the point group (A
+    normalizes it): at most |G| of them, each with one box of shifts.
+
+    For n = 1, 2, ... this n-step box map is iterated in rationals from
+    [0,1]^d, each box snapped outward to multiples of h, until a box B
+    contains its own n-step image (which includes [0,1]^d).  The seed lies
+    in B and a support inside B is back inside it after n steps, so
+    iterate jn + i lies in F^i(B), and the hull of B, F(B), ...,
+    F^{n-1}(B), snapped to h, is returned.  n = 1 gives B itself; the
+    quincunx A = [[1, 1], [1, -1]], whose F widens every box, needs n = 2.
+    Every expanding A has such an n, since A^{-n} tends to 0.  Each n gets
+    ``MAX_BOX_STEPS`` steps, up to n = ``MAX_BOX_STEPS``; past that,
+    :class:`CascadeError`.
     """
     h = Fraction(h)
     t = mask.triple
-    maps = []
+    step = {}
     for e in mask.support():
         lin = dilation.A_inv @ t.group[e.g]
         shift = lin @ (t.R @ Mat.column(e.k))
-        maps.append(([[x.re for x in lin.row_list(i)] for i in range(t.d)],
-                     [shift.entry(i, 0).re for i in range(t.d)]))
+        key = tuple(tuple(x.re for x in lin.row_list(i)) for i in range(t.d))
+        point = [(shift.entry(i, 0).re,) * 2 for i in range(t.d)]
+        step[key] = _hull([step[key], point]) if key in step else point
     unit = [(Fraction(0), Fraction(1))] * t.d
-    box = _snap(unit, h)
-    for _ in range(MAX_BOX_STEPS):
-        image = _hull([unit] + [_box_image(lin, shift, box)
-                                for lin, shift in maps])
-        if all(lo <= a and b <= hi for (lo, hi), (a, b) in zip(box, image)):
-            return box
-        box = _snap(_hull([box, image]), h)
-    return None
+    maps = step
+    for n in range(1, MAX_BOX_STEPS + 1):
+        box = _snap(unit, h)
+        for _ in range(MAX_BOX_STEPS):
+            image = _map_box(maps, box, unit)
+            if all(lo <= a and b <= hi
+                   for (lo, hi), (a, b) in zip(box, image)):
+                boxes = [box]
+                for _ in range(n - 1):
+                    boxes.append(_map_box(step, boxes[-1], unit))
+                return _snap(_hull(boxes), h)
+            box = _snap(_hull([box, image]), h)
+        maps = _compose(step, maps)
+    raise CascadeError(f"no support box certified within {MAX_BOX_STEPS} "
+                       f"steps for any n up to {MAX_BOX_STEPS}")
 
 
-def _box_image(lin: list, shift: list, box: list) -> list:
-    """Bounding box of {lin x + shift : x in box}, exactly."""
+def _box_image(lin: tuple, shifts: list, box: list) -> list:
+    """Bounding box of {lin x + c : x in box, c in shifts}, exactly."""
     out = []
-    for row, c in zip(lin, shift):
-        lo = hi = c
+    for row, (lo, hi) in zip(lin, shifts):
         for a, (l, u) in zip(row, box):
             lo += min(a * l, a * u)
             hi += max(a * l, a * u)
         out.append((lo, hi))
+    return out
+
+
+def _map_box(maps: dict, box: list, unit: list) -> list:
+    """hull([0,1]^d and every lin box + shifts) over maps {lin: shifts}."""
+    return _hull([unit] + [_box_image(lin, shifts, box)
+                           for lin, shifts in maps.items()])
+
+
+def _compose(outer: dict, inner: dict) -> dict:
+    """The maps x -> l1 (l2 x + c2) + c1 of every outer (l1, c1) after every
+    inner (l2, c2), one box of shifts per distinct linear part l1 l2."""
+    out = {}
+    for l1, c1 in outer.items():
+        for l2, c2 in inner.items():
+            lin = tuple(tuple(sum(a * b for a, b in zip(row, col))
+                              for col in zip(*l2)) for row in l1)
+            shifts = _box_image(l1, c1, c2)
+            out[lin] = _hull([out[lin], shifts]) if lin in out else shifts
     return out
 
 
@@ -218,21 +215,6 @@ def _hull(boxes: list) -> list:
 
 def _snap(box: list, h: Fraction) -> list:
     return [(math.floor(lo / h) * h, math.ceil(hi / h) * h) for lo, hi in box]
-
-
-def _grid_layout(mask: Mask, dilation: Dilation, h: float) -> tuple:
-    """(lo, shape, support_radius, certified) of the cascade grid: the
-    certified support box, or the cube around the estimated ball."""
-    d = mask.triple.d
-    box = support_box(mask, dilation, h)
-    if box is None:
-        radius = estimate_support(mask, dilation)
-        n_side = int(math.ceil(radius / h))
-        return np.full(d, -n_side * h), (2 * n_side + 1,) * d, radius, False
-    lo = np.array([float(l) for l, _ in box])
-    shape = tuple(int((u - l) / Fraction(h)) + 1 for l, u in box)
-    diagonal = math.hypot(*(float(u - l) for l, u in box))
-    return lo, shape, diagonal, True
 
 
 def _interp_plan(points: np.ndarray, lo: np.ndarray, h: float,
@@ -333,13 +315,12 @@ def cascade_iterate(mask: Mask, triple: CrystalTriple, dilation: Dilation,
     The seed is the indicator of the unit box [0,1)^d times the normalized
     integral direction, so the integral starts in the right eigenspace.
     The grid spans the box of :func:`support_box` at spacing h (per-axis
-    node counts), or, when no box certifies, the cube around the ball of
-    :func:`estimate_support`; the field records which.  Non-convergence
-    (last sup difference above 1e-6) is reported in the result, not
-    raised.  A grid whose :func:`grid_bytes` estimate exceeds
-    :func:`memory_budget` is refused before anything is allocated, and an
-    iterate that overflows to a non-finite value raises; both raise
-    :class:`CascadeError`.
+    node counts).  Non-convergence (last sup difference above 1e-6) is
+    reported in the result, not raised.  A support box that does not
+    certify within the step bound, a grid whose :func:`grid_bytes`
+    estimate exceeds :func:`memory_budget` (refused before anything is
+    allocated) and an iterate that overflows to a non-finite value all
+    raise :class:`CascadeError`.
     """
     if triple is not mask.triple or dilation.triple is not triple:
         raise ValueError("mask, triple and dilation must match")
@@ -353,7 +334,9 @@ def cascade_iterate(mask: Mask, triple: CrystalTriple, dilation: Dilation,
         q = 8 if grid_exponent is None else int(grid_exponent)
         h = 2.0 ** -q
     d = triple.d
-    lo, shape, radius, certified = _grid_layout(mask, dilation, h)
+    box = support_box(mask, dilation, h)
+    lo = np.array([float(l) for l, _ in box])
+    shape = tuple(int((u - l) / Fraction(h)) + 1 for l, u in box)
     n_nodes = math.prod(shape)
     need = grid_bytes(d, mask.r, len(mask.support()), n_nodes)
     budget = memory_budget()
@@ -382,8 +365,7 @@ def cascade_iterate(mask: Mask, triple: CrystalTriple, dilation: Dilation,
                                "finite: the mask's coefficients overflow "
                                "floating point")
         data = nxt
-    field = GridField(triple, h, lo, shape,
-                      data.reshape(*shape, mask.r), radius, certified)
+    field = GridField(triple, h, lo, shape, data.reshape(*shape, mask.r))
     return CascadeResult(field, tuple(sup_diffs),
                          sup_diffs[-1] <= CONVERGENCE_TOL)
 
@@ -404,8 +386,8 @@ def refinement_residual(field: GridField, mask: Mask,
 def sample_points(field: GridField, count: int = 32,
                   seed: int = 2026) -> np.ndarray:
     """Random grid nodes in the central unit cell, keeping a margin of
-    support_radius * h from the cell boundary: h times the length of the
-    certified box's diagonal, or times the fallback ball's diameter.
+    support_radius * h, h times the length of the support box's diagonal,
+    from the cell boundary.
 
     Nodes rather than arbitrary points: at a node every lattice translate
     is read node-exactly, so the comparison measures the cascade itself
@@ -644,16 +626,32 @@ def verify_degrees(field: GridField, witness: VCollection | None, p_max: int,
             yield DegreeCheck(s, residual, residual < tolerance, None)
 
 
+def empirical_level(result: CascadeResult, checks) -> int | None:
+    """Empirical accuracy of a cascade run: the largest s+1 such that every
+    degree up to s passes among checks (:class:`DegreeCheck` objects in
+    order of s, as :func:`verify_degrees` yields them), or None when the
+    cascade did not converge, since a diverging field supports no claim.
+    A failing degree stops the reading of checks."""
+    if not result.converged:
+        return None
+    level = 0
+    for check in checks:
+        if not check.verdict:
+            break
+        level = check.s + 1
+    return level
+
+
 def empirical_accuracy(mask: Mask, triple: CrystalTriple, dilation: Dilation,
                        p_max: int, iterations: int = 12,
                        grid_exponent: int = 8, tolerance: float = 1e-5,
                        sample_count: int = 32, seed: int = 2026,
-                       strict: bool = True) -> int:
+                       strict: bool = True) -> int | None:
     """Brute-force accuracy estimate from the cascade field: the largest
     s+1 at or below p_max for which every degree up to s passes
-    :func:`verify_degrees` with the exact solver's witness.  With strict,
-    cascade non-convergence raises; otherwise the divergent field speaks
-    for itself through the residuals.
+    :func:`verify_degrees` with the exact solver's witness
+    (:func:`empirical_level`).  When the cascade does not converge, strict
+    raises :class:`CascadeError`; otherwise the return value is None.
     """
     cert = max_accuracy(mask, triple, dilation, p_max)
     result = cascade_iterate(mask, triple, dilation, iterations,
@@ -661,10 +659,5 @@ def empirical_accuracy(mask: Mask, triple: CrystalTriple, dilation: Dilation,
     if not result.converged and strict:
         raise CascadeError("cascade did not converge: last sup difference "
                            f"{result.sup_diffs[-1]:.3g}")
-    level = 0
-    for check in verify_degrees(result.field, cert.witness, p_max, tolerance,
-                                sample_count, seed):
-        if not check.verdict:
-            break
-        level = check.s + 1
-    return level
+    return empirical_level(result, verify_degrees(
+        result.field, cert.witness, p_max, tolerance, sample_count, seed))

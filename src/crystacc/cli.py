@@ -3,13 +3,15 @@
 Commands: check-group, accuracy, cascade, lift, extract.  Exit codes:
 0 success, 1 malformed input, 2 invalid group, 3 inadmissible dilation,
 4 mask shape/multiplicity mismatch, 5 cascade failure (non-convergence
-under --strict, a grid too coarse to sample, or a grid whose estimated
-memory exceeds half of physical memory).  Rational numbers travel as "p/q"
-strings so the exact pipeline survives JSON; a plain JSON float coefficient
-is read as a rational by the mask (``linalg.read_float``), every output
-stays exact, and ``accuracy`` reports the largest relative change as the
-``float_max_relative_change`` diagnostic.  NaN and infinities are
-malformed input.
+under --strict, a support box that does not certify within the step
+bound, a grid too coarse to sample, or a grid whose estimated memory
+exceeds half of physical memory).  Without --strict, a cascade that did
+not converge reports a null empirical accuracy.  Rational numbers travel
+as "p/q" strings so the exact pipeline survives JSON; a plain JSON float
+coefficient is read as a rational by the mask (``linalg.read_float``),
+every output stays exact, and ``accuracy`` reports the largest relative
+change as the ``float_max_relative_change`` diagnostic.  NaN and
+infinities are malformed input.
 """
 
 from __future__ import annotations
@@ -370,22 +372,23 @@ def cmd_cascade(args) -> int:
         _emit(report)
         return EXIT_NO_CONVERGENCE
 
+    checks = [] if report["degenerate"] else list(
+        cascade_mod.verify_degrees(field, cert.witness, verify_p, tol, count,
+                                   seed))
     reports = []
-    level = 0
-    if not report["degenerate"]:
-        for check in cascade_mod.verify_degrees(field, cert.witness, verify_p,
-                                                tol, count, seed):
-            rep = check.report
-            entry = {"s": check.s, "residual": check.residual,
-                     "verdict": check.verdict, "probed": rep is None}
-            if rep is not None:
-                entry.update(C=_scalar_json(rep.C), excluded=rep.excluded,
-                             matched_form=rep.matched_form)
-            reports.append(entry)
-            if check.verdict and level == check.s:
-                level = check.s + 1
+    for check in checks:
+        rep = check.report
+        entry = {"s": check.s, "residual": check.residual,
+                 "verdict": check.verdict, "probed": rep is None}
+        if rep is not None:
+            entry.update(C=_scalar_json(rep.C), excluded=rep.excluded,
+                         matched_form=rep.matched_form)
+        reports.append(entry)
     report["reports"] = reports
-    report["empirical_accuracy"] = level
+    report["empirical_accuracy"] = cascade_mod.empirical_level(result, checks)
+    if not result.converged:
+        report["note"] = ("cascade did not converge: the residuals are "
+                          "reported, no empirical accuracy is claimed")
 
     if args.out:
         _dump_field_csv(field, args.out)

@@ -13,7 +13,7 @@ from crystacc.accuracy import max_accuracy
 import crystacc.cascade as cascade_mod
 from crystacc.cascade import (CascadeError, _probe_block, _seed_direction,
                               cascade_iterate, empirical_accuracy,
-                              estimate_support, grid_bytes,
+                              empirical_level, grid_bytes,
                               refinement_residual, reproduce,
                               reproduction_values, sample_points, support_box)
 from crystacc.crystal import catalog_triple, check_admissible
@@ -45,13 +45,6 @@ def plane():
     t = catalog_triple("p1", 2)
     dil = check_admissible(Mat.from_rows([[2, 0], [0, 2]]), t)
     return t, dil
-
-
-def test_support_radius_estimates(line, haar, hat, bspline4):
-    _, dil = line
-    assert abs(estimate_support(haar, dil) - 2.0) < 1e-6
-    assert abs(estimate_support(hat, dil) - 2.0) < 1e-6
-    assert abs(estimate_support(bspline4, dil) - 4.0) < 1e-6
 
 
 def test_support_boxes_of_classic_masks(line, haar, hat, bspline4):
@@ -94,7 +87,6 @@ def test_grid_geometry(line, hat):
     assert f.h == 2.0 ** -4
     assert f.shape == (33,)
     assert f.lo[0] == -1.0 and f.hi[0] == 1.0
-    assert f.certified
     assert f.support_radius == 2.0
 
 
@@ -213,9 +205,8 @@ def test_empirical_accuracy_divergent_mask(line, ones3):
     with pytest.raises(CascadeError):
         empirical_accuracy(ones3, t, dil, p_max=2, iterations=8,
                            grid_exponent=5)
-    level = empirical_accuracy(ones3, t, dil, p_max=2, iterations=8,
-                               grid_exponent=5, strict=False)
-    assert level == 0
+    assert empirical_accuracy(ones3, t, dil, p_max=2, iterations=8,
+                              grid_exponent=5, strict=False) is None
 
 
 def test_seed_directions(line, hat, p1m, sym_hat):
@@ -326,6 +317,7 @@ def test_default_grid_of_the_quadratic_bspline_fits_in_1_gib(plane,
 # -- the certified box against a reference cascade --------------------------
 
 QUINCUNX = [[1, 1], [1, -1]]
+ROTATION = [[1, -1], [1, 1]]
 
 
 def _random_case(case, rnd):
@@ -354,12 +346,14 @@ def _random_case(case, rnd):
             entries[(rnd.randint(-2, 2), rnd.randint(-2, 2))] = coef()
         a, q = QUINCUNX, rnd.randint(2, 3)
     else:  # a p4 or p4m spread: rotated and reflected copies
-        t = catalog_triple(case, 2)
+        t = catalog_triple(rnd.choice(["p4", "p4m"]) if case == "rotation"
+                           else case, 2)
         entries = {(0, (0, 0)): coef()}
         for _ in range(rnd.randint(1, 5)):
             k = (rnd.randint(-2, 2), rnd.randint(-2, 2))
             entries[(rnd.randrange(t.order), k)] = coef()
-        a, q = [[2, 0], [0, 2]], rnd.randint(2, 4)
+        a = ROTATION if case == "rotation" else [[2, 0], [0, 2]]
+        q = rnd.randint(2, 4)
     dil = check_admissible(Mat.from_rows(a), t)
     # coefficients summing to m make the seed direction 1
     total = sum(entries.values())
@@ -397,39 +391,32 @@ def _reference_cascade(mask, dil, q, iterations, first, n):
 
 
 @seed(2026)
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from(["p1-1d", "p1-2d", "p4", "p4m", "quincunx"]),
+@settings(max_examples=48, deadline=None)
+@given(st.sampled_from(["p1-1d", "p1-2d", "p4", "p4m", "quincunx",
+                        "rotation"]),
        st.randoms(use_true_random=False))
 def test_box_grid_matches_a_reference_cascade(case, rnd):
-    """The iterate on the certified box equals a plain cascade on a cube
-    two units wider on every side at every common node, and the plain one
-    is zero at every node off the box; where no box certifies (quincunx),
-    the grid is the cube around the ball of estimate_support."""
+    """The grid is the certified box, for A = 2I and for the quincunx and
+    rotation dilations alike; the iterate on it equals a plain cascade on
+    a cube two units wider on every side at every common node, and the
+    plain one is zero at every node off the box."""
     mask, dil, q = _random_case(case, rnd)
     t = mask.triple
     h = 2.0 ** -q
     iterations = 5
     field = cascade_iterate(mask, t, dil, iterations, grid_exponent=q).field
     box = support_box(mask, dil, h)
-    if case == "quincunx":
-        assert box is None and not field.certified
-        radius = estimate_support(mask, dil)
-        n_side = math.ceil(radius / h)
-        assert field.shape == (2 * n_side + 1,) * t.d
-        assert np.all(field.lo == -n_side * h)
-        assert field.support_radius == radius
-        return
-    assert field.certified
     assert integer_rows(t.R) == integer_rows(Mat.identity(t.d))
     box_idx = np.array([[lo / Fraction(h), hi / Fraction(h)]
                         for lo, hi in box], dtype=np.int64)
     assert np.all(field.lo == box_idx[:, 0] * h)
     assert field.shape == tuple(box_idx[:, 1] - box_idx[:, 0] + 1)
-    # the box holds [0,1]^d and its image under every read map
+    # the box holds [0,1]^d and, when one step certifies (A = 2I), its
+    # image under every read map
     lo, hi = box_idx[:, 0] * h, box_idx[:, 1] * h
     assert np.all(lo <= 0) and np.all(hi >= 1)
     a_inv = np.linalg.inv(np.array(integer_rows(dil.A), dtype=float))
-    for e in mask.support():
+    for e in mask.support() if case not in ("quincunx", "rotation") else ():
         lin = a_inv @ np.array(integer_rows(t.group[e.g]), dtype=float)
         centre = lin @ ((lo + hi) / 2 + np.array(e.k))
         reach = np.abs(lin) @ ((hi - lo) / 2)
@@ -447,6 +434,35 @@ def test_box_grid_matches_a_reference_cascade(case, rnd):
     assert np.all(got.imag == 0.0)
     scale = max(1.0, float(np.max(np.abs(ref))))
     assert np.allclose(got.real, common, rtol=0, atol=1e-12 * scale)
+
+
+@pytest.fixture(scope="module")
+def quincunx_pair():
+    """The p1 mask with support {(0,0), (1,0)} under the quincunx A."""
+    t = catalog_triple("p1", 2)
+    dil = check_admissible(Mat.from_rows(QUINCUNX), t)
+    return Mask.scalar(t, {(0, 0): 1, (1, 0): 1}), t, dil
+
+
+def test_quincunx_box_certifies_at_two_steps(quincunx_pair):
+    """The quincunx A = [[1, 1], [1, -1]] widens every box in one step, so
+    its box comes from the 2-step map (A^-2 = I/2): 41^2 nodes at h = 2^-4,
+    where the old fallback cube around an estimated ball took 157^2."""
+    mask, t, dil = quincunx_pair
+    box = support_box(mask, dil, 2.0 ** -4)
+    assert box == [(Fraction(-1, 4), Fraction(9, 4)),
+                   (Fraction(-3, 4), Fraction(7, 4))]
+    field = cascade_iterate(mask, t, dil, 1, grid_exponent=4).field
+    assert field.shape == (41, 41)
+
+
+def test_box_step_bound_raises(quincunx_pair, monkeypatch):
+    """With one step allowed per n, up to n = 1, the quincunx box does not
+    certify: the search stops with a CascadeError."""
+    mask, t, dil = quincunx_pair
+    monkeypatch.setattr(cascade_mod, "MAX_BOX_STEPS", 1)
+    with pytest.raises(CascadeError, match="support box"):
+        cascade_iterate(mask, t, dil, 2, grid_exponent=3)
 
 
 def test_probe_block_skips_zero_reads(plane, monkeypatch):
@@ -503,6 +519,20 @@ def test_cascade_without_eigenvalue_one_diverges_visibly(line):
     assert not res.converged
     assert res.sup_diffs == (7.0, 56.0, 448.0)
     assert np.max(np.abs(res.field.data)) > 0
+
+
+def test_diverging_cascade_claims_no_empirical_accuracy(line):
+    """The same (8, 8) mask: without strict the estimate is None, not a
+    level read off a diverging field; with strict it raises."""
+    t, dil = line
+    mask = Mask.scalar(t, {0: 8, 1: 8})
+    assert empirical_accuracy(mask, t, dil, p_max=2, iterations=3,
+                              grid_exponent=4, strict=False) is None
+    with pytest.raises(CascadeError, match="converge"):
+        empirical_accuracy(mask, t, dil, p_max=2, iterations=3,
+                           grid_exponent=4)
+    res = cascade_iterate(mask, t, dil, iterations=3, grid_exponent=4)
+    assert empirical_level(res, iter(())) is None
 
 
 def test_cascade_refuses_an_overflowing_iterate(line):

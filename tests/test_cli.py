@@ -295,6 +295,25 @@ def test_cascade_of_a_growing_mask_is_not_degenerate(tmp_path, capsys):
     assert out["converged"] is False
     assert out["degenerate"] is False
     assert out["field_max"] > 0
+    assert out["empirical_accuracy"] is None
+    assert "converge" in out["note"]
+
+
+def test_box_step_bound_exits_5(tmp_path, monkeypatch):
+    """A quincunx support box that does not certify within the step bound
+    ends in exit 5 with a JSON error and no traceback."""
+    cfg = {"group": "p1", "dimension": 2, "dilation": [[1, 1], [1, -1]],
+           "mask": [{"g": 0, "k": [0, 0], "coef": 1},
+                    {"g": 0, "k": [1, 0], "coef": 1}]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    monkeypatch.setattr(cascade_mod, "MAX_BOX_STEPS", 1)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["cascade", str(path), "--grid", "3"])
+    assert code == EXIT_NO_CONVERGENCE
+    assert "support box" in json.loads(out.getvalue())["error"]
+    assert "Traceback" not in err.getvalue()
 
 
 def test_lift_extract_round_trip(tmp_path, capsys):

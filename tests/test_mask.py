@@ -249,7 +249,7 @@ def test_l2_budget(haar, hat, sym_hat, p1m):
         l2_budget(lifted, 2)
 
 
-def test_l2_budget_float_backend(line):
+def test_l2_budget_float_coefficients(line):
     t, _ = line
     assert l2_budget(Mask.scalar(t, {0: 0.5, 1: 1.0, 2: 0.5}), 2)
     assert not l2_budget(Mask.scalar(t, {0: 1.2, 1: 1.0}), 2)
