@@ -9,22 +9,24 @@ blocks, the seed's integral direction (the exact
 none) and the exact solver's witness, which :func:`verify_degrees` turns
 into a tuple of arrays, one per degree.
 
-The grid is the one box :func:`support_box` certifies for every
-admissible dilation: the n-step box map, whose maps x -> A^{-n} g' x + c
-compose the maps x -> A^{-1} g (x + R k) of the mask's support n times,
-is iterated in rationals on multiples of the spacing until a box contains
-[0,1]^d and its own n-step image, checked exactly (n = 1 unless the
-one-step map does not contract, as for the quincunx A = [[1, 1], [1, -1]]).
-The grid is the hull of that box and its first n - 1 one-step images, so
-every iterate and the limit vanish outside it (the attractor of the maps
-x -> A^{-1} g (x + R k); Hutchinson, 1981; Cavaretta, Dahmen and
-Micchelli, *Stationary Subdivision*, 1991).
+The cascade runs in lattice coordinates y = R^{-1} x.  Admissibility makes
+M = R^{-1} A R and every G_g = R^{-1} g R integral, so the read
+gamma^{-1}(A x) of the mask element gamma = (g, k) is
+y -> G_{g^{-1}} M y - k, and on the grid y = h J (J an integer vector,
+h = 2^-q) node J reads node G_{g^{-1}} M J - 2^q k: every read is one
+integer gather (Cavaretta, Dahmen and Micchelli, *Stationary
+Subdivision*, 1991).  The oracle reads the finished field at nodes only
+and refuses any other point.
 
-The grid iteration is node-exact whenever the dilation, the point group
-and the lattice are integral and the spacing is dyadic, because every read
-location is then itself a node; multilinear interpolation only enters for
-genuinely off-grid reads (non-integral data) and for off-node sampling of
-the finished field.
+The grid is the one box :func:`support_box` certifies for every
+admissible dilation: the n-step box map, whose maps y -> M^{-n} G' y + c
+compose the maps y -> M^{-1} G_g (y + k) of the mask's support n times,
+is iterated in rationals on multiples of h until a box contains [0,1]^d
+and its own n-step image, checked exactly (n = 1 unless the one-step map
+does not contract, as for the quincunx A = [[1, 1], [1, -1]]).  The grid
+is the hull of that box and its first n - 1 one-step images, so every
+iterate and the limit vanish outside it (the attractor of those maps;
+Hutchinson, 1981).
 """
 
 from __future__ import annotations
@@ -46,8 +48,6 @@ from .multiidx import (VCollection, build_Q_tilde, dim_degree,
 
 CONVERGENCE_TOL = 1e-6
 MAX_BOX_STEPS = 64
-# slack of the float tests of where a target lands against the grid box
-_EPS = 1e-9
 
 
 class CascadeError(RuntimeError):
@@ -55,42 +55,61 @@ class CascadeError(RuntimeError):
 
 
 class GridField:
-    """Sampled approximation of the refinable function on a box grid.
+    """The cascade's field on its box grid, in lattice coordinates.
 
-    data has shape (*shape, r); node j of axis i sits at lo[i] + h*j.
-    Reads outside the box [lo, hi] are zero, matching compact support:
-    [lo, hi] is the box :func:`support_box` proved to hold every iterate.
-    support_radius, the length of its diagonal, sets
+    Node J, an integer vector with first <= J <= last, sits at y = h J,
+    that is at x = R y, with h = 2^-q; data has shape (*shape, r), and
+    lo = h first, hi = h last bound the box in y.  The field is read at
+    nodes only, zero outside the box, matching compact support: the box
+    is the one :func:`support_box` proved to hold every iterate.
+    support_radius, the length of the box's diagonal in y, sets
     :func:`sample_points`' margin.
     """
 
-    def __init__(self, triple: CrystalTriple, h: float, lo: np.ndarray,
-                 shape: tuple, data: np.ndarray):
+    def __init__(self, triple: CrystalTriple, q: int, first: np.ndarray,
+                 shape: tuple, padded: np.ndarray):
         self.triple = triple
         self.d = triple.d
-        self.h = float(h)
-        self.lo = np.asarray(lo, dtype=float)
+        self.q = q
+        self.h = 2.0 ** -q
+        self.first = first
+        self.last = first + np.asarray(shape) - 1
+        self.lo = self.first * self.h
+        self.hi = self.last * self.h
         self.shape = tuple(shape)
-        self.data = data
-        self.r = data.shape[-1]
-        self.hi = self.lo + self.h * (np.asarray(self.shape) - 1)
+        self.r = padded.shape[-1]
+        # one zero row past the last node answers every read off the box
+        self._padded = padded
+        self._flat = padded[:-1]
+        self.data = self._flat.reshape(*shape, self.r)
         self.support_radius = math.hypot(*(self.hi - self.lo))
-        self._flat = data.reshape(-1, self.r)
-
-    def axes(self) -> list:
-        return [self.lo[j] + self.h * np.arange(self.shape[j])
-                for j in range(self.d)]
 
     def nodes(self) -> np.ndarray:
-        """Coordinates of every node, one row each, in the row order of
+        """x coordinates of every node, one row each, in the row order of
         ``data.reshape(-1, r)``."""
-        return _node_points(self.lo, self.h, self.shape)
+        return self._x(_node_grid(self.first, self.shape))
+
+    def _x(self, J: np.ndarray) -> np.ndarray:
+        return (J * self.h) @ self.triple.floats()["R"].T
+
+    def node_index(self, points) -> np.ndarray:
+        """Integer node J of each point x = R h J; ValueError for a point
+        that is not (the float image of) a node."""
+        pts = np.asarray(points, dtype=float).reshape(-1, self.d)
+        y = pts @ self.triple.R_inv.np().real.T
+        J = np.rint(y / self.h).astype(np.int64)
+        if not np.array_equal(self._x(J), pts):
+            raise ValueError(f"points off the grid nodes (h = {self.h:g} in "
+                             "lattice coordinates)")
+        return J
+
+    def read(self, J: np.ndarray) -> np.ndarray:
+        """Values at the integer nodes J, zero off the box."""
+        return self._padded[_rows(self.first, self.shape, J)]
 
     def sample(self, points) -> np.ndarray:
-        """Multilinear interpolation at arbitrary points, zero outside."""
-        pts = np.asarray(points, dtype=float).reshape(-1, self.d)
-        plan = _interp_plan(pts, self.lo, self.h, self.shape)
-        return _apply_plan(plan, self._flat)
+        """Values at grid nodes given as x points, zero off the box."""
+        return self.read(self.node_index(points))
 
 
 @dataclass
@@ -129,16 +148,18 @@ class ReproductionReport:
 
 
 def support_box(mask: Mask, dilation: Dilation, h) -> list:
-    """Exact box, with corners on multiples of h, certified to contain
-    every cascade iterate; per-axis (lo, hi) Fraction pairs.
+    """Exact box in lattice coordinates, with corners on multiples of h,
+    certified to contain every cascade iterate; per-axis (lo, hi) Fraction
+    pairs.
 
-    A read through mask element gamma = (g, k) at x is non-zero only if x
-    lies in A^{-1} g (S + R k), S the support of the iterate read (the read
-    map of :func:`_build_plans`).  Elements with the same linear part
-    A^{-1} g share one box of shifts, so the one-step box map F sends B to
-    hull([0,1]^d and every A^{-1} g B + shifts).  Composed n times, the
-    maps have linear parts A^{-n} g' with g' in the point group (A
-    normalizes it): at most |G| of them, each with one box of shifts.
+    A read through mask element gamma = (g, k) at y is non-zero only if y
+    lies in M^{-1} G_g (S + k), S the support of the iterate read (the read
+    y -> G_{g^{-1}} M y - k of :func:`cascade_iterate`).  Elements with the
+    same linear part M^{-1} G_g share one box of shifts, so the one-step
+    box map F sends B to hull([0,1]^d and every M^{-1} G_g B + shifts).
+    Composed n times, the maps have linear parts M^{-n} G' with g' in the
+    point group (A normalizes it): at most |G| of them, each with one box
+    of shifts.
 
     For n = 1, 2, ... this n-step box map is iterated in rationals from
     [0,1]^d, each box snapped outward to multiples of h, until a box B
@@ -155,8 +176,8 @@ def support_box(mask: Mask, dilation: Dilation, h) -> list:
     t = mask.triple
     step = {}
     for e in mask.support():
-        lin = dilation.A_inv @ t.group[e.g]
-        shift = lin @ (t.R @ Mat.column(e.k))
+        lin = dilation.M_inv @ Mat.from_rows(t.int_reps[e.g])
+        shift = lin @ Mat.column(e.k)
         key = tuple(tuple(x.re for x in lin.row_list(i)) for i in range(t.d))
         point = [(shift.entry(i, 0).re,) * 2 for i in range(t.d)]
         step[key] = _hull([step[key], point]) if key in step else point
@@ -217,39 +238,6 @@ def _snap(box: list, h: Fraction) -> list:
     return [(math.floor(lo / h) * h, math.ceil(hi / h) * h) for lo, hi in box]
 
 
-def _interp_plan(points: np.ndarray, lo: np.ndarray, h: float,
-                 shape: tuple) -> list:
-    """Per-corner (flat node index, weight) pairs for multilinear
-    interpolation; out-of-box corners get weight zero."""
-    d = points.shape[1]
-    rel = (points - lo) / h
-    base = np.floor(rel).astype(np.int64)
-    frac = rel - base
-    dims = np.asarray(shape)
-    strides = np.ones(d, dtype=np.int64)
-    for j in range(d - 2, -1, -1):
-        strides[j] = strides[j + 1] * shape[j + 1]
-    plan = []
-    for corner in itertools.product((0, 1), repeat=d):
-        idx = base + np.asarray(corner)
-        w = np.ones(len(points))
-        for j in range(d):
-            w = w * (frac[:, j] if corner[j] else 1.0 - frac[:, j])
-        valid = np.all((idx >= 0) & (idx < dims), axis=1)
-        w = np.where(valid, w, 0.0)
-        flat = np.where(valid, idx @ strides, 0)
-        plan.append((flat, w))
-    return plan
-
-
-def _apply_plan(plan: list, flat_data: np.ndarray) -> np.ndarray:
-    out = None
-    for flat, w in plan:
-        term = w[:, None] * flat_data[flat]
-        out = term if out is None else out + term
-    return out
-
-
 def _fix_phase(u: np.ndarray) -> np.ndarray:
     for x in u:
         if abs(x) > 1e-9:
@@ -269,19 +257,30 @@ def _seed_direction(mask: Mask, dilation: Dilation) -> np.ndarray:
     return _fix_phase(u / np.linalg.norm(u))
 
 
-def _node_points(lo: np.ndarray, h: float, shape: tuple) -> np.ndarray:
-    axes = [lo[j] + h * np.arange(shape[j]) for j in range(len(shape))]
+def _node_grid(first: np.ndarray, shape: tuple) -> np.ndarray:
+    """Integer nodes J of the box grid, one row each, in the row order of
+    ``data.reshape(-1, r)``."""
+    axes = [first[j] + np.arange(shape[j], dtype=np.int64)
+            for j in range(len(shape))]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
+def _rows(first: np.ndarray, shape: tuple, J: np.ndarray) -> np.ndarray:
+    """Padded-field row of each node J: its flat index on the box grid, or
+    the zero row past the last node when J is off the box."""
+    rel = J - first
+    inside = np.all((rel >= 0) & (rel < shape), axis=1)
+    flat = np.ravel_multi_index(tuple(rel.T), shape, mode="clip")
+    return np.where(inside, flat, math.prod(shape))
+
+
 def grid_bytes(d: int, r: int, n_elements: int, n_nodes: int) -> int:
     """Estimated peak bytes of a cascade run on ``n_nodes`` grid nodes: the
-    node coordinates (d float64 each), four live iterates (the current and
-    next one, a term and a gather, r complex128 each) and one
-    interpolation plan per mask element (2^d corners, an int64 index and a
-    float64 weight per corner)."""
-    return n_nodes * (8 * d + 4 * 16 * r + n_elements * 2 ** d * 16)
+    integer nodes (d int64 each), four live iterates (the current and next
+    one, a gather and a term, r complex128 each) and one int64 read index
+    per mask element."""
+    return n_nodes * (8 * d + 4 * 16 * r + 8 * n_elements)
 
 
 def memory_budget() -> int:
@@ -290,82 +289,81 @@ def memory_budget() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
 
 
-def _build_plans(mask: Mask, dilation: Dilation, nodes: np.ndarray,
-                 lo: np.ndarray, h: float, shape: tuple) -> list:
-    """One interpolation plan per mask element for the read locations
-    gamma^{-1}(A x) = g^{-1}(A x) - R k over all nodes x."""
+def _read_rows(mask: Mask, dilation: Dilation, first: np.ndarray,
+               shape: tuple, q: int) -> list:
+    """Per mask element gamma = (g, k), the padded-field row that every node
+    J reads, G_{g^{-1}} M J - 2^q k (gamma^{-1}(A x) in lattice
+    coordinates), with the block d_gamma transposed."""
     t = mask.triple
-    f = t.floats()
-    Af = dilation.A.np().real
-    plans = []
+    m = np.array(dilation.M, dtype=np.int64)
+    nodes = _node_grid(first, shape)
+    reads = []
     for e, blk in mask.items():
-        g_inv = f["group"][t.inverse_table[e.g]]
-        shift = f["R"] @ np.asarray(e.k, dtype=float)
-        target = nodes @ (g_inv @ Af).T - shift
-        plans.append((_interp_plan(target, lo, h, shape),
-                      blk.np().T.copy()))
-    return plans
+        lin = np.array(t.int_reps[t.inverse_table[e.g]], dtype=np.int64) @ m
+        target = nodes @ lin.T - (np.array(e.k, dtype=np.int64) << q)
+        reads.append((_rows(first, shape, target), blk.np().T.copy()))
+    return reads
+
+
+def _step(reads: list, padded: np.ndarray) -> np.ndarray:
+    """One refinement step of a padded field; the zero row stays zero."""
+    out = np.zeros_like(padded)
+    for rows, d_t in reads:
+        out[:-1] += padded[rows] @ d_t
+    return out
 
 
 def cascade_iterate(mask: Mask, triple: CrystalTriple, dilation: Dilation,
-                    iterations: int, spacing: float | None = None,
-                    grid_exponent: int | None = None) -> CascadeResult:
-    """Iterate f -> sum_gamma d_gamma f(gamma^{-1}(A x)) on a node grid.
+                    iterations: int, grid_exponent: int = 8) -> CascadeResult:
+    """Iterate f -> sum_gamma d_gamma f(gamma^{-1}(A x)) on the node grid
+    y = h J of lattice coordinates, h = 2^-q for q = grid_exponent.
 
-    The seed is the indicator of the unit box [0,1)^d times the normalized
-    integral direction, so the integral starts in the right eigenspace.
-    The grid spans the box of :func:`support_box` at spacing h (per-axis
-    node counts).  Non-convergence (last sup difference above 1e-6) is
-    reported in the result, not raised.  A support box that does not
-    certify within the step bound, a grid whose :func:`grid_bytes`
+    The seed is the indicator of the lattice cell [0,1)^d in y (the cell
+    R [0,1)^d in x) times the normalized integral direction, so the
+    integral starts in the right eigenspace.  The grid spans the box of
+    :func:`support_box` (per-axis node counts), and every node reads one
+    node per mask element.  Non-convergence (last sup difference above
+    1e-6) is reported in the result, not raised.  A support box that does
+    not certify within the step bound, a grid whose :func:`grid_bytes`
     estimate exceeds :func:`memory_budget` (refused before anything is
     allocated) and an iterate that overflows to a non-finite value all
-    raise :class:`CascadeError`.
+    raise :class:`CascadeError`; a q that is not an integer >= 0 raises
+    ValueError.
     """
     if triple is not mask.triple or dilation.triple is not triple:
         raise ValueError("mask, triple and dilation must match")
     if iterations < 1:
         raise ValueError("need at least one iteration")
-    if spacing is not None:
-        h = float(spacing)
-        if h <= 0:
-            raise ValueError("spacing must be positive")
-    else:
-        q = 8 if grid_exponent is None else int(grid_exponent)
-        h = 2.0 ** -q
-    d = triple.d
-    box = support_box(mask, dilation, h)
-    lo = np.array([float(l) for l, _ in box])
-    shape = tuple(int((u - l) / Fraction(h)) + 1 for l, u in box)
+    q = grid_exponent
+    if not isinstance(q, int) or q < 0:
+        raise ValueError("grid_exponent must be an integer >= 0")
+    scale = 2 ** q
+    box = support_box(mask, dilation, Fraction(1, scale))
+    first = np.array([int(lo * scale) for lo, _ in box], dtype=np.int64)
+    shape = tuple(int((hi - lo) * scale) + 1 for lo, hi in box)
     n_nodes = math.prod(shape)
-    need = grid_bytes(d, mask.r, len(mask.support()), n_nodes)
+    need = grid_bytes(triple.d, mask.r, len(mask.support()), n_nodes)
     budget = memory_budget()
     if need > budget:
         raise CascadeError(
-            f"a grid of {n_nodes} nodes (spacing {h:g}) needs about "
+            f"a grid of {n_nodes} nodes (spacing {2.0 ** -q:g}) needs about "
             f"{need / 2 ** 30:.1f} GiB, more than half of physical memory "
             f"({budget / 2 ** 30:.1f} GiB); use a coarser grid")
-    nodes = _node_points(lo, h, shape)
-    seed = _seed_direction(mask, dilation)
-    inside = np.all((nodes >= -1e-12) & (nodes < 1.0 - 1e-12), axis=1)
-    data = np.zeros((len(nodes), mask.r), dtype=complex)
-    data[inside] = seed
-    plans = _build_plans(mask, dilation, nodes, lo, h, shape)
+    data = np.zeros((n_nodes + 1, mask.r), dtype=complex)
+    # the box holds the cell [0, 1]^d: its nodes 0 <= J < 2^q form a slice
+    cell = tuple(slice(-f, scale - f) for f in first)
+    data[:-1].reshape(*shape, mask.r)[cell] = _seed_direction(mask, dilation)
+    reads = _read_rows(mask, dilation, first, shape, q)
     sup_diffs = []
     for _ in range(iterations):
-        nxt = None
-        for plan, d_t in plans:
-            term = _apply_plan(plan, data) @ d_t
-            nxt = term if nxt is None else nxt + term
-        if nxt is None:
-            nxt = np.zeros_like(data)
+        nxt = _step(reads, data)
         sup_diffs.append(float(np.max(np.abs(nxt - data))))
         if not math.isfinite(sup_diffs[-1]):
             raise CascadeError(f"cascade iterate {len(sup_diffs)} is not "
                                "finite: the mask's coefficients overflow "
                                "floating point")
         data = nxt
-    field = GridField(triple, h, lo, shape, data.reshape(*shape, mask.r))
+    field = GridField(triple, q, first, shape, data)
     return CascadeResult(field, tuple(sup_diffs),
                          sup_diffs[-1] <= CONVERGENCE_TOL)
 
@@ -374,75 +372,69 @@ def refinement_residual(field: GridField, mask: Mask,
                         dilation: Dilation) -> float:
     """Largest node defect of the refinement equation for the field: the
     sup difference between the field and one more refinement step."""
-    plans = _build_plans(mask, dilation, field.nodes(), field.lo, field.h,
-                         field.shape)
-    nxt = None
-    for plan, d_t in plans:
-        term = _apply_plan(plan, field._flat) @ d_t
-        nxt = term if nxt is None else nxt + term
-    return float(np.max(np.abs(nxt - field._flat)))
+    reads = _read_rows(mask, dilation, field.first, field.shape, field.q)
+    padded = field._padded
+    return float(np.max(np.abs(_step(reads, padded) - padded)))
 
 
 def sample_points(field: GridField, count: int = 32,
                   seed: int = 2026) -> np.ndarray:
-    """Random grid nodes in the central unit cell, keeping a margin of
-    support_radius * h, h times the length of the support box's diagonal,
-    from the cell boundary.
+    """Random grid nodes of the lattice cell [0,1)^d in y, returned as x =
+    R y, keeping a margin of support_radius * h, h times the length of the
+    support box's diagonal, from the cell boundary in y.
 
-    Nodes rather than arbitrary points: at a node every lattice translate
-    is read node-exactly, so the comparison measures the cascade itself
-    and not the interpolation of the target polynomial between nodes.
+    The oracle reads the field at nodes only: from a node every translate
+    gamma(x) is again a node, so the comparison measures the cascade
+    itself.
     """
     rng = np.random.default_rng(seed)
-    margin = field.support_radius * field.h
-    axes = field.axes()
-    eligible = []
-    for ax in axes:
-        ok = np.where((ax >= margin - 1e-12) & (ax < 1.0 - margin + 1e-12))[0]
-        if len(ok) == 0:
-            raise CascadeError("grid too coarse for the sampling margin")
-        eligible.append(ok)
-    sizes = [len(ok) for ok in eligible]
-    total = int(np.prod(sizes))
-    take = min(count, total)
-    picks = rng.choice(total, size=take, replace=False)
-    coords = np.empty((take, field.d))
-    for row, flat in enumerate(picks):
-        rest = int(flat)
-        for j in range(field.d - 1, -1, -1):
-            rest, pos = divmod(rest, sizes[j])
-            coords[row, j] = axes[j][eligible[j][pos]]
-    return coords
+    scale = 2 ** field.q
+    # node j keeps the margin when min(j, 2^q - j) >= support_radius; both
+    # sides squared and scaled by 4^q are integers
+    diag2 = sum(int(n) ** 2 for n in field.last - field.first)
+    ok = np.array([j for j in range(scale)
+                   if min(j, scale - j) ** 2 << 2 * field.q >= diag2],
+                  dtype=np.int64)
+    if len(ok) == 0:
+        raise CascadeError("grid too coarse for the sampling margin")
+    total = len(ok) ** field.d
+    picks = rng.choice(total, size=min(count, total), replace=False)
+    J = ok[np.stack(np.unravel_index(picks, (len(ok),) * field.d), axis=1)]
+    return field._x(J)
 
 
-def _gamma_cover(field: GridField, pts: np.ndarray) -> list:
-    """Group elements gamma that may carry a point within h of the grid
-    box: gamma(x) = g(x + R k) lands there only if k lies in
-    R^{-1} g^{-1} (the box widened by h) - R^{-1} x, bounded per axis over
-    the points.  Everything else reads zero."""
-    if len(pts) == 0:
+def _translate(field: GridField, e, J: np.ndarray) -> np.ndarray:
+    """Nodes of gamma(x) = g(x + R k) for the nodes J of x: G_g (J + 2^q k)."""
+    rep = np.array(field.triple.int_reps[e.g], dtype=np.int64)
+    return (J + (np.array(e.k, dtype=np.int64) << field.q)) @ rep.T
+
+
+def _near(field: GridField, J: np.ndarray, pad: int) -> np.ndarray:
+    """Rows of J within pad nodes of the box on every axis."""
+    return np.all((J >= field.first - pad) & (J <= field.last + pad), axis=1)
+
+
+def _gamma_cover(field: GridField, J: np.ndarray) -> list:
+    """Group elements gamma that may carry a node J within one node of the
+    box: G_g (J + 2^q k) lands there only if 2^q k lies in
+    G_{g^{-1}} (the box widened by one node) - J, bounded per axis over
+    the nodes, in exact integers.  Everything else reads zero."""
+    if len(J) == 0:
         return []
     t = field.triple
-    f = t.floats()
-    r_inv = np.linalg.inv(f["R"])
-    centre = (field.lo + field.hi) / 2
-    half = (field.hi - field.lo) / 2 + field.h + _EPS
-    y = pts @ r_inv.T
+    # twice the box centre and twice its half-width plus one node
+    centre2 = field.first + field.last
+    half2 = field.last - field.first + 2
+    den = 2 ** (field.q + 1)
     cover = []
     for g in range(t.order):
-        m = r_inv @ f["group"][t.inverse_table[g]]
-        reach = np.abs(m) @ half
-        low = np.ceil(m @ centre - reach - y.max(axis=0)).astype(int)
-        high = np.floor(m @ centre + reach - y.min(axis=0)).astype(int)
+        m = np.array(t.int_reps[t.inverse_table[g]], dtype=np.int64)
+        mid, reach = m @ centre2, np.abs(m) @ half2
+        low = -((reach - mid + 2 * J.max(axis=0)) // den)
+        high = (mid + reach - 2 * J.min(axis=0)) // den
         ranges = [range(a, b + 1) for a, b in zip(low, high)]
         cover += [t.element(g, k) for k in itertools.product(*ranges)]
     return cover
-
-
-def _within(field: GridField, target: np.ndarray, margin: float) -> np.ndarray:
-    """Rows of target within margin of the grid box on every axis."""
-    return np.all((target >= field.lo - margin)
-                  & (target <= field.hi + margin), axis=1)
 
 
 def _eval_y(gamma, v: tuple, s: int) -> np.ndarray:
@@ -459,24 +451,19 @@ def reproduction_values(field: GridField, v: tuple, s: int,
     complex arrays, block t of shape d_t x r).
 
     Returns (values (N, d_s), excluded) where excluded marks points with a
-    translate that lands off the grid box but within h of it, so their sum
-    may be truncated.
+    translate that lands off the grid box but within one node of it, so
+    their sum may be truncated.  A point that is not a grid node raises
+    ValueError.
     """
-    pts = np.asarray(points, dtype=float).reshape(-1, field.d)
-    t = field.triple
-    f = t.floats()
-    out = np.zeros((len(pts), dim_degree(field.d, s)), dtype=complex)
-    excluded = np.zeros(len(pts), dtype=bool)
-    for e in _gamma_cover(field, pts):
-        g = f["group"][e.g]
-        shift = f["R"] @ np.asarray(e.k, dtype=float)
-        target = (pts + shift) @ g.T
-        outside = ~_within(field, target, _EPS)
-        excluded |= outside & _within(field, target, field.h + _EPS)
-        if outside.all():
-            continue
-        vals = field.sample(target)
-        out += vals @ _eval_y(e, v, s).T
+    J = field.node_index(points)
+    out = np.zeros((len(J), dim_degree(field.d, s)), dtype=complex)
+    excluded = np.zeros(len(J), dtype=bool)
+    for e in _gamma_cover(field, J):
+        moved = _translate(field, e, J)
+        inside = _near(field, moved, 0)
+        excluded |= ~inside & _near(field, moved, 1)
+        if inside.any():
+            out += field.read(moved) @ _eval_y(e, v, s).T
     return out, excluded
 
 
@@ -506,11 +493,11 @@ def reproduce(field: GridField, v: tuple, s: int, sample_points,
     target = C * _monomial_matrix(pts[keep], s)
     residual = float(np.max(np.abs(gs[keep] - target)))
 
-    # closed-form candidates for C from the field integral
-    integral = field._flat.sum(axis=0) * field.h ** field.d
+    # closed-form candidates for C from the field integral; dx = |det R| dy
+    det_r = abs(np.linalg.det(field.triple.floats()["R"]))
+    integral = field._flat.sum(axis=0) * field.h ** field.d * det_r
     v0 = v[0].ravel()
     gate = complex(np.dot(v0, integral))
-    det_r = abs(np.linalg.det(field.triple.floats()["R"]))
     vol = det_r / field.triple.order
     form_vg = vol / gate if abs(gate) > 1e-12 else complex("inf")
     form_gv = gate / vol
@@ -536,25 +523,21 @@ def _probe_block(field: GridField, v: tuple | None, s: int,
 
     With no blocks at all (solver accuracy 0) the degree-0 row itself is
     fitted against the constant 1, fixing the scale.  A gamma whose
-    targets all lie farther than h from the grid box reads only zeros and
-    is skipped, with its exact Q-tilde blocks.
+    targets all lie more than one node off the grid box reads only zeros
+    and is skipped, with its exact Q-tilde blocks.
     """
-    t = field.triple
-    f = t.floats()
     d_s = dim_degree(field.d, s)
     r = field.r
-    gammas = _gamma_cover(field, pts)
-    n = len(pts)
+    J = field.node_index(pts)
+    n = len(J)
 
     base = np.zeros((n, d_s), dtype=complex)
     design = np.zeros((n, d_s, d_s * r), dtype=complex)
-    for e in gammas:
-        g = f["group"][e.g]
-        shift = f["R"] @ np.asarray(e.k, dtype=float)
-        target = (pts + shift) @ g.T
-        if not _within(field, target, field.h + _EPS).any():
+    for e in _gamma_cover(field, J):
+        moved = _translate(field, e, J)
+        if not _near(field, moved, 1).any():
             continue
-        vals = field.sample(target)
+        vals = field.read(moved)
         if v is not None:
             partial = None
             for tt in range(min(s, len(v))):

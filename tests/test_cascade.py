@@ -16,8 +16,9 @@ from crystacc.cascade import (CascadeError, _probe_block, _seed_direction,
                               empirical_level, grid_bytes,
                               refinement_residual, reproduce,
                               reproduction_values, sample_points, support_box)
-from crystacc.crystal import catalog_triple, check_admissible
-from crystacc.linalg import Mat, integer_rows
+from crystacc.crystal import (catalog_triple, check_admissible,
+                              validate_triple)
+from crystacc.linalg import Mat
 from crystacc.mask import Mask, lift_scalar_to_matrix
 
 
@@ -73,7 +74,7 @@ def test_hat_cascade_reaches_exact_fixed_point(hat_field):
     # differences halve until the iterate lands exactly on the hat
     assert hat_field.sup_diffs[0] > hat_field.sup_diffs[4]
     f = hat_field.field
-    ax = f.axes()[0]
+    ax = f.nodes()[:, 0]
     expected = np.maximum(0.0, 1.0 - np.abs(ax))
     assert float(np.max(np.abs(f.data[:, 0] - expected))) < 1e-9
 
@@ -98,8 +99,7 @@ def test_sample_zero_outside_box(hat_field):
 
 def test_sample_is_node_exact(hat_field):
     f = hat_field.field
-    ax = f.axes()[0]
-    vals = f.sample(ax.reshape(-1, 1))
+    vals = f.sample(f.nodes())
     assert float(np.max(np.abs(vals[:, 0] - f.data[:, 0]))) < 1e-14
 
 
@@ -108,7 +108,7 @@ def test_cascade_input_checks(line, pm, hat):
     with pytest.raises(ValueError):
         cascade_iterate(hat, t, dil, iterations=0)
     with pytest.raises(ValueError):
-        cascade_iterate(hat, t, dil, iterations=2, spacing=-0.5)
+        cascade_iterate(hat, t, dil, iterations=2, grid_exponent=-1)
     u, dil_u = pm
     with pytest.raises(ValueError):
         cascade_iterate(hat, u, dil_u, iterations=2)
@@ -149,7 +149,7 @@ def test_sample_points_are_margin_nodes(hat_field):
 
 def test_sample_points_margin_guard(line, hat):
     t, dil = line
-    res = cascade_iterate(hat, t, dil, iterations=1, spacing=0.5)
+    res = cascade_iterate(hat, t, dil, iterations=1, grid_exponent=1)
     with pytest.raises(CascadeError):
         sample_points(res.field)
 
@@ -159,13 +159,18 @@ def test_reproduction_marks_truncated_points(line, hat):
     res = cascade_iterate(hat, t, dil, iterations=8, grid_exponent=4)
     assert res.field.hi[0] == 1.0
     cert = max_accuracy(hat, t, dil, p_max=2)
-    # 0.03125 + 1 lands off the box [-1, 1] but within h = 1/16 of it, so
+    v = _float_witness(cert)
+    # the node 0.0625 + 1 lands one node h = 1/16 off the box [-1, 1], so
     # its sum is flagged; the translates of 0.5 land on the grid or at
     # least h away from it (1.5), so its sum is fully covered
-    vals, excluded = reproduction_values(res.field, _float_witness(cert), 0,
-                                         [[0.03125], [0.5]])
+    vals, excluded = reproduction_values(res.field, v, 0, [[0.0625], [0.5]])
     assert excluded.tolist() == [True, False]
     assert abs(vals[1, 0] - 1.0) < 1e-6
+    # the field is read at nodes only: 1/32 lies between two
+    with pytest.raises(ValueError, match="node"):
+        reproduction_values(res.field, v, 0, [[0.03125], [0.5]])
+    with pytest.raises(ValueError, match="node"):
+        res.field.sample([[0.03125]])
 
 
 def test_reproduce_haar_partition_of_unity(line, haar, haar_field):
@@ -273,16 +278,15 @@ def test_2d_tensor_hat(plane):
 
 
 def test_grid_bytes_estimate():
-    """Nodes, live iterates and one plan per mask element, per node; the
-    2D tensor quadratic B-spline (16 elements) on its certified box
-    [0, 3]^2 at the default spacing 2^-8 has 769^2 nodes and about 0.6 GB
-    of plans."""
-    assert grid_bytes(1, 1, 3, 10) == 10 * (8 + 64 + 3 * 2 * 16)
-    assert grid_bytes(2, 3, 5, 7) == 7 * (16 + 3 * 64 + 5 * 4 * 16)
+    """Integer nodes, four live iterates and one int64 read index per mask
+    element, per node; the 2D tensor quadratic B-spline (16 elements) on
+    its certified box [0, 3]^2 at the default spacing 2^-8 has 769^2 nodes
+    and is estimated at about 123 MB."""
+    assert grid_bytes(1, 1, 3, 10) == 10 * (8 + 64 + 3 * 8)
+    assert grid_bytes(2, 3, 5, 7) == 7 * (16 + 3 * 64 + 5 * 8)
     n = 769 ** 2
-    plans = 16 * 4 * 16 * n
-    assert 0.60e9 < plans < 0.61e9
-    assert grid_bytes(2, 1, 16, n) == plans + n * (16 + 64)
+    assert grid_bytes(2, 1, 16, n) == n * (16 + 64 + 16 * 8)
+    assert 0.12e9 < grid_bytes(2, 1, 16, n) < 0.13e9
 
 
 def _quadratic_bspline_2d(t):
@@ -339,6 +343,19 @@ def _random_case(case, rnd):
         entries = {(i, j): x * y for i, x in f1.items()
                    for j, y in f2.items()}
         a, q = [[2, 0], [0, 2]], rnd.randint(2, 4)
+    elif case == "lattice":  # R != I: p1 on diag(1/3, 1) or pm on a shear
+        if rnd.random() < 0.5:
+            t = validate_triple(Mat.from_rows([[Fraction(1, 3), 0], [0, 1]]),
+                                catalog_triple("p1", 2).group)
+            f1, f2 = factor(), factor()
+            entries = {(0, (i, j)): x * y for i, x in f1.items()
+                       for j, y in f2.items()}
+        else:
+            t = validate_triple(Mat.from_rows([[1, Fraction(1, 2)], [0, 1]]),
+                                catalog_triple("pm", 2).group)
+            entries = {(g, (rnd.randint(-2, 2), rnd.randint(-2, 2))): coef()
+                       for g in (0, 1) for _ in range(rnd.randint(1, 3))}
+        a, q = [[2, 0], [0, 2]], rnd.randint(2, 4)
     elif case == "quincunx":
         t = catalog_triple("p1", 2)
         entries = {(0, 0): coef(), (1, 0): coef()}
@@ -367,20 +384,21 @@ def _random_case(case, rnd):
 
 def _reference_cascade(mask, dil, q, iterations, first, n):
     """Plain cascade of a scalar mask on the cube of n nodes per axis whose
-    node j sits at (first + j) h, h = 2^-q: every read is an integer index,
-    valid when R = I and every g^{-1} A is integral.  Returns the node
+    node j sits at y = (first + j) h in lattice coordinates y = R^{-1} x,
+    h = 2^-q: node J reads G_{g^{-1}} M J - 2^q k, an integer index since
+    M = R^{-1} A R and G = R^{-1} g R are integral.  Returns the node
     positions in units of h and the last iterate."""
     t = mask.triple
     d = t.d
     scale = 2 ** q
-    a = np.array(integer_rows(dil.A))
+    m = np.array(dil.M)
     pos = np.stack(np.meshgrid(*[np.arange(first, first + n)] * d,
                                indexing="ij"), axis=-1).reshape(-1, d)
     f = np.all((pos >= 0) & (pos < scale), axis=1).astype(float)  # seed 1
     reads = []
     for e, blk in mask.items():
-        g_inv = np.array(integer_rows(t.group[t.inverse_table[e.g]]))
-        idx = pos @ (g_inv @ a).T - scale * np.array(e.k) - first
+        g_inv = np.array(t.int_reps[t.inverse_table[e.g]])
+        idx = pos @ (g_inv @ m).T - scale * np.array(e.k) - first
         ok = np.all((idx >= 0) & (idx < n), axis=1)
         flat = np.ravel_multi_index(tuple(np.where(ok[:, None], idx, 0).T),
                                     (n,) * d)
@@ -393,31 +411,31 @@ def _reference_cascade(mask, dil, q, iterations, first, n):
 @seed(2026)
 @settings(max_examples=48, deadline=None)
 @given(st.sampled_from(["p1-1d", "p1-2d", "p4", "p4m", "quincunx",
-                        "rotation"]),
+                        "rotation", "lattice"]),
        st.randoms(use_true_random=False))
 def test_box_grid_matches_a_reference_cascade(case, rnd):
-    """The grid is the certified box, for A = 2I and for the quincunx and
-    rotation dilations alike; the iterate on it equals a plain cascade on
-    a cube two units wider on every side at every common node, and the
-    plain one is zero at every node off the box."""
+    """The grid is the certified box in lattice coordinates, for A = 2I
+    and for the quincunx and rotation dilations alike, on R = I and on
+    R != I; the iterate on it equals a plain cascade on a cube two units
+    wider on every side at every common node, and the plain one is zero at
+    every node off the box."""
     mask, dil, q = _random_case(case, rnd)
     t = mask.triple
     h = 2.0 ** -q
     iterations = 5
     field = cascade_iterate(mask, t, dil, iterations, grid_exponent=q).field
     box = support_box(mask, dil, h)
-    assert integer_rows(t.R) == integer_rows(Mat.identity(t.d))
     box_idx = np.array([[lo / Fraction(h), hi / Fraction(h)]
                         for lo, hi in box], dtype=np.int64)
     assert np.all(field.lo == box_idx[:, 0] * h)
     assert field.shape == tuple(box_idx[:, 1] - box_idx[:, 0] + 1)
     # the box holds [0,1]^d and, when one step certifies (A = 2I), its
-    # image under every read map
+    # image under every map y -> M^{-1} G_g (y + k)
     lo, hi = box_idx[:, 0] * h, box_idx[:, 1] * h
     assert np.all(lo <= 0) and np.all(hi >= 1)
-    a_inv = np.linalg.inv(np.array(integer_rows(dil.A), dtype=float))
+    m_inv = np.linalg.inv(np.array(dil.M, dtype=float))
     for e in mask.support() if case not in ("quincunx", "rotation") else ():
-        lin = a_inv @ np.array(integer_rows(t.group[e.g]), dtype=float)
+        lin = m_inv @ np.array(t.int_reps[e.g], dtype=float)
         centre = lin @ ((lo + hi) / 2 + np.array(e.k))
         reach = np.abs(lin) @ ((hi - lo) / 2)
         assert np.all(centre - reach >= lo - 1e-12)
@@ -428,7 +446,8 @@ def test_box_grid_matches_a_reference_cascade(case, rnd):
     pos, ref = _reference_cascade(mask, dil, q, iterations, first, n)
     on_box = np.all((pos >= box_idx[:, 0]) & (pos <= box_idx[:, 1]), axis=1)
     assert np.all(ref[~on_box] == 0.0)
-    nodes = np.rint(field.nodes() / h).astype(np.int64)
+    r_inv = np.linalg.inv(t.floats()["R"])
+    nodes = np.rint(field.nodes() @ r_inv.T / h).astype(np.int64)
     common = ref[np.ravel_multi_index(tuple((nodes - first).T), (n,) * t.d)]
     got = field.data.reshape(-1)
     assert np.all(got.imag == 0.0)
@@ -483,7 +502,7 @@ def test_probe_block_skips_zero_reads(plane, monkeypatch):
         return real_q(*args)
 
     monkeypatch.setattr(cascade_mod, "build_Q_tilde", counting_q)
-    default_cover = cascade_mod._gamma_cover(field, pts)
+    default_cover = cascade_mod._gamma_cover(field, field.node_index(pts))
     res_default, v_default, _ = _probe_block(field, v, 2, pts, 1.0)
     n_default = len(calls)
     wide = [t.element(g, k) for g in range(t.order)

@@ -417,6 +417,30 @@ def test_cascade_csv_dump(tmp_path, capsys):
     assert xs[0] == -1.0 and xs[-1] == 1.0
 
 
+def test_cascade_on_a_non_integer_lattice(tmp_path, capsys):
+    """The hat on the lattice (1/3)Z runs in lattice coordinates y = 3x,
+    where every read is a node: it converges and reproduces the solver's
+    accuracy with C = 1, and its field is dumped at x = y / 3."""
+    cfg = dict(HAT_CFG, lattice=[["1/3"]])
+    code, out = run_cli(tmp_path, capsys, cfg,
+                        ["cascade", "CFG", "--grid", "6", "--iters", "21"])
+    assert code == EXIT_OK
+    assert out["converged"] is True
+    assert out["solver_accuracy"] == 2
+    assert out["empirical_accuracy"] == 2
+    assert out["reports"][0]["s"] == 0 and out["reports"][0]["C"] == 1.0
+    out_path = tmp_path / "field.csv"
+    code, _ = run_cli(tmp_path, capsys, cfg,
+                      ["cascade", "CFG", "--grid", "4", "--out",
+                       str(out_path)])
+    assert code == EXIT_OK
+    lines = out_path.read_text(encoding="utf-8").strip().splitlines()
+    # the box [-1, 1] in y at h = 2^-4
+    assert len(lines) == 1 + 33
+    xs = [float(line.split(",")[0]) for line in lines[1:]]
+    assert xs[0] == -1 / 3 and xs[-1] == 1 / 3
+
+
 @pytest.mark.parametrize("command,options", [
     ("accuracy", {"p_max": "x"}),
     ("accuracy", []),

@@ -1,15 +1,18 @@
 """Design rules of the package that a grep can check: one exact scalar
 representation with no backend switch, imports at module level only, no
-CLI reach-ins to private cascade helpers, and no uncertified support
-estimate."""
+CLI reach-ins to private cascade helpers, no uncertified support
+estimate, and a cascade that reads grid nodes only: no interpolation plans
+and no free grid spacing."""
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
 import crystacc
+from crystacc.cascade import cascade_iterate
 
 SOURCES = sorted(Path(crystacc.__file__).parent.glob("*.py"))
 
@@ -21,6 +24,7 @@ def test_sources_are_found():
 
 # spelled in two parts so that a grep of the tree for the name finds nothing
 DELETED_ESTIMATE = "estimate_" "support"
+DELETED_INTERPOLATION = ("_interp_" "plan", "_apply_" "plan")
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -28,6 +32,7 @@ def test_no_banned_tokens(path):
     text = path.read_text(encoding="utf-8")
     assert not re.search(r"\bbackend\b", text)
     assert DELETED_ESTIMATE not in text
+    assert not any(name in text for name in DELETED_INTERPOLATION)
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -44,3 +49,7 @@ def test_cli_does_not_reach_into_private_cascade_helpers():
     text = (Path(crystacc.__file__).parent / "cli.py").read_text(
         encoding="utf-8")
     assert not re.search(r"cascade_mod\._", text)
+
+
+def test_cascade_grid_is_set_by_its_exponent_only():
+    assert "spacing" not in inspect.signature(cascade_iterate).parameters
