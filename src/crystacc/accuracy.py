@@ -4,8 +4,10 @@ The order of polynomial reproduction is decided by a finite homogeneous
 linear system: one block of constraints per polynomial degree and per digit
 coset of the dilation, in the unknown coefficient vectors v_[0], ..., v_[s].
 :func:`max_accuracy` solves the stacked system exactly and certifies the
-largest degree with a usable witness; :func:`sufficient_check` evaluates the
-cheaper sum-rule criterion and builds its explicit witness chain; and
+largest degree with a usable witness; it builds the system block row by
+block row, each degree's rows once and as sparse rows, and keeps them for
+every later degree.  :func:`sufficient_check` evaluates the cheaper
+sum-rule criterion and builds its explicit witness chain; and
 :func:`verify_equivalence` re-derives the same witness relations in three
 independent forms, which is the main guard against index bookkeeping bugs.
 """
@@ -16,8 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .crystal import CrystalTriple, Dilation, compose, inverse
-from .linalg import (Mat, QC_ZERO, det, has_eigenvalue_one, kernel_basis,
-                     kron, solve_affine)
+from .linalg import (Mat, QC, QC_ZERO, det, has_eigenvalue_one,
+                     kernel_basis, kron, solve_affine)
 from .mask import Mask, MaskShapeError, coefficient
 from .multiidx import (VCollection, build_A_s, build_Q_st, build_Q_tilde,
                        dim_degree, enumerate_degree, eval_X, eval_y)
@@ -164,40 +166,60 @@ def condition_d_residual(mask: Mask, dilation: Dilation, v: VCollection,
     return acc
 
 
-def _assemble(mask: Mask, dilation: Dilation, s_max: int) -> Mat:
-    """Stacked constraint matrix over the unknowns vec(v_[0]), ...,
-    vec(v_[s_max]), row-major within each block.
+def _block_row(mask: Mask, dilation: Dilation, s: int) -> list[dict]:
+    """Block row s of the stacked constraint system, as sparse rows: one
+    dict (column -> non-zero value) per row, Fraction values when every
+    mask entry is real and QC values otherwise.
 
-    A product B v_[t] C acts on vec(v_[t]) as kron(B, C^T), so the block
-    in row (s, i) and column t is
+    The unknowns are vec(v_[0]), vec(v_[1]), ..., row-major within each
+    block.  A product B v_[t] C acts on vec(v_[t]) as kron(B, C^T), so the
+    block in row (s, i) and column t <= s is
     delta_{t,s} I - sum over coset-i support terms of
-    kron(Qt_[s,t] A_[t], d^T).
+    kron(Qt_[s,t] A_[t], d^T); the blocks right of column s are zero.
+    Column t starts at r (d_0 + ... + d_{t-1}) whatever the highest
+    degree, so block row s serves every system of degree s or more.
     """
-    tri = mask.triple
-    d, r = tri.d, mask.r
+    d, r = mask.triple.d, mask.r
     A = dilation.A
-    widths = [dim_degree(d, t) * r for t in range(s_max + 1)]
-    coset_of = {alpha: dilation.coset_index(inverse(alpha))
-                for alpha, _ in mask.items()}
+    real = all(x.im == 0 for _, blk in mask.items()
+               for k in range(blk.rows) for x in blk.row_list(k))
+    zero, one = (Fraction(0), Fraction(1)) if real else (QC_ZERO, QC(1))
+    starts = [0]
+    for t in range(s):
+        starts.append(starts[-1] + dim_degree(d, t) * r)
+    by_coset = [[] for _ in range(dilation.m)]
+    for alpha, d_blk in mask.items():
+        by_coset[dilation.coset_index(inverse(alpha))].append(
+            (alpha, d_blk.transpose()))
     rows = []
-    for s in range(s_max + 1):
-        ds = dim_degree(d, s)
-        for i in range(dilation.m):
-            blocks = []
-            for t in range(s_max + 1):
-                if t > s:
-                    blocks.append(Mat.zeros(ds * r, widths[t]))
-                    continue
-                acc = (Mat.identity(ds * r) if t == s
-                       else Mat.zeros(ds * r, widths[t]))
-                for alpha, d_blk in mask.items():
-                    if coset_of[alpha] != i:
-                        continue
-                    lead = build_Q_tilde(alpha, s, t) @ build_A_s(A, t)
-                    acc = acc - kron(lead, d_blk.transpose())
-                blocks.append(acc)
-            rows.append(Mat.hstack(blocks))
-    return Mat.vstack(rows)
+    for terms in by_coset:
+        block = [{starts[s] + k: one} for k in range(dim_degree(d, s) * r)]
+        for alpha, d_t in terms:
+            for t in range(s + 1):
+                lead = build_Q_tilde(alpha, s, t) @ build_A_s(A, t)
+                term = kron(lead, d_t)
+                for k, row in enumerate(block):
+                    for j, x in enumerate(term.row_list(k), starts[t]):
+                        if x.is_zero():
+                            continue
+                        value = row.get(j, zero) - (x.re if real else x)
+                        if value == 0:
+                            del row[j]
+                        else:
+                            row[j] = value
+        rows += block
+    return rows
+
+
+def _layout(rows: list[dict], width: int) -> Mat:
+    """The sparse rows as a dense Mat with ``width`` columns."""
+    data = []
+    for row in rows:
+        line = [QC_ZERO] * width
+        for j, value in row.items():
+            line[j] = QC.parse(value)
+        data.append(line)
+    return Mat.from_rows(data, cols=width)
 
 
 def _unpack_witness(column: Mat, d: int, r: int, s_max: int) -> VCollection:
@@ -226,7 +248,10 @@ def max_accuracy(mask: Mask, triple: CrystalTriple, dilation: Dilation,
     """Largest accuracy p <= p_max certified by the per-coset conditions.
 
     All degrees 0..s and all digit cosets are stacked into one homogeneous
-    system; candidate accuracy s+1 is feasible when the kernel meets the
+    system.  Block row s is built once, as sparse rows, when degree s is
+    reached, and kept for every later degree; at each degree the rows are
+    laid out as a dense Mat and solved exactly.  Candidate accuracy s+1 is
+    feasible when the kernel meets the
     gate v_[0] . fhat(0) != 0, decided exactly against the vector of
     :func:`fhat0`.  Feasibility is monotone in s, so the scan stops at the
     first failure.  The witness is scaled so its first nonzero degree-0
@@ -261,9 +286,12 @@ def max_accuracy(mask: Mask, triple: CrystalTriple, dilation: Dilation,
         return AccuracyCertificate(0, None, "condition-d", None, diagnostics)
     p = 0
     chosen = None
+    rows, width = [], 0
     for s in range(p_max):
-        system = _assemble(mask, dilation, s)
-        basis, proj = solve_affine(system, selected=list(range(r)))
+        rows += _block_row(mask, dilation, s)
+        width += dim_degree(d, s) * r
+        basis, proj = solve_affine(_layout(rows, width),
+                                   selected=list(range(r)))
         diagnostics["kernel_dims"][s] = len(basis)
         pick = None
         if proj > 0:

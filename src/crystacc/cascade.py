@@ -589,7 +589,9 @@ def verify_degrees(field: GridField, witness: VCollection | None, p_max: int,
     Witness blocks from the exact solver drive the reproduction test for
     the degrees they cover; past them, each degree gets its best-fitting
     block (least squares), so a failure is a failure of every possible
-    extension, not of one candidate.  A failing degree does not stop the
+    extension, not of one candidate.  A fit with no more sample equations
+    than unknowns (at most r sample nodes) is exact by construction and
+    shows nothing, so it never passes.  A failing degree does not stop the
     scan; the fitted blocks keep extending the collection.
     """
     pts = sample_points(field, sample_count, seed)
@@ -606,7 +608,9 @@ def verify_degrees(field: GridField, witness: VCollection | None, p_max: int,
             yield DegreeCheck(s, rep.residual, rep.verdict, rep)
         else:
             residual, v, C = _probe_block(field, v, s, pts, C)
-            yield DegreeCheck(s, residual, residual < tolerance, None)
+            yield DegreeCheck(s, residual,
+                              residual < tolerance and len(pts) > field.r,
+                              None)
 
 
 def empirical_level(result: CascadeResult, checks) -> int | None:

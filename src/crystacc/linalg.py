@@ -422,17 +422,21 @@ def det(m: Mat) -> QC:
 
 
 def kron(a: Mat, b: Mat) -> Mat:
-    """Kronecker product a (x) b."""
+    """Kronecker product a (x) b.
+
+    A zero entry on either side gives ``QC_ZERO`` without a product, and
+    two real entries are multiplied with one ``Fraction`` product."""
     data = []
     for i in range(a.rows):
         for p in range(b.rows):
             row = []
-            for j in range(a.cols):
-                x = a._data[i][j]
+            for x in a._data[i]:
                 if x.is_zero():
                     row.extend([QC_ZERO] * b.cols)
                 else:
-                    row.extend(x * y for y in b._data[p])
+                    row.extend(QC_ZERO if y.is_zero()
+                               else QC(x.re * y.re) if x.im == 0 == y.im
+                               else x * y for y in b._data[p])
             data.append(row)
     return Mat(a.rows * b.rows, a.cols * b.cols, data)
 

@@ -1,18 +1,21 @@
 """Accuracy solvers: exact kernels, sum rules, and cross-verification."""
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
+import crystacc.accuracy as accuracy_mod
 from crystacc.accuracy import (condition_d_residual, fhat0, max_accuracy,
                                sufficient_check, verify_equivalence)
-from crystacc.crystal import check_admissible
-from crystacc.linalg import Mat, QC, det
+from crystacc.crystal import catalog_triple, check_admissible, inverse
+from crystacc.linalg import Mat, QC, det, kron, solve_affine
 from crystacc.mask import Mask, MaskShapeError, lift_scalar_to_matrix
-from crystacc.multiidx import VCollection
+from crystacc.multiidx import (VCollection, build_A_s, build_Q_tilde,
+                               dim_degree)
 
 
 def _witness_entries(cert):
@@ -426,3 +429,125 @@ def test_float_order_6_mask_certifies_6(line):
         cert = max_accuracy(mask, t, dil, p_max=7)
         assert cert.p == 6
         assert cert.diagnostics["first_failing_degree"] == 6
+
+
+# -- the sparse block rows against the dense assembly they replace ----------
+
+def _assemble_reference(mask, dilation, s_max):
+    """Dense stacked constraint matrix over vec(v_[0]), ..., vec(v_[s_max]):
+    the block in row (s, i) and column t is delta_{t,s} I minus the sum
+    over coset-i support terms of kron(Qt_[s,t] A_[t], d^T), built with
+    dense zero blocks and one subtraction per entry."""
+    tri = mask.triple
+    d, r = tri.d, mask.r
+    A = dilation.A
+    widths = [dim_degree(d, t) * r for t in range(s_max + 1)]
+    coset_of = {alpha: dilation.coset_index(inverse(alpha))
+                for alpha, _ in mask.items()}
+    rows = []
+    for s in range(s_max + 1):
+        ds = dim_degree(d, s)
+        for i in range(dilation.m):
+            blocks = []
+            for t in range(s_max + 1):
+                if t > s:
+                    blocks.append(Mat.zeros(ds * r, widths[t]))
+                    continue
+                acc = (Mat.identity(ds * r) if t == s
+                       else Mat.zeros(ds * r, widths[t]))
+                for alpha, d_blk in mask.items():
+                    if coset_of[alpha] != i:
+                        continue
+                    lead = build_Q_tilde(alpha, s, t) @ build_A_s(A, t)
+                    acc = acc - kron(lead, d_blk.transpose())
+                blocks.append(acc)
+            rows.append(Mat.hstack(blocks))
+    return Mat.vstack(rows)
+
+
+def _assert_matches_dense_assembly(mask, triple, dilation, s_top):
+    """The stacked systems built from block rows equal the dense reference
+    entry for entry for every degree up to s_top, and max_accuracy gives
+    the same certificate whether it solves its own systems or the
+    reference ones."""
+    d, r = triple.d, mask.r
+    rows, width = [], 0
+    for s in range(s_top + 1):
+        rows += accuracy_mod._block_row(mask, dilation, s)
+        width += dim_degree(d, s) * r
+        assert all(not x.is_zero() for row in rows for x in
+                   map(QC.parse, row.values()))
+        assert (accuracy_mod._layout(rows, width)
+                == _assemble_reference(mask, dilation, s))
+
+    seen = []
+
+    def reference_solve(system, selected):
+        ref = _assemble_reference(mask, dilation, len(seen))
+        seen.append(system == ref)
+        return solve_affine(ref, selected)
+
+    cert = max_accuracy(mask, triple, dilation, p_max=s_top + 1)
+    with mock.patch.object(accuracy_mod, "solve_affine", reference_solve):
+        ref = max_accuracy(mask, triple, dilation, p_max=s_top + 1)
+    assert all(seen)
+    assert (cert.p, cert.witness, cert.gate, cert.diagnostics) == \
+        (ref.p, ref.witness, ref.gate, ref.diagnostics)
+
+
+def _scalar_bases(line, p1m, pm):
+    """(triple, dilation, {element: scalar}) of masks with accuracy 2 to
+    4, so that the scan reaches the higher degrees."""
+    h = Fraction(1, 2)
+    cubic = {(-2,): Fraction(1, 8), (-1,): h, (0,): Fraction(3, 4),
+             (1,): h, (2,): Fraction(1, 8)}
+    hat = {-1: h, 0: Fraction(1), 1: h}
+    t_line, t_p1m, t_pm = line[0], p1m[0], pm[0]
+    return {
+        "line": (line, {t_line.translation(k): c for k, c in cubic.items()}),
+        "p1m": (p1m, {t_p1m.element(g, (k,)): c / 2 for g in (0, 1)
+                      for k, c in hat.items()}),
+        "pm": (pm, {t_pm.element(g, (i, j)): a * b / 2 for g in (0, 1)
+                    for i, a in hat.items() for j, b in hat.items()}),
+    }
+
+
+@seed(2026)
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["line", "p1m", "pm"]), st.sampled_from([1, 2]),
+       st.booleans(), st.data())
+def test_block_rows_match_the_dense_assembly(line, p1m, pm, where, r, real,
+                                             data):
+    """Real and complex masks with r = 1, 2: a scalar base of known
+    accuracy, times the r x r identity, with a few drawn entries
+    changed; with none changed the scan runs up to degree 3."""
+    (t, dil), base = _scalar_bases(line, p1m, pm)[where]
+    part = st.fractions(-2, 2, max_denominator=4)
+    value = (st.builds(QC, part) if real
+             else st.builds(QC, part, part.filter(lambda x: x != 0)))
+    support = sorted(base, key=lambda e: (e.g, e.k))
+    blocks = {e: [[c if a == b else 0 for b in range(r)] for a in range(r)]
+              for e, c in base.items()}
+    changes = data.draw(st.lists(
+        st.tuples(st.sampled_from(support), st.integers(0, r - 1),
+                  st.integers(0, r - 1), value),
+        min_size=0 if real else 1, max_size=3))
+    for e, a, b, x in changes:
+        blocks[e][a][b] = x
+    mask = Mask(t, blocks, r=r)
+    s_top = 3 if where != "pm" else 2
+    _assert_matches_dense_assembly(mask, t, dil, s_top)
+
+
+def test_lifted_hat_block_rows_match_the_dense_assembly():
+    """The p4m hat lifted to an r = 8 lattice mask, degrees up to 3."""
+    t = catalog_triple("p4m", 2)
+    dil = check_admissible(Mat.from_rows([[2, 0], [0, 2]]), t)
+    hat = {-1: Fraction(1, 2), 0: Fraction(1), 1: Fraction(1, 2)}
+    scalar = Mask.scalar(t, {(g, (i, j)): a * b / 8 for g in range(8)
+                             for i, a in hat.items() for j, b in hat.items()})
+    lifted = lift_scalar_to_matrix(scalar, dil)
+    lat = lifted.triple
+    lat_dil = check_admissible(Mat.from_rows([[2, 0], [0, 2]]), lat)
+    assert lifted.r == 8
+    _assert_matches_dense_assembly(lifted, lat, lat_dil, 3)

@@ -197,6 +197,21 @@ def test_reproduce_hat_linear_polynomials(line, hat, hat_field):
         assert abs(rep.C - 1.0) < 1e-9
 
 
+def test_fit_from_a_single_sample_node_does_not_pass(line, hat, hat_field):
+    """With one sample node the degree-2 fit has as many equations as
+    unknowns, so it is exact by construction and shows nothing."""
+    t, dil = line
+    cert = max_accuracy(hat, t, dil, p_max=3)
+    assert cert.p == 2
+    checks = list(cascade_mod.verify_degrees(hat_field.field, cert.witness,
+                                             3, 1e-5, 1, 2026))
+    assert [c.s for c in checks] == [0, 1, 2]
+    fitted = checks[2]
+    assert fitted.report is None and fitted.residual < 1e-5
+    assert not fitted.verdict
+    assert empirical_level(hat_field, checks) == 2
+
+
 def test_empirical_accuracy_classic_masks(line, haar, hat, bspline4):
     t, dil = line
     assert empirical_accuracy(hat, t, dil, p_max=4) == 2

@@ -1,10 +1,11 @@
 """Design rules of the package that a grep can check: one exact scalar
 representation with no backend switch, imports at module level only, no
 CLI reach-ins to private cascade helpers, no uncertified support
-estimate, and a cascade that reads grid nodes only: no interpolation plans
-and no free grid spacing."""
+estimate, a cascade that reads grid nodes only (no interpolation plans
+and no free grid spacing), and every name the benchmark's tracer wraps."""
 
 import ast
+import importlib.util
 import inspect
 import re
 from pathlib import Path
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import crystacc
+from crystacc import accuracy, cascade, cli, multiidx
 from crystacc.cascade import cascade_iterate
 
 SOURCES = sorted(Path(crystacc.__file__).parent.glob("*.py"))
@@ -53,3 +55,21 @@ def test_cli_does_not_reach_into_private_cascade_helpers():
 
 def test_cascade_grid_is_set_by_its_exponent_only():
     assert "spacing" not in inspect.signature(cascade_iterate).parameters
+
+
+def test_benchmark_tracer_finds_every_wrap_target():
+    """The benchmark's tracer (perfbench/tracing.py, loaded by path and not
+    edited) wraps functions by name in the accuracy, cli and cascade
+    modules and reads the lru caches of multiidx; a renamed or dropped
+    target would leave its per-layer metrics missing."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracer.install({"accuracy": accuracy, "cli": cli, "cascade": cascade})
+    try:
+        assert tracer.missing == []
+        assert tracing.cache_totals(multiidx) is not None
+    finally:
+        tracer.uninstall()

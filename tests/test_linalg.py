@@ -341,3 +341,21 @@ def test_fraction_free_elimination_against_gauss_jordan(n_rows, n_cols, real,
         assert got_det == prod
     for v in kernel_basis(m):
         assert (m @ v).is_zero()
+
+
+@seed(2026)
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
+       st.integers(1, 4), st.data())
+def test_kron_against_its_definition(m, n, p, q, data):
+    """kron(a, b) has a[i][j] * b[k][l] at (i p + k, j q + l), for zero,
+    real and complex entries on either side."""
+    a = Mat.from_rows([[data.draw(small_qc) for _ in range(n)]
+                       for _ in range(m)])
+    b = Mat.from_rows([[data.draw(small_qc) for _ in range(q)]
+                       for _ in range(p)])
+    got = kron(a, b)
+    assert got.shape == (m * p, n * q)
+    for i, j, k, l in itertools.product(range(m), range(n), range(p),
+                                        range(q)):
+        assert got.entry(i * p + k, j * q + l) == a.entry(i, j) * b.entry(k, l)
