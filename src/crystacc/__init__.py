@@ -18,10 +18,9 @@ from .crystal import (AdmissibilityError, CrystalElement, CrystalTriple,
                       elements_in_ball, generate_group, inverse,
                       validate_triple)
 from .linalg import Mat, QC, kernel_basis, kron, rank, smith_normal_form
-from .mask import (Mask, MaskShapeError, SymmetryData,
-                   check_gamma_A_symmetry, coefficient, extract_scalar,
-                   l2_budget, lattice_triple, lift_scalar_to_matrix,
-                   transfer_entry)
+from .mask import (Mask, MaskShapeError, check_gamma_A_symmetry,
+                   coefficient, extract_scalar, l2_budget, lattice_triple,
+                   lift_scalar_to_matrix, transfer_entry)
 from .multiidx import (VCollection, build_A_s, build_Q_st, build_Q_tilde,
                        dim_degree, enumerate_degree, eval_X, eval_y)
 
@@ -32,8 +31,8 @@ __all__ = [
     "CascadeResult", "CrystalElement", "CrystalTriple", "Dilation",
     "EquivalenceReport", "Fhat0Result", "GridField", "GroupValidationError",
     "Mask", "MaskShapeError", "Mat", "QC", "ReproductionReport",
-    "SufficientReport", "SymmetryData", "VCollection", "build_A_s",
-    "build_Q_st", "build_Q_tilde", "cascade_iterate", "catalog_names",
+    "SufficientReport", "VCollection", "build_A_s", "build_Q_st",
+    "build_Q_tilde", "cascade_iterate", "catalog_names",
     "catalog_triple", "check_admissible", "check_gamma_A_symmetry",
     "coefficient", "compose", "condition_d_residual", "dim_degree",
     "elements_in_ball", "empirical_accuracy", "empirical_level",

@@ -7,22 +7,25 @@ coset of the dilation, in the unknown coefficient vectors v_[0], ..., v_[s].
 largest degree with a usable witness; it builds the system block row by
 block row, each degree's rows once and as sparse rows, and keeps them for
 every later degree.  :func:`sufficient_check` evaluates the cheaper
-sum-rule criterion and builds its explicit witness chain; and
-:func:`verify_equivalence` re-derives the same witness relations in three
-independent forms, which is the main guard against index bookkeeping bugs.
+sum-rule criterion and builds its explicit witness chain.  Both read one
+table of per-coset moments, :func:`_moments`.  :func:`verify_equivalence`
+re-derives the witness relations in three independent forms, element by
+element, which is the main guard against index bookkeeping bugs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb, prod
 
 from .crystal import CrystalTriple, Dilation, compose, inverse
+# kron is unused here: perfbench/tracing.py wraps it by name in this module
 from .linalg import (Mat, QC, QC_ZERO, det, has_eigenvalue_one,
                      kernel_basis, kron, solve_affine)
-from .mask import Mask, MaskShapeError, coefficient
-from .multiidx import (VCollection, build_A_s, build_Q_st, build_Q_tilde,
-                       dim_degree, enumerate_degree, eval_X, eval_y)
+from .mask import Mask, MaskShapeError
+from .multiidx import (VCollection, build_A_s, build_Q_tilde, dim_degree,
+                       enumerate_degree, eval_y)
 
 
 @dataclass
@@ -67,9 +70,11 @@ class SufficientReport:
 
     sum_total is the plain coefficient sum (must equal the digit count m);
     beta maps (point index b, multi-index alpha) to the common per-coset
-    moment, with the raw per-coset sums kept for audit; eigen_flags[s] is
-    True when 1 is not an eigenvalue of the degree-s obstruction matrix;
-    v_chain is the recursively built witness when everything passes.
+    moment, with the raw per-coset sums kept for audit (per_coset[key][i]
+    sums over the elements in digit coset i, ``Dilation.coset_index``);
+    eigen_flags[s] is True when 1 is not an eigenvalue of the degree-s
+    obstruction matrix; v_chain is the recursively built witness when
+    everything passes.
     """
 
     p: int
@@ -166,49 +171,84 @@ def condition_d_residual(mask: Mask, dilation: Dilation, v: VCollection,
     return acc
 
 
-def _block_row(mask: Mask, dilation: Dilation, s: int) -> list[dict]:
+def _moments(mask: Mask, dilation: Dilation, p_max: int) -> dict:
+    """The mask's moments below degree p_max, by digit coset and point part.
+
+    Maps (i, b) to {mu: N_mu} for every |mu| < p_max, where
+    N_mu = sum (-l)^mu d_(b,l)^T over the support elements (b, l) whose
+    inverse lies in digit coset i, l the true translation R k.  N_mu is a
+    dict (a, c) -> entry, without the entries no term reaches; an entry is
+    a Fraction where it is real, else a QC.  These are the per-coset sums
+    of the sum rules (Jia, Math. Comp. 67, 1998; Cabrelli, Heil and
+    Molter, J. Approx. Theory 95, 1998).
+    """
+    d, r = mask.triple.d, mask.r
+    mus = [mu for s in range(p_max) for mu in enumerate_degree(d, s)]
+    table = {}
+    for e, blk in mask.items():
+        key = (dilation.coset_index(inverse(e)), e.g)
+        moments = table.setdefault(key, {mu: {} for mu in mus})
+        neg = [-x.re for x in e.true_translation()]
+        d_t = [(a, c, x.re if x.im == 0 else x) for c in range(r)
+               for a, x in enumerate(blk.row_list(c)) if not x.is_zero()]
+        for mu in mus:
+            w = prod(y ** n for y, n in zip(neg, mu))
+            if w == 0:
+                continue
+            n_mu = moments[mu]
+            for a, c, x in d_t:
+                n_mu[(a, c)] = n_mu.get((a, c), 0) + w * x
+    return table
+
+
+def _block_row(mask: Mask, dilation: Dilation, moments: dict,
+               s: int) -> list[dict]:
     """Block row s of the stacked constraint system, as sparse rows: one
-    dict (column -> non-zero value) per row, Fraction values when every
-    mask entry is real and QC values otherwise.
+    dict (column -> non-zero exact value, a Fraction or a QC) per row.
 
     The unknowns are vec(v_[0]), vec(v_[1]), ..., row-major within each
     block.  A product B v_[t] C acts on vec(v_[t]) as kron(B, C^T), so the
     block in row (s, i) and column t <= s is
     delta_{t,s} I - sum over coset-i support terms of
     kron(Qt_[s,t] A_[t], d^T); the blocks right of column s are zero.
-    Column t starts at r (d_0 + ... + d_{t-1}) whatever the highest
-    degree, so block row s serves every system of degree s or more.
+    As Qt_[s,t](b, l) = Q_[s,t](l) (b^{-1})_[t], the terms of one point
+    part b sum to its moments N (:func:`_moments`): entry
+    ((alpha, a), (beta', c)) loses sum_beta binom(alpha, beta)
+    B[beta, beta'] N_(alpha-beta)[a, c], B = (b^{-1})_[t] A_[t].  Column t
+    starts at r (d_0 + ... + d_{t-1}) whatever the highest degree, so
+    block row s serves every system of degree s or more.
     """
-    d, r = mask.triple.d, mask.r
-    A = dilation.A
-    real = all(x.im == 0 for _, blk in mask.items()
-               for k in range(blk.rows) for x in blk.row_list(k))
-    zero, one = (Fraction(0), Fraction(1)) if real else (QC_ZERO, QC(1))
+    tri = mask.triple
+    d, r = tri.d, mask.r
     starts = [0]
     for t in range(s):
         starts.append(starts[-1] + dim_degree(d, t) * r)
-    by_coset = [[] for _ in range(dilation.m)]
-    for alpha, d_blk in mask.items():
-        by_coset[dilation.coset_index(inverse(alpha))].append(
-            (alpha, d_blk.transpose()))
-    rows = []
-    for terms in by_coset:
-        block = [{starts[s] + k: one} for k in range(dim_degree(d, s) * r)]
-        for alpha, d_t in terms:
-            for t in range(s + 1):
-                lead = build_Q_tilde(alpha, s, t) @ build_A_s(A, t)
-                term = kron(lead, d_t)
-                for k, row in enumerate(block):
-                    for j, x in enumerate(term.row_list(k), starts[t]):
-                        if x.is_zero():
-                            continue
-                        value = row.get(j, zero) - (x.re if real else x)
-                        if value == 0:
-                            del row[j]
-                        else:
-                            row[j] = value
-        rows += block
-    return rows
+    alphas = enumerate_degree(d, s)
+    rows = [[{starts[s] + k: Fraction(1)} for k in range(len(alphas) * r)]
+            for _ in range(dilation.m)]
+    for (i, b), moment in moments.items():
+        block = rows[i]
+        for t in range(s + 1):
+            lead = (build_A_s(tri.group[tri.inverse_table[b]], t)
+                    @ build_A_s(dilation.A, t))
+            for j, beta in enumerate(enumerate_degree(d, t)):
+                cols = [(starts[t] + k * r, x.re)
+                        for k, x in enumerate(lead.row_list(j))
+                        if not x.is_zero()]
+                for row0, alpha in enumerate(alphas):
+                    if any(k > n for n, k in zip(alpha, beta)):
+                        continue
+                    n_mu = moment[tuple(n - k for n, k in zip(alpha, beta))]
+                    binom = prod(comb(n, k) for n, k in zip(alpha, beta))
+                    for col0, x in cols:
+                        for (a, c), y in n_mu.items():
+                            row = block[row0 * r + a]
+                            value = row.get(col0 + c, 0) - binom * x * y
+                            if value == 0:
+                                row.pop(col0 + c, None)
+                            else:
+                                row[col0 + c] = value
+    return [row for block in rows for row in block]
 
 
 def _layout(rows: list[dict], width: int) -> Mat:
@@ -286,9 +326,10 @@ def max_accuracy(mask: Mask, triple: CrystalTriple, dilation: Dilation,
         return AccuracyCertificate(0, None, "condition-d", None, diagnostics)
     p = 0
     chosen = None
+    moments = _moments(mask, dilation, p_max)
     rows, width = [], 0
     for s in range(p_max):
-        rows += _block_row(mask, dilation, s)
+        rows += _block_row(mask, dilation, moments, s)
         width += dim_degree(d, s) * r
         basis, proj = solve_affine(_layout(rows, width),
                                    selected=list(range(r)))
@@ -324,9 +365,12 @@ def sufficient_check(mask: Mask, triple: CrystalTriple, dilation: Dilation,
     printed form of the test can never hold there and the witness
     recursion below never needs it.
 
-    On success the explicit witness chain is built: v_[0] = 1 and
+    The sums of (ii) and the moment matrices below are read from the
+    moment table of :func:`_moments`, the one the constraint rows use.  On
+    success the explicit witness chain is built: v_[0] = 1 and
     v_[s] = (I - M_[s,s] A_[s])^{-1} sum_{t<s} M_[s,t] A_[t] v_[t], with
-    M_[s,t] the binomial moment matrices of the mask; the chain is then
+    M_[s,t] the binomial moment matrices of the mask, which are the
+    blocks of :func:`_block_row` on the first coset; the chain is then
     re-checked against condition_d_residual.
     """
     if mask.r != 1:
@@ -347,21 +391,19 @@ def sufficient_check(mask: Mask, triple: CrystalTriple, dilation: Dilation,
         total = total + blk.entry(0, 0)
     sum_rule_ok = total == m
 
-    # Per-coset moments of the inverse-indexed coefficients.  A support
-    # element e contributes its coefficient to (b, l) = inverse(e): the
-    # needed c at (b, l)^{-1} is then just the coefficient at e.
+    # Per-coset moments of the inverse-indexed coefficients: the inverse of
+    # a support element e = (g, l) is (g^{-1}, -g l), whose monomials are
+    # g_[s] X_[s](-l), so its sums are g_[s] times the table's column.
+    moments = _moments(mask, dilation, p)
     per_coset = {(b, a): [QC_ZERO] * m for b in range(r)
                  for s in range(p) for a in enumerate_degree(d, s)}
-    for e, blk in mask.items():
-        sigma = inverse(e)
-        i = dilation.translation_coset(sigma.k)
-        l_true = sigma.true_translation()
-        c = blk.entry(0, 0)
+    for (i, g), moment in moments.items():
         for s in range(p):
-            x_s = eval_X(l_true, s)
-            for j, a in enumerate(enumerate_degree(d, s)):
-                key = (sigma.g, a)
-                per_coset[key][i] = per_coset[key][i] + x_s.entry(j, 0) * c
+            alphas = enumerate_degree(d, s)
+            col = build_A_s(triple.group[g], s) @ Mat.column(
+                [moment[a].get((0, 0), 0) for a in alphas])
+            for j, a in enumerate(alphas):
+                per_coset[(triple.inverse_table[g], a)][i] = col.entry(j, 0)
     beta = {}
     moments_ok = True
     for key, sums in per_coset.items():
@@ -409,50 +451,21 @@ def sufficient_check(mask: Mask, triple: CrystalTriple, dilation: Dilation,
     conditions_ok = (sum_rule_ok and moments_ok and eigen_ok
                      and beta0_consistent)
     if conditions_ok:
-        # moment matrices M_[s,t] = sum_b (sum_l Q_[s,t](l) c_{(b^{-1},l)})
-        # b_[t]; the inner sums are computed per coset and must agree, a
-        # consequence of (ii) already checked above.
-        inner = {}
-        for e, blk in mask.items():
-            b = triple.inverse_table[e.g]
-            i = dilation.translation_coset(e.k)
-            c = blk.entry(0, 0)
-            for s in range(p):
-                for t in range(s + 1):
-                    q = build_Q_st(e.true_translation(), s, t)
-                    key = (b, s, t)
-                    if key not in inner:
-                        inner[key] = [Mat.zeros(dim_degree(d, s),
-                                                dim_degree(d, t))
-                                      for _ in range(m)]
-                    inner[key][i] = inner[key][i] + q.scale(c)
-        moment_mats = {}
-        for s in range(p):
-            for t in range(s + 1):
-                acc = Mat.zeros(dim_degree(d, s), dim_degree(d, t))
-                for b in range(r):
-                    key = (b, s, t)
-                    if key not in inner:
-                        continue
-                    parts = inner[key]
-                    if any(not (parts[j] - parts[0]).is_zero()
-                           for j in range(1, m)):
-                        notes.append(f"moment matrix block ({s},{t}) "
-                                     "differs across cosets")
-                        conditions_ok = False
-                    acc = acc + parts[0] @ build_A_s(triple.group[b], t)
-                moment_mats[(s, t)] = acc
-    if conditions_ok:
+        # Block row s on coset 0 reads (I - M_[s,s] A_[s]) v_[s]
+        # - sum_{t<s} M_[s,t] A_[t] v_[t] = 0, so each v_[s] solves it
+        # given the lower degrees; the first coset serves, as the moments
+        # agree across cosets.
         blocks = [Mat.identity(1)]
+        chain = [QC(1)]
         for s in range(1, p):
-            ds = dim_degree(d, s)
-            lhs = (Mat.identity(ds)
-                   - moment_mats[(s, s)] @ build_A_s(dilation.A, s))
-            rhs = Mat.zeros(ds, 1)
-            for t in range(s):
-                rhs = (rhs + moment_mats[(s, t)] @ build_A_s(dilation.A, t)
-                       @ blocks[t])
+            ds, start = dim_degree(d, s), len(chain)
+            rows = _block_row(mask, dilation, moments, s)[:ds]
+            lhs = Mat.from_rows([[row.get(start + k, 0) for k in range(ds)]
+                                 for row in rows])
+            rhs = Mat.column([sum((-x * chain[j] for j, x in row.items()
+                                   if j < start), QC_ZERO) for row in rows])
             blocks.append(lhs.inverse() @ rhs)
+            chain += [blocks[s].entry(k, 0) for k in range(ds)]
         v_chain = VCollection(d, tuple(blocks))
         chain_zero = all(
             condition_d_residual(mask, dilation, v_chain, s, i).is_zero()

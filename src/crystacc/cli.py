@@ -2,10 +2,11 @@
 
 Commands: check-group, accuracy, cascade, lift, extract.  Exit codes:
 0 success, 1 malformed input, 2 invalid group, 3 inadmissible dilation,
-4 mask shape/multiplicity mismatch, 5 cascade failure (non-convergence
-under --strict, a support box that does not certify within the step
-bound, a grid too coarse to sample, or a grid whose estimated memory
-exceeds half of physical memory).  Without --strict, a cascade that did
+4 mask shape/multiplicity mismatch (also a matrix mask given to extract
+that is no lift), 5 cascade failure (non-convergence under --strict, a
+support box that does not certify within the step bound, a grid too
+coarse to sample, or a grid whose estimated memory exceeds half of
+physical memory).  Without --strict, a cascade that did
 not converge reports a null empirical accuracy.  Rational numbers travel
 as "p/q" strings so the exact pipeline survives JSON; a plain JSON float
 coefficient is read as a rational by the mask (``linalg.read_float``),

@@ -12,7 +12,6 @@ mask carries the symmetry checked by :func:`check_gamma_A_symmetry`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .crystal import (CrystalElement, CrystalTriple, Dilation, _int_apply,
@@ -223,8 +222,10 @@ def extract_scalar(matrix_mask: Mask, triple: CrystalTriple,
     mask on the lattice: the scalar at (g_i, l) is first-row entry i of the
     block stored at lattice point g_i(l).
 
-    Inverse to :func:`lift_scalar_to_matrix`; on matrix masks without the
-    lattice symmetry it keeps only what the first rows say.
+    Inverse to :func:`lift_scalar_to_matrix`.  A matrix mask without the
+    lattice symmetry of :func:`check_gamma_A_symmetry` is no lift, and
+    raises MaskShapeError naming the first lattice point and entry that
+    fail.
     """
     if matrix_mask.r != triple.order:
         raise MaskShapeError(
@@ -232,10 +233,14 @@ def extract_scalar(matrix_mask: Mask, triple: CrystalTriple,
             f"point group order {triple.order}")
     if dilation.triple is not triple:
         raise MaskShapeError("dilation belongs to a different triple")
+    bad = _first_asymmetry(matrix_mask, dilation)
+    if bad is not None:
+        k, i, j = bad
+        raise MaskShapeError(
+            f"matrix mask is not a lift: entry ({i}, {j}) at lattice point "
+            f"{list(k)} breaks its lattice symmetry")
     entries = {}
     for e, blk in matrix_mask.items():
-        if e.g != 0:
-            raise MaskShapeError("matrix mask must live on the bare lattice")
         for i in range(triple.order):
             val = blk.entry(0, i)
             if val == 0:
@@ -247,62 +252,43 @@ def extract_scalar(matrix_mask: Mask, triple: CrystalTriple,
     return Mask(triple, entries, r=1)
 
 
-@dataclass(frozen=True)
-class SymmetryData:
-    """Index data for the matrix-mask symmetry check.
-
-    h and rho are the conjugation permutations of an admissible dilation,
-    r the point group order, and point_maps[i] the integer lattice action
-    of g_{h(i)}^{-1}, the map applied to the lattice point on the
-    right-hand side of the symmetry identity.
-    """
-
-    h: tuple
-    rho: tuple
-    r: int
-    point_maps: tuple
-
-    @classmethod
-    def from_dilation(cls, dilation: Dilation) -> "SymmetryData":
-        t = dilation.triple
-        maps = tuple(
-            tuple(tuple(row)
-                  for row in t.int_reps[t.inverse_table[dilation.h[i]]])
-            for i in range(t.order))
-        return cls(h=tuple(dilation.h), rho=tuple(dilation.rho),
-                   r=t.order, point_maps=maps)
-
-
-def check_gamma_A_symmetry(matrix_mask: Mask, symmetry: SymmetryData) -> bool:
-    """Whether entry (i, j) at lattice point k always equals first-row
-    entry rho_i(j) at the point g_{h(i)}^{-1}(k); absent blocks are zero.
-
-    The scan covers every stored point and all its images under the point
-    maps, so a nonzero first-row block cannot hide behind an absent
-    partner.  Entries compare exactly.
-    """
-    if matrix_mask.r != symmetry.r:
+def _first_asymmetry(matrix_mask: Mask, dilation: Dilation) -> tuple | None:
+    """The first lattice point k and entry (i, j), in sorted order of k,
+    where entry (i, j) at k differs from first-row entry rho_i(j) at
+    g_{h(i)}^{-1}(k); None when there is none.  Absent blocks are zero, and
+    the scan covers every stored point and all its images under those
+    point maps, so a nonzero first-row block cannot hide behind an absent
+    partner.  Entries compare exactly."""
+    t = dilation.triple
+    r = t.order
+    if matrix_mask.r != r:
         raise MaskShapeError(
             f"mask multiplicity {matrix_mask.r} does not match the point "
-            f"group order {symmetry.r}")
+            f"group order {r}")
     stored = {}
     for e, blk in matrix_mask.items():
         if e.g != 0:
             raise MaskShapeError("matrix mask must live on the bare lattice")
         stored[e.k] = blk
-    points = set(stored)
-    for k in list(points):
-        for i in range(symmetry.r):
-            points.add(_int_apply(symmetry.point_maps[i], k))
-    zero = Mat.zeros(symmetry.r, symmetry.r)
-    for k in points:
+    maps = [t.int_reps[t.inverse_table[dilation.h[i]]] for i in range(r)]
+    points = {_int_apply(pm, k) for k in stored for pm in maps} | set(stored)
+    zero = Mat.zeros(r, r)
+    for k in sorted(points):
         blk = stored.get(k, zero)
-        for i in range(symmetry.r):
-            partner = stored.get(_int_apply(symmetry.point_maps[i], k), zero)
-            for j in range(symmetry.r):
-                if blk.entry(i, j) != partner.entry(0, symmetry.rho[i][j]):
-                    return False
-    return True
+        for i in range(r):
+            partner = stored.get(_int_apply(maps[i], k), zero)
+            for j in range(r):
+                if blk.entry(i, j) != partner.entry(0, dilation.rho[i][j]):
+                    return k, i, j
+    return None
+
+
+def check_gamma_A_symmetry(matrix_mask: Mask, dilation: Dilation) -> bool:
+    """Whether entry (i, j) at lattice point k always equals first-row
+    entry rho_i(j) at the point g_{h(i)}^{-1}(k), for the permutations h
+    and rho of the dilation over the crystal triple; absent blocks are
+    zero.  Every lift passes, so a matrix mask that fails is no lift."""
+    return _first_asymmetry(matrix_mask, dilation) is None
 
 
 def l2_budget(scalar_mask: Mask, m: int) -> bool:

@@ -11,10 +11,11 @@ matrices:
 * ``build_Q_tilde(gamma, s, t)``: the same blocks for the inverse action of
   a crystal element gamma = (b, l), namely Q_[s,t](l) b_[t]^{-1}.
 
-The builders are exact: they accept rational data only.  Results are cached,
-since the same group elements recur throughout a run: ``build_A_s`` and
-``build_Q_st`` by value, ``build_Q_tilde`` on the element's own triple, so
-those entries die with the triple.
+The builders are exact: they accept rational data only.  Two are cached,
+since the same group elements recur throughout a run: ``build_A_s`` by
+value, and ``build_Q_tilde`` on the element's own triple, so those entries
+die with the triple.  ``build_Q_st`` is not cached: ``build_Q_tilde`` is
+its one caller in the package.
 """
 
 from __future__ import annotations
@@ -121,17 +122,17 @@ def _binom_vec(alpha, beta) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
-def _build_q_cached(y: tuple, s: int, t: int) -> Mat:
-    d = len(y)
-    alphas = enumerate_degree(d, s)
-    betas = enumerate_degree(d, t)
+def build_Q_st(y, s: int, t: int) -> Mat:
+    """Binomial block Q_[s,t](y): entry (alpha, beta) is
+    binom(alpha, beta) (-y)^(alpha-beta) when beta <= alpha, else 0."""
+    if t > s:
+        raise ValueError("Q_[s,t] requires t <= s")
     neg = [-QC.parse(v) for v in y]
     one = QC(1)
     rows = []
-    for alpha in alphas:
+    for alpha in enumerate_degree(len(neg), s):
         row = []
-        for beta in betas:
+        for beta in enumerate_degree(len(neg), t):
             if any(b > a for a, b in zip(alpha, beta)):
                 row.append(QC(0))
                 continue
@@ -139,14 +140,6 @@ def _build_q_cached(y: tuple, s: int, t: int) -> Mat:
             row.append(_monomial(neg, diff, one) * _binom_vec(alpha, beta))
         rows.append(row)
     return Mat.from_rows(rows)
-
-
-def build_Q_st(y, s: int, t: int) -> Mat:
-    """Binomial block Q_[s,t](y): entry (alpha, beta) is
-    binom(alpha, beta) (-y)^(alpha-beta) when beta <= alpha, else 0."""
-    if t > s:
-        raise ValueError("Q_[s,t] requires t <= s")
-    return _build_q_cached(tuple(QC.parse(v) for v in y), s, t)
 
 
 def build_Q_tilde(gamma, s: int, t: int) -> Mat:

@@ -1,5 +1,6 @@
 """Accuracy solvers: exact kernels, sum rules, and cross-verification."""
 
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -11,11 +12,13 @@ from hypothesis import strategies as st
 import crystacc.accuracy as accuracy_mod
 from crystacc.accuracy import (condition_d_residual, fhat0, max_accuracy,
                                sufficient_check, verify_equivalence)
-from crystacc.crystal import catalog_triple, check_admissible, inverse
+from crystacc.crystal import (catalog_triple, check_admissible, inverse,
+                              validate_triple)
 from crystacc.linalg import Mat, QC, det, kron, solve_affine
 from crystacc.mask import Mask, MaskShapeError, lift_scalar_to_matrix
-from crystacc.multiidx import (VCollection, build_A_s, build_Q_tilde,
-                               dim_degree)
+from crystacc.multiidx import (VCollection, build_A_s, build_Q_st,
+                               build_Q_tilde, dim_degree, enumerate_degree,
+                               eval_X)
 
 
 def _witness_entries(cert):
@@ -471,9 +474,10 @@ def _assert_matches_dense_assembly(mask, triple, dilation, s_top):
     the same certificate whether it solves its own systems or the
     reference ones."""
     d, r = triple.d, mask.r
+    moments = accuracy_mod._moments(mask, dilation, s_top + 1)
     rows, width = [], 0
     for s in range(s_top + 1):
-        rows += accuracy_mod._block_row(mask, dilation, s)
+        rows += accuracy_mod._block_row(mask, dilation, moments, s)
         width += dim_degree(d, s) * r
         assert all(not x.is_zero() for row in rows for x in
                    map(QC.parse, row.values()))
@@ -495,33 +499,59 @@ def _assert_matches_dense_assembly(mask, triple, dilation, s_top):
         (ref.p, ref.witness, ref.gate, ref.diagnostics)
 
 
+def _triple_on(group, lattice):
+    """A catalog point group over the lattice basis ``lattice``, A = 2I."""
+    t = catalog_triple(group, 2)
+    t = validate_triple(Mat.from_rows(lattice), t.group, name=group)
+    return t, check_admissible(Mat.from_rows([[2, 0], [0, 2]]), t)
+
+
+P4M = _triple_on("p4m", [[1, 0], [0, 1]])
+PM_SCALED = _triple_on("pm", [[Fraction(1, 2), 0], [0, Fraction(1, 3)]])
+P2_SHEARED = _triple_on("p2", [[1, Fraction(1, 2)], [0, 1]])
+
+
+def _spread(where, lattice_mask):
+    """The lattice mask spread evenly over the point parts of a triple."""
+    t, dil = where
+    return t, dil, {t.element(g, k): c / t.order for g in range(t.order)
+                    for k, c in lattice_mask.items()}
+
+
 def _scalar_bases(line, p1m, pm):
     """(triple, dilation, {element: scalar}) of masks with accuracy 2 to
-    4, so that the scan reaches the higher degrees."""
+    4, so that the scan reaches the higher degrees.  The 2D tensor hat
+    is invariant under every point group here, so its spreads keep
+    accuracy 2, on a scaled lattice too."""
     h = Fraction(1, 2)
     cubic = {(-2,): Fraction(1, 8), (-1,): h, (0,): Fraction(3, 4),
              (1,): h, (2,): Fraction(1, 8)}
-    hat = {-1: h, 0: Fraction(1), 1: h}
-    t_line, t_p1m, t_pm = line[0], p1m[0], pm[0]
+    hat = {(-1,): h, (0,): Fraction(1), (1,): h}
+    hat2 = {(i, j): a * b for (i,), a in hat.items()
+            for (j,), b in hat.items()}
     return {
-        "line": (line, {t_line.translation(k): c for k, c in cubic.items()}),
-        "p1m": (p1m, {t_p1m.element(g, (k,)): c / 2 for g in (0, 1)
-                      for k, c in hat.items()}),
-        "pm": (pm, {t_pm.element(g, (i, j)): a * b / 2 for g in (0, 1)
-                    for i, a in hat.items() for j, b in hat.items()}),
+        "line": _spread(line, cubic),
+        "p1m": _spread(p1m, hat),
+        "pm": _spread(pm, hat2),
+        "p4m": _spread(P4M, hat2),
+        "pm-scaled": _spread(PM_SCALED, hat2),
+        "p2-sheared": _spread(P2_SHEARED, hat2),
     }
 
 
 @seed(2026)
 @settings(max_examples=30, deadline=None)
-@given(st.sampled_from(["line", "p1m", "pm"]), st.sampled_from([1, 2]),
-       st.booleans(), st.data())
+@given(st.sampled_from(["line", "p1m", "pm", "p4m", "pm-scaled",
+                        "p2-sheared"]),
+       st.sampled_from([1, 2]), st.booleans(), st.data())
 def test_block_rows_match_the_dense_assembly(line, p1m, pm, where, r, real,
                                              data):
     """Real and complex masks with r = 1, 2: a scalar base of known
     accuracy, times the r x r identity, with a few drawn entries
-    changed; with none changed the scan runs up to degree 3."""
-    (t, dil), base = _scalar_bases(line, p1m, pm)[where]
+    changed; with none changed the scan runs up to degree 3.  The bases
+    include a p4m spread, pm over the lattice diag(1/2, 1/3) and p2 over
+    a sheared lattice."""
+    t, dil, base = _scalar_bases(line, p1m, pm)[where]
     part = st.fractions(-2, 2, max_denominator=4)
     value = (st.builds(QC, part) if real
              else st.builds(QC, part, part.filter(lambda x: x != 0)))
@@ -535,7 +565,7 @@ def test_block_rows_match_the_dense_assembly(line, p1m, pm, where, r, real,
     for e, a, b, x in changes:
         blocks[e][a][b] = x
     mask = Mask(t, blocks, r=r)
-    s_top = 3 if where != "pm" else 2
+    s_top = 3 if t.d == 1 else 2
     _assert_matches_dense_assembly(mask, t, dil, s_top)
 
 
@@ -551,3 +581,99 @@ def test_lifted_hat_block_rows_match_the_dense_assembly():
     lat_dil = check_admissible(Mat.from_rows([[2, 0], [0, 2]]), lat)
     assert lifted.r == 8
     _assert_matches_dense_assembly(lifted, lat, lat_dil, 3)
+
+
+# -- the sum-rule test's moments against the per-element loops they replace --
+
+def _reference_sums(mask, triple, dilation, p):
+    """The per-coset sums and the moment matrices M_[s,t] of the sum-rule
+    test, accumulated element by element as sufficient_check did before
+    it read the moment table: per_coset over the coset of the inverse's
+    bare translation, and M_[s,t] = sum_b inner_b b_[t] from the sums on
+    the coset of the translation itself (label 0 on both sides is the
+    coset of the lattice M Z^d)."""
+    d, r, m = triple.d, triple.order, dilation.m
+    per_coset = {(b, a): [QC(0)] * m for b in range(r)
+                 for s in range(p) for a in enumerate_degree(d, s)}
+    inner = {}
+    for e, blk in mask.items():
+        sigma = inverse(e)
+        i = dilation.translation_coset(sigma.k)
+        c = blk.entry(0, 0)
+        for s in range(p):
+            x_s = eval_X(sigma.true_translation(), s)
+            for j, a in enumerate(enumerate_degree(d, s)):
+                key = (sigma.g, a)
+                per_coset[key][i] = per_coset[key][i] + x_s.entry(j, 0) * c
+        b = triple.inverse_table[e.g]
+        i = dilation.translation_coset(e.k)
+        for s in range(p):
+            for t in range(s + 1):
+                parts = inner.setdefault((b, s, t), [
+                    Mat.zeros(dim_degree(d, s), dim_degree(d, t))
+                    for _ in range(m)])
+                q = build_Q_st(e.true_translation(), s, t)
+                parts[i] = parts[i] + q.scale(c)
+    mats = {}
+    for s in range(p):
+        for t in range(s + 1):
+            acc = Mat.zeros(dim_degree(d, s), dim_degree(d, t))
+            for b in range(r):
+                if (b, s, t) in inner:
+                    acc = acc + (inner[(b, s, t)][0]
+                                 @ build_A_s(triple.group[b], t))
+            mats[(s, t)] = acc
+    return per_coset, mats
+
+
+@seed(2026)
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["line", "p1m", "pm", "p4m", "pm-scaled",
+                        "p2-sheared"]),
+       st.integers(1, 3), st.booleans(), st.data())
+def test_sum_rule_moments_match_the_per_element_loops(line, p1m, pm, where,
+                                                      p, real, data):
+    """sufficient_check's per-coset sums (per key, as multisets: the
+    table labels a coset by the element, the reference by its bare
+    translation), beta and moments_ok equal the per-element reference,
+    and the first coset's block rows are I - M_[s,s] A_[s] and
+    -M_[s,t] A_[t] for the reference moment matrices.  Scalar bases of
+    accuracy 2 to 4 with up to three entries changed, so that the
+    moments often disagree across cosets, on lattices with R = I and
+    R != I."""
+    t, dil, base = _scalar_bases(line, p1m, pm)[where]
+    part = st.fractions(-2, 2, max_denominator=4)
+    value = (st.builds(QC, part) if real else st.builds(
+        QC, part, st.fractions(Fraction(1, 4), 2, max_denominator=4)))
+    entries = dict(base)
+    for e, x in data.draw(st.lists(
+            st.tuples(st.sampled_from(sorted(base, key=lambda e: (e.g, e.k))),
+                      value), max_size=3)):
+        entries[e] = x
+    mask = Mask.scalar(t, entries)
+    rep = sufficient_check(mask, t, dil, p)
+    per_coset, mats = _reference_sums(mask, t, dil, p)
+
+    assert rep.per_coset.keys() == per_coset.keys()
+    assert all(Counter(rep.per_coset[key]) == Counter(sums)
+               for key, sums in per_coset.items())
+    agree = all(len(set(sums)) == 1 for sums in per_coset.values())
+    assert rep.moments_ok == agree
+    assert rep.beta == {key: sums[0] for key, sums in per_coset.items()
+                        if len(set(sums)) == 1}
+
+    moments = accuracy_mod._moments(mask, dil, p)
+    width = 0
+    for s in range(p):
+        ds = dim_degree(t.d, s)
+        width += ds
+        rows = accuracy_mod._block_row(mask, dil, moments, s)[:ds]
+        dense = accuracy_mod._layout(rows, width)
+        start = 0
+        for tt in range(s + 1):
+            dt = dim_degree(t.d, tt)
+            got = Mat.from_rows([[dense.entry(j, start + k)
+                                  for k in range(dt)] for j in range(ds)])
+            lead = mats[(s, tt)] @ build_A_s(dil.A, tt)
+            assert got == (Mat.identity(ds) - lead if tt == s else -lead)
+            start += dt

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -343,6 +344,30 @@ def test_extract_wrong_block_size_exits_4(tmp_path, capsys):
     cfg["mask"] = [{"g": 0, "k": [0, 0], "coef": 1}]
     code, _ = run_cli(tmp_path, capsys, cfg, ["extract", "CFG"])
     assert code == EXIT_SHAPE
+
+
+def test_extract_of_a_matrix_mask_that_is_no_lift_exits_4(tmp_path,
+                                                           capsys):
+    """The p1m hat lifted, then one row-1 entry changed by 1/7: no scalar
+    mask lifts to it, so extract ends in exit 4 with a JSON error that
+    names the entry, and no traceback."""
+    cfg = {"group": "p1m", "dimension": 1, "dilation": [[2]],
+           "mask": [{"g": g, "k": [k], "coef": c} for g in (0, 1)
+                    for k, c in ((-1, "1/4"), (0, "1/2"), (1, "1/4"))]}
+    code, lifted = run_cli(tmp_path, capsys, cfg, ["lift", "CFG"],
+                           name="lift.json")
+    assert code == EXIT_OK
+    entries = lifted["entries"]
+    entries[0]["coef"][1][0] = str(Fraction(entries[0]["coef"][1][0])
+                                   + Fraction(1, 7))
+    path = tmp_path / "extract.json"
+    path.write_text(json.dumps(dict(cfg, mask=entries)), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["extract", str(path)])
+    assert code == EXIT_SHAPE
+    assert "entry (1, 0)" in json.loads(out.getvalue())["error"]
+    assert "Traceback" not in err.getvalue()
 
 
 def test_repeated_runs_are_byte_identical(tmp_path, capsys):

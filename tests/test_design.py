@@ -1,8 +1,9 @@
 """Design rules of the package that a grep can check: one exact scalar
-representation with no backend switch, imports at module level only, no
-CLI reach-ins to private cascade helpers, no uncertified support
-estimate, a cascade that reads grid nodes only (no interpolation plans
-and no free grid spacing), and every name the benchmark's tracer wraps."""
+representation with no backend switch, imports at module level only and
+none unused, no CLI reach-ins to private cascade helpers, no uncertified
+support estimate, a cascade that reads grid nodes only (no interpolation
+plans and no free grid spacing), one moment table in the exact solver,
+and every name the benchmark's tracer wraps."""
 
 import ast
 import importlib.util
@@ -27,6 +28,7 @@ def test_sources_are_found():
 # spelled in two parts so that a grep of the tree for the name finds nothing
 DELETED_ESTIMATE = "estimate_" "support"
 DELETED_INTERPOLATION = ("_interp_" "plan", "_apply_" "plan")
+DELETED_SYMMETRY_DATA = "Symmetry" "Data"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -35,6 +37,7 @@ def test_no_banned_tokens(path):
     assert not re.search(r"\bbackend\b", text)
     assert DELETED_ESTIMATE not in text
     assert not any(name in text for name in DELETED_INTERPOLATION)
+    assert DELETED_SYMMETRY_DATA not in text
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -73,3 +76,41 @@ def test_benchmark_tracer_finds_every_wrap_target():
         assert tracing.cache_totals(multiidx) is not None
     finally:
         tracer.uninstall()
+
+
+# imported but not called: (module file, name) -> why the name stays
+UNUSED_IMPORTS_KEPT = {
+    ("accuracy.py", "kron"): "perfbench/tracing.py wraps it by name in "
+                             "crystacc.accuracy for the linalg.kron metrics",
+}
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES
+                                  if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name != "annotations":
+                    imported.add(name)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = {name for name in imported - used
+              if (path.name, name) not in UNUSED_IMPORTS_KEPT}
+    assert unused == set()
+
+
+def test_translations_are_read_once_in_the_moment_table():
+    """The exact solver reads a support element's translation in one
+    place, the moment table that feeds both the constraint rows and the
+    sum-rule test."""
+    tree = ast.parse(inspect.getsource(accuracy))
+    readers = [func.name for func in ast.walk(tree)
+               if isinstance(func, ast.FunctionDef)
+               for node in ast.walk(func)
+               if isinstance(node, ast.Attribute)
+               and node.attr == "true_translation"]
+    assert readers == ["_moments"]

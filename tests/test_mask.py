@@ -6,10 +6,10 @@ import pytest
 
 from crystacc.crystal import compose, elements_in_ball, inverse
 from crystacc.linalg import Mat, QC
-from crystacc.mask import (Mask, MaskShapeError, SymmetryData,
-                           check_gamma_A_symmetry, coefficient,
-                           extract_scalar, l2_budget, lattice_triple,
-                           lift_scalar_to_matrix, transfer_entry)
+from crystacc.mask import (Mask, MaskShapeError, check_gamma_A_symmetry,
+                           coefficient, extract_scalar, l2_budget,
+                           lattice_triple, lift_scalar_to_matrix,
+                           transfer_entry)
 
 from conftest import rand_fraction
 
@@ -171,35 +171,41 @@ def test_lift_zero_mask_raises(p1m):
         lift_scalar_to_matrix(zero, dil)
 
 
-def test_symmetry_data_fields(p1m):
-    _, dil = p1m
-    sym = SymmetryData.from_dilation(dil)
-    assert sym.h == (0, 1)
-    assert sym.rho == ((0, 1), (1, 0))
-    assert sym.r == 2
-    assert sym.point_maps == (((1,),), ((-1,),))
-
-
 def test_lifted_mask_has_symmetry(p1m, sym_hat):
     _, dil = p1m
     lifted = lift_scalar_to_matrix(sym_hat, dil)
-    sym = SymmetryData.from_dilation(dil)
-    assert check_gamma_A_symmetry(lifted, sym)
+    assert check_gamma_A_symmetry(lifted, dil)
 
 
 def test_perturbed_lift_fails_symmetry(p1m, sym_hat):
     _, dil = p1m
     lifted = lift_scalar_to_matrix(sym_hat, dil)
-    sym = SymmetryData.from_dilation(dil)
     blocks = dict(lifted.items())
     e0 = lifted.support()[0]
     blk = blocks[e0]
     rows = [[blk.entry(i, j) for j in range(2)] for i in range(2)]
     rows[1][0] = rows[1][0] + QC(1)
     blocks[e0] = Mat.from_rows(rows)
-    assert not check_gamma_A_symmetry(Mask(lifted.triple, blocks), sym)
+    assert not check_gamma_A_symmetry(Mask(lifted.triple, blocks), dil)
     with pytest.raises(MaskShapeError):
-        check_gamma_A_symmetry(Mask.scalar(lifted.triple, {(0,): 1}), sym)
+        check_gamma_A_symmetry(Mask.scalar(lifted.triple, {(0,): 1}), dil)
+
+
+def test_extract_refuses_a_matrix_mask_that_is_no_lift(p1m, sym_hat):
+    """One row-1 entry of the lift changed by 1/7: the first rows alone
+    would extract a scalar mask whose lift is a different mask."""
+    t, dil = p1m
+    lifted = lift_scalar_to_matrix(sym_hat, dil)
+    blocks = dict(lifted.items())
+    e0 = lifted.support()[0]
+    rows = [blocks[e0].row_list(i) for i in range(2)]
+    rows[1][0] = rows[1][0] + QC(Fraction(1, 7))
+    blocks[e0] = Mat.from_rows(rows)
+    perturbed = Mask(lifted.triple, blocks)
+    assert not check_gamma_A_symmetry(perturbed, dil)
+    with pytest.raises(MaskShapeError, match=r"entry \(1, 0\) at lattice "
+                       rf"point \[{e0.k[0]}\]"):
+        extract_scalar(perturbed, t, dil)
 
 
 def _random_scalar_mask(triple, rng, radius=2):
