@@ -17,7 +17,7 @@ from .crystal import (AdmissibilityError, CrystalElement, CrystalTriple,
                       catalog_triple, check_admissible, compose,
                       elements_in_ball, generate_group, inverse,
                       validate_triple)
-from .linalg import Mat, QC, kernel_basis, kron, rank, smith_normal_form
+from .linalg import Mat, QC, kernel_basis, kron, rank
 from .mask import (Mask, MaskShapeError, check_gamma_A_symmetry,
                    coefficient, extract_scalar, l2_budget, lattice_triple,
                    lift_scalar_to_matrix, transfer_entry)
@@ -40,6 +40,6 @@ __all__ = [
     "generate_group", "inverse", "kernel_basis", "kron", "l2_budget",
     "lattice_triple", "lift_scalar_to_matrix", "max_accuracy", "rank",
     "refinement_residual", "reproduce", "reproduction_values", "sample_points",
-    "smith_normal_form", "sufficient_check", "support_box", "transfer_entry",
-    "validate_triple", "verify_equivalence",
+    "sufficient_check", "support_box", "transfer_entry", "validate_triple",
+    "verify_equivalence",
 ]

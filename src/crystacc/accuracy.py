@@ -284,7 +284,7 @@ def _gate_value(column: Mat, gate_vec: Mat, r: int):
 
 
 def max_accuracy(mask: Mask, triple: CrystalTriple, dilation: Dilation,
-                 p_max: int, independent: bool = False) -> AccuracyCertificate:
+                 p_max: int) -> AccuracyCertificate:
     """Largest accuracy p <= p_max certified by the per-coset conditions.
 
     All degrees 0..s and all digit cosets are stacked into one homogeneous
@@ -300,8 +300,7 @@ def max_accuracy(mask: Mask, triple: CrystalTriple, dilation: Dilation,
 
     The certificate proves polynomial reproduction (the sufficient
     direction); it is also maximal whenever the translates of the
-    refinable function are independent, which callers assert with
-    independent=True.
+    refinable function are independent.
     """
     if p_max < 1:
         raise ValueError("p_max must be at least 1")
@@ -314,8 +313,7 @@ def max_accuracy(mask: Mask, triple: CrystalTriple, dilation: Dilation,
     diagnostics = {
         "kernel_dims": {},
         "first_failing_degree": None,
-        "direction": ("maximal (independent translates)" if independent
-                      else "sufficient direction"),
+        "direction": "sufficient direction",
         "fhat0_status": fh.status,
     }
     if mask.float_change is not None:
@@ -375,7 +373,7 @@ def sufficient_check(mask: Mask, triple: CrystalTriple, dilation: Dilation,
     """
     if mask.r != 1:
         raise MaskShapeError("the sum-rule test applies to multiplicity-1 "
-                             "masks")
+                             f"masks, got r={mask.r}")
     if triple is not mask.triple or dilation.triple is not triple:
         raise ValueError("mask, triple and dilation must match")
     if p < 1:

@@ -477,7 +477,9 @@ def reproduce(field: GridField, v: tuple, s: int, sample_points,
               tol: float = 1e-5) -> ReproductionReport:
     """Test G_[s] = C X_[s] on the sample points for a float witness v (a
     tuple of complex arrays), with C estimated from the degree-0 sums
-    (exact reproduction makes those constant)."""
+    (exact reproduction makes those constant).  C is the mean of the very
+    sums the s = 0 test compares with it, so with fewer than two kept
+    nodes that test shows nothing and never passes."""
     pts = np.asarray(sample_points, dtype=float).reshape(-1, field.d)
     g0, ex0 = reproduction_values(field, v, 0, pts)
     if s == 0:
@@ -509,7 +511,8 @@ def reproduce(field: GridField, v: tuple, s: int, sample_points,
     matched = " and ".join(matches) if matches else "neither"
     return ReproductionReport(
         s=s, C=C, residual=residual, tolerance=tol,
-        verdict=bool(residual < tol), excluded=int(excluded.sum()),
+        verdict=bool(residual < tol and (s > 0 or keep.sum() > 1)),
+        excluded=int(excluded.sum()),
         gate_estimate=gate, cell_volume=vol,
         form_volume_over_gate=form_vg, form_gate_over_volume=form_gv,
         matched_form=matched)

@@ -113,12 +113,16 @@ def _load_config(path: str) -> dict:
 
 def _option(cfg: dict, name: str, default, kind=int, minimum=None):
     """Entry ``name`` of the config's ``options`` object as ``kind``, or
-    ``default`` when absent; a value that is not one is malformed input."""
+    ``default`` when absent; a value that is not one is malformed input:
+    a boolean, or a fractional number where ``kind`` is int."""
     options = cfg.get("options", {})
     if not isinstance(options, dict):
         raise CliError(EXIT_MALFORMED, "'options' must be a JSON object")
     value = options.get(name, default)
     try:
+        if isinstance(value, bool) or (kind is int and isinstance(value, float)
+                                       and not value.is_integer()):
+            raise TypeError
         out = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise CliError(EXIT_MALFORMED, f"option {name!r} must be "
@@ -173,6 +177,11 @@ def _build_dilation(cfg: dict, triple: CrystalTriple) -> Dilation:
         raise CliError(EXIT_INADMISSIBLE, f"inadmissible dilation: {exc}")
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; true and false are not."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _build_mask(cfg: dict, triple: CrystalTriple) -> Mask:
     entries = cfg.get("mask")
     if not isinstance(entries, list) or not entries:
@@ -184,11 +193,11 @@ def _build_mask(cfg: dict, triple: CrystalTriple) -> Mask:
         g = item.get("g", 0)
         k = item.get("k")
         coef = item.get("coef")
-        if not isinstance(g, int) or not (0 <= g < triple.order):
+        if not _is_int(g) or not (0 <= g < triple.order):
             raise CliError(EXIT_MALFORMED,
                            f"mask entry {pos}: bad point index {g!r}")
         if (not isinstance(k, list) or len(k) != triple.d
-                or not all(isinstance(x, int) for x in k)):
+                or not all(_is_int(x) for x in k)):
             raise CliError(EXIT_MALFORMED,
                            f"mask entry {pos}: k must be {triple.d} integers")
         if not (isinstance(coef, list)
@@ -295,10 +304,6 @@ def cmd_accuracy(args) -> int:
                      if isinstance(v, dict) else v)
             for k, v in cert.diagnostics.items()}
     if args.method in ("sufficient", "both"):
-        if mask.r != 1:
-            raise CliError(EXIT_SHAPE,
-                           "sufficient method needs a scalar mask (r=1), "
-                           f"got r={mask.r}")
         # with both methods, test the sum rules at the certified order;
         # alone, at the requested order
         if cert is not None:
@@ -418,13 +423,7 @@ def cmd_lift(args) -> int:
     triple = _build_triple(cfg)
     dilation = _build_dilation(cfg, triple)
     mask = _build_mask(cfg, triple)
-    if mask.r != 1:
-        raise CliError(EXIT_SHAPE, f"lift needs a scalar mask, got r={mask.r}")
-    try:
-        lifted = lift_scalar_to_matrix(mask, dilation)
-    except MaskShapeError as exc:
-        raise CliError(EXIT_SHAPE, str(exc))
-    _emit(_mask_json(lifted))
+    _emit(_mask_json(lift_scalar_to_matrix(mask, dilation)))
     return EXIT_OK
 
 
@@ -435,15 +434,7 @@ def cmd_extract(args) -> int:
     lat = lattice_triple(triple)
     raw_mask = _build_mask({"mask": cfg.get("mask"), "dimension": triple.d},
                            lat)
-    if raw_mask.r != triple.order:
-        raise CliError(EXIT_SHAPE,
-                       f"extract needs block size {triple.order} to match "
-                       f"the point group, got {raw_mask.r}")
-    try:
-        scalar = extract_scalar(raw_mask, triple, dilation)
-    except MaskShapeError as exc:
-        raise CliError(EXIT_SHAPE, str(exc))
-    _emit(_mask_json(scalar))
+    _emit(_mask_json(extract_scalar(raw_mask, triple, dilation)))
     return EXIT_OK
 
 
@@ -503,16 +494,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, MaskShapeError, cascade_mod.CascadeError) as exc:
         print(json.dumps({"schema_version": SCHEMA_VERSION,
                           "error": str(exc)}, indent=2))
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except cascade_mod.CascadeError as exc:
-        print(json.dumps({"schema_version": SCHEMA_VERSION,
-                          "error": str(exc)}, indent=2))
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+        if isinstance(exc, CliError):
+            return exc.code
+        return (EXIT_SHAPE if isinstance(exc, MaskShapeError)
+                else EXIT_NO_CONVERGENCE)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,9 @@ with translations in integer coordinates, and (g, k)^{-1} = (g^{-1}, -g(k)).
 A dilation A is admissible when it is expansive, maps the lattice into
 itself (M = R^{-1} A R integer) and conjugation by A maps the point group
 into itself.  The index-m subgroup A·Gamma·A^{-1} then has pure-translation
-coset representatives (digits) computed from the Smith normal form of M.
+coset representatives (digits): the lattice points of the half-open
+parallelepiped M[0,1)^d, the standard residue system of Z^d / M·Z^d
+(Gröchenig and Madych, IEEE Trans. Inf. Theory 38, 1992).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Mat, QC, det, integer_rows, smith_normal_form
+from .linalg import Mat, QC, det, integer_rows
 
 
 class GroupValidationError(ValueError):
@@ -244,49 +246,51 @@ class Dilation:
     M = R^{-1} A R, the permutation h with g_{h(i)} = A g_i A^{-1}, the
     permutations rho_i(j) = index of g_{h(i)}^{-1} g_j, and m
     pure-translation coset representatives (digits) of Gamma / A Gamma
-    A^{-1} derived from the Smith normal form U M V = S: representatives
-    are U^{-1} t for t running row-major over prod(range(S_ii)).
+    A^{-1}: the lattice points of M[0,1)^d, the zero vector first and the
+    rest in lexicographic order.  ``det_m`` is det M = det A, which the
+    caller has already computed.
     """
 
     def __init__(self, triple: CrystalTriple, A: Mat, A_inv: Mat,
-                 M: list[list[int]], h: tuple[int, ...]):
+                 M: list[list[int]], h: tuple[int, ...], det_m: int):
         self.triple = triple
         self.A = A
         self.A_inv = A_inv
         self.M = M
         self.M_mat = Mat.from_rows(M)
         self.M_inv = self.M_mat.inverse()
+        # adj M = det M · M^{-1} is integral, so M^{-1} k = (adj M · k) / det M
+        self._det = det_m
+        self._adj = integer_rows(self.M_inv.scale(QC(det_m)))
         self.h = h
         self.h_inv = tuple(h.index(i) for i in range(len(h)))
         pt = triple.product_table
         inv = triple.inverse_table
         self.rho = tuple(tuple(pt[inv[h[i]]][j] for j in range(triple.order))
                          for i in range(triple.order))
-        u, s, v = smith_normal_form(M)
-        self._snf = (u, s, v)
-        diag = [s[i][i] for i in range(len(s))]
-        self.m = 1
-        for x in diag:
-            self.m *= abs(x)
-        self._diag = diag
-        self._u = u
-        # U^{-1} = M V S^{-1}: columns of M @ V divided by the diagonal
-        mv = [[sum(M[i][t] * v[t][j] for t in range(len(v)))
-               for j in range(len(v))] for i in range(len(M))]
-        self._u_inv = [[mv[i][j] // diag[j] for j in range(len(diag))]
-                       for i in range(len(M))]
-        assert all(mv[i][j] == self._u_inv[i][j] * diag[j]
-                   for i in range(len(M)) for j in range(len(diag)))
-        self.lattice_digits = tuple(
-            _int_apply(self._u_inv, t)
-            for t in itertools.product(*[range(x) for x in diag]))
+        # the unit vectors generate Z^d, so the closure of 0 under
+        # k -> residue(k + e_i) is every residue: d·m residue calls
+        zero = (0,) * triple.d
+        found = {zero}
+        frontier = [zero]
+        while frontier:
+            k = frontier.pop()
+            for i in range(triple.d):
+                nxt = self.residue(k[:i] + (k[i] + 1,) + k[i + 1:])
+                if nxt not in found:
+                    found.add(nxt)
+                    frontier.append(nxt)
+        self.lattice_digits = tuple(sorted(found,
+                                           key=lambda t: (t != zero, t)))
+        self.m = len(self.lattice_digits)
         self.digits = tuple(triple.translation(k) for k in self.lattice_digits)
         self._digit_index = {k: i for i, k in enumerate(self.lattice_digits)}
 
     def residue(self, kvec) -> tuple[int, ...]:
-        """Canonical representative of kvec modulo M·Z^d."""
-        t = [a % b for a, b in zip(_int_apply(self._u, kvec), self._diag)]
-        return _int_apply(self._u_inv, t)
+        """The point of kvec + M·Z^d in M[0,1)^d: kvec - M·floor(M^{-1}
+        kvec), with floor division by det M exact for either sign."""
+        q = [x // self._det for x in _int_apply(self._adj, kvec)]
+        return tuple(a - b for a, b in zip(kvec, _int_apply(self.M, q)))
 
     def coset_index(self, e: CrystalElement) -> int:
         """Index i with digit_i^{-1}·e in A·Gamma·A^{-1}."""
@@ -304,11 +308,11 @@ class Dilation:
 
     def deconj(self, e: CrystalElement) -> CrystalElement | None:
         """A^{-1} e A when that lies in Gamma, else None."""
-        col = integer_rows(self.M_inv @ Mat.column(e.k))
-        if col is None:
+        parts = [divmod(x, self._det) for x in _int_apply(self._adj, e.k)]
+        if any(rem for _, rem in parts):
             return None
         return CrystalElement(self.triple, self.h_inv[e.g],
-                              tuple(row[0] for row in col))
+                              tuple(q for q, _ in parts))
 
     def __repr__(self):
         return f"Dilation(m={self.m})"
@@ -348,8 +352,8 @@ def check_admissible(A: Mat, triple: CrystalTriple) -> Dilation:
                 f"conjugation by the dilation maps point element {i} "
                 "outside the group")
         h.append(match)
-    dil = Dilation(triple, A, A_inv, M, tuple(h))
-    if abs(det_a.re) != dil.m:
+    dil = Dilation(triple, A, A_inv, M, tuple(h), int(det_a.re))
+    if len(dil.digits) != abs(det_a.re):
         raise AdmissibilityError("digit count does not match |det A|")
     return dil
 

@@ -468,85 +468,3 @@ def integer_rows(m: Mat) -> list[list[int]] | None:
     if any(x.im != 0 or x.re.denominator != 1 for row in m._data for x in row):
         return None
     return [[int(x.re) for x in row] for row in m._data]
-
-
-def smith_normal_form(m: list[list[int]]) -> tuple[list[list[int]],
-                                                  list[list[int]],
-                                                  list[list[int]]]:
-    """Smith normal form of an integer matrix given as nested int lists:
-    U @ M @ V = S with U, V unimodular and S diagonal, nonnegative, each
-    diagonal entry dividing the next.  Returns (U, S, V) as nested integer
-    lists."""
-    a = [list(row) for row in m]
-    n_rows = len(a)
-    n_cols = len(a[0]) if n_rows else 0
-    u = [[1 if i == j else 0 for j in range(n_rows)] for i in range(n_rows)]
-    v = [[1 if i == j else 0 for j in range(n_cols)] for i in range(n_cols)]
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for row in a:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    t = 0
-    while t < min(n_rows, n_cols):
-        # move the submatrix entry of least nonzero magnitude to (t, t)
-        best = None
-        for i in range(t, n_rows):
-            for j in range(t, n_cols):
-                if a[i][j] != 0 and (best is None
-                                     or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        dirty = False
-        for i in range(t + 1, n_rows):
-            if a[i][t] != 0:
-                q = a[i][t] // a[t][t]
-                row_op(i, t, q)
-                if a[i][t] != 0:
-                    dirty = True
-        for j in range(t + 1, n_cols):
-            if a[t][j] != 0:
-                q = a[t][j] // a[t][t]
-                col_op(j, t, q)
-                if a[t][j] != 0:
-                    dirty = True
-        if dirty:
-            continue
-        # pivot must divide the rest of the submatrix
-        stuck = None
-        for i in range(t + 1, n_rows):
-            for j in range(t + 1, n_cols):
-                if a[i][j] % a[t][t] != 0:
-                    stuck = i
-                    break
-            if stuck is not None:
-                break
-        if stuck is not None:
-            row_op(t, stuck, -1)  # fold the offending row into the pivot row
-            continue
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    if n_rows == n_cols and any(a[i][i] == 0 for i in range(n_rows)):
-        raise ValueError("smith_normal_form needs a nonsingular matrix")
-    return u, a, v

@@ -186,7 +186,8 @@ def lift_scalar_to_matrix(scalar_mask: Mask, dilation: Dilation) -> Mask:
     :func:`extract_scalar` restores the input exactly.
     """
     if scalar_mask.r != 1:
-        raise MaskShapeError("lift starts from a multiplicity-1 mask")
+        raise MaskShapeError("lift starts from a multiplicity-1 mask, got "
+                             f"r={scalar_mask.r}")
     t = scalar_mask.triple
     if dilation.triple is not t:
         raise MaskShapeError("dilation belongs to a different triple")

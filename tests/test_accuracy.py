@@ -235,15 +235,6 @@ def test_max_accuracy_input_checks(line, pm, hat):
         max_accuracy(hat, t, dil_u, p_max=2)
 
 
-def test_independent_flag_changes_direction_label(line, hat):
-    t, dil = line
-    weak = max_accuracy(hat, t, dil, p_max=2)
-    strong = max_accuracy(hat, t, dil, p_max=2, independent=True)
-    assert weak.diagnostics["direction"] == "sufficient direction"
-    assert strong.diagnostics["direction"] == "maximal (independent translates)"
-    assert weak.p == strong.p
-
-
 def test_witness_satisfies_per_coset_conditions(line, bspline4):
     t, dil = line
     cert = max_accuracy(bspline4, t, dil, p_max=4)

@@ -199,7 +199,8 @@ def test_reproduce_hat_linear_polynomials(line, hat, hat_field):
 
 def test_fit_from_a_single_sample_node_does_not_pass(line, hat, hat_field):
     """With one sample node the degree-2 fit has as many equations as
-    unknowns, so it is exact by construction and shows nothing."""
+    unknowns, so it is exact by construction and shows nothing; so does
+    the s = 0 test, whose C is that node's own degree-0 sum."""
     t, dil = line
     cert = max_accuracy(hat, t, dil, p_max=3)
     assert cert.p == 2
@@ -209,7 +210,7 @@ def test_fit_from_a_single_sample_node_does_not_pass(line, hat, hat_field):
     fitted = checks[2]
     assert fitted.report is None and fitted.residual < 1e-5
     assert not fitted.verdict
-    assert empirical_level(hat_field, checks) == 2
+    assert empirical_level(hat_field, checks) == 0
 
 
 def test_empirical_accuracy_classic_masks(line, haar, hat, bspline4):

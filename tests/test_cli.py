@@ -480,6 +480,11 @@ def test_cascade_on_a_non_integer_lattice(tmp_path, capsys):
     ("cascade", {"sample_count": 0}),
     ("cascade", {"tolerance": float("nan")}),
     ("cascade", {"tolerance": float("inf")}),
+    # a boolean is no number, and a fractional number is no integer
+    ("accuracy", {"p_max": True}),
+    ("accuracy", {"p_max": 2.9}),
+    ("cascade", {"sample_count": True}),
+    ("cascade", {"tolerance": True}),
 ])
 def test_malformed_options_exit_1(tmp_path, capsys, command, options):
     path = tmp_path / "cfg.json"
@@ -522,6 +527,12 @@ def test_malformed_options_exit_1(tmp_path, capsys, command, options):
     ("accuracy", {"mask": [{"k": [0], "coef": float("inf")}]},
      EXIT_MALFORMED),
     ("lift", {"mask": [{"k": [0], "coef": [float("-inf"), 0]}]},
+     EXIT_MALFORMED),
+    # a boolean is no point index or lattice coordinate
+    ("accuracy", {"group": "p1m",
+                  "mask": [{"g": True, "k": [0], "coef": 1}]},
+     EXIT_MALFORMED),
+    ("accuracy", {"mask": [{"g": 0, "k": [False], "coef": 1}]},
      EXIT_MALFORMED),
 ])
 def test_malformed_shapes_end_in_a_json_error(tmp_path, capsys, command, cfg,

@@ -5,14 +5,14 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from crystacc.crystal import (AdmissibilityError, GroupValidationError,
-                              apply_element, catalog_names, catalog_triple,
+from crystacc.crystal import (AdmissibilityError, Dilation,
+                              GroupValidationError, apply_element, catalog_names, catalog_triple,
                               check_admissible, compose, elements_in_ball,
                               generate_group, inverse, validate_triple)
-from crystacc.linalg import Mat, QC
+from crystacc.linalg import Mat, QC, det, integer_rows
 
 from conftest import rand_point
 
@@ -153,6 +153,83 @@ def test_digits_1d(line):
     t, dil = line
     assert dil.m == 2
     assert [e.k for e in dil.digits] == [(0,), (1,)]
+
+
+@pytest.mark.parametrize("rows,digits", [
+    ([[2]], [(0,), (1,)]),
+    ([[3]], [(0,), (1,), (2,)]),
+    ([[-2]], [(0,), (-1,)]),
+    ([[2, 0], [0, 2]], [(0, 0), (0, 1), (1, 0), (1, 1)]),
+    ([[3, 0], [0, 3]], [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2),
+                        (2, 0), (2, 1), (2, 2)]),
+    ([[1, -1], [1, 1]], [(0, 0), (0, 1)]),
+    ([[0, 2], [1, 0]], [(0, 0), (1, 0)]),
+])
+def test_digit_lists_of_common_dilations(rows, digits):
+    """Digit order fixes the coset numbering of every report: these lists
+    are pinned."""
+    t = catalog_triple("p1", len(rows))
+    dil = check_admissible(Mat.from_rows(rows), t)
+    assert list(dil.lattice_digits) == digits
+    assert [e.k for e in dil.digits] == digits
+
+
+def _bare_dilation(rows) -> Dilation:
+    """Digit data of an integer matrix on Z^d with the trivial point
+    group; admissibility (expansiveness) is not checked."""
+    d = len(rows)
+    t = validate_triple(Mat.identity(d), [Mat.identity(d)])
+    m_mat = Mat.from_rows(rows)
+    return Dilation(t, m_mat, m_mat.inverse(), rows, (0,),
+                    int(det(m_mat).re))
+
+
+def test_sheared_dilation_digits_take_no_box_scan():
+    """The box around M[0,1)^2 holds about 2·10^9 lattice points; the
+    digits come from d·m residues instead."""
+    dil = _bare_dilation([[1, 10 ** 9], [0, 2]])
+    assert dil.lattice_digits == ((0, 0), (5 * 10 ** 8, 1))
+    assert dil.residue((10 ** 9 + 3, 1)) == (5 * 10 ** 8, 1)
+
+
+def _in_unit_cell(m_inv, k) -> bool:
+    """Whether M^{-1} k lies in [0, 1)^d, in exact rationals."""
+    return all(0 <= sum(row[j] * k[j] for j in range(len(k))) < 1
+               for row in m_inv)
+
+
+@seed(2026)
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_digits_are_the_lattice_points_of_the_unit_parallelepiped(data):
+    """For nonsingular integer M (d = 1..3, entries in [-5, 5]): |det M|
+    digits, every residue in M[0,1)^d and congruent to its argument
+    modulo M·Z^d, residue idempotent, and the digit set equal to a
+    brute-force scan of the box around M[0,1)^d."""
+    d = data.draw(st.integers(1, 3))
+    rows = data.draw(st.lists(
+        st.lists(st.integers(-5, 5), min_size=d, max_size=d),
+        min_size=d, max_size=d).filter(
+            lambda m: not det(Mat.from_rows(m)).is_zero()))
+    dil = _bare_dilation(rows)
+    m_inv = [[x.re for x in dil.M_inv.row_list(i)] for i in range(d)]
+    assert len(dil.digits) == dil.m == abs(det(dil.M_mat).re)
+    assert dil.lattice_digits[0] == (0,) * d
+    assert list(dil.lattice_digits[1:]) == sorted(dil.lattice_digits[1:])
+    for _ in range(5):
+        k = tuple(data.draw(st.integers(-60, 60)) for _ in range(d))
+        res = dil.residue(k)
+        assert _in_unit_cell(m_inv, res)
+        diff = Mat.column([a - b for a, b in zip(k, res)])
+        assert integer_rows(dil.M_inv @ diff) is not None
+        assert dil.residue(res) == res
+        assert dil.lattice_digits[dil.translation_coset(k)] == res
+    # reference: every lattice point of the box spanned by the corners
+    # M·{0,1}^d, kept when it lies in M[0,1)^d
+    box = [range(sum(min(0, x) for x in row), sum(max(0, x) for x in row) + 1)
+           for row in rows]
+    scan = {k for k in product(*box) if _in_unit_cell(m_inv, k)}
+    assert set(dil.lattice_digits) == scan
 
 
 def test_coset_index_examples(line, pm):

@@ -1,7 +1,8 @@
 """Design rules of the package that a grep can check: one exact scalar
 representation with no backend switch, imports at module level only and
 none unused, no CLI reach-ins to private cascade helpers, no uncertified
-support estimate, a cascade that reads grid nodes only (no interpolation
+support estimate, no general integer normal form (the digits are a
+residue system), a cascade that reads grid nodes only (no interpolation
 plans and no free grid spacing), one moment table in the exact solver,
 and every name the benchmark's tracer wraps."""
 
@@ -29,6 +30,7 @@ def test_sources_are_found():
 DELETED_ESTIMATE = "estimate_" "support"
 DELETED_INTERPOLATION = ("_interp_" "plan", "_apply_" "plan")
 DELETED_SYMMETRY_DATA = "Symmetry" "Data"
+DELETED_NORMAL_FORM = "smith_" "normal_form"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -38,6 +40,7 @@ def test_no_banned_tokens(path):
     assert DELETED_ESTIMATE not in text
     assert not any(name in text for name in DELETED_INTERPOLATION)
     assert DELETED_SYMMETRY_DATA not in text
+    assert DELETED_NORMAL_FORM not in text
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

@@ -1,7 +1,6 @@
-"""Exact linear algebra: kernels, Smith form, eigenvalue-1, float reading."""
+"""Exact linear algebra: kernels, eigenvalue-1, float reading."""
 
 import itertools
-import random
 from fractions import Fraction
 
 import pytest
@@ -10,8 +9,7 @@ from hypothesis import strategies as st
 
 from crystacc.linalg import (FLOAT_DENOMINATOR_CAP, Mat, QC, _rref_exact, det,
                              has_eigenvalue_one, integer_rows, kernel_basis,
-                             kron, rank, read_float, smith_normal_form,
-                             solve_affine)
+                             kron, rank, read_float, solve_affine)
 
 
 def test_qc_exact_arithmetic():
@@ -124,39 +122,6 @@ def test_has_eigenvalue_one_rejects_nonsquare():
         has_eigenvalue_one(Mat.zeros(2, 3))
 
 
-def test_smith_diag():
-    u, s, v = smith_normal_form([[2, 0], [0, 2]])
-    assert s == [[2, 0], [0, 2]]
-
-
-def test_smith_triangular():
-    m = [[1, 1], [0, 2]]
-    u, s, v = smith_normal_form(m)
-    assert s == [[1, 0], [0, 2]]
-    assert _mul(_mul(u, m), v) == s
-    assert abs(_int_det(u)) == 1 and abs(_int_det(v)) == 1
-
-
-def test_smith_1x1():
-    _, s, _ = smith_normal_form([[3]])
-    assert s == [[3]]
-
-
-def test_smith_rejects_singular():
-    with pytest.raises(ValueError):
-        smith_normal_form([[1, 1], [1, 1]])
-
-
-def _mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)]
-            for i in range(n)]
-
-
-def _int_det(m):
-    return round(det(Mat.from_rows(m)).re)
-
-
 def test_solve_affine_examples():
     basis, proj = solve_affine(Mat.zeros(1, 2), [0])
     assert proj == 1
@@ -197,23 +162,6 @@ def test_rank_nullity(rows, cols, data):
                for _ in range(rows)]
     m = Mat.from_rows(entries)
     assert rank(m) + len(kernel_basis(m)) == cols
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 4), st.integers(0, 10 ** 6))
-def test_smith_random_integer(n, seed):
-    rng = random.Random(seed)
-    while True:
-        m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-        if det(Mat.from_rows(m)) != QC(0):
-            break
-    u, s, v = smith_normal_form(m)
-    assert _mul(_mul(u, m), v) == s
-    assert abs(_int_det(u)) == 1 and abs(_int_det(v)) == 1
-    divisors = [s[i][i] for i in range(n)]
-    assert all(x > 0 for x in divisors)
-    for a, b in zip(divisors, divisors[1:]):
-        assert b % a == 0
 
 
 @settings(max_examples=60, deadline=None)
