@@ -21,8 +21,8 @@ from math import comb, prod
 
 from .crystal import CrystalTriple, Dilation, compose, inverse
 # kron is unused here: perfbench/tracing.py wraps it by name in this module
-from .linalg import (Mat, QC, QC_ZERO, det, has_eigenvalue_one,
-                     kernel_basis, kron, solve_affine)
+from .linalg import (Mat, QC, QC_ZERO, det, kernel_basis, kron,
+                     solve_affine)
 from .mask import Mask, MaskShapeError
 from .multiidx import (VCollection, build_A_s, build_Q_tilde, dim_degree,
                        enumerate_degree, eval_y)
@@ -364,11 +364,14 @@ def sufficient_check(mask: Mask, triple: CrystalTriple, dilation: Dilation,
     recursion below never needs it.
 
     The sums of (ii) and the moment matrices below are read from the
-    moment table of :func:`_moments`, the one the constraint rows use.  On
-    success the explicit witness chain is built: v_[0] = 1 and
-    v_[s] = (I - M_[s,s] A_[s])^{-1} sum_{t<s} M_[s,t] A_[t] v_[t], with
-    M_[s,t] the binomial moment matrices of the mask, which are the
-    blocks of :func:`_block_row` on the first coset; the chain is then
+    moment table of :func:`_moments`, the one the constraint rows use.
+    Block row s of :func:`_block_row` on the first coset is
+    (I - M_[s,s] A_[s]) v_[s] - sum_{t<s} M_[s,t] A_[t] v_[t] = 0, with
+    M_[s,t] the binomial moment matrices of the mask; when the moments
+    agree, M_[s,s] A_[s] is the matrix of (iii), so (iii) holds exactly
+    when the diagonal block I - M_[s,s] A_[s] is nonsingular.  On success
+    the same rows give the explicit witness chain: v_[0] = 1 and
+    v_[s] = (I - M_[s,s] A_[s])^{-1} sum_{t<s} M_[s,t] A_[t] v_[t], then
     re-checked against condition_d_residual.
     """
     if mask.r != 1:
@@ -384,9 +387,7 @@ def sufficient_check(mask: Mask, triple: CrystalTriple, dilation: Dilation,
              "the screened matrix equals the scalar 1 whenever the sum "
              "rule holds"]
 
-    total = QC_ZERO
-    for _, blk in mask.items():
-        total = total + blk.entry(0, 0)
+    total = sum((blk.entry(0, 0) for _, blk in mask.items()), QC_ZERO)
     sum_rule_ok = total == m
 
     # Per-coset moments of the inverse-indexed coefficients: the inverse of
@@ -402,13 +403,9 @@ def sufficient_check(mask: Mask, triple: CrystalTriple, dilation: Dilation,
                 [moment[a].get((0, 0), 0) for a in alphas])
             for j, a in enumerate(alphas):
                 per_coset[(triple.inverse_table[g], a)][i] = col.entry(j, 0)
-    beta = {}
-    moments_ok = True
-    for key, sums in per_coset.items():
-        if len(set(sums)) == 1:
-            beta[key] = sums[0]
-        else:
-            moments_ok = False
+    beta = {key: sums[0] for key, sums in per_coset.items()
+            if len(set(sums)) == 1}
+    moments_ok = len(beta) == len(per_coset)
     if not moments_ok:
         notes.append("per-coset moments disagree; see per_coset for the "
                      "offending sums")
@@ -424,46 +421,42 @@ def sufficient_check(mask: Mask, triple: CrystalTriple, dilation: Dilation,
             b = triple.inverse_table[e.g]
             i = dilation.translation_coset(e.k)
             direct[b][i] = direct[b][i] + blk.entry(0, 0)
-        for b in range(r):
-            vals = direct[b] + [beta[(b, zero_alpha)]]
-            if len(set(vals)) != 1:
-                beta0_consistent = False
+        beta0_consistent = all(
+            len(set(direct[b] + [beta[(b, zero_alpha)]])) == 1
+            for b in range(r))
         if not beta0_consistent:
             notes.append("alpha = 0 moments disagree between the two "
                          "coefficient indexings; the coset permutation "
                          "argument failed for this input")
 
+    # coset-0 block rows of degrees 1..p-1, with their diagonal blocks
+    # I - M_[s,s] A_[s]: the screen of (iii) and the chain's left sides
     eigen_flags = {}
-    eigen_ok = True
+    degree_rows = []
     if moments_ok:
+        start = 1
         for s in range(1, p):
-            mat = Mat.zeros(dim_degree(d, s), dim_degree(d, s))
-            for b in range(r):
-                term = build_A_s(triple.group[b], s) @ build_A_s(dilation.A, s)
-                mat = mat + term.scale(beta[(b, zero_alpha)])
-            eigen_flags[s] = not has_eigenvalue_one(mat)
-            eigen_ok = eigen_ok and eigen_flags[s]
+            ds = dim_degree(d, s)
+            rows = _block_row(mask, dilation, moments, s)[:ds]
+            lhs = Mat.from_rows([[row.get(start + k, 0) for k in range(ds)]
+                                 for row in rows])
+            eigen_flags[s] = not det(lhs).is_zero()
+            degree_rows.append((start, rows, lhs))
+            start += ds
+    eigen_ok = all(eigen_flags.values())
 
     v_chain = None
     chain_zero = None
     conditions_ok = (sum_rule_ok and moments_ok and eigen_ok
                      and beta0_consistent)
     if conditions_ok:
-        # Block row s on coset 0 reads (I - M_[s,s] A_[s]) v_[s]
-        # - sum_{t<s} M_[s,t] A_[t] v_[t] = 0, so each v_[s] solves it
-        # given the lower degrees; the first coset serves, as the moments
-        # agree across cosets.
         blocks = [Mat.identity(1)]
         chain = [QC(1)]
-        for s in range(1, p):
-            ds, start = dim_degree(d, s), len(chain)
-            rows = _block_row(mask, dilation, moments, s)[:ds]
-            lhs = Mat.from_rows([[row.get(start + k, 0) for k in range(ds)]
-                                 for row in rows])
+        for start, rows, lhs in degree_rows:
             rhs = Mat.column([sum((-x * chain[j] for j, x in row.items()
                                    if j < start), QC_ZERO) for row in rows])
             blocks.append(lhs.inverse() @ rhs)
-            chain += [blocks[s].entry(k, 0) for k in range(ds)]
+            chain += [blocks[-1].entry(k, 0) for k in range(lhs.rows)]
         v_chain = VCollection(d, tuple(blocks))
         chain_zero = all(
             condition_d_residual(mask, dilation, v_chain, s, i).is_zero()

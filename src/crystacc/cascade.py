@@ -90,7 +90,7 @@ class GridField:
         return self._x(_node_grid(self.first, self.shape))
 
     def _x(self, J: np.ndarray) -> np.ndarray:
-        return (J * self.h) @ self.triple.floats()["R"].T
+        return (J * self.h) @ self.triple.R.np().real.T
 
     def node_index(self, points) -> np.ndarray:
         """Integer node J of each point x = R h J; ValueError for a point
@@ -137,7 +137,6 @@ class ReproductionReport:
     s: int
     C: complex
     residual: float
-    tolerance: float
     verdict: bool
     excluded: int
     gate_estimate: complex
@@ -496,7 +495,7 @@ def reproduce(field: GridField, v: tuple, s: int, sample_points,
     residual = float(np.max(np.abs(gs[keep] - target)))
 
     # closed-form candidates for C from the field integral; dx = |det R| dy
-    det_r = abs(np.linalg.det(field.triple.floats()["R"]))
+    det_r = abs(np.linalg.det(field.triple.R.np().real))
     integral = field._flat.sum(axis=0) * field.h ** field.d * det_r
     v0 = v[0].ravel()
     gate = complex(np.dot(v0, integral))
@@ -510,7 +509,7 @@ def reproduce(field: GridField, v: tuple, s: int, sample_points,
             matches.append(name)
     matched = " and ".join(matches) if matches else "neither"
     return ReproductionReport(
-        s=s, C=C, residual=residual, tolerance=tol,
+        s=s, C=C, residual=residual,
         verdict=bool(residual < tol and (s > 0 or keep.sum() > 1)),
         excluded=int(excluded.sum()),
         gate_estimate=gate, cell_volume=vol,

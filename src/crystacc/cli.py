@@ -82,14 +82,18 @@ def _parse_scalar(value):
     raise CliError(EXIT_MALFORMED, f"cannot read coefficient {value!r}")
 
 
-def _parse_matrix(rows, what: str) -> Mat:
+def _parse_matrix(rows, what: str, dim: int | None = None) -> Mat:
     """A lattice, dilation or generator: a nonempty list of equally long
-    rows of real exact rationals."""
+    rows of real exact rationals, dim x dim when ``dim`` is given (an
+    invalid group otherwise)."""
     if not (isinstance(rows, list) and rows
             and all(isinstance(r, list) for r in rows)):
         raise CliError(EXIT_MALFORMED, f"{what} must be a nested list")
     if any(len(r) != len(rows[0]) for r in rows):
         raise CliError(EXIT_MALFORMED, f"{what} rows differ in length")
+    if dim is not None and (len(rows), len(rows[0])) != (dim, dim):
+        raise CliError(EXIT_BAD_GROUP, f"invalid group: {what} is "
+                       f"{len(rows)}x{len(rows[0])}, not {dim}x{dim}")
     parsed = [[_parse_scalar(x) for x in row] for row in rows]
     if any(not isinstance(x, QC) for row in parsed for x in row):
         raise CliError(EXIT_MALFORMED, f"{what} must be exact rationals")
@@ -111,35 +115,40 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _option(cfg: dict, name: str, default, kind=int, minimum=None):
-    """Entry ``name`` of the config's ``options`` object as ``kind``, or
-    ``default`` when absent; a value that is not one is malformed input:
+def _number(value, what: str, kind=int, minimum=None):
+    """``value`` as ``kind``; a value that is not one is malformed input:
     a boolean, or a fractional number where ``kind`` is int."""
-    options = cfg.get("options", {})
-    if not isinstance(options, dict):
-        raise CliError(EXIT_MALFORMED, "'options' must be a JSON object")
-    value = options.get(name, default)
     try:
         if isinstance(value, bool) or (kind is int and isinstance(value, float)
                                        and not value.is_integer()):
             raise TypeError
         out = kind(value)
     except (TypeError, ValueError, OverflowError):
-        raise CliError(EXIT_MALFORMED, f"option {name!r} must be "
+        raise CliError(EXIT_MALFORMED, f"{what} must be "
                        f"{kind.__name__}, got {value!r}")
     if kind is float and not math.isfinite(out):
-        raise CliError(EXIT_MALFORMED, f"option {name!r} must be finite")
+        raise CliError(EXIT_MALFORMED, f"{what} must be finite")
     if minimum is not None and out < minimum:
-        raise CliError(EXIT_MALFORMED,
-                       f"option {name!r} must be at least {minimum}")
+        raise CliError(EXIT_MALFORMED, f"{what} must be at least {minimum}")
     return out
 
 
+def _option(cfg: dict, name: str, default, kind=int, minimum=None):
+    """Entry ``name`` of the config's ``options`` object, read by
+    :func:`_number`, or ``default`` when absent."""
+    options = cfg.get("options", {})
+    if not isinstance(options, dict):
+        raise CliError(EXIT_MALFORMED, "'options' must be a JSON object")
+    return _number(options.get(name, default), f"option {name!r}", kind,
+                   minimum)
+
+
 def _build_triple(cfg: dict) -> CrystalTriple:
-    try:
-        dim = int(cfg["dimension"])
-    except (KeyError, TypeError, ValueError):
+    """The triple of the config; every shape is checked against
+    ``dimension`` before anything of that size is built."""
+    if "dimension" not in cfg:
         raise CliError(EXIT_MALFORMED, "config needs an integer 'dimension'")
+    dim = _number(cfg["dimension"], "'dimension'", minimum=1)
     group = cfg.get("group", "p1")
     lattice = cfg.get("lattice")
     if not isinstance(group, (str, list)):
@@ -153,15 +162,14 @@ def _build_triple(cfg: dict) -> CrystalTriple:
                                f"dimension {dim}")
             triple = catalog_triple(group, dim)
             if lattice is not None:
-                r_mat = _parse_matrix(lattice, "lattice")
-                triple = validate_triple(
-                    r_mat, [Mat.from_rows(g.row_list(i) for i in range(dim))
-                            for g in triple.group], group)
+                r_mat = _parse_matrix(lattice, "lattice", dim)
+                triple = validate_triple(r_mat, triple.group, group)
         else:
-            r_mat = (_parse_matrix(lattice, "lattice") if lattice is not None
-                     else Mat.identity(dim))
-            gens = [_parse_matrix(g, "group generator") for g in group]
-            triple = validate_triple(r_mat, generate_group(gens), "custom")
+            points = generate_group([_parse_matrix(g, "group generator", dim)
+                                     for g in group])
+            r_mat = (Mat.identity(dim) if lattice is None
+                     else _parse_matrix(lattice, "lattice", dim))
+            triple = validate_triple(r_mat, points, "custom")
     except GroupValidationError as exc:
         raise CliError(EXIT_BAD_GROUP, f"invalid group: {exc}")
     return triple

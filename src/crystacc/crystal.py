@@ -12,18 +12,19 @@ with translations in integer coordinates, and (g, k)^{-1} = (g^{-1}, -g(k)).
 
 A dilation A is admissible when it is expansive, maps the lattice into
 itself (M = R^{-1} A R integer) and conjugation by A maps the point group
-into itself.  The index-m subgroup A·Gamma·A^{-1} then has pure-translation
-coset representatives (digits): the lattice points of the half-open
-parallelepiped M[0,1)^d, the standard residue system of Z^d / M·Z^d
-(Gröchenig and Madych, IEEE Trans. Inf. Theory 38, 1992).
+into itself.  Every test is exact: expansiveness is certified by an exact
+power of A^{-1} with max-row-sum norm below 1, and points are moved in
+exact rationals.  The index-m subgroup A·Gamma·A^{-1} then has
+pure-translation coset representatives (digits): the lattice points of the
+half-open parallelepiped M[0,1)^d, the standard residue system of
+Z^d / M·Z^d (Gröchenig and Madych, IEEE Trans. Inf. Theory 38, 1992).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-
-import numpy as np
+from fractions import Fraction
 
 from .linalg import Mat, QC, det, integer_rows
 
@@ -73,7 +74,6 @@ class CrystalTriple:
             if j is None:
                 raise GroupValidationError(f"no inverse for point element {i}")
             self.inverse_table.append(j)
-        self._float_cache: dict | None = None
         # build_Q_tilde blocks keyed by (g, k, s, t); they die with the triple
         self.q_tilde_cache: dict = {}
 
@@ -96,15 +96,6 @@ class CrystalTriple:
     def translation(self, k) -> "CrystalElement":
         return self.element(0, k)
 
-    def floats(self) -> dict:
-        """Cached float copies of R and the group matrices."""
-        if self._float_cache is None:
-            self._float_cache = {
-                "R": self.R.np().real,
-                "group": [g.np().real for g in self.group],
-            }
-        return self._float_cache
-
     def __repr__(self):
         label = self.name or f"order-{self.order}"
         return f"CrystalTriple(d={self.d}, {label})"
@@ -119,18 +110,18 @@ def validate_triple(R: Mat, group: list[Mat], name: str | None = None) -> Crysta
     """
     if R.rows != R.cols:
         raise GroupValidationError("lattice basis must be a square exact matrix")
-    if not _is_real(R):
-        raise GroupValidationError("lattice basis must be real")
-    if det(R).is_zero():
-        raise GroupValidationError("lattice basis is singular")
     d = R.rows
-    ident = Mat.identity(d)
     if not group:
         raise GroupValidationError("point group is empty")
     for idx, g in enumerate(group):
         if g.shape != (d, d) or not _is_real(g):
             raise GroupValidationError(f"point element {idx} is not a real "
                                        f"exact {d}x{d} matrix")
+    if not _is_real(R):
+        raise GroupValidationError("lattice basis must be real")
+    if det(R).is_zero():
+        raise GroupValidationError("lattice basis is singular")
+    ident = Mat.identity(d)
     if group[0] != ident:
         raise GroupValidationError("point group must list the identity first")
     R_inv = R.inverse()
@@ -186,9 +177,6 @@ class CrystalElement:
     g: int
     k: tuple[int, ...]
 
-    def point_matrix(self) -> Mat:
-        return self.triple.group[self.g]
-
     def point_matrix_inverse(self) -> Mat:
         return self.triple.group[self.triple.inverse_table[self.g]]
 
@@ -219,13 +207,8 @@ def inverse(e: CrystalElement) -> CrystalElement:
 
 
 def apply_element(e: CrystalElement, x) -> tuple:
-    """Evaluate the isometry at a point; exact in, exact out."""
+    """Evaluate the isometry at an exact point; exact in, exact out."""
     t = e.triple
-    if any(isinstance(v, (float, complex, np.floating)) for v in x):
-        f = t.floats()
-        vec = f["group"][e.g] @ (np.asarray(x, dtype=float)
-                                 + f["R"] @ np.asarray(e.k, dtype=float))
-        return tuple(float(v) for v in vec)
     shifted = [QC.parse(v) + ti for v, ti in zip(x, e.true_translation())]
     col = t.group[e.g] @ Mat.column(shifted)
     return tuple(col.entry(i, 0) for i in range(t.d))
@@ -318,11 +301,25 @@ class Dilation:
         return f"Dilation(m={self.m})"
 
 
+def _row_sum_norm(m: Mat) -> Fraction:
+    """Exact max-row-sum norm of a real matrix."""
+    return max(sum(abs(x.re) for x in m.row_list(i)) for i in range(m.rows))
+
+
 def check_admissible(A: Mat, triple: CrystalTriple) -> Dilation:
     """Validate A against the triple and compute the digit data.
 
-    Raises AdmissibilityError when A is singular or not expansive, when it
-    does not map the lattice into itself, or when A G A^{-1} leaves G.
+    A is expansive exactly when the powers of A^{-1} tend to 0 (Gelfand's
+    formula), so one power A^{-n} with max-row-sum norm below 1 certifies
+    it.  The exact A^{-1} is squared until that norm, in exact rationals,
+    drops below 1, at most six times (n <= 64).  An A that is not
+    expansive is always refused; so is an expansive one whose inverse
+    powers are still large at n = 64, such as the shear [[2, 10**18],
+    [0, 2]].
+
+    Raises AdmissibilityError when A is singular or not certified
+    expansive, when it does not map the lattice into itself, or when
+    A G A^{-1} leaves G.
     """
     if A.shape != (triple.d, triple.d):
         raise AdmissibilityError("dilation must be an exact d x d matrix")
@@ -331,17 +328,17 @@ def check_admissible(A: Mat, triple: CrystalTriple) -> Dilation:
     det_a = det(A)
     if det_a.is_zero():
         raise AdmissibilityError("dilation is singular")
-    eigs = np.linalg.eigvals(A.np())
-    if np.min(np.abs(eigs)) <= 1 + 1e-9:
-        raise AdmissibilityError("dilation is not expansive")
-    # cross-check expansiveness: powers of A^{-1} must contract
-    b = np.linalg.matrix_power(np.linalg.inv(A.np()), 64)
-    if np.linalg.norm(b, 2) ** (1 / 64) >= 1 + 1e-6:
-        raise AdmissibilityError("inverse powers of the dilation do not contract")
+    A_inv = A.inverse()
+    power, n = A_inv, 1
+    while _row_sum_norm(power) >= 1:
+        if n == 64:
+            raise AdmissibilityError(
+                "dilation not certified expansive: no power A^-n with "
+                "n <= 64 has max-row-sum norm below 1")
+        power, n = power @ power, 2 * n
     M = integer_rows(triple.R_inv @ A @ triple.R)
     if M is None:
         raise AdmissibilityError("dilation does not map the lattice into itself")
-    A_inv = A.inverse()
     h = []
     for i, g in enumerate(triple.group):
         conj = A @ g @ A_inv

@@ -131,9 +131,6 @@ class QC:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def conjugate(self) -> "QC":
-        return QC(self.re, -self.im)
-
     def abs2(self) -> Fraction:
         """Exact squared modulus."""
         return self.re * self.re + self.im * self.im
@@ -439,13 +436,6 @@ def kron(a: Mat, b: Mat) -> Mat:
                                else x * y for y in b._data[p])
             data.append(row)
     return Mat(a.rows * b.rows, a.cols * b.cols, data)
-
-
-def has_eigenvalue_one(m: Mat) -> bool:
-    """True when 1 is an eigenvalue: M - I is rank deficient."""
-    if m.rows != m.cols:
-        raise ValueError("eigenvalue test needs a square matrix")
-    return rank(m - Mat.identity(m.rows)) < m.rows
 
 
 def solve_affine(k: Mat, selected: Sequence[int]) -> tuple[list[Mat], int]:

@@ -14,7 +14,7 @@ from crystacc.accuracy import (condition_d_residual, fhat0, max_accuracy,
                                sufficient_check, verify_equivalence)
 from crystacc.crystal import (catalog_triple, check_admissible, inverse,
                               validate_triple)
-from crystacc.linalg import Mat, QC, det, kron, solve_affine
+from crystacc.linalg import Mat, QC, det, kron, rank, solve_affine
 from crystacc.mask import Mask, MaskShapeError, lift_scalar_to_matrix
 from crystacc.multiidx import (VCollection, build_A_s, build_Q_st,
                                build_Q_tilde, dim_degree, enumerate_degree,
@@ -338,6 +338,25 @@ def test_sufficient_check_input_validation(line, hat):
         sufficient_check(hat, t, dil, p=0)
 
 
+def test_weighted_pm_hat_fails_the_eigenvalue_screen(pm):
+    """The tensor hat spread over pm with weights 3/4 and 1/4 has
+    accuracy 2 and moments that agree across cosets, but its degree-1
+    screened matrix 2 (3/4 I + 1/4 diag(1, -1)) = diag(2, 1) has the
+    eigenvalue 1: the sum-rule test flags degree 1 and builds no chain,
+    while the exact solver certifies p = 2."""
+    t, dil = pm
+    c = {-1: Fraction(1, 2), 0: Fraction(1), 1: Fraction(1, 2)}
+    w = (Fraction(3, 4), Fraction(1, 4))
+    mask = Mask.scalar(t, {(g, (i, j)): w[g] * a * b for g in range(2)
+                           for i, a in c.items() for j, b in c.items()})
+    rep = sufficient_check(mask, t, dil, p=2)
+    assert rep.sum_rule_ok and rep.moments_ok and rep.beta0_consistent
+    assert rep.eigen_flags == {1: False}
+    assert not rep.eigen_ok and not rep.passed
+    assert rep.v_chain is None and rep.chain_residual_zero is None
+    assert max_accuracy(mask, t, dil, p_max=4).p == 2
+
+
 def test_verify_equivalence_exact_zeros(line, hat):
     t, dil = line
     cert = max_accuracy(hat, t, dil, p_max=2)
@@ -490,11 +509,12 @@ def _assert_matches_dense_assembly(mask, triple, dilation, s_top):
         (ref.p, ref.witness, ref.gate, ref.diagnostics)
 
 
-def _triple_on(group, lattice):
-    """A catalog point group over the lattice basis ``lattice``, A = 2I."""
+def _triple_on(group, lattice, dilation=((2, 0), (0, 2))):
+    """A catalog point group over the lattice basis ``lattice``, with the
+    dilation ``dilation`` (default 2I)."""
     t = catalog_triple(group, 2)
     t = validate_triple(Mat.from_rows(lattice), t.group, name=group)
-    return t, check_admissible(Mat.from_rows([[2, 0], [0, 2]]), t)
+    return t, check_admissible(Mat.from_rows(dilation), t)
 
 
 P4M = _triple_on("p4m", [[1, 0], [0, 1]])
@@ -668,3 +688,87 @@ def test_sum_rule_moments_match_the_per_element_loops(line, p1m, pm, where,
             lead = mats[(s, tt)] @ build_A_s(dil.A, tt)
             assert got == (Mat.identity(ds) - lead if tt == s else -lead)
             start += dt
+
+
+# -- the eigenvalue screen against the beta-built matrix it replaced -------
+
+QUINCUNX = ((1, 1), (1, -1))
+SCREEN_CASES = {
+    "p1": _triple_on("p1", [[1, 0], [0, 1]]),
+    "pm": _triple_on("pm", [[1, 0], [0, 1]]),
+    "p4m": P4M,
+    "pm-scaled": PM_SCALED,
+    "p1-quincunx": _triple_on("p1", [[1, 0], [0, 1]], QUINCUNX),
+    "p4m-quincunx": _triple_on("p4m", [[1, 0], [0, 1]], QUINCUNX),
+    "p4m-half-quincunx": _triple_on(
+        "p4m", [[Fraction(1, 2), 0], [0, Fraction(1, 2)]], QUINCUNX),
+}
+
+
+def _screen_base(dilation):
+    """A lattice mask whose per-coset moments agree: the tensor cubic
+    B-spline (accuracy 4) under 2I, the quincunx hat (accuracy 2) under
+    the quincunx."""
+    if dilation.m == 2:
+        q = Fraction(1, 4)
+        return {(0, 0): Fraction(1), (1, 0): q, (-1, 0): q, (0, 1): q,
+                (0, -1): q}
+    cubic = dict(zip(range(-2, 3), (Fraction(1, 8), Fraction(1, 2),
+                                    Fraction(3, 4), Fraction(1, 2),
+                                    Fraction(1, 8))))
+    return {(i, j): a * b for i, a in cubic.items()
+            for j, b in cubic.items()}
+
+
+def _beta_screen(rep, triple, dilation):
+    """The screened matrices sum_b beta_{b,0} b_[s] A_[s] for 1 <= s < p,
+    built from beta as sufficient_check did before it read the chain's
+    blocks, and their flags: True when 1 is not an eigenvalue."""
+    if not rep.moments_ok:
+        return {}, {}
+    zero = (0,) * triple.d
+    mats, flags = {}, {}
+    for s in range(1, rep.p):
+        ds = dim_degree(triple.d, s)
+        mat = Mat.zeros(ds, ds)
+        for b in range(triple.order):
+            term = build_A_s(triple.group[b], s) @ build_A_s(dilation.A, s)
+            mat = mat + term.scale(rep.beta[(b, zero)])
+        mats[s] = mat
+        flags[s] = rank(mat - Mat.identity(ds)) == ds
+    return mats, flags
+
+
+# weights w with 2w or 4w equal to 1 make the screened matrices of p1 and
+# pm singular under 2I, so that false flags are common
+SCREEN_WEIGHTS = [Fraction(n, 4) for n in (-2, -1, 1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("where", sorted(SCREEN_CASES))
+@seed(2026)
+@settings(max_examples=12, deadline=None)
+@given(p=st.integers(2, 3), data=st.data())
+def test_eigen_flags_match_the_beta_built_screen(where, p, data):
+    """A base mask with agreeing moments, spread over the point group
+    with drawn weights w_g: the flags of sufficient_check equal those of
+    the beta-built screen, and the first coset's diagonal block of
+    degree s is I minus the screened matrix.  p1, pm and p4m under 2I
+    and the quincunx, over Z^2 and over non-integer lattices."""
+    t, dil = SCREEN_CASES[where]
+    weights = data.draw(st.lists(st.sampled_from(SCREEN_WEIGHTS),
+                                 min_size=t.order, max_size=t.order))
+    base = _screen_base(dil)
+    mask = Mask.scalar(t, {(g, k): w * c for g, w in enumerate(weights)
+                           for k, c in base.items()})
+    rep = sufficient_check(mask, t, dil, p)
+    mats, flags = _beta_screen(rep, t, dil)
+    assert rep.eigen_flags == flags
+    moments = accuracy_mod._moments(mask, dil, p)
+    start = 1
+    for s, mat in mats.items():
+        ds = dim_degree(t.d, s)
+        rows = accuracy_mod._block_row(mask, dil, moments, s)[:ds]
+        block = Mat.from_rows([[row.get(start + k, 0) for k in range(ds)]
+                               for row in rows])
+        assert block == Mat.identity(ds) - mat
+        start += ds

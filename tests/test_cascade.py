@@ -462,7 +462,7 @@ def test_box_grid_matches_a_reference_cascade(case, rnd):
     pos, ref = _reference_cascade(mask, dil, q, iterations, first, n)
     on_box = np.all((pos >= box_idx[:, 0]) & (pos <= box_idx[:, 1]), axis=1)
     assert np.all(ref[~on_box] == 0.0)
-    r_inv = np.linalg.inv(t.floats()["R"])
+    r_inv = np.linalg.inv(t.R.np().real)
     nodes = np.rint(field.nodes() @ r_inv.T / h).astype(np.int64)
     common = ref[np.ravel_multi_index(tuple((nodes - first).T), (n,) * t.d)]
     got = field.data.reshape(-1)

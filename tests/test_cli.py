@@ -534,6 +534,15 @@ def test_malformed_options_exit_1(tmp_path, capsys, command, options):
      EXIT_MALFORMED),
     ("accuracy", {"mask": [{"g": 0, "k": [False], "coef": 1}]},
      EXIT_MALFORMED),
+    # the dimension is read by the rule of the options: no boolean, no
+    # fraction, at least 1
+    ("check-group", {"dimension": True}, EXIT_MALFORMED),
+    ("check-group", {"dimension": 1.9}, EXIT_MALFORMED),
+    ("check-group", {"dimension": 0}, EXIT_MALFORMED),
+    # shapes are compared with the dimension before anything of that size
+    # is built
+    ("check-group", {"dimension": 10 ** 6, "group": [[[-1]]]},
+     EXIT_BAD_GROUP),
 ])
 def test_malformed_shapes_end_in_a_json_error(tmp_path, capsys, command, cfg,
                                               code):

@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from crystacc.crystal import (AdmissibilityError, Dilation,
@@ -147,6 +148,39 @@ def test_inadmissible_eigenvalue_one(pm):
     t, _ = pm
     with pytest.raises(AdmissibilityError):
         check_admissible(Mat.from_rows([[1, 0], [0, 2]]), t)
+
+
+def test_sheared_dilations_at_the_edge_of_the_expansive_test():
+    """[[2, b], [0, 2]] is expansive for every b, and the norm of A^{-64}
+    is about b / 2^59: the exact test certifies b = 10^17 and refuses
+    b = 10^18, naming its criterion."""
+    t = catalog_triple("p1", 2)
+    assert check_admissible(Mat.from_rows([[2, 10 ** 17], [0, 2]]), t).m == 4
+    with pytest.raises(AdmissibilityError, match="not certified expansive"):
+        check_admissible(Mat.from_rows([[2, 10 ** 18], [0, 2]]), t)
+
+
+@seed(2026)
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_expansive_decision_against_float_eigenvalues(data):
+    """Integer A with d = 2, 3 and entries in [-4, 4], on Z^d with the
+    trivial point group: the exact test accepts every A whose eigenvalues
+    all have modulus above 1.05, and refuses every A with an eigenvalue
+    of modulus at most 1.  numpy's eigenvalues are the reference."""
+    d = data.draw(st.integers(2, 3))
+    rows = data.draw(st.lists(
+        st.lists(st.integers(-4, 4), min_size=d, max_size=d),
+        min_size=d, max_size=d))
+    smallest = np.min(np.abs(np.linalg.eigvals(np.array(rows, dtype=float))))
+    assume(not 1 < smallest <= 1.05)
+    t = validate_triple(Mat.identity(d), [Mat.identity(d)])
+    try:
+        check_admissible(Mat.from_rows(rows), t)
+        accepted = True
+    except AdmissibilityError:
+        accepted = False
+    assert accepted == (smallest > 1.05)
 
 
 def test_digits_1d(line):

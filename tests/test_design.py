@@ -2,7 +2,9 @@
 representation with no backend switch, imports at module level only and
 none unused, no CLI reach-ins to private cascade helpers, no uncertified
 support estimate, no general integer normal form (the digits are a
-residue system), a cascade that reads grid nodes only (no interpolation
+residue system), numpy imported only where floats are used, no
+separate eigenvalue-one helper (the sum-rule screen reads the witness
+chain's blocks), a cascade that reads grid nodes only (no interpolation
 plans and no free grid spacing), one moment table in the exact solver,
 and every name the benchmark's tracer wraps."""
 
@@ -31,6 +33,7 @@ DELETED_ESTIMATE = "estimate_" "support"
 DELETED_INTERPOLATION = ("_interp_" "plan", "_apply_" "plan")
 DELETED_SYMMETRY_DATA = "Symmetry" "Data"
 DELETED_NORMAL_FORM = "smith_" "normal_form"
+DELETED_EIGEN_SCREEN = "has_eigenvalue" "_one"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -41,6 +44,16 @@ def test_no_banned_tokens(path):
     assert not any(name in text for name in DELETED_INTERPOLATION)
     assert DELETED_SYMMETRY_DATA not in text
     assert DELETED_NORMAL_FORM not in text
+    assert DELETED_EIGEN_SCREEN not in text
+
+
+def test_floats_are_imported_where_they_are_used_only():
+    """numpy serves the float boundary of linalg, the cascade oracle and
+    the CLI's report of it; the exact modules do not import it."""
+    importers = {p.name for p in SOURCES
+                 if re.search(r"^(import|from) numpy",
+                              p.read_text(encoding="utf-8"), re.MULTILINE)}
+    assert importers == {"cascade.py", "cli.py", "linalg.py"}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

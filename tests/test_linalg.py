@@ -1,4 +1,4 @@
-"""Exact linear algebra: kernels, eigenvalue-1, float reading."""
+"""Exact linear algebra: elimination, kernels, float reading."""
 
 import itertools
 from fractions import Fraction
@@ -8,8 +8,8 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from crystacc.linalg import (FLOAT_DENOMINATOR_CAP, Mat, QC, _rref_exact, det,
-                             has_eigenvalue_one, integer_rows, kernel_basis,
-                             kron, rank, read_float, solve_affine)
+                             integer_rows, kernel_basis, kron, rank,
+                             read_float, solve_affine)
 
 
 def test_qc_exact_arithmetic():
@@ -111,17 +111,6 @@ def test_read_float_edge_values():
             read_float(bad)
 
 
-def test_has_eigenvalue_one_cases():
-    assert has_eigenvalue_one(Mat.identity(3))
-    assert not has_eigenvalue_one(Mat.identity(3).scale(QC(2)))
-    assert has_eigenvalue_one(Mat.from_rows([[0, 1], [1, 0]]))
-
-
-def test_has_eigenvalue_one_rejects_nonsquare():
-    with pytest.raises(ValueError):
-        has_eigenvalue_one(Mat.zeros(2, 3))
-
-
 def test_solve_affine_examples():
     basis, proj = solve_affine(Mat.zeros(1, 2), [0])
     assert proj == 1
@@ -164,17 +153,6 @@ def test_rank_nullity(rows, cols, data):
     assert rank(m) + len(kernel_basis(m)) == cols
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_eigenvalue_one_vs_characteristic(data):
-    """Agreement with a direct det(M - I) = 0 evaluation on 3x3."""
-    entries = [[QC(data.draw(small_fraction)) for _ in range(3)]
-               for _ in range(3)]
-    m = Mat.from_rows(entries)
-    shifted = m - Mat.identity(3)
-    assert has_eigenvalue_one(m) == (det(shifted) == QC(0))
-
-
 def _leibniz_det(rows) -> QC:
     """Reference determinant: the sum over permutations, no elimination."""
     n = len(rows)
@@ -197,18 +175,15 @@ small_qc = st.one_of(st.just(QC(0)), st.builds(QC, small_fraction),
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 4), st.booleans(), st.data())
 def test_elimination_against_leibniz(n, repeat_row, data):
-    """det, the eigenvalue-1 test and inverse, all served by one
-    Gauss-Jordan elimination, against a permutation-sum determinant; a
-    repeated row makes singular inputs common."""
+    """det and inverse, both served by one Gauss-Jordan elimination,
+    against a permutation-sum determinant; a repeated row makes singular
+    inputs common."""
     rows = [[data.draw(small_qc) for _ in range(n)] for _ in range(n)]
     if repeat_row and n > 1:
         rows[-1] = [data.draw(small_qc) * x for x in rows[0]]
     m = Mat.from_rows(rows)
     ref = _leibniz_det(rows)
     assert det(m) == ref
-    shifted = [[x - (1 if i == j else 0) for j, x in enumerate(row)]
-               for i, row in enumerate(rows)]
-    assert has_eigenvalue_one(m) == (_leibniz_det(shifted) == QC(0))
     if ref == QC(0):
         with pytest.raises(ValueError):
             m.inverse()
