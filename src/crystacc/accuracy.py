@@ -4,13 +4,14 @@ The order of polynomial reproduction is decided by a finite homogeneous
 linear system: one block of constraints per polynomial degree and per digit
 coset of the dilation, in the unknown coefficient vectors v_[0], ..., v_[s].
 :func:`max_accuracy` solves the stacked system exactly and certifies the
-largest degree with a usable witness; it builds the system block row by
-block row, each degree's rows once and as sparse rows, and keeps them for
-every later degree.  :func:`sufficient_check` evaluates the cheaper
-sum-rule criterion and builds its explicit witness chain.  Both read one
-table of per-coset moments, :func:`_moments`.  :func:`verify_equivalence`
-re-derives the witness relations in three independent forms, element by
-element, which is the main guard against index bookkeeping bugs.
+largest degree with a usable witness; the system is block triangular in
+the degree, so each degree's block row is built and eliminated once,
+against the kernel carried from the degrees below.
+:func:`sufficient_check` evaluates the cheaper sum-rule criterion and
+builds its explicit witness chain.  Both read one table of per-coset
+moments, :func:`_moments`.  :func:`verify_equivalence` re-derives the
+witness relations in three independent forms, element by element, which
+is the main guard against index bookkeeping bugs.
 """
 
 from __future__ import annotations
@@ -251,36 +252,12 @@ def _block_row(mask: Mask, dilation: Dilation, moments: dict,
     return [row for block in rows for row in block]
 
 
-def _layout(rows: list[dict], width: int) -> Mat:
-    """The sparse rows as a dense Mat with ``width`` columns."""
-    data = []
-    for row in rows:
-        line = [QC_ZERO] * width
-        for j, value in row.items():
-            line[j] = QC.parse(value)
-        data.append(line)
-    return Mat.from_rows(data, cols=width)
-
-
 def _unpack_witness(column: Mat, d: int, r: int, s_max: int) -> VCollection:
-    blocks = []
-    off = 0
-    for t in range(s_max + 1):
-        dt = dim_degree(d, t)
-        rows = [[column.entry(off + a * r + b, 0) for b in range(r)]
-                for a in range(dt)]
-        blocks.append(Mat.from_rows(rows, cols=r))
-        off += dt * r
-    return VCollection(d, tuple(blocks))
-
-
-def _gate_value(column: Mat, gate_vec: Mat, r: int):
-    """v_[0] . fhat(0), exactly, for a stacked kernel column (the first r
-    stacked coordinates are the degree-0 row)."""
-    acc = QC_ZERO
-    for j in range(r):
-        acc = acc + column.entry(j, 0) * gate_vec.entry(j, 0)
-    return acc
+    entries = iter(column.transpose().row_list(0))
+    return VCollection(d, tuple(
+        Mat.from_rows([[next(entries) for _ in range(r)]
+                       for _ in range(dim_degree(d, t))], cols=r)
+        for t in range(s_max + 1)))
 
 
 def max_accuracy(mask: Mask, triple: CrystalTriple, dilation: Dilation,
@@ -288,15 +265,17 @@ def max_accuracy(mask: Mask, triple: CrystalTriple, dilation: Dilation,
     """Largest accuracy p <= p_max certified by the per-coset conditions.
 
     All degrees 0..s and all digit cosets are stacked into one homogeneous
-    system.  Block row s is built once, as sparse rows, when degree s is
-    reached, and kept for every later degree; at each degree the rows are
-    laid out as a dense Mat and solved exactly.  Candidate accuracy s+1 is
-    feasible when the kernel meets the
-    gate v_[0] . fhat(0) != 0, decided exactly against the vector of
-    :func:`fhat0`.  Feasibility is monotone in s, so the scan stops at the
-    first failure.  The witness is scaled so its first nonzero degree-0
-    entry is 1.  When fhat(0) must vanish (status 'empty') or is not
-    determined (status 'defective'), the gate cannot be met and p is 0.
+    system, block triangular in the degree.  Block row s is built once, as
+    sparse rows, reduced to [K_(s,<s) B | K_ss] with B the rref kernel
+    basis of the rows below it, and solved exactly by :func:`solve_affine`,
+    which returns the rref kernel basis of the stacked rows.  Candidate
+    accuracy s+1 is feasible when a kernel vector meets the gate
+    v_[0] . fhat(0) != 0, decided exactly against the vector of
+    :func:`fhat0`; the first one met is the witness.  Feasibility is
+    monotone in s, so the scan stops at the first failure.  The witness is
+    scaled so its first nonzero degree-0 entry is 1.  When fhat(0) must
+    vanish (status 'empty') or is not determined (status 'defective'), the
+    gate cannot be met and p is 0.
 
     The certificate proves polynomial reproduction (the sufficient
     direction); it is also maximal whenever the translates of the
@@ -322,32 +301,37 @@ def max_accuracy(mask: Mask, triple: CrystalTriple, dilation: Dilation,
         diagnostics["first_failing_degree"] = 0
         diagnostics["note"] = _NO_GATE[fh.status]
         return AccuracyCertificate(0, None, "condition-d", None, diagnostics)
-    p = 0
     chosen = None
     moments = _moments(mask, dilation, p_max)
-    rows, width = [], 0
+    basis, start = [], 0
     for s in range(p_max):
-        rows += _block_row(mask, dilation, moments, s)
-        width += dim_degree(d, s) * r
-        basis, proj = solve_affine(_layout(rows, width),
-                                   selected=list(range(r)))
+        n, width = len(basis), dim_degree(d, s) * r
+        system = []
+        for row in _block_row(mask, dilation, moments, s):
+            line = [QC_ZERO] * (n + width)
+            for j, x in row.items():
+                if j < start:
+                    line[:n] = [y + x * b.entry(j, 0)
+                                for y, b in zip(line, basis)]
+                else:
+                    line[n + j - start] = x
+            system.append(line)
+        basis = solve_affine(Mat.from_rows(system, cols=n + width), basis)
+        start += width
         diagnostics["kernel_dims"][s] = len(basis)
-        pick = None
-        if proj > 0:
-            pick = next((b for b in basis
-                         if not _gate_value(b, fh.vector, r).is_zero()),
-                        None)
+        pick = next((v for v in (_unpack_witness(x, d, r, s) for x in basis)
+                     if not (v.block(0) @ fh.vector).is_zero()), None)
         if pick is None:
             diagnostics["first_failing_degree"] = s
             break
-        p = s + 1
-        chosen = _unpack_witness(pick, d, r, s)
-    if p == 0:
+        chosen = pick
+    if chosen is None:
         return AccuracyCertificate(0, None, "condition-d", None, diagnostics)
     lead = next(x for x in chosen.block(0).row_list(0) if not x.is_zero())
     witness = chosen.scale(1 / lead)
-    gate = _gate_value(witness.block(0).transpose(), fh.vector, r)
-    return AccuracyCertificate(p, witness, "condition-d", gate, diagnostics)
+    gate = (witness.block(0) @ fh.vector).entry(0, 0)
+    return AccuracyCertificate(witness.p, witness, "condition-d", gate,
+                               diagnostics)
 
 
 def sufficient_check(mask: Mask, triple: CrystalTriple, dilation: Dilation,

@@ -352,13 +352,14 @@ def cmd_cascade(args) -> int:
         raise CliError(EXIT_MALFORMED, "--grid must be nonnegative")
     if args.verify_p is not None and args.verify_p < 0:
         raise CliError(EXIT_MALFORMED, "--verify-p must be nonnegative")
+    if args.seed < 0:
+        raise CliError(EXIT_MALFORMED, "--seed must be nonnegative")
     iters = args.iters if args.iters is not None \
         else _option(cfg, "iterations", 12, minimum=1)
     grid_q = args.grid if args.grid is not None \
         else _option(cfg, "grid_exponent", 8, minimum=0)
     tol = _option(cfg, "tolerance", 1e-5, kind=float)
     count = _option(cfg, "sample_count", 32, minimum=1)
-    seed = args.seed
 
     p_max = args.verify_p if args.verify_p is not None \
         else _option(cfg, "p_max", 6, minimum=1)
@@ -373,7 +374,7 @@ def cmd_cascade(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "iterations": iters,
         "grid_exponent": grid_q,
-        "seed": seed,
+        "seed": args.seed,
         "converged": result.converged,
         "sup_diff_last": result.sup_diffs[-1],
         "sup_diffs": list(result.sup_diffs),
@@ -388,7 +389,7 @@ def cmd_cascade(args) -> int:
 
     checks = [] if report["degenerate"] else list(
         cascade_mod.verify_degrees(field, cert.witness, verify_p, tol, count,
-                                   seed))
+                                   args.seed))
     reports = []
     for check in checks:
         rep = check.report
@@ -405,7 +406,10 @@ def cmd_cascade(args) -> int:
                           "reported, no empirical accuracy is claimed")
 
     if args.out:
-        _dump_field_csv(field, args.out)
+        try:
+            _dump_field_csv(field, args.out)
+        except OSError as exc:
+            raise CliError(EXIT_MALFORMED, f"cannot write --out: {exc}")
         report["csv"] = args.out
     _emit(report)
     return EXIT_OK
@@ -449,13 +453,12 @@ def cmd_extract(args) -> int:
 # ---------------------------------------------------------------- dispatch
 
 def _default_seed() -> int:
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return DEFAULT_SEED
+    """The seed in the environment when it is a nonnegative integer."""
+    try:
+        seed = int(os.environ.get(SEED_ENV_VAR, DEFAULT_SEED))
+    except ValueError:
+        return DEFAULT_SEED
+    return seed if seed >= 0 else DEFAULT_SEED
 
 
 def build_parser() -> argparse.ArgumentParser:

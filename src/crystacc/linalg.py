@@ -438,15 +438,19 @@ def kron(a: Mat, b: Mat) -> Mat:
     return Mat(a.rows * b.rows, a.cols * b.cols, data)
 
 
-def solve_affine(k: Mat, selected: Sequence[int]) -> tuple[list[Mat], int]:
-    """Kernel of ``k`` together with the dimension of its projection onto
-    the coordinates listed in ``selected``."""
-    basis = kernel_basis(k)
+def solve_affine(k: Mat, basis: Sequence[Mat]) -> list[Mat]:
+    """Kernel of a block row ``k = [K_old B | K_new]`` reduced against
+    the columns B of ``basis`` (none at the first block row): ``(B c, v)``
+    for each rref kernel column ``(c, v)`` of ``k``.  When B is the rref
+    kernel basis of the rows above, this is the rref kernel basis of the
+    stacked rows, as B is the identity on its free coordinates."""
+    kernel = kernel_basis(k)
     if not basis:
-        return [], 0
-    proj = Mat.hstack(basis)
-    rows = [proj.row_list(i) for i in selected]
-    return basis, rank(Mat.from_rows(rows, cols=len(basis)))
+        return kernel
+    b, w = Mat.hstack(basis), k.cols - len(basis)
+    lift = Mat.vstack([Mat.hstack([b, Mat.zeros(b.rows, w)]),
+                       Mat.hstack([Mat.zeros(w, b.cols), Mat.identity(w)])])
+    return [lift @ x for x in kernel]
 
 
 # -- integer matrices -------------------------------------------------------

@@ -14,7 +14,8 @@ from crystacc.accuracy import (condition_d_residual, fhat0, max_accuracy,
                                sufficient_check, verify_equivalence)
 from crystacc.crystal import (catalog_triple, check_admissible, inverse,
                               validate_triple)
-from crystacc.linalg import Mat, QC, det, kron, rank, solve_affine
+from crystacc.linalg import (Mat, QC, det, kernel_basis, kron, rank,
+                             solve_affine)
 from crystacc.mask import Mask, MaskShapeError, lift_scalar_to_matrix
 from crystacc.multiidx import (VCollection, build_A_s, build_Q_st,
                                build_Q_tilde, dim_degree, enumerate_degree,
@@ -478,11 +479,56 @@ def _assemble_reference(mask, dilation, s_max):
     return Mat.vstack(rows)
 
 
+def _dense(rows, width):
+    """Sparse rows as a dense Mat with ``width`` columns."""
+    return Mat.from_rows([[row.get(j, 0) for j in range(width)]
+                          for row in rows], cols=width)
+
+
+def _reference_scan(mask, dilation, s_top):
+    """max_accuracy's scan as it was before the kernel was carried: the
+    rref kernel basis of the whole dense reference system at every degree,
+    and the first basis column whose first r entries (v_[0]) meet the
+    gate.  Returns the kernels and the certificate fields
+    (p, witness, gate, kernel_dims, first_failing_degree)."""
+    d, r = mask.triple.d, mask.r
+    fh = fhat0(mask, dilation.m)
+    if fh.vector is None:
+        return [], (0, None, None, {}, 0)
+    kernels, dims, chosen, failing = [], {}, None, None
+    for s in range(s_top + 1):
+        basis = kernel_basis(_assemble_reference(mask, dilation, s))
+        kernels.append(basis)
+        dims[s] = len(basis)
+        pick = next((b for b in basis if not sum(
+            (b.entry(j, 0) * fh.vector.entry(j, 0) for j in range(r)),
+            QC(0)).is_zero()), None)
+        if pick is None:
+            failing = s
+            break
+        entries = [pick.entry(i, 0) for i in range(pick.rows)]
+        blocks, off = [], 0
+        for t in range(s + 1):
+            dt = dim_degree(d, t)
+            blocks.append(Mat.from_rows(
+                [entries[off + a * r:off + (a + 1) * r] for a in range(dt)]))
+            off += dt * r
+        chosen = VCollection(d, tuple(blocks))
+    if chosen is None:
+        return kernels, (0, None, None, dims, failing)
+    lead = next(x for x in chosen.block(0).row_list(0) if not x.is_zero())
+    witness = chosen.scale(1 / lead)
+    gate = sum((witness.block(0).entry(0, j) * fh.vector.entry(j, 0)
+                for j in range(r)), QC(0))
+    return kernels, (witness.p, witness, gate, dims, failing)
+
+
 def _assert_matches_dense_assembly(mask, triple, dilation, s_top):
     """The stacked systems built from block rows equal the dense reference
-    entry for entry for every degree up to s_top, and max_accuracy gives
-    the same certificate whether it solves its own systems or the
-    reference ones."""
+    entry for entry for every degree up to s_top; the basis max_accuracy
+    carries out of solve_affine equals, column for column, the rref
+    kernel basis of the whole reference system at every degree; and the
+    certificate equals the one read off the reference kernels."""
     d, r = triple.d, mask.r
     moments = accuracy_mod._moments(mask, dilation, s_top + 1)
     rows, width = [], 0
@@ -491,22 +537,21 @@ def _assert_matches_dense_assembly(mask, triple, dilation, s_top):
         width += dim_degree(d, s) * r
         assert all(not x.is_zero() for row in rows for x in
                    map(QC.parse, row.values()))
-        assert (accuracy_mod._layout(rows, width)
-                == _assemble_reference(mask, dilation, s))
+        assert _dense(rows, width) == _assemble_reference(mask, dilation, s)
 
-    seen = []
+    carried = []
 
-    def reference_solve(system, selected):
-        ref = _assemble_reference(mask, dilation, len(seen))
-        seen.append(system == ref)
-        return solve_affine(ref, selected)
+    def spy(system, basis):
+        carried.append(solve_affine(system, basis))
+        return carried[-1]
 
-    cert = max_accuracy(mask, triple, dilation, p_max=s_top + 1)
-    with mock.patch.object(accuracy_mod, "solve_affine", reference_solve):
-        ref = max_accuracy(mask, triple, dilation, p_max=s_top + 1)
-    assert all(seen)
-    assert (cert.p, cert.witness, cert.gate, cert.diagnostics) == \
-        (ref.p, ref.witness, ref.gate, ref.diagnostics)
+    with mock.patch.object(accuracy_mod, "solve_affine", spy):
+        cert = max_accuracy(mask, triple, dilation, p_max=s_top + 1)
+    kernels, ref = _reference_scan(mask, dilation, s_top)
+    assert carried == kernels
+    assert (cert.p, cert.witness, cert.gate,
+            cert.diagnostics["kernel_dims"],
+            cert.diagnostics["first_failing_degree"]) == ref
 
 
 def _triple_on(group, lattice, dilation=((2, 0), (0, 2))):
@@ -581,7 +626,8 @@ def test_block_rows_match_the_dense_assembly(line, p1m, pm, where, r, real,
 
 
 def test_lifted_hat_block_rows_match_the_dense_assembly():
-    """The p4m hat lifted to an r = 8 lattice mask, degrees up to 3."""
+    """The p4m hat lifted to an r = 8 lattice mask, degrees up to 3: the
+    rows, the carried kernel bases and the certificate."""
     t = catalog_triple("p4m", 2)
     dil = check_admissible(Mat.from_rows([[2, 0], [0, 2]]), t)
     hat = {-1: Fraction(1, 2), 0: Fraction(1), 1: Fraction(1, 2)}
@@ -679,7 +725,7 @@ def test_sum_rule_moments_match_the_per_element_loops(line, p1m, pm, where,
         ds = dim_degree(t.d, s)
         width += ds
         rows = accuracy_mod._block_row(mask, dil, moments, s)[:ds]
-        dense = accuracy_mod._layout(rows, width)
+        dense = _dense(rows, width)
         start = 0
         for tt in range(s + 1):
             dt = dim_degree(t.d, tt)

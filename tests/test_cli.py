@@ -393,6 +393,20 @@ def test_seed_from_environment(tmp_path, capsys, monkeypatch):
     assert out["seed"] == 4242
     monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
     assert build_parser().get_default("seed") == DEFAULT_SEED
+    monkeypatch.setenv(SEED_ENV_VAR, "-3")
+    assert build_parser().get_default("seed") == DEFAULT_SEED
+    code, out = run_cli(tmp_path, capsys, HAT_CFG,
+                        ["cascade", "CFG", "--grid", "6", "--iters", "8"])
+    assert code == EXIT_OK
+    assert out["seed"] == DEFAULT_SEED
+
+
+def test_negative_seed_flag_is_malformed(tmp_path, capsys):
+    code, out = run_cli(tmp_path, capsys, HAT_CFG,
+                        ["--seed", "-3", "cascade", "CFG", "--grid", "4",
+                         "--iters", "8"])
+    assert code == EXIT_MALFORMED
+    assert "--seed" in out["error"]
 
 
 def test_seed_flag_overrides_environment(tmp_path, capsys, monkeypatch):
@@ -440,6 +454,18 @@ def test_cascade_csv_dump(tmp_path, capsys):
     assert len(lines) == 1 + 33
     xs = [float(line.split(",")[0]) for line in lines[1:]]
     assert xs[0] == -1.0 and xs[-1] == 1.0
+
+
+def test_cascade_csv_dump_to_an_unwritable_path(tmp_path, capsys):
+    """A --out path that cannot be opened ends in one JSON error."""
+    out_path = tmp_path / "missing" / "field.csv"
+    code, out = run_cli(tmp_path, capsys, HAT_CFG,
+                        ["cascade", "CFG", "--grid", "4", "--iters", "8",
+                         "--out", str(out_path)])
+    assert code == EXIT_MALFORMED
+    assert set(out) == {"schema_version", "error"}
+    assert "--out" in out["error"]
+    assert not out_path.parent.exists()
 
 
 def test_cascade_on_a_non_integer_lattice(tmp_path, capsys):

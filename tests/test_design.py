@@ -6,7 +6,8 @@ residue system), numpy imported only where floats are used, no
 separate eigenvalue-one helper (the sum-rule screen reads the witness
 chain's blocks), a cascade that reads grid nodes only (no interpolation
 plans and no free grid spacing), one moment table in the exact solver,
-and every name the benchmark's tracer wraps."""
+one elimination per degree (no dense re-layout of the stacked rows), and
+every name the benchmark's tracer wraps."""
 
 import ast
 import importlib.util
@@ -19,6 +20,10 @@ import pytest
 import crystacc
 from crystacc import accuracy, cascade, cli, multiidx
 from crystacc.cascade import cascade_iterate
+from crystacc.crystal import catalog_triple, check_admissible
+from crystacc.linalg import Mat
+from crystacc.mask import Mask, lift_scalar_to_matrix
+from crystacc.multiidx import dim_degree
 
 SOURCES = sorted(Path(crystacc.__file__).parent.glob("*.py"))
 
@@ -34,6 +39,7 @@ DELETED_INTERPOLATION = ("_interp_" "plan", "_apply_" "plan")
 DELETED_SYMMETRY_DATA = "Symmetry" "Data"
 DELETED_NORMAL_FORM = "smith_" "normal_form"
 DELETED_EIGEN_SCREEN = "has_eigenvalue" "_one"
+DELETED_LAYOUT = "_lay" "out"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -45,6 +51,7 @@ def test_no_banned_tokens(path):
     assert DELETED_SYMMETRY_DATA not in text
     assert DELETED_NORMAL_FORM not in text
     assert DELETED_EIGEN_SCREEN not in text
+    assert not re.search(r"\b" + DELETED_LAYOUT + r"\b", text)
 
 
 def test_floats_are_imported_where_they_are_used_only():
@@ -130,3 +137,48 @@ def test_translations_are_read_once_in_the_moment_table():
                if isinstance(node, ast.Attribute)
                and node.attr == "true_translation"]
     assert readers == ["_moments"]
+
+
+def _shape_cases():
+    """(mask, dilation, p_max): the 1D cubic B-spline (r = 1, fails at
+    degree 4), two uncoupled cubics (r = 2, kernel dimension 2) and the
+    p4m tensor hat lifted to an r = 8 lattice mask (fails at degree 2)."""
+    line = catalog_triple("p1", 1)
+    line_dil = check_admissible(Mat.from_rows([[2]]), line)
+    cubic = dict(zip(range(-2, 3), ("1/8", "1/2", "3/4", "1/2", "1/8")))
+    diagonal = Mask(line, {line.translation((k,)): [[c, 0], [0, c]]
+                           for k, c in cubic.items()})
+    p4m = catalog_triple("p4m", 2)
+    dil = check_admissible(Mat.from_rows([[2, 0], [0, 2]]), p4m)
+    hat = {-1: 1, 0: 2, 1: 1}
+    scalar = Mask.scalar(p4m, {(g, (i, j)): f"{a * b}/32" for g in range(8)
+                               for i, a in hat.items()
+                               for j, b in hat.items()})
+    lifted = lift_scalar_to_matrix(scalar, dil)
+    lat_dil = check_admissible(Mat.from_rows([[2, 0], [0, 2]]),
+                               lifted.triple)
+    return {"cubic": (Mask.scalar(line, cubic), line_dil, 5),
+            "diagonal": (diagonal, line_dil, 5),
+            "lifted-hat": (lifted, lat_dil, 3)}
+
+
+@pytest.mark.parametrize("case", ["cubic", "diagonal", "lifted-hat"])
+def test_each_degree_is_eliminated_once(case, monkeypatch):
+    """max_accuracy hands solve_affine one block row per degree, reduced
+    against the kernel carried from the degree below: m dim_degree(d, s) r
+    rows and (kernel dimension at s - 1) + dim_degree(d, s) r columns."""
+    mask, dil, p_max = _shape_cases()[case]
+    shapes = []
+    solve = accuracy.solve_affine
+
+    def spy(system, basis):
+        shapes.append(system.shape)
+        return solve(system, basis)
+
+    monkeypatch.setattr(accuracy, "solve_affine", spy)
+    cert = accuracy.max_accuracy(mask, mask.triple, dil, p_max)
+    dims = cert.diagnostics["kernel_dims"]
+    assert len(shapes) == len(dims) > 1
+    for s, shape in enumerate(shapes):
+        width = dim_degree(mask.triple.d, s) * mask.r
+        assert shape == (dil.m * width, dims.get(s - 1, 0) + width)

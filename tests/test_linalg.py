@@ -112,13 +112,20 @@ def test_read_float_edge_values():
 
 
 def test_solve_affine_examples():
-    basis, proj = solve_affine(Mat.zeros(1, 2), [0])
-    assert proj == 1
-    _, proj = solve_affine(Mat.from_rows([[1, 0]]), [0])
-    assert proj == 0
-    basis, proj = solve_affine(Mat.from_rows([[1, -1]]), [0])
-    assert proj == 1
-    assert basis[0].entry(0, 0) == basis[0].entry(1, 0)
+    # no carried basis: the rref kernel basis of k itself
+    k = Mat.from_rows([[1, -1, 0]])
+    assert solve_affine(k, []) == kernel_basis(k)
+    # B is the rref kernel basis of [1 -1 0]; the new row [0 0 1 | 1]
+    # reduces to [0 1 | 1], whose first column, K_old B e_1, is zero
+    basis = kernel_basis(k)
+    assert basis == [Mat.column([1, 1, 0]), Mat.column([0, 0, 1])]
+    lifted = solve_affine(Mat.from_rows([[0, 1, 1]]), basis)
+    assert lifted == [Mat.column([1, 1, 0, 0]), Mat.column([0, 0, -1, 1])]
+    assert lifted == kernel_basis(Mat.from_rows([[1, -1, 0, 0],
+                                                 [0, 0, 1, 1]]))
+    # an empty kernel, with and without a carried basis
+    assert solve_affine(Mat.identity(3), basis) == []
+    assert solve_affine(Mat.identity(2), []) == []
 
 
 def test_kron_mixed_products():
