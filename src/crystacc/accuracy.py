@@ -9,16 +9,22 @@ the degree, so each degree's block row is built and eliminated once,
 against the kernel carried from the degrees below.
 :func:`sufficient_check` evaluates the cheaper sum-rule criterion and
 builds its explicit witness chain.  Both read one table of per-coset
-moments, :func:`_moments`.  :func:`verify_equivalence` re-derives the
-witness relations in three independent forms, element by element, which
-is the main guard against index bookkeeping bugs.
+moments, :func:`_moments`, scaled by the common denominator D of the mask's
+coefficients, with the leads (b^{-1})_[t] A_[t] built once per table: on
+an integral lattice with real coefficients the table, the constraint rows
+and their reduction run on Python ints (the fraction-free idea of Bareiss,
+Math. Comp. 22, 1968, applied before elimination), and they fall back to
+Fractions or QCs by themselves where the data are not integral.
+:func:`verify_equivalence` re-derives the witness relations in three
+independent forms, element by element, which is the main guard against
+index bookkeeping bugs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, prod
+from math import comb, lcm, prod
 
 from .crystal import CrystalTriple, Dilation, compose, inverse
 # kron is unused here: perfbench/tracing.py wraps it by name in this module
@@ -159,38 +165,67 @@ def condition_d_residual(mask: Mask, dilation: Dilation, v: VCollection,
     Returns v_[s] minus the coset-i part of its two-scale expansion; a
     witness of accuracy p has this zero for every digit and every s < p.
     Only group elements whose inverse carries a mask coefficient
-    contribute, so the sum is finite.
+    contribute, so the sum is finite.  Each term is
+    Qt_[s,t](alpha) (A_[t] v_[t]) d_alpha, with A_[t] v_[t] formed once
+    per t.
     """
     acc = v.block(s)
-    A = dilation.A
+    av = [build_A_s(dilation.A, t) @ v.block(t) for t in range(s + 1)]
     for alpha, d_blk in mask.items():
         if dilation.coset_index(inverse(alpha)) != i:
             continue
         for t in range(s + 1):
-            lead = build_Q_tilde(alpha, s, t) @ build_A_s(A, t)
-            acc = acc - lead @ v.block(t) @ d_blk
+            acc = acc - build_Q_tilde(alpha, s, t) @ av[t] @ d_blk
     return acc
 
 
-def _moments(mask: Mask, dilation: Dilation, p_max: int) -> dict:
+def _plain(x: QC, scale: int = 1):
+    """scale·x as an int where it is one, a Fraction where it is real,
+    else a QC, so that integral data stay on Python ints."""
+    if x.im != 0:
+        return x * scale
+    num, den = x.re.numerator * scale, x.re.denominator
+    return num // den if num % den == 0 else Fraction(num, den)
+
+
+@dataclass
+class _MomentTable:
+    """The common denominator D (``scale``), the D-scaled moments
+    (``sums``) and the ``leads`` of :func:`_moments`."""
+
+    scale: int
+    sums: dict
+    leads: dict
+
+
+def _moments(mask: Mask, dilation: Dilation, p_max: int) -> _MomentTable:
     """The mask's moments below degree p_max, by digit coset and point part.
 
-    Maps (i, b) to {mu: N_mu} for every |mu| < p_max, where
+    ``sums`` maps (i, b) to {mu: N_mu D} for every |mu| < p_max, where
     N_mu = sum (-l)^mu d_(b,l)^T over the support elements (b, l) whose
-    inverse lies in digit coset i, l the true translation R k.  N_mu is a
-    dict (a, c) -> entry, without the entries no term reaches; an entry is
-    a Fraction where it is real, else a QC.  These are the per-coset sums
-    of the sum rules (Jia, Math. Comp. 67, 1998; Cabrelli, Heil and
-    Molter, J. Approx. Theory 95, 1998).
+    inverse lies in digit coset i, l the true translation R k, and D is
+    the lcm of the denominators of the real and imaginary parts of every
+    coefficient.  Each coefficient is scaled by D once, and a translation
+    coordinate is read as an int where it is one, so the entries are
+    Python ints on an integral lattice and fall back to Fractions (R not
+    integral) or QCs (complex masks) by themselves.  N_mu is a dict
+    (a, c) -> entry, without the entries no term reaches.  These are the
+    per-coset sums of the sum rules (Jia, Math. Comp. 67, 1998; Cabrelli,
+    Heil and Molter, J. Approx. Theory 95, 1998).  ``leads`` maps (b, t),
+    t < p_max, to the rows of (b^{-1})_[t] A_[t] = (b^{-1} A)_[t], each a
+    list of (column, non-zero entry) pairs, built once per table.
     """
-    d, r = mask.triple.d, mask.r
+    tri, d, r = mask.triple, mask.triple.d, mask.r
+    scale = lcm(*(q.denominator for _, blk in mask.items()
+                  for c in range(r) for x in blk.row_list(c)
+                  for q in (x.re, x.im)))
     mus = [mu for s in range(p_max) for mu in enumerate_degree(d, s)]
-    table = {}
+    sums = {}
     for e, blk in mask.items():
         key = (dilation.coset_index(inverse(e)), e.g)
-        moments = table.setdefault(key, {mu: {} for mu in mus})
-        neg = [-x.re for x in e.true_translation()]
-        d_t = [(a, c, x.re if x.im == 0 else x) for c in range(r)
+        moments = sums.setdefault(key, {mu: {} for mu in mus})
+        neg = [-_plain(x) for x in e.true_translation()]
+        d_t = [(a, c, _plain(x, scale)) for c in range(r)
                for a, x in enumerate(blk.row_list(c)) if not x.is_zero()]
         for mu in mus:
             w = prod(y ** n for y, n in zip(neg, mu))
@@ -199,52 +234,60 @@ def _moments(mask: Mask, dilation: Dilation, p_max: int) -> dict:
             n_mu = moments[mu]
             for a, c, x in d_t:
                 n_mu[(a, c)] = n_mu.get((a, c), 0) + w * x
-    return table
+    leads = {}
+    for b in {b for _, b in sums}:
+        # (b^{-1})_[t] A_[t] = (b^{-1} A)_[t], as X_[t] is multiplicative
+        b_inv_a = tri.group[tri.inverse_table[b]] @ dilation.A
+        for t in range(p_max):
+            lead = build_A_s(b_inv_a, t)
+            leads[(b, t)] = [[(k, _plain(x))
+                              for k, x in enumerate(lead.row_list(j))
+                              if not x.is_zero()] for j in range(lead.rows)]
+    return _MomentTable(scale, sums, leads)
 
 
-def _block_row(mask: Mask, dilation: Dilation, moments: dict,
+def _block_row(mask: Mask, dilation: Dilation, table: _MomentTable,
                s: int) -> list[dict]:
-    """Block row s of the stacked constraint system, as sparse rows: one
-    dict (column -> non-zero exact value, a Fraction or a QC) per row.
+    """Block row s of the stacked constraint system, scaled by the table's
+    D, as sparse rows: one dict (column -> non-zero exact value: an int on
+    integral data, else a Fraction or a QC) per row.
 
     The unknowns are vec(v_[0]), vec(v_[1]), ..., row-major within each
     block.  A product B v_[t] C acts on vec(v_[t]) as kron(B, C^T), so the
-    block in row (s, i) and column t <= s is
+    block in row (s, i) and column t <= s is D times
     delta_{t,s} I - sum over coset-i support terms of
     kron(Qt_[s,t] A_[t], d^T); the blocks right of column s are zero.
-    As Qt_[s,t](b, l) = Q_[s,t](l) (b^{-1})_[t], the terms of one point
+    A row scale leaves the kernel as it is.  As
+    Qt_[s,t](b, l) = Q_[s,t](l) (b^{-1})_[t], the terms of one point
     part b sum to its moments N (:func:`_moments`): entry
     ((alpha, a), (beta', c)) loses sum_beta binom(alpha, beta)
-    B[beta, beta'] N_(alpha-beta)[a, c], B = (b^{-1})_[t] A_[t].  Column t
-    starts at r (d_0 + ... + d_{t-1}) whatever the highest degree, so
-    block row s serves every system of degree s or more.
+    B[beta, beta'] N_(alpha-beta)[a, c] D, B = (b^{-1})_[t] A_[t] the
+    table's lead.  Column t starts at r (d_0 + ... + d_{t-1}) whatever the
+    highest degree, so block row s serves every system of degree s or
+    more.
     """
-    tri = mask.triple
-    d, r = tri.d, mask.r
+    d, r = mask.triple.d, mask.r
     starts = [0]
     for t in range(s):
         starts.append(starts[-1] + dim_degree(d, t) * r)
     alphas = enumerate_degree(d, s)
-    rows = [[{starts[s] + k: Fraction(1)} for k in range(len(alphas) * r)]
+    rows = [[{starts[s] + k: table.scale} for k in range(len(alphas) * r)]
             for _ in range(dilation.m)]
-    for (i, b), moment in moments.items():
+    for (i, b), moment in table.sums.items():
         block = rows[i]
         for t in range(s + 1):
-            lead = (build_A_s(tri.group[tri.inverse_table[b]], t)
-                    @ build_A_s(dilation.A, t))
-            for j, beta in enumerate(enumerate_degree(d, t)):
-                cols = [(starts[t] + k * r, x.re)
-                        for k, x in enumerate(lead.row_list(j))
-                        if not x.is_zero()]
+            for beta, lead in zip(enumerate_degree(d, t),
+                                  table.leads[(b, t)]):
                 for row0, alpha in enumerate(alphas):
                     if any(k > n for n, k in zip(alpha, beta)):
                         continue
                     n_mu = moment[tuple(n - k for n, k in zip(alpha, beta))]
                     binom = prod(comb(n, k) for n, k in zip(alpha, beta))
-                    for col0, x in cols:
+                    for k, x in lead:
+                        col0, bx = starts[t] + k * r, binom * x
                         for (a, c), y in n_mu.items():
                             row = block[row0 * r + a]
-                            value = row.get(col0 + c, 0) - binom * x * y
+                            value = row.get(col0 + c, 0) - bx * y
                             if value == 0:
                                 row.pop(col0 + c, None)
                             else:
@@ -266,10 +309,13 @@ def max_accuracy(mask: Mask, triple: CrystalTriple, dilation: Dilation,
 
     All degrees 0..s and all digit cosets are stacked into one homogeneous
     system, block triangular in the degree.  Block row s is built once, as
-    sparse rows, reduced to [K_(s,<s) B | K_ss] with B the rref kernel
-    basis of the rows below it, and solved exactly by :func:`solve_affine`,
-    which returns the rref kernel basis of the stacked rows.  Candidate
-    accuracy s+1 is feasible when a kernel vector meets the gate
+    sparse rows scaled by the moment table's common denominator D (a row
+    scale leaves the kernel as it is), reduced to [K_(s,<s) B | K_ss]
+    with B the rref kernel basis of the rows below it, and solved exactly
+    by :func:`solve_affine`, which returns the rref kernel basis of the
+    stacked rows.  The reduction reads B once per degree as plain rows,
+    ints where integral, so on integral data it runs on Python ints.
+    Candidate accuracy s+1 is feasible when a kernel vector meets the gate
     v_[0] . fhat(0) != 0, decided exactly against the vector of
     :func:`fhat0`; the first one met is the witness.  Feasibility is
     monotone in s, so the scan stops at the first failure.  The witness is
@@ -302,17 +348,20 @@ def max_accuracy(mask: Mask, triple: CrystalTriple, dilation: Dilation,
         diagnostics["note"] = _NO_GATE[fh.status]
         return AccuracyCertificate(0, None, "condition-d", None, diagnostics)
     chosen = None
-    moments = _moments(mask, dilation, p_max)
+    table = _moments(mask, dilation, p_max)
     basis, start = [], 0
     for s in range(p_max):
         n, width = len(basis), dim_degree(d, s) * r
+        # lower[j]: the non-zero j-th entries of the basis columns
+        lower = [[(c, _plain(b.entry(j, 0))) for c, b in enumerate(basis)
+                  if not b.entry(j, 0).is_zero()] for j in range(start)]
         system = []
-        for row in _block_row(mask, dilation, moments, s):
-            line = [QC_ZERO] * (n + width)
+        for row in _block_row(mask, dilation, table, s):
+            line = [0] * (n + width)
             for j, x in row.items():
                 if j < start:
-                    line[:n] = [y + x * b.entry(j, 0)
-                                for y, b in zip(line, basis)]
+                    for c, y in lower[j]:
+                        line[c] += x * y
                 else:
                     line[n + j - start] = x
             system.append(line)
@@ -348,15 +397,18 @@ def sufficient_check(mask: Mask, triple: CrystalTriple, dilation: Dilation,
     recursion below never needs it.
 
     The sums of (ii) and the moment matrices below are read from the
-    moment table of :func:`_moments`, the one the constraint rows use.
-    Block row s of :func:`_block_row` on the first coset is
-    (I - M_[s,s] A_[s]) v_[s] - sum_{t<s} M_[s,t] A_[t] v_[t] = 0, with
-    M_[s,t] the binomial moment matrices of the mask; when the moments
+    moment table of :func:`_moments`, the one the constraint rows use; the
+    sums of (ii) are divided by the table's common denominator D.  Block
+    row s of :func:`_block_row` on the first coset is D times the left
+    side of (I - M_[s,s] A_[s]) v_[s] - sum_{t<s} M_[s,t] A_[t] v_[t] = 0,
+    with M_[s,t] the binomial moment matrices of the mask; when the moments
     agree, M_[s,s] A_[s] is the matrix of (iii), so (iii) holds exactly
     when the diagonal block I - M_[s,s] A_[s] is nonsingular.  On success
     the same rows give the explicit witness chain: v_[0] = 1 and
     v_[s] = (I - M_[s,s] A_[s])^{-1} sum_{t<s} M_[s,t] A_[t] v_[t], then
-    re-checked against condition_d_residual.
+    re-checked against condition_d_residual.  Both read the D-scaled rows
+    as they are: det(D X) != 0 exactly when det X != 0, and
+    (D L)^{-1} (D r) = L^{-1} r.
     """
     if mask.r != 1:
         raise MaskShapeError("the sum-rule test applies to multiplicity-1 "
@@ -377,16 +429,17 @@ def sufficient_check(mask: Mask, triple: CrystalTriple, dilation: Dilation,
     # Per-coset moments of the inverse-indexed coefficients: the inverse of
     # a support element e = (g, l) is (g^{-1}, -g l), whose monomials are
     # g_[s] X_[s](-l), so its sums are g_[s] times the table's column.
-    moments = _moments(mask, dilation, p)
+    table = _moments(mask, dilation, p)
     per_coset = {(b, a): [QC_ZERO] * m for b in range(r)
                  for s in range(p) for a in enumerate_degree(d, s)}
-    for (i, g), moment in moments.items():
+    for (i, g), moment in table.sums.items():
         for s in range(p):
             alphas = enumerate_degree(d, s)
             col = build_A_s(triple.group[g], s) @ Mat.column(
                 [moment[a].get((0, 0), 0) for a in alphas])
             for j, a in enumerate(alphas):
-                per_coset[(triple.inverse_table[g], a)][i] = col.entry(j, 0)
+                key = (triple.inverse_table[g], a)
+                per_coset[key][i] = col.entry(j, 0) / table.scale
     beta = {key: sums[0] for key, sums in per_coset.items()
             if len(set(sums)) == 1}
     moments_ok = len(beta) == len(per_coset)
@@ -421,7 +474,7 @@ def sufficient_check(mask: Mask, triple: CrystalTriple, dilation: Dilation,
         start = 1
         for s in range(1, p):
             ds = dim_degree(d, s)
-            rows = _block_row(mask, dilation, moments, s)[:ds]
+            rows = _block_row(mask, dilation, table, s)[:ds]
             lhs = Mat.from_rows([[row.get(start + k, 0) for k in range(ds)]
                                  for row in rows])
             eigen_flags[s] = not det(lhs).is_zero()

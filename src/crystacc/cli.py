@@ -7,7 +7,10 @@ that is no lift), 5 cascade failure (non-convergence under --strict, a
 support box that does not certify within the step bound, a grid too
 coarse to sample, or a grid whose estimated memory exceeds half of
 physical memory).  Without --strict, a cascade that did
-not converge reports a null empirical accuracy.  Rational numbers travel
+not converge reports a null empirical accuracy; so does a field that
+does not vanish identically when the exact gate says its integral must
+vanish.  An --out path that cannot be written is refused before any
+work is done.  Rational numbers travel
 as "p/q" strings so the exact pipeline survives JSON; a plain JSON float
 coefficient is read as a rational by the mask (``linalg.read_float``),
 every output stays exact, and ``accuracy`` reports the largest relative
@@ -354,6 +357,10 @@ def cmd_cascade(args) -> int:
         raise CliError(EXIT_MALFORMED, "--verify-p must be nonnegative")
     if args.seed < 0:
         raise CliError(EXIT_MALFORMED, "--seed must be nonnegative")
+    if args.out and not _writable(args.out):
+        raise CliError(EXIT_MALFORMED,
+                       f"cannot write --out: {args.out!r} is not a "
+                       "writable file in an existing directory")
     iters = args.iters if args.iters is not None \
         else _option(cfg, "iterations", 12, minimum=1)
     grid_q = args.grid if args.grid is not None \
@@ -404,6 +411,14 @@ def cmd_cascade(args) -> int:
     if not result.converged:
         report["note"] = ("cascade did not converge: the residuals are "
                           "reported, no empirical accuracy is claimed")
+    elif (cert.diagnostics["fhat0_status"] == "empty"
+          and not report["degenerate"]):
+        report["empirical_accuracy"] = None
+        report["note"] = ("the averaged coefficient sum has no eigenvalue "
+                          "1, so the integral must vanish: the field "
+                          "shrinks without vanishing identically, the "
+                          "residuals are reported, no empirical accuracy "
+                          "is claimed")
 
     if args.out:
         try:
@@ -413,6 +428,15 @@ def cmd_cascade(args) -> int:
         report["csv"] = args.out
     _emit(report)
     return EXIT_OK
+
+
+def _writable(path: str) -> bool:
+    """Whether a file can be written at path: an existing file open to
+    writing, or a new name in a writable directory."""
+    if os.path.exists(path):
+        return not os.path.isdir(path) and os.access(path, os.W_OK)
+    parent = os.path.dirname(path) or "."
+    return os.path.isdir(parent) and os.access(parent, os.W_OK)
 
 
 def _dump_field_csv(field, path: str) -> None:

@@ -181,9 +181,12 @@ class CrystalElement:
         return self.triple.group[self.triple.inverse_table[self.g]]
 
     def true_translation(self) -> tuple[QC, ...]:
-        """R·k, the translation as a point of R^d."""
-        col = self.triple.R @ Mat.column(self.k)
-        return tuple(col.entry(i, 0) for i in range(self.triple.d))
+        """R·k, the translation as a point of R^d: one dot product with
+        each row of the real matrix R, over its non-zero terms."""
+        R = self.triple.R
+        return tuple(QC(sum(x.re * k for x, k in zip(R.row_list(i), self.k)
+                            if k and x.re))
+                     for i in range(self.triple.d))
 
     def __repr__(self):
         return f"({self.g}, {self.k})"

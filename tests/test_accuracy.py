@@ -2,6 +2,8 @@
 
 from collections import Counter
 from fractions import Fraction
+from functools import cache
+from math import comb, lcm, prod
 from unittest import mock
 
 import numpy as np
@@ -523,21 +525,32 @@ def _reference_scan(mask, dilation, s_top):
     return kernels, (witness.p, witness, gate, dims, failing)
 
 
+def _common_denominator(mask):
+    """D: the lcm of the denominators of the real and imaginary parts of
+    every coefficient of the mask."""
+    return lcm(*(q.denominator for _, blk in mask.items()
+                 for i in range(blk.rows) for x in blk.row_list(i)
+                 for q in (x.re, x.im)))
+
+
 def _assert_matches_dense_assembly(mask, triple, dilation, s_top):
-    """The stacked systems built from block rows equal the dense reference
-    entry for entry for every degree up to s_top; the basis max_accuracy
+    """The stacked systems built from block rows equal D times the dense
+    reference entry for entry for every degree up to s_top, D the
+    common denominator of the coefficients; the basis max_accuracy
     carries out of solve_affine equals, column for column, the rref
     kernel basis of the whole reference system at every degree; and the
     certificate equals the one read off the reference kernels."""
     d, r = triple.d, mask.r
-    moments = accuracy_mod._moments(mask, dilation, s_top + 1)
+    table = accuracy_mod._moments(mask, dilation, s_top + 1)
+    scale = _common_denominator(mask)
     rows, width = [], 0
     for s in range(s_top + 1):
-        rows += accuracy_mod._block_row(mask, dilation, moments, s)
+        rows += accuracy_mod._block_row(mask, dilation, table, s)
         width += dim_degree(d, s) * r
         assert all(not x.is_zero() for row in rows for x in
                    map(QC.parse, row.values()))
-        assert _dense(rows, width) == _assemble_reference(mask, dilation, s)
+        assert _dense(rows, width) == _assemble_reference(
+            mask, dilation, s).scale(scale)
 
     carried = []
 
@@ -625,9 +638,10 @@ def test_block_rows_match_the_dense_assembly(line, p1m, pm, where, r, real,
     _assert_matches_dense_assembly(mask, t, dil, s_top)
 
 
-def test_lifted_hat_block_rows_match_the_dense_assembly():
-    """The p4m hat lifted to an r = 8 lattice mask, degrees up to 3: the
-    rows, the carried kernel bases and the certificate."""
+@cache
+def _lifted_hat():
+    """(lattice triple, dilation 2I, mask): the p4m tensor hat lifted to
+    an r = 8 lattice mask."""
     t = catalog_triple("p4m", 2)
     dil = check_admissible(Mat.from_rows([[2, 0], [0, 2]]), t)
     hat = {-1: Fraction(1, 2), 0: Fraction(1), 1: Fraction(1, 2)}
@@ -635,9 +649,124 @@ def test_lifted_hat_block_rows_match_the_dense_assembly():
                              for i, a in hat.items() for j, b in hat.items()})
     lifted = lift_scalar_to_matrix(scalar, dil)
     lat = lifted.triple
-    lat_dil = check_admissible(Mat.from_rows([[2, 0], [0, 2]]), lat)
+    return lat, check_admissible(Mat.from_rows([[2, 0], [0, 2]]), lat), lifted
+
+
+def test_lifted_hat_block_rows_match_the_dense_assembly():
+    """The p4m hat lifted to an r = 8 lattice mask, degrees up to 3: the
+    rows, the carried kernel bases and the certificate."""
+    lat, lat_dil, lifted = _lifted_hat()
     assert lifted.r == 8
     _assert_matches_dense_assembly(lifted, lat, lat_dil, 3)
+
+
+# -- the integer moment table against the Fraction one it replaced ----------
+
+def _fraction_moments(mask, dilation, p_max):
+    """The moment table as it was built before the common denominator:
+    (i, b) -> {mu: {(a, c): N_mu}}, entries Fractions, or QCs where not
+    real, accumulated one Fraction multiply-add at a time."""
+    d, r = mask.triple.d, mask.r
+    mus = [mu for s in range(p_max) for mu in enumerate_degree(d, s)]
+    table = {}
+    for e, blk in mask.items():
+        key = (dilation.coset_index(inverse(e)), e.g)
+        moments = table.setdefault(key, {mu: {} for mu in mus})
+        neg = [-x.re for x in e.true_translation()]
+        d_t = [(a, c, x.re if x.im == 0 else x) for c in range(r)
+               for a, x in enumerate(blk.row_list(c)) if not x.is_zero()]
+        for mu in mus:
+            w = prod(y ** n for y, n in zip(neg, mu))
+            if w == 0:
+                continue
+            n_mu = moments[mu]
+            for a, c, x in d_t:
+                n_mu[(a, c)] = n_mu.get((a, c), 0) + w * x
+    return table
+
+
+def _fraction_block_row(mask, dilation, moments, s):
+    """Block row s from the Fraction moment table, with 1 on the diagonal
+    and the leads (b^{-1})_[t] A_[t] rebuilt for every coset and point
+    part, as it was built before the common denominator."""
+    tri = mask.triple
+    d, r = tri.d, mask.r
+    starts = [0]
+    for t in range(s):
+        starts.append(starts[-1] + dim_degree(d, t) * r)
+    alphas = enumerate_degree(d, s)
+    rows = [[{starts[s] + k: Fraction(1)} for k in range(len(alphas) * r)]
+            for _ in range(dilation.m)]
+    for (i, b), moment in moments.items():
+        block = rows[i]
+        for t in range(s + 1):
+            lead = (build_A_s(tri.group[tri.inverse_table[b]], t)
+                    @ build_A_s(dilation.A, t))
+            for j, beta in enumerate(enumerate_degree(d, t)):
+                cols = [(starts[t] + k * r, x.re)
+                        for k, x in enumerate(lead.row_list(j))
+                        if not x.is_zero()]
+                for row0, alpha in enumerate(alphas):
+                    if any(k > n for n, k in zip(alpha, beta)):
+                        continue
+                    n_mu = moment[tuple(n - k for n, k in zip(alpha, beta))]
+                    binom = prod(comb(n, k) for n, k in zip(alpha, beta))
+                    for col0, x in cols:
+                        for (a, c), y in n_mu.items():
+                            row = block[row0 * r + a]
+                            value = row.get(col0 + c, 0) - binom * x * y
+                            if value == 0:
+                                row.pop(col0 + c, None)
+                            else:
+                                row[col0 + c] = value
+    return [row for block in rows for row in block]
+
+
+@seed(2026)
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["line", "p1m", "pm", "p4m", "pm-scaled",
+                        "p2-sheared", "lifted"]),
+       st.sampled_from([1, 2]), st.booleans(), st.data())
+def test_integer_rows_are_the_fraction_rows_times_the_denominator(
+        line, p1m, pm, where, r, real, data):
+    """The moment table and the block rows built on the common
+    denominator D equal D times the Fraction ones, exactly, and D is the
+    lcm of the denominators of the coefficients.  Real and complex masks
+    with r = 1, 2 (a scalar base times the identity) and r = 8 (the
+    lifted p4m hat), with a few drawn entries changed, over R = I, pm on
+    diag(1/2, 1/3) and p2 on a sheared lattice."""
+    if where == "lifted":
+        t, dil, lifted = _lifted_hat()
+        blocks = {e: [blk.row_list(a) for a in range(blk.rows)]
+                  for e, blk in lifted.items()}
+        r = lifted.r
+    else:
+        t, dil, base = _scalar_bases(line, p1m, pm)[where]
+        blocks = {e: [[c if a == b else 0 for b in range(r)]
+                      for a in range(r)] for e, c in base.items()}
+    s_top = 3 if t.d == 1 else 2
+    part = st.fractions(-2, 2, max_denominator=6)
+    value = (st.builds(QC, part) if real
+             else st.builds(QC, part, part.filter(lambda x: x != 0)))
+    support = sorted(blocks, key=lambda e: (e.g, e.k))
+    changes = data.draw(st.lists(
+        st.tuples(st.sampled_from(support), st.integers(0, r - 1),
+                  st.integers(0, r - 1), value),
+        min_size=0 if real else 1, max_size=3))
+    for e, a, b, x in changes:
+        blocks[e][a][b] = x
+    mask = Mask(t, blocks, r=r)
+    scale = _common_denominator(mask)
+    table = accuracy_mod._moments(mask, dil, s_top + 1)
+    reference = _fraction_moments(mask, dil, s_top + 1)
+    assert table.scale == scale
+    assert table.sums == {key: {mu: {ac: scale * x for ac, x in n.items()}
+                                for mu, n in moments.items()}
+                          for key, moments in reference.items()}
+    for s in range(s_top + 1):
+        assert accuracy_mod._block_row(mask, dil, table, s) == [
+            {j: scale * x for j, x in row.items()}
+            for row in _fraction_block_row(mask, dil, reference, s)]
 
 
 # -- the sum-rule test's moments against the per-element loops they replace --
@@ -693,8 +822,9 @@ def test_sum_rule_moments_match_the_per_element_loops(line, p1m, pm, where,
     """sufficient_check's per-coset sums (per key, as multisets: the
     table labels a coset by the element, the reference by its bare
     translation), beta and moments_ok equal the per-element reference,
-    and the first coset's block rows are I - M_[s,s] A_[s] and
-    -M_[s,t] A_[t] for the reference moment matrices.  Scalar bases of
+    and the first coset's block rows are D (I - M_[s,s] A_[s]) and
+    -D M_[s,t] A_[t] for the reference moment matrices, D the common
+    denominator of the coefficients.  Scalar bases of
     accuracy 2 to 4 with up to three entries changed, so that the
     moments often disagree across cosets, on lattices with R = I and
     R != I."""
@@ -719,12 +849,13 @@ def test_sum_rule_moments_match_the_per_element_loops(line, p1m, pm, where,
     assert rep.beta == {key: sums[0] for key, sums in per_coset.items()
                         if len(set(sums)) == 1}
 
-    moments = accuracy_mod._moments(mask, dil, p)
+    table = accuracy_mod._moments(mask, dil, p)
+    scale = _common_denominator(mask)
     width = 0
     for s in range(p):
         ds = dim_degree(t.d, s)
         width += ds
-        rows = accuracy_mod._block_row(mask, dil, moments, s)[:ds]
+        rows = accuracy_mod._block_row(mask, dil, table, s)[:ds]
         dense = _dense(rows, width)
         start = 0
         for tt in range(s + 1):
@@ -732,7 +863,8 @@ def test_sum_rule_moments_match_the_per_element_loops(line, p1m, pm, where,
             got = Mat.from_rows([[dense.entry(j, start + k)
                                   for k in range(dt)] for j in range(ds)])
             lead = mats[(s, tt)] @ build_A_s(dil.A, tt)
-            assert got == (Mat.identity(ds) - lead if tt == s else -lead)
+            want = Mat.identity(ds) - lead if tt == s else -lead
+            assert got == want.scale(scale)
             start += dt
 
 
@@ -798,7 +930,8 @@ def test_eigen_flags_match_the_beta_built_screen(where, p, data):
     """A base mask with agreeing moments, spread over the point group
     with drawn weights w_g: the flags of sufficient_check equal those of
     the beta-built screen, and the first coset's diagonal block of
-    degree s is I minus the screened matrix.  p1, pm and p4m under 2I
+    degree s is D times I minus the screened matrix, D the common
+    denominator of the coefficients.  p1, pm and p4m under 2I
     and the quincunx, over Z^2 and over non-integer lattices."""
     t, dil = SCREEN_CASES[where]
     weights = data.draw(st.lists(st.sampled_from(SCREEN_WEIGHTS),
@@ -809,12 +942,13 @@ def test_eigen_flags_match_the_beta_built_screen(where, p, data):
     rep = sufficient_check(mask, t, dil, p)
     mats, flags = _beta_screen(rep, t, dil)
     assert rep.eigen_flags == flags
-    moments = accuracy_mod._moments(mask, dil, p)
+    table = accuracy_mod._moments(mask, dil, p)
     start = 1
     for s, mat in mats.items():
         ds = dim_degree(t.d, s)
-        rows = accuracy_mod._block_row(mask, dil, moments, s)[:ds]
+        rows = accuracy_mod._block_row(mask, dil, table, s)[:ds]
         block = Mat.from_rows([[row.get(start + k, 0) for k in range(ds)]
                                for row in rows])
-        assert block == Mat.identity(ds) - mat
+        assert block == (Mat.identity(ds) - mat).scale(
+            _common_denominator(mask))
         start += ds

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 import crystacc.cascade as cascade_mod
+import crystacc.cli as cli_mod
 from crystacc.cli import (DEFAULT_SEED, EXIT_BAD_GROUP, EXIT_INADMISSIBLE,
                           EXIT_MALFORMED, EXIT_NO_CONVERGENCE, EXIT_OK,
                           EXIT_SHAPE, SEED_ENV_VAR, build_parser, main)
@@ -466,6 +467,63 @@ def test_cascade_csv_dump_to_an_unwritable_path(tmp_path, capsys):
     assert set(out) == {"schema_version", "error"}
     assert "--out" in out["error"]
     assert not out_path.parent.exists()
+
+
+def test_unwritable_out_path_is_refused_before_any_work(tmp_path, capsys,
+                                                        monkeypatch):
+    """A missing directory, a directory and a path below a file are
+    refused before the exact solver and the cascade run; a write that
+    fails later still ends in one JSON error."""
+    calls = []
+
+    def record(name):
+        def stub(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} ran")
+        return stub
+
+    monkeypatch.setattr(cascade_mod, "cascade_iterate",
+                        record("cascade_iterate"))
+    monkeypatch.setattr(cli_mod, "max_accuracy", record("max_accuracy"))
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    for out_path in (tmp_path / "missing" / "field.csv", tmp_path,
+                     tmp_path / "file" / "field.csv"):
+        code, out = run_cli(tmp_path, capsys, HAT_CFG,
+                            ["cascade", "CFG", "--out", str(out_path)])
+        assert code == EXIT_MALFORMED
+        assert set(out) == {"schema_version", "error"}
+        assert "--out" in out["error"]
+    assert calls == []
+    monkeypatch.undo()
+
+    def fail(field, path):
+        raise PermissionError(f"denied: {path}")
+
+    monkeypatch.setattr(cli_mod, "_dump_field_csv", fail)
+    code, out = run_cli(tmp_path, capsys, HAT_CFG,
+                        ["cascade", "CFG", "--grid", "4", "--iters", "8",
+                         "--out", str(tmp_path / "field.csv")])
+    assert code == EXIT_MALFORMED
+    assert set(out) == {"schema_version", "error"}
+    assert "denied" in out["error"]
+
+
+def test_a_shrinking_field_claims_no_empirical_accuracy(tmp_path, capsys):
+    """The p1 mask {0: 1/2, 1: 1/2} has no eigenvalue 1 in its averaged
+    coefficient sum, so the integral must vanish: its iterate is the cell
+    indicator halved at every step.  It converges to within the tolerance
+    and its degree-0 fit passes, but no empirical accuracy is claimed."""
+    cfg = dict(HAT_CFG, mask=[{"g": 0, "k": [0], "coef": "1/2"},
+                              {"g": 0, "k": [1], "coef": "1/2"}])
+    code, out = run_cli(tmp_path, capsys, cfg,
+                        ["cascade", "CFG", "--grid", "6", "--iters", "21",
+                         "--verify-p", "3"])
+    assert code == EXIT_OK
+    assert out["converged"] is True and out["degenerate"] is False
+    assert out["solver_accuracy"] == 0
+    assert out["reports"][0]["verdict"] is True
+    assert out["empirical_accuracy"] is None
+    assert "integral must vanish" in out["note"]
 
 
 def test_cascade_on_a_non_integer_lattice(tmp_path, capsys):

@@ -6,7 +6,8 @@ residue system), numpy imported only where floats are used, no
 separate eigenvalue-one helper (the sum-rule screen reads the witness
 chain's blocks), a cascade that reads grid nodes only (no interpolation
 plans and no free grid spacing), one moment table in the exact solver,
-one elimination per degree (no dense re-layout of the stacked rows), and
+one elimination per degree (no dense re-layout of the stacked rows),
+constraint rows built on Python ints where the data are integral, and
 every name the benchmark's tracer wraps."""
 
 import ast
@@ -182,3 +183,16 @@ def test_each_degree_is_eliminated_once(case, monkeypatch):
     for s, shape in enumerate(shapes):
         width = dim_degree(mask.triple.d, s) * mask.r
         assert shape == (dil.m * width, dims.get(s - 1, 0) + width)
+
+
+@pytest.mark.parametrize("case", ["cubic", "lifted-hat"])
+def test_constraint_rows_are_built_on_ints(case):
+    """On R = I with real coefficients, every entry of every block row is
+    a Python int, not a Fraction or a QC: the rows are built over the
+    table's common denominator."""
+    mask, dil, p_max = _shape_cases()[case]
+    table = accuracy._moments(mask, dil, p_max)
+    kinds = {type(x) for s in range(p_max)
+             for row in accuracy._block_row(mask, dil, table, s)
+             for x in row.values()}
+    assert kinds == {int}
