@@ -6,7 +6,7 @@ oracle for cross-checking.
 """
 
 from .accuracy import (AccuracyCertificate, EquivalenceReport, Fhat0Result,
-                       SufficientReport, condition_d_residual, fhat0,
+                       SufficientReport, condition_d_residuals, fhat0,
                        max_accuracy, sufficient_check, verify_equivalence)
 from .cascade import (CascadeError, CascadeResult, GridField,
                       ReproductionReport, cascade_iterate, empirical_accuracy,
@@ -34,7 +34,7 @@ __all__ = [
     "SufficientReport", "VCollection", "build_A_s", "build_Q_st",
     "build_Q_tilde", "cascade_iterate", "catalog_names",
     "catalog_triple", "check_admissible", "check_gamma_A_symmetry",
-    "coefficient", "compose", "condition_d_residual", "dim_degree",
+    "coefficient", "compose", "condition_d_residuals", "dim_degree",
     "elements_in_ball", "empirical_accuracy", "empirical_level",
     "enumerate_degree", "eval_X", "eval_y", "extract_scalar", "fhat0",
     "generate_group", "inverse", "kernel_basis", "kron", "l2_budget",

@@ -17,7 +17,10 @@ Math. Comp. 22, 1968, applied before elimination), and they fall back to
 Fractions or QCs by themselves where the data are not integral.
 :func:`verify_equivalence` re-derives the witness relations in three
 independent forms, element by element, which is the main guard against
-index bookkeeping bugs.
+index bookkeeping bugs.  Its per-coset form, :func:`condition_d_residuals`,
+is also the witness guard of :func:`sufficient_check`: one walk of the
+support per degree gives the residuals of every coset, on plain values,
+and never reads the moment table it checks.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from fractions import Fraction
 from math import comb, lcm, prod
 
 from .crystal import CrystalTriple, Dilation, compose, inverse
-# kron is unused here: perfbench/tracing.py wraps it by name in this module
+# kron and build_Q_tilde are unused here: perfbench/tracing.py wraps them
+# by name in this module
 from .linalg import (Mat, QC, QC_ZERO, det, kernel_basis, kron,
                      solve_affine)
 from .mask import Mask, MaskShapeError
@@ -158,27 +162,6 @@ _NO_GATE = {
 }
 
 
-def condition_d_residual(mask: Mask, dilation: Dilation, v: VCollection,
-                         s: int, i: int) -> Mat:
-    """Defect of the degree-s reproduction constraint on digit coset i.
-
-    Returns v_[s] minus the coset-i part of its two-scale expansion; a
-    witness of accuracy p has this zero for every digit and every s < p.
-    Only group elements whose inverse carries a mask coefficient
-    contribute, so the sum is finite.  Each term is
-    Qt_[s,t](alpha) (A_[t] v_[t]) d_alpha, with A_[t] v_[t] formed once
-    per t.
-    """
-    acc = v.block(s)
-    av = [build_A_s(dilation.A, t) @ v.block(t) for t in range(s + 1)]
-    for alpha, d_blk in mask.items():
-        if dilation.coset_index(inverse(alpha)) != i:
-            continue
-        for t in range(s + 1):
-            acc = acc - build_Q_tilde(alpha, s, t) @ av[t] @ d_blk
-    return acc
-
-
 def _plain(x: QC, scale: int = 1):
     """scale·x as an int where it is one, a Fraction where it is real,
     else a QC, so that integral data stay on Python ints."""
@@ -186,6 +169,72 @@ def _plain(x: QC, scale: int = 1):
         return x * scale
     num, den = x.re.numerator * scale, x.re.denominator
     return num // den if num % den == 0 else Fraction(num, den)
+
+
+def _sparse_rows(mat: Mat) -> list[list]:
+    """The rows of mat as lists of (column, plain non-zero entry) pairs."""
+    return [[(k, _plain(x)) for k, x in enumerate(mat.row_list(j))
+             if not x.is_zero()] for j in range(mat.rows)]
+
+
+def condition_d_residuals(mask: Mask, dilation: Dilation, v: VCollection,
+                          s: int) -> list[Mat]:
+    """Defects of the degree-s reproduction constraint on every digit
+    coset, from one walk of the support.
+
+    Entry i is v_[s] minus the coset-i part of its two-scale expansion; a
+    witness of accuracy p has every entry zero for every s < p.  Only
+    group elements whose inverse carries a mask coefficient contribute,
+    so the sums are finite.  A support element (b, l) adds to the coset
+    of its inverse, found once, the term
+    sum_{t<=s} Qt_[s,t](b, l) A_[t] v_[t] d_(b,l)
+    = sum_{t<=s} Q_[s,t](l) w_{b,t} d_(b,l), with
+    w_{b,t} = (b^{-1} A)_[t] v_[t] formed once per point part b and
+    degree t.  Q_[s,t](l) is applied as the polynomial shift: row alpha
+    gathers sum_beta binom(alpha, beta) (-l)^(alpha-beta) w_{b,t}[beta].
+    The entries are plain values (:func:`_plain`): ints where the data
+    are integral, else Fractions or QCs, wrapped in Mats at the end.
+    Each element is checked by itself; the guard never reads the moment
+    table it checks.
+    """
+    tri, d, r = mask.triple, mask.triple.d, mask.r
+    vs = [[[_plain(x) for x in blk.row_list(j)] for j in range(blk.rows)]
+          for blk in v.blocks[:s + 1]]
+    out = [[list(row) for row in vs[s]] for _ in range(dilation.m)]
+    mus = [mu for t in range(s + 1) for mu in enumerate_degree(d, t)]
+    # row alpha of the shift: (t, index of beta, binom(alpha, beta),
+    # alpha - beta) for every beta <= alpha of degree t <= s
+    shifts = [[(t, j, prod(comb(n, k) for n, k in zip(alpha, beta)),
+                tuple(n - k for n, k in zip(alpha, beta)))
+               for t in range(s + 1)
+               for j, beta in enumerate(enumerate_degree(d, t))
+               if all(k <= n for n, k in zip(alpha, beta))]
+              for alpha in enumerate_degree(d, s)]
+    w = {}
+    for e, blk in mask.items():
+        residual = out[dilation.coset_index(inverse(e))]
+        if e.g not in w:
+            b_inv_a = tri.group[tri.inverse_table[e.g]] @ dilation.A
+            w[e.g] = [[[sum((x * vs[t][k][c] for k, x in lead), 0)
+                        for c in range(r)]
+                       for lead in _sparse_rows(build_A_s(b_inv_a, t))]
+                      for t in range(s + 1)]
+        w_b = w[e.g]
+        neg = [-_plain(x) for x in e.true_translation()]
+        power = {mu: prod(y ** n for y, n in zip(neg, mu)) for mu in mus}
+        d_rows = _sparse_rows(blk)
+        for row, terms in zip(residual, shifts):
+            u = [0] * r
+            for t, j, binom, mu in terms:
+                f = binom * power[mu]
+                if f != 0:
+                    for a, x in enumerate(w_b[t][j]):
+                        u[a] += f * x
+            for a, x in enumerate(u):
+                if x != 0:
+                    for c, y in d_rows[a]:
+                        row[c] -= x * y
+    return [Mat.from_rows(rows, cols=r) for rows in out]
 
 
 @dataclass
@@ -239,10 +288,7 @@ def _moments(mask: Mask, dilation: Dilation, p_max: int) -> _MomentTable:
         # (b^{-1})_[t] A_[t] = (b^{-1} A)_[t], as X_[t] is multiplicative
         b_inv_a = tri.group[tri.inverse_table[b]] @ dilation.A
         for t in range(p_max):
-            lead = build_A_s(b_inv_a, t)
-            leads[(b, t)] = [[(k, _plain(x))
-                              for k, x in enumerate(lead.row_list(j))
-                              if not x.is_zero()] for j in range(lead.rows)]
+            leads[(b, t)] = _sparse_rows(build_A_s(b_inv_a, t))
     return _MomentTable(scale, sums, leads)
 
 
@@ -406,7 +452,7 @@ def sufficient_check(mask: Mask, triple: CrystalTriple, dilation: Dilation,
     when the diagonal block I - M_[s,s] A_[s] is nonsingular.  On success
     the same rows give the explicit witness chain: v_[0] = 1 and
     v_[s] = (I - M_[s,s] A_[s])^{-1} sum_{t<s} M_[s,t] A_[t] v_[t], then
-    re-checked against condition_d_residual.  Both read the D-scaled rows
+    re-checked against condition_d_residuals.  Both read the D-scaled rows
     as they are: det(D X) != 0 exactly when det X != 0, and
     (D L)^{-1} (D r) = L^{-1} r.
     """
@@ -496,8 +542,8 @@ def sufficient_check(mask: Mask, triple: CrystalTriple, dilation: Dilation,
             chain += [blocks[-1].entry(k, 0) for k in range(lhs.rows)]
         v_chain = VCollection(d, tuple(blocks))
         chain_zero = all(
-            condition_d_residual(mask, dilation, v_chain, s, i).is_zero()
-            for s in range(p) for i in range(m))
+            res.is_zero() for s in range(p)
+            for res in condition_d_residuals(mask, dilation, v_chain, s))
         if not chain_zero:
             notes.append("the recursive witness fails the per-coset "
                          "conditions; this indicates an internal "
@@ -531,8 +577,8 @@ def verify_equivalence(mask: Mask, dilation: Dilation, v: VCollection,
         zero.append(mat.is_zero())
 
     for s in range(v.p):
-        for i in range(dilation.m):
-            record("d", s, i, condition_d_residual(mask, dilation, v, s, i))
+        for i, res in enumerate(condition_d_residuals(mask, dilation, v, s)):
+            record("d", s, i, res)
 
     def relation_residual(sigma, s):
         acc = eval_y(sigma, v, s)

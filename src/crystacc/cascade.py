@@ -48,6 +48,8 @@ from .multiidx import (VCollection, build_Q_tilde, dim_degree,
 
 CONVERGENCE_TOL = 1e-6
 MAX_BOX_STEPS = 64
+# a field with every entry below this in modulus vanishes identically
+DEGENERATE_MAX = 1e-12
 
 
 class CascadeError(RuntimeError):
@@ -83,6 +85,15 @@ class GridField:
         self._flat = padded[:-1]
         self.data = self._flat.reshape(*shape, self.r)
         self.support_radius = math.hypot(*(self.hi - self.lo))
+
+    def max_abs(self) -> float:
+        """Largest entry modulus of the field."""
+        return float(np.max(np.abs(self.data)))
+
+    def degenerate(self) -> bool:
+        """Whether the field vanishes identically: every entry below
+        ``DEGENERATE_MAX`` in modulus."""
+        return self.max_abs() < DEGENERATE_MAX
 
     def nodes(self) -> np.ndarray:
         """x coordinates of every node, one row each, in the row order of
@@ -615,13 +626,20 @@ def verify_degrees(field: GridField, witness: VCollection | None, p_max: int,
                               None)
 
 
-def empirical_level(result: CascadeResult, checks) -> int | None:
+def empirical_level(result: CascadeResult, checks,
+                    fhat0_status: str) -> int | None:
     """Empirical accuracy of a cascade run: the largest s+1 such that every
     degree up to s passes among checks (:class:`DegreeCheck` objects in
     order of s, as :func:`verify_degrees` yields them), or None when the
     cascade did not converge, since a diverging field supports no claim.
-    A failing degree stops the reading of checks."""
+    It is None too when the exact gate says the integral must vanish
+    (``fhat0_status`` 'empty', :func:`accuracy.fhat0`) but the field is
+    not degenerate: a field that shrinks without vanishing identically
+    supports no claim either.  A failing degree stops the reading of
+    checks."""
     if not result.converged:
+        return None
+    if fhat0_status == "empty" and not result.field.degenerate():
         return None
     level = 0
     for check in checks:
@@ -639,8 +657,9 @@ def empirical_accuracy(mask: Mask, triple: CrystalTriple, dilation: Dilation,
     """Brute-force accuracy estimate from the cascade field: the largest
     s+1 at or below p_max for which every degree up to s passes
     :func:`verify_degrees` with the exact solver's witness
-    (:func:`empirical_level`).  When the cascade does not converge, strict
-    raises :class:`CascadeError`; otherwise the return value is None.
+    (:func:`empirical_level`, which also reads the solver's ``fhat0``
+    status).  When the cascade does not converge, strict raises
+    :class:`CascadeError`; otherwise the return value is None.
     """
     cert = max_accuracy(mask, triple, dilation, p_max)
     result = cascade_iterate(mask, triple, dilation, iterations,
@@ -649,4 +668,5 @@ def empirical_accuracy(mask: Mask, triple: CrystalTriple, dilation: Dilation,
         raise CascadeError("cascade did not converge: last sup difference "
                            f"{result.sup_diffs[-1]:.3g}")
     return empirical_level(result, verify_degrees(
-        result.field, cert.witness, p_max, tolerance, sample_count, seed))
+        result.field, cert.witness, p_max, tolerance, sample_count, seed),
+        cert.diagnostics["fhat0_status"])

@@ -28,8 +28,6 @@ import os
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from .accuracy import max_accuracy, sufficient_check
 from .crystal import (AdmissibilityError, CrystalTriple, Dilation,
                       GroupValidationError, catalog_names, catalog_triple,
@@ -376,7 +374,7 @@ def cmd_cascade(args) -> int:
     result = cascade_mod.cascade_iterate(mask, triple, dilation, iters,
                                          grid_exponent=grid_q)
     field = result.field
-    field_max = float(np.max(np.abs(field.data)))
+    field_max = field.max_abs()
     report = {
         "schema_version": SCHEMA_VERSION,
         "iterations": iters,
@@ -386,7 +384,7 @@ def cmd_cascade(args) -> int:
         "sup_diff_last": result.sup_diffs[-1],
         "sup_diffs": list(result.sup_diffs),
         "field_max": field_max,
-        "degenerate": field_max < 1e-12,
+        "degenerate": field.degenerate(),
         "solver_accuracy": cert.p,
     }
     if not result.converged and args.strict:
@@ -407,13 +405,12 @@ def cmd_cascade(args) -> int:
                          matched_form=rep.matched_form)
         reports.append(entry)
     report["reports"] = reports
-    report["empirical_accuracy"] = cascade_mod.empirical_level(result, checks)
+    report["empirical_accuracy"] = cascade_mod.empirical_level(
+        result, checks, cert.diagnostics["fhat0_status"])
     if not result.converged:
         report["note"] = ("cascade did not converge: the residuals are "
                           "reported, no empirical accuracy is claimed")
-    elif (cert.diagnostics["fhat0_status"] == "empty"
-          and not report["degenerate"]):
-        report["empirical_accuracy"] = None
+    elif report["empirical_accuracy"] is None:
         report["note"] = ("the averaged coefficient sum has no eigenvalue "
                           "1, so the integral must vanish: the field "
                           "shrinks without vanishing identically, the "

@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .linalg import Mat, QC, det, integer_rows
 
@@ -38,7 +39,14 @@ class AdmissibilityError(ValueError):
 
 
 def _int_apply(m: list[list[int]], k) -> tuple[int, ...]:
-    return tuple(sum(row[j] * k[j] for j in range(len(k))) for row in m)
+    return tuple([sum(map(mul, row, k)) for row in m])
+
+
+def _int_product(a: list[list[int]], b: list[list[int]]) -> tuple:
+    """The integer matrix product a·b, as a tuple of row tuples."""
+    cols = list(zip(*b))
+    return tuple(tuple([sum(map(mul, row, col)) for col in cols])
+                 for row in a)
 
 
 def _is_real(m: Mat) -> bool:
@@ -60,28 +68,32 @@ class CrystalTriple:
         self.R_inv = R_inv
         self.group = list(group)
         self.name = name
-        # R^{-1} g R for each point element, as validate_triple found them
+        # R^{-1} g R for each point element, as validate_triple found them;
+        # g -> R^{-1} g R is one-to-one and multiplicative, so the tables
+        # are read off these integer matrices
         self.int_reps = int_reps
-        self.product_table = [
-            [self._find(self.group[i] @ self.group[j]) for j in range(len(group))]
-            for i in range(len(group))
-        ]
-        ident = Mat.identity(self.d)
+        index = {}
+        for i, rep in enumerate(int_reps):
+            index.setdefault(tuple(map(tuple, rep)), i)
+        self.product_table = []
+        for rep_i in int_reps:
+            row = [index.get(_int_product(rep_i, rep_j)) for rep_j in int_reps]
+            if None in row:
+                raise GroupValidationError(
+                    "point group is not closed under products")
+            self.product_table.append(row)
+        ident = index.get(tuple(tuple(int(i == j) for j in range(self.d))
+                                for i in range(self.d)))
         self.inverse_table = []
-        for i in range(len(group)):
-            j = next((j for j in range(len(group))
-                      if self.group[self.product_table[i][j]] == ident), None)
-            if j is None:
+        for i, row in enumerate(self.product_table):
+            if ident not in row:
                 raise GroupValidationError(f"no inverse for point element {i}")
-            self.inverse_table.append(j)
+            self.inverse_table.append(row.index(ident))
+        # the rows of R, entries ints where integral, for true_translation
+        self.R_rows = [[x.re.numerator if x.re.denominator == 1 else x.re
+                        for x in R.row_list(i)] for i in range(self.d)]
         # build_Q_tilde blocks keyed by (g, k, s, t); they die with the triple
         self.q_tilde_cache: dict = {}
-
-    def _find(self, m: Mat) -> int:
-        for i, g in enumerate(self.group):
-            if g == m:
-                return i
-        raise GroupValidationError("point group is not closed under products")
 
     @property
     def order(self) -> int:
@@ -139,7 +151,7 @@ def validate_triple(R: Mat, group: list[Mat], name: str | None = None) -> Crysta
             raise GroupValidationError(f"point element {idx} does not "
                                        "preserve the lattice")
         int_reps.append(rep)
-    # closure checked in _find
+    # closure checked by CrystalTriple
     return CrystalTriple(R, R_inv, group, int_reps, name=name)
 
 
@@ -182,11 +194,9 @@ class CrystalElement:
 
     def true_translation(self) -> tuple[QC, ...]:
         """R·k, the translation as a point of R^d: one dot product with
-        each row of the real matrix R, over its non-zero terms."""
-        R = self.triple.R
-        return tuple(QC(sum(x.re * k for x, k in zip(R.row_list(i), self.k)
-                            if k and x.re))
-                     for i in range(self.triple.d))
+        each row of the real matrix R, on ints where R is integral."""
+        return tuple([QC(sum(map(mul, row, self.k)))
+                      for row in self.triple.R_rows])
 
     def __repr__(self):
         return f"({self.g}, {self.k})"
@@ -342,11 +352,13 @@ def check_admissible(A: Mat, triple: CrystalTriple) -> Dilation:
     M = integer_rows(triple.R_inv @ A @ triple.R)
     if M is None:
         raise AdmissibilityError("dilation does not map the lattice into itself")
+    # A g_i A^{-1} = g_j exactly when M rep_i = rep_j M, R being invertible
+    right = {}
+    for j, rep in enumerate(triple.int_reps):
+        right.setdefault(_int_product(rep, M), j)
     h = []
-    for i, g in enumerate(triple.group):
-        conj = A @ g @ A_inv
-        match = next((j for j, gj in enumerate(triple.group) if gj == conj),
-                     None)
+    for i, rep in enumerate(triple.int_reps):
+        match = right.get(_int_product(M, rep))
         if match is None:
             raise AdmissibilityError(
                 f"conjugation by the dilation maps point element {i} "

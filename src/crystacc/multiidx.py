@@ -14,8 +14,11 @@ matrices:
 The builders are exact: they accept rational data only.  Two are cached,
 since the same group elements recur throughout a run: ``build_A_s`` by
 value, and ``build_Q_tilde`` on the element's own triple, so those entries
-die with the triple.  ``build_Q_st`` is not cached: ``build_Q_tilde`` is
-its one caller in the package.
+die with the triple.  The exact solver builds no Q-tilde block: its rows
+and its witness guard apply the binomial shift to plain values.  The
+``build_Q_tilde`` cache serves the cascade oracle and :func:`eval_y`.
+``build_Q_st`` is not cached: ``build_Q_tilde`` is its one caller in the
+package.
 """
 
 from __future__ import annotations

@@ -12,10 +12,11 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 import crystacc.accuracy as accuracy_mod
-from crystacc.accuracy import (condition_d_residual, fhat0, max_accuracy,
+import crystacc.multiidx as multiidx_mod
+from crystacc.accuracy import (condition_d_residuals, fhat0, max_accuracy,
                                sufficient_check, verify_equivalence)
-from crystacc.crystal import (catalog_triple, check_admissible, inverse,
-                              validate_triple)
+from crystacc.crystal import (Dilation, catalog_triple, check_admissible,
+                              inverse, validate_triple)
 from crystacc.linalg import (Mat, QC, det, kernel_basis, kron, rank,
                              solve_affine)
 from crystacc.mask import Mask, MaskShapeError, lift_scalar_to_matrix
@@ -238,13 +239,28 @@ def test_max_accuracy_input_checks(line, pm, hat):
         max_accuracy(hat, t, dil_u, p_max=2)
 
 
+def _condition_d_reference(mask, dilation, v, s, i):
+    """The defect of the degree-s constraint on digit coset i as it was
+    computed before one walk served every coset: v_[s] minus the sum,
+    over the support elements whose inverse lies in coset i, of
+    Qt_[s,t](alpha) (A_[t] v_[t]) d_alpha, with Qt a dense QC block."""
+    acc = v.block(s)
+    av = [build_A_s(dilation.A, t) @ v.block(t) for t in range(s + 1)]
+    for alpha, d_blk in mask.items():
+        if dilation.coset_index(inverse(alpha)) != i:
+            continue
+        for t in range(s + 1):
+            acc = acc - build_Q_tilde(alpha, s, t) @ av[t] @ d_blk
+    return acc
+
+
 def test_witness_satisfies_per_coset_conditions(line, bspline4):
     t, dil = line
     cert = max_accuracy(bspline4, t, dil, p_max=4)
     for s in range(cert.p):
-        for i in range(dil.m):
-            assert condition_d_residual(bspline4, dil, cert.witness,
-                                        s, i).is_zero()
+        residuals = condition_d_residuals(bspline4, dil, cert.witness, s)
+        assert len(residuals) == dil.m
+        assert all(res.is_zero() for res in residuals)
 
 
 def test_scaled_witness_still_in_kernel(line, hat):
@@ -254,18 +270,18 @@ def test_scaled_witness_still_in_kernel(line, hat):
     cert = max_accuracy(hat, t, dil, p_max=2)
     scaled = cert.witness.scale(QC(Fraction(7, 3)))
     for s in range(cert.p):
-        for i in range(dil.m):
-            assert condition_d_residual(hat, dil, scaled, s, i).is_zero()
+        assert all(res.is_zero()
+                   for res in condition_d_residuals(hat, dil, scaled, s))
 
 
 def test_corrupted_witness_has_nonzero_residual(line, hat):
     t, dil = line
     bad = VCollection(1, (Mat.from_rows([[QC(1)]]),
                           Mat.from_rows([[QC(1)]])))
-    nonzero = any(
-        not condition_d_residual(hat, dil, bad, s, i).is_zero()
-        for s in range(2) for i in range(dil.m))
-    assert nonzero
+    residuals = [condition_d_residuals(hat, dil, bad, s) for s in range(2)]
+    assert any(not res.is_zero() for per_s in residuals for res in per_s)
+    assert residuals == [[_condition_d_reference(hat, dil, bad, s, i)
+                          for i in range(dil.m)] for s in range(2)]
 
 
 def test_sufficient_check_hat(line, hat):
@@ -952,3 +968,127 @@ def test_eigen_flags_match_the_beta_built_screen(where, p, data):
         assert block == (Mat.identity(ds) - mat).scale(
             _common_denominator(mask))
         start += ds
+
+
+# -- the one-walk witness guard against the per-coset dense reference ------
+
+def _guard_bases(line, p1m, pm):
+    """The scalar bases of _scalar_bases, plus the tensor cubic B-spline
+    on p1 over Z^2 under 2I and the quincunx hat spread over p4m, whose
+    dilation is not diagonal."""
+    bases = _scalar_bases(line, p1m, pm)
+    for name in ("p1", "p4m-quincunx"):
+        where = SCREEN_CASES[name]
+        bases[name] = _spread(where, _screen_base(where[1]))
+    return bases
+
+
+@seed(2026)
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["line", "p1m", "pm", "p4m", "p1", "p4m-quincunx",
+                        "pm-scaled", "p2-sheared", "lifted"]),
+       st.booleans(), st.booleans(), st.booleans(), st.data())
+def test_one_walk_residuals_equal_the_per_coset_reference(
+        line, p1m, pm, where, real, use_witness, reweight, data):
+    """condition_d_residuals gives, exactly, the dense per-coset
+    residual of every coset at every degree: on p1, p1m, pm and p4m
+    scalar masks (under 2I and the quincunx), pm on diag(1/2, 1/3) and
+    p2 on a sheared lattice, and the lifted r = 8 p4m hat, with up to
+    two drawn entries changed, complex ones among them.  With reweight,
+    the blocks of each point part are scaled by a drawn weight: an even
+    spread sums the same over b as over b^{-1}, and would hide a lead
+    built from the wrong one.  v is the solver's witness when there is
+    one and use_witness holds, else drawn at random, so that most
+    residuals are not zero."""
+    if where == "lifted":
+        t, dil, lifted = _lifted_hat()
+        blocks = {e: [blk.row_list(a) for a in range(blk.rows)]
+                  for e, blk in lifted.items()}
+        r = lifted.r
+    else:
+        t, dil, base = _guard_bases(line, p1m, pm)[where]
+        weights = (data.draw(st.lists(st.sampled_from(SCREEN_WEIGHTS),
+                                      min_size=t.order, max_size=t.order))
+                   if reweight else [1] * t.order)
+        blocks = {e: [[c * weights[e.g]]] for e, c in base.items()}
+        r = 1
+    part = st.fractions(-2, 2, max_denominator=4)
+    value = (st.builds(QC, part) if real
+             else st.builds(QC, part, part.filter(lambda x: x != 0)))
+    support = sorted(blocks, key=lambda e: (e.g, e.k))
+    changes = data.draw(st.lists(
+        st.tuples(st.sampled_from(support), st.integers(0, r - 1),
+                  st.integers(0, r - 1), value),
+        min_size=0 if real else 1, max_size=2))
+    for e, a, b, x in changes:
+        blocks[e][a][b] = x
+    mask = Mask(t, blocks, r=r)
+    s_top = 3 if t.d == 1 else 2
+    v = max_accuracy(mask, t, dil, p_max=s_top + 1).witness \
+        if use_witness else None
+    if v is None:
+        v = VCollection(t.d, tuple(
+            Mat.from_rows([[data.draw(value) for _ in range(r)]
+                           for _ in range(dim_degree(t.d, s))])
+            for s in range(s_top + 1)))
+    for s in range(v.p):
+        assert condition_d_residuals(mask, dil, v, s) == [
+            _condition_d_reference(mask, dil, v, s, i)
+            for i in range(dil.m)]
+
+
+def test_lifted_residuals_equal_the_reference():
+    """The lifted r = 8 p4m hat: its own witness has zero residuals at
+    degrees 0 and 1; a witness with one changed entry per block does
+    not; both equal the dense reference."""
+    lat, dil, lifted = _lifted_hat()
+    cert = max_accuracy(lifted, lat, dil, p_max=3)
+    assert cert.p == 2
+    bad = VCollection(2, tuple(
+        blk + Mat.from_rows([[QC(Fraction(1, 3)) if (i, j) == (0, s) else 0
+                              for j in range(blk.cols)]
+                             for i in range(blk.rows)])
+        for s, blk in enumerate(cert.witness.blocks)))
+    for v, zero in ((cert.witness, True), (bad, False)):
+        for s in range(v.p):
+            residuals = condition_d_residuals(lifted, dil, v, s)
+            assert all(res.is_zero() for res in residuals) == zero
+            assert residuals == [_condition_d_reference(lifted, dil, v, s, i)
+                                 for i in range(dil.m)]
+
+
+def test_sufficient_check_walks_the_support_once_per_degree(line, bspline4,
+                                                            monkeypatch):
+    """The witness guard of sufficient_check finds the digit coset of each
+    support element at most once per degree, from one walk that serves
+    every coset, and builds no dense Q-tilde block."""
+    t, dil = line
+    support = len(list(bspline4.items()))
+    cosets, q_calls, walks = [], [], []
+    real_coset = Dilation.coset_index
+    real_guard = accuracy_mod.condition_d_residuals
+
+    def counting_coset(self, e):
+        cosets.append(e)
+        return real_coset(self, e)
+
+    def counting_q(*args):
+        q_calls.append(args)
+        return build_Q_tilde(*args)
+
+    def counting_guard(*args):
+        before = len(cosets)
+        out = real_guard(*args)
+        walks.append(len(cosets) - before)
+        return out
+
+    monkeypatch.setattr(Dilation, "coset_index", counting_coset)
+    monkeypatch.setattr(accuracy_mod, "build_Q_tilde", counting_q)
+    monkeypatch.setattr(multiidx_mod, "build_Q_tilde", counting_q)
+    monkeypatch.setattr(accuracy_mod, "condition_d_residuals",
+                        counting_guard)
+    rep = sufficient_check(bspline4, t, dil, p=4)
+    assert rep.passed and rep.chain_residual_zero
+    assert len(walks) == 4
+    assert all(n <= support for n in walks)
+    assert q_calls == []

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from crystacc.accuracy import max_accuracy
+from crystacc.accuracy import fhat0, max_accuracy
 import crystacc.cascade as cascade_mod
 from crystacc.cascade import (CascadeError, _probe_block, _seed_direction,
                               cascade_iterate, empirical_accuracy,
@@ -210,7 +210,7 @@ def test_fit_from_a_single_sample_node_does_not_pass(line, hat, hat_field):
     fitted = checks[2]
     assert fitted.report is None and fitted.residual < 1e-5
     assert not fitted.verdict
-    assert empirical_level(hat_field, checks) == 0
+    assert empirical_level(hat_field, checks, "ok") == 0
 
 
 def test_empirical_accuracy_classic_masks(line, haar, hat, bspline4):
@@ -567,7 +567,30 @@ def test_diverging_cascade_claims_no_empirical_accuracy(line):
         empirical_accuracy(mask, t, dil, p_max=2, iterations=3,
                            grid_exponent=4)
     res = cascade_iterate(mask, t, dil, iterations=3, grid_exponent=4)
-    assert empirical_level(res, iter(())) is None
+    assert empirical_level(res, iter(()), "ok") is None
+
+
+def test_a_shrinking_field_claims_no_empirical_accuracy(line):
+    """The p1 mask {0: 1/2, 1: 1/2}: the averaged coefficient sum has no
+    eigenvalue 1, so the integral must vanish, and the iterate, the cell
+    indicator halved at every step, converges to within the tolerance
+    without vanishing identically.  The library claims no accuracy, as
+    the CLI does, strict or not; a field that does vanish still reads
+    0."""
+    t, dil = line
+    mask = Mask.scalar(t, {0: Fraction(1, 2), 1: Fraction(1, 2)})
+    assert fhat0(mask, dil.m).status == "empty"
+    for strict in (True, False):
+        assert empirical_accuracy(mask, t, dil, p_max=3, iterations=21,
+                                  grid_exponent=6, strict=strict) is None
+    res = cascade_iterate(mask, t, dil, iterations=21, grid_exponent=6)
+    assert res.converged and not res.field.degenerate()
+    assert empirical_level(res, iter(()), "empty") is None
+    assert empirical_level(res, iter(()), "ok") == 0
+    zero = cascade_iterate(Mask.scalar(t, {0: 0}), t, dil, iterations=2,
+                           grid_exponent=4)
+    assert zero.field.degenerate()
+    assert empirical_level(zero, iter(()), "empty") == 0
 
 
 def test_cascade_refuses_an_overflowing_iterate(line):

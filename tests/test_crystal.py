@@ -350,6 +350,86 @@ def test_h_and_rho_are_permutations():
         assert sorted(row) == list(range(t.order))
 
 
+def _mat_tables(t):
+    """product_table and inverse_table as they were built before the
+    integer tables: QC Mat products, found by a linear search."""
+    def find(m):
+        return next(i for i, g in enumerate(t.group) if g == m)
+
+    products = [[find(a @ b) for b in t.group] for a in t.group]
+    ident = Mat.identity(t.d)
+    inverses = [next(j for j in range(t.order)
+                     if t.group[products[i][j]] == ident)
+                for i in range(t.order)]
+    return products, inverses
+
+
+def _mat_h(A, t):
+    """The permutation h with g_h(i) = A g_i A^{-1}, from QC Mat products
+    as check_admissible found it before; None when a conjugate leaves
+    the group."""
+    A_inv = A.inverse()
+    h = [next((j for j, gj in enumerate(t.group) if gj == A @ g @ A_inv),
+              None) for g in t.group]
+    return None if None in h else tuple(h)
+
+
+def _oh_group():
+    """The order-48 cubic point group, generated by the quarter turns
+    about two axes and the inversion."""
+    return generate_group([Mat.from_rows([[1, 0, 0], [0, 0, -1], [0, 1, 0]]),
+                           Mat.from_rows([[0, 0, 1], [0, 1, 0], [-1, 0, 0]]),
+                           Mat.identity(3).scale(-1)], max_order=48)
+
+
+QUINCUNX_ROWS = [[1, 1], [1, -1]]
+TABLE_CASES = (
+    [(f"{name}-{d}d", d, name, None) for d in (1, 2)
+     for name in catalog_names(d)]
+    + [("pm-scaled", 2, "pm", [[Fraction(1, 2), 0], [0, Fraction(1, 3)]]),
+       ("p2-sheared", 2, "p2", [[1, Fraction(1, 2)], [0, 1]]),
+       ("p4m-half", 2, "p4m", [[Fraction(1, 2), 0], [0, Fraction(1, 2)]]),
+       ("Oh", 3, "Oh", None)])
+
+
+@pytest.mark.parametrize("case", TABLE_CASES, ids=lambda c: c[0])
+def test_integer_group_tables_equal_the_mat_built_ones(case):
+    """The product, inverse and conjugation tables read off the integer
+    matrices R^{-1} g R equal the ones built from exact Mat products,
+    on every catalog group, on scaled and sheared lattices and on a
+    generated Oh; a dilation whose conjugates leave the group is
+    refused by both."""
+    _, d, name, lattice = case
+    if name == "Oh":
+        t = validate_triple(Mat.identity(3), _oh_group(), name="Oh")
+    else:
+        t = catalog_triple(name, d)
+        if lattice is not None:
+            t = validate_triple(Mat.from_rows(lattice), t.group, name=name)
+    assert (t.product_table, t.inverse_table) == _mat_tables(t)
+    dilations = {1: [[[2]], [[3]], [[-2]]],
+                 2: [[[2, 0], [0, 2]], QUINCUNX_ROWS, [[2, 1], [0, 2]]],
+                 3: [[[2, 0, 0], [0, 2, 0], [0, 0, 2]],
+                     [[-3, 0, 0], [0, -3, 0], [0, 0, -3]]]}[d]
+    for rows in dilations:
+        A = Mat.from_rows(rows)
+        want = _mat_h(A, t)
+        if integer_rows(t.R_inv @ A @ t.R) is None:
+            continue
+        if want is None:
+            with pytest.raises(AdmissibilityError, match="outside the group"):
+                check_admissible(A, t)
+        else:
+            assert check_admissible(A, t).h == want
+
+
+def test_a_group_that_is_not_closed_is_refused():
+    rot = Mat.from_rows([[0, -1], [1, 0]])
+    with pytest.raises(GroupValidationError,
+                       match="point group is not closed under products"):
+        validate_triple(Mat.identity(2), [Mat.identity(2), rot])
+
+
 def test_elements_in_ball_size(line):
     t, _ = line
     ball = elements_in_ball(t, 3)
