@@ -11,10 +11,11 @@ against the kernel carried from the degrees below.
 builds its explicit witness chain.  Both read one table of per-coset
 moments, :func:`_moments`, scaled by the common denominator D of the mask's
 coefficients, with the leads (b^{-1})_[t] A_[t] built once per table: on
-an integral lattice with real coefficients the table, the constraint rows
-and their reduction run on Python ints (the fraction-free idea of Bareiss,
-Math. Comp. 22, 1968, applied before elimination), and they fall back to
-Fractions or QCs by themselves where the data are not integral.
+an integral lattice with real coefficients the table, the constraint rows,
+their reduction and the elimination with its carried kernel run on Python
+ints (the fraction-free idea of Bareiss, Math. Comp. 22, 1968), and they
+fall back to Fractions or QCs by themselves where the data are not
+integral.
 :func:`verify_equivalence` re-derives the witness relations in three
 independent forms, element by element, which is the main guard against
 index bookkeeping bugs.  Its per-coset form, :func:`condition_d_residuals`,
@@ -32,7 +33,7 @@ from math import comb, lcm, prod
 from .crystal import CrystalTriple, Dilation, compose, inverse
 # kron and build_Q_tilde are unused here: perfbench/tracing.py wraps them
 # by name in this module
-from .linalg import (Mat, QC, QC_ZERO, det, kernel_basis, kron,
+from .linalg import (Mat, QC, QC_ZERO, SparseRows, det, kernel_basis, kron,
                      solve_affine)
 from .mask import Mask, MaskShapeError
 from .multiidx import (VCollection, build_A_s, build_Q_tilde, dim_degree,
@@ -341,12 +342,17 @@ def _block_row(mask: Mask, dilation: Dilation, table: _MomentTable,
     return [row for block in rows for row in block]
 
 
-def _unpack_witness(column: Mat, d: int, r: int, s_max: int) -> VCollection:
-    entries = iter(column.transpose().row_list(0))
-    return VCollection(d, tuple(
-        Mat.from_rows([[next(entries) for _ in range(r)]
-                       for _ in range(dim_degree(d, t))], cols=r)
-        for t in range(s_max + 1)))
+def _unpack_witness(vector: dict, d: int, r: int, s_max: int) -> VCollection:
+    """The coefficient collection of a sparse kernel vector of the stacked
+    system: vec(v_[t]) for t = 0..s_max, row-major within each block."""
+    blocks, start = [], 0
+    for t in range(s_max + 1):
+        dt = dim_degree(d, t)
+        blocks.append(Mat.from_rows([[vector.get(start + a * r + c, 0)
+                                      for c in range(r)] for a in range(dt)],
+                                    cols=r))
+        start += dt * r
+    return VCollection(d, tuple(blocks))
 
 
 def max_accuracy(mask: Mask, triple: CrystalTriple, dilation: Dilation,
@@ -359,11 +365,13 @@ def max_accuracy(mask: Mask, triple: CrystalTriple, dilation: Dilation,
     scale leaves the kernel as it is), reduced to [K_(s,<s) B | K_ss]
     with B the rref kernel basis of the rows below it, and solved exactly
     by :func:`solve_affine`, which returns the rref kernel basis of the
-    stacked rows.  The reduction reads B once per degree as plain rows,
-    ints where integral, so on integral data it runs on Python ints.
+    stacked rows.  Rows, basis and kernel stay plain sparse values
+    (:class:`SparseRows`, ints where integral), so on integral data the
+    reduction, the elimination and the lift run on Python ints.
     Candidate accuracy s+1 is feasible when a kernel vector meets the gate
-    v_[0] . fhat(0) != 0, decided exactly against the vector of
-    :func:`fhat0`; the first one met is the witness.  Feasibility is
+    v_[0] . fhat(0) != 0, decided exactly on the vector's degree-0 entries
+    against the vector of :func:`fhat0`; the first one met is the
+    witness, the one vector wrapped in Mats.  Feasibility is
     monotone in s, so the scan stops at the first failure.  The witness is
     scaled so its first nonzero degree-0 entry is 1.  When fhat(0) must
     vanish (status 'empty') or is not determined (status 'defective'), the
@@ -393,37 +401,42 @@ def max_accuracy(mask: Mask, triple: CrystalTriple, dilation: Dilation,
         diagnostics["first_failing_degree"] = 0
         diagnostics["note"] = _NO_GATE[fh.status]
         return AccuracyCertificate(0, None, "condition-d", None, diagnostics)
+    fh0 = [_plain(fh.vector.entry(j, 0)) for j in range(r)]
     chosen = None
     table = _moments(mask, dilation, p_max)
-    basis, start = [], 0
+    basis, start = SparseRows([], 0), 0
     for s in range(p_max):
-        n, width = len(basis), dim_degree(d, s) * r
-        # lower[j]: the non-zero j-th entries of the basis columns
-        lower = [[(c, _plain(b.entry(j, 0))) for c, b in enumerate(basis)
-                  if not b.entry(j, 0).is_zero()] for j in range(start)]
+        n, width = basis.rows, dim_degree(d, s) * r
+        # lower[j]: the non-zero j-th entries of the basis vectors
+        lower = [[] for _ in range(start)]
+        for c, b in enumerate(basis.data):
+            for j, x in b.items():
+                lower[j].append((c, x))
         system = []
         for row in _block_row(mask, dilation, table, s):
-            line = [0] * (n + width)
+            line = {}
             for j, x in row.items():
                 if j < start:
                     for c, y in lower[j]:
-                        line[c] += x * y
+                        line[c] = line.get(c, 0) + x * y
                 else:
                     line[n + j - start] = x
             system.append(line)
-        basis = solve_affine(Mat.from_rows(system, cols=n + width), basis)
+        basis = solve_affine(SparseRows(system, n + width), basis)
         start += width
-        diagnostics["kernel_dims"][s] = len(basis)
-        pick = next((v for v in (_unpack_witness(x, d, r, s) for x in basis)
-                     if not (v.block(0) @ fh.vector).is_zero()), None)
+        diagnostics["kernel_dims"][s] = basis.rows
+        pick = next((b for b in basis.data
+                     if sum(b[j] * fh0[j] for j in range(r) if j in b) != 0),
+                    None)
         if pick is None:
             diagnostics["first_failing_degree"] = s
             break
-        chosen = pick
+        chosen = (pick, s)
     if chosen is None:
         return AccuracyCertificate(0, None, "condition-d", None, diagnostics)
-    lead = next(x for x in chosen.block(0).row_list(0) if not x.is_zero())
-    witness = chosen.scale(1 / lead)
+    pick = _unpack_witness(chosen[0], d, r, chosen[1])
+    lead = next(x for x in pick.block(0).row_list(0) if not x.is_zero())
+    witness = pick.scale(1 / lead)
     gate = (witness.block(0) @ fh.vector).entry(0, 0)
     return AccuracyCertificate(witness.p, witness, "condition-d", gate,
                                diagnostics)
@@ -566,8 +579,10 @@ def verify_equivalence(mask: Mask, dilation: Dilation, v: VCollection,
     'b': y_[s](sigma) = A_[s] sum_gamma y_[s](gamma) d at
     (A gamma A^{-1}) sigma^{-1}, evaluated at every sampled sigma — the sum
     collapses to support terms alpha with gamma = A^{-1}(alpha sigma)A in
-    the group; 'c': the same relation at the digit representatives.  The
-    witness passes only when every residual is exactly zero.
+    the group; 'c': the same relation at the digit representatives.  Those
+    support terms do not depend on the degree, so each sampled element
+    and each digit finds them once.  The witness passes only when every
+    residual is exactly zero.
     """
     details = {}
     zero = []
@@ -580,24 +595,33 @@ def verify_equivalence(mask: Mask, dilation: Dilation, v: VCollection,
         for i, res in enumerate(condition_d_residuals(mask, dilation, v, s)):
             record("d", s, i, res)
 
-    def relation_residual(sigma, s):
-        acc = eval_y(sigma, v, s)
-        total = None
+    def support_terms(sigma):
+        """(gamma, d_alpha) for the support elements alpha whose
+        alpha sigma is A gamma A^{-1}, gamma in the group."""
+        terms = []
         for alpha, d_blk in mask.items():
             gamma = dilation.deconj(compose(alpha, sigma))
-            if gamma is None:
-                continue
+            if gamma is not None:
+                terms.append((gamma, d_blk))
+        return terms
+
+    def relation_residual(sigma, terms, s):
+        acc = eval_y(sigma, v, s)
+        total = None
+        for gamma, d_blk in terms:
             term = eval_y(gamma, v, s) @ d_blk
             total = term if total is None else total + term
         if total is not None:
             acc = acc - build_A_s(dilation.A, s) @ total
         return acc
 
+    sampled = [(sigma, support_terms(sigma)) for sigma in sample]
+    digits = [(digit, support_terms(digit)) for digit in dilation.digits]
     for s in range(v.p):
-        for sigma in sample:
-            record("b", s, sigma, relation_residual(sigma, s))
-        for i, digit in enumerate(dilation.digits):
-            record("c", s, i, relation_residual(digit, s))
+        for sigma, terms in sampled:
+            record("b", s, sigma, relation_residual(sigma, terms, s))
+        for i, (digit, terms) in enumerate(digits):
+            record("c", s, i, relation_residual(digit, terms, s))
 
     def cap(kind):
         vals = [val for (k, _, _), val in details.items() if k == kind]

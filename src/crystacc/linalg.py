@@ -10,14 +10,20 @@ way out (the cascade oracle computes on those arrays), and
 ``x`` itself, so the change is at most half an ulp; otherwise as the exact
 dyadic value of ``x``.  NaN and infinities are refused.
 
-One Gauss-Jordan elimination, ``_rref_exact``, serves :func:`rank`,
-:func:`kernel_basis`, :func:`det` and :meth:`Mat.inverse` (the rref of
-``[A | I]``).  It is fraction-free: each row is scaled to integers by the
-lcm of its denominators, every elimination step divides exactly by the
-previous pivot (Bareiss), and the pivot rows are divided by the last pivot
-once, at the end; real data runs on Python ints, complex data on QC with
-integer parts, through the same loop.  The determinant is the sign of the
-row swaps times the last pivot, over the product of the row scales.
+One Gauss-Jordan elimination, ``_rref``, serves :func:`rank`,
+:func:`kernel_basis`, :func:`det`, :meth:`Mat.inverse` (the rref of
+``[A | I]``) and :func:`solve_affine`.  It runs on sparse rows, one dict
+column -> value per row, and is fraction-free: each row is scaled to
+integers by the lcm of its denominators and kept divided by its content,
+only the rows with a non-zero in the pivot column are updated, the pivot
+row is the unused candidate with the fewest non-zeros (Markowitz), and the
+pivot rows are divided by their pivots once, at the end.  Real data run
+on Python ints, complex data on QCs with integer parts, through the same
+loop.  The columns are taken in order, so the rref is the textbook one.
+The determinant is tracked through the row scalings and the order of the
+pivot rows.  :class:`Mat` is the dense exact matrix of the public API;
+:class:`SparseRows` carries the exact solver's rows and kernels as plain
+values (ints where integral), so that no QC is made on real data.
 :func:`integer_rows` is the one reader of integer matrices, and
 :meth:`QC.is_zero` (with :meth:`Mat.is_zero`) the one zero test.
 """
@@ -318,10 +324,12 @@ class Mat:
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
         n = self.rows
-        a, pivots, _ = _rref_exact(Mat.hstack([self, Mat.identity(n)]))
+        a, pivots, _ = _rref(_dict_rows(Mat.hstack([self, Mat.identity(n)])),
+                             2 * n)
         if pivots != list(range(n)):
             raise ValueError("singular matrix")
-        return Mat(n, n, [row[n:] for row in a])
+        return Mat.from_rows([[row.get(j, 0) for j in range(n, 2 * n)]
+                              for row in a], cols=n)
 
     def __repr__(self):
         return f"Mat({self.rows}x{self.cols})"
@@ -330,92 +338,183 @@ class Mat:
 # -- elimination-based queries ---------------------------------------------
 
 
-def _rref_exact(m: Mat) -> tuple[list[list[QC]], list[int], QC]:
-    """Reduced row echelon form by fraction-free Gauss-Jordan elimination,
-    the one exact elimination in the package; returns (rows, pivot column
-    indices, determinant); the determinant is meaningful only for a square
-    matrix with pivots in every column.
+class SparseRows:
+    """Exact rows kept sparse: ``data`` holds one dict per row, column ->
+    value, a value being an int, a Fraction or a QC and a missing column a
+    zero; ``rows``, ``cols`` and ``shape`` read as on :class:`Mat`.
+    :func:`solve_affine` takes its block row and its carried basis in this
+    form and returns its kernel in it, so rows built on Python ints reach
+    the elimination without being wrapped in QCs."""
 
-    After pivot ``p`` every other row ``x`` of the integer-scaled matrix
-    becomes ``(p*x - f*y) / prev``, with ``y`` the pivot row, ``f`` the
-    row's entry in the pivot column and ``prev`` the previous pivot; by
-    Sylvester's identity every division is exact.  A row with ``f = 0`` is
-    still rescaled by ``p / prev``, so every pivot row carries the latest
-    pivot and one division by the last pivot at the end gives the rref."""
-    rows = m._data
-    scales = [math.lcm(*(q.denominator for x in row for q in (x.re, x.im)))
-              for row in rows]
-    real = all(x.im == 0 for row in rows for x in row)
+    __slots__ = ("data", "cols")
+
+    def __init__(self, data: list[dict], cols: int):
+        self.data = data
+        self.cols = cols
+
+    @property
+    def rows(self) -> int:
+        return len(self.data)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.rows, self.cols)
+
+
+def _parts(x) -> tuple:
+    """Real and imaginary parts of an int, a Fraction or a QC."""
+    return (x.re, x.im) if isinstance(x, QC) else (x, 0)
+
+
+def _dict_rows(m: Mat) -> list[dict]:
+    return [{j: x for j, x in enumerate(row) if not x.is_zero()}
+            for row in m._data]
+
+
+def _rref(rows: list[dict], n_cols: int, with_det: bool = False
+          ) -> tuple[list[dict], list[int], QC | None]:
+    """Reduced row echelon form of sparse exact rows by fraction-free
+    Gauss-Jordan elimination, the one exact elimination in the package.
+    Returns (the rref's non-zero rows, each a dict column -> value, an int
+    or Fraction on real data and a QC otherwise; their pivot columns; and
+    with ``with_det``, the determinant, which is None unless the matrix is
+    square with a pivot in every column).
+
+    Each row is scaled to integers by the lcm of its denominators (real
+    data then run on Python ints, complex data on QCs with integer parts)
+    and divided by its content, the gcd of all its real and imaginary
+    parts.  The columns are taken in their order, so the rref, which is
+    unique for a fixed column order, is that of the textbook elimination.
+    Among the rows not yet used with a non-zero ``p`` in the pivot column,
+    the one with the fewest non-zeros is the pivot row ``y`` (Markowitz,
+    Management Sci. 3, 1957); only the rows ``x`` with a non-zero ``f`` in
+    the column change, to ``(p*x - f*y) / content``.  The pivot rows are
+    divided by their pivots once, at the end.  For a square matrix each
+    change scales the determinant by p / content and each row's first
+    scaling by its lcm over its content; the rows end as a permutation of
+    the diagonal of their pivots, whose sign and product give the
+    determinant of the scaled matrix.  The determinant is tracked only on
+    request, as the kernel and inverse queries do not read it.
+    """
+    real = all(_parts(x)[1] == 0 for row in rows for x in row.values())
     if real:
-        zero, div = 0, operator.floordiv
-        a = [[x.re.numerator * (s // x.re.denominator) for x in row]
-             for row, s in zip(rows, scales)]
+        def content(x):
+            return math.gcd(*x.values())
+
+        def divide(e, c):
+            return e // c
+
+        def ratio(e, p):
+            q = Fraction(e, p)
+            return q.numerator if q.denominator == 1 else q
     else:
-        zero, div = QC_ZERO, operator.truediv
-        a = [[x * s for x in row] for row, s in zip(rows, scales)]
+        def content(x):
+            return math.gcd(*(q.numerator for e in x.values()
+                              for q in (e.re, e.im)))
+
+        def divide(e, c):
+            return QC(e.re.numerator // c, e.im.numerator // c)
+
+        def ratio(e, p):
+            return e / p
+    track = with_det and len(rows) == n_cols
+    grown, shrunk = 1, 1
+    a = []
+    for row in rows:
+        parts = [(j, *_parts(x)) for j, x in row.items()]
+        s = math.lcm(*(q.denominator for _, re, im in parts
+                       for q in (re, im)))
+        if real:
+            x = {j: re.numerator * (s // re.denominator)
+                 for j, re, _ in parts if re != 0}
+        else:
+            x = {j: QC(re * s, im * s) for j, re, im in parts
+                 if re != 0 or im != 0}
+        c = content(x) or 1
+        if c > 1:
+            x = {j: divide(e, c) for j, e in x.items()}
+        a.append(x)
+        grown, shrunk = grown * s, shrunk * c
+    used = [False] * len(a)
     pivots: list[int] = []
-    sign, prev = 1, 1
-    r = 0
-    for col in range(m.cols):
-        pivot = next((i for i in range(r, m.rows) if a[i][col] != zero),
-                     None)
-        if pivot is None:
+    owners: list[int] = []
+    for col in range(n_cols):
+        hits = [i for i, x in enumerate(a) if col in x]
+        k = min((i for i in hits if not used[i]), key=lambda i: len(a[i]),
+                default=None)
+        if k is None:
             continue
-        if pivot != r:
-            a[r], a[pivot] = a[pivot], a[r]
-            sign = -sign
-        y = a[r]
+        y = a[k]
         p = y[col]
-        for i, x in enumerate(a):
-            if i == r:
+        for i in hits:
+            if i == k:
                 continue
+            x = a[i]
             f = x[col]
-            if f == zero:
-                a[i] = [div(p * e, prev) for e in x]
-            else:
-                a[i] = [div(p * e - f * g, prev) for e, g in zip(x, y)]
-        prev = p
+            z = {j: p * e for j, e in x.items()}
+            for j, g in y.items():
+                e = z.get(j, 0) - f * g
+                if e != 0:
+                    z[j] = e
+                else:
+                    del z[j]
+            c = content(z)
+            if c > 1:
+                z = {j: divide(e, c) for j, e in z.items()}
+            a[i] = z
+            if track:
+                grown, shrunk = grown * p, shrunk * c
+        used[k] = True
         pivots.append(col)
-        r += 1
-        if r == m.rows:
+        owners.append(k)
+        if len(owners) == len(a):
             break
-    out = [[QC_ZERO if e == zero else QC(Fraction(e, prev)) if real
-            else e / prev for e in x] for x in a[:r]]
-    out += [[QC_ZERO] * m.cols for _ in range(r, m.rows)]
-    return out, pivots, QC(Fraction(sign, math.prod(scales))) * prev
+    out = []
+    for col, k in zip(pivots, owners):
+        p = a[k][col]
+        out.append({j: ratio(e, p) for j, e in a[k].items()})
+    det = None
+    if track and len(pivots) == n_cols:
+        odd = sum(owners[i] > owners[j] for i in range(n_cols)
+                  for j in range(i + 1, n_cols)) % 2
+        scaled = math.prod(a[k][col] for col, k in zip(pivots, owners))
+        det = (QC.parse(-shrunk if odd else shrunk) * QC.parse(scaled)
+               / QC.parse(grown))
+    return out, pivots, det
+
+
+def _kernel(rows: list[dict], n_cols: int) -> list[dict]:
+    """The rref kernel basis of sparse rows, as sparse vectors: for each
+    free column f of the rref, 1 at f and minus the rref's column f at
+    the pivot columns."""
+    rref, pivots, _ = _rref(rows, n_cols)
+    taken = set(pivots)
+    basis = {f: {f: 1} for f in range(n_cols) if f not in taken}
+    for row, col in zip(rref, pivots):
+        for j, x in row.items():
+            if j != col:
+                basis[j][col] = -x
+    return list(basis.values())
 
 
 def rank(m: Mat) -> int:
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    return len(_rref_exact(m)[1])
+    return len(_rref(_dict_rows(m), m.cols)[1])
 
 
 def kernel_basis(m: Mat) -> list[Mat]:
     """Basis of the right null space, as a list of column matrices: one
-    basis column per free column of the rref."""
-    if m.cols == 0:
-        return []
-    if m.rows == 0:
-        return [Mat.identity(m.cols).col(j) for j in range(m.cols)]
-    a, pivots, _ = _rref_exact(m)
-    free = [c for c in range(m.cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [QC(0)] * m.cols
-        v[f] = QC(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -a[r][f]
-        basis.append(Mat.column(v))
-    return basis
+    basis column per free column of the rref, 1 there and minus the
+    rref's column at the pivots (the rref kernel basis)."""
+    return [Mat.column([v.get(j, 0) for j in range(m.cols)])
+            for v in _kernel(_dict_rows(m), m.cols)]
 
 
 def det(m: Mat) -> QC:
     """Exact determinant."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    _, pivots, prod = _rref_exact(m)
-    return prod if len(pivots) == m.rows else QC_ZERO
+    value = _rref(_dict_rows(m), m.cols, with_det=True)[2]
+    return QC_ZERO if value is None else value
 
 
 def kron(a: Mat, b: Mat) -> Mat:
@@ -438,19 +537,28 @@ def kron(a: Mat, b: Mat) -> Mat:
     return Mat(a.rows * b.rows, a.cols * b.cols, data)
 
 
-def solve_affine(k: Mat, basis: Sequence[Mat]) -> list[Mat]:
+def solve_affine(k: SparseRows, basis: SparseRows) -> SparseRows:
     """Kernel of a block row ``k = [K_old B | K_new]`` reduced against
-    the columns B of ``basis`` (none at the first block row): ``(B c, v)``
-    for each rref kernel column ``(c, v)`` of ``k``.  When B is the rref
-    kernel basis of the rows above, this is the rref kernel basis of the
-    stacked rows, as B is the identity on its free coordinates."""
-    kernel = kernel_basis(k)
-    if not basis:
-        return kernel
-    b, w = Mat.hstack(basis), k.cols - len(basis)
-    lift = Mat.vstack([Mat.hstack([b, Mat.zeros(b.rows, w)]),
-                       Mat.hstack([Mat.zeros(w, b.cols), Mat.identity(w)])])
-    return [lift @ x for x in kernel]
+    the carried basis B, whose ``basis.rows`` vectors have
+    ``basis.cols`` entries each (none at the first block row):
+    ``(B c, v)`` for each rref kernel vector ``(c, v)`` of ``k``, as
+    sparse vectors of ``basis.cols + k.cols - basis.rows`` entries.  When
+    B is the rref kernel basis of the rows above, this is the rref kernel
+    basis of the stacked rows, as B is the identity on its free
+    coordinates.  Only the non-zero entries of B and of the kernel are
+    combined, on plain values: no QC is made where the data are real."""
+    n, start = basis.rows, basis.cols
+    out = []
+    for x in _kernel(k.data, k.cols):
+        v = {}
+        for c, y in x.items():
+            if c < n:
+                for j, b in basis.data[c].items():
+                    v[j] = v.get(j, 0) + y * b
+            else:
+                v[start + c - n] = y
+        out.append({j: e for j, e in v.items() if e != 0})
+    return SparseRows(out, start + k.cols - n)
 
 
 # -- integer matrices -------------------------------------------------------

@@ -388,6 +388,29 @@ def test_verify_equivalence_exact_zeros(line, hat):
     assert all(val == 0 for val in rep.details.values())
 
 
+def test_verify_equivalence_deconjugates_once_per_point(line, hat,
+                                                        monkeypatch):
+    """The support terms of the two-scale relation do not depend on the
+    degree: each sampled element and each digit finds them with at most
+    one deconj call per support element, whatever the witness's p."""
+    t, dil = line
+    cert = max_accuracy(hat, t, dil, p_max=3)
+    assert cert.witness.p == 2
+    sample = [t.translation((k,)) for k in range(-5, 6)]
+    calls = []
+    deconj = Dilation.deconj
+
+    def counted(self, e):
+        calls.append(e)
+        return deconj(self, e)
+
+    monkeypatch.setattr(Dilation, "deconj", counted)
+    rep = verify_equivalence(hat, dil, cert.witness, sample)
+    assert rep.passed
+    support = len(list(hat.items()))
+    assert 0 < len(calls) <= support * (len(sample) + dil.m)
+
+
 def test_verify_equivalence_flags_bad_witness(line, hat):
     t, dil = line
     bad = VCollection(1, (Mat.from_rows([[QC(1)]]),
@@ -577,7 +600,8 @@ def _assert_matches_dense_assembly(mask, triple, dilation, s_top):
     with mock.patch.object(accuracy_mod, "solve_affine", spy):
         cert = max_accuracy(mask, triple, dilation, p_max=s_top + 1)
     kernels, ref = _reference_scan(mask, dilation, s_top)
-    assert carried == kernels
+    assert [[Mat.column([v.get(j, 0) for j in range(basis.cols)])
+             for v in basis.data] for basis in carried] == kernels
     assert (cert.p, cert.witness, cert.gate,
             cert.diagnostics["kernel_dims"],
             cert.diagnostics["first_failing_degree"]) == ref

@@ -7,22 +7,24 @@ separate eigenvalue-one helper (the sum-rule screen reads the witness
 chain's blocks), a cascade that reads grid nodes only (no interpolation
 plans and no free grid spacing), one moment table in the exact solver,
 one elimination per degree (no dense re-layout of the stacked rows),
-constraint rows built on Python ints where the data are integral, and
+constraint rows built on Python ints where the data are integral and
+eliminated as plain sparse rows, one elimination routine in linalg, and
 every name the benchmark's tracer wraps."""
 
 import ast
 import importlib.util
 import inspect
 import re
+import textwrap
 from pathlib import Path
 
 import pytest
 
 import crystacc
-from crystacc import accuracy, cascade, cli, multiidx
+from crystacc import accuracy, cascade, cli, linalg, multiidx
 from crystacc.cascade import cascade_iterate
 from crystacc.crystal import catalog_triple, check_admissible
-from crystacc.linalg import Mat
+from crystacc.linalg import QC, Mat, SparseRows
 from crystacc.mask import Mask, lift_scalar_to_matrix
 from crystacc.multiidx import dim_degree
 
@@ -41,6 +43,7 @@ DELETED_SYMMETRY_DATA = "Symmetry" "Data"
 DELETED_NORMAL_FORM = "smith_" "normal_form"
 DELETED_EIGEN_SCREEN = "has_eigenvalue" "_one"
 DELETED_LAYOUT = "_lay" "out"
+DELETED_DENSE_RREF = "_rref_" "exact"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -53,6 +56,7 @@ def test_no_banned_tokens(path):
     assert DELETED_NORMAL_FORM not in text
     assert DELETED_EIGEN_SCREEN not in text
     assert not re.search(r"\b" + DELETED_LAYOUT + r"\b", text)
+    assert DELETED_DENSE_RREF not in text
 
 
 def test_floats_are_imported_where_they_are_used_only():
@@ -201,3 +205,86 @@ def test_constraint_rows_are_built_on_ints(case):
              for row in accuracy._block_row(mask, dil, table, s)
              for x in row.values()}
     assert kinds == {int}
+
+
+@pytest.mark.parametrize("case", ["cubic", "lifted-hat"])
+def test_elimination_runs_on_plain_rows(case, monkeypatch):
+    """On R = I with real coefficients, max_accuracy hands solve_affine
+    its block row and carried basis as SparseRows of Python ints, and
+    solve_affine constructs no QC and no Mat (so no Mat.from_rows): the
+    rows stay plain from assembly through elimination and lift."""
+    mask, dil, p_max = _shape_cases()[case]
+    inside, made = [], []
+    qc_init, mat_init = QC.__init__, Mat.__init__
+
+    def counted(init, kind):
+        def wrapper(self, *args):
+            if inside:
+                made.append(kind)
+            init(self, *args)
+        return wrapper
+
+    solve = accuracy.solve_affine
+    kinds = set()
+
+    def spy(system, basis):
+        for rows in (system, basis):
+            assert isinstance(rows, SparseRows)
+            kinds.update(type(x) for row in rows.data for x in row.values())
+        inside.append(True)
+        try:
+            return solve(system, basis)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(QC, "__init__", counted(qc_init, "QC"))
+    monkeypatch.setattr(Mat, "__init__", counted(mat_init, "Mat"))
+    monkeypatch.setattr(accuracy, "solve_affine", spy)
+    cert = accuracy.max_accuracy(mask, mask.triple, dil, p_max)
+    assert cert.diagnostics["kernel_dims"]
+    assert kinds == {int}
+    assert made == []
+
+
+def _is_row_update(node) -> bool:
+    """A ``p * x - f * y`` expression: a dense elimination's row update."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+            and all(isinstance(side, ast.BinOp)
+                    and isinstance(side.op, ast.Mult)
+                    for side in (node.left, node.right)))
+
+
+def test_one_elimination_routine():
+    """linalg defines one elimination routine, ``_rref``; rank, det,
+    kernel_basis, Mat.inverse and solve_affine all reach it; and no
+    module keeps a dense elimination beside it, that is a row update
+    p * x - f * y computed in a loop inside a loop (the former dense
+    Bareiss routine's name is a banned token)."""
+    eliminating = re.compile(r"rref|bareiss|gauss|eliminat", re.IGNORECASE)
+    defined, dense = [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            if eliminating.search(func.name):
+                defined.append((path.name, func.name))
+            if any(_is_row_update(node)
+                   for loop in ast.walk(func) if isinstance(loop, ast.For)
+                   for inner in ast.walk(loop)
+                   if inner is not loop and isinstance(
+                       inner, (ast.For, ast.ListComp, ast.DictComp))
+                   for node in ast.walk(inner)):
+                dense.append((path.name, func.name))
+    assert defined == [("linalg.py", "_rref")]
+    assert dense == []
+    def calls(func):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+        return {node.func.id for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)}
+
+    for func in (linalg.rank, linalg.det, linalg.kernel_basis,
+                 linalg.Mat.inverse, linalg.solve_affine):
+        assert calls(func) & {"_rref", "_kernel"}, func.__name__
+    assert "_rref" in calls(linalg._kernel)

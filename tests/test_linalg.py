@@ -1,15 +1,18 @@
 """Exact linear algebra: elimination, kernels, float reading."""
 
 import itertools
+import math
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from crystacc.linalg import (FLOAT_DENOMINATOR_CAP, Mat, QC, _rref_exact, det,
-                             integer_rows, kernel_basis, kron, rank,
-                             read_float, solve_affine)
+from crystacc.linalg import (FLOAT_DENOMINATOR_CAP, Mat, QC, QC_ZERO,
+                             SparseRows, _rref, det, integer_rows,
+                             kernel_basis, kron, rank, read_float,
+                             solve_affine)
 
 
 def test_qc_exact_arithmetic():
@@ -111,21 +114,39 @@ def test_read_float_edge_values():
             read_float(bad)
 
 
+def _sparse(rows):
+    """Dense rows of exact values as SparseRows, zeros left out."""
+    return SparseRows([{j: x for j, x in enumerate(row) if x != 0}
+                       for row in rows], len(rows[0]))
+
+
+def _columns(vectors: SparseRows) -> list[Mat]:
+    return [Mat.column([v.get(j, 0) for j in range(vectors.cols)])
+            for v in vectors.data]
+
+
 def test_solve_affine_examples():
     # no carried basis: the rref kernel basis of k itself
-    k = Mat.from_rows([[1, -1, 0]])
-    assert solve_affine(k, []) == kernel_basis(k)
+    k = [[1, -1, 0]]
+    none = SparseRows([], 0)
+    assert _columns(solve_affine(_sparse(k), none)) == kernel_basis(
+        Mat.from_rows(k))
     # B is the rref kernel basis of [1 -1 0]; the new row [0 0 1 | 1]
     # reduces to [0 1 | 1], whose first column, K_old B e_1, is zero
-    basis = kernel_basis(k)
-    assert basis == [Mat.column([1, 1, 0]), Mat.column([0, 0, 1])]
-    lifted = solve_affine(Mat.from_rows([[0, 1, 1]]), basis)
-    assert lifted == [Mat.column([1, 1, 0, 0]), Mat.column([0, 0, -1, 1])]
-    assert lifted == kernel_basis(Mat.from_rows([[1, -1, 0, 0],
-                                                 [0, 0, 1, 1]]))
+    basis = solve_affine(_sparse(k), none)
+    assert _columns(basis) == [Mat.column([1, 1, 0]), Mat.column([0, 0, 1])]
+    lifted = solve_affine(_sparse([[0, 1, 1]]), basis)
+    assert lifted.shape == (2, 4)
+    assert _columns(lifted) == [Mat.column([1, 1, 0, 0]),
+                                Mat.column([0, 0, -1, 1])]
+    assert _columns(lifted) == kernel_basis(Mat.from_rows([[1, -1, 0, 0],
+                                                           [0, 0, 1, 1]]))
+    # the entries stay plain: ints here, no QC
+    assert {type(x) for v in lifted.data for x in v.values()} == {int}
     # an empty kernel, with and without a carried basis
-    assert solve_affine(Mat.identity(3), basis) == []
-    assert solve_affine(Mat.identity(2), []) == []
+    assert solve_affine(_sparse([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+                        basis).data == []
+    assert solve_affine(_sparse([[1, 0], [0, 1]]), none).data == []
 
 
 def test_kron_mixed_products():
@@ -263,14 +284,133 @@ def test_fraction_free_elimination_against_gauss_jordan(n_rows, n_cols, real,
         rows = [row + [QC(int(i == j)) for j in range(n_rows)]
                 for i, row in enumerate(rows)]
     m = Mat.from_rows(rows)
-    got, pivots, got_det = _rref_exact(m)
+    got, pivots, got_det = _rref(_sparse(rows).data, m.cols, with_det=True)
     want, want_pivots, prod = _rref_reference(rows, m.cols)
     assert pivots == want_pivots
-    assert got == want
+    assert _dense(got, m.rows, m.cols) == want
     if m.rows == m.cols and len(pivots) == m.rows:
         assert got_det == prod
     for v in kernel_basis(m):
         assert (m @ v).is_zero()
+
+
+def _dense(rref, n_rows, n_cols):
+    """Sparse rref rows as dense QC rows, padded with zero rows."""
+    return ([[QC.parse(row.get(j, 0)) for j in range(n_cols)]
+             for row in rref]
+            + [[QC_ZERO] * n_cols for _ in range(len(rref), n_rows)])
+
+
+def _dense_bareiss(m: Mat) -> tuple[list[list[QC]], list[int], QC]:
+    """The package's former elimination, kept as the reference: dense
+    fraction-free Gauss-Jordan (Bareiss) on the integer-scaled rows.
+    After pivot ``p`` every other row ``x`` becomes
+    ``(p*x - f*y) / prev``, with ``y`` the pivot row, ``f`` the row's
+    entry in the pivot column and ``prev`` the previous pivot; a row with
+    ``f = 0`` is still rescaled by ``p / prev``, and one division by the
+    last pivot at the end gives the rref.  Returns (rows, pivot columns,
+    determinant)."""
+    rows = [m.row_list(i) for i in range(m.rows)]
+    scales = [math.lcm(*(q.denominator for x in row for q in (x.re, x.im)))
+              for row in rows]
+    real = all(x.im == 0 for row in rows for x in row)
+    if real:
+        zero, div = 0, operator.floordiv
+        a = [[x.re.numerator * (s // x.re.denominator) for x in row]
+             for row, s in zip(rows, scales)]
+    else:
+        zero, div = QC_ZERO, operator.truediv
+        a = [[x * s for x in row] for row, s in zip(rows, scales)]
+    pivots = []
+    sign, prev, r = 1, 1, 0
+    for col in range(m.cols):
+        pivot = next((i for i in range(r, m.rows) if a[i][col] != zero),
+                     None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            a[r], a[pivot] = a[pivot], a[r]
+            sign = -sign
+        y = a[r]
+        p = y[col]
+        for i, x in enumerate(a):
+            if i == r:
+                continue
+            f = x[col]
+            if f == zero:
+                a[i] = [div(p * e, prev) for e in x]
+            else:
+                a[i] = [div(p * e - f * g, prev) for e, g in zip(x, y)]
+        prev = p
+        pivots.append(col)
+        r += 1
+        if r == m.rows:
+            break
+    out = [[QC_ZERO if e == zero else QC(Fraction(e, prev)) if real
+            else e / prev for e in x] for x in a[:r]]
+    out += [[QC_ZERO] * m.cols for _ in range(r, m.rows)]
+    return out, pivots, QC(Fraction(sign, math.prod(scales))) * prev
+
+
+small_int = st.integers(-5, 5)
+real_entry = st.one_of(small_int, small_fraction,
+                       st.builds(QC, small_fraction))
+complex_entry = st.one_of(real_entry,
+                          st.builds(QC, small_fraction, small_fraction))
+
+
+@seed(2026)
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 7), st.booleans(),
+       st.sampled_from(["square", "tall", "wide", "deficient", "sparse"]),
+       st.data())
+def test_sparse_elimination_against_dense_bareiss(n_rows, n_cols, real,
+                                                  shape, data):
+    """The sparse routine gives the rref, pivots, determinant and inverse
+    of the former dense Bareiss elimination and of a textbook
+    Gauss-Jordan one, on int, Fraction and QC entries, real or complex,
+    for square, tall, wide, rank-deficient and mostly-zero matrices."""
+    entry = real_entry if real else complex_entry
+    if shape == "square":
+        n_cols = n_rows
+    elif shape == "tall":
+        n_rows = n_cols + data.draw(st.integers(1, 4))
+    elif shape == "wide":
+        n_cols = n_rows + data.draw(st.integers(1, 4))
+    cells = list(itertools.product(range(n_rows), range(n_cols)))
+    if shape == "sparse":
+        # at least 80 % of the entries are zero
+        filled = data.draw(st.lists(st.sampled_from(cells), unique=True,
+                                    max_size=len(cells) // 5))
+    else:
+        filled = cells
+    rows = [[0] * n_cols for _ in range(n_rows)]
+    for i, j in filled:
+        rows[i][j] = data.draw(entry)
+    if shape == "deficient" and n_rows > 1:
+        c0, c1 = data.draw(entry), data.draw(entry)
+        rows[-1] = [c0 * x + c1 * y for x, y in zip(rows[0], rows[-2])]
+    m = Mat.from_rows(rows)
+    got, pivots, got_det = _rref(_sparse(rows).data, n_cols,
+                                 with_det=True)
+    dense, dense_pivots, dense_det = _dense_bareiss(m)
+    want, want_pivots, prod = _rref_reference(
+        [m.row_list(i) for i in range(n_rows)], n_cols)
+    assert pivots == dense_pivots == want_pivots
+    assert _dense(got, n_rows, n_cols) == dense == want
+    assert rank(m) == len(pivots)
+    if n_rows != n_cols:
+        return
+    full = len(pivots) == n_rows
+    assert det(m) == (dense_det if full else QC_ZERO)
+    assert got_det == (prod if full else None)
+    if full:
+        inverse, _, _ = _dense_bareiss(Mat.hstack([m, Mat.identity(n_rows)]))
+        assert m.inverse() == Mat.from_rows([row[n_rows:]
+                                             for row in inverse])
+    else:
+        with pytest.raises(ValueError):
+            m.inverse()
 
 
 @seed(2026)
