@@ -27,15 +27,14 @@ and never reads the moment table it checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import comb, lcm, prod
+from math import comb, prod
 
 from .crystal import CrystalTriple, Dilation, compose, inverse
 # kron and build_Q_tilde are unused here: perfbench/tracing.py wraps them
 # by name in this module
 from .linalg import (Mat, QC, QC_ZERO, SparseRows, det, kernel_basis, kron,
                      solve_affine)
-from .mask import Mask, MaskShapeError
+from .mask import Mask, MaskShapeError, _plain
 from .multiidx import (VCollection, build_A_s, build_Q_tilde, dim_degree,
                        enumerate_degree, eval_y)
 
@@ -134,11 +133,21 @@ def fhat0(mask: Mask, m: int) -> Fhat0Result:
     vector) wherever that limit exists.  The projection exists exactly
     when W K is invertible, that is when 1 is semisimple (Cabrelli, Heil
     and Molter, J. Approx. Theory 95, 1998).
+
+    N is taken as (m D)(T - I) = D sum_gamma d_gamma - m D I, summed
+    entry by entry from the mask's plain view (:meth:`Mask.plain`), D its
+    common denominator: on rational real data every entry is a Python int.
+    A non-zero scale changes neither ker N nor ker N^T, so the rref bases
+    K and W, the vector, the status and the dimension are those of T - I.
     """
-    total = None
-    for _, blk in mask.items():
-        total = blk if total is None else total + blk
-    n_op = total.scale(Fraction(1, m)) - Mat.identity(mask.r)
+    view, r = mask.plain(), mask.r
+    total = [[0] * r for _ in range(r)]
+    for _, entries in view.entries:
+        for i, j, x in entries:
+            total[i][j] += x
+    for i in range(r):
+        total[i][i] -= m * view.scale
+    n_op = Mat.from_rows(total)
     basis = kernel_basis(n_op)
     if not basis:
         return Fhat0Result(None, "empty", 0)
@@ -161,15 +170,6 @@ _NO_GATE = {
                   "defective, so no integral direction is determined and "
                   "the gate cannot be met"),
 }
-
-
-def _plain(x: QC, scale: int = 1):
-    """scale·x as an int where it is one, a Fraction where it is real,
-    else a QC, so that integral data stay on Python ints."""
-    if x.im != 0:
-        return x * scale
-    num, den = x.re.numerator * scale, x.re.denominator
-    return num // den if num % den == 0 else Fraction(num, den)
 
 
 def _sparse_rows(mat: Mat) -> list[list]:
@@ -254,8 +254,8 @@ def _moments(mask: Mask, dilation: Dilation, p_max: int) -> _MomentTable:
     ``sums`` maps (i, b) to {mu: N_mu D} for every |mu| < p_max, where
     N_mu = sum (-l)^mu d_(b,l)^T over the support elements (b, l) whose
     inverse lies in digit coset i, l the true translation R k, and D is
-    the lcm of the denominators of the real and imaginary parts of every
-    coefficient.  Each coefficient is scaled by D once, and a translation
+    the common denominator of the mask's plain view (:meth:`Mask.plain`),
+    whose D-scaled non-zero entries are read as they are.  A translation
     coordinate is read as an int where it is one, so the entries are
     Python ints on an integral lattice and fall back to Fractions (R not
     integral) or QCs (complex masks) by themselves.  N_mu is a dict
@@ -265,24 +265,20 @@ def _moments(mask: Mask, dilation: Dilation, p_max: int) -> _MomentTable:
     t < p_max, to the rows of (b^{-1})_[t] A_[t] = (b^{-1} A)_[t], each a
     list of (column, non-zero entry) pairs, built once per table.
     """
-    tri, d, r = mask.triple, mask.triple.d, mask.r
-    scale = lcm(*(q.denominator for _, blk in mask.items()
-                  for c in range(r) for x in blk.row_list(c)
-                  for q in (x.re, x.im)))
+    tri, d = mask.triple, mask.triple.d
+    view = mask.plain()
     mus = [mu for s in range(p_max) for mu in enumerate_degree(d, s)]
     sums = {}
-    for e, blk in mask.items():
+    for e, entries in view.entries:
         key = (dilation.coset_index(inverse(e)), e.g)
         moments = sums.setdefault(key, {mu: {} for mu in mus})
         neg = [-_plain(x) for x in e.true_translation()]
-        d_t = [(a, c, _plain(x, scale)) for c in range(r)
-               for a, x in enumerate(blk.row_list(c)) if not x.is_zero()]
         for mu in mus:
             w = prod(y ** n for y, n in zip(neg, mu))
             if w == 0:
                 continue
             n_mu = moments[mu]
-            for a, c, x in d_t:
+            for c, a, x in entries:
                 n_mu[(a, c)] = n_mu.get((a, c), 0) + w * x
     leads = {}
     for b in {b for _, b in sums}:
@@ -290,7 +286,7 @@ def _moments(mask: Mask, dilation: Dilation, p_max: int) -> _MomentTable:
         b_inv_a = tri.group[tri.inverse_table[b]] @ dilation.A
         for t in range(p_max):
             leads[(b, t)] = _sparse_rows(build_A_s(b_inv_a, t))
-    return _MomentTable(scale, sums, leads)
+    return _MomentTable(view.scale, sums, leads)
 
 
 def _block_row(mask: Mask, dilation: Dilation, table: _MomentTable,

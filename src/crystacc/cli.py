@@ -192,9 +192,23 @@ def _is_int(x) -> bool:
 
 
 def _build_mask(cfg: dict, triple: CrystalTriple) -> Mask:
+    """The config's mask.  Each distinct scalar literal (a string, an int
+    or a float) is parsed once per call, keyed by its type and value so
+    that true and 1, or 1.0 and 1, never share a reading; a literal that
+    fails to parse is never stored, so it is refused wherever it stands."""
     entries = cfg.get("mask")
     if not isinstance(entries, list) or not entries:
         raise CliError(EXIT_MALFORMED, "config needs a nonempty 'mask' list")
+    parsed = {}
+
+    def read(x):
+        if not isinstance(x, (str, int, float)):
+            return _parse_scalar(x)
+        key = (type(x), x)
+        if key not in parsed:
+            parsed[key] = _parse_scalar(x)
+        return parsed[key]
+
     blocks = {}
     for pos, item in enumerate(entries):
         if not isinstance(item, dict):
@@ -215,7 +229,7 @@ def _build_mask(cfg: dict, triple: CrystalTriple) -> Mask:
         if not all(isinstance(row, list) for row in coef):
             raise CliError(EXIT_MALFORMED,
                            f"mask entry {pos}: coef rows must be lists")
-        rows = [[_parse_scalar(x) for x in row] for row in coef]
+        rows = [[read(x) for x in row] for row in coef]
         r = len(rows)
         if any(len(row) != r for row in rows):
             raise CliError(EXIT_SHAPE, f"mask entry {pos}: block not square")

@@ -12,7 +12,9 @@ mask carries the symmetry checked by :func:`check_gamma_A_symmetry`.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .crystal import (CrystalElement, CrystalTriple, Dilation, _int_apply,
                       compose, inverse, validate_triple)
@@ -35,6 +37,8 @@ class Mask:
     through :func:`~crystacc.linalg.read_float`, exact parts are kept, and
     ``float_change`` keeps the largest relative change |read - given| /
     |given| of an entry with a float part (None when there was none).
+    :meth:`plain` gives the coefficients once more as plain values over
+    their common denominator, the one view the exact solvers read.
     """
 
     def __init__(self, triple: CrystalTriple, coefficients: dict,
@@ -67,6 +71,7 @@ class Mask:
         self.float_change = max(changes, default=None)
         self._blocks = blocks
         self._support = tuple(sorted(blocks, key=lambda e: (e.g, e.k)))
+        self._view = None
 
     @classmethod
     def scalar(cls, triple: CrystalTriple, entries: dict) -> "Mask":
@@ -103,6 +108,14 @@ class Mask:
     def block(self, gamma: CrystalElement) -> Mat | None:
         return self._blocks.get(gamma)
 
+    def plain(self) -> "PlainCoefficients":
+        """The coefficients as plain values over their common denominator
+        (:class:`PlainCoefficients`), built on the first call and kept
+        with the mask, which never changes."""
+        if self._view is None:
+            self._view = _plain_coefficients(self)
+        return self._view
+
     def to_float(self) -> "Mask":
         """The mask read back from double copies of its coefficients."""
         return Mask(self.triple,
@@ -131,6 +144,43 @@ class Mask:
 
     def __repr__(self):
         return f"Mask(r={self.r}, support={len(self._support)})"
+
+
+@dataclass(frozen=True)
+class PlainCoefficients:
+    """A mask's coefficients scaled to plain values: ``scale`` is the
+    common denominator D, the lcm of the denominators of the real and
+    imaginary parts of every coefficient, and ``entries`` holds one
+    (element, entries) pair per support element, in support order, the
+    entries being (i, j, D d[i][j]) for the non-zero entries of the block
+    d, row by row.  The values are :func:`_plain`: Python ints on rational
+    real data, and Fractions or QCs by themselves otherwise."""
+
+    scale: int
+    entries: tuple
+
+
+def _plain(x: QC, scale: int = 1):
+    """scale·x as an int where it is one, a Fraction where it is real,
+    else a QC, so that integral data stay on Python ints."""
+    if x.im != 0:
+        return x * scale
+    num, den = x.re.numerator * scale, x.re.denominator
+    return num // den if num % den == 0 else Fraction(num, den)
+
+
+def _plain_coefficients(mask: Mask) -> PlainCoefficients:
+    """The plain view of :meth:`Mask.plain`, built in one walk of the
+    blocks' non-zero entries."""
+    nonzero = [(e, [(i, j, x) for i in range(mask.r)
+                    for j, x in enumerate(blk.row_list(i))
+                    if not x.is_zero()])
+               for e, blk in mask.items()]
+    scale = lcm(*(q.denominator for _, xs in nonzero for _, _, x in xs
+                  for q in (x.re, x.im)))
+    return PlainCoefficients(scale, tuple(
+        (e, tuple((i, j, _plain(x, scale)) for i, j, x in xs))
+        for e, xs in nonzero))
 
 
 def _read_entry(x, changes: list) -> QC:

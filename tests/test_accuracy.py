@@ -161,6 +161,99 @@ def test_exact_gate_vector_matches_power_iteration(line, r, data):
                                exact / np.linalg.norm(exact), atol=1e-9)
 
 
+# -- fhat0 on the plain view against the dense QC sum it replaced -----------
+
+def _fhat0_reference(mask, m):
+    """(vector, status, dimension) of fhat0 as it was before the mask's
+    plain view: T = (1/m) sum d_gamma formed by adding the blocks as
+    dense QC Mats, and the kernels read off T - I itself."""
+    total = None
+    for _, blk in mask.items():
+        total = blk if total is None else total + blk
+    n_op = total.scale(Fraction(1, m)) - Mat.identity(mask.r)
+    basis = kernel_basis(n_op)
+    if not basis:
+        return None, "empty", 0
+    if len(basis) == 1:
+        return basis[0], "ok", 1
+    k = Mat.hstack(basis)
+    w = Mat.hstack(kernel_basis(n_op.transpose())).transpose()
+    wk = w @ k
+    if det(wk).is_zero():
+        return None, "defective", len(basis)
+    ones = Mat.column([1] * mask.r)
+    return k @ wk.inverse() @ (w @ ones), "indeterminate", len(basis)
+
+
+def _same_fhat0(mask, m):
+    res = fhat0(mask, m)
+    assert (res.vector, res.status, res.dimension) == \
+        _fhat0_reference(mask, m)
+    return res
+
+
+# number of eigenvalues 1 of T for each status; "defective" joins the
+# last two of its three in a Jordan block, so ker(T - I) has dimension 2
+ONES_OF_STATUS = {"ok": 1, "empty": 0, "indeterminate": 2, "defective": 3}
+
+
+@seed(2026)
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(ONES_OF_STATUS)),
+       st.sampled_from(["real", "complex", "float"]), st.integers(2, 4),
+       st.data())
+def test_fhat0_matches_the_dense_sum_on_every_status(line, status, kind, r,
+                                                     data):
+    """T = S J S^{-1}, J holding 0, 1, 2 or 3 eigenvalues 1 (1 (+) J_2(1)
+    for "defective") and other eigenvalues in (-1, 1), S drawn with
+    small integer entries, complex ones for "complex": the vector, status
+    and dimension of fhat0 equal the dense QC sum's exactly, on the
+    exact mask (whose status is the designed one) and on its float
+    copy read back."""
+    t, dil = line
+    ones = ONES_OF_STATUS[status]
+    assume(ones <= r)
+    part = st.integers(-2, 2)
+    s_rows = [[QC(data.draw(part), data.draw(part) if kind == "complex"
+                  else 0) for _ in range(r)] for _ in range(r)]
+    s_mat = Mat.from_rows(s_rows)
+    assume(not det(s_mat).is_zero())
+    lams = [data.draw(st.fractions(Fraction(-3, 4), Fraction(3, 4),
+                                   max_denominator=4))
+            for _ in range(r - ones)]
+    j_rows = [[(1 if i < ones else lams[i - ones]) if i == c else 0
+               for c in range(r)] for i in range(r)]
+    if status == "defective":
+        j_rows[1][2] = 1
+    t_op = s_mat @ Mat.from_rows(j_rows) @ s_mat.inverse()
+    mask = _mask_of_sum(t, dil.m, t_op)
+    if kind == "float":
+        mask = mask.to_float()
+    res = _same_fhat0(mask, dil.m)
+    if kind != "float":
+        assert res.status == status
+
+
+@seed(2026)
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["line", "pm", "pm-scaled", "p2-sheared", "lifted"]),
+       st.sampled_from([1, 2]), st.booleans(), st.booleans(), st.data())
+def test_fhat0_matches_the_dense_sum_on_the_geometric_masks(
+        line, p1m, pm, where, r, real, read_float, data):
+    """Real and complex masks with r = 1, 2 (a scalar base times the
+    identity) and r = 8 (the lifted p4m hat), a few entries changed, over
+    R = I, pm on diag(1/2, 1/3) and p2 on a sheared lattice, exact or
+    read back from floats: fhat0 equals the dense QC sum's exactly."""
+    _, dil, mask = _changed_mask(line, p1m, pm, where, r, real, data)
+    _same_fhat0(mask.to_float() if read_float else mask, dil.m)
+
+
+def test_fhat0_matches_the_dense_sum_on_the_lifted_hat():
+    _, dil, lifted = _lifted_hat()
+    for mask in (lifted, lifted.to_float()):
+        assert _same_fhat0(mask, dil.m).status == "ok"
+
+
 def test_haar_accuracy_one(line, haar):
     t, dil = line
     cert = max_accuracy(haar, t, dil, p_max=2)
@@ -762,6 +855,33 @@ def _fraction_block_row(mask, dilation, moments, s):
     return [row for block in rows for row in block]
 
 
+def _changed_mask(line, p1m, pm, where, r, real, data):
+    """(triple, dilation, mask): a scalar base of :func:`_scalar_bases`
+    times the r x r identity, or the lifted p4m hat (r = 8) when
+    ``where`` is "lifted", with a few drawn entries changed to real
+    values, or to complex ones (at least one) when ``real`` is false."""
+    if where == "lifted":
+        t, dil, lifted = _lifted_hat()
+        blocks = {e: [blk.row_list(a) for a in range(blk.rows)]
+                  for e, blk in lifted.items()}
+        r = lifted.r
+    else:
+        t, dil, base = _scalar_bases(line, p1m, pm)[where]
+        blocks = {e: [[c if a == b else 0 for b in range(r)]
+                      for a in range(r)] for e, c in base.items()}
+    part = st.fractions(-2, 2, max_denominator=6)
+    value = (st.builds(QC, part) if real
+             else st.builds(QC, part, part.filter(lambda x: x != 0)))
+    support = sorted(blocks, key=lambda e: (e.g, e.k))
+    changes = data.draw(st.lists(
+        st.tuples(st.sampled_from(support), st.integers(0, r - 1),
+                  st.integers(0, r - 1), value),
+        min_size=0 if real else 1, max_size=3))
+    for e, a, b, x in changes:
+        blocks[e][a][b] = x
+    return t, dil, Mask(t, blocks, r=r)
+
+
 @seed(2026)
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(["line", "p1m", "pm", "p4m", "pm-scaled",
@@ -775,27 +895,8 @@ def test_integer_rows_are_the_fraction_rows_times_the_denominator(
     with r = 1, 2 (a scalar base times the identity) and r = 8 (the
     lifted p4m hat), with a few drawn entries changed, over R = I, pm on
     diag(1/2, 1/3) and p2 on a sheared lattice."""
-    if where == "lifted":
-        t, dil, lifted = _lifted_hat()
-        blocks = {e: [blk.row_list(a) for a in range(blk.rows)]
-                  for e, blk in lifted.items()}
-        r = lifted.r
-    else:
-        t, dil, base = _scalar_bases(line, p1m, pm)[where]
-        blocks = {e: [[c if a == b else 0 for b in range(r)]
-                      for a in range(r)] for e, c in base.items()}
+    t, dil, mask = _changed_mask(line, p1m, pm, where, r, real, data)
     s_top = 3 if t.d == 1 else 2
-    part = st.fractions(-2, 2, max_denominator=6)
-    value = (st.builds(QC, part) if real
-             else st.builds(QC, part, part.filter(lambda x: x != 0)))
-    support = sorted(blocks, key=lambda e: (e.g, e.k))
-    changes = data.draw(st.lists(
-        st.tuples(st.sampled_from(support), st.integers(0, r - 1),
-                  st.integers(0, r - 1), value),
-        min_size=0 if real else 1, max_size=3))
-    for e, a, b, x in changes:
-        blocks[e][a][b] = x
-    mask = Mask(t, blocks, r=r)
     scale = _common_denominator(mask)
     table = accuracy_mod._moments(mask, dil, s_top + 1)
     reference = _fraction_moments(mask, dil, s_top + 1)

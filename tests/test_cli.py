@@ -254,6 +254,62 @@ def test_duplicate_mask_entry_rejected(tmp_path, capsys):
     assert code == EXIT_MALFORMED
 
 
+def _diagonal_hat(centre):
+    """The 1D hat on both diagonal entries of 2 x 2 blocks, with the block
+    at k = 0 given as ``centre``; its entries are read one by one."""
+    half = [["1/2", 0], [0, "1/2"]]
+    return dict(HAT_CFG, mask=[{"k": [-1], "coef": half},
+                               {"k": [0], "coef": centre},
+                               {"k": [1], "coef": half}])
+
+
+def test_each_literal_is_read_by_its_own_type(tmp_path, capsys):
+    """Literals that are equal as Python values but differ in JSON type
+    are read apart: true after 1 is refused, 1.0 after 1 is read as a
+    float.  A literal that fails is refused at its first appearance, with
+    its own message, however often it repeats."""
+    code, out = run_cli(tmp_path, capsys, _diagonal_hat([[1, 0], [0, True]]),
+                        ["accuracy", "CFG"])
+    assert code == EXIT_MALFORMED
+    assert out["error"] == "boolean is not a coefficient"
+    code, out = run_cli(tmp_path, capsys, _diagonal_hat([[1, 0], [0, 1.0]]),
+                        ["accuracy", "CFG", "--p-max", "3"])
+    assert code == EXIT_OK
+    assert out["diagnostics"].pop("float_max_relative_change") == 0.0
+    _, exact = run_cli(tmp_path, capsys, _diagonal_hat([[1, 0], [0, 1]]),
+                       ["accuracy", "CFG", "--p-max", "3"])
+    assert out == exact and out["accuracy"] == 2
+    with pytest.raises(cli_mod.CliError) as first:
+        cli_mod._parse_scalar("1/0")
+    bad = dict(HAT_CFG, mask=[{"k": [k], "coef": [["1/0", "1/0"], [0, 1]]}
+                              for k in (-1, 0, 1)])
+    code, out = run_cli(tmp_path, capsys, bad, ["accuracy", "CFG"])
+    assert code == EXIT_MALFORMED
+    assert out["error"] == str(first.value)
+
+
+def test_each_distinct_literal_is_parsed_once(monkeypatch):
+    """_build_mask parses each distinct (type, value) literal of a config
+    once, however many entries repeat it; an [re, im] pair is parsed
+    whole, its parts by the pair's own parse."""
+    calls = []
+    parse = cli_mod._parse_scalar
+
+    def spy(value):
+        calls.append(value)
+        return parse(value)
+
+    monkeypatch.setattr(cli_mod, "_parse_scalar", spy)
+    cfg = _diagonal_hat([[1, 0.0], [0, 1.0]])
+    cfg["mask"].append({"k": [2], "coef": [[["1/2", 0], 0], [0, "1/2"]]})
+    triple = cli_mod._build_triple(cfg)
+    mask = cli_mod._build_mask(cfg, triple)
+    assert mask.r == 2
+    pair = [["1/2", 0], "1/2", 0]
+    assert sorted(map(repr, calls)) == sorted(map(repr, [
+        "1/2", 0, 1, 0.0, 1.0] + pair))
+
+
 def test_cascade_hat_full_report(tmp_path, capsys):
     code, out = run_cli(tmp_path, capsys, HAT_CFG,
                         ["cascade", "CFG", "--verify-p", "3"])

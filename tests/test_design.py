@@ -8,8 +8,10 @@ chain's blocks), a cascade that reads grid nodes only (no interpolation
 plans and no free grid spacing), one moment table in the exact solver,
 one elimination per degree (no dense re-layout of the stacked rows),
 constraint rows built on Python ints where the data are integral and
-eliminated as plain sparse rows, one elimination routine in linalg, and
-every name the benchmark's tracer wraps."""
+eliminated as plain sparse rows, one elimination routine in linalg, one
+plain view of a mask's coefficients (fhat0 sums it on ints, built once
+per mask), no parse cache in the CLI that outlives a call, and every
+name the benchmark's tracer wraps."""
 
 import ast
 import importlib.util
@@ -22,6 +24,7 @@ import pytest
 
 import crystacc
 from crystacc import accuracy, cascade, cli, linalg, multiidx
+from crystacc import mask as mask_mod
 from crystacc.cascade import cascade_iterate
 from crystacc.crystal import catalog_triple, check_admissible
 from crystacc.linalg import QC, Mat, SparseRows
@@ -288,3 +291,82 @@ def test_one_elimination_routine():
                  linalg.Mat.inverse, linalg.solve_affine):
         assert calls(func) & {"_rref", "_kernel"}, func.__name__
     assert "_rref" in calls(linalg._kernel)
+
+
+@pytest.mark.parametrize("case", ["cubic", "lifted-hat"])
+def test_fhat0_sums_the_plain_view_on_ints(case, monkeypatch):
+    """fhat0 adds no Mat (no Mat.__add__ call): it sums the mask's plain
+    view entry by entry, and on R = I with real coefficients the sum it
+    hands Mat.from_rows holds Python ints only."""
+    mask, dil, _ = _shape_cases()[case]
+    adds, sums = [], []
+    add, from_rows = Mat.__add__, Mat.from_rows
+
+    def counted_add(self, other):
+        adds.append(1)
+        return add(self, other)
+
+    def spy(rows, cols=None):
+        sums.append({type(x) for row in rows for x in row})
+        return from_rows(rows, cols)
+
+    monkeypatch.setattr(Mat, "__add__", counted_add)
+    monkeypatch.setattr(Mat, "from_rows", staticmethod(spy))
+    assert accuracy.fhat0(mask, dil.m).status == "ok"
+    assert adds == []
+    assert sums[0] == {int}
+
+
+@pytest.mark.parametrize("case", ["cubic", "diagonal", "lifted-hat"])
+def test_plain_view_is_built_once_per_mask(case, monkeypatch):
+    """During one max_accuracy call, fhat0 and the moment table read one
+    plain view of the mask, built once."""
+    mask, dil, p_max = _shape_cases()[case]
+    built = []
+    build = mask_mod._plain_coefficients
+
+    def counted(m):
+        built.append(m)
+        return build(m)
+
+    monkeypatch.setattr(mask_mod, "_plain_coefficients", counted)
+    cert = accuracy.max_accuracy(mask, mask.triple, dil, p_max)
+    assert cert.p >= 1
+    assert built == [mask]
+
+
+def test_one_common_denominator_of_the_coefficients():
+    """One function computes the lcm of a mask's coefficient
+    denominators, the mask's plain view; the only other lcm in src/ is
+    the row scaling of the one elimination routine."""
+    callers = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and any(
+                    isinstance(node, ast.Call) and (
+                        getattr(node.func, "id", None) == "lcm"
+                        or getattr(node.func, "attr", None) == "lcm")
+                    for node in ast.walk(func)):
+                callers.append((path.name, func.name))
+    assert sorted(callers) == [("linalg.py", "_rref"),
+                               ("mask.py", "_plain_coefficients")]
+
+
+def test_cli_keeps_no_parse_cache():
+    """The CLI's literal readings live inside one _build_mask call: no
+    lru_cache or functools cache anywhere in cli.py, and no container
+    bound at module level."""
+    text = (Path(crystacc.__file__).parent / "cli.py").read_text(
+        encoding="utf-8")
+    assert "lru_cache" not in text and "functools" not in text
+    assert not re.search(r"@\s*cache\b", text)
+    containers = (ast.Dict, ast.Set, ast.List, ast.DictComp, ast.SetComp,
+                  ast.ListComp)
+    for node in ast.parse(text).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            value = node.value
+            assert not isinstance(value, containers), ast.dump(node)
+            assert not (isinstance(value, ast.Call) and getattr(
+                value.func, "id", None) in ("dict", "set", "list")), \
+                ast.dump(node)
