@@ -34,7 +34,7 @@ from .crystal import CrystalTriple, Dilation, compose, inverse
 # by name in this module
 from .linalg import (Mat, QC, QC_ZERO, SparseRows, det, kernel_basis, kron,
                      solve_affine)
-from .mask import Mask, MaskShapeError, _plain
+from .mask import Mask, MaskShapeError, _plain, _sparse_rows
 from .multiidx import (VCollection, build_A_s, build_Q_tilde, dim_degree,
                        enumerate_degree, eval_y)
 
@@ -170,12 +170,6 @@ _NO_GATE = {
                   "defective, so no integral direction is determined and "
                   "the gate cannot be met"),
 }
-
-
-def _sparse_rows(mat: Mat) -> list[list]:
-    """The rows of mat as lists of (column, plain non-zero entry) pairs."""
-    return [[(k, _plain(x)) for k, x in enumerate(mat.row_list(j))
-             if not x.is_zero()] for j in range(mat.rows)]
 
 
 def condition_d_residuals(mask: Mask, dilation: Dilation, v: VCollection,

@@ -13,10 +13,13 @@ The cascade runs in lattice coordinates y = R^{-1} x.  Admissibility makes
 M = R^{-1} A R and every G_g = R^{-1} g R integral, so the read
 gamma^{-1}(A x) of the mask element gamma = (g, k) is
 y -> G_{g^{-1}} M y - k, and on the grid y = h J (J an integer vector,
-h = 2^-q) node J reads node G_{g^{-1}} M J - 2^q k: every read is one
-integer gather (Cavaretta, Dahmen and Micchelli, *Stationary
-Subdivision*, 1991).  The oracle reads the finished field at nodes only
-and refuses any other point.
+h = 2^-q) node J reads node G_{g^{-1}} M J - 2^q k (Cavaretta, Dahmen and
+Micchelli, *Stationary Subdivision*, 1991).  The elements of one point
+part g differ by whole shifts 2^q k, so a step first sums the field's
+shifted copies u_g = sum_k f(. - 2^q k) d_(g,k)^T by slice adds, then
+reads u_g at G_{g^{-1}} M J: one integer gather, and one index array,
+per point part.  The oracle reads the finished field at nodes only and
+refuses any other point.
 
 The grid is the one box :func:`support_box` certifies for every
 admissible dilation: the n-step box map, whose maps y -> M^{-n} G' y + c
@@ -36,12 +39,13 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
 from .accuracy import fhat0, max_accuracy
 from .crystal import CrystalTriple, Dilation
-from .linalg import Mat
+from .linalg import Mat, integer_rows
 from .mask import Mask
 from .multiidx import (VCollection, build_Q_tilde, dim_degree,
                        enumerate_degree)
@@ -182,15 +186,32 @@ def support_box(mask: Mask, dilation: Dilation, h) -> list:
     ``MAX_BOX_STEPS`` steps, up to n = ``MAX_BOX_STEPS``; past that,
     :class:`CascadeError`.
     """
-    h = Fraction(h)
-    t = mask.triple
+    return _certified_box(_point_parts(mask), dilation, Fraction(h))
+
+
+def _point_parts(mask: Mask) -> dict:
+    """The support grouped by point part: g -> [(k, d_(g,k)), ...], in
+    support order.  The support box and the cascade plan both read it."""
+    parts = {}
+    for e, blk in mask.items():
+        parts.setdefault(e.g, []).append((e.k, blk))
+    return parts
+
+
+def _certified_box(parts: dict, dilation: Dilation, h: Fraction) -> list:
+    """:func:`support_box` of the mask whose :func:`_point_parts` are
+    given.  Each part's linear part M^{-1} G_g is formed once; as
+    m M^{-1} = +-adj M is integral, its shifts M^{-1} G_g k are integer
+    dot products over m, bounded per axis."""
+    t, m = dilation.triple, dilation.m
     step = {}
-    for e in mask.support():
-        lin = dilation.M_inv @ Mat.from_rows(t.int_reps[e.g])
-        shift = lin @ Mat.column(e.k)
-        key = tuple(tuple(x.re for x in lin.row_list(i)) for i in range(t.d))
-        point = [(shift.entry(i, 0).re,) * 2 for i in range(t.d)]
-        step[key] = _hull([step[key], point]) if key in step else point
+    for g, elements in parts.items():
+        lin = dilation.M_inv @ Mat.from_rows(t.int_reps[g])
+        scaled = integer_rows(lin.scale(m))
+        key = tuple(tuple(Fraction(x, m) for x in row) for row in scaled)
+        step[key] = [(Fraction(min(v), m), Fraction(max(v), m))
+                     for v in ([sum(map(mul, row, k)) for k, _ in elements]
+                               for row in scaled)]
     unit = [(Fraction(0), Fraction(1))] * t.d
     maps = step
     for n in range(1, MAX_BOX_STEPS + 1):
@@ -285,12 +306,16 @@ def _rows(first: np.ndarray, shape: tuple, J: np.ndarray) -> np.ndarray:
     return np.where(inside, flat, math.prod(shape))
 
 
-def grid_bytes(d: int, r: int, n_elements: int, n_nodes: int) -> int:
-    """Estimated peak bytes of a cascade run on ``n_nodes`` grid nodes: the
-    integer nodes (d int64 each), four live iterates (the current and next
-    one, a gather and a term, r complex128 each) and one int64 read index
-    per mask element."""
-    return n_nodes * (8 * d + 4 * 16 * r + 8 * n_elements)
+def grid_bytes(d: int, r: int, n_parts: int, n_nodes: int,
+               buffer_nodes: int) -> int:
+    """Estimated peak bytes of a cascade run on ``n_nodes`` grid nodes: per
+    node, the integer node (d int64), four live iterates (the current and
+    next one, the plan's term and a difference, r complex128 each) and one
+    int64 read index per point part; plus the one buffer of shifted
+    copies, r complex128 on each of its ``buffer_nodes`` nodes
+    (:func:`_plan`)."""
+    per_node = 8 * d + 4 * 16 * r + 8 * n_parts
+    return n_nodes * per_node + 16 * r * buffer_nodes
 
 
 def memory_budget() -> int:
@@ -299,27 +324,86 @@ def memory_budget() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
 
 
-def _read_rows(mask: Mask, dilation: Dilation, first: np.ndarray,
-               shape: tuple, q: int) -> list:
-    """Per mask element gamma = (g, k), the padded-field row that every node
-    J reads, G_{g^{-1}} M J - 2^q k (gamma^{-1}(A x) in lattice
-    coordinates), with the block d_gamma transposed."""
-    t = mask.triple
+def _shifted_grid(shape: tuple, elements: list, q: int) -> tuple:
+    """Lowest shift k_min of a point part's elements and the node counts
+    of its buffer u_g: the box widened by 2^q times the hull of the
+    shifts k."""
+    ks = np.array([k for k, _ in elements], dtype=np.int64)
+    low = ks.min(axis=0)
+    return low, tuple(int(n) for n in
+                      np.asarray(shape) + ((ks.max(axis=0) - low) << q))
+
+
+@dataclass
+class _Part:
+    """The reads of one point part g: ``adds`` holds the window of u_g
+    that each element (g, k) adds the field to, with d_(g,k)^T, and
+    ``rows`` the row of u_g (flat, with the zero row past its last node)
+    that every node J reads, G_{g^{-1}} M J."""
+
+    shape: tuple
+    adds: list
+    rows: np.ndarray
+
+
+@dataclass
+class _Plan:
+    """The cascade's reads on a box of node counts ``shape``: one
+    :class:`_Part` per point part, the one buffer the parts share, sized
+    for the largest u_g plus its zero row, and one term the size of the
+    field, which each product d_(g,k)^T and each gather reuses."""
+
+    shape: tuple
+    parts: list
+    buffer: np.ndarray
+    term: np.ndarray
+
+
+def _plan(parts: dict, dilation: Dilation, first: np.ndarray, shape: tuple,
+          q: int, r: int) -> _Plan:
+    """The reads of every mask element gamma = (g, k) on the box grid.
+
+    Node J reads G_{g^{-1}} M J - 2^q k (gamma^{-1}(A x) in lattice
+    coordinates), so the elements of one point part g read the same
+    node of u_g = sum_k f(. - 2^q k) d_(g,k)^T, the field's copies shifted
+    by 2^q k: u_g is built by slice adds on the box widened by 2^q times
+    the hull of the shifts, and read by one gather at G_{g^{-1}} M J.  A
+    read off u_g's grid lands on its zero row."""
+    t = dilation.triple
     m = np.array(dilation.M, dtype=np.int64)
     nodes = _node_grid(first, shape)
-    reads = []
-    for e, blk in mask.items():
-        lin = np.array(t.int_reps[t.inverse_table[e.g]], dtype=np.int64) @ m
-        target = nodes @ lin.T - (np.array(e.k, dtype=np.int64) << q)
-        reads.append((_rows(first, shape, target), blk.np().T.copy()))
-    return reads
+    out, largest = [], 0
+    for g, elements in parts.items():
+        low, grid = _shifted_grid(shape, elements, q)
+        adds = [(tuple(slice(o, o + n)
+                       for o, n in zip((np.array(k) - low) << q, shape)),
+                 blk.np().T.copy()) for k, blk in elements]
+        lin = np.array(t.int_reps[t.inverse_table[g]], dtype=np.int64) @ m
+        rows = _rows(first + (low << q), grid, nodes @ lin.T)
+        out.append(_Part(grid, adds, rows))
+        largest = max(largest, math.prod(grid))
+    return _Plan(shape, out, np.zeros((largest + 1, r), dtype=complex),
+                 np.empty((len(nodes), r), dtype=complex))
 
 
-def _step(reads: list, padded: np.ndarray) -> np.ndarray:
-    """One refinement step of a padded field; the zero row stays zero."""
+def _step(plan: _Plan, padded: np.ndarray) -> np.ndarray:
+    """One refinement step of a padded field, one gather per point part;
+    the zero row stays zero."""
     out = np.zeros_like(padded)
-    for rows, d_t in reads:
-        out[:-1] += padded[rows] @ d_t
+    field, term = padded[:-1], plan.term
+    r = term.shape[1]
+    # for r = 1 the 1 x 1 product is a broadcast one, without a matmul call
+    product = np.multiply if r == 1 else np.matmul
+    shaped = term.reshape(*plan.shape, r)
+    for part in plan.parts:
+        u = plan.buffer[:math.prod(part.shape) + 1]
+        u.fill(0)
+        grid = u[:-1].reshape(*part.shape, r)
+        for window, d_t in part.adds:
+            product(field, d_t, out=term)
+            grid[window] += shaped
+        np.take(u, part.rows, axis=0, out=term)
+        out[:-1] += term
     return out
 
 
@@ -332,13 +416,13 @@ def cascade_iterate(mask: Mask, triple: CrystalTriple, dilation: Dilation,
     R [0,1)^d in x) times the normalized integral direction, so the
     integral starts in the right eigenspace.  The grid spans the box of
     :func:`support_box` (per-axis node counts), and every node reads one
-    node per mask element.  Non-convergence (last sup difference above
-    1e-6) is reported in the result, not raised.  A support box that does
-    not certify within the step bound, a grid whose :func:`grid_bytes`
-    estimate exceeds :func:`memory_budget` (refused before anything is
-    allocated) and an iterate that overflows to a non-finite value all
-    raise :class:`CascadeError`; a q that is not an integer >= 0 raises
-    ValueError.
+    node per point part (:func:`_plan`).  Non-convergence (last sup
+    difference above 1e-6) is reported in the result, not raised.  A
+    support box that does not certify within the step bound, a grid whose
+    :func:`grid_bytes` estimate exceeds :func:`memory_budget` (refused
+    before anything is allocated) and an iterate that overflows to a
+    non-finite value all raise :class:`CascadeError`; a q that is not an
+    integer >= 0 raises ValueError.
     """
     if triple is not mask.triple or dilation.triple is not triple:
         raise ValueError("mask, triple and dilation must match")
@@ -348,11 +432,14 @@ def cascade_iterate(mask: Mask, triple: CrystalTriple, dilation: Dilation,
     if not isinstance(q, int) or q < 0:
         raise ValueError("grid_exponent must be an integer >= 0")
     scale = 2 ** q
-    box = support_box(mask, dilation, Fraction(1, scale))
+    parts = _point_parts(mask)
+    box = _certified_box(parts, dilation, Fraction(1, scale))
     first = np.array([int(lo * scale) for lo, _ in box], dtype=np.int64)
     shape = tuple(int((hi - lo) * scale) + 1 for lo, hi in box)
     n_nodes = math.prod(shape)
-    need = grid_bytes(triple.d, mask.r, len(mask.support()), n_nodes)
+    largest = max((math.prod(_shifted_grid(shape, elements, q)[1])
+                   for elements in parts.values()), default=0)
+    need = grid_bytes(triple.d, mask.r, len(parts), n_nodes, largest + 1)
     budget = memory_budget()
     if need > budget:
         raise CascadeError(
@@ -363,11 +450,13 @@ def cascade_iterate(mask: Mask, triple: CrystalTriple, dilation: Dilation,
     # the box holds the cell [0, 1]^d: its nodes 0 <= J < 2^q form a slice
     cell = tuple(slice(-f, scale - f) for f in first)
     data[:-1].reshape(*shape, mask.r)[cell] = _seed_direction(mask, dilation)
-    reads = _read_rows(mask, dilation, first, shape, q)
+    plan = _plan(parts, dilation, first, shape, q, mask.r)
     sup_diffs = []
     for _ in range(iterations):
-        nxt = _step(reads, data)
-        sup_diffs.append(float(np.max(np.abs(nxt - data))))
+        nxt = _step(plan, data)
+        # the old iterate is spent: its array takes the difference
+        data -= nxt
+        sup_diffs.append(float(np.max(np.abs(data))))
         if not math.isfinite(sup_diffs[-1]):
             raise CascadeError(f"cascade iterate {len(sup_diffs)} is not "
                                "finite: the mask's coefficients overflow "
@@ -382,9 +471,10 @@ def refinement_residual(field: GridField, mask: Mask,
                         dilation: Dilation) -> float:
     """Largest node defect of the refinement equation for the field: the
     sup difference between the field and one more refinement step."""
-    reads = _read_rows(mask, dilation, field.first, field.shape, field.q)
+    plan = _plan(_point_parts(mask), dilation, field.first, field.shape,
+                 field.q, mask.r)
     padded = field._padded
-    return float(np.max(np.abs(_step(reads, padded) - padded)))
+    return float(np.max(np.abs(_step(plan, padded) - padded)))
 
 
 def sample_points(field: GridField, count: int = 32,

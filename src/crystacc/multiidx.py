@@ -14,11 +14,14 @@ matrices:
 The builders are exact: they accept rational data only.  Two are cached,
 since the same group elements recur throughout a run: ``build_A_s`` by
 value, and ``build_Q_tilde`` on the element's own triple, so those entries
-die with the triple.  The exact solver builds no Q-tilde block: its rows
-and its witness guard apply the binomial shift to plain values.  The
+die with the triple.  Both compute on plain values (ints where the data
+are integral, else Fractions or QCs) and make one Mat at the end:
+``build_Q_tilde`` applies the binomial shift by the element's translation
+to the rows of b_[t]^{-1}, as the exact solver's rows and witness guard
+do, with no Mat product.  The exact solver builds no Q-tilde block; the
 ``build_Q_tilde`` cache serves the cascade oracle and :func:`eval_y`.
-``build_Q_st`` is not cached: ``build_Q_tilde`` is its one caller in the
-package.
+``build_Q_st`` is the dense reference of the shift, not cached and not
+called in the package.
 """
 
 from __future__ import annotations
@@ -28,6 +31,10 @@ from functools import lru_cache
 from math import comb
 
 from .linalg import Mat, QC
+# _plain and _sparse_rows live in mask: perfbench/tracing.py times every
+# linalg and multiidx function that accuracy imports, and accuracy calls
+# them per entry
+from .mask import _plain, _sparse_rows
 
 
 def dim_degree(d: int, s: int) -> int:
@@ -95,23 +102,24 @@ def build_A_s(a: Mat, s: int) -> Mat:
     alphas = enumerate_degree(d, s)
     pos = _index_map(d, s)
     zero_exp = (0,) * d
-    # row alpha holds the expansion of prod_i ((Ax)_i)^(alpha_i)
+    # row alpha holds the expansion of prod_i ((Ax)_i)^(alpha_i), on plain
+    # values
     linear = []
     for i in range(d):
         form = {}
         for j in range(d):
-            c = a.entry(i, j)
-            if not c.is_zero():
+            c = _plain(a.entry(i, j))
+            if c != 0:
                 exp = tuple(1 if t == j else 0 for t in range(d))
                 form[exp] = c
         linear.append(form)
     rows = []
     for alpha in alphas:
-        poly = {zero_exp: QC(1)}
+        poly = {zero_exp: 1}
         for i, e in enumerate(alpha):
             for _ in range(e):
                 poly = _poly_mul(poly, linear[i])
-        row = [QC(0)] * len(alphas)
+        row = [0] * len(alphas)
         for exp, c in poly.items():
             row[pos[exp]] = c
         rows.append(row)
@@ -147,15 +155,35 @@ def build_Q_st(y, s: int, t: int) -> Mat:
 
 def build_Q_tilde(gamma, s: int, t: int) -> Mat:
     """Block of the substitution X_[s](gamma^{-1} x) = sum_t Qt_[s,t](gamma)
-    X_[t](x) for a crystal element gamma = (b, l): Q_[s,t](l) b_[t]^{-1}."""
+    X_[t](x) for a crystal element gamma = (b, l): Q_[s,t](l) b_[t]^{-1}.
+
+    Built on plain values: row alpha is the binomial shift
+    sum_beta binom(alpha, beta) (-l)^(alpha-beta) of the rows beta of
+    b_[t]^{-1}, with l read as ints where it is integral, so the block is
+    the product :func:`build_Q_st` @ :func:`build_A_s` without a Mat
+    product."""
     if t > s:
         raise ValueError("Q~_[s,t] requires t <= s")
     cache = gamma.triple.q_tilde_cache
     key = (gamma.g, gamma.k, s, t)
     out = cache.get(key)
     if out is None:
-        q = build_Q_st(gamma.true_translation(), s, t)
-        out = cache[key] = q @ build_A_s(gamma.point_matrix_inverse(), t)
+        lead_rows = _sparse_rows(build_A_s(gamma.point_matrix_inverse(), t))
+        neg = [-_plain(x) for x in gamma.true_translation()]
+        betas = enumerate_degree(len(neg), t)
+        rows = []
+        for alpha in enumerate_degree(len(neg), s):
+            row = [0] * len(betas)
+            for beta, terms in zip(betas, lead_rows):
+                if any(b > a for a, b in zip(alpha, beta)):
+                    continue
+                f = _binom_vec(alpha, beta) * _monomial(
+                    neg, tuple(a - b for a, b in zip(alpha, beta)), 1)
+                if f != 0:
+                    for k, x in terms:
+                        row[k] += f * x
+            rows.append(row)
+        out = cache[key] = Mat.from_rows(rows, cols=len(betas))
     return out
 
 

@@ -294,15 +294,17 @@ def test_2d_tensor_hat(plane):
 
 
 def test_grid_bytes_estimate():
-    """Integer nodes, four live iterates and one int64 read index per mask
-    element, per node; the 2D tensor quadratic B-spline (16 elements) on
-    its certified box [0, 3]^2 at the default spacing 2^-8 has 769^2 nodes
-    and is estimated at about 123 MB."""
-    assert grid_bytes(1, 1, 3, 10) == 10 * (8 + 64 + 3 * 8)
-    assert grid_bytes(2, 3, 5, 7) == 7 * (16 + 3 * 64 + 5 * 8)
-    n = 769 ** 2
-    assert grid_bytes(2, 1, 16, n) == n * (16 + 64 + 16 * 8)
-    assert 0.12e9 < grid_bytes(2, 1, 16, n) < 0.13e9
+    """Per node, integer nodes, four live iterates and one int64 read index
+    per point part; plus the one buffer of shifted copies.  The 2D tensor
+    quadratic B-spline (one point part, shifts 0..3 per axis) on its
+    certified box [0, 3]^2 at the default spacing 2^-8 has 769^2 nodes and
+    a buffer of 1537^2 nodes and one zero row, and is estimated at about
+    90 MB."""
+    assert grid_bytes(1, 1, 3, 10, 0) == 10 * (8 + 64 + 3 * 8)
+    assert grid_bytes(2, 3, 5, 7, 11) == 7 * (16 + 3 * 64 + 5 * 8) + 11 * 48
+    n, u = 769 ** 2, 1537 ** 2 + 1
+    assert grid_bytes(2, 1, 1, n, u) == n * (16 + 64 + 8) + 16 * u
+    assert 0.089e9 < grid_bytes(2, 1, 1, n, u) < 0.091e9
 
 
 def _quadratic_bspline_2d(t):
@@ -330,7 +332,7 @@ def test_default_grid_of_the_quadratic_bspline_fits_in_1_gib(plane,
     monkeypatch.setattr(cascade_mod, "memory_budget", lambda: 0)
     with pytest.raises(CascadeError, match="memory"):
         cascade_iterate(mask, t, dil, iterations=12, grid_exponent=8)
-    assert seen == [(2, 1, 16, 769 ** 2)]
+    assert seen == [(2, 1, 1, 769 ** 2, 1537 ** 2 + 1)]
     assert grid_bytes(*seen[0]) < 2 ** 30
 
 
@@ -471,6 +473,101 @@ def test_box_grid_matches_a_reference_cascade(case, rnd):
     assert np.allclose(got.real, common, rtol=0, atol=1e-12 * scale)
 
 
+# -- the one-gather-per-point-part step against the per-element one ---------
+
+
+def _per_element_reads(mask, dil, first, shape, q):
+    """The reads of the per-element step: per mask element (g, k), the
+    padded-field row that every node J reads, G_{g^{-1}} M J - 2^q k, with
+    the block d_(g,k) transposed."""
+    t = mask.triple
+    m = np.array(dil.M, dtype=np.int64)
+    nodes = cascade_mod._node_grid(first, shape)
+    reads = []
+    for e, blk in mask.items():
+        lin = np.array(t.int_reps[t.inverse_table[e.g]], dtype=np.int64) @ m
+        target = nodes @ lin.T - (np.array(e.k, dtype=np.int64) << q)
+        reads.append((cascade_mod._rows(first, shape, target),
+                      blk.np().T.copy()))
+    return reads
+
+
+def _per_element_step(reads, padded):
+    """One refinement step with one gather per mask element."""
+    out = np.zeros_like(padded)
+    for rows, d_t in reads:
+        out[:-1] += padded[rows] @ d_t
+    return out
+
+
+STEP_CASES = {
+    # name: (catalog group, dimension, R or None for I, dilation, r)
+    "p1-1d": ("p1", 1, None, [[2]], 1),
+    "p1-2d": ("p1", 2, None, [[2, 0], [0, 2]], 1),
+    "p1-quincunx": ("p1", 2, None, QUINCUNX, 1),
+    "p1m": ("p1m", 1, None, [[2]], 1),
+    "pm": ("pm", 2, None, [[2, 0], [0, 2]], 1),
+    "p4m": ("p4m", 2, None, [[2, 0], [0, 2]], 1),
+    "p4m-quincunx": ("p4m", 2, None, QUINCUNX, 1),
+    "pm-diagonal": ("pm", 2, [[Fraction(1, 2), 0], [0, Fraction(1, 3)]],
+                    [[2, 0], [0, 2]], 1),
+    "p2-shear": ("p2", 2, [[1, Fraction(1, 2)], [0, 1]], [[2, 0], [0, 2]],
+                 1),
+    "complex-1d": ("p1", 1, None, [[2]], 2),
+    "complex-pm": ("pm", 2, None, [[2, 0], [0, 2]], 2),
+}
+
+
+@seed(2026)
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(STEP_CASES)), st.randoms(use_true_random=False))
+def test_point_part_step_matches_the_per_element_step(case, rnd):
+    """On random masks (several shifts per point part, complex r = 2
+    blocks included) and random complex fields, the step with one gather
+    per point part matches the per-element step to 1e-12 relative after
+    four steps, and refinement_residual reads the same plan."""
+    name, dim, lattice, a, r = STEP_CASES[case]
+    t = catalog_triple(name, dim)
+    if lattice is not None:
+        t = validate_triple(Mat.from_rows(lattice), t.group)
+    dil = check_admissible(Mat.from_rows(a), t)
+
+    def coef():
+        x = Fraction(rnd.randint(-6, 6), rnd.randint(1, 4))
+        return [x, Fraction(rnd.randint(-3, 3), 2)] if r > 1 else x
+
+    blocks = {}
+    for g in rnd.sample(range(t.order), rnd.randint(1, t.order)):
+        for _ in range(rnd.randint(1, 4)):
+            k = tuple(rnd.randint(-2, 2) for _ in range(dim))
+            blocks[t.element(g, k)] = [[coef() for _ in range(r)]
+                                       for _ in range(r)]
+    mask = Mask(t, blocks, r=r)
+    q = rnd.randint(1, 3)
+    box = support_box(mask, dil, Fraction(1, 2 ** q))
+    first = np.array([int(lo * 2 ** q) for lo, _ in box], dtype=np.int64)
+    shape = tuple(int((hi - lo) * 2 ** q) + 1 for lo, hi in box)
+    plan = cascade_mod._plan(cascade_mod._point_parts(mask), dil, first,
+                             shape, q, r)
+    assert len(plan.parts) == len({e.g for e in mask.support()})
+    reads = _per_element_reads(mask, dil, first, shape, q)
+    gen = np.random.default_rng(rnd.randrange(2 ** 32))
+    start = np.zeros((math.prod(shape) + 1, r), dtype=complex)
+    start[:-1] = gen.normal(size=(len(start) - 1, r)) \
+        + 1j * gen.normal(size=(len(start) - 1, r))
+    got, want = start, start
+    for _ in range(4):
+        got = cascade_mod._step(plan, got)
+        want = _per_element_step(reads, want)
+        assert np.all(got[-1] == 0)
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+    field = cascade_mod.GridField(t, q, first, shape, start)
+    defect = float(np.max(np.abs(_per_element_step(reads, start) - start)))
+    assert abs(refinement_residual(field, mask, dil) - defect) <= \
+        1e-12 * max(1.0, defect)
+
+
 @pytest.fixture(scope="module")
 def quincunx_pair():
     """The p1 mask with support {(0,0), (1,0)} under the quincunx A."""
@@ -534,8 +631,9 @@ def test_probe_block_skips_zero_reads(plane, monkeypatch):
 def test_cascade_refuses_a_grid_beyond_the_memory_budget(line, hat,
                                                          monkeypatch):
     t, dil = line
-    # the hat (support box [-1, 1]) at spacing 2^-6: 2 * 64 + 1 nodes
-    need = grid_bytes(1, 1, 3, 129)
+    # the hat (support box [-1, 1]) at spacing 2^-6: 2 * 64 + 1 nodes, one
+    # point part, its buffer widened by 2 * 64 nodes for the shifts -1..1
+    need = grid_bytes(1, 1, 1, 129, 257 + 1)
     monkeypatch.setattr(cascade_mod, "memory_budget", lambda: need - 1)
     with pytest.raises(CascadeError, match="memory"):
         cascade_iterate(hat, t, dil, iterations=2, grid_exponent=6)

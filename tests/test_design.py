@@ -10,8 +10,10 @@ one elimination per degree (no dense re-layout of the stacked rows),
 constraint rows built on Python ints where the data are integral and
 eliminated as plain sparse rows, one elimination routine in linalg, one
 plain view of a mask's coefficients (fhat0 sums it on ints, built once
-per mask), no parse cache in the CLI that outlives a call, and every
-name the benchmark's tracer wraps."""
+per mask), no parse cache in the CLI that outlives a call, a cascade
+plan with one read index per point part, Q-tilde blocks built on ints
+where the data are integral, and every name the benchmark's tracer
+wraps."""
 
 import ast
 import importlib.util
@@ -20,6 +22,7 @@ import re
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import crystacc
@@ -370,3 +373,53 @@ def test_cli_keeps_no_parse_cache():
             assert not (isinstance(value, ast.Call) and getattr(
                 value.func, "id", None) in ("dict", "set", "list")), \
                 ast.dump(node)
+
+
+def test_cascade_plan_holds_one_index_array_per_point_part():
+    """The p4m hat spread (8 point parts, 9 shifts each, 72 elements) plans
+    one int64 read index per point part, each one entry per box node, and
+    no other index array: the shifts of a part are slice windows."""
+    t = catalog_triple("p4m", 2)
+    dil = check_admissible(Mat.from_rows([[2, 0], [0, 2]]), t)
+    hat = {-1: 1, 0: 2, 1: 1}
+    mask = Mask.scalar(t, {(g, (i, j)): f"{a * b}/32" for g in range(8)
+                           for i, a in hat.items() for j, b in hat.items()})
+    parts = cascade._point_parts(mask)
+    assert len(parts) == 8 and len(mask.support()) == 72
+    first, shape = np.array([-16, -16]), (33, 33)
+    plan = cascade._plan(parts, dil, first, shape, 4, 1)
+    arrays = [x for part in plan.parts for x in vars(part).values()
+              if isinstance(x, np.ndarray)]
+    assert len(arrays) == len(plan.parts) == 8
+    assert all(a.dtype == np.int64 and a.shape == (33 * 33,)
+               for a in arrays)
+    assert all(len(part.adds) == 9 for part in plan.parts)
+
+
+def test_q_tilde_blocks_are_built_on_ints(monkeypatch):
+    """On R = I, build_Q_tilde multiplies no Mat (no Mat.__matmul__ call)
+    and hands Mat.from_rows Python ints only, rotations and reflections
+    included."""
+    t = catalog_triple("p4m", 2)
+    products, kinds = [], set()
+    matmul, from_rows = Mat.__matmul__, Mat.from_rows
+
+    def counted(self, other):
+        products.append(1)
+        return matmul(self, other)
+
+    def spy(rows, cols=None):
+        rows = [list(row) for row in rows]
+        kinds.update(type(x) for row in rows for x in row)
+        return from_rows(rows, cols)
+
+    monkeypatch.setattr(Mat, "__matmul__", counted)
+    monkeypatch.setattr(Mat, "from_rows", staticmethod(spy))
+    for g in range(t.order):
+        gamma = t.element(g, (g - 3, 2 - g))
+        for s in range(4):
+            for tt in range(s + 1):
+                assert multiidx.build_Q_tilde(gamma, s, tt).shape == (
+                    dim_degree(2, s), dim_degree(2, tt))
+    assert products == []
+    assert kinds == {int}

@@ -5,12 +5,14 @@ import random
 import weakref
 from fractions import Fraction
 
+import hypothesis
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crystacc.accuracy import max_accuracy
-from crystacc.crystal import catalog_triple, check_admissible, compose
+from crystacc.crystal import (catalog_triple, check_admissible, compose,
+                              generate_group, validate_triple)
 from crystacc.linalg import Mat, QC
 from crystacc.mask import Mask
 from crystacc.multiidx import (VCollection, build_A_s, build_Q_st,
@@ -169,6 +171,48 @@ def test_cocycle_on_pm(pm, s, seed):
     for tt in range(s + 1):
         acc = acc + build_Q_tilde(g2, s, tt) @ eval_y(g1, v, tt)
     assert lhs == acc
+
+
+def _q_tilde_triple(case):
+    """A fresh triple (so an empty Q-tilde cache) with rotations and
+    reflections, on an integral or a non-integral lattice."""
+    if case == "oh-3d":
+        gens = [[[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+                [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
+                [[-1, 0, 0], [0, 1, 0], [0, 0, 1]]]
+        return validate_triple(Mat.identity(3), generate_group(
+            [Mat.from_rows(g) for g in gens], 48))
+    name, dim, lattice = {
+        "p1m": ("p1m", 1, None),
+        "p1m-thirds": ("p1m", 1, [[Fraction(2, 3)]]),
+        "p4m": ("p4m", 2, None),
+        "p4m-thirds": ("p4m", 2, [[Fraction(1, 3), 0], [0, Fraction(1, 3)]]),
+        "pm-diagonal": ("pm", 2, [[Fraction(1, 2), 0],
+                                  [0, Fraction(1, 3)]]),
+        "p2-shear": ("p2", 2, [[1, Fraction(1, 2)], [0, 1]]),
+    }[case]
+    t = catalog_triple(name, dim)
+    if lattice is None:
+        return t
+    return validate_triple(Mat.from_rows(lattice), t.group)
+
+
+@hypothesis.seed(2026)
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["oh-3d", "p1m", "p1m-thirds", "p4m", "p4m-thirds",
+                        "pm-diagonal", "p2-shear"]),
+       st.integers(0, 3), st.randoms(use_true_random=False))
+def test_plain_q_tilde_equals_the_dense_product(case, s, rnd):
+    """build_Q_tilde, built on plain values, equals the dense exact product
+    Q_[s,t](l) (b^{-1})_[t] for every t <= s, on integral and non-integral
+    lattices alike."""
+    t = _q_tilde_triple(case)
+    gamma = t.element(rnd.randrange(t.order),
+                      [rnd.randint(-4, 4) for _ in range(t.d)])
+    for tt in range(s + 1):
+        want = (build_Q_st(gamma.true_translation(), s, tt)
+                @ build_A_s(gamma.point_matrix_inverse(), tt))
+        assert build_Q_tilde(gamma, s, tt) == want
 
 
 def test_vcollection_shape_checks():
