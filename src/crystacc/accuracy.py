@@ -34,9 +34,9 @@ from .crystal import CrystalTriple, Dilation, compose, inverse
 # by name in this module
 from .linalg import (Mat, QC, QC_ZERO, SparseRows, det, kernel_basis, kron,
                      solve_affine)
-from .mask import Mask, MaskShapeError, _plain, _sparse_rows
-from .multiidx import (VCollection, build_A_s, build_Q_tilde, dim_degree,
-                       enumerate_degree, eval_y)
+from .mask import Mask, MaskShapeError, _plain
+from .multiidx import (VCollection, _shift_rows, build_A_s, build_Q_tilde,
+                       dim_degree, enumerate_degree, eval_y)
 
 
 @dataclass
@@ -172,6 +172,12 @@ _NO_GATE = {
 }
 
 
+def _sparse_rows(mat: Mat) -> list[list]:
+    """The rows of mat as lists of (column, plain non-zero entry) pairs."""
+    return [[(k, _plain(x)) for k, x in enumerate(mat.row_list(j))
+             if not x.is_zero()] for j in range(mat.rows)]
+
+
 def condition_d_residuals(mask: Mask, dilation: Dilation, v: VCollection,
                           s: int) -> list[Mat]:
     """Defects of the degree-s reproduction constraint on every digit
@@ -185,46 +191,30 @@ def condition_d_residuals(mask: Mask, dilation: Dilation, v: VCollection,
     sum_{t<=s} Qt_[s,t](b, l) A_[t] v_[t] d_(b,l)
     = sum_{t<=s} Q_[s,t](l) w_{b,t} d_(b,l), with
     w_{b,t} = (b^{-1} A)_[t] v_[t] formed once per point part b and
-    degree t.  Q_[s,t](l) is applied as the polynomial shift: row alpha
-    gathers sum_beta binom(alpha, beta) (-l)^(alpha-beta) w_{b,t}[beta].
+    degree t.  Q_[s,t](l) is applied as the polynomial shift
+    (:func:`~crystacc.multiidx._shift_rows`): row alpha gathers
+    sum_beta binom(alpha, beta) (-l)^(alpha-beta) w_{b,t}[beta].
     The entries are plain values (:func:`_plain`): ints where the data
     are integral, else Fractions or QCs, wrapped in Mats at the end.
     Each element is checked by itself; the guard never reads the moment
     table it checks.
     """
-    tri, d, r = mask.triple, mask.triple.d, mask.r
+    tri, r = mask.triple, mask.r
     vs = [[[_plain(x) for x in blk.row_list(j)] for j in range(blk.rows)]
           for blk in v.blocks[:s + 1]]
     out = [[list(row) for row in vs[s]] for _ in range(dilation.m)]
-    mus = [mu for t in range(s + 1) for mu in enumerate_degree(d, t)]
-    # row alpha of the shift: (t, index of beta, binom(alpha, beta),
-    # alpha - beta) for every beta <= alpha of degree t <= s
-    shifts = [[(t, j, prod(comb(n, k) for n, k in zip(alpha, beta)),
-                tuple(n - k for n, k in zip(alpha, beta)))
-               for t in range(s + 1)
-               for j, beta in enumerate(enumerate_degree(d, t))
-               if all(k <= n for n, k in zip(alpha, beta))]
-              for alpha in enumerate_degree(d, s)]
     w = {}
     for e, blk in mask.items():
         residual = out[dilation.coset_index(inverse(e))]
         if e.g not in w:
             b_inv_a = tri.group[tri.inverse_table[e.g]] @ dilation.A
-            w[e.g] = [[[sum((x * vs[t][k][c] for k, x in lead), 0)
-                        for c in range(r)]
-                       for lead in _sparse_rows(build_A_s(b_inv_a, t))]
-                      for t in range(s + 1)]
-        w_b = w[e.g]
+            w[e.g] = {t: [[sum((x * vs[t][k][c] for k, x in lead), 0)
+                           for c in range(r)]
+                          for lead in _sparse_rows(build_A_s(b_inv_a, t))]
+                      for t in range(s + 1)}
         neg = [-_plain(x) for x in e.true_translation()]
-        power = {mu: prod(y ** n for y, n in zip(neg, mu)) for mu in mus}
         d_rows = _sparse_rows(blk)
-        for row, terms in zip(residual, shifts):
-            u = [0] * r
-            for t, j, binom, mu in terms:
-                f = binom * power[mu]
-                if f != 0:
-                    for a, x in enumerate(w_b[t][j]):
-                        u[a] += f * x
+        for row, u in zip(residual, _shift_rows(neg, s, w[e.g])):
             for a, x in enumerate(u):
                 if x != 0:
                     for c, y in d_rows[a]:

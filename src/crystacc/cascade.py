@@ -313,7 +313,16 @@ def grid_bytes(d: int, r: int, n_parts: int, n_nodes: int,
     next one, the plan's term and a difference, r complex128 each) and one
     int64 read index per point part; plus the one buffer of shifted
     copies, r complex128 on each of its ``buffer_nodes`` nodes
-    (:func:`_plan`)."""
+    (:func:`_plan`).
+
+    The buffer is the box widened by 2^q times the hull of a point part's
+    shifts, so it does not grow with the number of elements but with the
+    spread of their shifts: about |lambda|^d box nodes for A = lambda I.
+    One int64 index per element and node, as a gather per element would
+    need, is the cheaper of the two only for a few elements spread over a
+    wide hull: the four corners of [0, 3]^2 under A = 4I have the box
+    [0, 1]^2 and a buffer of about 16 times its nodes, 256 bytes per box
+    node against 32."""
     per_node = 8 * d + 4 * 16 * r + 8 * n_parts
     return n_nodes * per_node + 16 * r * buffer_nodes
 
@@ -392,17 +401,19 @@ def _step(plan: _Plan, padded: np.ndarray) -> np.ndarray:
     out = np.zeros_like(padded)
     field, term = padded[:-1], plan.term
     r = term.shape[1]
-    # for r = 1 the 1 x 1 product is a broadcast one, without a matmul call
-    product = np.multiply if r == 1 else np.matmul
     shaped = term.reshape(*plan.shape, r)
     for part in plan.parts:
         u = plan.buffer[:math.prod(part.shape) + 1]
         u.fill(0)
         grid = u[:-1].reshape(*part.shape, r)
         for window, d_t in part.adds:
-            product(field, d_t, out=term)
+            # np.dot, not np.matmul: on complex arrays with r = 1 it takes
+            # a sixth of the time, and within 10% at r = 2
+            np.dot(field, d_t, out=term)
             grid[window] += shaped
-        np.take(u, part.rows, axis=0, out=term)
+        # every row lies in u (_rows), so "clip" changes no index; unlike
+        # "raise" it writes into term without a temporary copy
+        np.take(u, part.rows, axis=0, out=term, mode="clip")
         out[:-1] += term
     return out
 

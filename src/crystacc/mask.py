@@ -169,12 +169,6 @@ def _plain(x: QC, scale: int = 1):
     return num // den if num % den == 0 else Fraction(num, den)
 
 
-def _sparse_rows(mat: Mat) -> list[list]:
-    """The rows of mat as lists of (column, plain non-zero entry) pairs."""
-    return [[(k, _plain(x)) for k, x in enumerate(mat.row_list(j))
-             if not x.is_zero()] for j in range(mat.rows)]
-
-
 def _plain_coefficients(mask: Mask) -> PlainCoefficients:
     """The plain view of :meth:`Mask.plain`, built in one walk of the
     blocks' non-zero entries."""

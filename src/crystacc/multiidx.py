@@ -31,10 +31,9 @@ from functools import lru_cache
 from math import comb
 
 from .linalg import Mat, QC
-# _plain and _sparse_rows live in mask: perfbench/tracing.py times every
-# linalg and multiidx function that accuracy imports, and accuracy calls
-# them per entry
-from .mask import _plain, _sparse_rows
+# _plain lives in mask: perfbench/tracing.py times every linalg and
+# multiidx function that accuracy imports, and accuracy calls it per entry
+from .mask import _plain
 
 
 def dim_degree(d: int, s: int) -> int:
@@ -153,37 +152,60 @@ def build_Q_st(y, s: int, t: int) -> Mat:
     return Mat.from_rows(rows)
 
 
+@lru_cache(maxsize=None)
+def _shift_pattern(d: int, s: int, t: int) -> tuple:
+    """Row alpha of Q_[s,t]: (index of beta, binom(alpha, beta),
+    alpha - beta) for every beta <= alpha of degree t."""
+    return tuple(tuple((j, _binom_vec(alpha, beta),
+                        tuple(a - b for a, b in zip(alpha, beta)))
+                       for j, beta in enumerate(enumerate_degree(d, t))
+                       if all(b <= a for a, b in zip(alpha, beta)))
+                 for alpha in enumerate_degree(d, s))
+
+
+def _shift_rows(neg, s: int, blocks: dict) -> list:
+    """The rows of sum_t Q_[s,t](l) B_t on plain values, for neg = -l and
+    blocks mapping each degree t <= s to the rows beta of B_t as dense
+    lists of one width: row alpha is the binomial shift
+    sum_(t, beta) binom(alpha, beta) (-l)^(alpha-beta) B_t[beta] over the
+    beta <= alpha."""
+    d = len(neg)
+    width = len(next(iter(blocks.values()))[0])
+    out = [[0] * width for _ in range(dim_degree(d, s))]
+    powers = {}
+    for t, rows in blocks.items():
+        for acc, terms in zip(out, _shift_pattern(d, s, t)):
+            for j, binom, mu in terms:
+                w = powers.get(mu)
+                if w is None:
+                    w = powers[mu] = _monomial(neg, mu, 1)
+                if w != 0:
+                    f = binom * w
+                    for k, x in enumerate(rows[j]):
+                        if x != 0:
+                            acc[k] += f * x
+    return out
+
+
 def build_Q_tilde(gamma, s: int, t: int) -> Mat:
     """Block of the substitution X_[s](gamma^{-1} x) = sum_t Qt_[s,t](gamma)
     X_[t](x) for a crystal element gamma = (b, l): Q_[s,t](l) b_[t]^{-1}.
 
-    Built on plain values: row alpha is the binomial shift
-    sum_beta binom(alpha, beta) (-l)^(alpha-beta) of the rows beta of
-    b_[t]^{-1}, with l read as ints where it is integral, so the block is
-    the product :func:`build_Q_st` @ :func:`build_A_s` without a Mat
-    product."""
+    Built on plain values: the binomial shift (:func:`_shift_rows`) by l,
+    read as ints where it is integral, of the rows of b_[t]^{-1}, so the
+    block is the product :func:`build_Q_st` @ :func:`build_A_s` without a
+    Mat product."""
     if t > s:
         raise ValueError("Q~_[s,t] requires t <= s")
     cache = gamma.triple.q_tilde_cache
     key = (gamma.g, gamma.k, s, t)
     out = cache.get(key)
     if out is None:
-        lead_rows = _sparse_rows(build_A_s(gamma.point_matrix_inverse(), t))
+        lead = build_A_s(gamma.point_matrix_inverse(), t)
         neg = [-_plain(x) for x in gamma.true_translation()]
-        betas = enumerate_degree(len(neg), t)
-        rows = []
-        for alpha in enumerate_degree(len(neg), s):
-            row = [0] * len(betas)
-            for beta, terms in zip(betas, lead_rows):
-                if any(b > a for a, b in zip(alpha, beta)):
-                    continue
-                f = _binom_vec(alpha, beta) * _monomial(
-                    neg, tuple(a - b for a, b in zip(alpha, beta)), 1)
-                if f != 0:
-                    for k, x in terms:
-                        row[k] += f * x
-            rows.append(row)
-        out = cache[key] = Mat.from_rows(rows, cols=len(betas))
+        rows = _shift_rows(neg, s, {t: [[_plain(x) for x in lead.row_list(j)]
+                                        for j in range(lead.rows)]})
+        out = cache[key] = Mat.from_rows(rows, cols=lead.cols)
     return out
 
 

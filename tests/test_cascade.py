@@ -336,6 +336,32 @@ def test_default_grid_of_the_quadratic_bspline_fits_in_1_gib(plane,
     assert grid_bytes(*seen[0]) < 2 ** 30
 
 
+def test_sparse_wide_hull_mask_pays_for_its_buffer(plane, monkeypatch):
+    """Four elements at the corners of [0, 3]^2 under A = 4I: the box is
+    [0, 1]^2, but the buffer of shifted copies spans [0, 4]^2, so it
+    outweighs the four int64 indices per node that a gather per element
+    would hold, and the estimate counts it before the refusal."""
+    t, _ = plane
+    dil = check_admissible(Mat.from_rows([[4, 0], [0, 4]]), t)
+    mask = Mask.scalar(t, {(i, j): 4 for i in (0, 3) for j in (0, 3)})
+    assert support_box(mask, dil, 2.0 ** -6) == [(0, 1), (0, 1)]
+    seen = []
+
+    def spy(*args):
+        seen.append(args)
+        return grid_bytes(*args)
+
+    monkeypatch.setattr(cascade_mod, "grid_bytes", spy)
+    monkeypatch.setattr(cascade_mod, "memory_budget", lambda: 0)
+    with pytest.raises(CascadeError, match="memory"):
+        cascade_iterate(mask, t, dil, iterations=2, grid_exponent=6)
+    n, u = 65 ** 2, (65 + 3 * 64) ** 2 + 1
+    assert seen == [(2, 1, 1, n, u)]
+    assert grid_bytes(*seen[0]) == n * (16 + 64 + 8) + 16 * u
+    # the buffer costs more than seven times the per-element indices
+    assert 16 * u > 7 * (4 * 8 * n)
+
+
 # -- the certified box against a reference cascade --------------------------
 
 QUINCUNX = [[1, 1], [1, -1]]
