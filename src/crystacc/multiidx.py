@@ -17,9 +17,11 @@ value, and ``build_Q_tilde`` on the element's own triple, so those entries
 die with the triple.  Both compute on plain values (ints where the data
 are integral, else Fractions or QCs) and make one Mat at the end:
 ``build_Q_tilde`` applies the binomial shift by the element's translation
-to the rows of b_[t]^{-1}, as the exact solver's rows and witness guard
-do, with no Mat product.  The exact solver builds no Q-tilde block; the
-``build_Q_tilde`` cache serves the cascade oracle and :func:`eval_y`.
+(``_shift_rows``, whose pattern of binomials is cached by degrees) to the
+rows of b_[t]^{-1}, with no Mat product; the witness guard
+:func:`~crystacc.accuracy.condition_d_residuals` applies the same shift.
+The exact solver builds no Q-tilde block; the ``build_Q_tilde`` cache
+serves the cascade oracle and :func:`eval_y`.
 ``build_Q_st`` is the dense reference of the shift, not cached and not
 called in the package.
 """

@@ -15,9 +15,9 @@ from crystacc.crystal import (catalog_triple, check_admissible, compose,
                               generate_group, validate_triple)
 from crystacc.linalg import Mat, QC
 from crystacc.mask import Mask
-from crystacc.multiidx import (VCollection, build_A_s, build_Q_st,
-                               build_Q_tilde, dim_degree, enumerate_degree,
-                               eval_X, eval_y)
+from crystacc.multiidx import (VCollection, _shift_rows, build_A_s,
+                               build_Q_st, build_Q_tilde, dim_degree,
+                               enumerate_degree, eval_X, eval_y)
 
 from conftest import rand_fraction, rand_point
 
@@ -213,6 +213,30 @@ def test_plain_q_tilde_equals_the_dense_product(case, s, rnd):
         want = (build_Q_st(gamma.true_translation(), s, tt)
                 @ build_A_s(gamma.point_matrix_inverse(), tt))
         assert build_Q_tilde(gamma, s, tt) == want
+
+
+@hypothesis.seed(2026)
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 3), st.integers(1, 3),
+       st.randoms(use_true_random=False))
+def test_shift_rows_sums_the_dense_shifts(d, s, width, rnd):
+    """_shift_rows over several degrees at once equals the sum of the
+    dense products Q_[s,t](l) B_t, with l and B_t mixing ints and
+    Fractions."""
+    def value():
+        return rnd.choice([rnd.randint(-3, 3),
+                           Fraction(rnd.randint(-3, 3), rnd.randint(1, 4))])
+
+    l = [value() for _ in range(d)]
+    degrees = [t for t in range(s + 1) if rnd.random() < 0.7] or [s]
+    blocks = {t: [[value() for _ in range(width)]
+                  for _ in range(dim_degree(d, t))] for t in degrees}
+    want = None
+    for t, rows in blocks.items():
+        term = build_Q_st(l, s, t) @ Mat.from_rows(rows)
+        want = term if want is None else want + term
+    got = _shift_rows([-x for x in l], s, blocks)
+    assert Mat.from_rows(got, cols=width) == want
 
 
 def test_vcollection_shape_checks():
