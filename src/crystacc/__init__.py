@@ -19,8 +19,8 @@ from .crystal import (AdmissibilityError, CrystalElement, CrystalTriple,
                       validate_triple)
 from .linalg import Mat, QC, kernel_basis, kron, rank
 from .mask import (Mask, MaskShapeError, check_gamma_A_symmetry,
-                   coefficient, extract_scalar, l2_budget, lattice_triple,
-                   lift_scalar_to_matrix, transfer_entry)
+                   extract_scalar, l2_budget, lattice_triple,
+                   lift_scalar_to_matrix)
 from .multiidx import (VCollection, build_A_s, build_Q_st, build_Q_tilde,
                        dim_degree, enumerate_degree, eval_X, eval_y)
 
@@ -34,12 +34,12 @@ __all__ = [
     "SufficientReport", "VCollection", "build_A_s", "build_Q_st",
     "build_Q_tilde", "cascade_iterate", "catalog_names",
     "catalog_triple", "check_admissible", "check_gamma_A_symmetry",
-    "coefficient", "compose", "condition_d_residuals", "dim_degree",
+    "compose", "condition_d_residuals", "dim_degree",
     "elements_in_ball", "empirical_accuracy", "empirical_level",
     "enumerate_degree", "eval_X", "eval_y", "extract_scalar", "fhat0",
     "generate_group", "inverse", "kernel_basis", "kron", "l2_budget",
     "lattice_triple", "lift_scalar_to_matrix", "max_accuracy", "rank",
     "refinement_residual", "reproduce", "reproduction_values", "sample_points",
-    "sufficient_check", "support_box", "transfer_entry", "validate_triple",
+    "sufficient_check", "support_box", "validate_triple",
     "verify_equivalence",
 ]

@@ -47,8 +47,8 @@ from .accuracy import fhat0, max_accuracy
 from .crystal import CrystalTriple, Dilation
 from .linalg import Mat, integer_rows
 from .mask import Mask
-from .multiidx import (VCollection, build_Q_tilde, dim_degree,
-                       enumerate_degree)
+from .multiidx import (VCollection, _acted_rows, _y_rows, build_A_s,
+                       dim_degree, enumerate_degree)
 
 CONVERGENCE_TOL = 1e-6
 MAX_BOX_STEPS = 64
@@ -548,11 +548,14 @@ def _gamma_cover(field: GridField, J: np.ndarray) -> list:
     return cover
 
 
-def _eval_y(gamma, v: tuple, s: int) -> np.ndarray:
-    """y_[s](gamma) = sum_{t<=s} Qt_[s,t](gamma) v_[t] for a float
-    witness v (a tuple of complex arrays, block t of shape d_t x r)."""
-    terms = [build_Q_tilde(gamma, s, t).np() @ v[t] for t in range(s + 1)]
-    return sum(terms[1:], terms[0])
+def _y_terms(gamma, s: int, acted) -> list:
+    """The terms Qt_[s,t](gamma) v_[t] of y_[s](gamma), one complex d_s x r
+    array per block t of acted(b) (:func:`~crystacc.multiidx._acted_rows`
+    of the rows of a float witness v): the binomial shift by gamma's
+    translation.  Kept apart, each term is rounded as the product
+    Qt_[s,t](gamma) v_[t] alone; the callers sum them in t."""
+    return [np.array(_y_rows(gamma, {t: rows}, s), dtype=complex)
+            for t, rows in acted(gamma.g).items()]
 
 
 def reproduction_values(field: GridField, v: tuple, s: int,
@@ -569,12 +572,14 @@ def reproduction_values(field: GridField, v: tuple, s: int,
     J = field.node_index(points)
     out = np.zeros((len(J), dim_degree(field.d, s)), dtype=complex)
     excluded = np.zeros(len(J), dtype=bool)
+    acted = _acted_rows(field.triple, [b.tolist() for b in v[:s + 1]])
     for e in _gamma_cover(field, J):
         moved = _translate(field, e, J)
         inside = _near(field, moved, 0)
         excluded |= ~inside & _near(field, moved, 1)
         if inside.any():
-            out += field.read(moved) @ _eval_y(e, v, s).T
+            terms = _y_terms(e, s, acted)
+            out += field.read(moved) @ sum(terms[1:], terms[0]).T
     return out, excluded
 
 
@@ -638,7 +643,7 @@ def _probe_block(field: GridField, v: tuple | None, s: int,
     With no blocks at all (solver accuracy 0) the degree-0 row itself is
     fitted against the constant 1, fixing the scale.  A gamma whose
     targets all lie more than one node off the grid box reads only zeros
-    and is skipped, with its exact Q-tilde blocks.
+    and is skipped, with its blocks (b^{-1})_[t].
     """
     d_s = dim_degree(field.d, s)
     r = field.r
@@ -647,21 +652,19 @@ def _probe_block(field: GridField, v: tuple | None, s: int,
 
     base = np.zeros((n, d_s), dtype=complex)
     design = np.zeros((n, d_s, d_s * r), dtype=complex)
+    acted = (_acted_rows(field.triple, [b.tolist() for b in v[:s]])
+             if v is not None and s > 0 else None)
     for e in _gamma_cover(field, J):
         moved = _translate(field, e, J)
         if not _near(field, moved, 1).any():
             continue
         vals = field.read(moved)
-        if v is not None:
-            partial = None
-            for tt in range(min(s, len(v))):
-                q = build_Q_tilde(e, s, tt).np()
-                term = vals @ (q @ v[tt]).T
-                partial = term if partial is None else partial + term
-            if partial is not None:
-                base += partial
-        q_ss = build_Q_tilde(e, s, s).np()
-        # unknown W is d_s x r; the gamma term is q_ss @ W @ vals[x]
+        if acted is not None:
+            terms = [vals @ y.T for y in _y_terms(e, s, acted)]
+            base += sum(terms[1:], terms[0])
+        # unknown W is d_s x r; the gamma term is Qt_[s,s] @ W @ vals[x],
+        # and Qt_[s,s] = (b^{-1})_[s] as Q_[s,s] = I
+        q_ss = build_A_s(e.point_matrix_inverse(), s).np()
         design += np.einsum("ab,nc->nabc", q_ss, vals).reshape(n, d_s,
                                                                d_s * r)
     if C is None:

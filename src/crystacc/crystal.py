@@ -92,8 +92,6 @@ class CrystalTriple:
         # the rows of R, entries ints where integral, for true_translation
         self.R_rows = [[x.re.numerator if x.re.denominator == 1 else x.re
                         for x in R.row_list(i)] for i in range(self.d)]
-        # build_Q_tilde blocks keyed by (g, k, s, t); they die with the triple
-        self.q_tilde_cache: dict = {}
 
     @property
     def order(self) -> int:
@@ -192,11 +190,12 @@ class CrystalElement:
     def point_matrix_inverse(self) -> Mat:
         return self.triple.group[self.triple.inverse_table[self.g]]
 
-    def true_translation(self) -> tuple[QC, ...]:
-        """R·k, the translation as a point of R^d: one dot product with
-        each row of the real matrix R, on ints where R is integral."""
-        return tuple([QC(sum(map(mul, row, self.k)))
-                      for row in self.triple.R_rows])
+    def true_translation(self) -> tuple:
+        """R·k, the translation as a point of R^d, on plain values: one dot
+        product with each row of the real matrix R, read as an int where
+        it is one, else a Fraction."""
+        xs = [sum(map(mul, row, self.k)) for row in self.triple.R_rows]
+        return tuple(x.numerator if x.denominator == 1 else x for x in xs)
 
     def __repr__(self):
         return f"({self.g}, {self.k})"

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import lcm
 
 from .crystal import (CrystalElement, CrystalTriple, Dilation, _int_apply,
-                      compose, inverse, validate_triple)
+                      validate_triple)
 from .linalg import Mat, QC, read_float
 
 
@@ -169,6 +169,12 @@ def _plain(x: QC, scale: int = 1):
     return num // den if num % den == 0 else Fraction(num, den)
 
 
+def _sparse_rows(mat: Mat) -> list[list]:
+    """The rows of mat as lists of (column, plain non-zero entry) pairs."""
+    return [[(k, _plain(x)) for k, x in enumerate(mat.row_list(j))
+             if not x.is_zero()] for j in range(mat.rows)]
+
+
 def _plain_coefficients(mask: Mask) -> PlainCoefficients:
     """The plain view of :meth:`Mask.plain`, built in one walk of the
     blocks' non-zero entries."""
@@ -196,27 +202,6 @@ def _read_entry(x, changes: list) -> QC:
     if not given.is_zero():
         changes.append(float((q - given).abs2() / given.abs2()) ** 0.5)
     return q
-
-
-def coefficient(mask: Mask, gamma: CrystalElement) -> Mat:
-    """The block stored at gamma, or the zero block when gamma is outside
-    the support."""
-    blk = mask.block(gamma)
-    if blk is None:
-        return Mat.zeros(mask.r, mask.r)
-    return blk
-
-
-def transfer_entry(mask: Mask, gamma: CrystalElement, sigma: CrystalElement,
-                   dilation: Dilation) -> Mat:
-    """Entry (gamma, sigma) of the two-scale transfer matrix: the mask
-    coefficient at (A gamma A^{-1}) sigma^{-1}.
-
-    For fixed gamma at most |support| choices of sigma give a nonzero
-    block, namely sigma = alpha^{-1} (A gamma A^{-1}) over support
-    elements alpha.
-    """
-    return coefficient(mask, compose(dilation.conj(gamma), inverse(sigma)))
 
 
 def lattice_triple(triple: CrystalTriple) -> CrystalTriple:

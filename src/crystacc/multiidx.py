@@ -11,31 +11,29 @@ matrices:
 * ``build_Q_tilde(gamma, s, t)``: the same blocks for the inverse action of
   a crystal element gamma = (b, l), namely Q_[s,t](l) b_[t]^{-1}.
 
-The builders are exact: they accept rational data only.  Two are cached,
-since the same group elements recur throughout a run: ``build_A_s`` by
-value, and ``build_Q_tilde`` on the element's own triple, so those entries
-die with the triple.  Both compute on plain values (ints where the data
-are integral, else Fractions or QCs) and make one Mat at the end:
-``build_Q_tilde`` applies the binomial shift by the element's translation
-(``_shift_rows``, whose pattern of binomials is cached by degrees) to the
-rows of b_[t]^{-1}, with no Mat product; the witness guard
-:func:`~crystacc.accuracy.condition_d_residuals` applies the same shift.
-The exact solver builds no Q-tilde block; the ``build_Q_tilde`` cache
-serves the cascade oracle and :func:`eval_y`.
-``build_Q_st`` is the dense reference of the shift, not cached and not
-called in the package.
+The builders are exact: they accept rational data only, compute on plain
+values (ints where the data are integral, else Fractions or QCs) and make
+one Mat at the end; ``build_A_s`` is cached by value.  Every reader of
+the Q-tilde blocks (:func:`eval_y`, the witness guard
+:func:`~crystacc.accuracy.condition_d_residuals` and the cascade oracle)
+applies one binomial shift by the element's translation (``_shift_rows``,
+its binomials cached by degrees) to the rows of m_[t] v_[t], formed once
+per point part (``_acted_rows``).  ``build_Q_tilde`` and ``build_Q_st``
+are the dense references of that shift, uncached and not called in the
+package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import comb
 
 from .linalg import Mat, QC
-# _plain lives in mask: perfbench/tracing.py times every linalg and
-# multiidx function that accuracy imports, and accuracy calls it per entry
-from .mask import _plain
+# _plain and _sparse_rows live in mask: perfbench/tracing.py times every
+# linalg and multiidx function that accuracy imports, and accuracy calls
+# them per entry and per support element
+from .mask import _plain, _sparse_rows
 
 
 def dim_degree(d: int, s: int) -> int:
@@ -167,10 +165,10 @@ def _shift_pattern(d: int, s: int, t: int) -> tuple:
 
 def _shift_rows(neg, s: int, blocks: dict) -> list:
     """The rows of sum_t Q_[s,t](l) B_t on plain values, for neg = -l and
-    blocks mapping each degree t <= s to the rows beta of B_t as dense
-    lists of one width: row alpha is the binomial shift
+    blocks mapping degrees t to the rows beta of B_t as dense lists of one
+    width: row alpha is the binomial shift
     sum_(t, beta) binom(alpha, beta) (-l)^(alpha-beta) B_t[beta] over the
-    beta <= alpha."""
+    beta <= alpha, so a block of degree above s adds nothing."""
     d = len(neg)
     width = len(next(iter(blocks.values()))[0])
     out = [[0] * width for _ in range(dim_degree(d, s))]
@@ -189,6 +187,28 @@ def _shift_rows(neg, s: int, blocks: dict) -> list:
     return out
 
 
+def _acted_rows(triple, vs: list, a: Mat | None = None):
+    """g -> {t: the rows of m_[t] v_[t]}, m = b^{-1} (b^{-1} a when a is
+    given) for the point part b = g of the triple, formed once per part:
+    the blocks :func:`_shift_rows` shifts, for vs the rows of the blocks
+    v_[t] (plain values, or Python complex in the cascade oracle)."""
+    def rows(g):
+        m = triple.group[triple.inverse_table[g]]
+        m = m if a is None else m @ a
+        return {t: [[sum((x * vt[k][c] for k, x in row), 0)
+                     for c in range(len(vt[0]))]
+                    for row in _sparse_rows(build_A_s(m, t))]
+                for t, vt in enumerate(vs)}
+    return cache(rows)
+
+
+def _y_rows(gamma, acted: dict, s: int) -> list:
+    """The rows of sum_t Q_[s,t](l) (b^{-1})_[t] v_[t] for gamma = (b, l),
+    from blocks of :func:`_acted_rows`: y_[s](gamma) when they hold every
+    degree t <= s."""
+    return _shift_rows([-x for x in gamma.true_translation()], s, acted)
+
+
 def build_Q_tilde(gamma, s: int, t: int) -> Mat:
     """Block of the substitution X_[s](gamma^{-1} x) = sum_t Qt_[s,t](gamma)
     X_[t](x) for a crystal element gamma = (b, l): Q_[s,t](l) b_[t]^{-1}.
@@ -196,19 +216,15 @@ def build_Q_tilde(gamma, s: int, t: int) -> Mat:
     Built on plain values: the binomial shift (:func:`_shift_rows`) by l,
     read as ints where it is integral, of the rows of b_[t]^{-1}, so the
     block is the product :func:`build_Q_st` @ :func:`build_A_s` without a
-    Mat product."""
+    Mat product.  The package reads these blocks through the shift only;
+    this is the tests' reference."""
     if t > s:
         raise ValueError("Q~_[s,t] requires t <= s")
-    cache = gamma.triple.q_tilde_cache
-    key = (gamma.g, gamma.k, s, t)
-    out = cache.get(key)
-    if out is None:
-        lead = build_A_s(gamma.point_matrix_inverse(), t)
-        neg = [-_plain(x) for x in gamma.true_translation()]
-        rows = _shift_rows(neg, s, {t: [[_plain(x) for x in lead.row_list(j)]
-                                        for j in range(lead.rows)]})
-        out = cache[key] = Mat.from_rows(rows, cols=lead.cols)
-    return out
+    lead = build_A_s(gamma.point_matrix_inverse(), t)
+    neg = [-x for x in gamma.true_translation()]
+    rows = _shift_rows(neg, s, {t: [[_plain(x) for x in lead.row_list(j)]
+                                    for j in range(lead.rows)]})
+    return Mat.from_rows(rows, cols=lead.cols)
 
 
 @dataclass(frozen=True)
@@ -244,13 +260,16 @@ class VCollection:
     def scale(self, c) -> "VCollection":
         return VCollection(self.d, tuple(b.scale(c) for b in self.blocks))
 
+    def plain(self, s: int) -> list:
+        """The rows of blocks 0..s as lists of plain values."""
+        return [[[_plain(x) for x in b.row_list(j)] for j in range(b.rows)]
+                for b in self.blocks[:s + 1]]
+
 
 def eval_y(gamma, v: VCollection, s: int) -> Mat:
-    """y_[s](gamma) = sum_{t<=s} Qt_[s,t](gamma) v_[t]; a d_s x r matrix."""
+    """y_[s](gamma) = sum_{t<=s} Qt_[s,t](gamma) v_[t]; a d_s x r matrix,
+    the binomial shift by l of the rows of (b^{-1})_[t] v_[t]."""
     if s >= v.p:
         raise ValueError(f"degree {s} needs v blocks up to {s}")
-    acc = None
-    for t in range(s + 1):
-        term = build_Q_tilde(gamma, s, t) @ v.block(t)
-        acc = term if acc is None else acc + term
-    return acc
+    acted = _acted_rows(gamma.triple, v.plain(s))(gamma.g)
+    return Mat.from_rows(_y_rows(gamma, acted, s), cols=v.r)

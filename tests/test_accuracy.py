@@ -515,6 +515,22 @@ def test_verify_equivalence_flags_bad_witness(line, hat):
                rep.max_residual_c) > 0
 
 
+def test_verify_equivalence_passes_a_certificate_of_accuracy_zero(pm):
+    """The pm mask of the CLI tests has accuracy 0, so max_accuracy gives
+    no witness; verify_equivalence then checks nothing and passes with
+    p = 0 instead of failing on the missing witness."""
+    t, dil = pm
+    mask = Mask.scalar(t, {(0, (0, 0)): 1, (0, (1, 0)): Fraction(1, 2),
+                           (1, (0, 1)): Fraction(-2, 3), (1, (1, 1)): 5})
+    cert = max_accuracy(mask, t, dil, p_max=3)
+    assert cert.p == 0 and cert.witness is None
+    rep = verify_equivalence(mask, dil, cert.witness,
+                             [t.translation((1, 0))])
+    assert rep.p == 0 and rep.passed and rep.details == {}
+    assert (rep.max_residual_d, rep.max_residual_b,
+            rep.max_residual_c) == (0.0, 0.0, 0.0)
+
+
 def test_float_hat_certificate_equals_the_exact_one(line, hat):
     """The float copy of the hat reads back to the hat: accuracy 2 and the
     exact witness, normalized to 1 in its first entry."""
@@ -805,7 +821,7 @@ def _fraction_moments(mask, dilation, p_max):
     for e, blk in mask.items():
         key = (dilation.coset_index(inverse(e)), e.g)
         moments = table.setdefault(key, {mu: {} for mu in mus})
-        neg = [-x.re for x in e.true_translation()]
+        neg = [-x for x in e.true_translation()]
         d_t = [(a, c, x.re if x.im == 0 else x) for c in range(r)
                for a, x in enumerate(blk.row_list(c)) if not x.is_zero()]
         for mu in mus:

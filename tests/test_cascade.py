@@ -625,8 +625,8 @@ def test_box_step_bound_raises(quincunx_pair, monkeypatch):
 
 def test_probe_block_skips_zero_reads(plane, monkeypatch):
     """A wider gamma cover adds only gammas whose targets all lie off the
-    grid box; _probe_block skips them, Q-tilde blocks included, so the
-    fitted block and residual are the default cover's exactly."""
+    grid box; _probe_block skips them, their blocks (b^{-1})_[t] included,
+    so the fitted block and residual are the default cover's exactly."""
     t, dil = plane
     mask = _quadratic_bspline_2d(t)
     field = cascade_iterate(mask, t, dil, iterations=12,
@@ -634,16 +634,17 @@ def test_probe_block_skips_zero_reads(plane, monkeypatch):
     v = _float_witness(max_accuracy(mask, t, dil, p_max=2))
     pts = sample_points(field, count=12)
     calls = []
-    real_q = cascade_mod.build_Q_tilde
+    real_a = cascade_mod.build_A_s
 
-    def counting_q(*args):
+    def counting_a(*args):
         calls.append(args)
-        return real_q(*args)
+        return real_a(*args)
 
-    monkeypatch.setattr(cascade_mod, "build_Q_tilde", counting_q)
+    monkeypatch.setattr(cascade_mod, "build_A_s", counting_a)
     default_cover = cascade_mod._gamma_cover(field, field.node_index(pts))
     res_default, v_default, _ = _probe_block(field, v, 2, pts, 1.0)
     n_default = len(calls)
+    assert n_default > 0
     wide = [t.element(g, k) for g in range(t.order)
             for k in itertools.product(range(-6, 7), repeat=2)]
     assert set(default_cover) < set(wide)

@@ -12,8 +12,9 @@ eliminated as plain sparse rows, one elimination routine in linalg, one
 plain view of a mask's coefficients (fhat0 sums it on ints, built once
 per mask), no parse cache in the CLI that outlives a call, a cascade
 plan with one read index per point part, Q-tilde blocks built on ints
-where the data are integral, and every name the benchmark's tracer
-wraps."""
+where the data are integral and read through the binomial shift only (no
+reader builds them, and no triple caches them), and every name the
+benchmark's tracer wraps."""
 
 import ast
 import importlib.util
@@ -117,9 +118,11 @@ def test_benchmark_tracer_finds_every_wrap_target():
 UNUSED_IMPORTS_KEPT = {
     ("accuracy.py", "kron"): "perfbench/tracing.py wraps it by name in "
                              "crystacc.accuracy for the linalg.kron metrics",
-    ("accuracy.py", "build_Q_tilde"): "perfbench/tracing.py wraps it by "
-                                      "name in crystacc.accuracy for the "
-                                      "multiidx.build_s metric",
+    ("accuracy.py", "build_Q_tilde"): "perfbench/tracing.py looks it up "
+                                      "by name in crystacc.accuracy and "
+                                      "reports it missing otherwise; no "
+                                      "package code calls it (the dense "
+                                      "reference of the binomial shift)",
 }
 
 
@@ -423,3 +426,35 @@ def test_q_tilde_blocks_are_built_on_ints(monkeypatch):
                     dim_degree(2, s), dim_degree(2, tt))
     assert products == []
     assert kinds == {int}
+
+
+def test_no_reader_builds_q_tilde_blocks(monkeypatch):
+    """The witness re-check and the cascade oracle read Q-tilde through
+    the binomial shift: on the p4m tensor hat, rotations and reflections
+    included, verify_equivalence and verify_degrees make no build_Q_tilde
+    call, and the triple keeps no cache of Q-tilde blocks."""
+    calls = []
+    real = multiidx.build_Q_tilde
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (accuracy, cascade, multiidx):
+        if hasattr(module, "build_Q_tilde"):
+            monkeypatch.setattr(module, "build_Q_tilde", counted)
+    t = catalog_triple("p4m", 2)
+    dil = check_admissible(Mat.from_rows([[2, 0], [0, 2]]), t)
+    hat = {-1: 1, 0: 2, 1: 1}
+    mask = Mask.scalar(t, {(g, (i, j)): f"{a * b}/32" for g in range(8)
+                           for i, a in hat.items() for j, b in hat.items()})
+    cert = accuracy.max_accuracy(mask, t, dil, 3)
+    assert cert.p == 2
+    sample = [t.element(g, (1, -1)) for g in range(t.order)]
+    assert accuracy.verify_equivalence(mask, dil, cert.witness,
+                                       sample).passed
+    field = cascade_iterate(mask, t, dil, 8, grid_exponent=3).field
+    checks = list(cascade.verify_degrees(field, cert.witness, 3, 1e-5, 8, 1))
+    assert [c.s for c in checks] == [0, 1, 2]
+    assert calls == []
+    assert not hasattr(t, "q_tilde_cache")

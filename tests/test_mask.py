@@ -1,15 +1,14 @@
-"""Mask construction, the transfer matrix, and the scalar/matrix lift."""
+"""Mask construction and the scalar/matrix lift."""
 
 from fractions import Fraction
 
 import pytest
 
-from crystacc.crystal import compose, elements_in_ball, inverse
+from crystacc.crystal import elements_in_ball
 from crystacc.linalg import Mat, QC
 from crystacc.mask import (Mask, MaskShapeError, check_gamma_A_symmetry,
-                           coefficient, extract_scalar, l2_budget,
-                           lattice_triple, lift_scalar_to_matrix,
-                           transfer_entry)
+                           extract_scalar, l2_budget, lattice_triple,
+                           lift_scalar_to_matrix)
 
 from conftest import rand_fraction
 
@@ -78,7 +77,6 @@ def test_absent_coefficient_is_zero(line, haar):
     t, _ = line
     far = t.translation((9,))
     assert haar.block(far) is None
-    assert coefficient(haar, far) == Mat.zeros(1, 1)
 
 
 def test_mask_shape_validation(line, pm):
@@ -104,35 +102,6 @@ def test_equality_treats_missing_blocks_as_zero(line):
     b = Mask.scalar(t, {0: 1})
     assert a == b
     assert Mask.scalar(t, {0: 1, 5: Fraction(1, 9)}) != b
-
-
-def test_haar_transfer_entries(line, haar):
-    t, dil = line
-    tau = t.translation
-    one = Mat.identity(1)
-    zero = Mat.zeros(1, 1)
-    assert transfer_entry(haar, tau((0,)), tau((0,)), dil) == one
-    assert transfer_entry(haar, tau((1,)), tau((1,)), dil) == one
-    assert transfer_entry(haar, tau((1,)), tau((2,)), dil) == one
-    assert transfer_entry(haar, tau((0,)), tau((-1,)), dil) == one
-    for gk, sk in [((0,), (1,)), ((0,), (2,)), ((1,), (0,)),
-                   ((2,), (1,)), ((1,), (3,))]:
-        assert transfer_entry(haar, tau(gk), tau(sk), dil) == zero
-
-
-@pytest.mark.parametrize("mask_name", ["haar", "hat"])
-def test_transfer_column_locality(line, mask_name, request):
-    """For fixed gamma the nonzero transfer entries sit exactly at
-    sigma = alpha^{-1} (A gamma A^{-1}) with alpha in the support."""
-    t, dil = line
-    mask = request.getfixturevalue(mask_name)
-    zero = Mat.zeros(1, 1)
-    for gamma in elements_in_ball(t, 2):
-        predicted = {compose(inverse(alpha), dil.conj(gamma))
-                     for alpha in mask.support()}
-        for sigma in elements_in_ball(t, 4):
-            nz = transfer_entry(mask, gamma, sigma, dil) != zero
-            assert nz == (sigma in predicted)
 
 
 def test_lift_sym_hat_blocks(p1m, sym_hat):

@@ -6,18 +6,20 @@ import weakref
 from fractions import Fraction
 
 import hypothesis
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crystacc import cascade
 from crystacc.accuracy import max_accuracy
 from crystacc.crystal import (catalog_triple, check_admissible, compose,
                               generate_group, validate_triple)
 from crystacc.linalg import Mat, QC
 from crystacc.mask import Mask
-from crystacc.multiidx import (VCollection, _shift_rows, build_A_s,
-                               build_Q_st, build_Q_tilde, dim_degree,
-                               enumerate_degree, eval_X, eval_y)
+from crystacc.multiidx import (VCollection, _acted_rows, _shift_rows,
+                               build_A_s, build_Q_st, build_Q_tilde,
+                               dim_degree, enumerate_degree, eval_X, eval_y)
 
 from conftest import rand_fraction, rand_point
 
@@ -174,8 +176,8 @@ def test_cocycle_on_pm(pm, s, seed):
 
 
 def _q_tilde_triple(case):
-    """A fresh triple (so an empty Q-tilde cache) with rotations and
-    reflections, on an integral or a non-integral lattice."""
+    """A fresh triple with rotations and reflections, on an integral or a
+    non-integral lattice."""
     if case == "oh-3d":
         gens = [[[0, 1, 0], [1, 0, 0], [0, 0, 1]],
                 [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
@@ -239,14 +241,54 @@ def test_shift_rows_sums_the_dense_shifts(d, s, width, rnd):
     assert Mat.from_rows(got, cols=width) == want
 
 
+@hypothesis.seed(2026)
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["oh-3d", "p1m", "p1m-thirds", "p4m", "p4m-thirds",
+                        "pm-diagonal", "p2-shear"]),
+       st.integers(0, 3), st.integers(1, 2), st.booleans(),
+       st.randoms(use_true_random=False))
+def test_eval_y_equals_the_dense_q_tilde_sum(case, s, r, complex_v, rnd):
+    """eval_y, the binomial shift of the rows (b^{-1})_[t] v_[t], equals
+    sum_t build_Q_tilde(gamma, s, t) @ v_[t] exactly, and the cascade's
+    float y_[s] equals the same sum in floats to 1e-12 relative, on
+    integral and non-integral lattices, for real and complex v and
+    r = 1, 2."""
+    t = _q_tilde_triple(case)
+
+    def value():
+        def part():
+            return Fraction(rnd.randint(-5, 5), rnd.randint(1, 4))
+        return QC(part(), part()) if complex_v else QC(part())
+
+    v = VCollection(t.d, tuple(
+        Mat.from_rows([[value() for _ in range(r)]
+                       for _ in range(dim_degree(t.d, j))])
+        for j in range(s + 1)))
+    gamma = t.element(rnd.randrange(t.order),
+                      [rnd.randint(-4, 4) for _ in range(t.d)])
+    want = None
+    for tt in range(s + 1):
+        term = build_Q_tilde(gamma, s, tt) @ v.block(tt)
+        want = term if want is None else want + term
+    assert eval_y(gamma, v, s) == want
+    fv = tuple(b.np() for b in v.blocks)
+    acted = _acted_rows(t, [b.tolist() for b in fv])
+    got = sum(cascade._y_terms(gamma, s, acted))
+    ref = sum(build_Q_tilde(gamma, s, tt).np() @ fv[tt]
+              for tt in range(s + 1))
+    assert got.shape == ref.shape == (dim_degree(t.d, s), r)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0,
+                                                    np.max(np.abs(ref)))
+
+
 def test_vcollection_shape_checks():
     with pytest.raises(ValueError):
         VCollection(2, (Mat.from_rows([[1]]), Mat.from_rows([[1]])))
 
 
 def test_dropped_triple_is_garbage_collected():
-    """The Q~ blocks are cached on the triple, so no module-level cache
-    keeps a triple alive after its last user lets go."""
+    """No module-level cache keeps a triple alive after its last user
+    lets go."""
     t = catalog_triple("p1m", 1)
     dil = check_admissible(Mat.from_rows([[2]]), t)
     mask = Mask.scalar(t, {(g, (k,)): Fraction(c, 4) for g in (0, 1)
