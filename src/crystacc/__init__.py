@@ -19,8 +19,7 @@ from .crystal import (AdmissibilityError, CrystalElement, CrystalTriple,
                       validate_triple)
 from .linalg import Mat, QC, kernel_basis, kron, rank
 from .mask import (Mask, MaskShapeError, check_gamma_A_symmetry,
-                   extract_scalar, l2_budget, lattice_triple,
-                   lift_scalar_to_matrix)
+                   extract_scalar, lattice_triple, lift_scalar_to_matrix)
 from .multiidx import (VCollection, build_A_s, build_Q_st, build_Q_tilde,
                        dim_degree, enumerate_degree, eval_X, eval_y)
 
@@ -37,7 +36,7 @@ __all__ = [
     "compose", "condition_d_residuals", "dim_degree",
     "elements_in_ball", "empirical_accuracy", "empirical_level",
     "enumerate_degree", "eval_X", "eval_y", "extract_scalar", "fhat0",
-    "generate_group", "inverse", "kernel_basis", "kron", "l2_budget",
+    "generate_group", "inverse", "kernel_basis", "kron",
     "lattice_triple", "lift_scalar_to_matrix", "max_accuracy", "rank",
     "refinement_residual", "reproduce", "reproduction_values", "sample_points",
     "sufficient_check", "support_box", "validate_triple",

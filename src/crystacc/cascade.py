@@ -19,7 +19,9 @@ part g differ by whole shifts 2^q k, so a step first sums the field's
 shifted copies u_g = sum_k f(. - 2^q k) d_(g,k)^T by slice adds, then
 reads u_g at G_{g^{-1}} M J: one integer gather, and one index array,
 per point part.  The oracle reads the finished field at nodes only and
-refuses any other point.
+refuses any other point.  It walks the gamma cover of its sample nodes
+once for every witness degree (:func:`reproduce`): the degrees share the
+degree-0 sums, C and the two closed forms, and each s >= 1 adds one sum.
 
 The grid is the one box :func:`support_box` certifies for every
 admissible dilation: the n-step box map, whose maps y -> M^{-n} G' y + c
@@ -320,9 +322,7 @@ def grid_bytes(d: int, r: int, n_parts: int, n_nodes: int,
     spread of their shifts: about |lambda|^d box nodes for A = lambda I.
     One int64 index per element and node, as a gather per element would
     need, is the cheaper of the two only for a few elements spread over a
-    wide hull: the four corners of [0, 3]^2 under A = 4I have the box
-    [0, 1]^2 and a buffer of about 16 times its nodes, 256 bytes per box
-    node against 32."""
+    wide hull."""
     per_node = 8 * d + 4 * 16 * r + 8 * n_parts
     return n_nodes * per_node + 16 * r * buffer_nodes
 
@@ -407,8 +407,8 @@ def _step(plan: _Plan, padded: np.ndarray) -> np.ndarray:
         u.fill(0)
         grid = u[:-1].reshape(*part.shape, r)
         for window, d_t in part.adds:
-            # np.dot, not np.matmul: on complex arrays with r = 1 it takes
-            # a sixth of the time, and within 10% at r = 2
+            # np.dot, not np.matmul: the faster of the two on these
+            # complex products
             np.dot(field, d_t, out=term)
             grid[window] += shaped
         # every row lies in u (_rows), so "clip" changes no index; unlike
@@ -550,12 +550,40 @@ def _gamma_cover(field: GridField, J: np.ndarray) -> list:
 
 def _y_terms(gamma, s: int, acted) -> list:
     """The terms Qt_[s,t](gamma) v_[t] of y_[s](gamma), one complex d_s x r
-    array per block t of acted(b) (:func:`~crystacc.multiidx._acted_rows`
+    array per block t <= s of acted(b) (:func:`~crystacc.multiidx._acted_rows`
     of the rows of a float witness v): the binomial shift by gamma's
     translation.  Kept apart, each term is rounded as the product
     Qt_[s,t](gamma) v_[t] alone; the callers sum them in t."""
     return [np.array(_y_rows(gamma, {t: rows}, s), dtype=complex)
-            for t, rows in acted(gamma.g).items()]
+            for t, rows in acted(gamma.g).items() if t <= s]
+
+
+def _walk(field: GridField, J: np.ndarray) -> tuple:
+    """The gamma cover of the nodes J, walked once: (reads, excluded).
+    reads holds (gamma, field.read(gamma(J)), whether one of those lies on
+    the box) for each gamma whose reads land within one node of the box
+    (every other gamma reads zeros only); excluded marks the nodes with a
+    read off the box but within one node of it: their sums may be cut."""
+    reads, excluded = [], np.zeros(len(J), dtype=bool)
+    for e in _gamma_cover(field, J):
+        moved = _translate(field, e, J)
+        inside, near = _near(field, moved, 0), _near(field, moved, 1)
+        excluded |= ~inside & near
+        if near.any():
+            reads.append((e, field.read(moved), inside.any()))
+    return reads, excluded
+
+
+def _sums(field: GridField, reads: list, n: int, s: int,
+          acted) -> np.ndarray:
+    """G_[s](x) = sum_gamma y_[s](gamma) f(gamma(x)) at n nodes, over the
+    reads of :func:`_walk` that touch the box, in the order of the walk."""
+    out = np.zeros((n, dim_degree(field.d, s)), dtype=complex)
+    for e, vals, on_box in reads:
+        if on_box:
+            terms = _y_terms(e, s, acted)
+            out += vals @ sum(terms[1:], terms[0]).T
+    return out
 
 
 def reproduction_values(field: GridField, v: tuple, s: int,
@@ -567,20 +595,10 @@ def reproduction_values(field: GridField, v: tuple, s: int,
     Returns (values (N, d_s), excluded) where excluded marks points with a
     translate that lands off the grid box but within one node of it, so
     their sum may be truncated.  A point that is not a grid node raises
-    ValueError.
-    """
-    J = field.node_index(points)
-    out = np.zeros((len(J), dim_degree(field.d, s)), dtype=complex)
-    excluded = np.zeros(len(J), dtype=bool)
+    ValueError."""
+    reads, excluded = _walk(field, field.node_index(points))
     acted = _acted_rows(field.triple, [b.tolist() for b in v[:s + 1]])
-    for e in _gamma_cover(field, J):
-        moved = _translate(field, e, J)
-        inside = _near(field, moved, 0)
-        excluded |= ~inside & _near(field, moved, 1)
-        if inside.any():
-            terms = _y_terms(e, s, acted)
-            out += field.read(moved) @ sum(terms[1:], terms[0]).T
-    return out, excluded
+    return _sums(field, reads, len(excluded), s, acted), excluded
 
 
 def _monomial_matrix(pts: np.ndarray, s: int) -> np.ndarray:
@@ -589,49 +607,50 @@ def _monomial_matrix(pts: np.ndarray, s: int) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def reproduce(field: GridField, v: tuple, s: int, sample_points,
-              tol: float = 1e-5) -> ReproductionReport:
-    """Test G_[s] = C X_[s] on the sample points for a float witness v (a
-    tuple of complex arrays), with C estimated from the degree-0 sums
-    (exact reproduction makes those constant).  C is the mean of the very
-    sums the s = 0 test compares with it, so with fewer than two kept
-    nodes that test shows nothing and never passes."""
+def reproduce(field: GridField, v: tuple, sample_points,
+              tol: float = 1e-5) -> list:
+    """Test G_[s] = C X_[s] on the sample points for every degree s of a
+    float witness v (a tuple of complex arrays, at least one): a list of
+    :class:`ReproductionReport`, one per block of v.  One walk of the
+    sample's gamma cover (:func:`_walk`) serves every degree; C, the
+    excluded points, the field integral, the gate and the closed forms are
+    computed once.  C is the mean of the degree-0 sums (exact reproduction
+    makes them constant), the very sums the s = 0 test compares with it,
+    so with fewer than two kept nodes that test shows nothing and never
+    passes."""
     pts = np.asarray(sample_points, dtype=float).reshape(-1, field.d)
-    g0, ex0 = reproduction_values(field, v, 0, pts)
-    if s == 0:
-        gs, exs = g0, ex0
-    else:
-        gs, exs = reproduction_values(field, v, s, pts)
-    excluded = ex0 | exs
+    reads, excluded = _walk(field, field.node_index(pts))
     keep = ~excluded
     if not keep.any():
         raise CascadeError("every sample point lost coverage; enlarge the "
                            "grid or shrink the sample region")
-    C = complex(np.mean(g0[keep, 0]))
-    target = C * _monomial_matrix(pts[keep], s)
-    residual = float(np.max(np.abs(gs[keep] - target)))
+    acted = _acted_rows(field.triple, [b.tolist() for b in v])
+    sums = [_sums(field, reads, len(pts), s, acted) for s in range(len(v))]
+    C = complex(np.mean(sums[0][keep, 0]))
 
     # closed-form candidates for C from the field integral; dx = |det R| dy
     det_r = abs(np.linalg.det(field.triple.R.np().real))
     integral = field._flat.sum(axis=0) * field.h ** field.d * det_r
-    v0 = v[0].ravel()
-    gate = complex(np.dot(v0, integral))
+    gate = complex(np.dot(v[0].ravel(), integral))
     vol = det_r / field.triple.order
     form_vg = vol / gate if abs(gate) > 1e-12 else complex("inf")
     form_gv = gate / vol
-    matches = []
-    for name, val in (("volume-over-gate", form_vg),
-                      ("gate-over-volume", form_gv)):
-        if abs(val - C) <= 1e-2 * max(1.0, abs(C)):
-            matches.append(name)
+    matches = [name for name, val in (("volume-over-gate", form_vg),
+                                      ("gate-over-volume", form_gv))
+               if abs(val - C) <= 1e-2 * max(1.0, abs(C))]
     matched = " and ".join(matches) if matches else "neither"
-    return ReproductionReport(
-        s=s, C=C, residual=residual,
-        verdict=bool(residual < tol and (s > 0 or keep.sum() > 1)),
-        excluded=int(excluded.sum()),
-        gate_estimate=gate, cell_volume=vol,
-        form_volume_over_gate=form_vg, form_gate_over_volume=form_gv,
-        matched_form=matched)
+    reports = []
+    for s, gs in enumerate(sums):
+        target = C * _monomial_matrix(pts[keep], s)
+        residual = float(np.max(np.abs(gs[keep] - target)))
+        reports.append(ReproductionReport(
+            s=s, C=C, residual=residual,
+            verdict=bool(residual < tol and (s > 0 or keep.sum() > 1)),
+            excluded=int(excluded.sum()),
+            gate_estimate=gate, cell_volume=vol,
+            form_volume_over_gate=form_vg, form_gate_over_volume=form_gv,
+            matched_form=matched))
+    return reports
 
 
 def _probe_block(field: GridField, v: tuple | None, s: int,
@@ -643,22 +662,15 @@ def _probe_block(field: GridField, v: tuple | None, s: int,
     With no blocks at all (solver accuracy 0) the degree-0 row itself is
     fitted against the constant 1, fixing the scale.  A gamma whose
     targets all lie more than one node off the grid box reads only zeros
-    and is skipped, with its blocks (b^{-1})_[t].
+    and is skipped (:func:`_walk`), with its blocks (b^{-1})_[t].
     """
-    d_s = dim_degree(field.d, s)
-    r = field.r
-    J = field.node_index(pts)
-    n = len(J)
-
+    d_s, r, n = dim_degree(field.d, s), field.r, len(pts)
+    reads, _ = _walk(field, field.node_index(pts))
     base = np.zeros((n, d_s), dtype=complex)
     design = np.zeros((n, d_s, d_s * r), dtype=complex)
     acted = (_acted_rows(field.triple, [b.tolist() for b in v[:s]])
              if v is not None and s > 0 else None)
-    for e in _gamma_cover(field, J):
-        moved = _translate(field, e, J)
-        if not _near(field, moved, 1).any():
-            continue
-        vals = field.read(moved)
+    for e, vals, _ in reads:
         if acted is not None:
             terms = [vals @ y.T for y in _y_terms(e, s, acted)]
             base += sum(terms[1:], terms[0])
@@ -667,10 +679,8 @@ def _probe_block(field: GridField, v: tuple | None, s: int,
         q_ss = build_A_s(e.point_matrix_inverse(), s).np()
         design += np.einsum("ab,nc->nabc", q_ss, vals).reshape(n, d_s,
                                                                d_s * r)
-    if C is None:
-        target = np.ones((n, 1), dtype=complex)
-    else:
-        target = C * _monomial_matrix(pts, s)
+    target = (np.ones((n, 1), dtype=complex) if C is None
+              else C * _monomial_matrix(pts, s))
     lhs = design.reshape(n * d_s, d_s * r)
     rhs = (target - base).reshape(n * d_s)
     sol, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
@@ -678,12 +688,8 @@ def _probe_block(field: GridField, v: tuple | None, s: int,
     residual = float(np.max(np.abs(base + fit - target)))
     block = sol.reshape(d_s, r)
     if v is None:
-        new_v = (block,)
-        new_c = complex(1.0)
-    else:
-        new_v = v + (block,)
-        new_c = C
-    return residual, new_v, new_c
+        return residual, (block,), complex(1.0)
+    return residual, v + (block,), C
 
 
 @dataclass
@@ -704,8 +710,9 @@ def verify_degrees(field: GridField, witness: VCollection | None, p_max: int,
     nodes of the field.
 
     Witness blocks from the exact solver drive the reproduction test for
-    the degrees they cover; past them, each degree gets its best-fitting
-    block (least squares), so a failure is a failure of every possible
+    the degrees below p_max they cover, in one :func:`reproduce` call;
+    past them, each degree gets its best-fitting block (least squares,
+    with that call's C), so a failure is a failure of every possible
     extension, not of one candidate.  A fit with no more sample equations
     than unknowns (at most r sample nodes) is exact by construction and
     shows nothing, so it never passes.  A failing degree does not stop the
@@ -716,12 +723,13 @@ def verify_degrees(field: GridField, witness: VCollection | None, p_max: int,
     # every y_[s] over the gamma cover
     v = (tuple(b.np() for b in witness.blocks) if witness is not None
          else None)
-    C = None
+    tested = min(len(v), p_max) if v is not None else 0
+    reports = (reproduce(field, v[:tested], pts, tol=tolerance)
+               if tested else [])
+    C = reports[0].C if reports else None
     for s in range(p_max):
-        if v is not None and s < len(v):
-            rep = reproduce(field, v, s, pts, tol=tolerance)
-            if s == 0:
-                C = rep.C
+        if s < tested:
+            rep = reports[s]
             yield DegreeCheck(s, rep.residual, rep.verdict, rep)
         else:
             residual, v, C = _probe_block(field, v, s, pts, C)

@@ -325,14 +325,3 @@ def check_gamma_A_symmetry(matrix_mask: Mask, dilation: Dilation) -> bool:
     and rho of the dilation over the crystal triple; absent blocks are
     zero.  Every lift passes, so a matrix mask that fails is no lift."""
     return _first_asymmetry(matrix_mask, dilation) is None
-
-
-def l2_budget(scalar_mask: Mask, m: int) -> bool:
-    """Strict coefficient bound sum |c|^2 < m.
-
-    The sum is a rational, so the boundary case (the sum equal to m) is
-    false, not a rounding accident.
-    """
-    if scalar_mask.r != 1:
-        raise MaskShapeError("the bound applies to multiplicity-1 masks")
-    return sum(blk.entry(0, 0).abs2() for _, blk in scalar_mask.items()) < m

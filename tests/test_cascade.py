@@ -20,6 +20,7 @@ from crystacc.crystal import (catalog_triple, check_admissible,
                               validate_triple)
 from crystacc.linalg import Mat
 from crystacc.mask import Mask, lift_scalar_to_matrix
+from crystacc.multiidx import _acted_rows, build_A_s, dim_degree
 
 
 def _float_witness(cert):
@@ -177,7 +178,7 @@ def test_reproduce_haar_partition_of_unity(line, haar, haar_field):
     t, dil = line
     cert = max_accuracy(haar, t, dil, p_max=1)
     pts = sample_points(haar_field.field, count=16)
-    rep = reproduce(haar_field.field, _float_witness(cert), 0, pts)
+    rep = reproduce(haar_field.field, _float_witness(cert), pts)[0]
     assert rep.verdict
     assert rep.residual < 1e-9
     assert abs(rep.C - 1.0) < 1e-9
@@ -191,7 +192,7 @@ def test_reproduce_hat_linear_polynomials(line, hat, hat_field):
     cert = max_accuracy(hat, t, dil, p_max=2)
     pts = sample_points(hat_field.field, count=24)
     for s in (0, 1):
-        rep = reproduce(hat_field.field, _float_witness(cert), s, pts)
+        rep = reproduce(hat_field.field, _float_witness(cert), pts)[s]
         assert rep.verdict
         assert rep.residual < 1e-12
         assert abs(rep.C - 1.0) < 1e-9
@@ -256,7 +257,7 @@ def test_lifted_hat_matches_gate_over_volume(p1m, sym_hat):
     assert res.converged
     cert = max_accuracy(lifted, lat, lat_dil, p_max=2)
     pts = sample_points(res.field, count=16)
-    rep = reproduce(res.field, _float_witness(cert), 0, pts)
+    rep = reproduce(res.field, _float_witness(cert), pts)[0]
     assert rep.verdict
     assert abs(rep.C - math.sqrt(2.0)) < 1e-3
     assert rep.matched_form == "gate-over-volume"
@@ -724,3 +725,183 @@ def test_cascade_refuses_an_overflowing_iterate(line):
     with pytest.raises(CascadeError, match="not finite"):
         with np.errstate(all="ignore"):
             cascade_iterate(huge, t, dil, iterations=4, grid_exponent=4)
+
+
+def test_verify_degrees_tests_only_the_degrees_below_p_max(line, hat,
+                                                          hat_field):
+    """p_max = 0 yields nothing, with a witness or without; a p_max below
+    the witness's accuracy tests only its degrees below p_max and fits no
+    block."""
+    t, dil = line
+    cert = max_accuracy(hat, t, dil, p_max=3)
+    assert cert.p == 2
+    field = hat_field.field
+    for witness in (cert.witness, None):
+        assert list(cascade_mod.verify_degrees(field, witness, 0, 1e-5, 16,
+                                               2026)) == []
+    checks = list(cascade_mod.verify_degrees(field, cert.witness, 1, 1e-5,
+                                             16, 2026))
+    assert [c.s for c in checks] == [0]
+    assert checks[0].report is not None and checks[0].verdict
+
+
+# The oracle before its gamma cover was walked once: every degree walked
+# the cover, recomputed the degree-0 sums and the closed forms, and the
+# probe walked it again.  The reference for the one-walk oracle, which
+# must give the same floats.
+
+def _old_reproduction_values(field, v, s, points):
+    J = field.node_index(points)
+    out = np.zeros((len(J), dim_degree(field.d, s)), dtype=complex)
+    excluded = np.zeros(len(J), dtype=bool)
+    acted = _acted_rows(field.triple, [b.tolist() for b in v[:s + 1]])
+    for e in cascade_mod._gamma_cover(field, J):
+        moved = cascade_mod._translate(field, e, J)
+        inside = cascade_mod._near(field, moved, 0)
+        excluded |= ~inside & cascade_mod._near(field, moved, 1)
+        if inside.any():
+            terms = cascade_mod._y_terms(e, s, acted)
+            out += field.read(moved) @ sum(terms[1:], terms[0]).T
+    return out, excluded
+
+
+def _old_reproduce(field, v, s, sample_points, tol):
+    pts = np.asarray(sample_points, dtype=float).reshape(-1, field.d)
+    g0, ex0 = _old_reproduction_values(field, v, 0, pts)
+    if s == 0:
+        gs, exs = g0, ex0
+    else:
+        gs, exs = _old_reproduction_values(field, v, s, pts)
+    excluded = ex0 | exs
+    keep = ~excluded
+    if not keep.any():
+        raise CascadeError("every sample point lost coverage")
+    C = complex(np.mean(g0[keep, 0]))
+    target = C * cascade_mod._monomial_matrix(pts[keep], s)
+    residual = float(np.max(np.abs(gs[keep] - target)))
+    det_r = abs(np.linalg.det(field.triple.R.np().real))
+    integral = field._flat.sum(axis=0) * field.h ** field.d * det_r
+    gate = complex(np.dot(v[0].ravel(), integral))
+    vol = det_r / field.triple.order
+    form_vg = vol / gate if abs(gate) > 1e-12 else complex("inf")
+    form_gv = gate / vol
+    matches = []
+    for name, val in (("volume-over-gate", form_vg),
+                      ("gate-over-volume", form_gv)):
+        if abs(val - C) <= 1e-2 * max(1.0, abs(C)):
+            matches.append(name)
+    return cascade_mod.ReproductionReport(
+        s=s, C=C, residual=residual,
+        verdict=bool(residual < tol and (s > 0 or keep.sum() > 1)),
+        excluded=int(excluded.sum()), gate_estimate=gate, cell_volume=vol,
+        form_volume_over_gate=form_vg, form_gate_over_volume=form_gv,
+        matched_form=" and ".join(matches) if matches else "neither")
+
+
+def _old_probe_block(field, v, s, pts, C):
+    d_s, r = dim_degree(field.d, s), field.r
+    J = field.node_index(pts)
+    n = len(J)
+    base = np.zeros((n, d_s), dtype=complex)
+    design = np.zeros((n, d_s, d_s * r), dtype=complex)
+    acted = (_acted_rows(field.triple, [b.tolist() for b in v[:s]])
+             if v is not None and s > 0 else None)
+    for e in cascade_mod._gamma_cover(field, J):
+        moved = cascade_mod._translate(field, e, J)
+        if not cascade_mod._near(field, moved, 1).any():
+            continue
+        vals = field.read(moved)
+        if acted is not None:
+            terms = [vals @ y.T for y in cascade_mod._y_terms(e, s, acted)]
+            base += sum(terms[1:], terms[0])
+        q_ss = build_A_s(e.point_matrix_inverse(), s).np()
+        design += np.einsum("ab,nc->nabc", q_ss, vals).reshape(n, d_s,
+                                                               d_s * r)
+    target = (np.ones((n, 1), dtype=complex) if C is None
+              else C * cascade_mod._monomial_matrix(pts, s))
+    lhs = design.reshape(n * d_s, d_s * r)
+    sol, *_ = np.linalg.lstsq(lhs, (target - base).reshape(n * d_s),
+                              rcond=None)
+    fit = (design @ sol).reshape(n, d_s)
+    residual = float(np.max(np.abs(base + fit - target)))
+    block = sol.reshape(d_s, r)
+    if v is None:
+        return residual, (block,), complex(1.0)
+    return residual, v + (block,), C
+
+
+def _old_verify_degrees(field, witness, p_max, tolerance, sample_count,
+                        seed_):
+    pts = sample_points(field, sample_count, seed_)
+    v = (tuple(b.np() for b in witness.blocks) if witness is not None
+         else None)
+    C = None
+    for s in range(p_max):
+        if v is not None and s < len(v):
+            rep = _old_reproduce(field, v, s, pts, tolerance)
+            if s == 0:
+                C = rep.C
+            yield cascade_mod.DegreeCheck(s, rep.residual, rep.verdict, rep)
+        else:
+            residual, v, C = _old_probe_block(field, v, s, pts, C)
+            yield cascade_mod.DegreeCheck(
+                s, residual, residual < tolerance and len(pts) > field.r,
+                None)
+
+
+@pytest.fixture(scope="module")
+def oracle_cases(line, p1m, pm):
+    """(field, certificate) of four masks of accuracy 2 built on the
+    factor c = (2, 5, 4, 1) / 6 = (1 + z)^2 (2 + z) / 6, whose thirds make
+    the sums round: c on p1, c split over p1m, c times the hat spread over
+    pm, and the p1m mask lifted to r = 2."""
+    c = {k: Fraction(n, 6) for k, n in enumerate((2, 5, 4, 1))}
+    tent = {-1: Fraction(1, 2), 0: Fraction(1), 1: Fraction(1, 2)}
+    t1, dil1 = p1m
+    split = Mask.scalar(t1, {(g, (k,)): a / 2 for g in (0, 1)
+                             for k, a in c.items()})
+    lifted = lift_scalar_to_matrix(split, dil1)
+    lat_dil = check_admissible(Mat.from_rows([[2]]), lifted.triple)
+    tp, dilp = pm
+    spread = Mask.scalar(tp, {(g, (i, j)): a * b / 2 for g in (0, 1)
+                              for i, a in c.items() for j, b in tent.items()})
+    cases = []
+    for mask, t, dil, q in ((Mask.scalar(line[0], c), *line, 6),
+                            (split, t1, dil1, 6), (spread, tp, dilp, 4),
+                            (lifted, lifted.triple, lat_dil, 6)):
+        field = cascade_iterate(mask, t, dil, 12, grid_exponent=q).field
+        cases.append((field, max_accuracy(mask, t, dil, p_max=4)))
+    assert [cert.p for _, cert in cases] == [2, 2, 2, 2]
+    assert [f.r for f, _ in cases] == [1, 1, 1, 2]
+    return cases
+
+
+@seed(2026)
+@settings(max_examples=40, deadline=None)
+@given(case=st.integers(0, 3), offset=st.integers(-2, 2),
+       with_witness=st.booleans(), count=st.integers(1, 24),
+       sample_seed=st.integers(0, 2 ** 16))
+def test_one_walk_oracle_matches_the_per_degree_oracle(
+        oracle_cases, case, offset, with_witness, count, sample_seed):
+    """The oracle that walks its sample's gamma cover once gives every
+    report field, residual and verdict of the per-degree oracle, floats
+    equal, with p_max below, at and above the witness's accuracy and with
+    no witness; the first fitted block and its residual are equal too."""
+    field, cert = oracle_cases[case]
+    witness = cert.witness if with_witness else None
+    p_max = cert.p + offset
+    args = (field, witness, p_max, 1e-5, count, sample_seed)
+    new = list(cascade_mod.verify_degrees(*args))
+    old = list(_old_verify_degrees(*args))
+    assert len(new) == len(old) == max(p_max, 0)
+    for a, b in zip(new, old):
+        assert (a.s, a.residual, a.verdict) == (b.s, b.residual, b.verdict)
+        assert a.report == b.report
+    pts = sample_points(field, count, sample_seed)
+    v = _float_witness(cert) if with_witness else None
+    C = _old_reproduce(field, v, 0, pts, 1e-5).C if with_witness else None
+    s = len(v) if v is not None else 0
+    got, want = (_probe_block(field, v, s, pts, C),
+                 _old_probe_block(field, v, s, pts, C))
+    assert got[0] == want[0] and got[2] == want[2]
+    assert np.array_equal(got[1][s], want[1][s])

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -439,6 +440,31 @@ def test_repeated_runs_are_byte_identical(tmp_path, capsys):
     c1 = capsys.readouterr().out
     assert main(args) == EXIT_OK
     assert capsys.readouterr().out == c1
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("config, flags, expected", [
+    ("hat.json", [], "hat_defaults.stdout"),
+    ("quadratic_bspline_2d.json",
+     ["--grid", "5", "--iters", "21", "--verify-p", "4"],
+     "cascade_grid.stdout"),
+    ("pm.json", [], "pm.stdout"),
+    ("p4m_hat.json", ["--grid", "5", "--verify-p", "5"],
+     "p4m_hat_grid5_verify5.stdout"),
+    ("hat.json", ["--verify-p", "0"], "hat_verify0.stdout"),
+])
+def test_cascade_stdout_matches_golden(capsys, monkeypatch, config, flags,
+                                       expected):
+    """crystacc cascade prints, byte for byte, the stdout recorded in
+    tests/golden: witness degrees, probed degrees past them (p4m at
+    --verify-p 5), a run with no witness (the pm mask, accuracy 0) and
+    one that tests nothing (--verify-p 0)."""
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    assert main(["cascade", str(GOLDEN / config), *flags]) == EXIT_OK
+    assert capsys.readouterr().out == (GOLDEN / expected).read_text(
+        encoding="utf-8")
 
 
 def test_seed_from_environment(tmp_path, capsys, monkeypatch):

@@ -13,8 +13,9 @@ plain view of a mask's coefficients (fhat0 sums it on ints, built once
 per mask), no parse cache in the CLI that outlives a call, a cascade
 plan with one read index per point part, Q-tilde blocks built on ints
 where the data are integral and read through the binomial shift only (no
-reader builds them, and no triple caches them), and every name the
-benchmark's tracer wraps."""
+reader builds them, and no triple caches them), a float oracle that
+walks its sample's gamma cover once for every witness degree, and every
+name the benchmark's tracer wraps."""
 
 import ast
 import importlib.util
@@ -458,3 +459,37 @@ def test_no_reader_builds_q_tilde_blocks(monkeypatch):
     assert [c.s for c in checks] == [0, 1, 2]
     assert calls == []
     assert not hasattr(t, "q_tilde_cache")
+
+
+def test_the_oracle_walks_its_sample_once(monkeypatch):
+    """On the quadratic B-spline at --grid 5 --verify-p 4 (three witness
+    degrees, then one fitted block), one verify_degrees run walks the
+    sample's gamma cover twice, once for every witness degree and once for
+    the fit, and forms each gamma's degree-0 term once: one s = 0 sum."""
+    t = catalog_triple("p1", 2)
+    dil = check_admissible(Mat.from_rows([[2, 0], [0, 2]]), t)
+    c = (1, 3, 3, 1)
+    mask = Mask.scalar(t, {(i, j): f"{a * b}/16" for i, a in enumerate(c)
+                           for j, b in enumerate(c)})
+    cert = accuracy.max_accuracy(mask, t, dil, 4)
+    assert cert.p == 3
+    field = cascade_iterate(mask, t, dil, 21, grid_exponent=5).field
+    covers, degree_0 = [], []
+    real_cover, real_terms = cascade._gamma_cover, cascade._y_terms
+
+    def cover(*args):
+        covers.append(args)
+        return real_cover(*args)
+
+    def terms(gamma, s, acted):
+        if s == 0:
+            degree_0.append(gamma)
+        return real_terms(gamma, s, acted)
+
+    monkeypatch.setattr(cascade, "_gamma_cover", cover)
+    monkeypatch.setattr(cascade, "_y_terms", terms)
+    checks = list(cascade.verify_degrees(field, cert.witness, 4, 1e-5, 32,
+                                         2026))
+    assert [check.report is None for check in checks] == [False] * 3 + [True]
+    assert len(covers) == 2
+    assert degree_0 and len(degree_0) == len(set(degree_0))

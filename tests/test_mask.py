@@ -7,7 +7,7 @@ import pytest
 from crystacc.crystal import elements_in_ball
 from crystacc.linalg import Mat, QC
 from crystacc.mask import (Mask, MaskShapeError, check_gamma_A_symmetry,
-                           extract_scalar, l2_budget, lattice_triple,
+                           extract_scalar, lattice_triple,
                            lift_scalar_to_matrix)
 
 from conftest import rand_fraction
@@ -212,19 +212,3 @@ def test_extract_shape_errors(line, p1m, sym_hat):
     off_lattice = Mask(t, {t.element(1, (0,)): Mat.identity(2)})
     with pytest.raises(MaskShapeError):
         extract_scalar(off_lattice, t, dil)
-
-
-def test_l2_budget(haar, hat, sym_hat, p1m):
-    assert not l2_budget(haar, 2)
-    assert l2_budget(hat, 2)
-    assert l2_budget(sym_hat, 2)
-    _, dil = p1m
-    lifted = lift_scalar_to_matrix(sym_hat, dil)
-    with pytest.raises(MaskShapeError):
-        l2_budget(lifted, 2)
-
-
-def test_l2_budget_float_coefficients(line):
-    t, _ = line
-    assert l2_budget(Mask.scalar(t, {0: 0.5, 1: 1.0, 2: 0.5}), 2)
-    assert not l2_budget(Mask.scalar(t, {0: 1.2, 1: 1.0}), 2)
