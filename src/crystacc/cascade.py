@@ -3,11 +3,14 @@
 Iterates the refinement operator on a dyadic grid to approximate the
 refinable function, then tests polynomial reproduction empirically.  This
 is the floating-point cross-check for the exact solvers.  It computes on
-complex arrays taken once from exact data through ``Mat.np()``: the mask
-blocks, the seed's integral direction (the exact
-:func:`~crystacc.accuracy.fhat0` vector, or the flat vector when there is
-none) and the exact solver's witness, which :func:`verify_degrees` turns
-into a tuple of arrays, one per degree.
+arrays taken once from exact data through ``Mat.np()``: the mask blocks,
+the seed's integral direction (the exact :func:`~crystacc.accuracy.fhat0`
+vector, or the flat vector when there is none) and the exact solver's
+witness, which :func:`verify_degrees` turns into a tuple of arrays, one
+per degree.  The cascade's field is float64 when every mask block and the
+seed direction are real, and complex128 otherwise, chosen once before
+anything is allocated (:func:`_dtype`); the oracle's sums are complex
+either way.
 
 The cascade runs in lattice coordinates y = R^{-1} x.  Admissibility makes
 M = R^{-1} A R and every G_g = R^{-1} g R integral, so the read
@@ -16,12 +19,16 @@ y -> G_{g^{-1}} M y - k, and on the grid y = h J (J an integer vector,
 h = 2^-q) node J reads node G_{g^{-1}} M J - 2^q k (Cavaretta, Dahmen and
 Micchelli, *Stationary Subdivision*, 1991).  The elements of one point
 part g differ by whole shifts 2^q k, so a step first sums the field's
-shifted copies u_g = sum_k f(. - 2^q k) d_(g,k)^T by slice adds, then
-reads u_g at G_{g^{-1}} M J: one integer gather, and one index array,
-per point part.  The oracle reads the finished field at nodes only and
-refuses any other point.  It walks the gamma cover of its sample nodes
-once for every witness degree (:func:`reproduce`): the degrees share the
-degree-0 sums, C and the two closed forms, and each s >= 1 adds one sum.
+shifted copies u = sum_k f(. - 2^q k) d_(g,k)^T by slice adds, then
+reads u at G_{g^{-1}} M J: one integer gather, and one index array, per
+point part.  Point parts with equal element lists share one u, built
+once per step (the cubic hat spread over its 48 point parts builds one u
+from 27 elements and gathers it 48 times).  The oracle reads the
+finished field at nodes only and refuses any other point.  It walks the
+gamma cover of its sample nodes once for every degree it checks
+(:func:`verify_degrees`): the witness degrees share the degree-0 sums, C
+and the two closed forms, each s >= 1 adds one sum, and each fitted
+degree past them reads the same walk.
 
 The grid is the one box :func:`support_box` certifies for every
 admissible dilation: the n-step box map, whose maps y -> M^{-n} G' y + c
@@ -193,11 +200,31 @@ def support_box(mask: Mask, dilation: Dilation, h) -> list:
 
 def _point_parts(mask: Mask) -> dict:
     """The support grouped by point part: g -> [(k, d_(g,k)), ...], in
-    support order.  The support box and the cascade plan both read it."""
+    support order, each block converted once by ``Mat.np()``.  The
+    support box reads the shifts, the cascade plan the blocks."""
     parts = {}
     for e, blk in mask.items():
-        parts.setdefault(e.g, []).append((e.k, blk))
+        parts.setdefault(e.g, []).append((e.k, blk.np()))
     return parts
+
+
+def _blocks(parts: dict) -> list:
+    return [d for elements in parts.values() for _, d in elements]
+
+
+def _dtype(arrays) -> type:
+    """The cascade's one dtype choice: float64 when no array has a non-zero
+    imaginary part, else complex128."""
+    if any(np.iscomplexobj(a) and a.imag.any() for a in arrays):
+        return np.complex128
+    return np.float64
+
+
+def _as(a: np.ndarray, dtype) -> np.ndarray:
+    """A C-contiguous copy of a in dtype; float64 keeps the real part, all
+    there is of a when :func:`_dtype` chose it."""
+    return np.array(a.real if dtype == np.float64 else a, dtype=dtype,
+                    order="C")
 
 
 def _certified_box(parts: dict, dilation: Dilation, h: Fraction) -> list:
@@ -309,13 +336,13 @@ def _rows(first: np.ndarray, shape: tuple, J: np.ndarray) -> np.ndarray:
 
 
 def grid_bytes(d: int, r: int, n_parts: int, n_nodes: int,
-               buffer_nodes: int) -> int:
+               buffer_nodes: int, itemsize: int) -> int:
     """Estimated peak bytes of a cascade run on ``n_nodes`` grid nodes: per
     node, the integer node (d int64), four live iterates (the current and
-    next one, the plan's term and a difference, r complex128 each) and one
-    int64 read index per point part; plus the one buffer of shifted
-    copies, r complex128 on each of its ``buffer_nodes`` nodes
-    (:func:`_plan`).
+    next one, the plan's term and a difference, r entries of ``itemsize``
+    bytes each: 8 on float64, 16 on complex128) and one int64 read index
+    per point part; plus the one buffer of shifted copies, r entries on
+    each of its ``buffer_nodes`` nodes (:func:`_plan`).
 
     The buffer is the box widened by 2^q times the hull of a point part's
     shifts, so it does not grow with the number of elements but with the
@@ -323,8 +350,8 @@ def grid_bytes(d: int, r: int, n_parts: int, n_nodes: int,
     One int64 index per element and node, as a gather per element would
     need, is the cheaper of the two only for a few elements spread over a
     wide hull."""
-    per_node = 8 * d + 4 * 16 * r + 8 * n_parts
-    return n_nodes * per_node + 16 * r * buffer_nodes
+    per_node = 8 * d + 4 * itemsize * r + 8 * n_parts
+    return n_nodes * per_node + itemsize * r * buffer_nodes
 
 
 def memory_budget() -> int:
@@ -333,34 +360,42 @@ def memory_budget() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
 
 
+def _gib(n: int) -> str:
+    """n bytes in GiB to one decimal, on ints: n may exceed any float."""
+    tenths = (10 * n + 2 ** 29) >> 30
+    return f"{tenths // 10}.{tenths % 10} GiB"
+
+
 def _shifted_grid(shape: tuple, elements: list, q: int) -> tuple:
     """Lowest shift k_min of a point part's elements and the node counts
-    of its buffer u_g: the box widened by 2^q times the hull of the
-    shifts k."""
-    ks = np.array([k for k, _ in elements], dtype=np.int64)
-    low = ks.min(axis=0)
-    return low, tuple(int(n) for n in
-                      np.asarray(shape) + ((ks.max(axis=0) - low) << q))
+    of its buffer u: the box widened by 2^q times the hull of the shifts
+    k, on Python ints."""
+    axes = list(zip(*(k for k, _ in elements)))
+    low = tuple(min(axis) for axis in axes)
+    return low, tuple(n + ((max(axis) - lo) << q)
+                      for n, axis, lo in zip(shape, axes, low))
 
 
 @dataclass
 class _Part:
-    """The reads of one point part g: ``adds`` holds the window of u_g
-    that each element (g, k) adds the field to, with d_(g,k)^T, and
-    ``rows`` the row of u_g (flat, with the zero row past its last node)
-    that every node J reads, G_{g^{-1}} M J."""
+    """The reads of one distinct element list [(k, d_(g,k)), ...] and of
+    the point parts g that carry it: ``adds`` holds the window of u that
+    each element adds the field to, with d_(g,k)^T, and ``rows`` one int64
+    index array per such point part g, the row of u (flat, with the zero
+    row past its last node) that every node J reads, G_{g^{-1}} M J."""
 
     shape: tuple
     adds: list
-    rows: np.ndarray
+    rows: list
 
 
 @dataclass
 class _Plan:
-    """The cascade's reads on a box of node counts ``shape``: one
-    :class:`_Part` per point part, the one buffer the parts share, sized
-    for the largest u_g plus its zero row, and one term the size of the
-    field, which each product d_(g,k)^T and each gather reuses."""
+    """The cascade's reads on a box of node counts ``shape``, in the
+    field's one dtype: one :class:`_Part` per distinct element list, the
+    one buffer the parts share, sized for the largest u plus its zero
+    row, and one term the size of the field, which each product
+    d_(g,k)^T and each gather reuses."""
 
     shape: tuple
     parts: list
@@ -369,35 +404,44 @@ class _Plan:
 
 
 def _plan(parts: dict, dilation: Dilation, first: np.ndarray, shape: tuple,
-          q: int, r: int) -> _Plan:
-    """The reads of every mask element gamma = (g, k) on the box grid.
+          q: int, r: int, dtype) -> _Plan:
+    """The reads of every mask element gamma = (g, k) on the box grid, for
+    a field of the given dtype.
 
     Node J reads G_{g^{-1}} M J - 2^q k (gamma^{-1}(A x) in lattice
     coordinates), so the elements of one point part g read the same
-    node of u_g = sum_k f(. - 2^q k) d_(g,k)^T, the field's copies shifted
-    by 2^q k: u_g is built by slice adds on the box widened by 2^q times
+    node of u = sum_k f(. - 2^q k) d_(g,k)^T, the field's copies shifted
+    by 2^q k: u is built by slice adds on the box widened by 2^q times
     the hull of the shifts, and read by one gather at G_{g^{-1}} M J.  A
-    read off u_g's grid lands on its zero row."""
+    read off u's grid lands on its zero row.  Point parts whose element
+    lists, shifts and converted blocks in support order, are equal build
+    the same u, so it is planned once and gathered for each of them."""
     t = dilation.triple
     m = np.array(dilation.M, dtype=np.int64)
     nodes = _node_grid(first, shape)
-    out, largest = [], 0
+    shared, largest = {}, 0
     for g, elements in parts.items():
+        blocks = [(k, _as(d.T, dtype)) for k, d in elements]
+        key = tuple((k, b.tobytes()) for k, b in blocks)
         low, grid = _shifted_grid(shape, elements, q)
-        adds = [(tuple(slice(o, o + n)
-                       for o, n in zip((np.array(k) - low) << q, shape)),
-                 blk.np().T.copy()) for k, blk in elements]
+        if key not in shared:
+            adds = [(tuple(slice((kj - lj) << q, ((kj - lj) << q) + n)
+                           for kj, lj, n in zip(k, low, shape)), b)
+                    for k, b in blocks]
+            shared[key] = _Part(grid, adds, [])
+            largest = max(largest, math.prod(grid))
         lin = np.array(t.int_reps[t.inverse_table[g]], dtype=np.int64) @ m
-        rows = _rows(first + (low << q), grid, nodes @ lin.T)
-        out.append(_Part(grid, adds, rows))
-        largest = max(largest, math.prod(grid))
-    return _Plan(shape, out, np.zeros((largest + 1, r), dtype=complex),
-                 np.empty((len(nodes), r), dtype=complex))
+        shift = np.array(low, dtype=np.int64) << q
+        shared[key].rows.append(_rows(first + shift, grid, nodes @ lin.T))
+    return _Plan(shape, list(shared.values()),
+                 np.zeros((largest + 1, r), dtype=dtype),
+                 np.empty((len(nodes), r), dtype=dtype))
 
 
 def _step(plan: _Plan, padded: np.ndarray) -> np.ndarray:
-    """One refinement step of a padded field, one gather per point part;
-    the zero row stays zero."""
+    """One refinement step of a padded field in the plan's dtype: one u
+    per distinct element list, one gather per point part; the zero row
+    stays zero."""
     out = np.zeros_like(padded)
     field, term = padded[:-1], plan.term
     r = term.shape[1]
@@ -408,13 +452,14 @@ def _step(plan: _Plan, padded: np.ndarray) -> np.ndarray:
         grid = u[:-1].reshape(*part.shape, r)
         for window, d_t in part.adds:
             # np.dot, not np.matmul: the faster of the two on these
-            # complex products
+            # products
             np.dot(field, d_t, out=term)
             grid[window] += shaped
-        # every row lies in u (_rows), so "clip" changes no index; unlike
-        # "raise" it writes into term without a temporary copy
-        np.take(u, part.rows, axis=0, out=term, mode="clip")
-        out[:-1] += term
+        for rows in part.rows:
+            # every row lies in u (_rows), so "clip" changes no index;
+            # unlike "raise" it writes into term without a temporary copy
+            np.take(u, rows, axis=0, out=term, mode="clip")
+            out[:-1] += term
     return out
 
 
@@ -425,15 +470,19 @@ def cascade_iterate(mask: Mask, triple: CrystalTriple, dilation: Dilation,
 
     The seed is the indicator of the lattice cell [0,1)^d in y (the cell
     R [0,1)^d in x) times the normalized integral direction, so the
-    integral starts in the right eigenspace.  The grid spans the box of
-    :func:`support_box` (per-axis node counts), and every node reads one
-    node per point part (:func:`_plan`).  Non-convergence (last sup
-    difference above 1e-6) is reported in the result, not raised.  A
-    support box that does not certify within the step bound, a grid whose
-    :func:`grid_bytes` estimate exceeds :func:`memory_budget` (refused
-    before anything is allocated) and an iterate that overflows to a
-    non-finite value all raise :class:`CascadeError`; a q that is not an
-    integer >= 0 raises ValueError.
+    integral starts in the right eigenspace.  The field is float64 when
+    every mask block and that direction are real, else complex128
+    (:func:`_dtype`).  The grid spans the box of :func:`support_box`
+    (per-axis node counts), and every node reads one node per point part
+    (:func:`_plan`).  Non-convergence (last sup difference above 1e-6) is
+    reported in the result, not raised.  A support box that does not
+    certify within the step bound, a grid whose :func:`grid_bytes`
+    estimate exceeds :func:`memory_budget` and an iterate that overflows
+    to a non-finite value all raise :class:`CascadeError`; a q that is
+    not an integer >= 0 raises ValueError.  The estimate is made on
+    Python ints before any array is allocated, and first for the least
+    grid, (2^q + 1)^d nodes on the cell [0, 1]^d that every box holds,
+    before the box is certified.
     """
     if triple is not mask.triple or dilation.triple is not triple:
         raise ValueError("mask, triple and dilation must match")
@@ -442,26 +491,37 @@ def cascade_iterate(mask: Mask, triple: CrystalTriple, dilation: Dilation,
     q = grid_exponent
     if not isinstance(q, int) or q < 0:
         raise ValueError("grid_exponent must be an integer >= 0")
-    scale = 2 ** q
+    scale, d = 2 ** q, triple.d
     parts = _point_parts(mask)
+    direction = _seed_direction(mask, dilation)
+    dtype = _dtype([direction] + _blocks(parts))
+    itemsize = np.dtype(dtype).itemsize
+    budget = memory_budget()
+    least = (scale + 1) ** d
+    if grid_bytes(d, mask.r, len(parts), least, least + 1,
+                  itemsize) > budget:
+        raise CascadeError(
+            f"a grid of spacing 2^-{q} has at least (2^{q} + 1)^{d} nodes "
+            f"(its box holds [0, 1]^{d}), more than half of physical memory "
+            f"({_gib(budget)}) can hold; use a coarser grid")
     box = _certified_box(parts, dilation, Fraction(1, scale))
-    first = np.array([int(lo * scale) for lo, _ in box], dtype=np.int64)
+    first = [int(lo * scale) for lo, _ in box]
     shape = tuple(int((hi - lo) * scale) + 1 for lo, hi in box)
     n_nodes = math.prod(shape)
     largest = max((math.prod(_shifted_grid(shape, elements, q)[1])
                    for elements in parts.values()), default=0)
-    need = grid_bytes(triple.d, mask.r, len(parts), n_nodes, largest + 1)
-    budget = memory_budget()
+    need = grid_bytes(d, mask.r, len(parts), n_nodes, largest + 1, itemsize)
     if need > budget:
         raise CascadeError(
-            f"a grid of {n_nodes} nodes (spacing {2.0 ** -q:g}) needs about "
-            f"{need / 2 ** 30:.1f} GiB, more than half of physical memory "
-            f"({budget / 2 ** 30:.1f} GiB); use a coarser grid")
-    data = np.zeros((n_nodes + 1, mask.r), dtype=complex)
+            f"a grid of {n_nodes} nodes (spacing 2^-{q}) needs about "
+            f"{_gib(need)}, more than half of physical memory "
+            f"({_gib(budget)}); use a coarser grid")
+    first = np.array(first, dtype=np.int64)
+    data = np.zeros((n_nodes + 1, mask.r), dtype=dtype)
     # the box holds the cell [0, 1]^d: its nodes 0 <= J < 2^q form a slice
     cell = tuple(slice(-f, scale - f) for f in first)
-    data[:-1].reshape(*shape, mask.r)[cell] = _seed_direction(mask, dilation)
-    plan = _plan(parts, dilation, first, shape, q, mask.r)
+    data[:-1].reshape(*shape, mask.r)[cell] = _as(direction, dtype)
+    plan = _plan(parts, dilation, first, shape, q, mask.r, dtype)
     sup_diffs = []
     for _ in range(iterations):
         nxt = _step(plan, data)
@@ -481,10 +541,15 @@ def cascade_iterate(mask: Mask, triple: CrystalTriple, dilation: Dilation,
 def refinement_residual(field: GridField, mask: Mask,
                         dilation: Dilation) -> float:
     """Largest node defect of the refinement equation for the field: the
-    sup difference between the field and one more refinement step."""
-    plan = _plan(_point_parts(mask), dilation, field.first, field.shape,
-                 field.q, mask.r)
+    sup difference between the field and one more refinement step, on
+    float64 when the field's array and every mask block are real, else
+    on complex128."""
+    parts = _point_parts(mask)
     padded = field._padded
+    dtype = np.result_type(padded, _dtype(_blocks(parts)))
+    plan = _plan(parts, dilation, field.first, field.shape, field.q, mask.r,
+                 dtype)
+    padded = padded.astype(dtype, copy=False)
     return float(np.max(np.abs(_step(plan, padded) - padded)))
 
 
@@ -553,7 +618,9 @@ def _y_terms(gamma, s: int, acted) -> list:
     array per block t <= s of acted(b) (:func:`~crystacc.multiidx._acted_rows`
     of the rows of a float witness v): the binomial shift by gamma's
     translation.  Kept apart, each term is rounded as the product
-    Qt_[s,t](gamma) v_[t] alone; the callers sum them in t."""
+    Qt_[s,t](gamma) v_[t] alone; the callers sum them in t.  A float64
+    field's reads meet these terms as complex values with zero imaginary
+    parts, so its sums equal those of the same field held in complex128."""
     return [np.array(_y_rows(gamma, {t: rows}, s), dtype=complex)
             for t, rows in acted(gamma.g).items() if t <= s]
 
@@ -608,18 +675,20 @@ def _monomial_matrix(pts: np.ndarray, s: int) -> np.ndarray:
 
 
 def reproduce(field: GridField, v: tuple, sample_points,
-              tol: float = 1e-5) -> list:
+              tol: float = 1e-5, walk: tuple | None = None) -> list:
     """Test G_[s] = C X_[s] on the sample points for every degree s of a
     float witness v (a tuple of complex arrays, at least one): a list of
     :class:`ReproductionReport`, one per block of v.  One walk of the
-    sample's gamma cover (:func:`_walk`) serves every degree; C, the
-    excluded points, the field integral, the gate and the closed forms are
-    computed once.  C is the mean of the degree-0 sums (exact reproduction
-    makes them constant), the very sums the s = 0 test compares with it,
-    so with fewer than two kept nodes that test shows nothing and never
-    passes."""
+    sample's gamma cover (:func:`_walk`) serves every degree, the given
+    ``walk`` of these points when the caller made it, else a new one; C,
+    the excluded points, the field integral, the gate and the closed forms
+    are computed once.  C is the mean of the degree-0 sums (exact
+    reproduction makes them constant), the very sums the s = 0 test
+    compares with it, so with fewer than two kept nodes that test shows
+    nothing and never passes."""
     pts = np.asarray(sample_points, dtype=float).reshape(-1, field.d)
-    reads, excluded = _walk(field, field.node_index(pts))
+    reads, excluded = (walk if walk is not None
+                       else _walk(field, field.node_index(pts)))
     keep = ~excluded
     if not keep.any():
         raise CascadeError("every sample point lost coverage; enlarge the "
@@ -653,19 +722,19 @@ def reproduce(field: GridField, v: tuple, sample_points,
     return reports
 
 
-def _probe_block(field: GridField, v: tuple | None, s: int,
+def _probe_block(field: GridField, reads: list, v: tuple | None, s: int,
                  pts: np.ndarray, C: complex) -> tuple:
     """Best-fitting degree-s block given the lower blocks (a float
     witness: a tuple of complex arrays): least squares for v_[s] in
-    G_[s] = C X_[s].  Returns (residual, extended v, C).
+    G_[s] = C X_[s] on the points pts, whose gamma cover ``reads`` holds
+    (:func:`_walk`).  Returns (residual, extended v, C).
 
     With no blocks at all (solver accuracy 0) the degree-0 row itself is
     fitted against the constant 1, fixing the scale.  A gamma whose
     targets all lie more than one node off the grid box reads only zeros
-    and is skipped (:func:`_walk`), with its blocks (b^{-1})_[t].
+    and is not in reads, nor are its blocks (b^{-1})_[t] built.
     """
     d_s, r, n = dim_degree(field.d, s), field.r, len(pts)
-    reads, _ = _walk(field, field.node_index(pts))
     base = np.zeros((n, d_s), dtype=complex)
     design = np.zeros((n, d_s, d_s * r), dtype=complex)
     acted = (_acted_rows(field.triple, [b.tolist() for b in v[:s]])
@@ -713,18 +782,23 @@ def verify_degrees(field: GridField, witness: VCollection | None, p_max: int,
     the degrees below p_max they cover, in one :func:`reproduce` call;
     past them, each degree gets its best-fitting block (least squares,
     with that call's C), so a failure is a failure of every possible
-    extension, not of one candidate.  A fit with no more sample equations
-    than unknowns (at most r sample nodes) is exact by construction and
-    shows nothing, so it never passes.  A failing degree does not stop the
-    scan; the fitted blocks keep extending the collection.
+    extension, not of one candidate.  The sample's gamma cover is walked
+    once for all of them (:func:`_walk`).  A fit with no more sample
+    equations than unknowns (at most r sample nodes) is exact by
+    construction and shows nothing, so it never passes.  A failing degree
+    does not stop the scan; the fitted blocks keep extending the
+    collection.
     """
     pts = sample_points(field, sample_count, seed)
+    if p_max < 1:
+        return
+    walk = _walk(field, field.node_index(pts))
     # the oracle is float throughout: convert the witness once, not in
     # every y_[s] over the gamma cover
     v = (tuple(b.np() for b in witness.blocks) if witness is not None
          else None)
     tested = min(len(v), p_max) if v is not None else 0
-    reports = (reproduce(field, v[:tested], pts, tol=tolerance)
+    reports = (reproduce(field, v[:tested], pts, tol=tolerance, walk=walk)
                if tested else [])
     C = reports[0].C if reports else None
     for s in range(p_max):
@@ -732,7 +806,7 @@ def verify_degrees(field: GridField, witness: VCollection | None, p_max: int,
             rep = reports[s]
             yield DegreeCheck(s, rep.residual, rep.verdict, rep)
         else:
-            residual, v, C = _probe_block(field, v, s, pts, C)
+            residual, v, C = _probe_block(field, walk[0], v, s, pts, C)
             yield DegreeCheck(s, residual,
                               residual < tolerance and len(pts) > field.r,
                               None)

@@ -295,17 +295,23 @@ def test_2d_tensor_hat(plane):
 
 
 def test_grid_bytes_estimate():
-    """Per node, integer nodes, four live iterates and one int64 read index
-    per point part; plus the one buffer of shifted copies.  The 2D tensor
-    quadratic B-spline (one point part, shifts 0..3 per axis) on its
-    certified box [0, 3]^2 at the default spacing 2^-8 has 769^2 nodes and
-    a buffer of 1537^2 nodes and one zero row, and is estimated at about
-    90 MB."""
-    assert grid_bytes(1, 1, 3, 10, 0) == 10 * (8 + 64 + 3 * 8)
-    assert grid_bytes(2, 3, 5, 7, 11) == 7 * (16 + 3 * 64 + 5 * 8) + 11 * 48
+    """Per node, integer nodes, four live iterates (r entries of 8 bytes on
+    float64, 16 on complex128) and one int64 read index per point part;
+    plus the one buffer of shifted copies, in the iterates' dtype.  The 2D
+    tensor quadratic B-spline (one point part, shifts 0..3 per axis, real)
+    on its certified box [0, 3]^2 at the default spacing 2^-8 has 769^2
+    nodes and a buffer of 1537^2 nodes and one zero row, and is estimated
+    at about 52 MB on float64, 90 MB on complex128."""
+    assert grid_bytes(1, 1, 3, 10, 0, 16) == 10 * (8 + 64 + 3 * 8)
+    assert grid_bytes(1, 1, 3, 10, 0, 8) == 10 * (8 + 32 + 3 * 8)
+    assert grid_bytes(2, 3, 5, 7, 11, 16) == \
+        7 * (16 + 3 * 64 + 5 * 8) + 11 * 48
+    assert grid_bytes(2, 3, 5, 7, 11, 8) == 7 * (16 + 3 * 32 + 5 * 8) + 11 * 24
     n, u = 769 ** 2, 1537 ** 2 + 1
-    assert grid_bytes(2, 1, 1, n, u) == n * (16 + 64 + 8) + 16 * u
-    assert 0.089e9 < grid_bytes(2, 1, 1, n, u) < 0.091e9
+    assert grid_bytes(2, 1, 1, n, u, 16) == n * (16 + 64 + 8) + 16 * u
+    assert 0.089e9 < grid_bytes(2, 1, 1, n, u, 16) < 0.091e9
+    assert grid_bytes(2, 1, 1, n, u, 8) == n * (16 + 32 + 8) + 8 * u
+    assert 0.051e9 < grid_bytes(2, 1, 1, n, u, 8) < 0.053e9
 
 
 def _quadratic_bspline_2d(t):
@@ -316,25 +322,47 @@ def _quadratic_bspline_2d(t):
                            for j, b in enumerate(c)})
 
 
-def test_default_grid_of_the_quadratic_bspline_fits_in_1_gib(plane,
-                                                             monkeypatch):
-    """The default --grid 8 is sized through cascade_iterate's own path and
-    refused by a zero budget before anything is allocated."""
-    t, dil = plane
-    mask = _quadratic_bspline_2d(t)
-    assert support_box(mask, dil, 2.0 ** -8) == [(0, 3), (0, 3)]
-    seen = []
+def _spy_on_the_estimate(monkeypatch, budget):
+    """Record the arguments of every grid_bytes call of cascade_iterate and
+    of every box it certifies, under the given memory budget."""
+    seen, boxes = [], []
+    certify = cascade_mod._certified_box
 
     def spy(*args):
         seen.append(args)
         return grid_bytes(*args)
 
+    def box(*args):
+        boxes.append(args)
+        return certify(*args)
+
     monkeypatch.setattr(cascade_mod, "grid_bytes", spy)
-    monkeypatch.setattr(cascade_mod, "memory_budget", lambda: 0)
+    monkeypatch.setattr(cascade_mod, "_certified_box", box)
+    monkeypatch.setattr(cascade_mod, "memory_budget", lambda: budget)
+    return seen, boxes
+
+
+def test_default_grid_of_the_quadratic_bspline_fits_in_1_gib(plane,
+                                                             monkeypatch):
+    """The default --grid 8 is sized through cascade_iterate's own path, on
+    float64 for this real mask: a zero budget refuses the least grid,
+    257^2 nodes on [0, 1]^2, before the box is certified, and a budget
+    that holds that grid refuses the certified box's estimate, both
+    before anything is allocated."""
+    t, dil = plane
+    mask = _quadratic_bspline_2d(t)
+    assert support_box(mask, dil, 2.0 ** -8) == [(0, 3), (0, 3)]
+    least = (2, 1, 1, 257 ** 2, 257 ** 2 + 1, 8)
+    seen, boxes = _spy_on_the_estimate(monkeypatch, 0)
     with pytest.raises(CascadeError, match="memory"):
         cascade_iterate(mask, t, dil, iterations=12, grid_exponent=8)
-    assert seen == [(2, 1, 1, 769 ** 2, 1537 ** 2 + 1)]
-    assert grid_bytes(*seen[0]) < 2 ** 30
+    assert seen == [least] and boxes == []
+    seen, boxes = _spy_on_the_estimate(monkeypatch, grid_bytes(*least))
+    with pytest.raises(CascadeError, match="memory"):
+        cascade_iterate(mask, t, dil, iterations=12, grid_exponent=8)
+    assert seen == [least, (2, 1, 1, 769 ** 2, 1537 ** 2 + 1, 8)]
+    assert len(boxes) == 1
+    assert grid_bytes(*seen[1]) < 2 ** 30
 
 
 def test_sparse_wide_hull_mask_pays_for_its_buffer(plane, monkeypatch):
@@ -346,21 +374,18 @@ def test_sparse_wide_hull_mask_pays_for_its_buffer(plane, monkeypatch):
     dil = check_admissible(Mat.from_rows([[4, 0], [0, 4]]), t)
     mask = Mask.scalar(t, {(i, j): 4 for i in (0, 3) for j in (0, 3)})
     assert support_box(mask, dil, 2.0 ** -6) == [(0, 1), (0, 1)]
-    seen = []
-
-    def spy(*args):
-        seen.append(args)
-        return grid_bytes(*args)
-
-    monkeypatch.setattr(cascade_mod, "grid_bytes", spy)
-    monkeypatch.setattr(cascade_mod, "memory_budget", lambda: 0)
+    n, u = 65 ** 2, (65 + 3 * 64) ** 2 + 1
+    # the box is the least grid [0, 1]^2: a budget that holds that grid
+    # and its smallest buffer is refused for the wide one
+    least = (2, 1, 1, n, n + 1, 8)
+    seen, _ = _spy_on_the_estimate(monkeypatch, grid_bytes(*least))
     with pytest.raises(CascadeError, match="memory"):
         cascade_iterate(mask, t, dil, iterations=2, grid_exponent=6)
-    n, u = 65 ** 2, (65 + 3 * 64) ** 2 + 1
-    assert seen == [(2, 1, 1, n, u)]
-    assert grid_bytes(*seen[0]) == n * (16 + 64 + 8) + 16 * u
-    # the buffer costs more than seven times the per-element indices
-    assert 16 * u > 7 * (4 * 8 * n)
+    assert seen == [least, (2, 1, 1, n, u, 8)]
+    assert grid_bytes(*seen[1]) == n * (16 + 32 + 8) + 8 * u
+    # the float64 buffer costs more than three times the per-element
+    # indices
+    assert 8 * u > 3 * (4 * 8 * n)
 
 
 # -- the certified box against a reference cascade --------------------------
@@ -495,9 +520,9 @@ def test_box_grid_matches_a_reference_cascade(case, rnd):
     nodes = np.rint(field.nodes() @ r_inv.T / h).astype(np.int64)
     common = ref[np.ravel_multi_index(tuple((nodes - first).T), (n,) * t.d)]
     got = field.data.reshape(-1)
-    assert np.all(got.imag == 0.0)
+    assert got.dtype == np.float64
     scale = max(1.0, float(np.max(np.abs(ref))))
-    assert np.allclose(got.real, common, rtol=0, atol=1e-12 * scale)
+    assert np.allclose(got, common, rtol=0, atol=1e-12 * scale)
 
 
 # -- the one-gather-per-point-part step against the per-element one ---------
@@ -520,8 +545,9 @@ def _per_element_reads(mask, dil, first, shape, q):
 
 
 def _per_element_step(reads, padded):
-    """One refinement step with one gather per mask element."""
-    out = np.zeros_like(padded)
+    """One refinement step with one gather per mask element, on
+    complex128."""
+    out = np.zeros(padded.shape, dtype=complex)
     for rows, d_t in reads:
         out[:-1] += padded[rows] @ d_t
     return out
@@ -542,17 +568,14 @@ STEP_CASES = {
                  1),
     "complex-1d": ("p1", 1, None, [[2]], 2),
     "complex-pm": ("pm", 2, None, [[2, 0], [0, 2]], 2),
+    "complex-p4m": ("p4m", 2, None, [[2, 0], [0, 2]], 2),
 }
 
 
-@seed(2026)
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(sorted(STEP_CASES)), st.randoms(use_true_random=False))
-def test_point_part_step_matches_the_per_element_step(case, rnd):
-    """On random masks (several shifts per point part, complex r = 2
-    blocks included) and random complex fields, the step with one gather
-    per point part matches the per-element step to 1e-12 relative after
-    four steps, and refinement_residual reads the same plan."""
+def _step_mask(case, rnd, shared=False):
+    """(mask, dilation, q) of a random mask of one STEP_CASES case: random
+    point parts with several shifts each; with shared, most point parts
+    carry one common element list, shifts and blocks."""
     name, dim, lattice, a, r = STEP_CASES[case]
     t = catalog_triple(name, dim)
     if lattice is not None:
@@ -563,36 +586,154 @@ def test_point_part_step_matches_the_per_element_step(case, rnd):
         x = Fraction(rnd.randint(-6, 6), rnd.randint(1, 4))
         return [x, Fraction(rnd.randint(-3, 3), 2)] if r > 1 else x
 
+    def element_list():
+        return {tuple(rnd.randint(-2, 2) for _ in range(dim)):
+                [[coef() for _ in range(r)] for _ in range(r)]
+                for _ in range(rnd.randint(1, 4))}
+
+    common = element_list() if shared else None
     blocks = {}
     for g in rnd.sample(range(t.order), rnd.randint(1, t.order)):
-        for _ in range(rnd.randint(1, 4)):
-            k = tuple(rnd.randint(-2, 2) for _ in range(dim))
-            blocks[t.element(g, k)] = [[coef() for _ in range(r)]
-                                       for _ in range(r)]
-    mask = Mask(t, blocks, r=r)
-    q = rnd.randint(1, 3)
+        elements = (common if shared and rnd.random() < 0.7
+                    else element_list())
+        for k, blk in elements.items():
+            blocks[t.element(g, k)] = blk
+    return Mask(t, blocks, r=r), dil, rnd.randint(1, 3)
+
+
+def _box_grid(mask, dil, q):
+    """First node and per-axis node counts of the certified box."""
     box = support_box(mask, dil, Fraction(1, 2 ** q))
     first = np.array([int(lo * 2 ** q) for lo, _ in box], dtype=np.int64)
-    shape = tuple(int((hi - lo) * 2 ** q) + 1 for lo, hi in box)
-    plan = cascade_mod._plan(cascade_mod._point_parts(mask), dil, first,
-                             shape, q, r)
-    assert len(plan.parts) == len({e.g for e in mask.support()})
+    return first, tuple(int((hi - lo) * 2 ** q) + 1 for lo, hi in box)
+
+
+def _random_field(gen, shape, r, dtype):
+    """A padded field of random values in dtype, zero on its last row."""
+    out = np.zeros((math.prod(shape) + 1, r), dtype=dtype)
+    out[:-1] = gen.normal(size=(len(out) - 1, r))
+    if dtype == np.complex128:
+        out[:-1] += 1j * gen.normal(size=(len(out) - 1, r))
+    return out
+
+
+@seed(2026)
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(STEP_CASES)), st.randoms(use_true_random=False))
+def test_point_part_step_matches_the_per_element_step(case, rnd):
+    """On random masks (several shifts per point part, complex r = 2
+    blocks included) and random fields in the mask's dtype, float64 on a
+    real mask, the step with one gather per point part matches the
+    per-element complex step to 1e-12 relative after four steps, and
+    refinement_residual reads the same plan."""
+    mask, dil, q = _step_mask(case, rnd)
+    t, r = mask.triple, mask.r
+    first, shape = _box_grid(mask, dil, q)
+    parts = cascade_mod._point_parts(mask)
+    dtype = cascade_mod._dtype(cascade_mod._blocks(parts))
+    plan = cascade_mod._plan(parts, dil, first, shape, q, r, dtype)
+    assert sum(len(part.rows) for part in plan.parts) == \
+        len({e.g for e in mask.support()})
     reads = _per_element_reads(mask, dil, first, shape, q)
     gen = np.random.default_rng(rnd.randrange(2 ** 32))
-    start = np.zeros((math.prod(shape) + 1, r), dtype=complex)
-    start[:-1] = gen.normal(size=(len(start) - 1, r)) \
-        + 1j * gen.normal(size=(len(start) - 1, r))
+    start = _random_field(gen, shape, r, dtype)
     got, want = start, start
     for _ in range(4):
         got = cascade_mod._step(plan, got)
         want = _per_element_step(reads, want)
-        assert np.all(got[-1] == 0)
+        assert got.dtype == dtype and np.all(got[-1] == 0)
     scale = max(1.0, float(np.max(np.abs(want))))
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
     field = cascade_mod.GridField(t, q, first, shape, start)
     defect = float(np.max(np.abs(_per_element_step(reads, start) - start)))
     assert abs(refinement_residual(field, mask, dil) - defect) <= \
         1e-12 * max(1.0, defect)
+
+
+# The step before it ran on float64 and shared u between point parts: one
+# u per point part, every array complex128.  The reference for the step in
+# the mask's dtype with one u per distinct element list.
+
+def _complex_plan(mask, dil, first, shape, q):
+    """Per point part: u's node counts, its (window, d^T) adds and the
+    row of u that every node reads."""
+    t, r = mask.triple, mask.r
+    parts = {}
+    for e, blk in mask.items():
+        parts.setdefault(e.g, []).append((e.k, blk))
+    m = np.array(dil.M, dtype=np.int64)
+    nodes = cascade_mod._node_grid(first, shape)
+    plan = []
+    for g, elements in parts.items():
+        ks = np.array([k for k, _ in elements], dtype=np.int64)
+        low = ks.min(axis=0)
+        grid = tuple(int(n) for n in
+                     np.asarray(shape) + ((ks.max(axis=0) - low) << q))
+        adds = [(tuple(slice(o, o + n)
+                       for o, n in zip((np.array(k) - low) << q, shape)),
+                 blk.np().T.copy()) for k, blk in elements]
+        lin = np.array(t.int_reps[t.inverse_table[g]], dtype=np.int64) @ m
+        rows = cascade_mod._rows(first + (low << q), grid, nodes @ lin.T)
+        plan.append((grid, adds, rows))
+    return plan, r
+
+
+def _complex_step(plan, shape, padded):
+    grids, r = plan
+    out = np.zeros(padded.shape, dtype=complex)
+    term = np.empty((len(padded) - 1, r), dtype=complex)
+    for grid, adds, rows in grids:
+        u = np.zeros((math.prod(grid) + 1, r), dtype=complex)
+        for window, d_t in adds:
+            np.dot(padded[:-1], d_t, out=term)
+            u[:-1].reshape(*grid, r)[window] += term.reshape(*shape, r)
+        out[:-1] += u[rows]
+    return out
+
+
+@seed(2026)
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(STEP_CASES)), st.booleans(),
+       st.randoms(use_true_random=False))
+def test_step_in_the_mask_dtype_matches_the_complex_step(case, shared, rnd):
+    """Real and complex masks, r = 1 and 2, whose point parts share their
+    element list or not: the step runs on float64 exactly when every block
+    is real, plans one u per distinct element list and one index array
+    per point part, and matches the complex step with one u per point part
+    to 1e-12 relative after four steps.  refinement_residual agrees with
+    that step on a field in the mask's dtype, on its complex128 copy and,
+    for a real mask, on a field with non-zero imaginary parts."""
+    mask, dil, q = _step_mask(case, rnd, shared)
+    t, r = mask.triple, mask.r
+    first, shape = _box_grid(mask, dil, q)
+    parts = cascade_mod._point_parts(mask)
+    real = all(not blk.np().imag.any() for _, blk in mask.items())
+    dtype = cascade_mod._dtype(cascade_mod._blocks(parts))
+    assert dtype == (np.float64 if real else np.complex128)
+    plan = cascade_mod._plan(parts, dil, first, shape, q, r, dtype)
+    lists = {tuple((e.k, blk) for e, blk in mask.items() if e.g == g)
+             for g in parts}
+    assert len(plan.parts) == len(lists)
+    assert sum(len(part.rows) for part in plan.parts) == len(parts)
+    ref = _complex_plan(mask, dil, first, shape, q)
+    gen = np.random.default_rng(rnd.randrange(2 ** 32))
+    start = _random_field(gen, shape, r, dtype)
+    got, want = start, start.astype(complex)
+    for _ in range(4):
+        got = cascade_mod._step(plan, got)
+        want = _complex_step(ref, shape, want)
+        assert got.dtype == dtype and np.all(got[-1] == 0)
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+    fields = [start, start.astype(complex)]
+    if real:
+        fields.append(_random_field(gen, shape, r, np.complex128))
+    for values in fields:
+        defect = float(np.max(np.abs(
+            _complex_step(ref, shape, values.astype(complex)) - values)))
+        field = cascade_mod.GridField(t, q, first, shape, values)
+        assert abs(refinement_residual(field, mask, dil) - defect) <= \
+            1e-12 * max(1.0, defect)
 
 
 @pytest.fixture(scope="module")
@@ -642,15 +783,18 @@ def test_probe_block_skips_zero_reads(plane, monkeypatch):
         return real_a(*args)
 
     monkeypatch.setattr(cascade_mod, "build_A_s", counting_a)
-    default_cover = cascade_mod._gamma_cover(field, field.node_index(pts))
-    res_default, v_default, _ = _probe_block(field, v, 2, pts, 1.0)
+    J = field.node_index(pts)
+    default_cover = cascade_mod._gamma_cover(field, J)
+    res_default, v_default, _ = _probe_block(
+        field, cascade_mod._walk(field, J)[0], v, 2, pts, 1.0)
     n_default = len(calls)
     assert n_default > 0
     wide = [t.element(g, k) for g in range(t.order)
             for k in itertools.product(range(-6, 7), repeat=2)]
     assert set(default_cover) < set(wide)
     monkeypatch.setattr(cascade_mod, "_gamma_cover", lambda f, p: wide)
-    res_wide, v_wide, _ = _probe_block(field, v, 2, pts, 1.0)
+    res_wide, v_wide, _ = _probe_block(
+        field, cascade_mod._walk(field, J)[0], v, 2, pts, 1.0)
     assert res_wide == res_default
     assert np.array_equal(v_wide[2], v_default[2])
     assert len(calls) == 2 * n_default
@@ -661,13 +805,14 @@ def test_cascade_refuses_a_grid_beyond_the_memory_budget(line, hat,
     t, dil = line
     # the hat (support box [-1, 1]) at spacing 2^-6: 2 * 64 + 1 nodes, one
     # point part, its buffer widened by 2 * 64 nodes for the shifts -1..1
-    need = grid_bytes(1, 1, 1, 129, 257 + 1)
+    need = grid_bytes(1, 1, 1, 129, 257 + 1, 8)
     monkeypatch.setattr(cascade_mod, "memory_budget", lambda: need - 1)
     with pytest.raises(CascadeError, match="memory"):
         cascade_iterate(hat, t, dil, iterations=2, grid_exponent=6)
     monkeypatch.setattr(cascade_mod, "memory_budget", lambda: need)
-    assert cascade_iterate(hat, t, dil, iterations=2,
-                           grid_exponent=6).field.data.size == 129
+    data = cascade_iterate(hat, t, dil, iterations=2,
+                           grid_exponent=6).field.data
+    assert data.size == 129 and data.dtype == np.float64
 
 
 def test_cascade_without_eigenvalue_one_diverges_visibly(line):
@@ -901,7 +1046,8 @@ def test_one_walk_oracle_matches_the_per_degree_oracle(
     v = _float_witness(cert) if with_witness else None
     C = _old_reproduce(field, v, 0, pts, 1e-5).C if with_witness else None
     s = len(v) if v is not None else 0
-    got, want = (_probe_block(field, v, s, pts, C),
+    reads, _ = cascade_mod._walk(field, field.node_index(pts))
+    got, want = (_probe_block(field, reads, v, s, pts, C),
                  _old_probe_block(field, v, s, pts, C))
     assert got[0] == want[0] and got[2] == want[2]
     assert np.array_equal(got[1][s], want[1][s])

@@ -240,6 +240,43 @@ def test_cascade_beyond_the_memory_budget_exits_5(tmp_path, capsys,
     assert "physical memory" in out["error"]
 
 
+def test_cascade_grid_past_int64_exits_5(tmp_path, capsys):
+    """--grid 64 puts the hat's box corner -1 at node -2^64, past int64:
+    the node count is estimated on Python ints and refused before any
+    int64 array is made."""
+    code, out = run_cli(tmp_path, capsys, HAT_CFG,
+                        ["cascade", "CFG", "--grid", "64"])
+    assert code == EXIT_NO_CONVERGENCE
+    assert "physical memory" in out["error"]
+    assert set(out) == {"schema_version", "error"}
+
+
+def test_cascade_huge_grid_exponent_is_refused_before_the_box(
+        tmp_path, capsys, monkeypatch):
+    """A grid exponent of 10^6, from the options or from --grid, is
+    refused on its least grid, (2^q + 1)^d nodes on [0, 1]^d, before the
+    support box is certified in huge fractions; so is a mask whose shift
+    of 10^310 lies past every float."""
+    boxes = []
+    monkeypatch.setattr(cascade_mod, "_certified_box",
+                        lambda *args: boxes.append(args))
+    cfg = dict(HAT_CFG, options={"grid_exponent": 10 ** 6})
+    for argv in (["cascade", "CFG"],
+                 ["cascade", "CFG", "--grid", str(10 ** 6)]):
+        code, out = run_cli(tmp_path, capsys, cfg, argv)
+        assert code == EXIT_NO_CONVERGENCE
+        assert "(2^1000000 + 1)^1 nodes" in out["error"]
+        assert "physical memory" in out["error"]
+    assert boxes == []
+    monkeypatch.undo()
+    far = dict(HAT_CFG, mask=HAT_CFG["mask"] + [{"k": [10 ** 310],
+                                                 "coef": "1/4"}])
+    code, out = run_cli(tmp_path, capsys, far,
+                        ["cascade", "CFG", "--grid", "2", "--verify-p", "1"])
+    assert code == EXIT_NO_CONVERGENCE
+    assert "physical memory" in out["error"]
+
+
 def test_boolean_coefficient_rejected(tmp_path, capsys):
     cfg = dict(HAT_CFG)
     cfg["mask"] = [{"g": 0, "k": [0], "coef": True}]
@@ -465,6 +502,27 @@ def test_cascade_stdout_matches_golden(capsys, monkeypatch, config, flags,
     assert main(["cascade", str(GOLDEN / config), *flags]) == EXIT_OK
     assert capsys.readouterr().out == (GOLDEN / expected).read_text(
         encoding="utf-8")
+
+
+def test_cascade_walks_the_sample_once_for_every_degree(capsys,
+                                                        monkeypatch):
+    """The p4m hat at --grid 5 --verify-p 5 tests its two witness degrees
+    and fits three more on one walk of the sample's gamma cover, with its
+    golden stdout."""
+    walks = []
+    real = cascade_mod._gamma_cover
+
+    def cover(*args):
+        walks.append(args)
+        return real(*args)
+
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    monkeypatch.setattr(cascade_mod, "_gamma_cover", cover)
+    assert main(["cascade", str(GOLDEN / "p4m_hat.json"), "--grid", "5",
+                 "--verify-p", "5"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        GOLDEN / "p4m_hat_grid5_verify5.stdout").read_text(encoding="utf-8")
+    assert len(walks) == 1
 
 
 def test_seed_from_environment(tmp_path, capsys, monkeypatch):

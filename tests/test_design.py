@@ -11,10 +11,11 @@ constraint rows built on Python ints where the data are integral and
 eliminated as plain sparse rows, one elimination routine in linalg, one
 plain view of a mask's coefficients (fhat0 sums it on ints, built once
 per mask), no parse cache in the CLI that outlives a call, a cascade
-plan with one read index per point part, Q-tilde blocks built on ints
+plan with one u per distinct element list and one read index per point
+part, Q-tilde blocks built on ints
 where the data are integral and read through the binomial shift only (no
 reader builds them, and no triple caches them), a float oracle that
-walks its sample's gamma cover once for every witness degree, and every
+walks its sample's gamma cover once for every degree it checks, and every
 name the benchmark's tracer wraps."""
 
 import ast
@@ -380,9 +381,11 @@ def test_cli_keeps_no_parse_cache():
 
 
 def test_cascade_plan_holds_one_index_array_per_point_part():
-    """The p4m hat spread (8 point parts, 9 shifts each, 72 elements) plans
-    one int64 read index per point part, each one entry per box node, and
-    no other index array: the shifts of a part are slice windows."""
+    """The p4m hat spread (8 point parts, each with the same 9 shifts and
+    blocks, 72 elements) plans one u for its one distinct element list,
+    built by 9 adds of float64 blocks, and one int64 read index per point
+    part, each one entry per box node, and no other index array: the
+    shifts of a part are slice windows."""
     t = catalog_triple("p4m", 2)
     dil = check_admissible(Mat.from_rows([[2, 0], [0, 2]]), t)
     hat = {-1: 1, 0: 2, 1: 1}
@@ -390,14 +393,19 @@ def test_cascade_plan_holds_one_index_array_per_point_part():
                            for i, a in hat.items() for j, b in hat.items()})
     parts = cascade._point_parts(mask)
     assert len(parts) == 8 and len(mask.support()) == 72
+    assert cascade._dtype(cascade._blocks(parts)) == np.float64
     first, shape = np.array([-16, -16]), (33, 33)
-    plan = cascade._plan(parts, dil, first, shape, 4, 1)
-    arrays = [x for part in plan.parts for x in vars(part).values()
-              if isinstance(x, np.ndarray)]
-    assert len(arrays) == len(plan.parts) == 8
+    plan = cascade._plan(parts, dil, first, shape, 4, 1, np.float64)
+    assert len(plan.parts) == 1
+    part = plan.parts[0]
+    assert [x for x in vars(part).values()
+            if isinstance(x, np.ndarray)] == []
+    assert len(part.rows) == 8
     assert all(a.dtype == np.int64 and a.shape == (33 * 33,)
-               for a in arrays)
-    assert all(len(part.adds) == 9 for part in plan.parts)
+               for a in part.rows)
+    assert len(part.adds) == 9
+    assert all(d_t.dtype == np.float64 for _, d_t in part.adds)
+    assert plan.buffer.dtype == plan.term.dtype == np.float64
 
 
 def test_q_tilde_blocks_are_built_on_ints(monkeypatch):
@@ -464,8 +472,8 @@ def test_no_reader_builds_q_tilde_blocks(monkeypatch):
 def test_the_oracle_walks_its_sample_once(monkeypatch):
     """On the quadratic B-spline at --grid 5 --verify-p 4 (three witness
     degrees, then one fitted block), one verify_degrees run walks the
-    sample's gamma cover twice, once for every witness degree and once for
-    the fit, and forms each gamma's degree-0 term once: one s = 0 sum."""
+    sample's gamma cover once, for every witness degree and for the fit,
+    and forms each gamma's degree-0 term once: one s = 0 sum."""
     t = catalog_triple("p1", 2)
     dil = check_admissible(Mat.from_rows([[2, 0], [0, 2]]), t)
     c = (1, 3, 3, 1)
@@ -491,5 +499,5 @@ def test_the_oracle_walks_its_sample_once(monkeypatch):
     checks = list(cascade.verify_degrees(field, cert.witness, 4, 1e-5, 32,
                                          2026))
     assert [check.report is None for check in checks] == [False] * 3 + [True]
-    assert len(covers) == 2
+    assert len(covers) == 1
     assert degree_0 and len(degree_0) == len(set(degree_0))
