@@ -11,7 +11,7 @@ from .accuracy import (AccuracyCertificate, EquivalenceReport, Fhat0Result,
 from .cascade import (CascadeError, CascadeResult, GridField,
                       ReproductionReport, cascade_iterate, empirical_accuracy,
                       empirical_level, refinement_residual, reproduce,
-                      reproduction_values, sample_points, support_box)
+                      sample_points, support_box)
 from .crystal import (AdmissibilityError, CrystalElement, CrystalTriple,
                       Dilation, GroupValidationError, catalog_names,
                       catalog_triple, check_admissible, compose,
@@ -38,7 +38,7 @@ __all__ = [
     "enumerate_degree", "eval_X", "eval_y", "extract_scalar", "fhat0",
     "generate_group", "inverse", "kernel_basis", "kron",
     "lattice_triple", "lift_scalar_to_matrix", "max_accuracy", "rank",
-    "refinement_residual", "reproduce", "reproduction_values", "sample_points",
+    "refinement_residual", "reproduce", "sample_points",
     "sufficient_check", "support_box", "validate_triple",
     "verify_equivalence",
 ]

@@ -8,7 +8,8 @@ largest degree with a usable witness; the system is block triangular in
 the degree, so each degree's block row is built and eliminated once,
 against the kernel carried from the degrees below.
 :func:`sufficient_check` evaluates the cheaper sum-rule criterion and
-builds its explicit witness chain.  Both read one table of per-coset
+builds its explicit witness chain, one plain elimination per degree.  Both
+read one table of per-coset
 moments, :func:`_moments`, scaled by the common denominator D of the mask's
 coefficients, with the leads (b^{-1})_[t] A_[t] built once per table: on
 an integral lattice with real coefficients the table, the constraint rows,
@@ -20,19 +21,24 @@ integral.
 independent forms, element by element, which is the main guard against
 index bookkeeping bugs.  Its per-coset form, :func:`condition_d_residuals`,
 is also the witness guard of :func:`sufficient_check`: one walk of the
-support per degree gives the residuals of every coset, on plain values,
-and never reads the moment table it checks.
+support (:func:`_residual_walk`) gives the residuals of every coset at
+every degree asked for, on ints over the witness's and the mask's common
+denominators where the data are integral, and never reads the moment
+table it checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, prod
+from fractions import Fraction
+from functools import cache
+from math import comb, lcm, prod
+from operator import getitem
 
-from .crystal import CrystalTriple, Dilation, compose, inverse
+from .crystal import CrystalTriple, Dilation, compose
 # kron and build_Q_tilde are unused here: perfbench/tracing.py wraps them
 # by name in this module
-from .linalg import (Mat, QC, QC_ZERO, SparseRows, det, kernel_basis, kron,
+from .linalg import (Mat, QC, SparseRows, _rref, det, kernel_basis, kron,
                      solve_affine)
 from .mask import Mask, MaskShapeError, _plain, _sparse_rows
 from .multiidx import (VCollection, _acted_rows, _shift_rows, _y_rows,
@@ -173,42 +179,67 @@ _NO_GATE = {
 }
 
 
-def condition_d_residuals(mask: Mask, dilation: Dilation, v: VCollection,
-                          s: int) -> list[Mat]:
-    """Defects of the degree-s reproduction constraint on every digit
-    coset, from one walk of the support.
+def _exact(x, scale: int) -> QC:
+    """The plain value x divided by scale, as a QC."""
+    return (QC(x.re / scale, x.im / scale) if isinstance(x, QC)
+            else QC(Fraction(x, scale)))
 
-    Entry i is v_[s] minus the coset-i part of its two-scale expansion; a
-    witness of accuracy p has every entry zero for every s < p.  Only
-    group elements whose inverse carries a mask coefficient contribute,
-    so the sums are finite.  A support element (b, l) adds to the coset
-    of its inverse, found once, the term
-    sum_{t<=s} Qt_[s,t](b, l) A_[t] v_[t] d_(b,l)
+
+def _residual_walk(mask: Mask, dilation: Dilation, v: VCollection,
+                   degrees) -> tuple[int, dict]:
+    """(S, {s: the rows of S times the degree-s residual of every digit
+    coset}) for the given degrees, from one walk of the support.
+
+    The residual of coset i is v_[s] minus the coset-i part of its
+    two-scale expansion; a witness of accuracy p has every one zero for
+    every s < p.  Only group elements whose inverse carries a mask
+    coefficient contribute, so the sums are finite.  A support element
+    (b, l), l = R k, adds to the coset of its inverse, that of the lattice
+    vector -k, the term sum_{t<=s} Qt_[s,t](b, l) A_[t] v_[t] d_(b,l)
     = sum_{t<=s} Q_[s,t](l) w_{b,t} d_(b,l), with
     w_{b,t} = (b^{-1} A)_[t] v_[t] formed once per point part b
     (:func:`~crystacc.multiidx._acted_rows`).  Q_[s,t](l) is applied as
     the polynomial shift (:func:`~crystacc.multiidx._shift_rows`): row
     alpha gathers sum_beta binom(alpha, beta) (-l)^(alpha-beta)
-    w_{b,t}[beta].
-    The entries are plain values (:func:`_plain`): ints where the data
-    are integral, else Fractions or QCs, wrapped in Mats at the end.
-    Each element is checked by itself; the guard never reads the moment
-    table it checks.
+    w_{b,t}[beta].  Each element's coset, entries and acted rows are
+    looked up once for every degree.  v is read over the lcm L of its
+    denominators, the mask through its plain view over D: S = L D, and
+    the sums run on ints where the data are integral.
     """
-    tri, r = mask.triple, mask.r
-    vs = v.plain(s)
-    out = [[list(row) for row in vs[s]] for _ in range(dilation.m)]
-    w = _acted_rows(tri, vs, dilation.A)
-    for e, blk in mask.items():
-        residual = out[dilation.coset_index(inverse(e))]
+    top = max(degrees)
+    view = mask.plain()
+    blocks = v.blocks[:top + 1]
+    lv = lcm(*(q.denominator for b in blocks for j in range(b.rows)
+               for x in b.row_list(j) for q in (x.re, x.im)))
+    vs = v.plain(top, lv)
+    out = {s: [[[x * view.scale for x in row] for row in vs[s]]
+               for _ in range(dilation.m)] for s in degrees}
+    w = _acted_rows(mask.triple, vs, dilation.A)
+    for e, entries in view.entries:
+        i = dilation.translation_coset([-x for x in e.k])
         neg = [-x for x in e.true_translation()]
-        d_rows = _sparse_rows(blk)
-        for row, u in zip(residual, _shift_rows(neg, s, w(e.g))):
-            for a, x in enumerate(u):
-                if x != 0:
-                    for c, y in d_rows[a]:
-                        row[c] -= x * y
-    return [Mat.from_rows(rows, cols=r) for rows in out]
+        acted = w(e.g)
+        for s in degrees:
+            for row, u in zip(out[s][i], _shift_rows(neg, s, acted)):
+                for a, c, y in entries:
+                    if u[a] != 0:
+                        row[c] -= u[a] * y
+    return lv * view.scale, out
+
+
+def _residual_mats(scale: int, cosets: list, r: int) -> list[Mat]:
+    """One degree's rows of :func:`_residual_walk`, unscaled, as Mats."""
+    return [Mat.from_rows([[_exact(x, scale) for x in row] for row in rows],
+                          cols=r) for rows in cosets]
+
+
+def condition_d_residuals(mask: Mask, dilation: Dilation, v: VCollection,
+                          s: int) -> list[Mat]:
+    """Defects of the degree-s reproduction constraint on every digit
+    coset, exact, from one walk of the support (:func:`_residual_walk`),
+    which never reads the moment table it checks."""
+    scale, out = _residual_walk(mask, dilation, v, (s,))
+    return _residual_mats(scale, out[s], mask.r)
 
 
 @dataclass
@@ -228,7 +259,9 @@ def _moments(mask: Mask, dilation: Dilation, p_max: int) -> _MomentTable:
     N_mu = sum (-l)^mu d_(b,l)^T over the support elements (b, l) whose
     inverse lies in digit coset i, l the true translation R k, and D is
     the common denominator of the mask's plain view (:meth:`Mask.plain`),
-    whose D-scaled non-zero entries are read as they are.  A translation
+    whose D-scaled non-zero entries are read as they are.  The inverse
+    (b^{-1}, -b k) lies in the coset of -k, and the monomials are products
+    of powers of -l's coordinates.  A translation
     coordinate is read as an int where it is one, so the entries are
     Python ints on an integral lattice and fall back to Fractions (R not
     integral) or QCs (complex masks) by themselves.  N_mu is a dict
@@ -243,11 +276,12 @@ def _moments(mask: Mask, dilation: Dilation, p_max: int) -> _MomentTable:
     mus = [mu for s in range(p_max) for mu in enumerate_degree(d, s)]
     sums = {}
     for e, entries in view.entries:
-        key = (dilation.coset_index(inverse(e)), e.g)
+        key = (dilation.translation_coset([-x for x in e.k]), e.g)
         moments = sums.setdefault(key, {mu: {} for mu in mus})
-        neg = [-x for x in e.true_translation()]
+        powers = [[(-y) ** n for n in range(p_max)]
+                  for y in e.true_translation()]
         for mu in mus:
-            w = prod(y ** n for y, n in zip(neg, mu))
+            w = prod(map(getitem, powers, mu))
             if w == 0:
                 continue
             n_mu = moments[mu]
@@ -263,10 +297,11 @@ def _moments(mask: Mask, dilation: Dilation, p_max: int) -> _MomentTable:
 
 
 def _block_row(mask: Mask, dilation: Dilation, table: _MomentTable,
-               s: int) -> list[dict]:
+               s: int, coset: int | None = None) -> list[dict]:
     """Block row s of the stacked constraint system, scaled by the table's
     D, as sparse rows: one dict (column -> non-zero exact value: an int on
-    integral data, else a Fraction or a QC) per row.
+    integral data, else a Fraction or a QC) per row; with ``coset``, the
+    rows of that digit coset only.
 
     The unknowns are vec(v_[0]), vec(v_[1]), ..., row-major within each
     block.  A product B v_[t] C acts on vec(v_[t]) as kron(B, C^T), so the
@@ -287,10 +322,12 @@ def _block_row(mask: Mask, dilation: Dilation, table: _MomentTable,
     for t in range(s):
         starts.append(starts[-1] + dim_degree(d, t) * r)
     alphas = enumerate_degree(d, s)
-    rows = [[{starts[s] + k: table.scale} for k in range(len(alphas) * r)]
-            for _ in range(dilation.m)]
+    rows = {i: [{starts[s] + k: table.scale} for k in range(len(alphas) * r)]
+            for i in (range(dilation.m) if coset is None else (coset,))}
     for (i, b), moment in table.sums.items():
-        block = rows[i]
+        block = rows.get(i)
+        if block is None:
+            continue
         for t in range(s + 1):
             for beta, lead in zip(enumerate_degree(d, t),
                                   table.leads[(b, t)]):
@@ -308,7 +345,7 @@ def _block_row(mask: Mask, dilation: Dilation, table: _MomentTable,
                                 row.pop(col0 + c, None)
                             else:
                                 row[col0 + c] = value
-    return [row for block in rows for row in block]
+    return [row for block in rows.values() for row in block]
 
 
 def _unpack_witness(vector: dict, d: int, r: int, s_max: int) -> VCollection:
@@ -424,19 +461,21 @@ def sufficient_check(mask: Mask, triple: CrystalTriple, dilation: Dilation,
     printed form of the test can never hold there and the witness
     recursion below never needs it.
 
-    The sums of (ii) and the moment matrices below are read from the
-    moment table of :func:`_moments`, the one the constraint rows use; the
-    sums of (ii) are divided by the table's common denominator D.  Block
-    row s of :func:`_block_row` on the first coset is D times the left
-    side of (I - M_[s,s] A_[s]) v_[s] - sum_{t<s} M_[s,t] A_[t] v_[t] = 0,
+    Every stage runs on plain values over the mask's common denominator
+    D (:meth:`Mask.plain`), ints on real rational data.  The sums of (ii)
+    are the rows of g_[s] applied to the moments of :func:`_moments`, as
+    the inverse of (g, l) is (g^{-1}, -g l); they are divided by D once
+    each, as they enter the report.  Block row s of :func:`_block_row` on
+    the first coset, the only one built, is D times the left side of
+    (I - M_[s,s] A_[s]) v_[s] - sum_{t<s} M_[s,t] A_[t] v_[t] = 0,
     with M_[s,t] the binomial moment matrices of the mask; when the moments
-    agree, M_[s,s] A_[s] is the matrix of (iii), so (iii) holds exactly
-    when the diagonal block I - M_[s,s] A_[s] is nonsingular.  On success
-    the same rows give the explicit witness chain: v_[0] = 1 and
-    v_[s] = (I - M_[s,s] A_[s])^{-1} sum_{t<s} M_[s,t] A_[t] v_[t], then
-    re-checked against condition_d_residuals.  Both read the D-scaled rows
-    as they are: det(D X) != 0 exactly when det X != 0, and
-    (D L)^{-1} (D r) = L^{-1} r.
+    agree, M_[s,s] A_[s] is the matrix of (iii).  One elimination per
+    degree (:func:`~crystacc.linalg._rref`) of the diagonal block, with
+    the right side appended while the chain goes on, decides (iii) by its
+    pivots and gives the witness chain v_[0] = 1,
+    v_[s] = (I - M_[s,s] A_[s])^{-1} sum_{t<s} M_[s,t] A_[t] v_[t]; the
+    scale D changes neither.  One walk of the support
+    (:func:`_residual_walk`) re-checks the chain at every degree s < p.
     """
     if mask.r != 1:
         raise MaskShapeError("the sum-rule test applies to multiplicity-1 "
@@ -445,31 +484,29 @@ def sufficient_check(mask: Mask, triple: CrystalTriple, dilation: Dilation,
         raise ValueError("mask, triple and dilation must match")
     if p < 1:
         raise ValueError("target accuracy must be at least 1")
-    d, r = triple.d, triple.order
-    m = dilation.m
+    d, m = triple.d, dilation.m
     notes = ["degree-s eigenvalue screen runs over 1 <= s < p; at s = 0 "
              "the screened matrix equals the scalar 1 whenever the sum "
              "rule holds"]
+    view = mask.plain()
+    total = sum(x for _, entries in view.entries for _, _, x in entries)
+    sum_rule_ok = total == m * view.scale
 
-    total = sum((blk.entry(0, 0) for _, blk in mask.items()), QC_ZERO)
-    sum_rule_ok = total == m
-
-    # Per-coset moments of the inverse-indexed coefficients: the inverse of
-    # a support element e = (g, l) is (g^{-1}, -g l), whose monomials are
-    # g_[s] X_[s](-l), so its sums are g_[s] times the table's column.
+    # Per-coset moments of the inverse-indexed coefficients, D-scaled
     table = _moments(mask, dilation, p)
-    per_coset = {(b, a): [QC_ZERO] * m for b in range(r)
-                 for s in range(p) for a in enumerate_degree(d, s)}
+    sums = {(b, a): [0] * m for b in range(triple.order)
+            for s in range(p) for a in enumerate_degree(d, s)}
+    act = cache(lambda g, s: _sparse_rows(build_A_s(triple.group[g], s)))
     for (i, g), moment in table.sums.items():
+        b = triple.inverse_table[g]
         for s in range(p):
             alphas = enumerate_degree(d, s)
-            col = build_A_s(triple.group[g], s) @ Mat.column(
-                [moment[a].get((0, 0), 0) for a in alphas])
-            for j, a in enumerate(alphas):
-                key = (triple.inverse_table[g], a)
-                per_coset[key][i] = col.entry(j, 0) / table.scale
-    beta = {key: sums[0] for key, sums in per_coset.items()
-            if len(set(sums)) == 1}
+            for a, row in zip(alphas, act(g, s)):
+                sums[(b, a)][i] = sum(x * moment[alphas[k]].get((0, 0), 0)
+                                      for k, x in row)
+    per_coset = {key: [_exact(x, view.scale) for x in xs]
+                 for key, xs in sums.items()}
+    beta = {key: xs[0] for key, xs in per_coset.items() if len(set(xs)) == 1}
     moments_ok = len(beta) == len(per_coset)
     if not moments_ok:
         notes.append("per-coset moments disagree; see per_coset for the "
@@ -481,32 +518,38 @@ def sufficient_check(mask: Mask, triple: CrystalTriple, dilation: Dilation,
     zero_alpha = (0,) * d
     beta0_consistent = True
     if moments_ok and sum_rule_ok:
-        direct = {b: [QC_ZERO] * m for b in range(r)}
-        for e, blk in mask.items():
-            b = triple.inverse_table[e.g]
+        direct = {b: [0] * m for b in range(triple.order)}
+        for e, entries in view.entries:
             i = dilation.translation_coset(e.k)
-            direct[b][i] = direct[b][i] + blk.entry(0, 0)
-        beta0_consistent = all(
-            len(set(direct[b] + [beta[(b, zero_alpha)]])) == 1
-            for b in range(r))
+            for _, _, x in entries:
+                direct[triple.inverse_table[e.g]][i] += x
+        beta0_consistent = all(x == sums[(b, zero_alpha)][0]
+                               for b, xs in direct.items() for x in xs)
         if not beta0_consistent:
             notes.append("alpha = 0 moments disagree between the two "
                          "coefficient indexings; the coset permutation "
                          "argument failed for this input")
 
-    # coset-0 block rows of degrees 1..p-1, with their diagonal blocks
-    # I - M_[s,s] A_[s]: the screen of (iii) and the chain's left sides
+    # coset-0 block rows of degrees 1..p-1: their diagonal blocks
+    # I - M_[s,s] A_[s], with the chain's right sides while it goes on
     eigen_flags = {}
-    degree_rows = []
+    chain = [[1]] if sum_rule_ok and beta0_consistent else None
     if moments_ok:
         start = 1
         for s in range(1, p):
             ds = dim_degree(d, s)
-            rows = _block_row(mask, dilation, table, s)[:ds]
-            lhs = Mat.from_rows([[row.get(start + k, 0) for k in range(ds)]
-                                 for row in rows])
-            eigen_flags[s] = not det(lhs).is_zero()
-            degree_rows.append((start, rows, lhs))
+            flat = [x for blk in chain or () for x in blk]
+            system = []
+            for row in _block_row(mask, dilation, table, s, coset=0):
+                line = {j - start: x for j, x in row.items() if j >= start}
+                if chain is not None:
+                    line[ds] = -sum(x * flat[j] for j, x in row.items()
+                                    if j < start)
+                system.append(line)
+            rref, pivots, _ = _rref(system, ds + 1)
+            eigen_flags[s] = pivots[:ds] == list(range(ds))
+            chain = (chain + [[line.get(ds, 0) for line in rref[:ds]]]
+                     if chain is not None and eigen_flags[s] else None)
             start += ds
     eigen_ok = all(eigen_flags.values())
 
@@ -515,17 +558,10 @@ def sufficient_check(mask: Mask, triple: CrystalTriple, dilation: Dilation,
     conditions_ok = (sum_rule_ok and moments_ok and eigen_ok
                      and beta0_consistent)
     if conditions_ok:
-        blocks = [Mat.identity(1)]
-        chain = [QC(1)]
-        for start, rows, lhs in degree_rows:
-            rhs = Mat.column([sum((-x * chain[j] for j, x in row.items()
-                                   if j < start), QC_ZERO) for row in rows])
-            blocks.append(lhs.inverse() @ rhs)
-            chain += [blocks[-1].entry(k, 0) for k in range(lhs.rows)]
-        v_chain = VCollection(d, tuple(blocks))
-        chain_zero = all(
-            res.is_zero() for s in range(p)
-            for res in condition_d_residuals(mask, dilation, v_chain, s))
+        v_chain = VCollection(d, tuple(Mat.column(blk) for blk in chain))
+        _, walk = _residual_walk(mask, dilation, v_chain, range(p))
+        chain_zero = all(x == 0 for cosets in walk.values()
+                         for rows in cosets for row in rows for x in row)
         if not chain_zero:
             notes.append("the recursive witness fails the per-coset "
                          "conditions; this indicates an internal "
@@ -533,8 +569,8 @@ def sufficient_check(mask: Mask, triple: CrystalTriple, dilation: Dilation,
 
     passed = bool(conditions_ok and chain_zero)
     return SufficientReport(
-        p=p, sum_total=total, sum_rule_ok=sum_rule_ok, beta=beta,
-        per_coset=per_coset, moments_ok=moments_ok,
+        p=p, sum_total=_exact(total, view.scale), sum_rule_ok=sum_rule_ok,
+        beta=beta, per_coset=per_coset, moments_ok=moments_ok,
         eigen_flags=eigen_flags, eigen_ok=eigen_ok,
         beta0_consistent=beta0_consistent, v_chain=v_chain,
         chain_residual_zero=chain_zero, passed=passed, notes=tuple(notes))
@@ -564,8 +600,9 @@ def verify_equivalence(mask: Mask, dilation: Dilation, v: VCollection | None,
         details[(kind, s, where)] = mat.max_abs()
         zero.append(mat.is_zero())
 
-    for s in range(v.p):
-        for i, res in enumerate(condition_d_residuals(mask, dilation, v, s)):
+    scale, walk = _residual_walk(mask, dilation, v, range(v.p))
+    for s, cosets in walk.items():
+        for i, res in enumerate(_residual_mats(scale, cosets, v.r)):
             record("d", s, i, res)
 
     def support_terms(sigma):

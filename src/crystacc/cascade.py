@@ -131,10 +131,6 @@ class GridField:
         """Values at the integer nodes J, zero off the box."""
         return self._padded[_rows(self.first, self.shape, J)]
 
-    def sample(self, points) -> np.ndarray:
-        """Values at grid nodes given as x points, zero off the box."""
-        return self.read(self.node_index(points))
-
 
 @dataclass
 class CascadeResult:
@@ -651,21 +647,6 @@ def _sums(field: GridField, reads: list, n: int, s: int,
             terms = _y_terms(e, s, acted)
             out += vals @ sum(terms[1:], terms[0]).T
     return out
-
-
-def reproduction_values(field: GridField, v: tuple, s: int,
-                        points) -> tuple:
-    """Degree-s reproduction sums G_[s](x) = sum_gamma y_[s](gamma)
-    f(gamma(x)) at the given points, for a float witness v (a tuple of
-    complex arrays, block t of shape d_t x r).
-
-    Returns (values (N, d_s), excluded) where excluded marks points with a
-    translate that lands off the grid box but within one node of it, so
-    their sum may be truncated.  A point that is not a grid node raises
-    ValueError."""
-    reads, excluded = _walk(field, field.node_index(points))
-    acted = _acted_rows(field.triple, [b.tolist() for b in v[:s + 1]])
-    return _sums(field, reads, len(excluded), s, acted), excluded
 
 
 def _monomial_matrix(pts: np.ndarray, s: int) -> np.ndarray:

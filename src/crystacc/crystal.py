@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 
 from .linalg import Mat, QC, det, integer_rows
@@ -42,16 +41,28 @@ def _int_apply(m: list[list[int]], k) -> tuple[int, ...]:
     return tuple([sum(map(mul, row, k)) for row in m])
 
 
-def _int_product(a: list[list[int]], b: list[list[int]]) -> tuple:
-    """The integer matrix product a·b, as a tuple of row tuples."""
+def _int_product(a, b) -> tuple:
+    """The product a·b of plain rows, as a tuple of row tuples."""
     cols = list(zip(*b))
     return tuple(tuple([sum(map(mul, row, col)) for col in cols])
                  for row in a)
 
 
-def _is_real(m: Mat) -> bool:
-    return all(m.entry(i, j).im == 0
-               for i in range(m.rows) for j in range(m.cols))
+def _real_rows(m: Mat) -> tuple | None:
+    """The rows of m, ints where integral, else Fractions; None when an
+    entry is not real."""
+    rows = [m.row_list(i) for i in range(m.rows)]
+    if any(x.im != 0 for row in rows for x in row):
+        return None
+    return tuple(tuple(x.re.numerator if x.re.denominator == 1 else x.re
+                       for x in row) for row in rows)
+
+
+def _integral(rows) -> list[list[int]] | None:
+    """Plain rows as int lists when they are integral, else None."""
+    if any(x.denominator != 1 for row in rows for x in row):
+        return None
+    return [[int(x) for x in row] for row in rows]
 
 
 class CrystalTriple:
@@ -90,8 +101,7 @@ class CrystalTriple:
                 raise GroupValidationError(f"no inverse for point element {i}")
             self.inverse_table.append(row.index(ident))
         # the rows of R, entries ints where integral, for true_translation
-        self.R_rows = [[x.re.numerator if x.re.denominator == 1 else x.re
-                        for x in R.row_list(i)] for i in range(self.d)]
+        self.R_rows = _real_rows(R)
 
     @property
     def order(self) -> int:
@@ -117,34 +127,37 @@ def validate_triple(R: Mat, group: list[Mat], name: str | None = None) -> Crysta
     Raises GroupValidationError when R is not an invertible real rational
     matrix, when any g is not orthogonal or does not preserve the lattice,
     when the identity is missing or not first, or when G is not closed.
+    g^T g and R^{-1} g R are formed on plain rows (:func:`_real_rows`).
     """
     if R.rows != R.cols:
         raise GroupValidationError("lattice basis must be a square exact matrix")
     d = R.rows
     if not group:
         raise GroupValidationError("point group is empty")
-    for idx, g in enumerate(group):
-        if g.shape != (d, d) or not _is_real(g):
+    rows = [_real_rows(g) if g.shape == (d, d) else None for g in group]
+    for idx, g_rows in enumerate(rows):
+        if g_rows is None:
             raise GroupValidationError(f"point element {idx} is not a real "
                                        f"exact {d}x{d} matrix")
-    if not _is_real(R):
+    r_rows = _real_rows(R)
+    if r_rows is None:
         raise GroupValidationError("lattice basis must be real")
     if det(R).is_zero():
         raise GroupValidationError("lattice basis is singular")
-    ident = Mat.identity(d)
-    if group[0] != ident:
+    ident = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+    if rows[0] != ident:
         raise GroupValidationError("point group must list the identity first")
     R_inv = R.inverse()
+    r_inv = _real_rows(R_inv)
     seen = set()
     int_reps = []
-    for idx, g in enumerate(group):
-        if g.transpose() @ g != ident:
+    for idx, g in enumerate(rows):
+        if _int_product(tuple(zip(*g)), g) != ident:
             raise GroupValidationError(f"point element {idx} is not orthogonal")
-        key = tuple(tuple((e.re, e.im) for e in g.row_list(i)) for i in range(d))
-        if key in seen:
+        if g in seen:
             raise GroupValidationError(f"point element {idx} is a duplicate")
-        seen.add(key)
-        rep = integer_rows(R_inv @ g @ R)
+        seen.add(g)
+        rep = _integral(_int_product(_int_product(r_inv, g), r_rows))
         if rep is None:
             raise GroupValidationError(f"point element {idx} does not "
                                        "preserve the lattice")
@@ -313,11 +326,6 @@ class Dilation:
         return f"Dilation(m={self.m})"
 
 
-def _row_sum_norm(m: Mat) -> Fraction:
-    """Exact max-row-sum norm of a real matrix."""
-    return max(sum(abs(x.re) for x in m.row_list(i)) for i in range(m.rows))
-
-
 def check_admissible(A: Mat, triple: CrystalTriple) -> Dilation:
     """Validate A against the triple and compute the digit data.
 
@@ -331,24 +339,27 @@ def check_admissible(A: Mat, triple: CrystalTriple) -> Dilation:
 
     Raises AdmissibilityError when A is singular or not certified
     expansive, when it does not map the lattice into itself, or when
-    A G A^{-1} leaves G.
+    A G A^{-1} leaves G.  The powers of A^{-1} and R^{-1} A R are formed
+    on plain rows (:func:`_real_rows`).
     """
     if A.shape != (triple.d, triple.d):
         raise AdmissibilityError("dilation must be an exact d x d matrix")
-    if not _is_real(A):
+    a_rows = _real_rows(A)
+    if a_rows is None:
         raise AdmissibilityError("dilation must be real")
     det_a = det(A)
     if det_a.is_zero():
         raise AdmissibilityError("dilation is singular")
     A_inv = A.inverse()
-    power, n = A_inv, 1
-    while _row_sum_norm(power) >= 1:
+    power, n = _real_rows(A_inv), 1
+    while max(sum(map(abs, row)) for row in power) >= 1:
         if n == 64:
             raise AdmissibilityError(
                 "dilation not certified expansive: no power A^-n with "
                 "n <= 64 has max-row-sum norm below 1")
-        power, n = power @ power, 2 * n
-    M = integer_rows(triple.R_inv @ A @ triple.R)
+        power, n = _int_product(power, power), 2 * n
+    M = _integral(_int_product(_int_product(_real_rows(triple.R_inv),
+                                            a_rows), triple.R_rows))
     if M is None:
         raise AdmissibilityError("dilation does not map the lattice into itself")
     # A g_i A^{-1} = g_j exactly when M rep_i = rep_j M, R being invertible

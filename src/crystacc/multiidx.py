@@ -260,10 +260,10 @@ class VCollection:
     def scale(self, c) -> "VCollection":
         return VCollection(self.d, tuple(b.scale(c) for b in self.blocks))
 
-    def plain(self, s: int) -> list:
-        """The rows of blocks 0..s as lists of plain values."""
-        return [[[_plain(x) for x in b.row_list(j)] for j in range(b.rows)]
-                for b in self.blocks[:s + 1]]
+    def plain(self, s: int, scale: int = 1) -> list:
+        """The rows of blocks 0..s, times scale, as plain values."""
+        return [[[_plain(x, scale) for x in b.row_list(j)]
+                 for j in range(b.rows)] for b in self.blocks[:s + 1]]
 
 
 def eval_y(gamma, v: VCollection, s: int) -> Mat:

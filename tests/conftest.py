@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from crystacc import cascade
 from crystacc.crystal import catalog_triple, check_admissible
 from crystacc.linalg import Mat
 from crystacc.mask import Mask
+from crystacc.multiidx import _acted_rows
 
 
 def rand_fraction(rng, num=9, den=5):
@@ -17,6 +19,20 @@ def rand_fraction(rng, num=9, den=5):
 
 def rand_point(rng, d):
     return tuple(rand_fraction(rng) for _ in range(d))
+
+
+def reproduction_values(field, v, s, points):
+    """Degree-s reproduction sums G_[s](x) = sum_gamma y_[s](gamma)
+    f(gamma(x)) at the given grid nodes, for a float witness v (a tuple
+    of complex arrays, block t of shape d_t x r), from one walk of the
+    gamma cover as cascade.reproduce makes it.  Returns (values (N, d_s),
+    excluded), excluded marking the points with a translate that lands
+    off the grid box but within one node of it, whose sum may be
+    truncated; a point that is not a grid node raises ValueError.  Kept
+    in the tests, as no library code reads it."""
+    reads, excluded = cascade._walk(field, field.node_index(points))
+    acted = _acted_rows(field.triple, [b.tolist() for b in v[:s + 1]])
+    return cascade._sums(field, reads, len(excluded), s, acted), excluded
 
 
 @pytest.fixture(scope="session")

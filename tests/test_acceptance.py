@@ -10,8 +10,7 @@ from fractions import Fraction
 
 from crystacc.accuracy import max_accuracy, sufficient_check, verify_equivalence
 from crystacc.cascade import (cascade_iterate, empirical_accuracy,
-                              refinement_residual, reproduction_values,
-                              sample_points)
+                              refinement_residual, sample_points)
 from crystacc.crystal import (apply_element, catalog_triple, check_admissible,
                               compose, elements_in_ball, inverse,
                               validate_triple)
@@ -21,7 +20,7 @@ from crystacc.mask import (Mask, extract_scalar, lattice_triple,
 from crystacc.multiidx import (VCollection, build_A_s, build_Q_st,
                                build_Q_tilde, dim_degree, eval_X, eval_y)
 
-from conftest import rand_fraction, rand_point
+from conftest import rand_fraction, rand_point, reproduction_values
 
 import numpy as np
 

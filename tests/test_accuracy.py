@@ -727,6 +727,12 @@ def _triple_on(group, lattice, dilation=((2, 0), (0, 2))):
 P4M = _triple_on("p4m", [[1, 0], [0, 1]])
 PM_SCALED = _triple_on("pm", [[Fraction(1, 2), 0], [0, Fraction(1, 3)]])
 P2_SHEARED = _triple_on("p2", [[1, Fraction(1, 2)], [0, 1]])
+# Z^2 / M Z^2 is cyclic of order 4 for M = [[2, 1], [0, 2]], and Z / 3Z has
+# order 3: there, unlike under 2I and the quincunx, the coset of -k is
+# not always that of k
+P2_CYCLIC = _triple_on("p2", [[1, 0], [0, 1]], ((2, 1), (0, 2)))
+LINE_3 = (catalog_triple("p1", 1),)
+LINE_3 += (check_admissible(Mat.from_rows([[3]]), LINE_3[0]),)
 
 
 def _spread(where, lattice_mask):
@@ -738,9 +744,10 @@ def _spread(where, lattice_mask):
 
 def _scalar_bases(line, p1m, pm):
     """(triple, dilation, {element: scalar}) of masks with accuracy 2 to
-    4, so that the scan reaches the higher degrees.  The 2D tensor hat
-    is invariant under every point group here, so its spreads keep
-    accuracy 2, on a scaled lattice too."""
+    4, so that the scan reaches the higher degrees, and the tile of the
+    digits of p2-cyclic.  The 2D tensor hat is invariant under every
+    point group here, so its spreads keep accuracy 2, on a scaled
+    lattice too; the hat under A = 3 has accuracy 2."""
     h = Fraction(1, 2)
     cubic = {(-2,): Fraction(1, 8), (-1,): h, (0,): Fraction(3, 4),
              (1,): h, (2,): Fraction(1, 8)}
@@ -754,6 +761,10 @@ def _scalar_bases(line, p1m, pm):
         "p4m": _spread(P4M, hat2),
         "pm-scaled": _spread(PM_SCALED, hat2),
         "p2-sheared": _spread(P2_SHEARED, hat2),
+        "line-3": _spread(LINE_3, {(k,): Fraction(3 - abs(k), 3)
+                                   for k in range(-2, 3)}),
+        "p2-cyclic": _spread(P2_CYCLIC, {
+            k: Fraction(1) for k in P2_CYCLIC[1].lattice_digits}),
     }
 
 
@@ -901,7 +912,7 @@ def _changed_mask(line, p1m, pm, where, r, real, data):
 @seed(2026)
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(["line", "p1m", "pm", "p4m", "pm-scaled",
-                        "p2-sheared", "lifted"]),
+                        "p2-sheared", "line-3", "p2-cyclic", "lifted"]),
        st.sampled_from([1, 2]), st.booleans(), st.data())
 def test_integer_rows_are_the_fraction_rows_times_the_denominator(
         line, p1m, pm, where, r, real, data):
@@ -910,7 +921,8 @@ def test_integer_rows_are_the_fraction_rows_times_the_denominator(
     lcm of the denominators of the coefficients.  Real and complex masks
     with r = 1, 2 (a scalar base times the identity) and r = 8 (the
     lifted p4m hat), with a few drawn entries changed, over R = I, pm on
-    diag(1/2, 1/3) and p2 on a sheared lattice."""
+    diag(1/2, 1/3) and p2 on a sheared lattice, and under A = 3 and
+    M = [[2, 1], [0, 2]], where the cosets of k and -k differ."""
     t, dil, mask = _changed_mask(line, p1m, pm, where, r, real, data)
     s_top = 3 if t.d == 1 else 2
     scale = _common_denominator(mask)
@@ -1124,19 +1136,11 @@ def _guard_bases(line, p1m, pm):
     return bases
 
 
-@seed(2026)
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(["line", "p1m", "pm", "p4m", "p1", "p4m-quincunx",
-                        "pm-scaled", "p2-sheared", "lifted"]),
-       st.booleans(), st.booleans(), st.booleans(), st.data())
-def test_one_walk_residuals_equal_the_per_coset_reference(
-        line, p1m, pm, where, real, use_witness, reweight, data):
-    """condition_d_residuals gives, exactly, the dense per-coset
-    residual of every coset at every degree: on p1, p1m, pm and p4m
-    scalar masks (under 2I and the quincunx), pm on diag(1/2, 1/3) and
-    p2 on a sheared lattice, and the lifted r = 8 p4m hat, with up to
-    two drawn entries changed, complex ones among them.  With reweight,
-    the blocks of each point part are scaled by a drawn weight: an even
+def _guard_case(line, p1m, pm, where, real, use_witness, reweight, data):
+    """(triple, dilation, mask, v) for the witness guard: a base of
+    :func:`_guard_bases`, or the lifted r = 8 p4m hat, with up to two
+    drawn entries changed, complex ones among them.  With reweight, the
+    blocks of each point part are scaled by a drawn weight: an even
     spread sums the same over b as over b^{-1}, and would hide a lead
     built from the wrong one.  v is the solver's witness when there is
     one and use_witness holds, else drawn at random, so that most
@@ -1172,10 +1176,59 @@ def test_one_walk_residuals_equal_the_per_coset_reference(
             Mat.from_rows([[data.draw(value) for _ in range(r)]
                            for _ in range(dim_degree(t.d, s))])
             for s in range(s_top + 1)))
+    return t, dil, mask, v
+
+
+GUARD_CASES = ["line", "p1m", "pm", "p4m", "p1", "p4m-quincunx", "pm-scaled",
+               "p2-sheared", "line-3", "p2-cyclic", "lifted"]
+
+
+@seed(2026)
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(GUARD_CASES), st.booleans(), st.booleans(),
+       st.booleans(), st.data())
+def test_one_walk_residuals_equal_the_per_coset_reference(
+        line, p1m, pm, where, real, use_witness, reweight, data):
+    """condition_d_residuals gives, exactly, the dense per-coset
+    residual of every coset at every degree: on p1, p1m, pm and p4m
+    scalar masks (under 2I and the quincunx), pm on diag(1/2, 1/3) and
+    p2 on a sheared lattice, p1 under A = 3 and p2 under
+    M = [[2, 1], [0, 2]] (where the cosets of k and -k differ), and the
+    lifted r = 8 p4m hat, with up to two drawn entries changed
+    (:func:`_guard_case`)."""
+    _, dil, mask, v = _guard_case(line, p1m, pm, where, real, use_witness,
+                                  reweight, data)
     for s in range(v.p):
         assert condition_d_residuals(mask, dil, v, s) == [
             _condition_d_reference(mask, dil, v, s, i)
             for i in range(dil.m)]
+
+
+@seed(2026)
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(GUARD_CASES), st.booleans(), st.booleans(),
+       st.booleans(), st.data())
+def test_one_walk_for_every_degree_equals_the_walk_per_degree(
+        line, p1m, pm, where, real, use_witness, reweight, data):
+    """One walk of the support for every degree s < p gives, degree by
+    degree, the residuals of condition_d_residuals, and its scaled rows
+    are its scale times them; the walk's scale is the lcm of the
+    witness's denominators times the mask's common denominator.  The
+    cases of :func:`_guard_case`, so real and complex witnesses, zero
+    and non-zero residuals."""
+    _, dil, mask, v = _guard_case(line, p1m, pm, where, real, use_witness,
+                                  reweight, data)
+    scale, walk = accuracy_mod._residual_walk(mask, dil, v, range(v.p))
+    assert list(walk) == list(range(v.p))
+    assert scale == _common_denominator(mask) * lcm(*(
+        q.denominator for blk in v.blocks for i in range(blk.rows)
+        for x in blk.row_list(i) for q in (x.re, x.im)))
+    for s in range(v.p):
+        per_degree = condition_d_residuals(mask, dil, v, s)
+        assert accuracy_mod._residual_mats(scale, walk[s], mask.r) == \
+            per_degree
+        assert [Mat.from_rows(rows, cols=mask.r) for rows in walk[s]] == [
+            res.scale(scale) for res in per_degree]
 
 
 def test_lifted_residuals_equal_the_reference():
@@ -1198,38 +1251,224 @@ def test_lifted_residuals_equal_the_reference():
                                  for i in range(dil.m)]
 
 
-def test_sufficient_check_walks_the_support_once_per_degree(line, bspline4,
-                                                            monkeypatch):
-    """The witness guard of sufficient_check finds the digit coset of each
-    support element at most once per degree, from one walk that serves
-    every coset, and builds no dense Q-tilde block."""
+def test_sufficient_check_walks_the_support_once(line, bspline4,
+                                                 monkeypatch):
+    """The witness guard of sufficient_check checks every degree s < p in
+    one walk of the support, which finds the digit coset of each support
+    element once and builds no dense Q-tilde block."""
     t, dil = line
     support = len(list(bspline4.items()))
     cosets, q_calls, walks = [], [], []
-    real_coset = Dilation.coset_index
-    real_guard = accuracy_mod.condition_d_residuals
+    real_coset = Dilation.translation_coset
+    real_walk = accuracy_mod._residual_walk
 
-    def counting_coset(self, e):
-        cosets.append(e)
-        return real_coset(self, e)
+    def counting_coset(self, kvec):
+        cosets.append(kvec)
+        return real_coset(self, kvec)
 
     def counting_q(*args):
         q_calls.append(args)
         return build_Q_tilde(*args)
 
-    def counting_guard(*args):
+    def counting_walk(mask, dilation, v, degrees):
         before = len(cosets)
-        out = real_guard(*args)
-        walks.append(len(cosets) - before)
+        out = real_walk(mask, dilation, v, degrees)
+        walks.append((list(degrees), len(cosets) - before))
         return out
 
-    monkeypatch.setattr(Dilation, "coset_index", counting_coset)
+    monkeypatch.setattr(Dilation, "translation_coset", counting_coset)
     monkeypatch.setattr(accuracy_mod, "build_Q_tilde", counting_q)
     monkeypatch.setattr(multiidx_mod, "build_Q_tilde", counting_q)
-    monkeypatch.setattr(accuracy_mod, "condition_d_residuals",
-                        counting_guard)
+    monkeypatch.setattr(accuracy_mod, "_residual_walk", counting_walk)
     rep = sufficient_check(bspline4, t, dil, p=4)
     assert rep.passed and rep.chain_residual_zero
-    assert len(walks) == 4
-    assert all(n <= support for n in walks)
+    assert walks == [([0, 1, 2, 3], support)]
     assert q_calls == []
+
+
+# -- the sum-rule test on plain values against the QC one it replaced -------
+
+def _reference_sufficient_check(mask, triple, dilation, p):
+    """sufficient_check as it was on QC Mats: per-coset sums from a
+    build_A_s @ Mat.column product and a QC division per entry, every
+    coset's block rows built, det of each diagonal block, then
+    lhs.inverse() @ rhs for the chain, re-checked per degree against the
+    dense per-coset reference (:func:`_condition_d_reference`)."""
+    if mask.r != 1:
+        raise MaskShapeError("the sum-rule test applies to multiplicity-1 "
+                             f"masks, got r={mask.r}")
+    if triple is not mask.triple or dilation.triple is not triple:
+        raise ValueError("mask, triple and dilation must match")
+    if p < 1:
+        raise ValueError("target accuracy must be at least 1")
+    d, r = triple.d, triple.order
+    m = dilation.m
+    notes = ["degree-s eigenvalue screen runs over 1 <= s < p; at s = 0 "
+             "the screened matrix equals the scalar 1 whenever the sum "
+             "rule holds"]
+
+    total = sum((blk.entry(0, 0) for _, blk in mask.items()), QC(0))
+    sum_rule_ok = total == m
+
+    table = accuracy_mod._moments(mask, dilation, p)
+    per_coset = {(b, a): [QC(0)] * m for b in range(r)
+                 for s in range(p) for a in enumerate_degree(d, s)}
+    for (i, g), moment in table.sums.items():
+        for s in range(p):
+            alphas = enumerate_degree(d, s)
+            col = build_A_s(triple.group[g], s) @ Mat.column(
+                [moment[a].get((0, 0), 0) for a in alphas])
+            for j, a in enumerate(alphas):
+                key = (triple.inverse_table[g], a)
+                per_coset[key][i] = col.entry(j, 0) / table.scale
+    beta = {key: sums[0] for key, sums in per_coset.items()
+            if len(set(sums)) == 1}
+    moments_ok = len(beta) == len(per_coset)
+    if not moments_ok:
+        notes.append("per-coset moments disagree; see per_coset for the "
+                     "offending sums")
+
+    zero_alpha = (0,) * d
+    beta0_consistent = True
+    if moments_ok and sum_rule_ok:
+        direct = {b: [QC(0)] * m for b in range(r)}
+        for e, blk in mask.items():
+            b = triple.inverse_table[e.g]
+            i = dilation.translation_coset(e.k)
+            direct[b][i] = direct[b][i] + blk.entry(0, 0)
+        beta0_consistent = all(
+            len(set(direct[b] + [beta[(b, zero_alpha)]])) == 1
+            for b in range(r))
+        if not beta0_consistent:
+            notes.append("alpha = 0 moments disagree between the two "
+                         "coefficient indexings; the coset permutation "
+                         "argument failed for this input")
+
+    eigen_flags = {}
+    degree_rows = []
+    if moments_ok:
+        start = 1
+        for s in range(1, p):
+            ds = dim_degree(d, s)
+            rows = accuracy_mod._block_row(mask, dilation, table, s)[:ds]
+            lhs = Mat.from_rows([[row.get(start + k, 0) for k in range(ds)]
+                                 for row in rows])
+            eigen_flags[s] = not det(lhs).is_zero()
+            degree_rows.append((start, rows, lhs))
+            start += ds
+    eigen_ok = all(eigen_flags.values())
+
+    v_chain = None
+    chain_zero = None
+    conditions_ok = (sum_rule_ok and moments_ok and eigen_ok
+                     and beta0_consistent)
+    if conditions_ok:
+        blocks = [Mat.identity(1)]
+        chain = [QC(1)]
+        for start, rows, lhs in degree_rows:
+            rhs = Mat.column([sum((-x * chain[j] for j, x in row.items()
+                                   if j < start), QC(0)) for row in rows])
+            blocks.append(lhs.inverse() @ rhs)
+            chain += [blocks[-1].entry(k, 0) for k in range(lhs.rows)]
+        v_chain = VCollection(d, tuple(blocks))
+        chain_zero = all(
+            _condition_d_reference(mask, dilation, v_chain, s, i).is_zero()
+            for s in range(p) for i in range(m))
+        if not chain_zero:
+            notes.append("the recursive witness fails the per-coset "
+                         "conditions; this indicates an internal "
+                         "inconsistency")
+
+    passed = bool(conditions_ok and chain_zero)
+    return accuracy_mod.SufficientReport(
+        p=p, sum_total=total, sum_rule_ok=sum_rule_ok, beta=beta,
+        per_coset=per_coset, moments_ok=moments_ok,
+        eigen_flags=eigen_flags, eigen_ok=eigen_ok,
+        beta0_consistent=beta0_consistent, v_chain=v_chain,
+        chain_residual_zero=chain_zero, passed=passed, notes=tuple(notes))
+
+
+def _assert_same_report(got, want):
+    """Every SufficientReport field equal, and of the same type: QCs in
+    sum_total, beta and per_coset, a VCollection of Mats or None in
+    v_chain, bools in the flags."""
+    assert vars(got) == vars(want)
+    for name, value in vars(want).items():
+        assert type(getattr(got, name)) is type(value), name
+    assert type(got.sum_total) is QC
+    assert all(type(x) is QC for x in got.beta.values())
+    assert all(type(x) is QC for xs in got.per_coset.values() for x in xs)
+    assert all(type(x) is bool for x in got.eigen_flags.values())
+    if got.v_chain is not None:
+        assert all(type(blk) is Mat for blk in got.v_chain.blocks)
+
+
+# weights of the point parts but the last, which makes them sum to |G|:
+# 3/2 and 1/2 over p1m and pm give the degree-1 screened matrices 1 and
+# diag(2, 1), which have the eigenvalue 1; complex weights keep the sum
+# rule and the moments, and run the screen and the chain on QCs
+REPORT_WEIGHTS = [Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2),
+                  QC(1, 1), QC(Fraction(3, 2), Fraction(1, 2))]
+
+
+@pytest.mark.parametrize("change", ["none", "real", "complex"])
+@seed(2026)
+@settings(max_examples=60, deadline=None)
+@given(where=st.sampled_from(["line", "p1m", "pm", "p4m", "pm-scaled",
+                              "p2-sheared", "line-3", "p2-cyclic"]),
+       p=st.integers(1, 4), reweight=st.booleans(), data=st.data())
+def test_sufficient_report_equals_the_qc_reference(line, p1m, pm, change,
+                                                   where, p, reweight, data):
+    """sufficient_check on plain values gives the report of the QC
+    reference, field for field and type for type.  A scalar base of
+    :func:`_scalar_bases` (R = I and R != I; under A = 3 and
+    M = [[2, 1], [0, 2]] the cosets of k and -k differ); with
+    reweight, point part g is scaled by a drawn weight w_g, real or
+    complex, and the last weight makes them sum to |G|, so the sum rule
+    holds and the eigenvalue screen often fails; with a real or complex
+    change, one or
+    two drawn entries are changed (at least one complex for a complex
+    change), so that the moments often disagree across cosets and the
+    sum rule fails.  Unchanged bases are tested up to their accuracy
+    (4 on the line, else 2), where their moments agree."""
+    t, dil, base = _scalar_bases(line, p1m, pm)[where]
+    if change == "none":
+        p = min(p, 4 if where == "line" else 2)
+    weights = [1] * t.order
+    if reweight and t.order > 1:
+        weights[:-1] = data.draw(st.lists(
+            st.sampled_from(REPORT_WEIGHTS), min_size=t.order - 1,
+            max_size=t.order - 1))
+        weights[-1] = t.order - sum(weights[:-1])
+    entries = {e: c * weights[e.g] for e, c in base.items()}
+    if change != "none":
+        part = st.fractions(-2, 2, max_denominator=4)
+        value = (st.builds(QC, part) if change == "real"
+                 else st.builds(QC, part, part.filter(lambda x: x != 0)))
+        for e, x in data.draw(st.lists(st.tuples(
+                st.sampled_from(sorted(base, key=lambda e: (e.g, e.k))),
+                value), min_size=1, max_size=2)):
+            entries[e] = x
+    mask = Mask.scalar(t, entries)
+    _assert_same_report(sufficient_check(mask, t, dil, p),
+                        _reference_sufficient_check(mask, t, dil, p))
+
+
+@pytest.mark.parametrize("where", sorted(SCREEN_CASES))
+def test_sufficient_report_equals_the_qc_reference_on_the_screen_cases(
+        where):
+    """The masks of the eigenvalue-screen cases, with weights that make
+    the screen fail and pass, under 2I and the quincunx, over Z^2 and
+    over non-integer lattices: the report equals the QC reference's,
+    field for field."""
+    t, dil = SCREEN_CASES[where]
+    base = _screen_base(dil)
+    for w0 in (Fraction(1, 2), Fraction(3, 2), 1):
+        weights = [w0] + [(t.order - w0) / (t.order - 1)] * (t.order - 1) \
+            if t.order > 1 else [1]
+        mask = Mask.scalar(t, {(g, k): w * c / t.order
+                               for g, w in enumerate(weights)
+                               for k, c in base.items()})
+        for p in (2, 3):
+            _assert_same_report(sufficient_check(mask, t, dil, p),
+                                _reference_sufficient_check(mask, t, dil, p))

@@ -504,6 +504,20 @@ def test_cascade_stdout_matches_golden(capsys, monkeypatch, config, flags,
         encoding="utf-8")
 
 
+@pytest.mark.parametrize("config", ["hat", "pm", "p4m_hat",
+                                    "quadratic_bspline_2d"])
+def test_accuracy_both_stdout_matches_golden(capsys, config):
+    """crystacc accuracy --method both prints, byte for byte, the stdout
+    recorded in tests/golden: certificates of accuracy 2 (the 1D hat and
+    the p4m hat) and 3 (the quadratic B-spline), and the pm mask, whose
+    sum rule fails (accuracy 0, per-coset moments that disagree)."""
+    assert main(["accuracy", str(GOLDEN / f"{config}.json"), "--method",
+                 "both"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        GOLDEN / f"{config}_accuracy_both.stdout").read_text(
+            encoding="utf-8")
+
+
 def test_cascade_walks_the_sample_once_for_every_degree(capsys,
                                                         monkeypatch):
     """The p4m hat at --grid 5 --verify-p 5 tests its two witness degrees

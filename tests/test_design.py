@@ -16,7 +16,9 @@ part, Q-tilde blocks built on ints
 where the data are integral and read through the binomial shift only (no
 reader builds them, and no triple caches them), a float oracle that
 walks its sample's gamma cover once for every degree it checks, and every
-name the benchmark's tracer wraps."""
+name the benchmark's tracer wraps; a sum-rule test on plain values,
+with no det or Mat.inverse and one walk of the support for its witness
+chain."""
 
 import ast
 import importlib.util
@@ -150,14 +152,16 @@ def test_translations_are_read_once_in_the_moment_table():
     """The exact solver reads a support element's translation in one
     place, the moment table that feeds both the constraint rows and the
     sum-rule test.  The witness guard, the element-by-element check on
-    that table, reads it by itself and nowhere else."""
+    that table, reads it by itself in its one walk of the support, which
+    condition_d_residuals, verify_equivalence and sufficient_check share,
+    and nowhere else."""
     tree = ast.parse(inspect.getsource(accuracy))
     readers = [func.name for func in ast.walk(tree)
                if isinstance(func, ast.FunctionDef)
                for node in ast.walk(func)
                if isinstance(node, ast.Attribute)
                and node.attr == "true_translation"]
-    assert readers == ["condition_d_residuals", "_moments"]
+    assert readers == ["_residual_walk", "_moments"]
 
 
 def _shape_cases():
@@ -345,8 +349,9 @@ def test_plain_view_is_built_once_per_mask(case, monkeypatch):
 
 def test_one_common_denominator_of_the_coefficients():
     """One function computes the lcm of a mask's coefficient
-    denominators, the mask's plain view; the only other lcm in src/ is
-    the row scaling of the one elimination routine."""
+    denominators, the mask's plain view; the only other lcms in src/ are
+    the row scaling of the one elimination routine and the witness's own
+    denominator in the witness guard's walk."""
     callers = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -357,7 +362,8 @@ def test_one_common_denominator_of_the_coefficients():
                         or getattr(node.func, "attr", None) == "lcm")
                     for node in ast.walk(func)):
                 callers.append((path.name, func.name))
-    assert sorted(callers) == [("linalg.py", "_rref"),
+    assert sorted(callers) == [("accuracy.py", "_residual_walk"),
+                               ("linalg.py", "_rref"),
                                ("mask.py", "_plain_coefficients")]
 
 
@@ -467,6 +473,55 @@ def test_no_reader_builds_q_tilde_blocks(monkeypatch):
     assert [c.s for c in checks] == [0, 1, 2]
     assert calls == []
     assert not hasattr(t, "q_tilde_cache")
+
+
+@pytest.mark.parametrize("case", ["cubic", "p4m-hat"])
+def test_sum_rule_test_runs_on_plain_values(case, monkeypatch):
+    """On a real rational mask, sufficient_check calls neither det nor
+    Mat.inverse (one plain elimination per degree screens and solves),
+    builds the block rows of the first coset only, and re-checks its
+    witness chain in one walk of the support for every degree below p,
+    without condition_d_residuals."""
+    if case == "cubic":
+        mask, dil, p = _shape_cases()["cubic"]
+        p -= 1
+    else:
+        t = catalog_triple("p4m", 2)
+        dil = check_admissible(Mat.from_rows([[2, 0], [0, 2]]), t)
+        hat = {-1: 1, 0: 2, 1: 1}
+        mask = Mask.scalar(t, {(g, (i, j)): f"{a * b}/32" for g in range(8)
+                               for i, a in hat.items()
+                               for j, b in hat.items()})
+        p = 2
+    calls, walks, cosets = [], [], []
+
+    def refused(name):
+        def spy(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called")
+        return spy
+
+    real_walk, real_rows = accuracy._residual_walk, accuracy._block_row
+
+    def walk(*args):
+        walks.append(list(args[3]))
+        return real_walk(*args)
+
+    def rows(*args, **kwargs):
+        cosets.append(kwargs.get("coset"))
+        return real_rows(*args, **kwargs)
+
+    monkeypatch.setattr(accuracy, "det", refused("det"))
+    monkeypatch.setattr(Mat, "inverse", refused("Mat.inverse"))
+    monkeypatch.setattr(accuracy, "condition_d_residuals",
+                        refused("condition_d_residuals"))
+    monkeypatch.setattr(accuracy, "_residual_walk", walk)
+    monkeypatch.setattr(accuracy, "_block_row", rows)
+    rep = accuracy.sufficient_check(mask, mask.triple, dil, p)
+    assert rep.passed and rep.chain_residual_zero
+    assert calls == []
+    assert walks == [list(range(p))]
+    assert cosets == [0] * (p - 1)
 
 
 def test_the_oracle_walks_its_sample_once(monkeypatch):
