@@ -46,9 +46,10 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import index, mul
 
 import numpy as np
 
@@ -551,15 +552,22 @@ def refinement_residual(field: GridField, mask: Mask,
 
 def sample_points(field: GridField, count: int = 32,
                   seed: int = 2026) -> np.ndarray:
-    """Random grid nodes of the lattice cell [0,1)^d in y, returned as x =
-    R y, keeping a margin of support_radius * h, h times the length of the
-    support box's diagonal, from the cell boundary in y.
+    """``count`` distinct grid nodes of the lattice cell [0,1)^d in y (all
+    of them when there are fewer), returned as x = R y, keeping a margin
+    of support_radius * h, h times the length of the support box's
+    diagonal, from the cell boundary in y.
 
+    The nodes are drawn by Python's ``random.Random(seed)``, so a seed
+    gives the same sample on a given Python version, as it did on a given
+    numpy version when numpy's generator drew it; the same seed picks
+    other nodes than it did then.  A seed must be a nonnegative integer.
     The oracle reads the field at nodes only: from a node every translate
     gamma(x) is again a node, so the comparison measures the cascade
     itself.
     """
-    rng = np.random.default_rng(seed)
+    seed = index(seed)
+    if seed < 0:
+        raise ValueError("seed must be a nonnegative integer")
     scale = 2 ** field.q
     # node j keeps the margin when min(j, 2^q - j) >= support_radius; both
     # sides squared and scaled by 4^q are integers
@@ -570,7 +578,9 @@ def sample_points(field: GridField, count: int = 32,
     if len(ok) == 0:
         raise CascadeError("grid too coarse for the sampling margin")
     total = len(ok) ** field.d
-    picks = rng.choice(total, size=min(count, total), replace=False)
+    picks = np.array(random.Random(seed).sample(range(total),
+                                                min(count, total)),
+                     dtype=np.int64)
     J = ok[np.stack(np.unravel_index(picks, (len(ok),) * field.d), axis=1)]
     return field._x(J)
 

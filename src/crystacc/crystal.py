@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from operator import mul
 
-from .linalg import Mat, QC, det, integer_rows
+from .linalg import Mat, QC, _det_inverse
 
 
 class GroupValidationError(ValueError):
@@ -127,7 +127,8 @@ def validate_triple(R: Mat, group: list[Mat], name: str | None = None) -> Crysta
     Raises GroupValidationError when R is not an invertible real rational
     matrix, when any g is not orthogonal or does not preserve the lattice,
     when the identity is missing or not first, or when G is not closed.
-    g^T g and R^{-1} g R are formed on plain rows (:func:`_real_rows`).
+    g^T g and R^{-1} g R are formed on plain rows (:func:`_real_rows`),
+    and R^{-1} comes from one elimination of them.
     """
     if R.rows != R.cols:
         raise GroupValidationError("lattice basis must be a square exact matrix")
@@ -142,13 +143,12 @@ def validate_triple(R: Mat, group: list[Mat], name: str | None = None) -> Crysta
     r_rows = _real_rows(R)
     if r_rows is None:
         raise GroupValidationError("lattice basis must be real")
-    if det(R).is_zero():
+    r_inv = _det_inverse(r_rows)[1]
+    if r_inv is None:
         raise GroupValidationError("lattice basis is singular")
     ident = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
     if rows[0] != ident:
         raise GroupValidationError("point group must list the identity first")
-    R_inv = R.inverse()
-    r_inv = _real_rows(R_inv)
     seen = set()
     int_reps = []
     for idx, g in enumerate(rows):
@@ -163,7 +163,7 @@ def validate_triple(R: Mat, group: list[Mat], name: str | None = None) -> Crysta
                                        "preserve the lattice")
         int_reps.append(rep)
     # closure checked by CrystalTriple
-    return CrystalTriple(R, R_inv, group, int_reps, name=name)
+    return CrystalTriple(R, Mat.from_rows(r_inv), group, int_reps, name=name)
 
 
 def generate_group(generators: list[Mat], max_order: int = 48) -> list[Mat]:
@@ -266,10 +266,11 @@ class Dilation:
         self.A_inv = A_inv
         self.M = M
         self.M_mat = Mat.from_rows(M)
-        self.M_inv = self.M_mat.inverse()
+        m_inv = _det_inverse(M)[1]
+        self.M_inv = Mat.from_rows(m_inv)
         # adj M = det M · M^{-1} is integral, so M^{-1} k = (adj M · k) / det M
         self._det = det_m
-        self._adj = integer_rows(self.M_inv.scale(QC(det_m)))
+        self._adj = [[int(x * det_m) for x in row] for row in m_inv]
         self.h = h
         self.h_inv = tuple(h.index(i) for i in range(len(h)))
         pt = triple.product_table
@@ -339,19 +340,19 @@ def check_admissible(A: Mat, triple: CrystalTriple) -> Dilation:
 
     Raises AdmissibilityError when A is singular or not certified
     expansive, when it does not map the lattice into itself, or when
-    A G A^{-1} leaves G.  The powers of A^{-1} and R^{-1} A R are formed
-    on plain rows (:func:`_real_rows`).
+    A G A^{-1} leaves G.  det A and A^{-1} come from one elimination of
+    the plain rows of A (:func:`_real_rows`), on which the powers of
+    A^{-1} and R^{-1} A R are formed.
     """
     if A.shape != (triple.d, triple.d):
         raise AdmissibilityError("dilation must be an exact d x d matrix")
     a_rows = _real_rows(A)
     if a_rows is None:
         raise AdmissibilityError("dilation must be real")
-    det_a = det(A)
-    if det_a.is_zero():
+    det_a, a_inv = _det_inverse(a_rows)
+    if a_inv is None:
         raise AdmissibilityError("dilation is singular")
-    A_inv = A.inverse()
-    power, n = _real_rows(A_inv), 1
+    power, n = a_inv, 1
     while max(sum(map(abs, row)) for row in power) >= 1:
         if n == 64:
             raise AdmissibilityError(
@@ -374,8 +375,8 @@ def check_admissible(A: Mat, triple: CrystalTriple) -> Dilation:
                 f"conjugation by the dilation maps point element {i} "
                 "outside the group")
         h.append(match)
-    dil = Dilation(triple, A, A_inv, M, tuple(h), int(det_a.re))
-    if len(dil.digits) != abs(det_a.re):
+    dil = Dilation(triple, A, Mat.from_rows(a_inv), M, tuple(h), int(det_a))
+    if len(dil.digits) != abs(det_a):
         raise AdmissibilityError("digit count does not match |det A|")
     return dil
 

@@ -377,8 +377,9 @@ def _rref(rows: list[dict], n_cols: int, with_det: bool = False
     Gauss-Jordan elimination, the one exact elimination in the package.
     Returns (the rref's non-zero rows, each a dict column -> value, an int
     or Fraction on real data and a QC otherwise; their pivot columns; and
-    with ``with_det``, the determinant, which is None unless the matrix is
-    square with a pivot in every column).
+    with ``with_det``, the determinant of the leading square block, the
+    first ``len(rows)`` columns, in the same form as the entries, which is
+    None unless that block has a pivot in every column).
 
     Each row is scaled to integers by the lcm of its denominators (real
     data then run on Python ints, complex data on QCs with integer parts)
@@ -393,8 +394,10 @@ def _rref(rows: list[dict], n_cols: int, with_det: bool = False
     change scales the determinant by p / content and each row's first
     scaling by its lcm over its content; the rows end as a permutation of
     the diagonal of their pivots, whose sign and product give the
-    determinant of the scaled matrix.  The determinant is tracked only on
-    request, as the kernel and inverse queries do not read it.
+    determinant of the scaled matrix.  Columns past the square block, such
+    as the identity of [A | I], change none of this.  The determinant is
+    tracked only on request, as the kernel queries and
+    :meth:`Mat.inverse` do not read it.
     """
     real = all(_parts(x)[1] == 0 for row in rows for x in row.values())
     if real:
@@ -417,7 +420,7 @@ def _rref(rows: list[dict], n_cols: int, with_det: bool = False
 
         def ratio(e, p):
             return e / p
-    track = with_det and len(rows) == n_cols
+    track = with_det and len(rows) <= n_cols
     grown, shrunk = 1, 1
     a = []
     for row in rows:
@@ -474,12 +477,11 @@ def _rref(rows: list[dict], n_cols: int, with_det: bool = False
         p = a[k][col]
         out.append({j: ratio(e, p) for j, e in a[k].items()})
     det = None
-    if track and len(pivots) == n_cols:
-        odd = sum(owners[i] > owners[j] for i in range(n_cols)
-                  for j in range(i + 1, n_cols)) % 2
+    if track and pivots == list(range(len(a))):
+        odd = sum(owners[i] > owners[j] for i in range(len(a))
+                  for j in range(i + 1, len(a))) % 2
         scaled = math.prod(a[k][col] for col, k in zip(pivots, owners))
-        det = (QC.parse(-shrunk if odd else shrunk) * QC.parse(scaled)
-               / QC.parse(grown))
+        det = ratio((-shrunk if odd else shrunk) * scaled, grown)
     return out, pivots, det
 
 
@@ -514,7 +516,21 @@ def det(m: Mat) -> QC:
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
     value = _rref(_dict_rows(m), m.cols, with_det=True)[2]
-    return QC_ZERO if value is None else value
+    return QC_ZERO if value is None else QC.parse(value)
+
+
+def _det_inverse(rows) -> tuple:
+    """The determinant and the inverse of a square matrix given as plain
+    real rows (ints and Fractions), from one :func:`_rref` of [rows | I]:
+    (det, the inverse's rows as tuples, ints where integral, else
+    Fractions), or (0, None) when the matrix is singular."""
+    n = len(rows)
+    a, _, value = _rref([{**{j: x for j, x in enumerate(row) if x}, n + i: 1}
+                         for i, row in enumerate(rows)], 2 * n, with_det=True)
+    if value is None:
+        return 0, None
+    return value, tuple(tuple(row.get(j, 0) for j in range(n, 2 * n))
+                        for row in a)
 
 
 def kron(a: Mat, b: Mat) -> Mat:

@@ -155,6 +155,42 @@ def test_sample_points_are_margin_nodes(hat_field):
     assert not np.array_equal(pts, other)
 
 
+def test_sample_points_contract_on_a_sheared_lattice():
+    """On pm over the shear R = [[1, 1/2], [0, 1]]: a count at least the
+    number of margin nodes of the lattice cell gives every one of them
+    exactly once, a smaller count gives distinct margin nodes, each point
+    is x = R y for its node y = h J, a seed repeats its array, seeds 7
+    and 8 differ, and a negative seed is refused."""
+    R = [[1, Fraction(1, 2)], [0, 1]]
+    t = validate_triple(Mat.from_rows(R), catalog_triple("pm", 2).group)
+    dil = check_admissible(Mat.from_rows([[2, 0], [0, 2]]), t)
+    hat = {-1: Fraction(1, 2), 0: Fraction(1), 1: Fraction(1, 2)}
+    mask = Mask.scalar(t, {(0, (i, j)): a * b for i, a in hat.items()
+                           for j, b in hat.items()})
+    field = cascade_iterate(mask, t, dil, iterations=2,
+                            grid_exponent=4).field
+    n = 2 ** field.q
+    ok = [j for j in range(n) if min(j, n - j) >= field.support_radius]
+    margin = set(itertools.product(ok, repeat=2))
+    assert len(margin) > 32
+    r = np.array(R, dtype=float)
+
+    def nodes(pts):
+        J = np.rint(pts @ np.linalg.inv(r).T / field.h).astype(np.int64)
+        assert np.array_equal(pts, (J * field.h) @ r.T)
+        return [tuple(int(x) for x in j) for j in J]
+
+    every = nodes(sample_points(field, count=len(margin) + 5, seed=3))
+    assert len(every) == len(margin) and set(every) == margin
+    pts = sample_points(field, count=32, seed=7)
+    picked = nodes(pts)
+    assert len(set(picked)) == 32 and set(picked) <= margin
+    assert np.array_equal(pts, sample_points(field, count=32, seed=7))
+    assert not np.array_equal(pts, sample_points(field, count=32, seed=8))
+    with pytest.raises(ValueError):
+        sample_points(field, seed=-1)
+
+
 def test_sample_points_margin_guard(line, hat):
     t, dil = line
     res = cascade_iterate(hat, t, dil, iterations=1, grid_exponent=1)

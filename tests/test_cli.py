@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
@@ -537,6 +541,33 @@ def test_cascade_walks_the_sample_once_for_every_degree(capsys,
     assert capsys.readouterr().out == (
         GOLDEN / "p4m_hat_grid5_verify5.stdout").read_text(encoding="utf-8")
     assert len(walks) == 1
+
+
+def test_commands_import_no_further_numpy_module():
+    """In a fresh interpreter that has imported crystacc.cli, cascade on
+    the quadratic B-spline (--grid 5 --iters 21 --verify-p 4) and
+    accuracy --method both import no numpy module that was not loaded
+    already: the sample is drawn without numpy.random, whose import
+    would cost each call more than its 21 cascade steps."""
+    config = str(GOLDEN / "quadratic_bspline_2d.json")
+    script = textwrap.dedent(f"""
+        import contextlib, io, sys
+        from crystacc.cli import main
+        before = set(sys.modules)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["cascade", {config!r}, "--grid", "5", "--iters",
+                         "21", "--verify-p", "4"]) == 0
+            assert main(["accuracy", {config!r}, "--method", "both"]) == 0
+        print(sorted(m for m in set(sys.modules) - before
+                     if m.split(".")[0] == "numpy"))
+    """)
+    src = str(Path(cli_mod.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != SEED_ENV_VAR}
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_seed_from_environment(tmp_path, capsys, monkeypatch):

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from crystacc.crystal import (AdmissibilityError, Dilation,
                               GroupValidationError, apply_element, catalog_names, catalog_triple,
                               check_admissible, compose, elements_in_ball,
                               generate_group, inverse, validate_triple)
+from crystacc import linalg
 from crystacc.linalg import Mat, QC, det, integer_rows
 
 from conftest import rand_point
@@ -59,19 +60,20 @@ def test_wrong_size_generator_names_its_size():
 
 
 def test_p4m_doubling_inverts_each_matrix_once(monkeypatch):
-    """Building p4m with A = 2I inverts R, A and M = R^{-1} A R once each:
-    the triple and the dilation reuse what validation computed."""
-    inverted = []
-    original = Mat.inverse
+    """Building p4m with A = 2I inverts R, A and M = R^{-1} A R once each,
+    and these three eliminations also give every determinant: the triple
+    and the dilation reuse what validation computed."""
+    eliminated = []
+    original = linalg._rref
 
-    def counting(self):
-        inverted.append(self.shape)
-        return original(self)
+    def counting(rows, n_cols, with_det=False):
+        eliminated.append((len(rows), n_cols))
+        return original(rows, n_cols, with_det)
 
-    monkeypatch.setattr(Mat, "inverse", counting)
+    monkeypatch.setattr(linalg, "_rref", counting)
     t = catalog_triple("p4m", 2)
     dil = check_admissible(Mat.from_rows([[2, 0], [0, 2]]), t)
-    assert len(inverted) == 3
+    assert eliminated == [(2, 4)] * 3
     assert t.R_inv == Mat.identity(2)
     assert dil.A_inv == Mat.identity(2).scale(QC(Fraction(1, 2)))
 
@@ -383,6 +385,7 @@ def _oh_group():
 
 
 QUINCUNX_ROWS = [[1, 1], [1, -1]]
+ROTATION_ROWS = [[1, -1], [1, 1]]
 TABLE_CASES = (
     [(f"{name}-{d}d", d, name, None) for d in (1, 2)
      for name in catalog_names(d)]
@@ -421,6 +424,94 @@ def test_integer_group_tables_equal_the_mat_built_ones(case):
                 check_admissible(A, t)
         else:
             assert check_admissible(A, t).h == want
+
+
+def _leibniz_det(m):
+    """det m by the permutation expansion, with no elimination."""
+    total = QC(0)
+    for perm in permutations(range(m.rows)):
+        inversions = sum(a > b for i, a in enumerate(perm)
+                         for b in perm[i + 1:])
+        term = QC(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term = term * m.entry(i, j)
+        total = total + term
+    return total
+
+
+def _qc_outcome(R, group, A):
+    """What validate_triple and check_admissible found by QC eliminations
+    (det and Mat.inverse), checked in their order: the message of the
+    first refusal, or (R^{-1}, A^{-1}, M^{-1}, adj M, det M).  Each
+    determinant is also checked against the permutation expansion."""
+    assert det(R) == _leibniz_det(R) and det(A) == _leibniz_det(A)
+    if det(R).is_zero():
+        return "lattice basis is singular"
+    R_inv = R.inverse()
+    if any(integer_rows(R_inv @ g @ R) is None for g in group):
+        return "does not preserve the lattice"
+    if det(A).is_zero():
+        return "dilation is singular"
+    A_inv = A.inverse()
+    power, n = A_inv, 1
+    while max(sum(abs(x.re) for x in power.row_list(i))
+              for i in range(power.rows)) >= 1:
+        if n == 64:
+            return "not certified expansive"
+        power, n = power @ power, 2 * n
+    M = R_inv @ A @ R
+    if integer_rows(M) is None:
+        return "does not map the lattice into itself"
+    if any(A @ g @ A_inv not in group for g in group):
+        return "outside the group"
+    det_m = int(det(A).re)
+    M_inv = M.inverse()
+    return R_inv, A_inv, M_inv, integer_rows(M_inv.scale(QC(det_m))), det_m
+
+
+FIXED_LATTICES = {1: [[[Fraction(1, 3)]], [[-2]]],
+                  2: [[[Fraction(1, 2), 0], [0, Fraction(1, 3)]],
+                      [[1, Fraction(1, 2)], [0, 1]],
+                      [[Fraction(1, 2), 0], [0, Fraction(1, 2)]],
+                      [[1, 1], [-1, 1]]]}
+FIXED_DILATIONS = {1: [[[2]], [[3]], [[-2]], [[1]], [[0]]],
+                   2: [[[2, 0], [0, 2]], QUINCUNX_ROWS, [[2, 1], [0, 2]],
+                       ROTATION_ROWS, [[1, 0], [0, 2]], [[2, 4], [1, 2]]]}
+
+
+@pytest.mark.parametrize("d, name", [(d, name) for d in (1, 2)
+                                     for name in catalog_names(d)])
+@seed(2026)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_plain_inverses_equal_the_qc_eliminations(d, name, data):
+    """R^{-1}, A^{-1}, M^{-1}, adj M and det M, each from one elimination
+    of plain rows, equal what QC det and Mat.inverse give, on every
+    catalog triple over Z^d and over lattices R != I (scaled, sheared,
+    rotated and seeded rational ones), for 2I, the quincunx A and seeded
+    integer A; a singular lattice basis or dilation, a non-expansive A
+    and every other refusal end in the same message at the same check."""
+    group = catalog_triple(name, d).group
+
+    def square(entries):
+        return st.lists(st.lists(entries, min_size=d, max_size=d),
+                        min_size=d, max_size=d)
+
+    identity = [[int(i == j) for j in range(d)] for i in range(d)]
+    fraction = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    R = Mat.from_rows(data.draw(st.one_of(
+        st.just(identity), st.sampled_from(FIXED_LATTICES[d]),
+        square(fraction))))
+    A = Mat.from_rows(data.draw(st.one_of(
+        st.sampled_from(FIXED_DILATIONS[d]), square(st.integers(-3, 3)))))
+    want = _qc_outcome(R, group, A)
+    try:
+        t = validate_triple(R, group, name)
+        dil = check_admissible(A, t)
+    except (GroupValidationError, AdmissibilityError) as exc:
+        assert isinstance(want, str) and want in str(exc)
+        return
+    assert (t.R_inv, dil.A_inv, dil.M_inv, dil._adj, dil._det) == want
 
 
 def test_a_group_that_is_not_closed_is_refused():

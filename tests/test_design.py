@@ -2,7 +2,9 @@
 representation with no backend switch, imports at module level only and
 none unused, no CLI reach-ins to private cascade helpers, no uncertified
 support estimate, no general integer normal form (the digits are a
-residue system), numpy imported only where floats are used, no
+residue system), numpy imported only where floats are used and its
+random module named nowhere (the cascade's sample is drawn by the
+standard library's random, so no call pays numpy.random's import), no
 separate eigenvalue-one helper (the sum-rule screen reads the witness
 chain's blocks), a cascade that reads grid nodes only (no interpolation
 plans and no free grid spacing), one moment table in the exact solver,
@@ -68,6 +70,7 @@ def test_no_banned_tokens(path):
     assert DELETED_EIGEN_SCREEN not in text
     assert not re.search(r"\b" + DELETED_LAYOUT + r"\b", text)
     assert DELETED_DENSE_RREF not in text
+    assert not re.search(r"\b(np|numpy)\.random\b", text)
 
 
 def test_floats_are_imported_where_they_are_used_only():
@@ -271,10 +274,10 @@ def _is_row_update(node) -> bool:
 
 def test_one_elimination_routine():
     """linalg defines one elimination routine, ``_rref``; rank, det,
-    kernel_basis, Mat.inverse and solve_affine all reach it; and no
-    module keeps a dense elimination beside it, that is a row update
-    p * x - f * y computed in a loop inside a loop (the former dense
-    Bareiss routine's name is a banned token)."""
+    kernel_basis, Mat.inverse, solve_affine and _det_inverse all reach
+    it; and no module keeps a dense elimination beside it, that is a row
+    update p * x - f * y computed in a loop inside a loop (the former
+    dense Bareiss routine's name is a banned token)."""
     eliminating = re.compile(r"rref|bareiss|gauss|eliminat", re.IGNORECASE)
     defined, dense = [], []
     for path in SOURCES:
@@ -300,7 +303,8 @@ def test_one_elimination_routine():
                 and isinstance(node.func, ast.Name)}
 
     for func in (linalg.rank, linalg.det, linalg.kernel_basis,
-                 linalg.Mat.inverse, linalg.solve_affine):
+                 linalg.Mat.inverse, linalg.solve_affine,
+                 linalg._det_inverse):
         assert calls(func) & {"_rref", "_kernel"}, func.__name__
     assert "_rref" in calls(linalg._kernel)
 
