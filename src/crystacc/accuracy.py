@@ -40,7 +40,7 @@ from .crystal import CrystalTriple, Dilation, compose
 # by name in this module
 from .linalg import (Mat, QC, SparseRows, _rref, det, kernel_basis, kron,
                      solve_affine)
-from .mask import Mask, MaskShapeError, _plain, _sparse_rows
+from .mask import Mask, MaskShapeError
 from .multiidx import (VCollection, _acted_rows, _shift_rows, _y_rows,
                        build_A_s, build_Q_tilde, dim_degree,
                        enumerate_degree)
@@ -209,9 +209,10 @@ def _residual_walk(mask: Mask, dilation: Dilation, v: VCollection,
     top = max(degrees)
     view = mask.plain()
     blocks = v.blocks[:top + 1]
-    lv = lcm(*(q.denominator for b in blocks for j in range(b.rows)
-               for x in b.row_list(j) for q in (x.re, x.im)))
-    vs = v.plain(top, lv)
+    lv = lcm(*(q.denominator for b in blocks for row in b.plain()
+               for x in row
+               for q in ((x.re, x.im) if isinstance(x, QC) else (x,))))
+    vs = [b.scale(lv).plain() for b in blocks]
     out = {s: [[[x * view.scale for x in row] for row in vs[s]]
                for _ in range(dilation.m)] for s in degrees}
     w = _acted_rows(mask.triple, vs, dilation.A)
@@ -292,7 +293,8 @@ def _moments(mask: Mask, dilation: Dilation, p_max: int) -> _MomentTable:
         # (b^{-1})_[t] A_[t] = (b^{-1} A)_[t], as X_[t] is multiplicative
         b_inv_a = tri.group[tri.inverse_table[b]] @ dilation.A
         for t in range(p_max):
-            leads[(b, t)] = _sparse_rows(build_A_s(b_inv_a, t))
+            leads[(b, t)] = [[(k, x) for k, x in enumerate(row) if x]
+                             for row in build_A_s(b_inv_a, t).plain()]
     return _MomentTable(view.scale, sums, leads)
 
 
@@ -407,7 +409,7 @@ def max_accuracy(mask: Mask, triple: CrystalTriple, dilation: Dilation,
         diagnostics["first_failing_degree"] = 0
         diagnostics["note"] = _NO_GATE[fh.status]
         return AccuracyCertificate(0, None, "condition-d", None, diagnostics)
-    fh0 = [_plain(fh.vector.entry(j, 0)) for j in range(r)]
+    fh0 = [x for x, in fh.vector.plain()]
     chosen = None
     table = _moments(mask, dilation, p_max)
     basis, start = SparseRows([], 0), 0
@@ -441,8 +443,8 @@ def max_accuracy(mask: Mask, triple: CrystalTriple, dilation: Dilation,
     if chosen is None:
         return AccuracyCertificate(0, None, "condition-d", None, diagnostics)
     pick = _unpack_witness(chosen[0], d, r, chosen[1])
-    lead = next(x for x in pick.block(0).row_list(0) if not x.is_zero())
-    witness = pick.scale(1 / lead)
+    lead = next(x for x in pick.block(0).plain()[0] if x)
+    witness = pick.scale(Fraction(1) / lead)
     gate = (witness.block(0) @ fh.vector).entry(0, 0)
     return AccuracyCertificate(witness.p, witness, "condition-d", gate,
                                diagnostics)
@@ -496,14 +498,14 @@ def sufficient_check(mask: Mask, triple: CrystalTriple, dilation: Dilation,
     table = _moments(mask, dilation, p)
     sums = {(b, a): [0] * m for b in range(triple.order)
             for s in range(p) for a in enumerate_degree(d, s)}
-    act = cache(lambda g, s: _sparse_rows(build_A_s(triple.group[g], s)))
+    act = cache(lambda g, s: build_A_s(triple.group[g], s).plain())
     for (i, g), moment in table.sums.items():
         b = triple.inverse_table[g]
         for s in range(p):
             alphas = enumerate_degree(d, s)
             for a, row in zip(alphas, act(g, s)):
                 sums[(b, a)][i] = sum(x * moment[alphas[k]].get((0, 0), 0)
-                                      for k, x in row)
+                                      for k, x in enumerate(row) if x)
     per_coset = {key: [_exact(x, view.scale) for x in xs]
                  for key, xs in sums.items()}
     beta = {key: xs[0] for key, xs in per_coset.items() if len(set(xs)) == 1}

@@ -55,7 +55,6 @@ import numpy as np
 
 from .accuracy import fhat0, max_accuracy
 from .crystal import CrystalTriple, Dilation
-from .linalg import Mat, integer_rows
 from .mask import Mask
 from .multiidx import (VCollection, _acted_rows, _y_rows, build_A_s,
                        dim_degree, enumerate_degree)
@@ -226,14 +225,16 @@ def _as(a: np.ndarray, dtype) -> np.ndarray:
 
 def _certified_box(parts: dict, dilation: Dilation, h: Fraction) -> list:
     """:func:`support_box` of the mask whose :func:`_point_parts` are
-    given.  Each part's linear part M^{-1} G_g is formed once; as
-    m M^{-1} = +-adj M is integral, its shifts M^{-1} G_g k are integer
-    dot products over m, bounded per axis."""
+    given.  Each part's linear part M^{-1} G_g is formed once, on ints:
+    as m M^{-1} = +-adj M is integral, m M^{-1} G_g is an integer
+    product, and its shifts M^{-1} G_g k are integer dot products over m,
+    bounded per axis."""
     t, m = dilation.triple, dilation.m
+    adj = [[int(x * m) for x in row] for row in dilation.M_inv.plain()]
     step = {}
     for g, elements in parts.items():
-        lin = dilation.M_inv @ Mat.from_rows(t.int_reps[g])
-        scaled = integer_rows(lin.scale(m))
+        scaled = [[sum(map(mul, row, col)) for col in zip(*t.int_reps[g])]
+                  for row in adj]
         key = tuple(tuple(Fraction(x, m) for x in row) for row in scaled)
         step[key] = [(Fraction(min(v), m), Fraction(max(v), m))
                      for v in ([sum(map(mul, row, k)) for k, _ in elements]

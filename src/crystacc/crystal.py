@@ -48,14 +48,9 @@ def _int_product(a, b) -> tuple:
                  for row in a)
 
 
-def _real_rows(m: Mat) -> tuple | None:
-    """The rows of m, ints where integral, else Fractions; None when an
-    entry is not real."""
-    rows = [m.row_list(i) for i in range(m.rows)]
-    if any(x.im != 0 for row in rows for x in row):
-        return None
-    return tuple(tuple(x.re.numerator if x.re.denominator == 1 else x.re
-                       for x in row) for row in rows)
+def _is_real(m: Mat) -> bool:
+    """Whether every entry of m is real: no stored entry is a QC."""
+    return not any(isinstance(x, QC) for row in m.plain() for x in row)
 
 
 def _integral(rows) -> list[list[int]] | None:
@@ -101,7 +96,7 @@ class CrystalTriple:
                 raise GroupValidationError(f"no inverse for point element {i}")
             self.inverse_table.append(row.index(ident))
         # the rows of R, entries ints where integral, for true_translation
-        self.R_rows = _real_rows(R)
+        self.R_rows = R.plain()
 
     @property
     def order(self) -> int:
@@ -127,22 +122,22 @@ def validate_triple(R: Mat, group: list[Mat], name: str | None = None) -> Crysta
     Raises GroupValidationError when R is not an invertible real rational
     matrix, when any g is not orthogonal or does not preserve the lattice,
     when the identity is missing or not first, or when G is not closed.
-    g^T g and R^{-1} g R are formed on plain rows (:func:`_real_rows`),
-    and R^{-1} comes from one elimination of them.
+    g^T g and R^{-1} g R are formed on the stored rows
+    (:meth:`Mat.plain`), and R^{-1} comes from one elimination of them.
     """
     if R.rows != R.cols:
         raise GroupValidationError("lattice basis must be a square exact matrix")
     d = R.rows
     if not group:
         raise GroupValidationError("point group is empty")
-    rows = [_real_rows(g) if g.shape == (d, d) else None for g in group]
-    for idx, g_rows in enumerate(rows):
-        if g_rows is None:
+    for idx, g in enumerate(group):
+        if g.shape != (d, d) or not _is_real(g):
             raise GroupValidationError(f"point element {idx} is not a real "
                                        f"exact {d}x{d} matrix")
-    r_rows = _real_rows(R)
-    if r_rows is None:
+    if not _is_real(R):
         raise GroupValidationError("lattice basis must be real")
+    rows = [g.plain() for g in group]
+    r_rows = R.plain()
     r_inv = _det_inverse(r_rows)[1]
     if r_inv is None:
         raise GroupValidationError("lattice basis is singular")
@@ -341,14 +336,14 @@ def check_admissible(A: Mat, triple: CrystalTriple) -> Dilation:
     Raises AdmissibilityError when A is singular or not certified
     expansive, when it does not map the lattice into itself, or when
     A G A^{-1} leaves G.  det A and A^{-1} come from one elimination of
-    the plain rows of A (:func:`_real_rows`), on which the powers of
+    the stored rows of A (:meth:`Mat.plain`), on which the powers of
     A^{-1} and R^{-1} A R are formed.
     """
     if A.shape != (triple.d, triple.d):
         raise AdmissibilityError("dilation must be an exact d x d matrix")
-    a_rows = _real_rows(A)
-    if a_rows is None:
+    if not _is_real(A):
         raise AdmissibilityError("dilation must be real")
+    a_rows = A.plain()
     det_a, a_inv = _det_inverse(a_rows)
     if a_inv is None:
         raise AdmissibilityError("dilation is singular")
@@ -359,8 +354,8 @@ def check_admissible(A: Mat, triple: CrystalTriple) -> Dilation:
                 "dilation not certified expansive: no power A^-n with "
                 "n <= 64 has max-row-sum norm below 1")
         power, n = _int_product(power, power), 2 * n
-    M = _integral(_int_product(_int_product(_real_rows(triple.R_inv),
-                                            a_rows), triple.R_rows))
+    M = _integral(_int_product(_int_product(triple.R_inv.plain(), a_rows),
+                               triple.R_rows))
     if M is None:
         raise AdmissibilityError("dilation does not map the lattice into itself")
     # A g_i A^{-1} = g_j exactly when M rep_i = rep_j M, R being invertible

@@ -1,7 +1,11 @@
 """Exact linear algebra kernels.
 
-One matrix type, :class:`Mat`, stores complex numbers with rational real
-and imaginary parts (:class:`QC`), and every operation on it is exact.
+One matrix type, :class:`Mat`, and every operation on it is exact.  It
+stores each entry as a plain value: an int where it is integral, a
+Fraction where it is real, and a complex number with rational parts
+(:class:`QC`) only where its imaginary part is non-zero.  :meth:`Mat.plain`
+gives those rows, the one exact way in for the package's solvers;
+:meth:`Mat.entry` and :meth:`Mat.row_list` give the entries as QCs.
 Floats cross the boundary once in each direction: :meth:`Mat.np` is the one
 way out (the cascade oracle computes on those arrays), and
 :func:`read_float` the one way in.  :func:`read_float` reads a finite float
@@ -23,9 +27,8 @@ loop.  The columns are taken in order, so the rref is the textbook one.
 The determinant is tracked through the row scalings and the order of the
 pivot rows.  :class:`Mat` is the dense exact matrix of the public API;
 :class:`SparseRows` carries the exact solver's rows and kernels as plain
-values (ints where integral), so that no QC is made on real data.
-:func:`integer_rows` is the one reader of integer matrices, and
-:meth:`QC.is_zero` (with :meth:`Mat.is_zero`) the one zero test.
+values in sparse form.  :meth:`QC.is_zero` (with :meth:`Mat.is_zero`) is
+the one zero test of the public scalars.
 """
 
 from __future__ import annotations
@@ -155,11 +158,34 @@ class QC:
 QC_ZERO = QC(0)
 
 
-class Mat:
-    """Dense exact matrix with QC entries.
+def _stored(x):
+    """An exact scalar (int, Fraction, "p/q" string, QC or [re, im] pair)
+    as :class:`Mat` stores it: an int where it is integral, a Fraction
+    where it is real, else a QC.  A float raises ``TypeError``."""
+    if type(x) is int:
+        return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, QC):
+        return x if x.im != 0 else _stored(x.re)
+    return _stored(QC.parse(x))
 
-    Construct through :meth:`from_rows`, :meth:`identity`, :meth:`zeros`
-    or :meth:`column`; :meth:`np` is the one way out to floats.
+
+def _qc(x) -> QC:
+    """A stored entry as a QC, the type of :meth:`Mat.entry`."""
+    return x if isinstance(x, QC) else QC(x)
+
+
+class Mat:
+    """Dense exact matrix.
+
+    Each entry is stored as a plain value: an int where it is integral, a
+    Fraction where it is real, and a QC only where its imaginary part is
+    non-zero.  Entries are brought to that form once, where they enter
+    (:meth:`from_rows`) or are computed, so equal matrices store equal
+    rows.  :meth:`plain` is the one exact way in to those rows, as
+    :meth:`np` is the one way out to floats; :meth:`entry` and
+    :meth:`row_list` give the entries as QCs.
     """
 
     __slots__ = ("rows", "cols", "_data")
@@ -187,19 +213,17 @@ class Mat:
         for row in rows:
             if len(row) != n_cols:
                 raise ValueError("ragged rows")
-            data.append([QC.parse(x) for x in row])
-        return Mat(n_rows, n_cols, data)
+            data.append(tuple(map(_stored, row)))
+        return Mat(n_rows, n_cols, tuple(data))
 
     @staticmethod
     def identity(n: int) -> "Mat":
-        data = [[QC(1) if i == j else QC(0) for j in range(n)]
-                for i in range(n)]
-        return Mat(n, n, data)
+        return Mat(n, n, tuple(tuple(int(i == j) for j in range(n))
+                               for i in range(n)))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Mat":
-        data = [[QC(0) for _ in range(cols)] for _ in range(rows)]
-        return Mat(rows, cols, data)
+        return Mat(rows, cols, ((0,) * cols,) * rows)
 
     @staticmethod
     def column(entries: Sequence) -> "Mat":
@@ -211,18 +235,19 @@ class Mat:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
+    def plain(self) -> tuple:
+        """The stored rows, a tuple of row tuples of plain values."""
+        return self._data
+
     def entry(self, i: int, j: int) -> QC:
-        return self._data[i][j]
+        return _qc(self._data[i][j])
 
     def row_list(self, i: int) -> list:
-        return list(self._data[i])
-
-    def col(self, j: int) -> "Mat":
-        return Mat.column([self._data[i][j] for i in range(self.rows)])
+        return [_qc(x) for x in self._data[i]]
 
     def np(self) -> np.ndarray:
         """complex128 copy of the matrix: the one exact-to-float step."""
-        return np.array([[x.to_complex() for x in row] for row in self._data],
+        return np.array([[complex(x) for x in row] for row in self._data],
                         dtype=np.complex128)
 
     # -- arithmetic -------------------------------------------------------
@@ -230,27 +255,18 @@ class Mat:
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        out = []
-        for i in range(self.rows):
-            row_i = self._data[i]
-            out_row = []
-            for j in range(other.cols):
-                acc = QC_ZERO
-                for k in range(self.cols):
-                    a = row_i[k]
-                    if a.is_zero():
-                        continue
-                    acc = acc + a * other._data[k][j]
-                out_row.append(acc)
-            out.append(out_row)
-        return Mat(self.rows, other.cols, out)
+        cols = list(zip(*other._data)) or [()] * other.cols
+        return Mat(self.rows, other.cols, tuple(
+            tuple(_stored(sum([a * b for a, b in zip(row, col) if a and b]))
+                  for col in cols)
+            for row in self._data))
 
     def _entrywise(self, other: "Mat", op, symbol: str) -> "Mat":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} {symbol} "
                              f"{other.shape}")
-        data = [[op(x, y) for x, y in zip(row, other_row)]
-                for row, other_row in zip(self._data, other._data)]
+        data = tuple(tuple(_stored(op(x, y)) for x, y in zip(row, row_o))
+                     for row, row_o in zip(self._data, other._data))
         return Mat(self.rows, self.cols, data)
 
     def __add__(self, other: "Mat") -> "Mat":
@@ -264,35 +280,33 @@ class Mat:
 
     def scale(self, s) -> "Mat":
         """Entrywise product with an exact scalar."""
-        s = QC.parse(s)
-        data = [[s * x for x in row] for row in self._data]
+        s = _stored(s)
+        data = tuple(tuple(_stored(s * x) for x in row) for row in self._data)
         return Mat(self.rows, self.cols, data)
 
     def transpose(self) -> "Mat":
-        data = [[self._data[i][j] for i in range(self.rows)]
-                for j in range(self.cols)]
+        data = tuple(tuple(row[j] for row in self._data)
+                     for j in range(self.cols))
         return Mat(self.cols, self.rows, data)
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        if self.shape != other.shape:
-            return False
-        return all(self._data[i][j] == other._data[i][j]
-                   for i in range(self.rows) for j in range(self.cols))
+        return self.shape == other.shape and self._data == other._data
 
     def __hash__(self):
-        return hash(tuple(tuple(row) for row in self._data))
+        return hash(self._data)
 
     def is_zero(self) -> bool:
         """Whether every entry is zero."""
-        return all(x.is_zero() for row in self._data for x in row)
+        return not any(any(row) for row in self._data)
 
     def max_abs(self) -> float:
         """Largest entry modulus, as a float."""
         if self.rows == 0 or self.cols == 0:
             return 0.0
-        return max(float(x.abs2()) for row in self._data for x in row) ** 0.5
+        return max(float(x.abs2() if isinstance(x, QC) else x * x)
+                   for row in self._data for x in row) ** 0.5
 
     # -- stacking ---------------------------------------------------------
 
@@ -305,9 +319,7 @@ class Mat:
         for m in mats:
             if m.cols != cols:
                 raise ValueError("incompatible blocks")
-        data = []
-        for m in mats:
-            data.extend([list(row) for row in m._data])
+        data = tuple(row for m in mats for row in m._data)
         return Mat(len(data), cols, data)
 
     @staticmethod
@@ -320,16 +332,13 @@ class Mat:
     # -- inverse ----------------------------------------------------------
 
     def inverse(self) -> "Mat":
-        """Exact inverse: the right half of the rref of [A | I]."""
+        """Exact inverse, from :func:`_det_inverse` of the stored rows."""
         if self.rows != self.cols:
             raise ValueError("inverse of a non-square matrix")
-        n = self.rows
-        a, pivots, _ = _rref(_dict_rows(Mat.hstack([self, Mat.identity(n)])),
-                             2 * n)
-        if pivots != list(range(n)):
+        inv = _det_inverse(self._data)[1]
+        if inv is None:
             raise ValueError("singular matrix")
-        return Mat.from_rows([[row.get(j, 0) for j in range(n, 2 * n)]
-                              for row in a], cols=n)
+        return Mat.from_rows(inv, cols=self.cols)
 
     def __repr__(self):
         return f"Mat({self.rows}x{self.cols})"
@@ -367,8 +376,7 @@ def _parts(x) -> tuple:
 
 
 def _dict_rows(m: Mat) -> list[dict]:
-    return [{j: x for j, x in enumerate(row) if not x.is_zero()}
-            for row in m._data]
+    return [{j: x for j, x in enumerate(row) if x} for row in m._data]
 
 
 def _rref(rows: list[dict], n_cols: int, with_det: bool = False
@@ -521,9 +529,10 @@ def det(m: Mat) -> QC:
 
 def _det_inverse(rows) -> tuple:
     """The determinant and the inverse of a square matrix given as plain
-    real rows (ints and Fractions), from one :func:`_rref` of [rows | I]:
-    (det, the inverse's rows as tuples, ints where integral, else
-    Fractions), or (0, None) when the matrix is singular."""
+    rows (as :meth:`Mat.plain` gives them), from one :func:`_rref` of
+    [rows | I]: (det, the inverse's rows as tuples, ints where integral,
+    else Fractions on real data and QCs otherwise), or (0, None) when the
+    matrix is singular."""
     n = len(rows)
     a, _, value = _rref([{**{j: x for j, x in enumerate(row) if x}, n + i: 1}
                          for i, row in enumerate(rows)], 2 * n, with_det=True)
@@ -534,22 +543,9 @@ def _det_inverse(rows) -> tuple:
 
 
 def kron(a: Mat, b: Mat) -> Mat:
-    """Kronecker product a (x) b.
-
-    A zero entry on either side gives ``QC_ZERO`` without a product, and
-    two real entries are multiplied with one ``Fraction`` product."""
-    data = []
-    for i in range(a.rows):
-        for p in range(b.rows):
-            row = []
-            for x in a._data[i]:
-                if x.is_zero():
-                    row.extend([QC_ZERO] * b.cols)
-                else:
-                    row.extend(QC_ZERO if y.is_zero()
-                               else QC(x.re * y.re) if x.im == 0 == y.im
-                               else x * y for y in b._data[p])
-            data.append(row)
+    """Kronecker product a (x) b."""
+    data = tuple(tuple(_stored(x * y) for x in row_a for y in row_b)
+                 for row_a in a._data for row_b in b._data)
     return Mat(a.rows * b.rows, a.cols * b.cols, data)
 
 
@@ -575,14 +571,3 @@ def solve_affine(k: SparseRows, basis: SparseRows) -> SparseRows:
                 v[start + c - n] = y
         out.append({j: e for j, e in v.items() if e != 0})
     return SparseRows(out, start + k.cols - n)
-
-
-# -- integer matrices -------------------------------------------------------
-
-
-def integer_rows(m: Mat) -> list[list[int]] | None:
-    """Entries as nested int lists when every entry is a real integer;
-    None otherwise."""
-    if any(x.im != 0 or x.re.denominator != 1 for row in m._data for x in row):
-        return None
-    return [[int(x.re) for x in row] for row in m._data]

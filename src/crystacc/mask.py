@@ -37,8 +37,10 @@ class Mask:
     through :func:`~crystacc.linalg.read_float`, exact parts are kept, and
     ``float_change`` keeps the largest relative change |read - given| /
     |given| of an entry with a float part (None when there was none).
-    :meth:`plain` gives the coefficients once more as plain values over
-    their common denominator, the one view the exact solvers read.
+    Each block stores its entries as plain values (ints where integral,
+    Fractions where real, QCs only where complex; :meth:`Mat.plain`), and
+    :meth:`plain` scales them by their common denominator, the one view
+    the exact solvers read.
     """
 
     def __init__(self, triple: CrystalTriple, coefficients: dict,
@@ -113,7 +115,18 @@ class Mask:
         (:class:`PlainCoefficients`), built on the first call and kept
         with the mask, which never changes."""
         if self._view is None:
-            self._view = _plain_coefficients(self)
+            nonzero = [(e, [(i, j, x) for i, row in enumerate(blk.plain())
+                            for j, x in enumerate(row) if x])
+                       for e, blk in self.items()]
+            scale = lcm(*(q.denominator for _, xs in nonzero
+                          for _, _, x in xs
+                          for q in ((x.re, x.im) if isinstance(x, QC)
+                                    else (x,))))
+            self._view = PlainCoefficients(scale, tuple(
+                (e, tuple((i, j, x * scale if isinstance(x, QC)
+                           else x.numerator * (scale // x.denominator))
+                          for i, j, x in xs))
+                for e, xs in nonzero))
         return self._view
 
     def to_float(self) -> "Mask":
@@ -153,55 +166,27 @@ class PlainCoefficients:
     imaginary parts of every coefficient, and ``entries`` holds one
     (element, entries) pair per support element, in support order, the
     entries being (i, j, D d[i][j]) for the non-zero entries of the block
-    d, row by row.  The values are :func:`_plain`: Python ints on rational
-    real data, and Fractions or QCs by themselves otherwise."""
+    d, row by row: a Python int where the entry is real, else a QC with
+    integer parts."""
 
     scale: int
     entries: tuple
 
 
-def _plain(x: QC, scale: int = 1):
-    """scale·x as an int where it is one, a Fraction where it is real,
-    else a QC, so that integral data stay on Python ints."""
-    if x.im != 0:
-        return x * scale
-    num, den = x.re.numerator * scale, x.re.denominator
-    return num // den if num % den == 0 else Fraction(num, den)
-
-
-def _sparse_rows(mat: Mat) -> list[list]:
-    """The rows of mat as lists of (column, plain non-zero entry) pairs."""
-    return [[(k, _plain(x)) for k, x in enumerate(mat.row_list(j))
-             if not x.is_zero()] for j in range(mat.rows)]
-
-
-def _plain_coefficients(mask: Mask) -> PlainCoefficients:
-    """The plain view of :meth:`Mask.plain`, built in one walk of the
-    blocks' non-zero entries."""
-    nonzero = [(e, [(i, j, x) for i in range(mask.r)
-                    for j, x in enumerate(blk.row_list(i))
-                    if not x.is_zero()])
-               for e, blk in mask.items()]
-    scale = lcm(*(q.denominator for _, xs in nonzero for _, _, x in xs
-                  for q in (x.re, x.im)))
-    return PlainCoefficients(scale, tuple(
-        (e, tuple((i, j, _plain(x, scale)) for i, j, x in xs))
-        for e, xs in nonzero))
-
-
-def _read_entry(x, changes: list) -> QC:
-    """One coefficient as an exact QC by the reading rule; when it has a
-    float part and is nonzero, appends its relative change to
-    ``changes``."""
+def _read_entry(x, changes: list):
+    """One coefficient by the reading rule, for :meth:`Mat.from_rows`: an
+    exact literal as it is, and one with a float part read exactly, as a
+    Fraction when it is real, else a QC; when it has a float part and is
+    nonzero, appends its relative change to ``changes``."""
     parts = (x.real, x.imag) if isinstance(x, (float, complex)) else x
     if not (isinstance(parts, (list, tuple))
             and any(isinstance(p, float) for p in parts)):
-        return QC.parse(x)
+        return x
     q = QC(*(read_float(p) if isinstance(p, float) else p for p in parts))
     given = QC(*(Fraction(p) if isinstance(p, float) else p for p in parts))
     if not given.is_zero():
         changes.append(float((q - given).abs2() / given.abs2()) ** 0.5)
-    return q
+    return q if q.im != 0 else q.re
 
 
 def lattice_triple(triple: CrystalTriple) -> CrystalTriple:
@@ -228,7 +213,7 @@ def lift_scalar_to_matrix(scalar_mask: Mask, dilation: Dilation) -> Mask:
         raise MaskShapeError("dilation belongs to a different triple")
     r = t.order
     inv = t.inverse_table
-    scalars = {(e.g, e.k): blk.entry(0, 0)
+    scalars = {(e.g, e.k): blk.plain()[0][0]
                for e, blk in scalar_mask.items()}
     points = {_int_apply(t.int_reps[j], e.k)
               for e in scalar_mask.support() for j in range(r)}
@@ -277,8 +262,7 @@ def extract_scalar(matrix_mask: Mask, triple: CrystalTriple,
             f"{list(k)} breaks its lattice symmetry")
     entries = {}
     for e, blk in matrix_mask.items():
-        for i in range(triple.order):
-            val = blk.entry(0, i)
+        for i, val in enumerate(blk.plain()[0]):
             if val == 0:
                 continue
             l = _int_apply(triple.int_reps[triple.inverse_table[i]], e.k)
@@ -310,11 +294,11 @@ def _first_asymmetry(matrix_mask: Mask, dilation: Dilation) -> tuple | None:
     points = {_int_apply(pm, k) for k in stored for pm in maps} | set(stored)
     zero = Mat.zeros(r, r)
     for k in sorted(points):
-        blk = stored.get(k, zero)
+        rows = stored.get(k, zero).plain()
         for i in range(r):
-            partner = stored.get(_int_apply(maps[i], k), zero)
+            first = stored.get(_int_apply(maps[i], k), zero).plain()[0]
             for j in range(r):
-                if blk.entry(i, j) != partner.entry(0, dilation.rho[i][j]):
+                if rows[i][j] != first[dilation.rho[i][j]]:
                     return k, i, j
     return None
 

@@ -11,9 +11,10 @@ matrices:
 * ``build_Q_tilde(gamma, s, t)``: the same blocks for the inverse action of
   a crystal element gamma = (b, l), namely Q_[s,t](l) b_[t]^{-1}.
 
-The builders are exact: they accept rational data only, compute on plain
-values (ints where the data are integral, else Fractions or QCs) and make
-one Mat at the end; ``build_A_s`` is cached by value.  Every reader of
+The builders are exact: they accept rational data only, read and compute
+on plain values (:meth:`~crystacc.linalg.Mat.plain`: ints where the data
+are integral, else Fractions, and QCs only where they are complex) and
+make one Mat at the end; ``build_A_s`` is cached by value.  Every reader of
 the Q-tilde blocks (:func:`eval_y`, the witness guard
 :func:`~crystacc.accuracy.condition_d_residuals` and the cascade oracle)
 applies one binomial shift by the element's translation (``_shift_rows``,
@@ -30,10 +31,6 @@ from functools import cache, lru_cache
 from math import comb
 
 from .linalg import Mat, QC
-# _plain and _sparse_rows live in mask: perfbench/tracing.py times every
-# linalg and multiidx function that accuracy imports, and accuracy calls
-# them per entry and per support element
-from .mask import _plain, _sparse_rows
 
 
 def dim_degree(d: int, s: int) -> int:
@@ -103,15 +100,8 @@ def build_A_s(a: Mat, s: int) -> Mat:
     zero_exp = (0,) * d
     # row alpha holds the expansion of prod_i ((Ax)_i)^(alpha_i), on plain
     # values
-    linear = []
-    for i in range(d):
-        form = {}
-        for j in range(d):
-            c = _plain(a.entry(i, j))
-            if c != 0:
-                exp = tuple(1 if t == j else 0 for t in range(d))
-                form[exp] = c
-        linear.append(form)
+    linear = [{tuple(int(t == j) for t in range(d)): c
+               for j, c in enumerate(row) if c} for row in a.plain()]
     rows = []
     for alpha in alphas:
         poly = {zero_exp: 1}
@@ -195,9 +185,9 @@ def _acted_rows(triple, vs: list, a: Mat | None = None):
     def rows(g):
         m = triple.group[triple.inverse_table[g]]
         m = m if a is None else m @ a
-        return {t: [[sum((x * vt[k][c] for k, x in row), 0)
+        return {t: [[sum((x * vt[k][c] for k, x in enumerate(row) if x), 0)
                      for c in range(len(vt[0]))]
-                    for row in _sparse_rows(build_A_s(m, t))]
+                    for row in build_A_s(m, t).plain()]
                 for t, vt in enumerate(vs)}
     return cache(rows)
 
@@ -213,17 +203,16 @@ def build_Q_tilde(gamma, s: int, t: int) -> Mat:
     """Block of the substitution X_[s](gamma^{-1} x) = sum_t Qt_[s,t](gamma)
     X_[t](x) for a crystal element gamma = (b, l): Q_[s,t](l) b_[t]^{-1}.
 
-    Built on plain values: the binomial shift (:func:`_shift_rows`) by l,
-    read as ints where it is integral, of the rows of b_[t]^{-1}, so the
-    block is the product :func:`build_Q_st` @ :func:`build_A_s` without a
-    Mat product.  The package reads these blocks through the shift only;
-    this is the tests' reference."""
+    Built on plain values: the binomial shift (:func:`_shift_rows`) by l
+    of the stored rows of b_[t]^{-1}, so the block is the product
+    :func:`build_Q_st` @ :func:`build_A_s` without a Mat product.  The
+    package reads these blocks through the shift only; this is the tests'
+    reference."""
     if t > s:
         raise ValueError("Q~_[s,t] requires t <= s")
     lead = build_A_s(gamma.point_matrix_inverse(), t)
     neg = [-x for x in gamma.true_translation()]
-    rows = _shift_rows(neg, s, {t: [[_plain(x) for x in lead.row_list(j)]
-                                    for j in range(lead.rows)]})
+    rows = _shift_rows(neg, s, {t: lead.plain()})
     return Mat.from_rows(rows, cols=lead.cols)
 
 
@@ -260,10 +249,9 @@ class VCollection:
     def scale(self, c) -> "VCollection":
         return VCollection(self.d, tuple(b.scale(c) for b in self.blocks))
 
-    def plain(self, s: int, scale: int = 1) -> list:
-        """The rows of blocks 0..s, times scale, as plain values."""
-        return [[[_plain(x, scale) for x in b.row_list(j)]
-                 for j in range(b.rows)] for b in self.blocks[:s + 1]]
+    def plain(self, s: int) -> list:
+        """The stored rows (:meth:`Mat.plain`) of blocks 0..s."""
+        return [b.plain() for b in self.blocks[:s + 1]]
 
 
 def eval_y(gamma, v: VCollection, s: int) -> Mat:

@@ -14,9 +14,18 @@ from crystacc.crystal import (AdmissibilityError, Dilation,
                               check_admissible, compose, elements_in_ball,
                               generate_group, inverse, validate_triple)
 from crystacc import linalg
-from crystacc.linalg import Mat, QC, det, integer_rows
+from crystacc.linalg import Mat, QC, det
 
 from conftest import rand_point
+
+
+def integer_rows(m):
+    """Entries of m as nested int lists when every entry is a real
+    integer; None otherwise."""
+    rows = [m.row_list(i) for i in range(m.rows)]
+    if any(x.im != 0 or x.re.denominator != 1 for row in rows for x in row):
+        return None
+    return [[int(x.re) for x in row] for row in rows]
 
 
 def test_catalog_contents():

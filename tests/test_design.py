@@ -18,7 +18,9 @@ part, Q-tilde blocks built on ints
 where the data are integral and read through the binomial shift only (no
 reader builds them, and no triple caches them), a float oracle that
 walks its sample's gamma cover once for every degree it checks, and every
-name the benchmark's tracer wraps; a sum-rule test on plain values,
+name the benchmark's tracer wraps, with the benchmark's read of lifted
+mask entries through Mat.row_list; Mat storage read through Mat.plain()
+with no converter back to plain values; a sum-rule test on plain values,
 with no det or Mat.inverse and one walk of the support for its witness
 chain."""
 
@@ -26,6 +28,7 @@ import ast
 import importlib.util
 import inspect
 import re
+import sys
 import textwrap
 from pathlib import Path
 
@@ -57,6 +60,7 @@ DELETED_NORMAL_FORM = "smith_" "normal_form"
 DELETED_EIGEN_SCREEN = "has_eigenvalue" "_one"
 DELETED_LAYOUT = "_lay" "out"
 DELETED_DENSE_RREF = "_rref_" "exact"
+DELETED_CONVERTERS = ("_pla" "in", "_sparse" "_rows", "_real" "_rows")
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -71,6 +75,22 @@ def test_no_banned_tokens(path):
     assert not re.search(r"\b" + DELETED_LAYOUT + r"\b", text)
     assert DELETED_DENSE_RREF not in text
     assert not re.search(r"\b(np|numpy)\.random\b", text)
+
+
+def test_stored_values_are_read_without_converters():
+    """Mat stores plain values and the package reads them through
+    Mat.plain(): no converter from QC storage back to plain values is
+    left in src/, and multiidx imports nothing from mask."""
+    for path in SOURCES:
+        text = path.read_text(encoding="utf-8")
+        for name in DELETED_CONVERTERS:
+            assert not re.search(r"\b" + name + r"\b", text), \
+                (path.name, name)
+    tree = ast.parse((Path(crystacc.__file__).parent / "multiidx.py")
+                     .read_text(encoding="utf-8"))
+    assert not any(isinstance(node, ast.ImportFrom)
+                   and node.module in ("mask", "crystacc.mask")
+                   for node in ast.walk(tree))
 
 
 def test_floats_are_imported_where_they_are_used_only():
@@ -119,6 +139,32 @@ def test_benchmark_tracer_finds_every_wrap_target():
         assert tracing.cache_totals(multiidx) is not None
     finally:
         tracer.uninstall()
+
+
+def test_benchmark_reads_lifted_entries_through_the_qc_face(monkeypatch):
+    """The benchmark's exact-lifted set-up (perfbench/worker.py, loaded by
+    path and not edited) writes each entry of a lifted mask as
+    ``str(x.re)`` of ``Mat.row_list``: row_list still gives QCs, and the
+    strings read back to an equal mask."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    fresh = [name for name in ("inputs", "tracing")
+             if name not in sys.modules]
+    spec = importlib.util.spec_from_file_location("perfbench_worker",
+                                                  bench / "worker.py")
+    worker = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(worker)
+    finally:
+        for name in fresh:
+            sys.modules.pop(name, None)
+    lifted = _shape_cases()["lifted-hat"][0]
+    entries = worker._config_entries(lifted)
+    assert any("/" in x for e in entries for row in e["coef"] for x in row)
+    t = lifted.triple
+    back = Mask(t, {t.element(e["g"], e["k"]): e["coef"] for e in entries},
+                r=lifted.r)
+    assert back == lifted
 
 
 # imported but not called: (module file, name) -> why the name stays
@@ -274,10 +320,11 @@ def _is_row_update(node) -> bool:
 
 def test_one_elimination_routine():
     """linalg defines one elimination routine, ``_rref``; rank, det,
-    kernel_basis, Mat.inverse, solve_affine and _det_inverse all reach
-    it; and no module keeps a dense elimination beside it, that is a row
-    update p * x - f * y computed in a loop inside a loop (the former
-    dense Bareiss routine's name is a banned token)."""
+    kernel_basis, solve_affine and _det_inverse all reach it, and
+    Mat.inverse reaches it through _det_inverse; and no module keeps a
+    dense elimination beside it, that is a row update p * x - f * y
+    computed in a loop inside a loop (the former dense Bareiss routine's
+    name is a banned token)."""
     eliminating = re.compile(r"rref|bareiss|gauss|eliminat", re.IGNORECASE)
     defined, dense = [], []
     for path in SOURCES:
@@ -303,10 +350,10 @@ def test_one_elimination_routine():
                 and isinstance(node.func, ast.Name)}
 
     for func in (linalg.rank, linalg.det, linalg.kernel_basis,
-                 linalg.Mat.inverse, linalg.solve_affine,
-                 linalg._det_inverse):
+                 linalg.solve_affine, linalg._det_inverse):
         assert calls(func) & {"_rref", "_kernel"}, func.__name__
     assert "_rref" in calls(linalg._kernel)
+    assert "_det_inverse" in calls(linalg.Mat.inverse)
 
 
 @pytest.mark.parametrize("case", ["cubic", "lifted-hat"])
@@ -339,16 +386,17 @@ def test_plain_view_is_built_once_per_mask(case, monkeypatch):
     plain view of the mask, built once."""
     mask, dil, p_max = _shape_cases()[case]
     built = []
-    build = mask_mod._plain_coefficients
+    build = mask_mod.PlainCoefficients
 
-    def counted(m):
-        built.append(m)
-        return build(m)
+    def counted(scale, entries):
+        built.append(entries)
+        return build(scale, entries)
 
-    monkeypatch.setattr(mask_mod, "_plain_coefficients", counted)
+    monkeypatch.setattr(mask_mod, "PlainCoefficients", counted)
     cert = accuracy.max_accuracy(mask, mask.triple, dil, p_max)
     assert cert.p >= 1
-    assert built == [mask]
+    assert len(built) == 1
+    assert mask.plain().entries is built[0]
 
 
 def test_one_common_denominator_of_the_coefficients():
@@ -368,7 +416,7 @@ def test_one_common_denominator_of_the_coefficients():
                 callers.append((path.name, func.name))
     assert sorted(callers) == [("accuracy.py", "_residual_walk"),
                                ("linalg.py", "_rref"),
-                               ("mask.py", "_plain_coefficients")]
+                               ("mask.py", "plain")]
 
 
 def test_cli_keeps_no_parse_cache():

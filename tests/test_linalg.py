@@ -10,9 +10,8 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from crystacc.linalg import (FLOAT_DENOMINATOR_CAP, Mat, QC, QC_ZERO,
-                             SparseRows, _rref, det, integer_rows,
-                             kernel_basis, kron, rank, read_float,
-                             solve_affine)
+                             SparseRows, _rref, det, kernel_basis, kron,
+                             rank, read_float, solve_affine)
 
 
 def test_qc_exact_arithmetic():
@@ -221,22 +220,6 @@ def test_elimination_against_leibniz(n, repeat_row, data):
         assert inv @ m == Mat.identity(n)
 
 
-@seed(2026)
-@settings(max_examples=50, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 4), st.data())
-def test_integer_rows_reads_real_integers_only(rows, cols, data):
-    entry = st.one_of(st.builds(QC, st.integers(-9, 9)), small_qc)
-    m = Mat.from_rows([[data.draw(entry) for _ in range(cols)]
-                       for _ in range(rows)])
-    ints = integer_rows(m)
-    entries = [m.entry(i, j) for i in range(rows) for j in range(cols)]
-    if any(x.im != 0 or x.re.denominator != 1 for x in entries):
-        assert ints is None
-    else:
-        assert ints == [[int(m.entry(i, j).re) for j in range(cols)]
-                        for i in range(rows)]
-
-
 def _rref_reference(rows, n_cols):
     """Reference rref: textbook Gauss-Jordan on QC values, dividing each
     pivot row by its pivot and clearing the column with fractions."""
@@ -429,3 +412,105 @@ def test_kron_against_its_definition(m, n, p, q, data):
     for i, j, k, l in itertools.product(range(m), range(n), range(p),
                                         range(q)):
         assert got.entry(i * p + k, j * q + l) == a.entry(i, j) * b.entry(k, l)
+
+
+def _qc_rows(m: Mat) -> list:
+    """The entries of m through its QC face."""
+    return [m.row_list(i) for i in range(m.rows)]
+
+
+def _stores_plain_values(m: Mat) -> bool:
+    """Every stored entry is an int where it is integral, a Fraction
+    where it is real, and a QC only where its imaginary part is
+    non-zero."""
+    return all(type(x) is int
+               or (type(x) is Fraction and x.denominator != 1)
+               or (type(x) is QC and x.im != 0)
+               for row in m.plain() for x in row)
+
+
+def _reference_product(a, b):
+    """a @ b on QC lists, the textbook sum."""
+    return [[sum((x * y for x, y in zip(row, col)), QC(0))
+             for col in zip(*b)] for row in a]
+
+
+def _reference_kernel(rows, n_cols):
+    """The rref kernel basis of QC rows, from :func:`_rref_reference`:
+    one vector per free column f, 1 at f and minus the rref's column f at
+    the pivots."""
+    rref, pivots, _ = _rref_reference(rows, n_cols)
+    basis = []
+    for f in range(n_cols):
+        if f in pivots:
+            continue
+        v = [QC(0)] * n_cols
+        v[f] = QC(1)
+        for row, col in zip(rref, pivots):
+            v[col] = -row[f]
+        basis.append(v)
+    return basis
+
+
+@seed(2026)
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3),
+       st.sampled_from(["int", "rational", "complex"]), st.data())
+def test_mat_against_qc_lists(n, k, j, kind, data):
+    """Mat stores plain values and agrees with a QC-list reference on +,
+    -, @, scale, transpose, inverse, det, rank and kernel_basis, for int,
+    rational and complex matrices; the same matrix built from QC
+    literals and from plain literals is equal, hashes equal and stores
+    no QC whose imaginary part is zero, and so does every result."""
+    entry = {"int": small_int, "rational": real_entry,
+             "complex": complex_entry}[kind]
+
+    def draw(rows, cols):
+        return [[data.draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+    rows_a, rows_b, rows_c, rows_sq = (draw(n, k), draw(n, k), draw(k, j),
+                                       draw(n, n))
+    s = data.draw(entry)
+    q = {name: [[QC.parse(x) for x in row] for row in rows]
+         for name, rows in (("a", rows_a), ("b", rows_b), ("c", rows_c),
+                            ("sq", rows_sq))}
+    a, b, c, sq = (Mat.from_rows(rows)
+                   for rows in (rows_a, rows_b, rows_c, rows_sq))
+    for rows, m in ((rows_a, a), (rows_sq, sq)):
+        plain = Mat.from_rows([[QC.parse(x).re if QC.parse(x).im == 0
+                                else QC.parse(x) for x in row]
+                               for row in rows])
+        from_qc = Mat.from_rows([[QC.parse(x) for x in row] for row in rows])
+        assert plain == from_qc == m
+        assert hash(plain) == hash(from_qc) == hash(m)
+        assert _stores_plain_values(from_qc) and _stores_plain_values(plain)
+    results = {
+        "+": (a + b, [[x + y for x, y in zip(r, t)]
+                      for r, t in zip(q["a"], q["b"])]),
+        "-": (a - b, [[x - y for x, y in zip(r, t)]
+                      for r, t in zip(q["a"], q["b"])]),
+        "@": (a @ c, _reference_product(q["a"], q["c"])),
+        "scale": (a.scale(s), [[QC.parse(s) * x for x in r]
+                               for r in q["a"]]),
+        "transpose": (a.transpose(), [list(col) for col in zip(*q["a"])]),
+    }
+    for name, (got, want) in results.items():
+        assert _qc_rows(got) == want, name
+        assert _stores_plain_values(got), name
+    assert ((a + b) - b) == a and hash((a + b) - b) == hash(a)
+    assert det(sq) == _leibniz_det(q["sq"])
+    rref, pivots, _ = _rref_reference(
+        [row + [QC(int(i == t)) for t in range(n)]
+         for i, row in enumerate(q["sq"])], 2 * n)
+    if pivots == list(range(n)):
+        inv = sq.inverse()
+        assert _qc_rows(inv) == [row[n:] for row in rref]
+        assert _stores_plain_values(inv)
+    else:
+        with pytest.raises(ValueError, match="singular matrix"):
+            sq.inverse()
+    assert rank(a) == len(_rref_reference(q["a"], k)[1])
+    basis = kernel_basis(a)
+    assert [[v.entry(t, 0) for t in range(k)] for v in basis] \
+        == _reference_kernel(q["a"], k)
+    assert all(_stores_plain_values(v) for v in basis)
