@@ -11,8 +11,11 @@ against the kernel carried from the degrees below.
 builds its explicit witness chain, one plain elimination per degree.  Both
 read one table of per-coset
 moments, :func:`_moments`, scaled by the common denominator D of the mask's
-coefficients, with the leads (b^{-1})_[t] A_[t] built once per table: on
-an integral lattice with real coefficients the table, the constraint rows,
+coefficients, with the leads (b^{-1})_[t] A_[t] built once per table.  The
+table is kept with the mask, one per dilation, built for the largest
+degree asked for and cut for a smaller one, so a sum-rule test after a
+scan of the same mask and dilation builds nothing.  On an integral
+lattice with real coefficients the table, the constraint rows,
 their reduction and the elimination with its carried kernel run on Python
 ints (the fraction-free idea of Bareiss, Math. Comp. 22, 1968), and they
 fall back to Fractions or QCs by themselves where the data are not
@@ -32,7 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from math import comb, lcm, prod
+from itertools import islice
+from math import lcm, prod
 from operator import getitem
 
 from .crystal import CrystalTriple, Dilation, compose
@@ -41,8 +45,8 @@ from .crystal import CrystalTriple, Dilation, compose
 from .linalg import (Mat, QC, SparseRows, _rref, det, kernel_basis, kron,
                      solve_affine)
 from .mask import Mask, MaskShapeError
-from .multiidx import (VCollection, _acted_rows, _shift_rows, _y_rows,
-                       build_A_s, build_Q_tilde, dim_degree,
+from .multiidx import (VCollection, _acted_rows, _shift_pattern, _shift_rows,
+                       _y_rows, build_A_s, build_Q_tilde, dim_degree,
                        enumerate_degree)
 
 
@@ -89,7 +93,9 @@ class SufficientReport:
     sum_total is the plain coefficient sum (must equal the digit count m);
     beta maps (point index b, multi-index alpha) to the common per-coset
     moment, with the raw per-coset sums kept for audit (per_coset[key][i]
-    sums over the elements in digit coset i, ``Dilation.coset_index``);
+    sums over the support elements (g, k) whose inverse lies in digit
+    coset i, that is the coset of the lattice vector -k,
+    ``Dilation.translation_coset``);
     eigen_flags[s] is True when 1 is not an eigenvalue of the degree-s
     obstruction matrix; v_chain is the recursively built witness when
     everything passes.
@@ -245,9 +251,11 @@ def condition_d_residuals(mask: Mask, dilation: Dilation, v: VCollection,
 
 @dataclass
 class _MomentTable:
-    """The common denominator D (``scale``), the D-scaled moments
-    (``sums``) and the ``leads`` of :func:`_moments`."""
+    """The degree bound ``p_max``, the common denominator D (``scale``),
+    the D-scaled moments (``sums``) and the ``leads`` of
+    :func:`_moments`."""
 
+    p_max: int
     scale: int
     sums: dict
     leads: dict
@@ -271,8 +279,25 @@ def _moments(mask: Mask, dilation: Dilation, p_max: int) -> _MomentTable:
     Heil and Molter, J. Approx. Theory 95, 1998).  ``leads`` maps (b, t),
     t < p_max, to the rows of (b^{-1})_[t] A_[t] = (b^{-1} A)_[t], each a
     list of (column, non-zero entry) pairs, built once per table.
+
+    The table is kept with the mask, one per dilation, and built for the
+    largest p_max asked for: a request for a smaller p_max gets its cut,
+    the moments of degree below p_max and the leads of t < p_max, which
+    equals a fresh build and shares the kept N_mu.
     """
     tri, d = mask.triple, mask.triple.d
+    kept = mask._moment_tables.get(dilation)
+    if kept is not None and kept.p_max >= p_max:
+        if kept.p_max == p_max:
+            return kept
+        # the moments of each key are listed by degree
+        n = sum(dim_degree(d, s) for s in range(p_max))
+        return _MomentTable(
+            p_max, kept.scale,
+            {key: dict(islice(moments.items(), n))
+             for key, moments in kept.sums.items()},
+            {key: rows for key, rows in kept.leads.items()
+             if key[1] < p_max})
     view = mask.plain()
     mus = [mu for s in range(p_max) for mu in enumerate_degree(d, s)]
     sums = {}
@@ -295,7 +320,9 @@ def _moments(mask: Mask, dilation: Dilation, p_max: int) -> _MomentTable:
         for t in range(p_max):
             leads[(b, t)] = [[(k, x) for k, x in enumerate(row) if x]
                              for row in build_A_s(b_inv_a, t).plain()]
-    return _MomentTable(view.scale, sums, leads)
+    table = _MomentTable(p_max, view.scale, sums, leads)
+    mask._moment_tables[dilation] = table
+    return table
 
 
 def _block_row(mask: Mask, dilation: Dilation, table: _MomentTable,
@@ -315,30 +342,32 @@ def _block_row(mask: Mask, dilation: Dilation, table: _MomentTable,
     part b sum to its moments N (:func:`_moments`): entry
     ((alpha, a), (beta', c)) loses sum_beta binom(alpha, beta)
     B[beta, beta'] N_(alpha-beta)[a, c] D, B = (b^{-1})_[t] A_[t] the
-    table's lead.  Column t starts at r (d_0 + ... + d_{t-1}) whatever the
-    highest degree, so block row s serves every system of degree s or
-    more.
+    table's lead.  The (beta, binom(alpha, beta), alpha - beta) of each row
+    alpha are the polynomial shift's own (``multiidx._shift_pattern``), and
+    an empty N_(alpha-beta) adds nothing.  Column t starts at
+    r (d_0 + ... + d_{t-1}) whatever the highest degree, so block row s
+    serves every system of degree s or more.
     """
     d, r = mask.triple.d, mask.r
     starts = [0]
     for t in range(s):
         starts.append(starts[-1] + dim_degree(d, t) * r)
-    alphas = enumerate_degree(d, s)
-    rows = {i: [{starts[s] + k: table.scale} for k in range(len(alphas) * r)]
+    patterns = [_shift_pattern(d, s, t) for t in range(s + 1)]
+    rows = {i: [{starts[s] + k: table.scale}
+                for k in range(dim_degree(d, s) * r)]
             for i in (range(dilation.m) if coset is None else (coset,))}
     for (i, b), moment in table.sums.items():
         block = rows.get(i)
         if block is None:
             continue
-        for t in range(s + 1):
-            for beta, lead in zip(enumerate_degree(d, t),
-                                  table.leads[(b, t)]):
-                for row0, alpha in enumerate(alphas):
-                    if any(k > n for n, k in zip(alpha, beta)):
+        for t, pattern in enumerate(patterns):
+            leads = table.leads[(b, t)]
+            for row0, terms in enumerate(pattern):
+                for j, binom, mu in terms:
+                    n_mu = moment[mu]
+                    if not n_mu:
                         continue
-                    n_mu = moment[tuple(n - k for n, k in zip(alpha, beta))]
-                    binom = prod(comb(n, k) for n, k in zip(alpha, beta))
-                    for k, x in lead:
+                    for k, x in leads[j]:
                         col0, bx = starts[t] + k * r, binom * x
                         for (a, c), y in n_mu.items():
                             row = block[row0 * r + a]

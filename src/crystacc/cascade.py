@@ -180,7 +180,7 @@ def support_box(mask: Mask, dilation: Dilation, h) -> list:
     point group (A normalizes it): at most |G| of them, each with one box
     of shifts.
 
-    For n = 1, 2, ... this n-step box map is iterated in rationals from
+    For n = 1, 2, ... this n-step box map is iterated exactly from
     [0,1]^d, each box snapped outward to multiples of h, until a box B
     contains its own n-step image (which includes [0,1]^d).  The seed lies
     in B and a support inside B is back inside it after n steps, so
@@ -225,36 +225,49 @@ def _as(a: np.ndarray, dtype) -> np.ndarray:
 
 def _certified_box(parts: dict, dilation: Dilation, h: Fraction) -> list:
     """:func:`support_box` of the mask whose :func:`_point_parts` are
-    given.  Each part's linear part M^{-1} G_g is formed once, on ints:
-    as m M^{-1} = +-adj M is integral, m M^{-1} G_g is an integer
-    product, and its shifts M^{-1} G_g k are integer dot products over m,
-    bounded per axis."""
+    given, stepped on ints.  Each part's linear part M^{-1} G_g is formed
+    once: as m M^{-1} = +-adj M is integral, m M^{-1} G_g is an integer
+    product, and m times its shifts M^{-1} G_g k are integer dot products,
+    bounded per axis.  The n-step maps are kept as m^n times themselves,
+    ints too, and a box as ints over one denominator: corners snapped to
+    h = a/b count multiples of h, and a box of ints over den maps to one
+    over m^n den."""
     t, m = dilation.triple, dilation.m
     adj = [[int(x * m) for x in row] for row in dilation.M_inv.plain()]
     step = {}
     for g, elements in parts.items():
-        scaled = [[sum(map(mul, row, col)) for col in zip(*t.int_reps[g])]
-                  for row in adj]
-        key = tuple(tuple(Fraction(x, m) for x in row) for row in scaled)
-        step[key] = [(Fraction(min(v), m), Fraction(max(v), m))
+        lin = tuple(tuple(sum(map(mul, row, col))
+                          for col in zip(*t.int_reps[g])) for row in adj)
+        step[lin] = [(min(v), max(v))
                      for v in ([sum(map(mul, row, k)) for k, _ in elements]
-                               for row in scaled)]
-    unit = [(Fraction(0), Fraction(1))] * t.d
-    maps = step
+                               for row in lin)]
+    a, b = h.numerator, h.denominator
+    unit = _snap([(0, 1)] * t.d, 1, a, b)
+    maps, scale = step, m
     for n in range(1, MAX_BOX_STEPS + 1):
-        box = _snap(unit, h)
+        box = unit
         for _ in range(MAX_BOX_STEPS):
-            image = _map_box(maps, box, unit)
-            if all(lo <= a and b <= hi
-                   for (lo, hi), (a, b) in zip(box, image)):
-                boxes = [box]
+            image = _snap(_map_box(maps, scale, _over(box, a), b),
+                          scale * b, a, b)
+            if all(lo <= x and y <= hi
+                   for (lo, hi), (x, y) in zip(box, image)):
+                # iterate jn + i lies in F^i(box), unsnapped for i < n
+                boxes, den = [_over(box, a)], b
                 for _ in range(n - 1):
-                    boxes.append(_map_box(step, boxes[-1], unit))
-                return _snap(_hull(boxes), h)
-            box = _snap(_hull([box, image]), h)
-        maps = _compose(step, maps)
+                    boxes.append(_map_box(step, m, boxes[-1], den))
+                    den *= m
+                snapped = _hull([_snap(x, b * m ** i, a, b)
+                                 for i, x in enumerate(boxes)])
+                return [(lo * h, hi * h) for lo, hi in snapped]
+            box = _hull([box, image])
+        maps, scale = _compose(step, maps, scale), scale * m
     raise CascadeError(f"no support box certified within {MAX_BOX_STEPS} "
                        f"steps for any n up to {MAX_BOX_STEPS}")
+
+
+def _over(box: list, a: int) -> list:
+    """A box counted in multiples of h = a/b, as ints over b."""
+    return [(lo * a, hi * a) for lo, hi in box]
 
 
 def _box_image(lin: tuple, shifts: list, box: list) -> list:
@@ -268,21 +281,27 @@ def _box_image(lin: tuple, shifts: list, box: list) -> list:
     return out
 
 
-def _map_box(maps: dict, box: list, unit: list) -> list:
-    """hull([0,1]^d and every lin box + shifts) over maps {lin: shifts}."""
-    return _hull([unit] + [_box_image(lin, shifts, box)
-                           for lin, shifts in maps.items()])
+def _map_box(maps: dict, scale: int, box: list, den: int) -> list:
+    """hull([0,1]^d and every lin box + shifts) over maps {lin: shifts}
+    given as scale times themselves, for a box of ints over den: ints
+    over scale den."""
+    return _hull([[(0, scale * den)] * len(box)]
+                 + [_box_image(lin, _over(shifts, den), box)
+                    for lin, shifts in maps.items()])
 
 
-def _compose(outer: dict, inner: dict) -> dict:
+def _compose(outer: dict, inner: dict, scale: int) -> dict:
     """The maps x -> l1 (l2 x + c2) + c1 of every outer (l1, c1) after every
-    inner (l2, c2), one box of shifts per distinct linear part l1 l2."""
+    inner (l2, c2), one box of shifts per distinct linear part l1 l2.  The
+    outer maps are given as m times themselves and the inner ones as
+    scale times themselves; the result is m scale times the composed
+    maps."""
     out = {}
     for l1, c1 in outer.items():
         for l2, c2 in inner.items():
             lin = tuple(tuple(sum(a * b for a, b in zip(row, col))
                               for col in zip(*l2)) for row in l1)
-            shifts = _box_image(l1, c1, c2)
+            shifts = _box_image(l1, _over(c1, scale), c2)
             out[lin] = _hull([out[lin], shifts]) if lin in out else shifts
     return out
 
@@ -292,8 +311,11 @@ def _hull(boxes: list) -> list:
             for axis in zip(*boxes)]
 
 
-def _snap(box: list, h: Fraction) -> list:
-    return [(math.floor(lo / h) * h, math.ceil(hi / h) * h) for lo, hi in box]
+def _snap(box: list, den: int, a: int, b: int) -> list:
+    """A box of ints over den snapped outward to multiples of h = a/b,
+    counted in multiples of h."""
+    q = den * a
+    return [((lo * b) // q, -((-hi * b) // q)) for lo, hi in box]
 
 
 def _fix_phase(u: np.ndarray) -> np.ndarray:

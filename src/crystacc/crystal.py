@@ -289,6 +289,8 @@ class Dilation:
         self.m = len(self.lattice_digits)
         self.digits = tuple(triple.translation(k) for k in self.lattice_digits)
         self._digit_index = {k: i for i, k in enumerate(self.lattice_digits)}
+        # lattice vector -> digit coset, filled by translation_coset
+        self._cosets = {}
 
     def residue(self, kvec) -> tuple[int, ...]:
         """The point of kvec + M·Z^d in M[0,1)^d: kvec - M·floor(M^{-1}
@@ -302,8 +304,14 @@ class Dilation:
         return self._digit_index[self.residue(v)]
 
     def translation_coset(self, kvec) -> int:
-        """Digit coset of a bare lattice vector, kvec modulo M·Z^d."""
-        return self._digit_index[self.residue(tuple(kvec))]
+        """Digit coset of a bare lattice vector, kvec modulo M·Z^d, kept
+        per vector on the dilation (the exact solvers ask for that of -k,
+        the coset of the inverse of (b, k))."""
+        kvec = tuple(kvec)
+        i = self._cosets.get(kvec)
+        if i is None:
+            i = self._cosets[kvec] = self._digit_index[self.residue(kvec)]
+        return i
 
     def conj(self, e: CrystalElement) -> CrystalElement:
         """A e A^{-1}; always lands in Gamma for admissible A."""

@@ -74,6 +74,8 @@ class Mask:
         self._blocks = blocks
         self._support = tuple(sorted(blocks, key=lambda e: (e.g, e.k)))
         self._view = None
+        # Dilation -> the moment table of accuracy._moments, kept likewise
+        self._moment_tables = {}
 
     @classmethod
     def scalar(cls, triple: CrystalTriple, entries: dict) -> "Mask":
@@ -177,8 +179,18 @@ def _read_entry(x, changes: list):
     """One coefficient by the reading rule, for :meth:`Mat.from_rows`: an
     exact literal as it is, and one with a float part read exactly, as a
     Fraction when it is real, else a QC; when it has a float part and is
-    nonzero, appends its relative change to ``changes``."""
-    parts = (x.real, x.imag) if isinstance(x, (float, complex)) else x
+    nonzero, appends its relative change to ``changes``.  A float, or a
+    complex with a zero imaginary part, is read as a real number, with no
+    QC."""
+    if isinstance(x, complex) and x.imag == 0:
+        x = x.real
+    if isinstance(x, float):
+        # a real read, the value the QC path below gives it
+        q, given = read_float(x), Fraction(x)
+        if given:
+            changes.append(float((q - given) ** 2 / given ** 2) ** 0.5)
+        return q
+    parts = (x.real, x.imag) if isinstance(x, complex) else x
     if not (isinstance(parts, (list, tuple))
             and any(isinstance(p, float) for p in parts)):
         return x

@@ -1472,3 +1472,128 @@ def test_sufficient_report_equals_the_qc_reference_on_the_screen_cases(
         for p in (2, 3):
             _assert_same_report(sufficient_check(mask, t, dil, p),
                                 _reference_sufficient_check(mask, t, dil, p))
+
+
+# -- block rows on the shared shift pattern, and the kept moment table ------
+
+def _inline_block_row(mask, dilation, table, s, coset=None):
+    """Block row s as _block_row built it before it read the shift
+    pattern: the test beta <= alpha, alpha - beta and the binomial
+    recomputed for every (coset, point part, t, beta, alpha)."""
+    d, r = mask.triple.d, mask.r
+    starts = [0]
+    for t in range(s):
+        starts.append(starts[-1] + dim_degree(d, t) * r)
+    alphas = enumerate_degree(d, s)
+    rows = {i: [{starts[s] + k: table.scale} for k in range(len(alphas) * r)]
+            for i in (range(dilation.m) if coset is None else (coset,))}
+    for (i, b), moment in table.sums.items():
+        block = rows.get(i)
+        if block is None:
+            continue
+        for t in range(s + 1):
+            for beta, lead in zip(enumerate_degree(d, t),
+                                  table.leads[(b, t)]):
+                for row0, alpha in enumerate(alphas):
+                    if any(k > n for n, k in zip(alpha, beta)):
+                        continue
+                    n_mu = moment[tuple(n - k for n, k in zip(alpha, beta))]
+                    binom = prod(comb(n, k) for n, k in zip(alpha, beta))
+                    for k, x in lead:
+                        col0, bx = starts[t] + k * r, binom * x
+                        for (a, c), y in n_mu.items():
+                            row = block[row0 * r + a]
+                            value = row.get(col0 + c, 0) - bx * y
+                            if value == 0:
+                                row.pop(col0 + c, None)
+                            else:
+                                row[col0 + c] = value
+    return [row for block in rows.values() for row in block]
+
+
+P1_3D = validate_triple(Mat.identity(3), [Mat.identity(3)], name="p1")
+P1_3D = (P1_3D, check_admissible(Mat.from_rows([[2, 0, 0], [0, 2, 0],
+                                                [0, 0, 2]]), P1_3D))
+PM_3D = validate_triple(Mat.identity(3), [
+    Mat.identity(3), Mat.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, -1]])],
+    name="pm-3d")
+PM_3D = (PM_3D, check_admissible(Mat.from_rows([[2, 0, 0], [0, 2, 0],
+                                                [0, 0, 2]]), PM_3D))
+KEPT_CASES = ["line", "line-3", "p1m", "pm", "p4m", "pm-scaled",
+              "p2-sheared", "p2-cyclic", "p1-3d", "pm-3d"]
+
+
+def _kept_case(line, p1m, where):
+    """(triple, dilation) of a case of :data:`KEPT_CASES`."""
+    named = {"line": line, "line-3": LINE_3, "p1m": p1m, "p4m": P4M,
+             "pm-scaled": PM_SCALED, "p2-sheared": P2_SHEARED,
+             "p2-cyclic": P2_CYCLIC, "p1-3d": P1_3D, "pm-3d": PM_3D,
+             "pm": _triple_on("pm", [[1, 0], [0, 1]])}
+    return named[where]
+
+
+def _random_blocks(t, r, kind, rnd):
+    """{element: r x r rows} on up to six drawn elements of t, entries
+    ints, rationals or complex rationals as ``kind`` says."""
+    def coef():
+        if kind == "int":
+            return rnd.randint(-3, 3)
+        x = Fraction(rnd.randint(-4, 4), rnd.randint(1, 6))
+        return x if kind == "rational" else QC(
+            x, Fraction(rnd.randint(-3, 3), rnd.randint(1, 4)))
+
+    blocks = {}
+    for _ in range(rnd.randint(1, 6)):
+        e = t.element(rnd.randrange(t.order),
+                      [rnd.randint(-2, 2) for _ in range(t.d)])
+        blocks[e] = [[coef() for _ in range(r)] for _ in range(r)]
+    return blocks
+
+
+@seed(2026)
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(KEPT_CASES), st.sampled_from([1, 2]),
+       st.sampled_from(["int", "rational", "complex"]),
+       st.randoms(use_true_random=False))
+def test_block_rows_on_the_shift_pattern_match_the_inline_loop(
+        line, p1m, where, r, kind, rnd):
+    """_block_row, which reads the binomial shift's pattern and skips an
+    empty N_mu, equals the inline loop it replaced, for every degree
+    s < 5 and every coset (and all cosets at once), on d = 1, 2 and 3,
+    r = 1 and 2, int, rational and complex masks, R = I and R != I."""
+    t, dil = _kept_case(line, p1m, where)
+    mask = Mask(t, _random_blocks(t, r, kind, rnd), r=r)
+    table = accuracy_mod._moments(mask, dil, 5)
+    for s in range(5):
+        for coset in [None, *range(dil.m)]:
+            assert accuracy_mod._block_row(mask, dil, table, s, coset) == \
+                _inline_block_row(mask, dil, table, s, coset)
+
+
+@seed(2026)
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(KEPT_CASES), st.sampled_from([1, 2]),
+       st.sampled_from(["int", "rational", "complex"]),
+       st.integers(1, 4), st.randoms(use_true_random=False))
+def test_a_cut_of_the_kept_table_equals_a_fresh_build(line, p1m, where, r,
+                                                      kind, p_max, rnd):
+    """The table kept with a mask for p_max, cut to every p <= p_max,
+    equals the table a fresh mask with the same coefficients builds for
+    p, and shares the kept N_mu; the kept table is left as it was, and a
+    larger request builds a table equal to a fresh one and keeps it."""
+    t, dil = _kept_case(line, p1m, where)
+    blocks = _random_blocks(t, r, kind, rnd)
+    mask = Mask(t, blocks, r=r)
+    kept = accuracy_mod._moments(mask, dil, p_max)
+    assert accuracy_mod._moments(mask, dil, p_max) is kept
+    for p in range(1, p_max + 1):
+        cut = accuracy_mod._moments(mask, dil, p)
+        fresh = accuracy_mod._moments(Mask(t, blocks, r=r), dil, p)
+        assert cut == fresh
+        assert all(n is kept.sums[key][mu] for key, moments in cut.sums.items()
+                   for mu, n in moments.items())
+    assert mask._moment_tables == {dil: kept}
+    more = accuracy_mod._moments(mask, dil, p_max + 1)
+    assert more == accuracy_mod._moments(Mask(t, blocks, r=r), dil,
+                                         p_max + 1)
+    assert mask._moment_tables == {dil: more}

@@ -16,7 +16,7 @@ from crystacc.cascade import (CascadeError, _probe_block, _seed_direction,
                               empirical_level, grid_bytes,
                               refinement_residual, reproduce,
                               sample_points, support_box)
-from crystacc.crystal import (catalog_triple, check_admissible,
+from crystacc.crystal import (catalog_names, catalog_triple, check_admissible,
                               validate_triple)
 from crystacc.linalg import Mat
 from crystacc.mask import Mask, lift_scalar_to_matrix
@@ -1094,3 +1094,105 @@ def test_one_walk_oracle_matches_the_per_degree_oracle(
                  _old_probe_block(field, v, s, pts, C))
     assert got[0] == want[0] and got[2] == want[2]
     assert np.array_equal(got[1][s], want[1][s])
+
+
+# -- the certified box on ints against the Fraction box it replaced ---------
+
+def _fraction_box(parts, dilation, h):
+    """_certified_box as it stepped on Fractions: each part's map
+    M^{-1} G_g and its box of shifts in rationals, the n-step maps
+    composed in rationals and every box snapped to multiples of h."""
+    t, m = dilation.triple, dilation.m
+    adj = [[int(x * m) for x in row] for row in dilation.M_inv.plain()]
+    step = {}
+    for g, elements in parts.items():
+        scaled = [[sum(a * b for a, b in zip(row, col))
+                   for col in zip(*t.int_reps[g])] for row in adj]
+        key = tuple(tuple(Fraction(x, m) for x in row) for row in scaled)
+        step[key] = [(Fraction(min(v), m), Fraction(max(v), m))
+                     for v in ([sum(a * b for a, b in zip(row, k))
+                                for k, _ in elements] for row in scaled)]
+
+    def image(lin, shifts, box):
+        out = []
+        for row, (lo, hi) in zip(lin, shifts):
+            for a, (l, u) in zip(row, box):
+                lo += min(a * l, a * u)
+                hi += max(a * l, a * u)
+            out.append((lo, hi))
+        return out
+
+    def hull(boxes):
+        return [(min(lo for lo, _ in axis), max(hi for _, hi in axis))
+                for axis in zip(*boxes)]
+
+    def snap(box):
+        return [(math.floor(lo / h) * h, math.ceil(hi / h) * h)
+                for lo, hi in box]
+
+    def map_box(maps, box):
+        return hull([unit] + [image(lin, shifts, box)
+                              for lin, shifts in maps.items()])
+
+    def compose(outer, inner):
+        out = {}
+        for l1, c1 in outer.items():
+            for l2, c2 in inner.items():
+                lin = tuple(tuple(sum(a * b for a, b in zip(row, col))
+                                  for col in zip(*l2)) for row in l1)
+                shifts = image(l1, c1, c2)
+                out[lin] = hull([out[lin], shifts]) if lin in out else shifts
+        return out
+
+    unit = [(Fraction(0), Fraction(1))] * t.d
+    maps = step
+    for n in range(1, cascade_mod.MAX_BOX_STEPS + 1):
+        box = snap(unit)
+        for _ in range(cascade_mod.MAX_BOX_STEPS):
+            new = map_box(maps, box)
+            if all(lo <= a and b <= hi
+                   for (lo, hi), (a, b) in zip(box, new)):
+                boxes = [box]
+                for _ in range(n - 1):
+                    boxes.append(map_box(step, boxes[-1]))
+                return snap(hull(boxes))
+            box = snap(hull([box, new]))
+        maps = compose(step, maps)
+    raise CascadeError("no box")
+
+
+# m = 3 on Z^2: no box is certified before n = 3
+SLOW_BOX = [[-3, -3], [1, 0]]
+BOX_CASES = ([(name, 1, [[2]]) for name in catalog_names(1)]
+             + [(name, 2, [[2, 0], [0, 2]]) for name in catalog_names(2)]
+             + [("p1", 2, QUINCUNX), ("p4m", 2, QUINCUNX),
+                ("p4", 2, ROTATION), ("sheared", 2, [[2, 0], [0, 2]]),
+                ("p1", 2, SLOW_BOX)])
+
+
+@seed(2026)
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(BOX_CASES), st.randoms(use_true_random=False))
+def test_int_box_matches_the_fraction_box(case, rnd):
+    """The support box stepped on ints equals the one stepped on
+    Fractions, corner for corner and as Fractions, on every catalog
+    triple under 2I, under the quincunx and rotation dilations (n = 2),
+    on pm over a sheared lattice, and on Z^2 under [[-3, -3], [1, 0]]
+    (n = 3), for drawn supports and for dyadic and non-dyadic spacings
+    h."""
+    name, d, a = case
+    if name == "sheared":
+        t = validate_triple(Mat.from_rows([[1, Fraction(1, 2)], [0, 1]]),
+                            catalog_triple("pm", 2).group)
+    else:
+        t = catalog_triple(name, d)
+    dil = check_admissible(Mat.from_rows(a), t)
+    entries = {(rnd.randrange(t.order),
+                tuple(rnd.randint(-4, 4) for _ in range(d))): 1
+               for _ in range(rnd.randint(1, 6))}
+    parts = cascade_mod._point_parts(Mask.scalar(t, entries))
+    h = rnd.choice([Fraction(1, 2 ** rnd.randint(0, 6)), Fraction(1, 3),
+                    Fraction(2, 3), Fraction(3, 2)])
+    box = cascade_mod._certified_box(parts, dil, h)
+    assert box == _fraction_box(parts, dil, h)
+    assert all(isinstance(x, Fraction) for corners in box for x in corners)

@@ -548,6 +548,35 @@ def test_translation_coset(line):
     assert dil.translation_coset((-3,)) == 1
 
 
+@seed(2026)
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["2I", "quincunx", "sheared"]),
+       st.randoms(use_true_random=False))
+def test_kept_translation_cosets_match_the_residue(where, rnd):
+    """translation_coset, kept per vector on the dilation, gives the digit
+    index of the vector's residue, on a first and a repeated call, for
+    tuples and lists; it keeps one answer per distinct vector asked for.
+    p4m under 2I and under the quincunx [[1, 1], [1, -1]], and pm on a
+    sheared lattice under 2I."""
+    if where == "sheared":
+        t = validate_triple(Mat.from_rows([[1, Fraction(1, 2)], [0, 1]]),
+                            catalog_triple("pm", 2).group)
+        a = [[2, 0], [0, 2]]
+    else:
+        t = catalog_triple("p4m", 2)
+        a = [[2, 0], [0, 2]] if where == "2I" else [[1, 1], [1, -1]]
+    dil = check_admissible(Mat.from_rows(a), t)
+    asked = set()
+    for _ in range(60):
+        k = (rnd.randint(-9, 9), rnd.randint(-9, 9))
+        want = dil._digit_index[dil.residue(k)]
+        first = dil.translation_coset(k if rnd.random() < 0.5 else list(k))
+        assert first == want == dil.translation_coset(k)
+        asked.add(k)
+    assert dil._cosets == {k: dil._digit_index[dil.residue(k)]
+                           for k in asked}
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10 ** 6))
 def test_apply_element_exactness(pm, seed):

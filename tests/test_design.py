@@ -22,7 +22,8 @@ name the benchmark's tracer wraps, with the benchmark's read of lifted
 mask entries through Mat.row_list; Mat storage read through Mat.plain()
 with no converter back to plain values; a sum-rule test on plain values,
 with no det or Mat.inverse and one walk of the support for its witness
-chain."""
+chain; one moment table per mask and dilation, and block rows that read
+the binomial shift's own pattern."""
 
 import ast
 import importlib.util
@@ -397,6 +398,50 @@ def test_plain_view_is_built_once_per_mask(case, monkeypatch):
     assert cert.p >= 1
     assert len(built) == 1
     assert mask.plain().entries is built[0]
+
+
+@pytest.mark.parametrize("drop", [0, 1])
+def test_moment_table_is_built_once_per_mask_and_dilation(drop,
+                                                          monkeypatch):
+    """max_accuracy at p_max, then sufficient_check at p_max or p_max - 1
+    on the same mask and dilation, build one _MomentTable from the
+    support: at p_max sufficient_check reads the kept table itself, and
+    below it the one other _MomentTable made is its cut, whose moments
+    are the kept table's own objects."""
+    mask, dil, p_max = _shape_cases()["cubic"]
+    made = []
+    build = accuracy._MomentTable
+
+    def counted(*args):
+        made.append(build(*args))
+        return made[-1]
+
+    monkeypatch.setattr(accuracy, "_MomentTable", counted)
+    cert = accuracy.max_accuracy(mask, mask.triple, dil, p_max)
+    p = p_max - drop
+    rep = accuracy.sufficient_check(mask, mask.triple, dil, p)
+    assert rep.passed == (p <= cert.p)
+    kept = made[0]
+    assert mask._moment_tables == {dil: kept}
+    assert len(made) == 1 + drop
+    for cut in made[1:]:
+        assert cut.p_max == kept.p_max - drop
+        assert all(n is kept.sums[key][mu]
+                   for key, moments in cut.sums.items()
+                   for mu, n in moments.items())
+
+
+def test_block_rows_read_the_shift_pattern():
+    """accuracy computes no binomial of its own: it imports no comb, and
+    _block_row takes its (beta, binomial, alpha - beta) triples from
+    multiidx._shift_pattern, the pattern the polynomial shift reads."""
+    text = inspect.getsource(accuracy)
+    assert not re.search(r"\bcomb\b", text)
+    assert accuracy._shift_pattern is multiidx._shift_pattern
+    tree = ast.parse(textwrap.dedent(inspect.getsource(accuracy._block_row)))
+    assert "_shift_pattern" in {node.func.id for node in ast.walk(tree)
+                                if isinstance(node, ast.Call)
+                                and isinstance(node.func, ast.Name)}
 
 
 def test_one_common_denominator_of_the_coefficients():

@@ -3,9 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from crystacc.crystal import elements_in_ball
-from crystacc.linalg import Mat, QC
+from crystacc.crystal import catalog_triple, elements_in_ball
+from crystacc.linalg import Mat, QC, read_float
 from crystacc.mask import (Mask, MaskShapeError, check_gamma_A_symmetry,
                            extract_scalar, lattice_triple,
                            lift_scalar_to_matrix)
@@ -212,3 +214,67 @@ def test_extract_shape_errors(line, p1m, sym_hat):
     off_lattice = Mask(t, {t.element(1, (0,)): Mat.identity(2)})
     with pytest.raises(MaskShapeError):
         extract_scalar(off_lattice, t, dil)
+
+
+def _qc_read_entry(x, changes):
+    """The reading rule as it read every float and complex value before
+    the real-only read: both parts through QCs."""
+    parts = (x.real, x.imag) if isinstance(x, (float, complex)) else x
+    if not (isinstance(parts, (list, tuple))
+            and any(isinstance(p, float) for p in parts)):
+        return x
+    q = QC(*(read_float(p) if isinstance(p, float) else p for p in parts))
+    given = QC(*(Fraction(p) if isinstance(p, float) else p for p in parts))
+    if not given.is_zero():
+        changes.append(float((q - given).abs2() / given.abs2()) ** 0.5)
+    return q if q.im != 0 else q.re
+
+
+def _qc_mask(t, blocks, r):
+    """(mask, float_change) of float blocks read by :func:`_qc_read_entry`."""
+    changes = []
+    mask = Mask(t, {e: [[_qc_read_entry(x, changes) for x in row]
+                        for row in blk] for e, blk in blocks.items()}, r=r)
+    return mask, max(changes, default=None)
+
+
+@seed(2026)
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([("p1", 1), ("pm", 2)]), st.sampled_from([1, 2]),
+       st.booleans(), st.randoms(use_true_random=False))
+def test_float_reads_match_the_qc_path(where, r, real, rnd):
+    """Float masks, real (floats, and complex values with a zero
+    imaginary part) and complex, read to the same exact mask and the
+    same float_change, bit for bit, as through the QC path; so does
+    Mask.to_float of an exact mask, real or complex, whose Mat.np copy
+    hands every entry over as a Python complex."""
+    t = catalog_triple(*where)
+
+    def value():
+        x = rnd.choice([rnd.uniform(-2, 2), 1 / rnd.randint(1, 9), 0.0,
+                        -0.0, 0.5])
+        if real:
+            return rnd.choice([x, complex(x, 0.0), complex(x, -0.0)])
+        return complex(x, rnd.choice([rnd.uniform(-1, 1), 1 / 3, 0.0]))
+
+    blocks = {}
+    for _ in range(rnd.randint(1, 5)):
+        e = t.element(rnd.randrange(t.order),
+                      [rnd.randint(-2, 2) for _ in range(t.d)])
+        blocks[e] = [[value() for _ in range(r)] for _ in range(r)]
+    mask = Mask(t, blocks, r=r)
+    ref, change = _qc_mask(t, blocks, r)
+    assert mask == ref
+    assert mask.float_change == change
+    assert all(not isinstance(x, QC) or x.im != 0
+               for _, blk in mask.items() for row in blk.plain() for x in row)
+    exact = Mask(t, {e: [[Fraction(rnd.randint(-9, 9), rnd.randint(1, 7))
+                          if real else QC(rand_fraction(rnd),
+                                          rand_fraction(rnd))
+                          for _ in range(r)] for _ in range(r)]
+                     for e in blocks}, r=r)
+    floats = exact.to_float()
+    ref, change = _qc_mask(t, {e: b.np().tolist() for e, b in exact.items()},
+                           r)
+    assert floats == ref
+    assert floats.float_change == change
