@@ -18,8 +18,10 @@ One Gauss-Jordan elimination, ``_rref``, serves :func:`rank`,
 :func:`kernel_basis`, :func:`det`, :meth:`Mat.inverse` (the rref of
 ``[A | I]``) and :func:`solve_affine`.  It runs on sparse rows, one dict
 column -> value per row, and is fraction-free: each row is scaled to
-integers by the lcm of its denominators and kept divided by its content,
-only the rows with a non-zero in the pivot column are updated, the pivot
+integers by the lcm of its denominators (a row of ints as it is) and kept
+divided by its content, a row equal to one already read is dropped (so
+coset blocks that coincide are eliminated once), only the rows with a
+non-zero in the pivot column are updated, the pivot
 row is the unused candidate with the fewest non-zeros (Markowitz), and the
 pivot rows are divided by their pivots once, at the end.  Real data run
 on Python ints, complex data on QCs with integer parts, through the same
@@ -390,9 +392,16 @@ def _rref(rows: list[dict], n_cols: int, with_det: bool = False
     None unless that block has a pivot in every column).
 
     Each row is scaled to integers by the lcm of its denominators (real
-    data then run on Python ints, complex data on QCs with integer parts)
-    and divided by its content, the gcd of all its real and imaginary
-    parts.  The columns are taken in their order, so the rref, which is
+    data then run on Python ints, complex data on QCs with integer parts;
+    a row of ints on real data is read as it is) and divided by its
+    content, the gcd of all its real and imaginary parts.  A row equal to
+    one already read is then dropped: the row space, so the rref, the
+    pivots and every kernel, stays the same.  The exact solver's block
+    rows stack one block per digit coset, and those blocks coincide
+    wherever the per-coset moments agree, as the sum rules say; so each
+    distinct constraint is eliminated once.  A dropped row makes the
+    leading square block singular, and the determinant is then None.
+    The columns are taken in their order, so the rref, which is
     unique for a fixed column order, is that of the textbook elimination.
     Among the rows not yet used with a non-zero ``p`` in the pivot column,
     the one with the fewest non-zeros is the pivot row ``y`` (Markowitz,
@@ -407,7 +416,8 @@ def _rref(rows: list[dict], n_cols: int, with_det: bool = False
     tracked only on request, as the kernel queries and
     :meth:`Mat.inverse` do not read it.
     """
-    real = all(_parts(x)[1] == 0 for row in rows for x in row.values())
+    real = not any(type(x) is QC and x.im for row in rows
+                   for x in row.values())
     if real:
         def content(x):
             return math.gcd(*x.values())
@@ -416,8 +426,7 @@ def _rref(rows: list[dict], n_cols: int, with_det: bool = False
             return e // c
 
         def ratio(e, p):
-            q = Fraction(e, p)
-            return q.numerator if q.denominator == 1 else q
+            return Fraction(e, p) if e % p else e // p
     else:
         def content(x):
             return math.gcd(*(q.numerator for e in x.values()
@@ -430,20 +439,28 @@ def _rref(rows: list[dict], n_cols: int, with_det: bool = False
             return e / p
     track = with_det and len(rows) <= n_cols
     grown, shrunk = 1, 1
-    a = []
+    a, seen = [], set()
     for row in rows:
-        parts = [(j, *_parts(x)) for j, x in row.items()]
-        s = math.lcm(*(q.denominator for _, re, im in parts
-                       for q in (re, im)))
-        if real:
-            x = {j: re.numerator * (s // re.denominator)
-                 for j, re, _ in parts if re != 0}
+        if real and all(type(e) is int for e in row.values()):
+            s, x = 1, {j: e for j, e in row.items() if e}
         else:
-            x = {j: QC(re * s, im * s) for j, re, im in parts
-                 if re != 0 or im != 0}
+            parts = [(j, *_parts(x)) for j, x in row.items()]
+            s = math.lcm(*(q.denominator for _, re, im in parts
+                           for q in (re, im)))
+            if real:
+                x = {j: re.numerator * (s // re.denominator)
+                     for j, re, _ in parts if re != 0}
+            else:
+                x = {j: QC(re * s, im * s) for j, re, im in parts
+                     if re != 0 or im != 0}
         c = content(x) or 1
         if c > 1:
             x = {j: divide(e, c) for j, e in x.items()}
+        key = frozenset(x.items())
+        if key in seen:
+            track = False
+            continue
+        seen.add(key)
         a.append(x)
         grown, shrunk = grown * s, shrunk * c
     used = [False] * len(a)

@@ -522,6 +522,18 @@ def test_accuracy_both_stdout_matches_golden(capsys, config):
             encoding="utf-8")
 
 
+def test_lifted_accuracy_stdout_matches_golden(capsys):
+    """crystacc accuracy --p-max 3 on the p4m hat lifted to a bare-lattice
+    mask (r = 8, m = 4 digit cosets, written by crystacc lift) prints, byte
+    for byte, the stdout recorded in tests/golden: the lifted r = 8
+    elimination certifies the scalar mask's accuracy 2."""
+    assert main(["accuracy", str(GOLDEN / "p4m_hat_lifted.json"),
+                 "--p-max", "3"]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        GOLDEN / "p4m_hat_lifted_accuracy.stdout").read_text(
+            encoding="utf-8")
+
+
 def test_cascade_walks_the_sample_once_for_every_degree(capsys,
                                                         monkeypatch):
     """The p4m hat at --grid 5 --verify-p 5 tests its two witness degrees

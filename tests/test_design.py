@@ -23,14 +23,19 @@ mask entries through Mat.row_list; Mat storage read through Mat.plain()
 with no converter back to plain values; a sum-rule test on plain values,
 with no det or Mat.inverse and one walk of the support for its witness
 chain; one moment table per mask and dilation, and block rows that read
-the binomial shift's own pattern."""
+the binomial shift's own pattern; an elimination that reads each distinct
+row once."""
 
 import ast
 import importlib.util
 import inspect
+import math
+import random
 import re
 import sys
 import textwrap
+import types
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -317,6 +322,47 @@ def _is_row_update(node) -> bool:
             and all(isinstance(side, ast.BinOp)
                     and isinstance(side.op, ast.Mult)
                     for side in (node.left, node.right)))
+
+
+def _repeated_row_cases():
+    """One copy of each system: the lifted p4m hat's block row at degree
+    2, whose m = 4 digit-coset blocks coincide, and seeded rational rows,
+    among them a copy of a row up to an integer scaling."""
+    mask, dil, p_max = _shape_cases()["lifted-hat"]
+    table = accuracy._moments(mask, dil, p_max)
+    lifted = accuracy._block_row(mask, dil, table, 2)
+    rng = random.Random(2026)
+    seeded = [{j: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+               for j in range(7) if rng.random() < 0.6} for _ in range(5)]
+    seeded.append({j: 3 * x for j, x in seeded[0].items()})
+    return {"lifted-hat": lifted, "seeded": seeded}
+
+
+@pytest.mark.parametrize("case", ["lifted-hat", "seeded"])
+@pytest.mark.parametrize("k", [2, 5])
+def test_repeated_rows_are_eliminated_once(case, k, monkeypatch):
+    """_rref reads a row equal to one already read once, as the exact
+    solver's coset blocks coincide wherever the per-coset moments agree:
+    on rows stacked k times it makes no more row updates than on one copy,
+    and gives the same rref.  Each row read and each row update takes one
+    content gcd, so the updates are the gcds less the rows read."""
+    rows = _repeated_row_cases()[case]
+    n_cols = 1 + max(j for row in rows for j in row)
+    gcds = []
+
+    def gcd(*args):
+        gcds.append(args)
+        return math.gcd(*args)
+
+    monkeypatch.setattr(linalg, "math",
+                        types.SimpleNamespace(**{**vars(math), "gcd": gcd}))
+    updates, rrefs = [], []
+    for stacked in (rows, rows * k):
+        gcds.clear()
+        rrefs.append(linalg._rref(stacked, n_cols))
+        updates.append(len(gcds) - len(stacked))
+    assert rrefs[1] == rrefs[0]
+    assert updates[1] <= updates[0]
 
 
 def test_one_elimination_routine():

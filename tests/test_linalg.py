@@ -10,8 +10,8 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from crystacc.linalg import (FLOAT_DENOMINATOR_CAP, Mat, QC, QC_ZERO,
-                             SparseRows, _rref, det, kernel_basis, kron,
-                             rank, read_float, solve_affine)
+                             SparseRows, _parts, _rref, det, kernel_basis,
+                             kron, rank, read_float, solve_affine)
 
 
 def test_qc_exact_arithmetic():
@@ -514,3 +514,166 @@ def test_mat_against_qc_lists(n, k, j, kind, data):
     assert [[v.entry(t, 0) for t in range(k)] for v in basis] \
         == _reference_kernel(q["a"], k)
     assert all(_stores_plain_values(v) for v in basis)
+
+
+def _rref_every_row(rows, n_cols, with_det=False):
+    """The elimination as it was before repeated rows were dropped at
+    intake, kept as the reference: every row, repeated or not, is scaled
+    to integers through its parts, divided by its content and eliminated.
+    Returns what :func:`_rref` returns."""
+    real = all(_parts(x)[1] == 0 for row in rows for x in row.values())
+    if real:
+        def content(x):
+            return math.gcd(*x.values())
+
+        def divide(e, c):
+            return e // c
+
+        def ratio(e, p):
+            q = Fraction(e, p)
+            return q.numerator if q.denominator == 1 else q
+    else:
+        def content(x):
+            return math.gcd(*(q.numerator for e in x.values()
+                              for q in (e.re, e.im)))
+
+        def divide(e, c):
+            return QC(e.re.numerator // c, e.im.numerator // c)
+
+        def ratio(e, p):
+            return e / p
+    track = with_det and len(rows) <= n_cols
+    grown, shrunk = 1, 1
+    a = []
+    for row in rows:
+        parts = [(j, *_parts(x)) for j, x in row.items()]
+        s = math.lcm(*(q.denominator for _, re, im in parts
+                       for q in (re, im)))
+        if real:
+            x = {j: re.numerator * (s // re.denominator)
+                 for j, re, _ in parts if re != 0}
+        else:
+            x = {j: QC(re * s, im * s) for j, re, im in parts
+                 if re != 0 or im != 0}
+        c = content(x) or 1
+        if c > 1:
+            x = {j: divide(e, c) for j, e in x.items()}
+        a.append(x)
+        grown, shrunk = grown * s, shrunk * c
+    used = [False] * len(a)
+    pivots: list[int] = []
+    owners: list[int] = []
+    for col in range(n_cols):
+        hits = [i for i, x in enumerate(a) if col in x]
+        k = min((i for i in hits if not used[i]), key=lambda i: len(a[i]),
+                default=None)
+        if k is None:
+            continue
+        y = a[k]
+        p = y[col]
+        for i in hits:
+            if i == k:
+                continue
+            x = a[i]
+            f = x[col]
+            z = {j: p * e for j, e in x.items()}
+            for j, g in y.items():
+                e = z.get(j, 0) - f * g
+                if e != 0:
+                    z[j] = e
+                else:
+                    del z[j]
+            c = content(z)
+            if c > 1:
+                z = {j: divide(e, c) for j, e in z.items()}
+            a[i] = z
+            if track:
+                grown, shrunk = grown * p, shrunk * c
+        used[k] = True
+        pivots.append(col)
+        owners.append(k)
+        if len(owners) == len(a):
+            break
+    out = []
+    for col, k in zip(pivots, owners):
+        p = a[k][col]
+        out.append({j: ratio(e, p) for j, e in a[k].items()})
+    det = None
+    if track and pivots == list(range(len(a))):
+        odd = sum(owners[i] > owners[j] for i in range(len(a))
+                  for j in range(i + 1, len(a))) % 2
+        scaled = math.prod(a[k][col] for col, k in zip(pivots, owners))
+        det = ratio((-shrunk if odd else shrunk) * scaled, grown)
+    return out, pivots, det
+
+
+def _copy(row, kind, data):
+    """A row that the intake reads as a repeat of ``row`` (an exact copy,
+    a positive multiple, or one that is equal only after scaling to
+    integers, as [1/2, 1] is to [1, 2]) or as a different row (the
+    negation)."""
+    if kind == "exact":
+        return list(row)
+    if kind == "multiple":
+        c = data.draw(st.integers(2, 5))
+    elif kind == "halved":
+        c = Fraction(1, data.draw(st.integers(2, 5)))
+    else:
+        c = -1
+    return [c * x for x in row]
+
+
+@seed(2026)
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 6), st.integers(1, 6),
+       st.sampled_from(["int", "rational", "complex"]),
+       st.sampled_from(["exact", "multiple", "halved", "negated", "mixed"]),
+       st.data())
+def test_repeated_rows_read_once_against_every_row(n_rows, n_cols, copies,
+                                                   kind, repeat, data):
+    """_rref, which drops a row equal to one already read, gives the rref,
+    pivots and determinant of the elimination that reads every row, on
+    int, rational and complex rows: square blocks with one repeated row,
+    and tall block-row-shaped systems (one block stacked ``copies`` times,
+    each copy an exact repeat, a positive multiple, a multiple that
+    repeats only after scaling to integers, a negation, or a mix of
+    those; rows far outnumber columns), given sparse or with their zeros.
+    On each, kernel_basis is the textbook reference's kernel; square
+    blocks with a repeat have det 0 and no inverse."""
+    entry = {"int": small_int, "rational": real_entry,
+             "complex": complex_entry}[kind]
+    block = [[data.draw(entry) for _ in range(n_cols)]
+             for _ in range(n_rows)]
+    kinds = (["exact", "multiple", "halved", "negated"] if repeat == "mixed"
+             else [repeat])
+    square = None
+    if n_rows == n_cols and n_rows > 1:
+        square = list(block)
+        i, j = data.draw(st.lists(st.integers(0, n_rows - 1), min_size=2,
+                                  max_size=2, unique=True))
+        square[j] = _copy(square[i], data.draw(st.sampled_from(kinds)), data)
+    tall = [list(row) for row in block]
+    for _ in range(copies):
+        tall += [_copy(row, data.draw(st.sampled_from(kinds)), data)
+                 for row in block]
+    tall = data.draw(st.permutations(tall))
+    for rows in (block, square, tall):
+        if rows is None:
+            continue
+        # sparse rows, and dense ones whose zeros the intake drops
+        for given_rows in (_sparse(rows).data,
+                           [dict(enumerate(row)) for row in rows]):
+            for with_det in (False, True):
+                want = _rref_every_row(given_rows, n_cols, with_det)
+                assert _rref(given_rows, n_cols, with_det) == want
+        m = Mat.from_rows(rows)
+        assert rank(m) == len(want[1])
+        assert [[v.entry(t, 0) for t in range(n_cols)]
+                for v in kernel_basis(m)] == _reference_kernel(
+                    [[QC.parse(x) for x in row] for row in rows], n_cols)
+    if square is not None:
+        m = Mat.from_rows(square)
+        assert _rref(_sparse(square).data, n_cols, True)[2] is None
+        assert det(m) == QC_ZERO
+        with pytest.raises(ValueError, match="singular matrix"):
+            m.inverse()
