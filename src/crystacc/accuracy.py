@@ -13,8 +13,8 @@ read one table of per-coset
 moments, :func:`_moments`, scaled by the common denominator D of the mask's
 coefficients, with the leads (b^{-1})_[t] A_[t] built once per table.  The
 table is kept with the mask, one per dilation, built for the largest
-degree asked for and cut for a smaller one, so a sum-rule test after a
-scan of the same mask and dilation builds nothing.  On an integral
+degree asked for and read as it is for a smaller one, so a sum-rule test
+after a scan of the same mask and dilation builds nothing.  On an integral
 lattice with real coefficients the table, the constraint rows,
 their reduction and the elimination with its carried kernel run on Python
 ints (the fraction-free idea of Bareiss, Math. Comp. 22, 1968), and they
@@ -35,15 +35,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import islice
 from math import lcm, prod
 from operator import getitem
 
 from .crystal import CrystalTriple, Dilation, compose
 # kron and build_Q_tilde are unused here: perfbench/tracing.py wraps them
 # by name in this module
-from .linalg import (Mat, QC, SparseRows, _rref, det, kernel_basis, kron,
-                     solve_affine)
+from .linalg import (Mat, QC, SparseRows, _det_inverse, _rref, kernel_basis,
+                     kron, solve_affine)
 from .mask import Mask, MaskShapeError
 from .multiidx import (VCollection, _acted_rows, _shift_pattern, _shift_rows,
                        _y_rows, build_A_s, build_Q_tilde, dim_degree,
@@ -152,6 +151,8 @@ def fhat0(mask: Mask, m: int) -> Fhat0Result:
     common denominator: on rational real data every entry is a Python int.
     A non-zero scale changes neither ker N nor ker N^T, so the rref bases
     K and W, the vector, the status and the dimension are those of T - I.
+    Whether W K is singular, and its inverse, come from one elimination of
+    its stored rows (:func:`~crystacc.linalg._det_inverse`).
     """
     view, r = mask.plain(), mask.r
     total = [[0] * r for _ in range(r)]
@@ -168,11 +169,11 @@ def fhat0(mask: Mask, m: int) -> Fhat0Result:
         return Fhat0Result(basis[0], "ok", 1)
     k = Mat.hstack(basis)
     w = Mat.hstack(kernel_basis(n_op.transpose())).transpose()
-    wk = w @ k
-    if det(wk).is_zero():
+    inv = _det_inverse((w @ k).plain())[1]
+    if inv is None:
         return Fhat0Result(None, "defective", len(basis))
     ones = Mat.column([1] * mask.r)
-    return Fhat0Result(k @ wk.inverse() @ (w @ ones), "indeterminate",
+    return Fhat0Result(k @ Mat.from_rows(inv) @ (w @ ones), "indeterminate",
                        len(basis))
 
 
@@ -236,8 +237,8 @@ def _residual_walk(mask: Mask, dilation: Dilation, v: VCollection,
 
 def _residual_mats(scale: int, cosets: list, r: int) -> list[Mat]:
     """One degree's rows of :func:`_residual_walk`, unscaled, as Mats."""
-    return [Mat.from_rows([[_exact(x, scale) for x in row] for row in rows],
-                          cols=r) for rows in cosets]
+    return [Mat.from_rows(rows, cols=r).scale(Fraction(1, scale))
+            for rows in cosets]
 
 
 def condition_d_residuals(mask: Mask, dilation: Dilation, v: VCollection,
@@ -281,23 +282,13 @@ def _moments(mask: Mask, dilation: Dilation, p_max: int) -> _MomentTable:
     list of (column, non-zero entry) pairs, built once per table.
 
     The table is kept with the mask, one per dilation, and built for the
-    largest p_max asked for: a request for a smaller p_max gets its cut,
-    the moments of degree below p_max and the leads of t < p_max, which
-    equals a fresh build and shares the kept N_mu.
+    largest p_max asked for: a request for a smaller p_max gets the kept
+    table itself, as every reader indexes only the degrees it needs.
     """
     tri, d = mask.triple, mask.triple.d
     kept = mask._moment_tables.get(dilation)
     if kept is not None and kept.p_max >= p_max:
-        if kept.p_max == p_max:
-            return kept
-        # the moments of each key are listed by degree
-        n = sum(dim_degree(d, s) for s in range(p_max))
-        return _MomentTable(
-            p_max, kept.scale,
-            {key: dict(islice(moments.items(), n))
-             for key, moments in kept.sums.items()},
-            {key: rows for key, rows in kept.leads.items()
-             if key[1] < p_max})
+        return kept
     view = mask.plain()
     mus = [mu for s in range(p_max) for mu in enumerate_degree(d, s)]
     sums = {}

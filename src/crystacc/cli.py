@@ -59,27 +59,27 @@ class CliError(Exception):
 # ---------------------------------------------------------------- parsing
 
 def _parse_scalar(value):
-    """One JSON coefficient: "p/q" string or int -> exact, float -> float
-    (read as a rational by the mask), [re, im] pair -> exact when both
-    parts are, else an (re, im) tuple of Fraction and float parts, so the
-    mask reads each float part and keeps each exact one."""
+    """One JSON coefficient as a stored value: "p/q" string -> Fraction,
+    int -> as given, float -> float (read as a rational by the mask),
+    [re, im] pair -> its real part when both parts are exact and the
+    imaginary one is zero, a QC when it is not zero, else an (re, im)
+    tuple of exact and float parts, so the mask reads each float part and
+    keeps each exact one."""
     if isinstance(value, bool):
         raise CliError(EXIT_MALFORMED, "boolean is not a coefficient")
     if isinstance(value, str):
         try:
-            return QC.parse(value)
+            return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise CliError(EXIT_MALFORMED, f"bad rational {value!r}: {exc}")
-    if isinstance(value, int):
-        return QC(Fraction(value))
-    if isinstance(value, float):
+    if isinstance(value, (int, float)):
         return value
     if (isinstance(value, list) and len(value) == 2
             and not any(isinstance(v, list) for v in value)):
-        parts = tuple(p if isinstance(p, float) else p.re
-                      for p in (_parse_scalar(v) for v in value))
-        return parts if any(isinstance(p, float) for p in parts) \
-            else QC(*parts)
+        re, im = map(_parse_scalar, value)
+        if isinstance(re, float) or isinstance(im, float):
+            return re, im
+        return QC(re, im) if im else re
     raise CliError(EXIT_MALFORMED, f"cannot read coefficient {value!r}")
 
 
@@ -96,9 +96,9 @@ def _parse_matrix(rows, what: str, dim: int | None = None) -> Mat:
         raise CliError(EXIT_BAD_GROUP, f"invalid group: {what} is "
                        f"{len(rows)}x{len(rows[0])}, not {dim}x{dim}")
     parsed = [[_parse_scalar(x) for x in row] for row in rows]
-    if any(not isinstance(x, QC) for row in parsed for x in row):
+    if any(isinstance(x, (float, tuple)) for row in parsed for x in row):
         raise CliError(EXIT_MALFORMED, f"{what} must be exact rationals")
-    if any(x.im != 0 for row in parsed for x in row):
+    if any(isinstance(x, QC) for row in parsed for x in row):
         raise CliError(EXIT_MALFORMED, f"{what} must be real")
     return Mat.from_rows(parsed)
 
@@ -249,7 +249,7 @@ def _build_mask(cfg: dict, triple: CrystalTriple) -> Mask:
 # ------------------------------------------------------------ serialization
 
 def _scalar_json(x):
-    if isinstance(x, Fraction):
+    if isinstance(x, (int, Fraction)):
         return str(x)
     if isinstance(x, QC):
         if x.im == 0:
@@ -262,8 +262,7 @@ def _scalar_json(x):
 
 
 def _mat_json(mat: Mat):
-    return [[_scalar_json(x) for x in mat.row_list(i)]
-            for i in range(mat.rows)]
+    return [[_scalar_json(x) for x in row] for row in mat.plain()]
 
 
 def _mask_json(mask: Mask) -> dict:

@@ -229,7 +229,8 @@ def inverse(e: CrystalElement) -> CrystalElement:
 def apply_element(e: CrystalElement, x) -> tuple:
     """Evaluate the isometry at an exact point; exact in, exact out."""
     t = e.triple
-    shifted = [QC.parse(v) + ti for v, ti in zip(x, e.true_translation())]
+    shifted = [v + ti for (v,), ti in zip(Mat.column(x).plain(),
+                                          e.true_translation())]
     col = t.group[e.g] @ Mat.column(shifted)
     return tuple(col.entry(i, 0) for i in range(t.d))
 

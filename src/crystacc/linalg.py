@@ -4,8 +4,10 @@ One matrix type, :class:`Mat`, and every operation on it is exact.  It
 stores each entry as a plain value: an int where it is integral, a
 Fraction where it is real, and a complex number with rational parts
 (:class:`QC`) only where its imaginary part is non-zero.  :meth:`Mat.plain`
-gives those rows, the one exact way in for the package's solvers;
-:meth:`Mat.entry` and :meth:`Mat.row_list` give the entries as QCs.
+gives those rows, the one exact way in for the package's solvers.  The
+public QC face is :meth:`Mat.entry`, :meth:`Mat.row_list`, :func:`det` and
+the report scalars of :mod:`crystacc.accuracy`; elsewhere the package
+builds a QC only for a value with a non-zero imaginary part.
 Floats cross the boundary once in each direction: :meth:`Mat.np` is the one
 way out (the cascade oracle computes on those arrays), and
 :func:`read_float` the one way in.  :func:`read_float` reads a finite float
@@ -170,6 +172,8 @@ def _stored(x):
         return x.numerator if x.denominator == 1 else x
     if isinstance(x, QC):
         return x if x.im != 0 else _stored(x.re)
+    if isinstance(x, str):
+        return _stored(_as_fraction(x))
     return _stored(QC.parse(x))
 
 
@@ -187,7 +191,9 @@ class Mat:
     (:meth:`from_rows`) or are computed, so equal matrices store equal
     rows.  :meth:`plain` is the one exact way in to those rows, as
     :meth:`np` is the one way out to floats; :meth:`entry` and
-    :meth:`row_list` give the entries as QCs.
+    :meth:`row_list` give the entries as QCs, the public face.
+    :meth:`row_list` has no reader in the package: it stays because the
+    benchmark (``perfbench/worker.py``) reads ``x.re`` from it.
     """
 
     __slots__ = ("rows", "cols", "_data")

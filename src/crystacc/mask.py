@@ -177,28 +177,28 @@ class PlainCoefficients:
 
 def _read_entry(x, changes: list):
     """One coefficient by the reading rule, for :meth:`Mat.from_rows`: an
-    exact literal as it is, and one with a float part read exactly, as a
-    Fraction when it is real, else a QC; when it has a float part and is
-    nonzero, appends its relative change to ``changes``.  A float, or a
-    complex with a zero imaginary part, is read as a real number, with no
-    QC."""
-    if isinstance(x, complex) and x.imag == 0:
-        x = x.real
-    if isinstance(x, float):
-        # a real read, the value the QC path below gives it
-        q, given = read_float(x), Fraction(x)
-        if given:
-            changes.append(float((q - given) ** 2 / given ** 2) ** 0.5)
-        return q
-    parts = (x.real, x.imag) if isinstance(x, complex) else x
+    exact literal as it is, and one with a float part (a float, a complex,
+    or an (re, im) pair) read exactly, part by part, as a Fraction when
+    its imaginary part is zero, else a QC: outside the public QC face of
+    :mod:`crystacc.linalg`, a QC holds a non-zero imaginary part only.
+    When it has a float part and is nonzero, appends its relative change
+    to ``changes``."""
+    parts = ((x, 0) if isinstance(x, float)
+             else (x.real, x.imag or 0) if isinstance(x, complex) else x)
     if not (isinstance(parts, (list, tuple))
             and any(isinstance(p, float) for p in parts)):
         return x
-    q = QC(*(read_float(p) if isinstance(p, float) else p for p in parts))
-    given = QC(*(Fraction(p) if isinstance(p, float) else p for p in parts))
-    if not given.is_zero():
-        changes.append(float((q - given).abs2() / given.abs2()) ** 0.5)
-    return q if q.im != 0 else q.re
+    # (read, given) per part; an exact part is both, kept as an int or
+    # Fraction so that a zero imaginary part costs no Fraction arithmetic
+    (re, given_re), (im, given_im) = (
+        (read_float(p), Fraction(p)) if isinstance(p, float)
+        else (p, p) if isinstance(p, (int, Fraction)) else (Fraction(p),) * 2
+        for p in parts)
+    size = given_re * given_re + given_im * given_im
+    if size:
+        changes.append(float(((re - given_re) ** 2 + (im - given_im) ** 2)
+                             / size) ** 0.5)
+    return QC(re, im) if im else re
 
 
 def lattice_triple(triple: CrystalTriple) -> CrystalTriple:

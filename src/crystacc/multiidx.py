@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 from math import comb
 
-from .linalg import Mat, QC
+from .linalg import Mat
 
 
 def dim_degree(d: int, s: int) -> int:
@@ -64,8 +64,8 @@ def _index_map(d: int, s: int) -> dict:
     return {a: i for i, a in enumerate(enumerate_degree(d, s))}
 
 
-def _monomial(xs, alpha, one):
-    acc = one
+def _monomial(xs, alpha):
+    acc = 1
     for base, e in zip(xs, alpha):
         for _ in range(e):
             acc = acc * base
@@ -74,9 +74,8 @@ def _monomial(xs, alpha, one):
 
 def eval_X(x, s: int) -> Mat:
     """Column X_[s](x) of all degree-s monomials at the exact point x."""
-    xs = [QC.parse(v) for v in x]
-    return Mat.column([_monomial(xs, a, QC(1))
-                       for a in enumerate_degree(len(x), s)])
+    xs = [v for v, in Mat.column(x).plain()]
+    return Mat.column([_monomial(xs, a) for a in enumerate_degree(len(x), s)])
 
 
 def _poly_mul(p: dict, q: dict) -> dict:
@@ -127,17 +126,16 @@ def build_Q_st(y, s: int, t: int) -> Mat:
     binom(alpha, beta) (-y)^(alpha-beta) when beta <= alpha, else 0."""
     if t > s:
         raise ValueError("Q_[s,t] requires t <= s")
-    neg = [-QC.parse(v) for v in y]
-    one = QC(1)
+    neg = [-v for v, in Mat.column(y).plain()]
     rows = []
     for alpha in enumerate_degree(len(neg), s):
         row = []
         for beta in enumerate_degree(len(neg), t):
             if any(b > a for a, b in zip(alpha, beta)):
-                row.append(QC(0))
+                row.append(0)
                 continue
             diff = tuple(a - b for a, b in zip(alpha, beta))
-            row.append(_monomial(neg, diff, one) * _binom_vec(alpha, beta))
+            row.append(_monomial(neg, diff) * _binom_vec(alpha, beta))
         rows.append(row)
     return Mat.from_rows(rows)
 
@@ -168,7 +166,7 @@ def _shift_rows(neg, s: int, blocks: dict) -> list:
             for j, binom, mu in terms:
                 w = powers.get(mu)
                 if w is None:
-                    w = powers[mu] = _monomial(neg, mu, 1)
+                    w = powers[mu] = _monomial(neg, mu)
                 if w != 0:
                     f = binom * w
                     for k, x in enumerate(rows[j]):

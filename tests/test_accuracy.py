@@ -1575,23 +1575,27 @@ def test_block_rows_on_the_shift_pattern_match_the_inline_loop(
 @given(st.sampled_from(KEPT_CASES), st.sampled_from([1, 2]),
        st.sampled_from(["int", "rational", "complex"]),
        st.integers(1, 4), st.randoms(use_true_random=False))
-def test_a_cut_of_the_kept_table_equals_a_fresh_build(line, p1m, where, r,
-                                                      kind, p_max, rnd):
-    """The table kept with a mask for p_max, cut to every p <= p_max,
-    equals the table a fresh mask with the same coefficients builds for
-    p, and shares the kept N_mu; the kept table is left as it was, and a
-    larger request builds a table equal to a fresh one and keeps it."""
+def test_the_kept_table_serves_every_smaller_degree_bound(line, p1m, where,
+                                                          r, kind, p_max,
+                                                          rnd):
+    """The table kept with a mask for p_max is what every request for
+    p <= p_max gets, and it gives the block rows of every degree s < p
+    and every coset (and all cosets at once) that a table a fresh mask
+    with the same coefficients builds for p gives; a larger request
+    builds a table equal to a fresh one and keeps it."""
     t, dil = _kept_case(line, p1m, where)
     blocks = _random_blocks(t, r, kind, rnd)
     mask = Mask(t, blocks, r=r)
     kept = accuracy_mod._moments(mask, dil, p_max)
-    assert accuracy_mod._moments(mask, dil, p_max) is kept
     for p in range(1, p_max + 1):
-        cut = accuracy_mod._moments(mask, dil, p)
-        fresh = accuracy_mod._moments(Mask(t, blocks, r=r), dil, p)
-        assert cut == fresh
-        assert all(n is kept.sums[key][mu] for key, moments in cut.sums.items()
-                   for mu, n in moments.items())
+        assert accuracy_mod._moments(mask, dil, p) is kept
+        fresh_mask = Mask(t, blocks, r=r)
+        fresh = accuracy_mod._moments(fresh_mask, dil, p)
+        for s in range(p):
+            for coset in [None, *range(dil.m)]:
+                assert (accuracy_mod._block_row(mask, dil, kept, s, coset)
+                        == accuracy_mod._block_row(fresh_mask, dil, fresh, s,
+                                                   coset))
     assert mask._moment_tables == {dil: kept}
     more = accuracy_mod._moments(mask, dil, p_max + 1)
     assert more == accuracy_mod._moments(Mask(t, blocks, r=r), dil,

@@ -137,6 +137,14 @@ def test_explicit_zero_bounds_rejected(tmp_path, capsys):
                         ["cascade", "CFG", "--iters", "0"])
     assert code == EXIT_MALFORMED
     assert "iters" in out["error"]
+    code, out = run_cli(tmp_path, capsys, HAT_CFG,
+                        ["cascade", "CFG", "--grid", "-1"])
+    assert code == EXIT_MALFORMED
+    assert "grid" in out["error"]
+    code, out = run_cli(tmp_path, capsys, HAT_CFG,
+                        ["cascade", "CFG", "--verify-p", "-1"])
+    assert code == EXIT_MALFORMED
+    assert "verify-p" in out["error"]
 
 
 def test_verify_p_zero_skips_reproduction(tmp_path, capsys):
@@ -824,11 +832,29 @@ def test_malformed_options_exit_1(tmp_path, capsys, command, options):
     # is built
     ("check-group", {"dimension": 10 ** 6, "group": [[[-1]]]},
      EXIT_BAD_GROUP),
+    # a float matrix entry is inexact
+    ("check-group", {"dilation": [[2.0]]}, EXIT_MALFORMED),
+    # a config that is no JSON object, and no config at the path
+    ("check-group", [HAT_CFG], EXIT_MALFORMED),
+    ("check-group", None, EXIT_MALFORMED),
+    ("accuracy", {"mask": [1]}, EXIT_MALFORMED),
+    ("accuracy", {"mask": [{"k": [0], "coef": [[1, 0], [0]]}]}, EXIT_SHAPE),
+    ("accuracy", {"mask": [{"k": [0], "coef": 1},
+                           {"k": [1], "coef": [[1, 0], [0, 1]]}]},
+     EXIT_SHAPE),
+    # a generator of infinite order does not close within 48 elements
+    ("check-group", {"group": [[[2]]]}, EXIT_BAD_GROUP),
+    ("extract", {"group": "p1m",
+                 "mask": [{"k": [0], "coef": [[0, 0], [0, 0]]}]},
+     EXIT_SHAPE),
 ])
 def test_malformed_shapes_end_in_a_json_error(tmp_path, capsys, command, cfg,
                                               code):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(dict(HAT_CFG, **cfg)), encoding="utf-8")
+    if cfg is not None:  # None: no file at the path
+        path.write_text(json.dumps(dict(HAT_CFG, **cfg)
+                                   if isinstance(cfg, dict) else cfg),
+                        encoding="utf-8")
     assert main([command, str(path)]) == code
     captured = capsys.readouterr()
     assert "error" in json.loads(captured.out)

@@ -24,7 +24,8 @@ with no converter back to plain values; a sum-rule test on plain values,
 with no det or Mat.inverse and one walk of the support for its witness
 chain; one moment table per mask and dilation, and block rows that read
 the binomial shift's own pattern; an elimination that reads each distinct
-row once."""
+row once; on real data, QCs built at the public face only (Mat.entry,
+Mat.row_list and the report scalars)."""
 
 import ast
 import importlib.util
@@ -451,30 +452,28 @@ def test_moment_table_is_built_once_per_mask_and_dilation(drop,
                                                           monkeypatch):
     """max_accuracy at p_max, then sufficient_check at p_max or p_max - 1
     on the same mask and dilation, build one _MomentTable from the
-    support: at p_max sufficient_check reads the kept table itself, and
-    below it the one other _MomentTable made is its cut, whose moments
-    are the kept table's own objects."""
+    support: sufficient_check reads the kept table itself."""
     mask, dil, p_max = _shape_cases()["cubic"]
-    made = []
-    build = accuracy._MomentTable
+    made, read = [], []
+    build, moments = accuracy._MomentTable, accuracy._moments
 
     def counted(*args):
         made.append(build(*args))
         return made[-1]
 
+    def spy(*args):
+        read.append(moments(*args))
+        return read[-1]
+
     monkeypatch.setattr(accuracy, "_MomentTable", counted)
+    monkeypatch.setattr(accuracy, "_moments", spy)
     cert = accuracy.max_accuracy(mask, mask.triple, dil, p_max)
     p = p_max - drop
     rep = accuracy.sufficient_check(mask, mask.triple, dil, p)
     assert rep.passed == (p <= cert.p)
-    kept = made[0]
-    assert mask._moment_tables == {dil: kept}
-    assert len(made) == 1 + drop
-    for cut in made[1:]:
-        assert cut.p_max == kept.p_max - drop
-        assert all(n is kept.sums[key][mu]
-                   for key, moments in cut.sums.items()
-                   for mu, n in moments.items())
+    assert len(made) == 1
+    assert mask._moment_tables == {dil: made[0]}
+    assert len(read) == 2 and all(table is made[0] for table in read)
 
 
 def test_block_rows_read_the_shift_pattern():
@@ -620,8 +619,9 @@ def test_no_reader_builds_q_tilde_blocks(monkeypatch):
 
 @pytest.mark.parametrize("case", ["cubic", "p4m-hat"])
 def test_sum_rule_test_runs_on_plain_values(case, monkeypatch):
-    """On a real rational mask, sufficient_check calls neither det nor
-    Mat.inverse (one plain elimination per degree screens and solves),
+    """On a real rational mask, sufficient_check calls neither
+    _det_inverse nor Mat.inverse (one plain elimination per degree
+    screens and solves),
     builds the block rows of the first coset only, and re-checks its
     witness chain in one walk of the support for every degree below p,
     without condition_d_residuals."""
@@ -654,7 +654,7 @@ def test_sum_rule_test_runs_on_plain_values(case, monkeypatch):
         cosets.append(kwargs.get("coset"))
         return real_rows(*args, **kwargs)
 
-    monkeypatch.setattr(accuracy, "det", refused("det"))
+    monkeypatch.setattr(accuracy, "_det_inverse", refused("_det_inverse"))
     monkeypatch.setattr(Mat, "inverse", refused("Mat.inverse"))
     monkeypatch.setattr(accuracy, "condition_d_residuals",
                         refused("condition_d_residuals"))
@@ -699,3 +699,42 @@ def test_the_oracle_walks_its_sample_once(monkeypatch):
     assert [check.report is None for check in checks] == [False] * 3 + [True]
     assert len(covers) == 1
     assert degree_0 and len(degree_0) == len(set(degree_0))
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("argv, made", [
+    (["accuracy", "p4m_hat_lifted.json"], 1),
+    (["accuracy", "hat.json", "--method", "both"], 6),
+    (["cascade", "hat.json"], 1),
+])
+def test_qcs_are_built_at_the_public_face_only(argv, made, capsys,
+                                               monkeypatch):
+    """One CLI run builds a QC only where a report scalar or a Mat entry
+    is handed out: each QC.__init__ call is attributed to its first
+    caller outside linalg, or to Mat.entry or Mat.row_list, and that is
+    Mat.entry (the gate), Mat.row_list or accuracy._exact (the sum-rule
+    report's sum_total, beta and per_coset).  On real data no internal
+    path wraps a value in a QC: the lifted golden and the cascade build
+    the gate only, the 1D hat with --method both the gate and five
+    sum-rule scalars."""
+    init, sources = QC.__init__, []
+    home = linalg.__file__
+
+    def counted(self, *args, **kwargs):
+        frame = sys._getframe(1)
+        while (frame.f_code.co_filename == home
+               and frame.f_code.co_name not in ("entry", "row_list")):
+            frame = frame.f_back
+        sources.append(f"{Path(frame.f_code.co_filename).stem}."
+                       f"{frame.f_code.co_qualname}")
+        init(self, *args, **kwargs)
+
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    monkeypatch.setattr(QC, "__init__", counted)
+    assert cli.main([argv[0], str(GOLDEN / argv[1]), *argv[2:]]) == 0
+    capsys.readouterr()
+    assert set(sources) <= {"linalg.Mat.entry", "linalg.Mat.row_list",
+                            "accuracy._exact"}
+    assert len(sources) == made
