@@ -11,11 +11,13 @@ not converge reports a null empirical accuracy; so does a field that
 does not vanish identically when the exact gate says its integral must
 vanish.  An --out path that cannot be written is refused before any
 work is done.  Rational numbers travel
-as "p/q" strings so the exact pipeline survives JSON; a plain JSON float
-coefficient is read as a rational by the mask (``linalg.read_float``),
-every output stays exact, and ``accuracy`` reports the largest relative
-change as the ``float_max_relative_change`` diagnostic.  NaN and
-infinities are malformed input.
+as "p/q" strings so the exact pipeline survives JSON.  The CLI checks
+shapes and maps errors to exit codes; the library reads every scalar
+(``linalg.read_scalar``).  A plain JSON float coefficient is read as a
+rational by the mask, every output stays exact, and ``accuracy`` reports
+the largest relative change as the ``float_max_relative_change``
+diagnostic.  Booleans, NaN and infinities are malformed input.  The
+group defaults to p1, in any dimension.
 """
 
 from __future__ import annotations
@@ -58,31 +60,6 @@ class CliError(Exception):
 
 # ---------------------------------------------------------------- parsing
 
-def _parse_scalar(value):
-    """One JSON coefficient as a stored value: "p/q" string -> Fraction,
-    int -> as given, float -> float (read as a rational by the mask),
-    [re, im] pair -> its real part when both parts are exact and the
-    imaginary one is zero, a QC when it is not zero, else an (re, im)
-    tuple of exact and float parts, so the mask reads each float part and
-    keeps each exact one."""
-    if isinstance(value, bool):
-        raise CliError(EXIT_MALFORMED, "boolean is not a coefficient")
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise CliError(EXIT_MALFORMED, f"bad rational {value!r}: {exc}")
-    if isinstance(value, (int, float)):
-        return value
-    if (isinstance(value, list) and len(value) == 2
-            and not any(isinstance(v, list) for v in value)):
-        re, im = map(_parse_scalar, value)
-        if isinstance(re, float) or isinstance(im, float):
-            return re, im
-        return QC(re, im) if im else re
-    raise CliError(EXIT_MALFORMED, f"cannot read coefficient {value!r}")
-
-
 def _parse_matrix(rows, what: str, dim: int | None = None) -> Mat:
     """A lattice, dilation or generator: a nonempty list of equally long
     rows of real exact rationals, dim x dim when ``dim`` is given (an
@@ -95,12 +72,15 @@ def _parse_matrix(rows, what: str, dim: int | None = None) -> Mat:
     if dim is not None and (len(rows), len(rows[0])) != (dim, dim):
         raise CliError(EXIT_BAD_GROUP, f"invalid group: {what} is "
                        f"{len(rows)}x{len(rows[0])}, not {dim}x{dim}")
-    parsed = [[_parse_scalar(x) for x in row] for row in rows]
-    if any(isinstance(x, (float, tuple)) for row in parsed for x in row):
+    try:
+        mat = Mat.from_rows(rows)
+    except TypeError:
         raise CliError(EXIT_MALFORMED, f"{what} must be exact rationals")
-    if any(isinstance(x, QC) for row in parsed for x in row):
+    except ValueError as exc:
+        raise CliError(EXIT_MALFORMED, str(exc))
+    if any(isinstance(x, QC) for row in mat.plain() for x in row):
         raise CliError(EXIT_MALFORMED, f"{what} must be real")
-    return Mat.from_rows(parsed)
+    return mat
 
 
 def _load_config(path: str) -> dict:
@@ -192,23 +172,11 @@ def _is_int(x) -> bool:
 
 
 def _build_mask(cfg: dict, triple: CrystalTriple) -> Mask:
-    """The config's mask.  Each distinct scalar literal (a string, an int
-    or a float) is parsed once per call, keyed by its type and value so
-    that true and 1, or 1.0 and 1, never share a reading; a literal that
-    fails to parse is never stored, so it is refused wherever it stands."""
+    """The config's mask: the entries' shapes are checked here, and their
+    coefficients are read by :class:`Mask`."""
     entries = cfg.get("mask")
     if not isinstance(entries, list) or not entries:
         raise CliError(EXIT_MALFORMED, "config needs a nonempty 'mask' list")
-    parsed = {}
-
-    def read(x):
-        if not isinstance(x, (str, int, float)):
-            return _parse_scalar(x)
-        key = (type(x), x)
-        if key not in parsed:
-            parsed[key] = _parse_scalar(x)
-        return parsed[key]
-
     blocks = {}
     for pos, item in enumerate(entries):
         if not isinstance(item, dict):
@@ -229,21 +197,19 @@ def _build_mask(cfg: dict, triple: CrystalTriple) -> Mask:
         if not all(isinstance(row, list) for row in coef):
             raise CliError(EXIT_MALFORMED,
                            f"mask entry {pos}: coef rows must be lists")
-        rows = [[read(x) for x in row] for row in coef]
-        r = len(rows)
-        if any(len(row) != r for row in rows):
+        if any(len(row) != len(coef) for row in coef):
             raise CliError(EXIT_SHAPE, f"mask entry {pos}: block not square")
         key = triple.element(g, tuple(k))
         if key in blocks:
             raise CliError(EXIT_MALFORMED,
                            f"mask entry {pos}: duplicate element")
-        blocks[key] = rows
+        blocks[key] = coef
     try:
         return Mask(triple, blocks)
     except MaskShapeError as exc:
         raise CliError(EXIT_SHAPE, f"bad mask: {exc}")
     except ValueError as exc:
-        raise CliError(EXIT_MALFORMED, f"bad coefficient: {exc}")
+        raise CliError(EXIT_MALFORMED, str(exc))
 
 
 # ------------------------------------------------------------ serialization

@@ -161,8 +161,13 @@ def validate_triple(R: Mat, group: list[Mat], name: str | None = None) -> Crysta
     return CrystalTriple(R, Mat.from_rows(r_inv), group, int_reps, name=name)
 
 
-def generate_group(generators: list[Mat], max_order: int = 48) -> list[Mat]:
-    """Closure of a generator list under products, identity first."""
+# the largest order of a 3D crystallographic point group (m-3m)
+MAX_GROUP_ORDER = 48
+
+
+def generate_group(generators: list[Mat]) -> list[Mat]:
+    """Closure of a generator list under products, identity first; more
+    than ``MAX_GROUP_ORDER`` elements is no point group."""
     if not generators:
         raise GroupValidationError("no generators given")
     d = generators[0].rows
@@ -179,9 +184,10 @@ def generate_group(generators: list[Mat], max_order: int = 48) -> list[Mat]:
                 if all(prod != e for e in elements):
                     elements.append(prod)
                     nxt.append(prod)
-                    if len(elements) > max_order:
+                    if len(elements) > MAX_GROUP_ORDER:
                         raise GroupValidationError(
-                            f"group did not close within {max_order} elements")
+                            "group did not close within "
+                            f"{MAX_GROUP_ORDER} elements")
         frontier = nxt
     return elements
 
@@ -389,9 +395,7 @@ def check_admissible(A: Mat, triple: CrystalTriple) -> Dilation:
 
 _R90 = [[0, -1], [1, 0]]
 _CATALOG: dict[tuple[int, str], list] = {
-    (1, "p1"): [[[1]]],
     (1, "p1m"): [[[1]], [[-1]]],
-    (2, "p1"): [[[1, 0], [0, 1]]],
     (2, "pm"): [[[1, 0], [0, 1]], [[1, 0], [0, -1]]],
     (2, "p2"): [[[1, 0], [0, 1]], [[-1, 0], [0, -1]]],
     (2, "pmm"): [[[1, 0], [0, 1]], [[1, 0], [0, -1]],
@@ -406,16 +410,20 @@ _CATALOG: dict[tuple[int, str], list] = {
 
 
 def catalog_names(dim: int | None = None) -> list[str]:
-    return sorted({n for (d, n) in _CATALOG if dim is None or d == dim})
+    """The catalog groups in dimension ``dim`` (any when None); p1 is in
+    every dimension from 1 up."""
+    return sorted({n for (d, n) in _CATALOG if dim is None or d == dim}
+                  | ({"p1"} if dim is None or dim >= 1 else set()))
 
 
 def catalog_triple(name: str, dim: int) -> CrystalTriple:
-    """Built-in triple on the integer lattice: 1D p1, p1m; 2D p1, pm, p2,
-    pmm, p4, p4m."""
-    try:
-        mats = _CATALOG[(dim, name)]
-    except KeyError:
+    """Built-in triple on the integer lattice: p1 in every dimension d >= 1;
+    1D p1m; 2D pm, p2, pmm, p4, p4m."""
+    if name == "p1" and dim >= 1:
+        group = [Mat.identity(dim)]
+    elif (dim, name) in _CATALOG:
+        group = [Mat.from_rows(g) for g in _CATALOG[(dim, name)]]
+    else:
         raise GroupValidationError(
-            f"unknown catalog group {name!r} in dimension {dim}") from None
-    R = Mat.identity(dim)
-    return validate_triple(R, [Mat.from_rows(g) for g in mats], name=name)
+            f"unknown catalog group {name!r} in dimension {dim}")
+    return validate_triple(Mat.identity(dim), group, name=name)

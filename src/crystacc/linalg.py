@@ -10,11 +10,13 @@ the report scalars of :mod:`crystacc.accuracy`; elsewhere the package
 builds a QC only for a value with a non-zero imaginary part.
 Floats cross the boundary once in each direction: :meth:`Mat.np` is the one
 way out (the cascade oracle computes on those arrays), and
-:func:`read_float` the one way in.  :func:`read_float` reads a finite float
-``x`` as the rational closest to it with denominator at most
+:func:`read_scalar`, the reader of every scalar literal, the one way in:
+it keeps exact parts and reads each float part with :func:`read_float`,
+which reads a finite float ``x`` as the rational closest to it with
+denominator at most
 ``FLOAT_DENOMINATOR_CAP`` (10**6), kept only when its nearest double is
 ``x`` itself, so the change is at most half an ulp; otherwise as the exact
-dyadic value of ``x``.  NaN and infinities are refused.
+dyadic value of ``x``.  Booleans, NaN and infinities are refused.
 
 One Gauss-Jordan elimination, ``_rref``, serves :func:`rank`,
 :func:`kernel_basis`, :func:`det`, :meth:`Mat.inverse` (the rref of
@@ -58,85 +60,106 @@ def read_float(x: float) -> Fraction:
     return q if float(q) == x else Fraction(x)
 
 
-def _as_fraction(x) -> Fraction:
-    """Coerce ints, Fractions and 'p/q' strings to Fraction. Floats are
-    rejected so inexact data cannot leak into an exact matrix."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x.strip())
-    raise TypeError(f"not an exact rational: {x!r}")
+def read_scalar(x, floats: bool = True) -> tuple:
+    """An int, Fraction, "p/q" string, float, complex, QC, or [re, im] list
+    or tuple of real parts, as (its stored form, as :class:`Mat` keeps it;
+    |read - given| / |given| when a part was a float and the value is not
+    zero, else None).  Float parts are read by :func:`read_float` once
+    every part is parsed, or raise ``TypeError`` when ``floats`` is false.
+    Booleans, bad strings, NaN, infinities and the rest raise ValueError."""
+    if type(x) is int or isinstance(x, (Fraction, QC)):
+        return _stored(x), None
+    if isinstance(x, complex):
+        parts = [x.real, x.imag or 0]
+    elif isinstance(x, (list, tuple)):
+        if len(x) != 2 or any(isinstance(p, (list, tuple)) for p in x):
+            raise ValueError(f"cannot read coefficient {x!r}")
+        parts = [_parse_part(p) for p in x]
+    else:
+        parts = [_parse_part(x), 0]
+    re, im = parts
+    change = None
+    if isinstance(re, float) or isinstance(im, float):
+        if not floats:
+            raise TypeError(f"not an exact rational: {x!r}")
+        try:
+            (re, given_re), (im, given_im) = [
+                (read_float(p), Fraction(p)) if isinstance(p, float)
+                else (p, p) for p in parts]
+        except ValueError as exc:
+            raise ValueError(f"bad coefficient: {exc}") from None
+        size = given_re * given_re + given_im * given_im
+        if size:
+            change = float(((re - given_re) ** 2 + (im - given_im) ** 2)
+                           / size) ** 0.5
+    return (QC(re, im) if im else _stored(re)), change
+
+
+def _parse_part(p):
+    """A real part of a literal: a float as it is, else a Fraction."""
+    if isinstance(p, bool):
+        raise ValueError("boolean is not a coefficient")
+    if isinstance(p, float):
+        return p
+    if isinstance(p, (int, Fraction, str)):
+        try:
+            return Fraction(p)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"bad rational {p!r}: {exc}") from None
+    raise ValueError(f"cannot read coefficient {p!r}")
 
 
 class QC:
-    """A complex number with Fraction real and imaginary parts."""
+    """A complex number with Fraction real and imaginary parts; its
+    arithmetic reads an int or Fraction operand as its parts."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+        for name, part in (("re", re), ("im", im)):
+            if type(part) is int:
+                part = Fraction(part)
+            elif not isinstance(part, Fraction):
+                raise TypeError(f"not an exact rational: {part!r}")
+            object.__setattr__(self, name, part)
 
     def __setattr__(self, name, value):
         raise AttributeError("QC is immutable")
 
-    @staticmethod
-    def parse(obj) -> "QC":
-        """Accept QC, int, Fraction, 'p/q' strings, or a [re, im] pair."""
-        if isinstance(obj, QC):
-            return obj
-        if isinstance(obj, (list, tuple)):
-            if len(obj) != 2:
-                raise ValueError(f"complex literal needs two parts: {obj!r}")
-            return QC(_as_fraction(obj[0]), _as_fraction(obj[1]))
-        return QC(_as_fraction(obj))
-
     def __add__(self, other):
-        other = QC.parse(other)
-        return QC(self.re + other.re, self.im + other.im)
+        re, im = _parts(other)
+        return QC(self.re + re, self.im + im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = QC.parse(other)
-        return QC(self.re - other.re, self.im - other.im)
+        re, im = _parts(other)
+        return QC(self.re - re, self.im - im)
 
     def __rsub__(self, other):
-        return QC.parse(other) - self
+        re, im = _parts(other)
+        return QC(re - self.re, im - self.im)
 
     def __neg__(self):
         return QC(-self.re, -self.im)
 
     def __mul__(self, other):
-        other = QC.parse(other)
-        return QC(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        re, im = _parts(other)
+        return QC(self.re * re - self.im * im, self.re * im + self.im * re)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = QC.parse(other)
-        den = other.re * other.re + other.im * other.im
-        if den == 0:
-            raise ZeroDivisionError("division by zero")
-        return QC(
-            (self.re * other.re + self.im * other.im) / den,
-            (self.im * other.re - self.re * other.im) / den,
-        )
+        return _quotient((self.re, self.im), _parts(other))
 
     def __rtruediv__(self, other):
-        return QC.parse(other) / self
+        return _quotient(_parts(other), (self.re, self.im))
 
     def __eq__(self, other):
-        try:
-            other = QC.parse(other)
-        except (TypeError, ValueError):
+        if not isinstance(other, (int, Fraction, QC)):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        re, im = _parts(other)
+        return self.re == re and self.im == im
 
     def __hash__(self):
         return hash((self.re, self.im))
@@ -148,10 +171,8 @@ class QC:
         """Exact squared modulus."""
         return self.re * self.re + self.im * self.im
 
-    def to_complex(self) -> complex:
+    def __complex__(self) -> complex:
         return complex(self.re) + 1j * complex(self.im)
-
-    __complex__ = to_complex
 
     def __repr__(self):
         if self.im == 0:
@@ -159,22 +180,35 @@ class QC:
         return f"QC({self.re}, {self.im})"
 
 
+def _parts(x) -> tuple:
+    """Real and imaginary parts of an int, a Fraction or a QC."""
+    return (x.re, x.im) if isinstance(x, QC) else (x, 0)
+
+
+def _quotient(a: tuple, b: tuple) -> QC:
+    """The quotient of two complex numbers given as (re, im) parts."""
+    (a_re, a_im), (b_re, b_im) = a, b
+    den = b_re * b_re + b_im * b_im
+    if den == 0:
+        raise ZeroDivisionError("division by zero")
+    return QC((a_re * b_re + a_im * b_im) / den,
+              (a_im * b_re - a_re * b_im) / den)
+
+
 QC_ZERO = QC(0)
 
 
 def _stored(x):
-    """An exact scalar (int, Fraction, "p/q" string, QC or [re, im] pair)
-    as :class:`Mat` stores it: an int where it is integral, a Fraction
-    where it is real, else a QC.  A float raises ``TypeError``."""
+    """A scalar as :class:`Mat` stores it: an int where it is integral, a
+    Fraction where it is real, else a QC; a literal is read by
+    :func:`read_scalar`, and a float part raises ``TypeError``."""
     if type(x) is int:
         return x
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
     if isinstance(x, QC):
         return x if x.im != 0 else _stored(x.re)
-    if isinstance(x, str):
-        return _stored(_as_fraction(x))
-    return _stored(QC.parse(x))
+    return read_scalar(x, floats=False)[0]
 
 
 def _qc(x) -> QC:
@@ -207,8 +241,9 @@ class Mat:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence], cols: int | None = None) -> "Mat":
-        """Matrix of exact entries (QC, int, Fraction or "p/q"); a float
-        entry raises ``TypeError``."""
+        """Matrix of exact entries (int, Fraction, QC, or a literal that
+        :func:`read_scalar` reads exactly); an entry with a float part
+        raises ``TypeError``."""
         rows = list(rows)
         n_rows = len(rows)
         if n_rows == 0:
@@ -378,11 +413,6 @@ class SparseRows:
         return (self.rows, self.cols)
 
 
-def _parts(x) -> tuple:
-    """Real and imaginary parts of an int, a Fraction or a QC."""
-    return (x.re, x.im) if isinstance(x, QC) else (x, 0)
-
-
 def _dict_rows(m: Mat) -> list[dict]:
     return [{j: x for j, x in enumerate(row) if x} for row in m._data]
 
@@ -547,7 +577,7 @@ def det(m: Mat) -> QC:
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
     value = _rref(_dict_rows(m), m.cols, with_det=True)[2]
-    return QC_ZERO if value is None else QC.parse(value)
+    return QC_ZERO if value is None else _qc(value)
 
 
 def _det_inverse(rows) -> tuple:

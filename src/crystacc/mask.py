@@ -8,6 +8,9 @@ indexed by crystal group elements.  A multiplicity-1 mask over a triple
 with point group G can be traded for an |G| x |G| matrix mask over the bare
 translation lattice and back; the lift is faithful exactly when the matrix
 mask carries the symmetry checked by :func:`check_gamma_A_symmetry`.
+
+:class:`Mask` reads every coefficient literal, from the CLI's JSON rows
+or :meth:`Mask.to_float`'s doubles alike, by ``linalg.read_scalar``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from math import lcm
 
 from .crystal import (CrystalElement, CrystalTriple, Dilation, _int_apply,
                       validate_triple)
-from .linalg import Mat, QC, read_float
+from .linalg import Mat, QC, read_scalar
 
 
 class MaskShapeError(ValueError):
@@ -32,11 +35,12 @@ class Mask:
     whole group reduces to a finite sum over :meth:`support`.  A block is a
     square :class:`Mat` or a list of rows of coefficients; a coefficient is
     exact (int, Fraction, "p/q" string, QC), a float or complex, or an
-    (re, im) pair whose parts are each exact or float.  A mask is
-    immutable once built and always exact: float parts are read one by one
-    through :func:`~crystacc.linalg.read_float`, exact parts are kept, and
-    ``float_change`` keeps the largest relative change |read - given| /
-    |given| of an entry with a float part (None when there was none).
+    [re, im] pair whose parts are each exact or float.  A mask is
+    immutable once built and always exact: each coefficient is read by
+    :func:`~crystacc.linalg.read_scalar`, a distinct string or float once
+    per construction, and ``float_change`` keeps the largest relative
+    change |read - given| / |given| of a non-zero entry with a float part
+    (None when there was none).  Booleans are refused.
     Each block stores its entries as plain values (ints where integral,
     Fractions where real, QCs only where complex; :meth:`Mat.plain`), and
     :meth:`plain` scales them by their common denominator, the one view
@@ -49,15 +53,31 @@ class Mask:
             raise MaskShapeError("mask needs at least one coefficient")
         size = None
         blocks = {}
-        changes = []
+        readings, changes = {}, []
+
+        def read(x):
+            # parsed once per (type, value), so true and 1, or 1.0 and 1,
+            # apart; exact values and containers are read where they stand
+            if isinstance(x, (int, Fraction, QC, list, tuple, dict)):
+                stored, change = read_scalar(x)
+            else:
+                key = (type(x), x)
+                if key not in readings:
+                    readings[key] = read_scalar(x)
+                stored, change = readings[key]
+            if change is not None:
+                changes.append(change)
+            return stored
+
         for key, blk in coefficients.items():
             if not isinstance(key, CrystalElement) or key.triple is not triple:
                 raise MaskShapeError(f"key {key!r} is not an element of the "
                                      "mask's own triple")
-            if (isinstance(blk, list) and blk
-                    and all(isinstance(row, list) for row in blk)):
-                blk = Mat.from_rows([[_read_entry(x, changes) for x in row]
-                                     for row in blk])
+            if (isinstance(blk, list) and blk and all(
+                    isinstance(row, list) and len(row) == len(blk)
+                    for row in blk)):
+                blk = Mat(len(blk), len(blk), tuple(
+                    tuple([read(x) for x in row]) for row in blk))
             if not isinstance(blk, Mat) or blk.rows != blk.cols:
                 raise MaskShapeError(f"coefficient at {key} is not a square "
                                      "matrix")
@@ -134,8 +154,9 @@ class Mask:
     def to_float(self) -> "Mask":
         """The mask read back from double copies of its coefficients."""
         return Mask(self.triple,
-                    {e: b.np().tolist() for e, b in self._blocks.items()},
-                    r=self.r)
+                    {e: [[complex(x) if isinstance(x, QC) else float(x)
+                          for x in row] for row in b.plain()]
+                     for e, b in self._blocks.items()}, r=self.r)
 
     def __eq__(self, other):
         """Coefficient-wise equality; absent blocks count as zero and the
@@ -173,32 +194,6 @@ class PlainCoefficients:
 
     scale: int
     entries: tuple
-
-
-def _read_entry(x, changes: list):
-    """One coefficient by the reading rule, for :meth:`Mat.from_rows`: an
-    exact literal as it is, and one with a float part (a float, a complex,
-    or an (re, im) pair) read exactly, part by part, as a Fraction when
-    its imaginary part is zero, else a QC: outside the public QC face of
-    :mod:`crystacc.linalg`, a QC holds a non-zero imaginary part only.
-    When it has a float part and is nonzero, appends its relative change
-    to ``changes``."""
-    parts = ((x, 0) if isinstance(x, float)
-             else (x.real, x.imag or 0) if isinstance(x, complex) else x)
-    if not (isinstance(parts, (list, tuple))
-            and any(isinstance(p, float) for p in parts)):
-        return x
-    # (read, given) per part; an exact part is both, kept as an int or
-    # Fraction so that a zero imaginary part costs no Fraction arithmetic
-    (re, given_re), (im, given_im) = (
-        (read_float(p), Fraction(p)) if isinstance(p, float)
-        else (p, p) if isinstance(p, (int, Fraction)) else (Fraction(p),) * 2
-        for p in parts)
-    size = given_re * given_re + given_im * given_im
-    if size:
-        changes.append(float(((re - given_re) ** 2 + (im - given_im) ** 2)
-                             / size) ** 0.5)
-    return QC(re, im) if im else re
 
 
 def lattice_triple(triple: CrystalTriple) -> CrystalTriple:

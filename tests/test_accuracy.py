@@ -695,8 +695,7 @@ def _assert_matches_dense_assembly(mask, triple, dilation, s_top):
     for s in range(s_top + 1):
         rows += accuracy_mod._block_row(mask, dilation, table, s)
         width += dim_degree(d, s) * r
-        assert all(not x.is_zero() for row in rows for x in
-                   map(QC.parse, row.values()))
+        assert all(x != 0 for row in rows for x in row.values())
         assert _dense(rows, width) == _assemble_reference(
             mask, dilation, s).scale(scale)
 

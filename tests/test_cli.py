@@ -17,9 +17,12 @@ from hypothesis import strategies as st
 
 import crystacc.cascade as cascade_mod
 import crystacc.cli as cli_mod
+import crystacc.mask as mask_mod
 from crystacc.cli import (DEFAULT_SEED, EXIT_BAD_GROUP, EXIT_INADMISSIBLE,
                           EXIT_MALFORMED, EXIT_NO_CONVERGENCE, EXIT_OK,
                           EXIT_SHAPE, SEED_ENV_VAR, build_parser, main)
+from crystacc.linalg import read_scalar
+from crystacc.mask import Mask
 
 HAT_CFG = {
     "group": "p1",
@@ -64,6 +67,26 @@ def test_check_group_pm(tmp_path, capsys):
     assert all(d["g"] == 0 for d in out["digits"])
     assert len(out["h"]) == 2
     assert len(out["rho"]) == 2
+
+
+def test_a_3d_config_without_a_group_is_read_over_p1(tmp_path, capsys):
+    """The group defaults to p1 in every dimension: a 3D config with no
+    'group' passes check-group (order 1, m = 8), and the 3D tensor hat
+    has accuracy 2."""
+    hat = {-1: "1/2", 0: 1, 1: "1/2"}
+    cfg = {"dimension": 3, "dilation": [[2, 0, 0], [0, 2, 0], [0, 0, 2]],
+           "mask": [{"k": [i, j, k], "coef": str(Fraction(a) * Fraction(b)
+                                                 * Fraction(c))}
+                    for i, a in hat.items() for j, b in hat.items()
+                    for k, c in hat.items()]}
+    code, out = run_cli(tmp_path, capsys, cfg, ["check-group", "CFG"])
+    assert code == EXIT_OK
+    assert (out["group"], out["dimension"], out["order"], out["m"]) == \
+        ("p1", 3, 1, 8)
+    code, out = run_cli(tmp_path, capsys, cfg,
+                        ["accuracy", "CFG", "--p-max", "3"])
+    assert code == EXIT_OK
+    assert out["accuracy"] == 2
 
 
 def test_check_group_custom_generators(tmp_path, capsys):
@@ -329,8 +352,8 @@ def test_each_literal_is_read_by_its_own_type(tmp_path, capsys):
     _, exact = run_cli(tmp_path, capsys, _diagonal_hat([[1, 0], [0, 1]]),
                        ["accuracy", "CFG", "--p-max", "3"])
     assert out == exact and out["accuracy"] == 2
-    with pytest.raises(cli_mod.CliError) as first:
-        cli_mod._parse_scalar("1/0")
+    with pytest.raises(ValueError) as first:
+        read_scalar("1/0")
     bad = dict(HAT_CFG, mask=[{"k": [k], "coef": [["1/0", "1/0"], [0, 1]]}
                               for k in (-1, 0, 1)])
     code, out = run_cli(tmp_path, capsys, bad, ["accuracy", "CFG"])
@@ -339,25 +362,34 @@ def test_each_literal_is_read_by_its_own_type(tmp_path, capsys):
 
 
 def test_each_distinct_literal_is_parsed_once(monkeypatch):
-    """_build_mask parses each distinct (type, value) literal of a config
-    once, however many entries repeat it; an [re, im] pair is parsed
-    whole, its parts by the pair's own parse."""
+    """Mask reads its coefficients through linalg.read_scalar, the one
+    reader, and reads each distinct (type, value) string or float of one
+    construction once, however many entries repeat it, whether the mask
+    comes from a CLI config or from Mask.scalar; an exact value is read
+    where it stands, and an [re, im] pair whole, its parts by the pair's
+    own reading.  The readings live in one construction only."""
     calls = []
-    parse = cli_mod._parse_scalar
+    read = mask_mod.read_scalar
 
     def spy(value):
         calls.append(value)
-        return parse(value)
+        return read(value)
 
-    monkeypatch.setattr(cli_mod, "_parse_scalar", spy)
+    monkeypatch.setattr(mask_mod, "read_scalar", spy)
     cfg = _diagonal_hat([[1, 0.0], [0, 1.0]])
     cfg["mask"].append({"k": [2], "coef": [[["1/2", 0], 0], [0, "1/2"]]})
     triple = cli_mod._build_triple(cfg)
     mask = cli_mod._build_mask(cfg, triple)
     assert mask.r == 2
-    pair = [["1/2", 0], "1/2", 0]
-    assert sorted(map(repr, calls)) == sorted(map(repr, [
-        "1/2", 0, 1, 0.0, 1.0] + pair))
+    parsed = [x for x in calls if isinstance(x, (str, float, list))]
+    assert parsed == ["1/2", 0.0, 1.0, ["1/2", 0]]
+    assert sorted(x for x in calls if type(x) is int) == [0] * 7 + [1]
+    for _ in range(2):
+        calls.clear()
+        mask = Mask.scalar(triple, {k: v for k, v in zip(
+            range(-2, 4), ("1/4", "1/2", 0.75, "1/2", "1/4", 0.75))})
+        assert calls == ["1/4", "1/2", 0.75]
+        assert mask.float_change == 0.0
 
 
 def test_cascade_hat_full_report(tmp_path, capsys):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from crystacc.crystal import (AdmissibilityError, Dilation,
+from crystacc.crystal import (MAX_GROUP_ORDER, AdmissibilityError, Dilation,
                               GroupValidationError, apply_element, catalog_names, catalog_triple,
                               check_admissible, compose, elements_in_ball,
                               generate_group, inverse, validate_triple)
@@ -32,6 +32,22 @@ def test_catalog_contents():
     assert set(catalog_names(1)) == {"p1", "p1m"}
     assert "pm" in catalog_names(2)
     assert "p4m" in catalog_names(2)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_p1_is_in_the_catalog_in_every_dimension(d):
+    """p1, the identity alone on Z^d, is a catalog group in every
+    dimension from 1 up, and in no dimension below."""
+    assert "p1" in catalog_names(d)
+    t = catalog_triple("p1", d)
+    assert t.order == 1 and t.d == d and t.group == [Mat.identity(d)]
+    assert t.R == Mat.identity(d) and t.name == "p1"
+    assert catalog_names(3) == ["p1"] and "p1" in catalog_names()
+    assert catalog_names(0) == []
+    with pytest.raises(GroupValidationError, match="unknown catalog group"):
+        catalog_triple("p1", 0)
+    with pytest.raises(GroupValidationError, match="unknown catalog group"):
+        catalog_triple("pm", 3)
 
 
 def test_validate_pm():
@@ -390,7 +406,7 @@ def _oh_group():
     about two axes and the inversion."""
     return generate_group([Mat.from_rows([[1, 0, 0], [0, 0, -1], [0, 1, 0]]),
                            Mat.from_rows([[0, 0, 1], [0, 1, 0], [-1, 0, 0]]),
-                           Mat.identity(3).scale(-1)], max_order=48)
+                           Mat.identity(3).scale(-1)])
 
 
 QUINCUNX_ROWS = [[1, 1], [1, -1]]
@@ -540,6 +556,15 @@ def test_generate_group_closure():
     rot = Mat.from_rows([[0, -1], [1, 0]])
     group = generate_group([rot])
     assert len(group) == 4
+
+
+def test_generate_group_stops_past_the_largest_point_group():
+    """The cubic group m-3m, of order MAX_GROUP_ORDER = 48, closes; a
+    generator of infinite order is refused once it passes 48 elements."""
+    assert MAX_GROUP_ORDER == 48 == len(_oh_group())
+    with pytest.raises(GroupValidationError,
+                       match="group did not close within 48 elements"):
+        generate_group([Mat.from_rows([[2]])])
 
 
 def test_translation_coset(line):

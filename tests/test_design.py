@@ -12,10 +12,10 @@ one elimination per degree (no dense re-layout of the stacked rows),
 constraint rows built on Python ints where the data are integral and
 eliminated as plain sparse rows, one elimination routine in linalg, one
 plain view of a mask's coefficients (fhat0 sums it on ints, built once
-per mask), no parse cache in the CLI that outlives a call, a cascade
-plan with one u per distinct element list and one read index per point
-part, Q-tilde blocks built on ints
-where the data are integral and read through the binomial shift only (no
+per mask), no parse cache in the CLI, one reader of every scalar literal
+(linalg.read_scalar, the one place where a float is read or refused), a
+cascade plan with one u per distinct element list and one read index per
+point part, Q-tilde blocks built on ints where the data are integral and read through the binomial shift only (no
 reader builds them, and no triple caches them), a float oracle that
 walks its sample's gamma cover once for every degree it checks, and every
 name the benchmark's tracer wraps, with the benchmark's read of lifted
@@ -25,7 +25,8 @@ with no det or Mat.inverse and one walk of the support for its witness
 chain; one moment table per mask and dilation, and block rows that read
 the binomial shift's own pattern; an elimination that reads each distinct
 row once; on real data, QCs built at the public face only (Mat.entry,
-Mat.row_list and the report scalars)."""
+Mat.row_list and the report scalars), and QC arithmetic that reads a
+real operand's parts without wrapping it in a QC."""
 
 import ast
 import importlib.util
@@ -510,9 +511,9 @@ def test_one_common_denominator_of_the_coefficients():
 
 
 def test_cli_keeps_no_parse_cache():
-    """The CLI's literal readings live inside one _build_mask call: no
-    lru_cache or functools cache anywhere in cli.py, and no container
-    bound at module level."""
+    """The CLI keeps no literal readings (Mask keeps them for one
+    construction): no lru_cache or functools cache anywhere in cli.py,
+    and no container bound at module level."""
     text = (Path(crystacc.__file__).parent / "cli.py").read_text(
         encoding="utf-8")
     assert "lru_cache" not in text and "functools" not in text
@@ -526,6 +527,45 @@ def test_cli_keeps_no_parse_cache():
             assert not (isinstance(value, ast.Call) and getattr(
                 value.func, "id", None) in ("dict", "set", "list")), \
                 ast.dump(node)
+
+
+def _float_tests(tree) -> list:
+    """The functions of a module that test a value for being a float: an
+    isinstance call or a type comparison that names float."""
+    found = []
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and getattr(
+                    node.func, "id", None) == "isinstance":
+                names = node.args[1:]
+            elif isinstance(node, ast.Compare):
+                names = node.comparators
+            else:
+                continue
+            if any(isinstance(n, ast.Name) and n.id == "float"
+                   for arg in names for n in ast.walk(arg)):
+                found.append(func.name)
+    return sorted(set(found))
+
+
+def test_one_reader_makes_the_exact_float_choice():
+    """Every outside scalar is read by linalg.read_scalar: read_float is
+    named in linalg.py only, and neither cli.py nor mask.py parses a "p/q"
+    string (no Fraction call) or tests a coefficient for being a float;
+    the one float test left in cli.py is _number's, which reads the
+    config's options."""
+    root = Path(crystacc.__file__).parent
+    assert [p.name for p in SOURCES
+            if re.search(r"\bread_float\b", p.read_text(encoding="utf-8"))] \
+        == ["linalg.py"]
+    for name, allowed in (("cli.py", ["_number"]), ("mask.py", [])):
+        tree = ast.parse((root / name).read_text(encoding="utf-8"))
+        assert _float_tests(tree) == allowed, name
+        assert not [node.lineno for node in ast.walk(tree)
+                    if isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "Fraction"], name
 
 
 def test_cascade_plan_holds_one_index_array_per_point_part():
@@ -738,3 +778,45 @@ def test_qcs_are_built_at_the_public_face_only(argv, made, capsys,
     assert set(sources) <= {"linalg.Mat.entry", "linalg.Mat.row_list",
                             "accuracy._exact"}
     assert len(sources) == made
+
+
+QC_OPERATIONS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__truediv__", "__rtruediv__", "__eq__")
+
+
+def test_qc_arithmetic_builds_no_qc_from_a_real_operand(monkeypatch):
+    """On the complex p1 mask {0: 1/2 + i/4, 1: 1, 2: 1/2 - i/4} with
+    A = 2, max_accuracy at p_max 3 runs QC arithmetic on int and Fraction
+    operands, and each such operation builds one QC, its result (none for
+    ==): the real operand's parts are read as they are, not wrapped in a
+    QC first.  The certificate is the one the wrapping arithmetic gave."""
+    t = catalog_triple("p1", 1)
+    dil = check_admissible(Mat.from_rows([[2]]), t)
+    mask = Mask.scalar(t, {0: ["1/2", "1/4"], 1: 1, 2: ["1/2", "-1/4"]})
+    made, real_ops, wraps = [], [], []
+    init = QC.__init__
+
+    def counted(self, *args):
+        made.append(1)
+        init(self, *args)
+
+    def watched(name, op):
+        def wrapper(self, other):
+            if isinstance(other, QC):
+                return op(self, other)
+            before = len(made)
+            out = op(self, other)
+            real_ops.append(name)
+            wraps.append(len(made) - before - (name != "__eq__"))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(QC, "__init__", counted)
+    for name in QC_OPERATIONS:
+        monkeypatch.setattr(QC, name, watched(name, getattr(QC, name)))
+    cert = accuracy.max_accuracy(mask, t, dil, 3)
+    assert {"__radd__", "__rsub__", "__eq__"} <= set(real_ops)
+    assert sum(wraps) == 0
+    assert cert.p == 1 and cert.gate == 1
+    assert cert.diagnostics["kernel_dims"] == {0: 1, 1: 0}
+    assert cert.witness.block(0).entry(0, 0) == 1

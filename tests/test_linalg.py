@@ -3,6 +3,7 @@
 import itertools
 import math
 import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,9 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from crystacc.linalg import (FLOAT_DENOMINATOR_CAP, Mat, QC, QC_ZERO,
-                             SparseRows, _parts, _rref, det, kernel_basis,
-                             kron, rank, read_float, solve_affine)
+                             SparseRows, _parts, _qc, _rref, det,
+                             kernel_basis, kron, rank, read_float,
+                             read_scalar, solve_affine)
 
 
 def test_qc_exact_arithmetic():
@@ -30,10 +32,14 @@ def test_qc_rejects_floats():
         QC(0.5)
 
 
-def test_qc_parse_forms():
-    assert QC.parse("3/4").re == Fraction(3, 4)
-    assert QC.parse(2) == QC(2)
-    assert QC.parse(["1/2", "-1/3"]) == QC(Fraction(1, 2), Fraction(-1, 3))
+def test_read_scalar_forms():
+    """Exact literals are read to their stored form, with no change."""
+    assert read_scalar("3/4") == (Fraction(3, 4), None)
+    assert read_scalar(2) == read_scalar(QC(2)) == read_scalar("4/2") == \
+        (2, None)
+    assert read_scalar(["1/2", "-1/3"]) == (QC(Fraction(1, 2),
+                                               Fraction(-1, 3)), None)
+    assert read_scalar(("1/2", 0)) == (Fraction(1, 2), None)
 
 
 def test_mat_inverse_det_exact():
@@ -111,6 +117,224 @@ def test_read_float_edge_values():
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError):
             read_float(bad)
+
+
+# -- the reading chains that read_scalar replaced, kept as the reference ----
+
+
+class _Refused(Exception):
+    """A refusal of the former CLI reader, with the text it printed."""
+
+
+def _former_as_fraction(x):
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, str):
+        return Fraction(x.strip())
+    raise TypeError(f"not an exact rational: {x!r}")
+
+
+def _former_qc_parse(obj):
+    if isinstance(obj, QC):
+        return obj
+    if isinstance(obj, (list, tuple)):
+        if len(obj) != 2:
+            raise ValueError(f"complex literal needs two parts: {obj!r}")
+        return QC(_former_as_fraction(obj[0]), _former_as_fraction(obj[1]))
+    return QC(_former_as_fraction(obj))
+
+
+def _former_stored(x):
+    """linalg._stored as it read literals through QC.parse."""
+    if type(x) is int:
+        return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, QC):
+        return x if x.im != 0 else _former_stored(x.re)
+    if isinstance(x, str):
+        return _former_stored(_former_as_fraction(x))
+    return _former_stored(_former_qc_parse(x))
+
+
+def _former_read_entry(x, changes):
+    """mask._read_entry: float parts read one by one."""
+    parts = ((x, 0) if isinstance(x, float)
+             else (x.real, x.imag or 0) if isinstance(x, complex) else x)
+    if not (isinstance(parts, (list, tuple))
+            and any(isinstance(p, float) for p in parts)):
+        return x
+    (re, given_re), (im, given_im) = (
+        (read_float(p), Fraction(p)) if isinstance(p, float)
+        else (p, p) if isinstance(p, (int, Fraction)) else (Fraction(p),) * 2
+        for p in parts)
+    size = given_re * given_re + given_im * given_im
+    if size:
+        changes.append(float(((re - given_re) ** 2 + (im - given_im) ** 2)
+                             / size) ** 0.5)
+    return QC(re, im) if im else re
+
+
+def _former_parse_scalar(value):
+    """cli._parse_scalar: one JSON coefficient, floats left to the mask."""
+    if isinstance(value, bool):
+        raise _Refused("boolean is not a coefficient")
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise _Refused(f"bad rational {value!r}: {exc}")
+    if isinstance(value, (int, float)):
+        return value
+    if (isinstance(value, list) and len(value) == 2
+            and not any(isinstance(v, list) for v in value)):
+        re, im = map(_former_parse_scalar, value)
+        if isinstance(re, float) or isinstance(im, float):
+            return re, im
+        return QC(re, im) if im else re
+    raise _Refused(f"cannot read coefficient {value!r}")
+
+
+def _former_library(x):
+    """(stored, change) by mask._read_entry then linalg._stored."""
+    changes = []
+    return _former_stored(_former_read_entry(x, changes)), \
+        (changes[0] if changes else None)
+
+
+def _former_cli(x):
+    """(stored, change) by the CLI chain, or the error text it printed."""
+    try:
+        return _former_library(_former_parse_scalar(x))
+    except _Refused as exc:
+        return str(exc)
+    except ValueError as exc:  # the mask's refusal, as the CLI wrapped it
+        return f"bad coefficient: {exc}"
+
+
+def _new_cli(x):
+    try:
+        return read_scalar(x)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _same_reading(got, want) -> bool:
+    """Equal stored values of the same type and bit-equal changes."""
+    if isinstance(got, str) or isinstance(want, str):
+        return got == want
+    (x, dx), (y, dy) = got, want
+    return (type(x) is type(y) and x == y
+            and (dx is None if dy is None else
+                 dx is not None and dx.hex() == dy.hex()))
+
+
+def _random_float(rng: random.Random) -> float:
+    return rng.choice([
+        rng.uniform(-4, 4), 1 / rng.randint(1, 999), 0.0, -0.0,
+        rng.randint(-2 ** 40, 2 ** 40) / 2 ** rng.randint(0, 60),
+        5e-324 * rng.randint(1, 2 ** 20),
+        rng.uniform(1, 2) * 2.0 ** rng.randint(900, 1023),
+        -rng.uniform(1, 2) * 2.0 ** rng.randint(-1074, -1000),
+        1e308, 1e-308, float("nan"), float("inf"), -float("inf")])
+
+
+def _random_literal(rng: random.Random, depth: int = 0):
+    """A random scalar literal, well formed or not: ints, Fractions, "p/q"
+    strings, floats (subnormal, huge and exact dyadic ones included),
+    complex values, QCs, booleans, [re, im] lists and tuples of these, and
+    things that are no scalar."""
+    kind = rng.randrange(14 if depth == 0 else 10)
+    if kind == 0:
+        return rng.choice([0, 1, -1, rng.randint(-10 ** 6, 10 ** 6),
+                           rng.randint(-2 ** 80, 2 ** 80)])
+    if kind == 1:
+        return Fraction(rng.randint(-999, 999), rng.randint(1, 999))
+    if kind == 2:
+        num, den = rng.randint(-99, 99), rng.randint(0, 99)
+        return rng.choice([f"{num}/{den}", f" {num}/{den} ", str(num),
+                           f"{num}.{den}", "x", "", "1/", f"{num}e-3"])
+    if kind in (3, 4, 5):
+        return _random_float(rng)
+    if kind == 6:
+        return rng.choice([True, False])
+    if kind == 7:
+        return rng.choice([None, {}, {"re": 1}, b"1", object()])
+    if kind == 8:
+        return QC(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+                  rng.choice([0, Fraction(rng.randint(-9, 9),
+                                          rng.randint(1, 9))]))
+    if kind == 9:
+        return complex(_random_float(rng),
+                       rng.choice([0.0, -0.0, _random_float(rng)]))
+    pair = [_random_literal(rng, depth + 1) for _ in range(2)]
+    if kind == 10:
+        return pair
+    if kind == 11:
+        return tuple(pair)
+    if kind == 12:
+        return rng.choice([[], [pair[0]], pair + [0], [pair, 0]])
+    return [rng.uniform(-1, 1), rng.choice(["1/3", 0, Fraction(1, 7),
+                                            0.0, rng.uniform(-1, 1)])]
+
+
+def _json_literal(x) -> bool:
+    """Whether x is a value json.load can give: no tuple, complex,
+    Fraction, QC or other object, at any depth."""
+    if isinstance(x, list):
+        return all(map(_json_literal, x))
+    if isinstance(x, dict):
+        return all(map(_json_literal, x.values()))
+    return x is None or isinstance(x, (bool, int, float, str))
+
+
+def _has_boolean(x) -> bool:
+    return isinstance(x, bool) or (isinstance(x, (list, tuple))
+                                   and any(map(_has_boolean, x)))
+
+
+def test_read_scalar_matches_the_former_reading_chains():
+    """read_scalar against the chains it replaced, on 24 000 seeded
+    literals.  On what the CLI reads (JSON values), the former
+    cli._parse_scalar -> mask._read_entry -> linalg._stored chain and
+    read_scalar give the same stored type and value and the same change
+    bits, or refuse with the same text.  On anything, the former library
+    chain (mask._read_entry -> linalg._stored) and read_scalar agree the
+    same way, and every literal it refused is refused, as is now every
+    literal with a boolean in it; with floats=False, a float part is
+    refused by TypeError, as Mat.from_rows refused it."""
+    rng = random.Random(2026)
+    cli_read = library_read = 0
+    for _ in range(24000):
+        x = _random_literal(rng)
+        if _json_literal(x):
+            assert _same_reading(_new_cli(x), _former_cli(x)), x
+            cli_read += 1
+        try:
+            want = _former_library(x)
+        except Exception:
+            want = None
+        try:
+            got = read_scalar(x)
+        except ValueError:
+            got = None
+        if want is None or _has_boolean(x):
+            assert got is None, x
+        else:
+            assert _same_reading(got, want), x
+            library_read += 1
+        try:
+            exact = read_scalar(x, floats=False)
+        except TypeError:
+            assert isinstance(x, (float, complex)) or any(
+                isinstance(p, float) for p in x), x
+        except ValueError:
+            assert got is None
+        else:
+            assert exact == got and exact[1] is None
+    assert cli_read > 8000 and library_read > 8000
 
 
 def _sparse(rows):
@@ -279,7 +503,7 @@ def test_fraction_free_elimination_against_gauss_jordan(n_rows, n_cols, real,
 
 def _dense(rref, n_rows, n_cols):
     """Sparse rref rows as dense QC rows, padded with zero rows."""
-    return ([[QC.parse(row.get(j, 0)) for j in range(n_cols)]
+    return ([[_qc(row.get(j, 0)) for j in range(n_cols)]
              for row in rref]
             + [[QC_ZERO] * n_cols for _ in range(len(rref), n_rows)])
 
@@ -471,16 +695,16 @@ def test_mat_against_qc_lists(n, k, j, kind, data):
     rows_a, rows_b, rows_c, rows_sq = (draw(n, k), draw(n, k), draw(k, j),
                                        draw(n, n))
     s = data.draw(entry)
-    q = {name: [[QC.parse(x) for x in row] for row in rows]
+    q = {name: [[_qc(x) for x in row] for row in rows]
          for name, rows in (("a", rows_a), ("b", rows_b), ("c", rows_c),
                             ("sq", rows_sq))}
     a, b, c, sq = (Mat.from_rows(rows)
                    for rows in (rows_a, rows_b, rows_c, rows_sq))
     for rows, m in ((rows_a, a), (rows_sq, sq)):
-        plain = Mat.from_rows([[QC.parse(x).re if QC.parse(x).im == 0
-                                else QC.parse(x) for x in row]
+        plain = Mat.from_rows([[_qc(x).re if _qc(x).im == 0
+                                else _qc(x) for x in row]
                                for row in rows])
-        from_qc = Mat.from_rows([[QC.parse(x) for x in row] for row in rows])
+        from_qc = Mat.from_rows([[_qc(x) for x in row] for row in rows])
         assert plain == from_qc == m
         assert hash(plain) == hash(from_qc) == hash(m)
         assert _stores_plain_values(from_qc) and _stores_plain_values(plain)
@@ -490,7 +714,7 @@ def test_mat_against_qc_lists(n, k, j, kind, data):
         "-": (a - b, [[x - y for x, y in zip(r, t)]
                       for r, t in zip(q["a"], q["b"])]),
         "@": (a @ c, _reference_product(q["a"], q["c"])),
-        "scale": (a.scale(s), [[QC.parse(s) * x for x in r]
+        "scale": (a.scale(s), [[_qc(s) * x for x in r]
                                for r in q["a"]]),
         "transpose": (a.transpose(), [list(col) for col in zip(*q["a"])]),
     }
@@ -670,7 +894,7 @@ def test_repeated_rows_read_once_against_every_row(n_rows, n_cols, copies,
         assert rank(m) == len(want[1])
         assert [[v.entry(t, 0) for t in range(n_cols)]
                 for v in kernel_basis(m)] == _reference_kernel(
-                    [[QC.parse(x) for x in row] for row in rows], n_cols)
+                    [[_qc(x) for x in row] for row in rows], n_cols)
     if square is not None:
         m = Mat.from_rows(square)
         assert _rref(_sparse(square).data, n_cols, True)[2] is None

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import crystacc.mask as mask_mod
 from crystacc.crystal import catalog_triple, elements_in_ball
 from crystacc.linalg import Mat, QC, read_float
 from crystacc.mask import (Mask, MaskShapeError, check_gamma_A_symmetry,
@@ -246,8 +247,8 @@ def test_float_reads_match_the_qc_path(where, r, real, rnd):
     """Float masks, real (floats, and complex values with a zero
     imaginary part) and complex, read to the same exact mask and the
     same float_change, bit for bit, as through the QC path; so does
-    Mask.to_float of an exact mask, real or complex, whose Mat.np copy
-    hands every entry over as a Python complex."""
+    Mask.to_float of an exact mask, real or complex, against its entries'
+    Mat.np copy read through the QC path."""
     t = catalog_triple(*where)
 
     def value():
@@ -278,3 +279,49 @@ def test_float_reads_match_the_qc_path(where, r, real, rnd):
                            r)
     assert floats == ref
     assert floats.float_change == change
+
+
+@seed(2026)
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([("p1", 1), ("pm", 2)]), st.sampled_from([1, 2]),
+       st.booleans(), st.randoms(use_true_random=False))
+def test_to_float_hands_real_entries_over_as_floats(where, r, real, rnd):
+    """Mask.to_float hands each real entry to the reader as a float and
+    each complex one as a Python complex, and gives, bit for bit, the
+    stored values and float_change of the former to_float, which read the
+    blocks' Mat.np copies, every entry a Python complex."""
+    t = catalog_triple(*where)
+
+    def value():
+        x = rnd.choice([Fraction(rnd.randint(-9, 9), rnd.randint(1, 7)),
+                        rnd.randint(-3, 3), Fraction(1, 3 * 10 ** 7),
+                        Fraction(rnd.randint(1, 10 ** 20), 3) * 2 ** 900])
+        if real or rnd.random() < 0.5:
+            return x
+        return QC(Fraction(x), rand_fraction(rnd))
+
+    exact = Mask(t, {t.element(rnd.randrange(t.order),
+                               [rnd.randint(-2, 2) for _ in range(t.d)]):
+                     [[value() for _ in range(r)] for _ in range(r)]
+                     for _ in range(rnd.randint(1, 4))}, r=r)
+    handed = []
+    read = mask_mod.read_scalar
+
+    def spy(x):
+        handed.append(x)
+        return read(x)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mask_mod, "read_scalar", spy)
+        floats = exact.to_float()
+    former = Mask(t, {e: b.np().tolist() for e, b in exact.items()}, r=r)
+    entries = [x for _, b in exact.items() for row in b.plain() for x in row]
+    assert set(map(type, handed)) == {
+        complex if isinstance(x, QC) else float for x in entries}
+    assert [[(type(x), x) for row in b.plain() for x in row]
+            for _, b in floats.items()] == \
+        [[(type(x), x) for row in b.plain() for x in row]
+         for _, b in former.items()]
+    assert (floats.float_change is None) == (former.float_change is None)
+    if former.float_change is not None:
+        assert floats.float_change.hex() == former.float_change.hex()

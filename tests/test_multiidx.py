@@ -183,7 +183,7 @@ def _q_tilde_triple(case):
                 [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
                 [[-1, 0, 0], [0, 1, 0], [0, 0, 1]]]
         return validate_triple(Mat.identity(3), generate_group(
-            [Mat.from_rows(g) for g in gens], 48))
+            [Mat.from_rows(g) for g in gens]))
     name, dim, lattice = {
         "p1m": ("p1m", 1, None),
         "p1m-thirds": ("p1m", 1, [[Fraction(2, 3)]]),
