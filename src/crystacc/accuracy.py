@@ -1,33 +1,30 @@
 """Solvers for the accuracy of refinable functions over crystal groups.
 
-The order of polynomial reproduction is decided by a finite homogeneous
-linear system: one block of constraints per polynomial degree and per digit
-coset of the dilation, in the unknown coefficient vectors v_[0], ..., v_[s].
+The order of polynomial reproduction is decided by a finite homogeneous linear
+system: one block of constraints per polynomial degree and per digit coset of
+the dilation, in the unknown coefficient vectors v_[0], ..., v_[s].
 :func:`max_accuracy` solves the stacked system exactly and certifies the
-largest degree with a usable witness; the system is block triangular in
-the degree, so each degree's block row is built and eliminated once,
-against the kernel carried from the degrees below.
-:func:`sufficient_check` evaluates the cheaper sum-rule criterion and
-builds its explicit witness chain, one plain elimination per degree.  Both
-read one table of per-coset
-moments, :func:`_moments`, scaled by the common denominator D of the mask's
+largest degree with a usable witness; the system is block triangular in the
+degree, so each degree's block row is built and eliminated once, against the
+kernel carried from the degrees below.  :func:`sufficient_check` evaluates the
+cheaper sum-rule criterion and builds its explicit witness chain, one plain
+elimination per degree.  Both read one table of per-coset moments,
+:func:`_moments`, scaled by the common denominator D of the mask's
 coefficients, with the leads (b^{-1})_[t] A_[t] built once per table.  The
-table is kept with the mask, one per dilation, built for the largest
-degree asked for and read as it is for a smaller one, so a sum-rule test
-after a scan of the same mask and dilation builds nothing.  On an integral
-lattice with real coefficients the table, the constraint rows,
-their reduction and the elimination with its carried kernel run on Python
-ints (the fraction-free idea of Bareiss, Math. Comp. 22, 1968), and they
-fall back to Fractions or QCs by themselves where the data are not
-integral.
+table is kept with the mask, one per dilation, built for the largest degree
+asked for and read as it is for a smaller one, so a sum-rule test after a scan
+of the same mask and dilation builds nothing.  On an integral lattice with real
+coefficients the table, the constraint rows, their reduction and the
+elimination with its carried kernel, in coprime ints, run on Python ints (the
+fraction-free idea of Bareiss, Math. Comp. 22, 1968), and they fall back to
+Fractions or QCs by themselves where the data are not integral.
 :func:`verify_equivalence` re-derives the witness relations in three
-independent forms, element by element, which is the main guard against
-index bookkeeping bugs.  Its per-coset form, :func:`condition_d_residuals`,
-is also the witness guard of :func:`sufficient_check`: one walk of the
-support (:func:`_residual_walk`) gives the residuals of every coset at
-every degree asked for, on ints over the witness's and the mask's common
-denominators where the data are integral, and never reads the moment
-table it checks.
+independent forms, element by element, which is the main guard against index
+bookkeeping bugs.  Its per-coset form, :func:`condition_d_residuals`, is also
+the witness guard of :func:`sufficient_check`: one walk of the support
+(:func:`_residual_walk`) gives the residuals of every coset at every degree
+asked for, on ints over the witness's and the mask's common denominators where
+the data are integral, and never reads the moment table it checks.
 """
 
 from __future__ import annotations
@@ -265,25 +262,26 @@ class _MomentTable:
 def _moments(mask: Mask, dilation: Dilation, p_max: int) -> _MomentTable:
     """The mask's moments below degree p_max, by digit coset and point part.
 
-    ``sums`` maps (i, b) to {mu: N_mu D} for every |mu| < p_max, where
-    N_mu = sum (-l)^mu d_(b,l)^T over the support elements (b, l) whose
-    inverse lies in digit coset i, l the true translation R k, and D is
-    the common denominator of the mask's plain view (:meth:`Mask.plain`),
-    whose D-scaled non-zero entries are read as they are.  The inverse
-    (b^{-1}, -b k) lies in the coset of -k, and the monomials are products
-    of powers of -l's coordinates.  A translation
-    coordinate is read as an int where it is one, so the entries are
-    Python ints on an integral lattice and fall back to Fractions (R not
-    integral) or QCs (complex masks) by themselves.  N_mu is a dict
-    (a, c) -> entry, without the entries no term reaches.  These are the
-    per-coset sums of the sum rules (Jia, Math. Comp. 67, 1998; Cabrelli,
-    Heil and Molter, J. Approx. Theory 95, 1998).  ``leads`` maps (b, t),
-    t < p_max, to the rows of (b^{-1})_[t] A_[t] = (b^{-1} A)_[t], each a
-    list of (column, non-zero entry) pairs, built once per table.
+    ``sums`` maps (i, b) to {mu: N_mu D} for the |mu| < p_max reached (a
+    missing N_mu is empty), where N_mu = sum (-l)^mu d_(b,l)^T over the support
+    elements (b, l) whose inverse lies in digit coset i, l the true translation
+    R k, and D is the common denominator of the mask's plain view
+    (:meth:`Mask.plain`), whose D-scaled non-zero entries are read as they are.
+    The inverse (b^{-1}, -b k) lies in the coset of -k, and the monomials are
+    products of powers of -l's coordinates.  A translation coordinate is read
+    as an int where it is one, so the entries are Python ints on an integral
+    lattice and fall back to Fractions (R not integral) or QCs (complex masks)
+    by themselves.  The coset, R k and the non-zero monomials are read once per
+    lattice point, for every b on it.  N_mu is a dict (a, c) -> entry, without
+    the entries no term reaches.  These are the per-coset sums of the sum rules
+    (Jia, Math. Comp. 67, 1998; Cabrelli, Heil and Molter, J. Approx. Theory
+    95, 1998).  ``leads`` maps (b, t), t < p_max, to the rows of (b^{-1})_[t]
+    A_[t] = (b^{-1} A)_[t], each a list of (column, non-zero entry) pairs,
+    built once per table.
 
     The table is kept with the mask, one per dilation, and built for the
-    largest p_max asked for: a request for a smaller p_max gets the kept
-    table itself, as every reader indexes only the degrees it needs.
+    largest p_max asked for: a request for a smaller p_max gets the kept table
+    itself, as every reader indexes only the degrees it needs.
     """
     tri, d = mask.triple, mask.triple.d
     kept = mask._moment_tables.get(dilation)
@@ -291,17 +289,18 @@ def _moments(mask: Mask, dilation: Dilation, p_max: int) -> _MomentTable:
         return kept
     view = mask.plain()
     mus = [mu for s in range(p_max) for mu in enumerate_degree(d, s)]
-    sums = {}
+    sums, points = {}, {}
     for e, entries in view.entries:
-        key = (dilation.translation_coset([-x for x in e.k]), e.g)
-        moments = sums.setdefault(key, {mu: {} for mu in mus})
-        powers = [[(-y) ** n for n in range(p_max)]
-                  for y in e.true_translation()]
-        for mu in mus:
-            w = prod(map(getitem, powers, mu))
-            if w == 0:
-                continue
-            n_mu = moments[mu]
+        if e.k not in points:
+            powers = [[(-y) ** n for n in range(p_max)]
+                      for y in e.true_translation()]
+            points[e.k] = (dilation.translation_coset([-x for x in e.k]),
+                           [(mu, w) for mu in mus
+                            if (w := prod(map(getitem, powers, mu)))])
+        i, weights = points[e.k]
+        moments = sums.setdefault((i, e.g), {})
+        for mu, w in weights:
+            n_mu = moments.get(mu) or moments.setdefault(mu, {})
             for c, a, x in entries:
                 n_mu[(a, c)] = n_mu.get((a, c), 0) + w * x
     leads = {}
@@ -355,7 +354,7 @@ def _block_row(mask: Mask, dilation: Dilation, table: _MomentTable,
             leads = table.leads[(b, t)]
             for row0, terms in enumerate(pattern):
                 for j, binom, mu in terms:
-                    n_mu = moment[mu]
+                    n_mu = moment.get(mu)
                     if not n_mu:
                         continue
                     for k, x in leads[j]:
@@ -389,25 +388,25 @@ def max_accuracy(mask: Mask, triple: CrystalTriple, dilation: Dilation,
 
     All degrees 0..s and all digit cosets are stacked into one homogeneous
     system, block triangular in the degree.  Block row s is built once, as
-    sparse rows scaled by the moment table's common denominator D (a row
-    scale leaves the kernel as it is), reduced to [K_(s,<s) B | K_ss]
-    with B the rref kernel basis of the rows below it, and solved exactly
-    by :func:`solve_affine`, which returns the rref kernel basis of the
-    stacked rows.  Rows, basis and kernel stay plain sparse values
-    (:class:`SparseRows`, ints where integral), so on integral data the
-    reduction, the elimination and the lift run on Python ints.
-    Candidate accuracy s+1 is feasible when a kernel vector meets the gate
-    v_[0] . fhat(0) != 0, decided exactly on the vector's degree-0 entries
-    against the vector of :func:`fhat0`; the first one met is the
-    witness, the one vector wrapped in Mats.  Feasibility is
-    monotone in s, so the scan stops at the first failure.  The witness is
-    scaled so its first nonzero degree-0 entry is 1.  When fhat(0) must
-    vanish (status 'empty') or is not determined (status 'defective'), the
+    sparse rows scaled by the moment table's common denominator D (a row scale
+    leaves the kernel as it is), reduced to [K_(s,<s) B | K_ss] with B the
+    kernel basis of the rows below it, and solved exactly by
+    :func:`solve_affine`, whose kernel vectors are positive multiples of the
+    stacked rows' rref kernel vectors, in order, coprime ints on real data.
+    Rows, basis and kernel stay plain sparse values (:class:`SparseRows`), so
+    on integral data the reduction, the elimination and the lift run on Python
+    ints.  Candidate accuracy s+1 is feasible when a kernel vector meets the
+    gate v_[0] . fhat(0) != 0, decided exactly on the vector's degree-0 entries
+    against the vector of :func:`fhat0`; the first one met is the witness, the
+    one vector wrapped in Mats.  Feasibility is monotone in s, so the scan
+    stops at the first failure.  The witness is scaled so its first nonzero
+    degree-0 entry is 1, whatever the scale of its kernel vector.  When fhat(0)
+    must vanish (status 'empty') or is not determined (status 'defective'), the
     gate cannot be met and p is 0.
 
-    The certificate proves polynomial reproduction (the sufficient
-    direction); it is also maximal whenever the translates of the
-    refinable function are independent.
+    The certificate proves polynomial reproduction (the sufficient direction);
+    it is also maximal whenever the translates of the refinable function are
+    independent.
     """
     if p_max < 1:
         raise ValueError("p_max must be at least 1")
@@ -524,8 +523,8 @@ def sufficient_check(mask: Mask, triple: CrystalTriple, dilation: Dilation,
         for s in range(p):
             alphas = enumerate_degree(d, s)
             for a, row in zip(alphas, act(g, s)):
-                sums[(b, a)][i] = sum(x * moment[alphas[k]].get((0, 0), 0)
-                                      for k, x in enumerate(row) if x)
+                sums[(b, a)][i] = sum(x * moment.get(alphas[k], {}).get(
+                    (0, 0), 0) for k, x in enumerate(row) if x)
     per_coset = {key: [_exact(x, view.scale) for x in xs]
                  for key, xs in sums.items()}
     beta = {key: xs[0] for key, xs in per_coset.items() if len(set(xs)) == 1}
@@ -617,6 +616,7 @@ def verify_equivalence(mask: Mask, dilation: Dilation, v: VCollection | None,
         return EquivalenceReport(0, 0.0, 0.0, 0.0, True, {})
     details = {}
     zero = []
+    blocks = mask.items()
 
     def record(kind, s, where, mat):
         details[(kind, s, where)] = mat.max_abs()
@@ -631,7 +631,7 @@ def verify_equivalence(mask: Mask, dilation: Dilation, v: VCollection | None,
         """(gamma, d_alpha) for the support elements alpha whose
         alpha sigma is A gamma A^{-1}, gamma in the group."""
         terms = []
-        for alpha, d_blk in mask.items():
+        for alpha, d_blk in blocks:
             gamma = dilation.deconj(compose(alpha, sigma))
             if gamma is not None:
                 terms.append((gamma, d_blk))

@@ -103,7 +103,13 @@ class CrystalTriple:
         return len(self.group)
 
     def element(self, g: int, k) -> "CrystalElement":
-        return CrystalElement(self, g, tuple(int(x) for x in k))
+        """(g, k); a bool or non-integral coordinate raises ValueError."""
+        k = tuple(k)
+        if not all(type(x) is int for x in k):
+            if any(isinstance(x, bool) or int(x) != x for x in k):
+                raise ValueError(f"not an integral lattice point: {k!r}")
+            k = tuple(map(int, k))
+        return CrystalElement(self, g, k)
 
     def identity(self) -> "CrystalElement":
         return self.element(0, (0,) * self.d)

@@ -1,40 +1,39 @@
 """Exact linear algebra kernels.
 
-One matrix type, :class:`Mat`, and every operation on it is exact.  It
-stores each entry as a plain value: an int where it is integral, a
-Fraction where it is real, and a complex number with rational parts
-(:class:`QC`) only where its imaginary part is non-zero.  :meth:`Mat.plain`
-gives those rows, the one exact way in for the package's solvers.  The
-public QC face is :meth:`Mat.entry`, :meth:`Mat.row_list`, :func:`det` and
-the report scalars of :mod:`crystacc.accuracy`; elsewhere the package
-builds a QC only for a value with a non-zero imaginary part.
-Floats cross the boundary once in each direction: :meth:`Mat.np` is the one
-way out (the cascade oracle computes on those arrays), and
-:func:`read_scalar`, the reader of every scalar literal, the one way in:
-it keeps exact parts and reads each float part with :func:`read_float`,
-which reads a finite float ``x`` as the rational closest to it with
-denominator at most
-``FLOAT_DENOMINATOR_CAP`` (10**6), kept only when its nearest double is
-``x`` itself, so the change is at most half an ulp; otherwise as the exact
-dyadic value of ``x``.  Booleans, NaN and infinities are refused.
+One matrix type, :class:`Mat`, and every operation on it is exact.  It stores
+each entry as a plain value: an int where it is integral, a Fraction where it
+is real, and a complex number with rational parts (:class:`QC`) only where its
+imaginary part is non-zero.  :meth:`Mat.plain` gives those rows, the one exact
+way in for the package's solvers.  The public QC face is :meth:`Mat.entry`,
+:meth:`Mat.row_list`, :func:`det` and the report scalars of
+:mod:`crystacc.accuracy`; elsewhere the package builds a QC only for a value
+with a non-zero imaginary part.  Floats cross the boundary once in each
+direction: :meth:`Mat.np` is the one way out (the cascade oracle computes on
+those arrays), and :func:`read_scalar`, the reader of every scalar literal, the
+one way in: it keeps exact parts and reads each float part with
+:func:`read_float`, which reads a finite float ``x`` as the rational closest to
+it with denominator at most ``FLOAT_DENOMINATOR_CAP`` (10**6), kept only when
+its nearest double is ``x`` itself, so the change is at most half an ulp;
+otherwise as the exact dyadic value of ``x``.  Booleans, NaN and infinities are
+refused.
 
 One Gauss-Jordan elimination, ``_rref``, serves :func:`rank`,
 :func:`kernel_basis`, :func:`det`, :meth:`Mat.inverse` (the rref of
-``[A | I]``) and :func:`solve_affine`.  It runs on sparse rows, one dict
-column -> value per row, and is fraction-free: each row is scaled to
-integers by the lcm of its denominators (a row of ints as it is) and kept
-divided by its content, a row equal to one already read is dropped (so
-coset blocks that coincide are eliminated once), only the rows with a
-non-zero in the pivot column are updated, the pivot
-row is the unused candidate with the fewest non-zeros (Markowitz), and the
-pivot rows are divided by their pivots once, at the end.  Real data run
-on Python ints, complex data on QCs with integer parts, through the same
-loop.  The columns are taken in order, so the rref is the textbook one.
-The determinant is tracked through the row scalings and the order of the
-pivot rows.  :class:`Mat` is the dense exact matrix of the public API;
-:class:`SparseRows` carries the exact solver's rows and kernels as plain
-values in sparse form.  :meth:`QC.is_zero` (with :meth:`Mat.is_zero`) is
-the one zero test of the public scalars.
+``[A | I]``) and :func:`solve_affine`.  It runs on sparse rows, one dict column
+-> value per row, and is fraction-free: each row is scaled to integers by the
+lcm of its denominators (a row of ints as it is) and kept divided by its
+content, a row equal to one already read is dropped (so coset blocks that
+coincide are eliminated once), only the rows with a non-zero in the pivot
+column are updated, the pivot row is the unused candidate with the fewest
+non-zeros (Markowitz), and the pivot rows are divided by their pivots once, at
+the end, but for :func:`_kernel`, whose vectors are positive multiples of the
+rref ones, coprime ints on real data.  Real data run on Python ints, complex
+data on QCs with integer parts, through the same loop.  The columns are taken
+in order, so the rref is the textbook one.  The determinant is tracked through
+the row scalings and the order of the pivot rows.  :class:`Mat` is the dense
+exact matrix of the public API; :class:`SparseRows` carries the exact solver's
+rows and kernels as plain values in sparse form.  :meth:`QC.is_zero` (with
+:meth:`Mat.is_zero`) is the one zero test of the public scalars.
 """
 
 from __future__ import annotations
@@ -161,8 +160,8 @@ class QC:
         re, im = _parts(other)
         return self.re == re and self.im == im
 
-    def __hash__(self):
-        return hash((self.re, self.im))
+    def __hash__(self):  # a real QC hashes as the int or Fraction it equals
+        return hash((self.re, self.im) if self.im else self.re)
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
@@ -417,40 +416,39 @@ def _dict_rows(m: Mat) -> list[dict]:
     return [{j: x for j, x in enumerate(row) if x} for row in m._data]
 
 
-def _rref(rows: list[dict], n_cols: int, with_det: bool = False
-          ) -> tuple[list[dict], list[int], QC | None]:
+def _rref(rows: list[dict], n_cols: int, with_det: bool = False,
+          unit: bool = True) -> tuple[list[dict], list[int], QC | None]:
     """Reduced row echelon form of sparse exact rows by fraction-free
     Gauss-Jordan elimination, the one exact elimination in the package.
-    Returns (the rref's non-zero rows, each a dict column -> value, an int
-    or Fraction on real data and a QC otherwise; their pivot columns; and
-    with ``with_det``, the determinant of the leading square block, the
-    first ``len(rows)`` columns, in the same form as the entries, which is
-    None unless that block has a pivot in every column).
+    Returns (the rref's non-zero rows, each a dict column -> value, an int or
+    Fraction on real data and a QC otherwise, or with ``unit`` false the pivot
+    rows undivided, integral; their pivot columns; and with ``with_det``, the
+    determinant of the leading square block, the first ``len(rows)`` columns,
+    in the same form as the entries, which is None unless that block has a
+    pivot in every column).
 
-    Each row is scaled to integers by the lcm of its denominators (real
-    data then run on Python ints, complex data on QCs with integer parts;
-    a row of ints on real data is read as it is) and divided by its
-    content, the gcd of all its real and imaginary parts.  A row equal to
-    one already read is then dropped: the row space, so the rref, the
-    pivots and every kernel, stays the same.  The exact solver's block
-    rows stack one block per digit coset, and those blocks coincide
-    wherever the per-coset moments agree, as the sum rules say; so each
-    distinct constraint is eliminated once.  A dropped row makes the
-    leading square block singular, and the determinant is then None.
-    The columns are taken in their order, so the rref, which is
-    unique for a fixed column order, is that of the textbook elimination.
-    Among the rows not yet used with a non-zero ``p`` in the pivot column,
-    the one with the fewest non-zeros is the pivot row ``y`` (Markowitz,
-    Management Sci. 3, 1957); only the rows ``x`` with a non-zero ``f`` in
-    the column change, to ``(p*x - f*y) / content``.  The pivot rows are
-    divided by their pivots once, at the end.  For a square matrix each
-    change scales the determinant by p / content and each row's first
-    scaling by its lcm over its content; the rows end as a permutation of
-    the diagonal of their pivots, whose sign and product give the
-    determinant of the scaled matrix.  Columns past the square block, such
-    as the identity of [A | I], change none of this.  The determinant is
-    tracked only on request, as the kernel queries and
-    :meth:`Mat.inverse` do not read it.
+    Each row is scaled to integers by the lcm of its denominators (real data
+    then run on Python ints, complex data on QCs with integer parts; a row of
+    ints on real data is read as it is) and divided by its content, the gcd of
+    all its real and imaginary parts.  A row equal to one already read is then
+    dropped: the row space, so the rref, the pivots and every kernel, stays the
+    same.  The exact solver's block rows stack one block per digit coset, and
+    those blocks coincide wherever the per-coset moments agree, as the sum
+    rules say; so each distinct constraint is eliminated once.  A dropped row
+    makes the leading square block singular, and the determinant is then None.
+    The columns are taken in their order, so the rref, which is unique for a
+    fixed column order, is that of the textbook elimination.  Among the rows
+    not yet used with a non-zero ``p`` in the pivot column, the one with the
+    fewest non-zeros is the pivot row ``y`` (Markowitz, Management Sci. 3,
+    1957); only the rows ``x`` with a non-zero ``f`` in the column change, to
+    ``(p*x - f*y) / content``.  The pivot rows are divided by their pivots
+    once, at the end, if ``unit``.  For a square matrix each change scales the
+    determinant by p / content and each row's first scaling by its lcm over its
+    content; the rows end as a permutation of the diagonal of their pivots,
+    whose sign and product give the determinant of the scaled matrix.  Columns
+    past the square block, such as the identity of [A | I], change none of
+    this.  The determinant is tracked only on request, as the kernel queries
+    and :meth:`Mat.inverse` do not read it.
     """
     real = not any(type(x) is QC and x.im for row in rows
                    for x in row.values())
@@ -533,10 +531,10 @@ def _rref(rows: list[dict], n_cols: int, with_det: bool = False
         owners.append(k)
         if len(owners) == len(a):
             break
-    out = []
-    for col, k in zip(pivots, owners):
-        p = a[k][col]
-        out.append({j: ratio(e, p) for j, e in a[k].items()})
+    out = [a[k] for k in owners]
+    if unit:
+        out = [{j: ratio(e, x[col]) for j, e in x.items()}
+               for x, col in zip(out, pivots)]
     det = None
     if track and pivots == list(range(len(a))):
         odd = sum(owners[i] > owners[j] for i in range(len(a))
@@ -547,17 +545,37 @@ def _rref(rows: list[dict], n_cols: int, with_det: bool = False
 
 
 def _kernel(rows: list[dict], n_cols: int) -> list[dict]:
-    """The rref kernel basis of sparse rows, as sparse vectors: for each
-    free column f of the rref, 1 at f and minus the rref's column f at
-    the pivot columns."""
-    rref, pivots, _ = _rref(rows, n_cols)
+    """A kernel basis of sparse rows: for each free column f of the rref, in
+    order, a positive multiple of the rref kernel vector (1 at f and minus the
+    rref's column f at the pivots).  From the undivided pivot rows of
+    :func:`_rref`, a complex one times its pivot's conjugate, so each pivot p
+    is an int: L at f and -x L / p at the pivot of each row with x at f, L the
+    lcm of those p, over its content (coprime ints on real data, QCs with
+    integer parts otherwise)."""
+    pivot_rows, pivots, _ = _rref(rows, n_cols, unit=False)
     taken = set(pivots)
-    basis = {f: {f: 1} for f in range(n_cols) if f not in taken}
-    for row, col in zip(rref, pivots):
+    basis = {f: {} for f in range(n_cols) if f not in taken}
+    for row, col in zip(pivot_rows, pivots):
+        p = row[col]
+        if type(p) is QC:
+            q = QC(p.re, -p.im)
+            row, p = {j: x * q for j, x in row.items()}, p.abs2().numerator
         for j, x in row.items():
             if j != col:
-                basis[j][col] = -x
-    return list(basis.values())
+                basis[j][col] = (x, p)
+    out = []
+    for f, terms in basis.items():
+        s = math.lcm(*(p for _, p in terms.values()))
+        out.append(_primitive({f: s} | {col: -x * (s // p)
+                                        for col, (x, p) in terms.items()}))
+    return out
+
+
+def _primitive(v: dict) -> dict:
+    """A sparse vector of integral parts divided by their gcd."""
+    c = math.gcd(*(q.numerator for x in v.values() for q in _parts(x)))
+    return v if c == 1 else {j: x // c if type(x) is int else QC(
+        x.re / c, x.im / c) for j, x in v.items()}
 
 
 def rank(m: Mat) -> int:
@@ -565,11 +583,12 @@ def rank(m: Mat) -> int:
 
 
 def kernel_basis(m: Mat) -> list[Mat]:
-    """Basis of the right null space, as a list of column matrices: one
-    basis column per free column of the rref, 1 there and minus the
-    rref's column at the pivots (the rref kernel basis)."""
-    return [Mat.column([v.get(j, 0) for j in range(m.cols)])
-            for v in _kernel(_dict_rows(m), m.cols)]
+    """Basis of the right null space, as a list of column matrices: one basis
+    column per free column of the rref, 1 there and minus the rref's column at
+    the pivots (the rref kernel basis): each vector of :func:`_kernel` divided
+    by its entry at its free column, its last."""
+    return [Mat.column([v.get(j, 0) for j in range(m.cols)]).scale(
+        Fraction(1, v[max(v)])) for v in _kernel(_dict_rows(m), m.cols)]
 
 
 def det(m: Mat) -> QC:
@@ -603,15 +622,16 @@ def kron(a: Mat, b: Mat) -> Mat:
 
 
 def solve_affine(k: SparseRows, basis: SparseRows) -> SparseRows:
-    """Kernel of a block row ``k = [K_old B | K_new]`` reduced against
-    the carried basis B, whose ``basis.rows`` vectors have
-    ``basis.cols`` entries each (none at the first block row):
-    ``(B c, v)`` for each rref kernel vector ``(c, v)`` of ``k``, as
-    sparse vectors of ``basis.cols + k.cols - basis.rows`` entries.  When
-    B is the rref kernel basis of the rows above, this is the rref kernel
-    basis of the stacked rows, as B is the identity on its free
-    coordinates.  Only the non-zero entries of B and of the kernel are
-    combined, on plain values: no QC is made where the data are real."""
+    """Kernel of a block row ``k = [K_old B | K_new]`` reduced against the
+    carried basis B, whose ``basis.rows`` vectors have ``basis.cols`` entries
+    each (none at the first block row): ``(B c, v)`` over its content for each
+    vector ``(c, v)`` of the :func:`_kernel` of ``k``, as sparse vectors of
+    ``basis.cols + k.cols - basis.rows`` entries.  When B is the rref kernel
+    basis of the rows above, each vector scaled by its own positive factor, so
+    is the result for the stacked rows, in order: B is then a positive diagonal
+    on its free coordinates.  Only the non-zero entries of B and of the kernel
+    are combined, on plain values: on real data no QC is made, and on int
+    rows no Fraction."""
     n, start = basis.rows, basis.cols
     out = []
     for x in _kernel(k.data, k.cols):
@@ -622,5 +642,5 @@ def solve_affine(k: SparseRows, basis: SparseRows) -> SparseRows:
                     v[j] = v.get(j, 0) + y * b
             else:
                 v[start + c - n] = y
-        out.append({j: e for j, e in v.items() if e != 0})
+        out.append(_primitive({j: e for j, e in v.items() if e != 0}))
     return SparseRows(out, start + k.cols - n)

@@ -31,29 +31,27 @@ class MaskShapeError(ValueError):
 class Mask:
     """Finite family of r x r coefficient blocks keyed by group elements.
 
-    Blocks absent from the mapping are exact zeros, so every sum over the
-    whole group reduces to a finite sum over :meth:`support`.  A block is a
-    square :class:`Mat` or a list of rows of coefficients; a coefficient is
-    exact (int, Fraction, "p/q" string, QC), a float or complex, or an
-    [re, im] pair whose parts are each exact or float.  A mask is
-    immutable once built and always exact: each coefficient is read by
-    :func:`~crystacc.linalg.read_scalar`, a distinct string or float once
-    per construction, and ``float_change`` keeps the largest relative
-    change |read - given| / |given| of a non-zero entry with a float part
-    (None when there was none).  Booleans are refused.
-    Each block stores its entries as plain values (ints where integral,
-    Fractions where real, QCs only where complex; :meth:`Mat.plain`), and
-    :meth:`plain` scales them by their common denominator, the one view
-    the exact solvers read.
+    Blocks absent from the mapping are exact zeros, so every sum over the whole
+    group reduces to a finite sum over :meth:`support`.  A block is a square
+    :class:`Mat` or a list of rows of coefficients; a coefficient is exact
+    (int, Fraction, "p/q" string, QC), a float or complex, or an [re, im] pair
+    whose parts are each exact or float.  A mask is immutable once built and
+    always exact: each coefficient is read by
+    :func:`~crystacc.linalg.read_scalar`, a distinct string or float once per
+    construction, and ``float_change`` keeps the largest relative change
+    |read - given| / |given| of a non-zero entry with a float part (None when
+    there was none).  Booleans are refused.  Each element keeps the rows it
+    was read to, as plain values (ints where integral, Fractions where real,
+    QCs only where complex), and :meth:`plain` scales them by their common
+    denominator, the one view the exact solvers read; :meth:`block` and
+    :meth:`items` wrap them in a :class:`Mat` on request.
     """
 
     def __init__(self, triple: CrystalTriple, coefficients: dict,
                  r: int | None = None):
         if not coefficients:
             raise MaskShapeError("mask needs at least one coefficient")
-        size = None
-        blocks = {}
-        readings, changes = {}, []
+        size, blocks, readings, changes = None, {}, {}, []
 
         def read(x):
             # parsed once per (type, value), so true and 1, or 1.0 and 1,
@@ -73,25 +71,26 @@ class Mask:
             if not isinstance(key, CrystalElement) or key.triple is not triple:
                 raise MaskShapeError(f"key {key!r} is not an element of the "
                                      "mask's own triple")
-            if (isinstance(blk, list) and blk and all(
+            if isinstance(blk, Mat) and blk.rows == blk.cols:
+                rows = blk.plain()
+            elif (isinstance(blk, list) and blk and all(
                     isinstance(row, list) and len(row) == len(blk)
                     for row in blk)):
-                blk = Mat(len(blk), len(blk), tuple(
-                    tuple([read(x) for x in row]) for row in blk))
-            if not isinstance(blk, Mat) or blk.rows != blk.cols:
+                rows = tuple(tuple([read(x) for x in row]) for row in blk)
+            else:
                 raise MaskShapeError(f"coefficient at {key} is not a square "
                                      "matrix")
             if size is None:
-                size = blk.rows
-            elif blk.rows != size:
+                size = len(rows)
+            elif len(rows) != size:
                 raise MaskShapeError("coefficient blocks differ in size")
-            blocks[key] = blk
+            blocks[key] = rows
         if r is not None and size != r:
             raise MaskShapeError(f"expected {r}x{r} blocks, got {size}x{size}")
         self.triple = triple
         self.r = size
         self.float_change = max(changes, default=None)
-        self._blocks = blocks
+        self._rows = blocks
         self._support = tuple(sorted(blocks, key=lambda e: (e.g, e.k)))
         self._view = None
         # Dilation -> the moment table of accuracy._moments, kept likewise
@@ -102,9 +101,10 @@ class Mask:
         """Multiplicity-1 mask from a mapping of elements to scalars.
 
         Keys may be CrystalElements, (point index, lattice tuple) pairs,
-        lattice tuples, or bare integers in one dimension; the last two
-        default the point part to the identity.  Values are coefficients as
-        in the class docstring: float parts are read as rationals.
+        lattice tuples, or bare integers in one dimension; the last two default
+        the point part to the identity.  Values are coefficients as in the
+        class docstring: float parts are read as rationals.  Two keys that name
+        one element raise MaskShapeError.
         """
         coeffs = {}
         for key, val in entries.items():
@@ -117,6 +117,8 @@ class Mask:
                 e = triple.translation(key)
             else:
                 e = triple.translation((key,))
+            if e in coeffs:
+                raise MaskShapeError(f"duplicate element {e}")
             coeffs[e] = [[val]]
         return cls(triple, coeffs, r=1)
 
@@ -127,25 +129,27 @@ class Mask:
 
     def items(self):
         """(element, block) pairs in support order."""
-        return [(e, self._blocks[e]) for e in self._support]
+        return [(e, Mat(self.r, self.r, self._rows[e]))
+                for e in self._support]
 
     def block(self, gamma: CrystalElement) -> Mat | None:
-        return self._blocks.get(gamma)
+        rows = self._rows.get(gamma)
+        return None if rows is None else Mat(self.r, self.r, rows)
 
     def plain(self) -> "PlainCoefficients":
         """The coefficients as plain values over their common denominator
         (:class:`PlainCoefficients`), built on the first call and kept
         with the mask, which never changes."""
         if self._view is None:
-            nonzero = [(e, [(i, j, x) for i, row in enumerate(blk.plain())
+            nonzero = [(e, [(i, j, x) for i, row in enumerate(self._rows[e])
                             for j, x in enumerate(row) if x])
-                       for e, blk in self.items()]
-            scale = lcm(*(q.denominator for _, xs in nonzero
+                       for e in self._support]
+            scale = lcm(*{q.denominator for _, xs in nonzero
                           for _, _, x in xs
-                          for q in ((x.re, x.im) if isinstance(x, QC)
-                                    else (x,))))
+                          for q in ((x.re, x.im) if type(x) is QC
+                                    else (x,))})
             self._view = PlainCoefficients(scale, tuple(
-                (e, tuple((i, j, x * scale if isinstance(x, QC)
+                (e, tuple((i, j, x * scale if type(x) is QC
                            else x.numerator * (scale // x.denominator))
                           for i, j, x in xs))
                 for e, xs in nonzero))
@@ -155,8 +159,8 @@ class Mask:
         """The mask read back from double copies of its coefficients."""
         return Mask(self.triple,
                     {e: [[complex(x) if isinstance(x, QC) else float(x)
-                          for x in row] for row in b.plain()]
-                     for e, b in self._blocks.items()}, r=self.r)
+                          for x in row] for row in rows]
+                     for e, rows in self._rows.items()}, r=self.r)
 
     def __eq__(self, other):
         """Coefficient-wise equality; absent blocks count as zero and the
@@ -168,9 +172,9 @@ class Mask:
         t, u = self.triple, other.triple
         if t is not u and (t.d != u.d or t.R != u.R or t.group != u.group):
             return False
-        mine = {(e.g, e.k): blk for e, blk in self._blocks.items()}
-        theirs = {(e.g, e.k): blk for e, blk in other._blocks.items()}
-        zero = Mat.zeros(self.r, self.r)
+        mine = {(e.g, e.k): rows for e, rows in self._rows.items()}
+        theirs = {(e.g, e.k): rows for e, rows in other._rows.items()}
+        zero = ((0,) * self.r,) * self.r
         for key in set(mine) | set(theirs):
             if mine.get(key, zero) != theirs.get(key, zero):
                 return False
@@ -220,8 +224,8 @@ def lift_scalar_to_matrix(scalar_mask: Mask, dilation: Dilation) -> Mask:
         raise MaskShapeError("dilation belongs to a different triple")
     r = t.order
     inv = t.inverse_table
-    scalars = {(e.g, e.k): blk.plain()[0][0]
-               for e, blk in scalar_mask.items()}
+    scalars = {(e.g, e.k): rows[0][0]
+               for e, rows in scalar_mask._rows.items()}
     points = {_int_apply(t.int_reps[j], e.k)
               for e in scalar_mask.support() for j in range(r)}
     out_triple = lattice_triple(t)
@@ -268,8 +272,8 @@ def extract_scalar(matrix_mask: Mask, triple: CrystalTriple,
             f"matrix mask is not a lift: entry ({i}, {j}) at lattice point "
             f"{list(k)} breaks its lattice symmetry")
     entries = {}
-    for e, blk in matrix_mask.items():
-        for i, val in enumerate(blk.plain()[0]):
+    for e, rows in matrix_mask._rows.items():
+        for i, val in enumerate(rows[0]):
             if val == 0:
                 continue
             l = _int_apply(triple.int_reps[triple.inverse_table[i]], e.k)
@@ -293,17 +297,17 @@ def _first_asymmetry(matrix_mask: Mask, dilation: Dilation) -> tuple | None:
             f"mask multiplicity {matrix_mask.r} does not match the point "
             f"group order {r}")
     stored = {}
-    for e, blk in matrix_mask.items():
+    for e, rows in matrix_mask._rows.items():
         if e.g != 0:
             raise MaskShapeError("matrix mask must live on the bare lattice")
-        stored[e.k] = blk
+        stored[e.k] = rows
     maps = [t.int_reps[t.inverse_table[dilation.h[i]]] for i in range(r)]
     points = {_int_apply(pm, k) for k in stored for pm in maps} | set(stored)
-    zero = Mat.zeros(r, r)
+    zero = ((0,) * r,) * r
     for k in sorted(points):
-        rows = stored.get(k, zero).plain()
+        rows = stored.get(k, zero)
         for i in range(r):
-            first = stored.get(_int_apply(maps[i], k), zero).plain()[0]
+            first = stored.get(_int_apply(maps[i], k), zero)[0]
             for j in range(r):
                 if rows[i][j] != first[dilation.rho[i][j]]:
                     return k, i, j

@@ -7,7 +7,7 @@ import pytest
 
 from crystacc import cascade
 from crystacc.crystal import catalog_triple, check_admissible
-from crystacc.linalg import Mat
+from crystacc.linalg import Mat, SparseRows, _qc, _rref
 from crystacc.mask import Mask
 from crystacc.multiidx import _acted_rows
 
@@ -33,6 +33,48 @@ def reproduction_values(field, v, s, points):
     reads, excluded = cascade._walk(field, field.node_index(points))
     acted = _acted_rows(field.triple, [b.tolist() for b in v[:s + 1]])
     return cascade._sums(field, reads, len(excluded), s, acted), excluded
+
+
+def rref_kernel(rows, n_cols):
+    """The kernel routine as it was before its vectors were made
+    integral, kept as the reference: for each free column f of the rref,
+    1 at f and minus the rref's column f at the pivot columns."""
+    rref, pivots, _ = _rref(rows, n_cols)
+    taken = set(pivots)
+    basis = {f: {f: 1} for f in range(n_cols) if f not in taken}
+    for row, col in zip(rref, pivots):
+        for j, x in row.items():
+            if j != col:
+                basis[j][col] = -x
+    return list(basis.values())
+
+
+def rref_solve_affine(k, basis):
+    """linalg.solve_affine as it was on :func:`rref_kernel`, kept as the
+    reference: (B c, v) for each rref kernel vector (c, v) of k."""
+    n, start = basis.rows, basis.cols
+    out = []
+    for x in rref_kernel(k.data, k.cols):
+        v = {}
+        for c, y in x.items():
+            if c < n:
+                for j, b in basis.data[c].items():
+                    v[j] = v.get(j, 0) + y * b
+            else:
+                v[start + c - n] = y
+        out.append({j: e for j, e in v.items() if e != 0})
+    return SparseRows(out, start + k.cols - n)
+
+
+def positive_multiple(v, ref):
+    """Whether the sparse vector v is a positive rational multiple of the
+    non-zero sparse vector ref (entries ints, Fractions or QCs)."""
+    if set(v) != set(ref):
+        return False
+    j = next(iter(ref))
+    ratio = _qc(v[j]) / _qc(ref[j])
+    return (ratio.im == 0 and ratio.re > 0
+            and all(_qc(v[i]) == _qc(x) * ratio.re for i, x in ref.items()))
 
 
 @pytest.fixture(scope="session")

@@ -24,6 +24,8 @@ from crystacc.multiidx import (VCollection, build_A_s, build_Q_st,
                                build_Q_tilde, dim_degree, enumerate_degree,
                                eval_X)
 
+from conftest import rref_solve_affine
+
 
 def _witness_entries(cert):
     """Flatten a 1D multiplicity-1 witness into a tuple of QC entries."""
@@ -844,6 +846,13 @@ def _fraction_moments(mask, dilation, p_max):
     return table
 
 
+def _nonempty(sums):
+    """A moment table's sums without their empty moments: the table keeps
+    a moment N_mu only where some term reaches it."""
+    return {key: {mu: n for mu, n in moments.items() if n}
+            for key, moments in sums.items()}
+
+
 def _fraction_block_row(mask, dilation, moments, s):
     """Block row s from the Fraction moment table, with 1 on the diagonal
     and the leads (b^{-1})_[t] A_[t] rebuilt for every coset and point
@@ -928,9 +937,10 @@ def test_integer_rows_are_the_fraction_rows_times_the_denominator(
     table = accuracy_mod._moments(mask, dil, s_top + 1)
     reference = _fraction_moments(mask, dil, s_top + 1)
     assert table.scale == scale
-    assert table.sums == {key: {mu: {ac: scale * x for ac, x in n.items()}
-                                for mu, n in moments.items()}
-                          for key, moments in reference.items()}
+    assert _nonempty(table.sums) == {
+        key: {mu: {ac: scale * x for ac, x in n.items()}
+              for mu, n in moments.items()}
+        for key, moments in _nonempty(reference).items()}
     for s in range(s_top + 1):
         assert accuracy_mod._block_row(mask, dil, table, s) == [
             {j: scale * x for j, x in row.items()}
@@ -1316,7 +1326,7 @@ def _reference_sufficient_check(mask, triple, dilation, p):
         for s in range(p):
             alphas = enumerate_degree(d, s)
             col = build_A_s(triple.group[g], s) @ Mat.column(
-                [moment[a].get((0, 0), 0) for a in alphas])
+                [moment.get(a, {}).get((0, 0), 0) for a in alphas])
             for j, a in enumerate(alphas):
                 key = (triple.inverse_table[g], a)
                 per_coset[key][i] = col.entry(j, 0) / table.scale
@@ -1496,7 +1506,8 @@ def _inline_block_row(mask, dilation, table, s, coset=None):
                 for row0, alpha in enumerate(alphas):
                     if any(k > n for n, k in zip(alpha, beta)):
                         continue
-                    n_mu = moment[tuple(n - k for n, k in zip(alpha, beta))]
+                    n_mu = moment.get(
+                        tuple(n - k for n, k in zip(alpha, beta)), {})
                     binom = prod(comb(n, k) for n, k in zip(alpha, beta))
                     for k, x in lead:
                         col0, bx = starts[t] + k * r, binom * x
@@ -1600,3 +1611,104 @@ def test_the_kept_table_serves_every_smaller_degree_bound(line, p1m, where,
     assert more == accuracy_mod._moments(Mask(t, blocks, r=r), dil,
                                          p_max + 1)
     assert mask._moment_tables == {dil: more}
+
+
+# -- moments once per lattice point, and the integral carried kernel --------
+
+def _per_element_moments(mask, dilation, p_max):
+    """accuracy._moments as it was before it read each lattice point once,
+    kept as the reference: the coset of -k, R k and every monomial weight
+    are recomputed for each support element, and each (coset, point part)
+    starts with an empty N_mu for every mu."""
+    tri, d = mask.triple, mask.triple.d
+    view = mask.plain()
+    mus = [mu for s in range(p_max) for mu in enumerate_degree(d, s)]
+    sums = {}
+    for e, entries in view.entries:
+        key = (dilation.translation_coset([-x for x in e.k]), e.g)
+        moments = sums.setdefault(key, {mu: {} for mu in mus})
+        powers = [[(-y) ** n for n in range(p_max)]
+                  for y in e.true_translation()]
+        for mu in mus:
+            w = prod(p[n] for p, n in zip(powers, mu))
+            if w == 0:
+                continue
+            n_mu = moments[mu]
+            for c, a, x in entries:
+                n_mu[(a, c)] = n_mu.get((a, c), 0) + w * x
+    leads = {}
+    for b in {b for _, b in sums}:
+        b_inv_a = tri.group[tri.inverse_table[b]] @ dilation.A
+        for t in range(p_max):
+            leads[(b, t)] = [[(k, x) for k, x in enumerate(row) if x]
+                             for row in build_A_s(b_inv_a, t).plain()]
+    return accuracy_mod._MomentTable(p_max, view.scale, sums, leads)
+
+
+@seed(2026)
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(KEPT_CASES), st.sampled_from([1, 2]),
+       st.sampled_from(["int", "rational", "complex"]), st.integers(1, 5),
+       st.randoms(use_true_random=False))
+def test_moments_per_lattice_point_match_the_per_element_loop(
+        line, p1m, where, r, kind, p_max, rnd):
+    """The moment table read once per lattice point has the sums (up to
+    the empty N_mu the per-element loop made for every mu), leads and
+    scale of the per-element loop it replaced: d = 1, 2 and 3, r = 1 and
+    2, int, rational and complex masks, R = I and R != I, with several
+    point parts on one lattice point."""
+    t, dil = _kept_case(line, p1m, where)
+    blocks = _random_blocks(t, r, kind, rnd)
+    for e in list(blocks):
+        blocks[t.element(rnd.randrange(t.order), e.k)] = blocks[e]
+    mask = Mask(t, blocks, r=r)
+    table = accuracy_mod._moments(mask, dil, p_max)
+    ref = _per_element_moments(mask, dil, p_max)
+    assert (table.p_max, table.scale, table.leads) == \
+        (ref.p_max, ref.scale, ref.leads)
+    assert table.sums.keys() == ref.sums.keys()
+    assert _nonempty(table.sums) == _nonempty(ref.sums)
+
+
+def _assert_same_certificate(cert, ref):
+    assert cert.p == ref.p and cert.gate == ref.gate
+    assert cert.witness == ref.witness
+    assert cert.diagnostics == ref.diagnostics
+
+
+@seed(2026)
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["line", "p1m", "pm", "p4m", "pm-scaled",
+                        "p2-sheared"]),
+       st.sampled_from([1, 2]), st.booleans(), st.data())
+def test_max_accuracy_on_the_integral_kernel_matches_the_rref_kernel(
+        line, p1m, pm, where, r, real, data):
+    """max_accuracy carrying the integral kernel gives the accuracy,
+    kernel dimensions, first failing degree, witness and gate that it gave
+    carrying the rref kernel (the reference solve_affine): masks of
+    accuracy 2 to 4 with drawn entries changed, real and complex, r = 1
+    and 2, over p1, p1m, pm, p4m, a scaled pm lattice and a sheared p2
+    one."""
+    t, dil, mask = _changed_mask(line, p1m, pm, where, r, real, data)
+    p_max = 4 if t.d == 1 else 3
+    cert = max_accuracy(mask, t, dil, p_max)
+    with mock.patch.object(accuracy_mod, "solve_affine", rref_solve_affine):
+        ref = max_accuracy(Mask(t, dict(mask.items()), r=r), t, dil, p_max)
+    _assert_same_certificate(cert, ref)
+
+
+@seed(2026)
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(KEPT_CASES), st.sampled_from([1, 2]),
+       st.sampled_from(["int", "rational", "complex"]),
+       st.randoms(use_true_random=False))
+def test_max_accuracy_on_random_masks_matches_the_rref_kernel(
+        line, p1m, where, r, kind, rnd):
+    """As above, on masks of drawn blocks, mostly of accuracy 0, whose
+    kernels are wider than those of the designed masks."""
+    t, dil = _kept_case(line, p1m, where)
+    blocks = _random_blocks(t, r, kind, rnd)
+    cert = max_accuracy(Mask(t, blocks, r=r), t, dil, 3)
+    with mock.patch.object(accuracy_mod, "solve_affine", rref_solve_affine):
+        ref = max_accuracy(Mask(t, blocks, r=r), t, dil, 3)
+    _assert_same_certificate(cert, ref)

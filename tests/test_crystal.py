@@ -615,3 +615,18 @@ def test_apply_element_exactness(pm, seed):
     assert all(c.im == 0 for c in y)  # exact rational coordinates
     back = apply_element(inverse(gamma), y)
     assert tuple(c.re for c in back) == tuple(x)
+
+
+def test_element_refuses_boolean_and_non_integral_coordinates():
+    """A lattice coordinate is read as an int only where it is one: a
+    boolean or a non-integral value raises ValueError instead of being
+    truncated, and integral values of other types are read as ints."""
+    t = catalog_triple("p1", 1)
+    for bad in (True, False, 0.5, 1.9, -0.5, Fraction(1, 2), "1"):
+        with pytest.raises(ValueError):
+            t.element(0, (bad,))
+    with pytest.raises(ValueError):
+        catalog_triple("p1", 2).translation((1, 2.5))
+    for good in (3, np.int64(3), 3.0, Fraction(6, 2)):
+        e = t.element(0, (good,))
+        assert e == t.element(0, (3,)) and type(e.k[0]) is int

@@ -493,7 +493,8 @@ def test_block_rows_read_the_shift_pattern():
 def test_one_common_denominator_of_the_coefficients():
     """One function computes the lcm of a mask's coefficient
     denominators, the mask's plain view; the only other lcms in src/ are
-    the row scaling of the one elimination routine and the witness's own
+    the row scaling of the one elimination routine, the lcm of the
+    pivots that makes each kernel vector integral, and the witness's own
     denominator in the witness guard's walk."""
     callers = []
     for path in SOURCES:
@@ -506,6 +507,7 @@ def test_one_common_denominator_of_the_coefficients():
                     for node in ast.walk(func)):
                 callers.append((path.name, func.name))
     assert sorted(callers) == [("accuracy.py", "_residual_walk"),
+                               ("linalg.py", "_kernel"),
                                ("linalg.py", "_rref"),
                                ("mask.py", "plain")]
 
@@ -820,3 +822,65 @@ def test_qc_arithmetic_builds_no_qc_from_a_real_operand(monkeypatch):
     assert cert.p == 1 and cert.gate == 1
     assert cert.diagnostics["kernel_dims"] == {0: 1, 1: 0}
     assert cert.witness.block(0).entry(0, 0) == 1
+
+
+def _scan_style_masks():
+    """(mask, dilation, p_max) of seeded real masks on integral lattices
+    like those of an accuracy scan: 2 ((1 + z) / 2)^n q(z) on p1 with q a
+    random rational polynomial, q(1) = 1, and its tensor square spread
+    over the point parts of pm and p4m."""
+    rnd = random.Random(2026)
+    out = []
+    for n in (2, 3):
+        q = [Fraction(rnd.randint(-4, 4), rnd.randint(1, 5))
+             for _ in range(2)]
+        q.append(1 - sum(q))
+        a = [Fraction(2, 2 ** n) * math.comb(n, k) for k in range(n + 1)]
+        coef = {}
+        for i, x in enumerate(a):
+            for j, y in enumerate(q):
+                coef[i + j] = coef.get(i + j, 0) + x * y
+        line = catalog_triple("p1", 1)
+        out.append((Mask.scalar(line, coef),
+                    check_admissible(Mat.from_rows([[2]]), line), n + 1))
+        for group in ("pm", "p4m"):
+            t = catalog_triple(group, 2)
+            spread = {(g, (i, j)): x * y / t.order for g in range(t.order)
+                      for i, x in coef.items() for j, y in coef.items()}
+            out.append((Mask.scalar(t, spread),
+                        check_admissible(Mat.from_rows([[2, 0], [0, 2]]), t),
+                        3))
+    return out
+
+
+def test_the_carried_kernel_is_built_on_ints(monkeypatch):
+    """On real masks over an integral lattice, each degree's reduced
+    block row and the kernel carried into and out of solve_affine hold
+    Python ints only, and no Fraction is built while solve_affine runs:
+    the kernel vectors are integral, so the reduction against them and
+    the next degree's elimination never leave the ints."""
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(1)
+        return new(cls, *args, **kwargs)
+
+    solve, calls = accuracy.solve_affine, []
+
+    def spy(system, basis):
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        out = solve(system, basis)
+        monkeypatch.undo()
+        calls.append(1)
+        for rows in (system, basis, out):
+            assert {type(x) for row in rows.data
+                    for x in row.values()} <= {int}
+        return out
+
+    for mask, dil, p_max in _scan_style_masks():
+        with monkeypatch.context() as patched:
+            patched.setattr(accuracy, "solve_affine", spy)
+            cert = accuracy.max_accuracy(mask, mask.triple, dil, p_max)
+        assert cert.p >= 2
+    assert len(calls) >= 12 and made == []

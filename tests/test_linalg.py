@@ -11,9 +11,11 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from crystacc.linalg import (FLOAT_DENOMINATOR_CAP, Mat, QC, QC_ZERO,
-                             SparseRows, _parts, _qc, _rref, det,
+                             SparseRows, _kernel, _parts, _qc, _rref, det,
                              kernel_basis, kron, rank, read_float,
                              read_scalar, solve_affine)
+
+from conftest import positive_multiple, rref_kernel, rref_solve_affine
 
 
 def test_qc_exact_arithmetic():
@@ -901,3 +903,138 @@ def test_repeated_rows_read_once_against_every_row(n_rows, n_cols, copies,
         assert det(m) == QC_ZERO
         with pytest.raises(ValueError, match="singular matrix"):
             m.inverse()
+
+
+def test_equal_public_values_hash_equal():
+    """A QC equal to an int or a Fraction hashes as it, so sets and dict
+    keys mixing public and plain values hold each value once; QCs with a
+    non-zero imaginary part hash by both parts."""
+    pairs = [(QC(1), 1), (QC(Fraction(1, 2)), Fraction(1, 2)),
+             (QC(Fraction(4, 2)), 2), (QC(-3), Fraction(-6, 2)),
+             (QC(0), 0), (QC(Fraction(1, 3), 0), Fraction(1, 3)),
+             (QC(Fraction(1, 2), Fraction(-1, 4)),
+              QC(Fraction(2, 4), Fraction(-2, 8))),
+             (QC(0, 1), QC(Fraction(0), Fraction(3, 3)))]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1 and {a: 1}[b] == 1
+    assert len({QC(1, 1), QC(1, -1), QC(1), 1}) == 3
+
+
+def _sparse_rows(n_rows, n_cols, entry, shape, data):
+    """Seeded sparse rows (about half the entries zero): as drawn, with a
+    combination of the first two rows last (rank deficient), or with rows
+    repeated up to a positive scale."""
+    rows = [{j: x for j in range(n_cols)
+             if (x := data.draw(st.one_of(st.just(0), entry))) != 0}
+            for _ in range(n_rows)]
+    if shape == "deficient" and n_rows > 2:
+        c0, c1 = data.draw(entry), data.draw(entry)
+        combined = {j: c0 * rows[0].get(j, 0) + c1 * rows[1].get(j, 0)
+                    for j in range(n_cols)}
+        rows[-1] = {j: x for j, x in combined.items() if x != 0}
+    elif shape == "repeat":
+        c = data.draw(st.integers(1, 3))
+        rows += [{j: c * x for j, x in row.items()} for row in rows[:2]]
+    return rows
+
+
+def _assert_integral(v, real):
+    """Real entries are coprime ints; complex ones have integral parts."""
+    parts = [q for x in v.values() for q in _parts(x)]
+    assert all(q == int(q) for q in parts)
+    if real:
+        assert {type(x) for x in v.values()} == {int}
+        assert math.gcd(*v.values()) == 1
+
+
+@seed(2026)
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 7),
+       st.sampled_from(["int", "rational", "complex"]),
+       st.sampled_from(["drawn", "deficient", "repeat"]), st.data())
+def test_integral_kernel_against_the_rref_kernel(n_rows, n_cols, kind, shape,
+                                                 data):
+    """_kernel gives, in the rref kernel's order, a positive multiple of
+    each of its vectors: coprime ints on int and rational rows, integral
+    parts on complex ones; kernel_basis, which divides each by its entry
+    at its free column, is the rref kernel basis itself."""
+    entry = {"int": small_int, "rational": real_entry,
+             "complex": complex_entry}[kind]
+    rows = _sparse_rows(n_rows, n_cols, entry, shape, data)
+    got, want = _kernel(rows, n_cols), rref_kernel(rows, n_cols)
+    assert len(got) == len(want)
+    real = all(_parts(x)[1] == 0 for row in rows for x in row.values())
+    for v, ref in zip(got, want):
+        assert positive_multiple(v, ref)
+        _assert_integral(v, real)
+    m = Mat.from_rows([[row.get(j, 0) for j in range(n_cols)]
+                       for row in rows])
+    assert kernel_basis(m) == [Mat.column([ref.get(j, 0)
+                                           for j in range(n_cols)])
+                               for ref in want]
+
+
+def _reduced(rows, basis, start, cols):
+    """Rows over the unknowns 0..cols-1 as the exact solver hands them to
+    solve_affine: the part left of ``start`` taken through the carried
+    basis, the rest shifted behind its ``basis.rows`` coordinates."""
+    out = []
+    for row in rows:
+        line = {}
+        for j, x in row.items():
+            if j < start:
+                for c, b in enumerate(basis.data):
+                    if j in b:
+                        line[c] = line.get(c, 0) + x * b[j]
+            else:
+                line[basis.rows + j - start] = x
+        out.append({c: x for c, x in line.items() if x != 0})
+    return SparseRows(out, basis.rows + cols - start)
+
+
+@seed(2026)
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 3)), min_size=1,
+                max_size=3),
+       st.sampled_from(["int", "rational", "complex"]),
+       st.sampled_from(["drawn", "deficient", "repeat"]), st.data())
+def test_carried_kernel_against_the_rref_kernel(stages, kind, shape, data):
+    """Block rows solved one after the other against the carried kernel,
+    as max_accuracy does: each carried basis of solve_affine is, in order,
+    a positive multiple of the one the rref kernel gives, and on real rows
+    every carried vector is coprime ints."""
+    entry = {"int": small_int, "rational": real_entry,
+             "complex": complex_entry}[kind]
+    got = want = SparseRows([], 0)
+    start, real = 0, True
+    for n_rows, width in stages:
+        cols = start + width
+        rows = _sparse_rows(n_rows, cols, entry, shape, data)
+        got = solve_affine(_reduced(rows, got, start, cols), got)
+        want = rref_solve_affine(_reduced(rows, want, start, cols), want)
+        start = cols
+        assert got.shape == want.shape
+        real = real and all(_parts(x)[1] == 0 for row in rows
+                            for x in row.values())
+        for v, ref in zip(got.data, want.data):
+            assert positive_multiple(v, ref)
+            if real:
+                _assert_integral(v, True)
+
+
+def test_a_carried_vector_is_divided_by_its_content():
+    """B c can share a factor that neither B's vectors nor c have: here
+    the last lifted kernel vector of the second block row is
+    2 (-3, -3, -3, 0, 0, 1) before solve_affine divides it by its
+    content; each carried vector is the rref one, which is integral."""
+    first = [{0: -2, 1: -1, 2: 3}]
+    second = [{0: -2, 1: 3, 3: 2, 4: -2, 5: 3},
+              {0: -1, 1: -2, 2: 3, 3: 3, 4: 3}]
+    got = want = SparseRows([], 0)
+    for rows, start, cols in ((first, 0, 3), (second, 3, 6)):
+        got = solve_affine(_reduced(rows, got, start, cols), got)
+        want = rref_solve_affine(_reduced(rows, want, start, cols), want)
+    assert got.data == [{0: -11, 1: -8, 2: -10, 3: 1},
+                        {0: -7, 1: -4, 2: -6, 4: 1},
+                        {0: -3, 1: -3, 2: -3, 5: 1}] == want.data

@@ -1,6 +1,7 @@
 """Mask construction and the scalar/matrix lift."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, seed, settings
@@ -8,10 +9,10 @@ from hypothesis import strategies as st
 
 import crystacc.mask as mask_mod
 from crystacc.crystal import catalog_triple, elements_in_ball
-from crystacc.linalg import Mat, QC, read_float
-from crystacc.mask import (Mask, MaskShapeError, check_gamma_A_symmetry,
-                           extract_scalar, lattice_triple,
-                           lift_scalar_to_matrix)
+from crystacc.linalg import Mat, QC, read_float, read_scalar
+from crystacc.mask import (Mask, MaskShapeError, PlainCoefficients,
+                           check_gamma_A_symmetry, extract_scalar,
+                           lattice_triple, lift_scalar_to_matrix)
 
 from conftest import rand_fraction
 
@@ -325,3 +326,139 @@ def test_to_float_hands_real_entries_over_as_floats(where, r, real, rnd):
     assert (floats.float_change is None) == (former.float_change is None)
     if former.float_change is not None:
         assert floats.float_change.hex() == former.float_change.hex()
+
+
+def test_scalar_refuses_two_keys_for_one_element(line):
+    """Mask.scalar refuses keys that name one element in different forms,
+    as the CLI refuses a duplicate element, rather than keeping the last."""
+    t, _ = line
+    for entries in ({0: 1, (0,): 2, (0, (0,)): 3}, {1: 1, (1,): 1},
+                    {t.translation((2,)): 1, (0, (2,)): 1}):
+        with pytest.raises(MaskShapeError, match="duplicate element"):
+            Mask.scalar(t, entries)
+    with pytest.raises(ValueError):
+        Mask.scalar(t, {0.5: 1, 1.9: 1})
+
+
+class _ReferenceMask:
+    """Mask as it was before it kept each element's read rows: a Mat per
+    element, built as the coefficients are read, and a plain view and
+    float copy walked from those Mats.  Kept as the reference."""
+
+    def __init__(self, triple, coefficients, r=None):
+        blocks, readings, changes = {}, {}, []
+
+        def read(x):
+            if isinstance(x, (int, Fraction, QC, list, tuple, dict)):
+                stored, change = read_scalar(x)
+            else:
+                key = (type(x), x)
+                if key not in readings:
+                    readings[key] = read_scalar(x)
+                stored, change = readings[key]
+            if change is not None:
+                changes.append(change)
+            return stored
+
+        for key, blk in coefficients.items():
+            if isinstance(blk, list):
+                blk = Mat(len(blk), len(blk), tuple(
+                    tuple([read(x) for x in row]) for row in blk))
+            blocks[key] = blk
+        self.triple = triple
+        self.r = next(iter(blocks.values())).rows
+        self.float_change = max(changes, default=None)
+        self._blocks = blocks
+        self._support = tuple(sorted(blocks, key=lambda e: (e.g, e.k)))
+
+    def items(self):
+        return [(e, self._blocks[e]) for e in self._support]
+
+    def block(self, gamma):
+        return self._blocks.get(gamma)
+
+    def plain(self):
+        nonzero = [(e, [(i, j, x) for i, row in enumerate(blk.plain())
+                        for j, x in enumerate(row) if x])
+                   for e, blk in self.items()]
+        scale = lcm(*(q.denominator for _, xs in nonzero for _, _, x in xs
+                      for q in ((x.re, x.im) if isinstance(x, QC)
+                                else (x,))))
+        return PlainCoefficients(scale, tuple(
+            (e, tuple((i, j, x * scale if isinstance(x, QC)
+                       else x.numerator * (scale // x.denominator))
+                      for i, j, x in xs))
+            for e, xs in nonzero))
+
+    def to_float(self):
+        return _ReferenceMask(
+            self.triple, {e: [[complex(x) if isinstance(x, QC) else float(x)
+                               for x in row] for row in b.plain()]
+                          for e, b in self._blocks.items()}, r=self.r)
+
+    def __eq__(self, other):
+        mine = {(e.g, e.k): blk for e, blk in self._blocks.items()}
+        theirs = {(e.g, e.k): blk for e, blk in other._blocks.items()}
+        zero = Mat.zeros(self.r, self.r)
+        return self.r == other.r and all(
+            mine.get(key, zero) == theirs.get(key, zero)
+            for key in set(mine) | set(theirs))
+
+
+def _reference_blocks(t, r, kind, as_mat, rnd):
+    """{element: block} on up to five drawn elements, some blocks zero:
+    entries ints, rationals, complex rationals or floats as ``kind``
+    says, each block a list of rows or, for exact kinds when ``as_mat``,
+    a Mat."""
+    def coef():
+        if rnd.random() < 0.3:
+            return 0
+        if kind == "int":
+            return rnd.randint(-3, 3)
+        x = Fraction(rnd.randint(-4, 4), rnd.randint(1, 6))
+        if kind == "rational":
+            return x
+        if kind == "float":
+            return rnd.choice([float(x), str(x), 0.1 * rnd.randint(-9, 9)])
+        return QC(x, Fraction(rnd.randint(-3, 3), rnd.randint(1, 4)))
+
+    blocks = {}
+    for _ in range(rnd.randint(1, 5)):
+        e = t.element(rnd.randrange(t.order),
+                      [rnd.randint(-2, 2) for _ in range(t.d)])
+        rows = [[coef() for _ in range(r)] for _ in range(r)]
+        blocks[e] = (Mat.from_rows(rows) if as_mat and kind != "float"
+                     else rows)
+    return blocks
+
+
+@seed(2026)
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(["p1", "p1m", "pm", "p4m"]), st.sampled_from([1, 2]),
+       st.sampled_from(["int", "rational", "complex", "float"]),
+       st.booleans(), st.randoms(use_true_random=False))
+def test_mask_rows_against_the_mat_per_element_mask(group, r, kind, as_mat,
+                                                    rnd):
+    """A Mask that keeps each element's read rows gives the plain view,
+    blocks, items, equality, float copy and float_change of the Mask that
+    built a Mat per element: real, rational, complex and float masks,
+    r = 1 and 2, list and Mat blocks, over 1D and 2D triples."""
+    t = catalog_triple(group, 1 if group in ("p1", "p1m") else 2)
+    blocks = _reference_blocks(t, r, kind, as_mat, rnd)
+    other = _reference_blocks(t, r, kind, as_mat, rnd)
+    mask, ref = Mask(t, blocks, r=r), _ReferenceMask(t, blocks, r=r)
+    assert mask.plain() == ref.plain()
+    assert mask.items() == ref.items()
+    for e in [*blocks, *other]:
+        assert mask.block(e) == ref.block(e)
+    assert mask.float_change == ref.float_change
+    floats, ref_floats = mask.to_float(), ref.to_float()
+    assert floats.plain() == ref_floats.plain()
+    assert floats.float_change == ref_floats.float_change
+    zero = {e: [[0] * r for _ in range(r)] for e in other
+            if e not in blocks}
+    for a, b in ((blocks, other), (blocks, {**blocks, **zero}),
+                 (other, blocks)):
+        assert (Mask(t, a, r=r) == Mask(t, b, r=r)) == \
+            (_ReferenceMask(t, a, r=r) == _ReferenceMask(t, b, r=r))
+    assert (mask == floats) == (ref == ref_floats)
