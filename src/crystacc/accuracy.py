@@ -6,9 +6,13 @@ the dilation, in the unknown coefficient vectors v_[0], ..., v_[s].
 :func:`max_accuracy` solves the stacked system exactly and certifies the
 largest degree with a usable witness; the system is block triangular in the
 degree, so each degree's block row is built and eliminated once, against the
-kernel carried from the degrees below.  :func:`sufficient_check` evaluates the
-cheaper sum-rule criterion and builds its explicit witness chain, one plain
-elimination per degree.  Both read one table of per-coset moments,
+kernel carried from the degrees below.  A block row holds digit coset 0's
+block and, for every other coset, only the non-zero rows of its difference from
+that block, built from the moment differences kept with the table; the two
+forms have one row space, and below the accuracy, where the sum rules make the
+coset moments agree, the differences are empty.  :func:`sufficient_check`
+evaluates the cheaper sum-rule criterion and builds its explicit witness chain,
+one plain elimination per degree.  Both read one table of per-coset moments,
 :func:`_moments`, scaled by the common denominator D of the mask's
 coefficients, with the leads (b^{-1})_[t] A_[t] built once per table.  The
 table is kept with the mask, one per dilation, built for the largest degree
@@ -250,46 +254,52 @@ def condition_d_residuals(mask: Mask, dilation: Dilation, v: VCollection,
 @dataclass
 class _MomentTable:
     """The degree bound ``p_max``, the common denominator D (``scale``),
-    the D-scaled moments (``sums``) and the ``leads`` of
-    :func:`_moments`."""
+    the D-scaled moments (``sums``), their differences from coset 0
+    (``diffs``) and the ``leads`` of :func:`_moments`."""
 
     p_max: int
     scale: int
     sums: dict
+    diffs: dict
     leads: dict
 
 
 def _moments(mask: Mask, dilation: Dilation, p_max: int) -> _MomentTable:
     """The mask's moments below degree p_max, by digit coset and point part.
 
-    ``sums`` maps (i, b) to {mu: N_mu D} for the |mu| < p_max reached (a
-    missing N_mu is empty), where N_mu = sum (-l)^mu d_(b,l)^T over the support
-    elements (b, l) whose inverse lies in digit coset i, l the true translation
-    R k, and D is the common denominator of the mask's plain view
-    (:meth:`Mask.plain`), whose D-scaled non-zero entries are read as they are.
-    The inverse (b^{-1}, -b k) lies in the coset of -k, and the monomials are
-    products of powers of -l's coordinates.  A translation coordinate is read
-    as an int where it is one, so the entries are Python ints on an integral
-    lattice and fall back to Fractions (R not integral) or QCs (complex masks)
-    by themselves.  The coset, R k and the non-zero monomials are read once per
-    lattice point, for every b on it.  N_mu is a dict (a, c) -> entry, without
-    the entries no term reaches.  These are the per-coset sums of the sum rules
-    (Jia, Math. Comp. 67, 1998; Cabrelli, Heil and Molter, J. Approx. Theory
-    95, 1998).  ``leads`` maps (b, t), t < p_max, to the rows of (b^{-1})_[t]
-    A_[t] = (b^{-1} A)_[t], each a list of (column, non-zero entry) pairs,
-    built once per table.
+    ``sums`` maps (i, b) to {mu: N_mu D} for the |mu| < p_max reached, where
+    N_mu = sum (-l)^mu d_(b,l)^T over the support elements (b, l) whose
+    inverse lies in digit coset i, l the true translation R k, and D is the
+    common denominator of the mask's plain view (:meth:`Mask.plain`), whose
+    D-scaled non-zero entries are read as they are.  The inverse
+    (b^{-1}, -b k) lies in the coset of -k, and the monomials are products of
+    powers of -l's coordinates.  A translation coordinate is read as an int
+    where it is one, so the entries are Python ints on an integral lattice and
+    fall back to Fractions (R not integral) or QCs (complex masks) by
+    themselves.  The coset, R k and the non-zero monomials are read once per
+    lattice point, for every b on it.  Each (i, b, mu) is summed in one dense
+    list of r r entries, index a r + c, and kept as the dict (a, c) -> entry of
+    its non-zero entries; a zero N_mu is left out, so a missing N_mu is zero.
+    These are the per-coset sums of the sum rules (Jia, Math. Comp. 67, 1998;
+    Cabrelli, Heil and Molter, J. Approx. Theory 95, 1998).  ``diffs`` maps
+    (i, b), 0 < i < m, to the differences {mu: (N_mu(i, b) - N_mu(0, b)) D}
+    in the same form, the zero ones left out, and holds no key where they all
+    are: where the coset moments agree, as the sum rules ask below the
+    accuracy, it is empty.  ``leads`` maps (b, t), t < p_max, to the rows of
+    (b^{-1})_[t] A_[t] = (b^{-1} A)_[t], each a list of (column, non-zero
+    entry) pairs.  All three are built once per table.
 
     The table is kept with the mask, one per dilation, and built for the
     largest p_max asked for: a request for a smaller p_max gets the kept table
     itself, as every reader indexes only the degrees it needs.
     """
-    tri, d = mask.triple, mask.triple.d
+    tri, d, r = mask.triple, mask.triple.d, mask.r
     kept = mask._moment_tables.get(dilation)
     if kept is not None and kept.p_max >= p_max:
         return kept
     view = mask.plain()
     mus = [mu for s in range(p_max) for mu in enumerate_degree(d, s)]
-    sums, points = {}, {}
+    dense, points = {}, {}
     for e, entries in view.entries:
         if e.k not in points:
             powers = [[(-y) ** n for n in range(p_max)]
@@ -298,33 +308,63 @@ def _moments(mask: Mask, dilation: Dilation, p_max: int) -> _MomentTable:
                            [(mu, w) for mu in mus
                             if (w := prod(map(getitem, powers, mu)))])
         i, weights = points[e.k]
-        moments = sums.setdefault((i, e.g), {})
+        moments = dense.setdefault((i, e.g), {})
+        terms = [(a * r + c, x) for c, a, x in entries]
         for mu, w in weights:
-            n_mu = moments.get(mu) or moments.setdefault(mu, {})
-            for c, a, x in entries:
-                n_mu[(a, c)] = n_mu.get((a, c), 0) + w * x
+            acc = moments.get(mu)
+            if acc is None:
+                acc = moments[mu] = [0] * (r * r)
+            for n, x in terms:
+                acc[n] += w * x
+    pairs = [divmod(n, r) for n in range(r * r)]
+
+    def sparse(moments):
+        if r == 1:  # one entry per moment: no inner dict to filter
+            return {mu: {(0, 0): acc[0]} for mu, acc in moments.items()
+                    if acc[0] != 0}
+        return {mu: n_mu for mu, acc in moments.items()
+                if (n_mu := {pairs[n]: y for n, y in enumerate(acc)
+                             if y != 0})}
+
+    sums = {key: sparse(moments) for key, moments in dense.items()}
+    parts = dict.fromkeys(b for _, b in dense)
+    zero, diffs = [0] * (r * r), {}
+    for i in range(1, dilation.m):
+        for b in parts:
+            ours, base = dense.get((i, b), {}), dense.get((0, b), {})
+            delta = {}
+            for mu in mus:
+                n_i, n_0 = ours.get(mu, zero), base.get(mu, zero)
+                if n_i != n_0:
+                    delta[mu] = [x - y for x, y in zip(n_i, n_0)]
+            if delta:
+                diffs[(i, b)] = sparse(delta)
     leads = {}
-    for b in {b for _, b in sums}:
+    for b in parts:
         # (b^{-1})_[t] A_[t] = (b^{-1} A)_[t], as X_[t] is multiplicative
         b_inv_a = tri.group[tri.inverse_table[b]] @ dilation.A
         for t in range(p_max):
             leads[(b, t)] = [[(k, x) for k, x in enumerate(row) if x]
                              for row in build_A_s(b_inv_a, t).plain()]
-    table = _MomentTable(p_max, view.scale, sums, leads)
+    table = _MomentTable(p_max, view.scale, sums, diffs, leads)
     mask._moment_tables[dilation] = table
     return table
 
 
 def _block_row(mask: Mask, dilation: Dilation, table: _MomentTable,
                s: int, coset: int | None = None) -> list[dict]:
-    """Block row s of the stacked constraint system, scaled by the table's
-    D, as sparse rows: one dict (column -> non-zero exact value: an int on
-    integral data, else a Fraction or a QC) per row; with ``coset``, the
-    rows of that digit coset only.
+    """Block row s of the constraint system, scaled by the table's D, as
+    sparse rows: one dict (column -> non-zero exact value: an int on
+    integral data, else a Fraction or a QC) per row.  With ``coset``, the
+    block B_i of that digit coset i; without, the block B_0 of coset 0
+    followed, for each coset i > 0 in turn, by the non-empty rows of
+    B_i - B_0.  [B_0; B_1; ...] and [B_0; B_1 - B_0; ...] have one row
+    space, so one kernel, and where the coset moments agree, as the sum
+    rules ask below the accuracy, the second is B_0 alone.
 
     The unknowns are vec(v_[0]), vec(v_[1]), ..., row-major within each
     block.  A product B v_[t] C acts on vec(v_[t]) as kron(B, C^T), so the
-    block in row (s, i) and column t <= s is D times
+    block B_i in row (s, i) and column t <= s is D times
     delta_{t,s} I - sum over coset-i support terms of
     kron(Qt_[s,t] A_[t], d^T); the blocks right of column s are zero.
     A row scale leaves the kernel as it is.  As
@@ -332,24 +372,30 @@ def _block_row(mask: Mask, dilation: Dilation, table: _MomentTable,
     part b sum to its moments N (:func:`_moments`): entry
     ((alpha, a), (beta', c)) loses sum_beta binom(alpha, beta)
     B[beta, beta'] N_(alpha-beta)[a, c] D, B = (b^{-1})_[t] A_[t] the
-    table's lead.  The (beta, binom(alpha, beta), alpha - beta) of each row
-    alpha are the polynomial shift's own (``multiidx._shift_pattern``), and
-    an empty N_(alpha-beta) adds nothing.  Column t starts at
-    r (d_0 + ... + d_{t-1}) whatever the highest degree, so block row s
-    serves every system of degree s or more.
+    table's lead.  B_i - B_0 is built the same way from the table's moment
+    differences, without the diagonal D I, which cancels.  The
+    (beta, binom(alpha, beta), alpha - beta) of each row alpha are the
+    polynomial shift's own (``multiidx._shift_pattern``), and an empty
+    N_(alpha-beta) adds nothing.  Column t starts at r (d_0 + ... + d_{t-1})
+    whatever the highest degree, so block row s serves every system of
+    degree s or more.
     """
     d, r = mask.triple.d, mask.r
     starts = [0]
     for t in range(s):
         starts.append(starts[-1] + dim_degree(d, t) * r)
     patterns = [_shift_pattern(d, s, t) for t in range(s + 1)]
-    rows = {i: [{starts[s] + k: table.scale}
-                for k in range(dim_degree(d, s) * r)]
-            for i in (range(dilation.m) if coset is None else (coset,))}
-    for (i, b), moment in table.sums.items():
+    size = dim_degree(d, s) * r
+    first = coset or 0
+    rows = {first: [{starts[s] + k: table.scale} for k in range(size)]}
+    work = [(i, b, moment) for (i, b), moment in table.sums.items()
+            if i == first]
+    if coset is None:
+        work += [(i, b, delta) for (i, b), delta in table.diffs.items()]
+    for i, b, moment in work:
         block = rows.get(i)
         if block is None:
-            continue
+            block = rows[i] = [{} for _ in range(size)]
         for t, pattern in enumerate(patterns):
             leads = table.leads[(b, t)]
             for row0, terms in enumerate(pattern):
@@ -366,7 +412,8 @@ def _block_row(mask: Mask, dilation: Dilation, table: _MomentTable,
                                 row.pop(col0 + c, None)
                             else:
                                 row[col0 + c] = value
-    return [row for block in rows.values() for row in block]
+    return [row for i, block in rows.items() for row in block
+            if row or i == first]
 
 
 def _unpack_witness(vector: dict, d: int, r: int, s_max: int) -> VCollection:
@@ -389,8 +436,11 @@ def max_accuracy(mask: Mask, triple: CrystalTriple, dilation: Dilation,
     All degrees 0..s and all digit cosets are stacked into one homogeneous
     system, block triangular in the degree.  Block row s is built once, as
     sparse rows scaled by the moment table's common denominator D (a row scale
-    leaves the kernel as it is), reduced to [K_(s,<s) B | K_ss] with B the
-    kernel basis of the rows below it, and solved exactly by
+    leaves the kernel as it is): coset 0's block, then the non-empty rows of
+    each other coset's difference from it (:func:`_block_row`), which span the
+    rows of the m stacked coset blocks, so the kernel, and are coset 0's block
+    alone where the coset moments agree.  It is reduced to [K_(s,<s) B | K_ss]
+    with B the kernel basis of the rows below it, and solved exactly by
     :func:`solve_affine`, whose kernel vectors are positive multiples of the
     stacked rows' rref kernel vectors, in order, coprime ints on real data.
     Rows, basis and kernel stay plain sparse values (:class:`SparseRows`), so

@@ -103,7 +103,12 @@ class CrystalTriple:
         return len(self.group)
 
     def element(self, g: int, k) -> "CrystalElement":
-        """(g, k); a bool or non-integral coordinate raises ValueError."""
+        """(g, k); a point index g that is not an int in range(order) (a
+        bool or a numpy int is not), or a bool or non-integral coordinate,
+        raises ValueError."""
+        if type(g) is not int or not 0 <= g < self.order:
+            raise ValueError(f"not a point index of order {self.order}: "
+                             f"{g!r}")
         k = tuple(k)
         if not all(type(x) is int for x in k):
             if any(isinstance(x, bool) or int(x) != x for x in k):

@@ -55,8 +55,16 @@ class Mask:
 
         def read(x):
             # parsed once per (type, value), so true and 1, or 1.0 and 1,
-            # apart; exact values and containers are read where they stand
-            if isinstance(x, (int, Fraction, QC, list, tuple, dict)):
+            # apart; a string, the common literal, is keyed by itself and
+            # looked up before the isinstance test, whose Fraction case is
+            # an ABCMeta check; exact values and containers are read where
+            # they stand
+            if type(x) is str:
+                hit = readings.get(x)
+                if hit is None:
+                    hit = readings[x] = read_scalar(x)
+                stored, change = hit
+            elif isinstance(x, (int, Fraction, QC, list, tuple, dict)):
                 stored, change = read_scalar(x)
             else:
                 key = (type(x), x)

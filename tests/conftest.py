@@ -9,7 +9,7 @@ from crystacc import cascade
 from crystacc.crystal import catalog_triple, check_admissible
 from crystacc.linalg import Mat, SparseRows, _qc, _rref
 from crystacc.mask import Mask
-from crystacc.multiidx import _acted_rows
+from crystacc.multiidx import _acted_rows, _shift_pattern, dim_degree
 
 
 def rand_fraction(rng, num=9, den=5):
@@ -64,6 +64,58 @@ def rref_solve_affine(k, basis):
                 v[start + c - n] = y
         out.append({j: e for j, e in v.items() if e != 0})
     return SparseRows(out, start + k.cols - n)
+
+
+def stacked_block_row(mask, dilation, table, s, coset=None):
+    """accuracy._block_row as it was before it built the coset
+    differences, kept as the reference: D times block row s of the
+    stacked system, one block per digit coset (or that of ``coset``
+    only), each with its diagonal D I, read off the moment table's sums."""
+    d, r = mask.triple.d, mask.r
+    starts = [0]
+    for t in range(s):
+        starts.append(starts[-1] + dim_degree(d, t) * r)
+    patterns = [_shift_pattern(d, s, t) for t in range(s + 1)]
+    rows = {i: [{starts[s] + k: table.scale}
+                for k in range(dim_degree(d, s) * r)]
+            for i in (range(dilation.m) if coset is None else (coset,))}
+    for (i, b), moment in table.sums.items():
+        block = rows.get(i)
+        if block is None:
+            continue
+        for t, pattern in enumerate(patterns):
+            leads = table.leads[(b, t)]
+            for row0, terms in enumerate(pattern):
+                for j, binom, mu in terms:
+                    n_mu = moment.get(mu)
+                    if not n_mu:
+                        continue
+                    for k, x in leads[j]:
+                        col0, bx = starts[t] + k * r, binom * x
+                        for (a, c), y in n_mu.items():
+                            row = block[row0 * r + a]
+                            value = row.get(col0 + c, 0) - bx * y
+                            if value == 0:
+                                row.pop(col0 + c, None)
+                            else:
+                                row[col0 + c] = value
+    return [row for block in rows.values() for row in block]
+
+
+def coset_differences(rows, m):
+    """Stacked rows [B_0; B_1; ...; B_(m-1)] of m equal-sized coset blocks
+    as [B_0; B_1 - B_0; ...]: the block of coset 0 as it is, then for
+    each coset i > 0 in turn the rows of B_i - B_0, without their zero
+    entries, the empty ones left out."""
+    size = len(rows) // m
+    out = list(rows[:size])
+    for i in range(1, m):
+        for ours, base in zip(rows[i * size:(i + 1) * size], out[:size]):
+            row = {j: x for j in {**ours, **base}
+                   if (x := ours.get(j, 0) - base.get(j, 0)) != 0}
+            if row:
+                out.append(row)
+    return out
 
 
 def positive_multiple(v, ref):

@@ -17,14 +17,15 @@ from crystacc.accuracy import (condition_d_residuals, fhat0, max_accuracy,
                                sufficient_check, verify_equivalence)
 from crystacc.crystal import (Dilation, catalog_triple, check_admissible,
                               inverse, validate_triple)
-from crystacc.linalg import (Mat, QC, det, kernel_basis, kron, rank,
+from crystacc.linalg import (Mat, QC, _rref, det, kernel_basis, kron, rank,
                              solve_affine)
 from crystacc.mask import Mask, MaskShapeError, lift_scalar_to_matrix
 from crystacc.multiidx import (VCollection, build_A_s, build_Q_st,
                                build_Q_tilde, dim_degree, enumerate_degree,
                                eval_X)
 
-from conftest import rref_solve_affine
+from conftest import (coset_differences, rref_solve_affine,
+                      stacked_block_row)
 
 
 def _witness_entries(cert):
@@ -683,10 +684,29 @@ def _common_denominator(mask):
                  for q in (x.re, x.im)))
 
 
+def _sparse(mat):
+    """The rows of a Mat as sparse rows of their non-zero plain values."""
+    return [{j: x for j, x in enumerate(row) if x != 0}
+            for row in mat.plain()]
+
+
+def _coset_differences_by_degree(rows, d, r, m, s_top):
+    """Stacked rows of degrees 0..s_top, m coset blocks per degree, with
+    each degree's block row put through :func:`coset_differences`."""
+    out, start = [], 0
+    for s in range(s_top + 1):
+        size = m * dim_degree(d, s) * r
+        out += coset_differences(rows[start:start + size], m)
+        start += size
+    return out
+
+
 def _assert_matches_dense_assembly(mask, triple, dilation, s_top):
-    """The stacked systems built from block rows equal D times the dense
-    reference entry for entry for every degree up to s_top, D the
-    common denominator of the coefficients; the basis max_accuracy
+    """The systems built from block rows equal, entry for entry for every
+    degree up to s_top, D times the dense stacked reference with each
+    degree's coset blocks put through :func:`coset_differences` (coset 0's
+    block, then the non-empty rows of B_i - B_0), D the common
+    denominator of the coefficients; the basis max_accuracy
     carries out of solve_affine equals, column for column, the rref
     kernel basis of the whole reference system at every degree; and the
     certificate equals the one read off the reference kernels."""
@@ -698,8 +718,10 @@ def _assert_matches_dense_assembly(mask, triple, dilation, s_top):
         rows += accuracy_mod._block_row(mask, dilation, table, s)
         width += dim_degree(d, s) * r
         assert all(x != 0 for row in rows for x in row.values())
-        assert _dense(rows, width) == _assemble_reference(
-            mask, dilation, s).scale(scale)
+        reference = _sparse(_assemble_reference(mask, dilation, s)
+                            .scale(scale))
+        assert _dense(rows, width) == _dense(_coset_differences_by_degree(
+            reference, d, r, dilation.m, s), width)
 
     carried = []
 
@@ -846,10 +868,12 @@ def _fraction_moments(mask, dilation, p_max):
     return table
 
 
-def _nonempty(sums):
-    """A moment table's sums without their empty moments: the table keeps
-    a moment N_mu only where some term reaches it."""
-    return {key: {mu: n for mu, n in moments.items() if n}
+def _nonzero(sums):
+    """A moment table's sums without their zero entries and zero moments:
+    the table keeps the non-zero entries of each N_mu only, and an N_mu
+    only where one is left."""
+    return {key: {mu: n for mu, entries in moments.items()
+                  if (n := {ac: x for ac, x in entries.items() if x != 0})}
             for key, moments in sums.items()}
 
 
@@ -925,7 +949,9 @@ def _changed_mask(line, p1m, pm, where, r, real, data):
 def test_integer_rows_are_the_fraction_rows_times_the_denominator(
         line, p1m, pm, where, r, real, data):
     """The moment table and the block rows built on the common
-    denominator D equal D times the Fraction ones, exactly, and D is the
+    denominator D equal D times the Fraction ones, exactly (the rows put
+    through :func:`coset_differences`, the table without its zero
+    entries), and D is the
     lcm of the denominators of the coefficients.  Real and complex masks
     with r = 1, 2 (a scalar base times the identity) and r = 8 (the
     lifted p4m hat), with a few drawn entries changed, over R = I, pm on
@@ -937,14 +963,15 @@ def test_integer_rows_are_the_fraction_rows_times_the_denominator(
     table = accuracy_mod._moments(mask, dil, s_top + 1)
     reference = _fraction_moments(mask, dil, s_top + 1)
     assert table.scale == scale
-    assert _nonempty(table.sums) == {
+    assert table.sums == {
         key: {mu: {ac: scale * x for ac, x in n.items()}
               for mu, n in moments.items()}
-        for key, moments in _nonempty(reference).items()}
+        for key, moments in _nonzero(reference).items()}
     for s in range(s_top + 1):
-        assert accuracy_mod._block_row(mask, dil, table, s) == [
-            {j: scale * x for j, x in row.items()}
-            for row in _fraction_block_row(mask, dil, reference, s)]
+        assert accuracy_mod._block_row(mask, dil, table, s) == \
+            coset_differences([{j: scale * x for j, x in row.items()}
+                               for row in _fraction_block_row(
+                                   mask, dil, reference, s)], dil.m)
 
 
 # -- the sum-rule test's moments against the per-element loops they replace --
@@ -1569,13 +1596,18 @@ def test_block_rows_on_the_shift_pattern_match_the_inline_loop(
         line, p1m, where, r, kind, rnd):
     """_block_row, which reads the binomial shift's pattern and skips an
     empty N_mu, equals the inline loop it replaced, for every degree
-    s < 5 and every coset (and all cosets at once), on d = 1, 2 and 3,
-    r = 1 and 2, int, rational and complex masks, R = I and R != I."""
+    s < 5 and every coset, and for all cosets at once the inline loop's
+    stacked blocks put through :func:`coset_differences`, on d = 1, 2
+    and 3, r = 1 and 2, int, rational and complex masks, R = I and
+    R != I."""
     t, dil = _kept_case(line, p1m, where)
     mask = Mask(t, _random_blocks(t, r, kind, rnd), r=r)
     table = accuracy_mod._moments(mask, dil, 5)
     for s in range(5):
-        for coset in [None, *range(dil.m)]:
+        assert accuracy_mod._block_row(mask, dil, table, s) == \
+            coset_differences(_inline_block_row(mask, dil, table, s),
+                              dil.m)
+        for coset in range(dil.m):
             assert accuracy_mod._block_row(mask, dil, table, s, coset) == \
                 _inline_block_row(mask, dil, table, s, coset)
 
@@ -1642,7 +1674,28 @@ def _per_element_moments(mask, dilation, p_max):
         for t in range(p_max):
             leads[(b, t)] = [[(k, x) for k, x in enumerate(row) if x]
                              for row in build_A_s(b_inv_a, t).plain()]
-    return accuracy_mod._MomentTable(p_max, view.scale, sums, leads)
+    return accuracy_mod._MomentTable(
+        p_max, view.scale, sums, _reference_diffs(sums, dilation.m), leads)
+
+
+def _reference_diffs(sums, m):
+    """(i, b) -> {mu: N_mu(i, b) - N_mu(0, b)} for 0 < i < m, from a
+    moment table's sums, entry by entry, without the zero entries, the
+    zero moments and the keys left with none."""
+    out = {}
+    for i in range(1, m):
+        for b in {b for _, b in sums}:
+            ours, base = sums.get((i, b), {}), sums.get((0, b), {})
+            delta = {}
+            for mu in {**ours, **base}:
+                n_i, n_0 = ours.get(mu, {}), base.get(mu, {})
+                n = {ac: x for ac in {**n_i, **n_0}
+                     if (x := n_i.get(ac, 0) - n_0.get(ac, 0)) != 0}
+                if n:
+                    delta[mu] = n
+            if delta:
+                out[(i, b)] = delta
+    return out
 
 
 @seed(2026)
@@ -1652,11 +1705,13 @@ def _per_element_moments(mask, dilation, p_max):
        st.randoms(use_true_random=False))
 def test_moments_per_lattice_point_match_the_per_element_loop(
         line, p1m, where, r, kind, p_max, rnd):
-    """The moment table read once per lattice point has the sums (up to
-    the empty N_mu the per-element loop made for every mu), leads and
-    scale of the per-element loop it replaced: d = 1, 2 and 3, r = 1 and
-    2, int, rational and complex masks, R = I and R != I, with several
-    point parts on one lattice point."""
+    """The moment table read once per lattice point, summed in dense
+    lists, has the non-zero sums (the per-element loop kept an empty N_mu
+    for every mu and every exact-zero sum it reached), leads and scale of
+    the per-element loop it replaced, and the coset differences of those
+    sums, entry by entry: d = 1, 2 and 3, r = 1 and 2, int, rational and
+    complex masks, R = I and R != I, with several point parts on one
+    lattice point."""
     t, dil = _kept_case(line, p1m, where)
     blocks = _random_blocks(t, r, kind, rnd)
     for e in list(blocks):
@@ -1667,7 +1722,8 @@ def test_moments_per_lattice_point_match_the_per_element_loop(
     assert (table.p_max, table.scale, table.leads) == \
         (ref.p_max, ref.scale, ref.leads)
     assert table.sums.keys() == ref.sums.keys()
-    assert _nonempty(table.sums) == _nonempty(ref.sums)
+    assert table.sums == _nonzero(ref.sums)
+    assert table.diffs == ref.diffs
 
 
 def _assert_same_certificate(cert, ref):
@@ -1712,3 +1768,54 @@ def test_max_accuracy_on_random_masks_matches_the_rref_kernel(
     with mock.patch.object(accuracy_mod, "solve_affine", rref_solve_affine):
         ref = max_accuracy(Mask(t, blocks, r=r), t, dil, 3)
     _assert_same_certificate(cert, ref)
+
+
+# -- coset 0 and the coset differences against the stacked coset blocks ----
+
+def _typed(rows):
+    """Sparse rows with each value paired with its type."""
+    return [{j: (type(x), x) for j, x in row.items()} for row in rows]
+
+
+@seed(2026)
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["line", "p1m", "pm", "p4m", "pm-scaled",
+                        "p2-sheared", "line-3", "p2-cyclic", "lifted"]),
+       st.sampled_from([1, 2]), st.booleans(), st.data())
+def test_coset_differences_match_the_stacked_coset_blocks(
+        line, p1m, pm, where, r, real, data):
+    """The block rows of coset 0 and of the coset differences span the
+    row space of the m stacked coset blocks they replace (the systems up
+    to every degree have one rref), and max_accuracy on them gives the
+    certificate and, type for type, the carried bases it gives on the
+    stacked blocks (the reference _block_row): masks of accuracy 2 to 4
+    with drawn entries changed, real and complex, r = 1, 2 and 8 (the
+    lifted p4m hat), over p1, p1m, pm, p4m, a scaled pm lattice and a
+    sheared p2 one, and under A = 3 and M = [[2, 1], [0, 2]]."""
+    t, dil, mask = _changed_mask(line, p1m, pm, where, r, real, data)
+    s_top = 3 if t.d == 1 else 2
+    table = accuracy_mod._moments(mask, dil, s_top + 1)
+    rows, stacked, width = [], [], 0
+    for s in range(s_top + 1):
+        rows += accuracy_mod._block_row(mask, dil, table, s)
+        stacked += stacked_block_row(mask, dil, table, s)
+        width += dim_degree(t.d, s) * mask.r
+        assert _rref(rows, width) == _rref(stacked, width)
+
+    def scan(block_row):
+        bases = []
+
+        def spy(system, basis):
+            bases.append(solve_affine(system, basis))
+            return bases[-1]
+
+        with mock.patch.object(accuracy_mod, "solve_affine", spy), \
+                mock.patch.object(accuracy_mod, "_block_row", block_row):
+            cert = max_accuracy(Mask(t, dict(mask.items()), r=mask.r), t,
+                                dil, s_top + 1)
+        return cert, [(b.cols, _typed(b.data)) for b in bases]
+
+    cert, bases = scan(accuracy_mod._block_row)
+    ref, ref_bases = scan(stacked_block_row)
+    _assert_same_certificate(cert, ref)
+    assert bases == ref_bases

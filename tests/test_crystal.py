@@ -15,6 +15,7 @@ from crystacc.crystal import (MAX_GROUP_ORDER, AdmissibilityError, Dilation,
                               generate_group, inverse, validate_triple)
 from crystacc import linalg
 from crystacc.linalg import Mat, QC, det
+from crystacc.mask import Mask
 
 from conftest import rand_point
 
@@ -630,3 +631,22 @@ def test_element_refuses_boolean_and_non_integral_coordinates():
     for good in (3, np.int64(3), 3.0, Fraction(6, 2)):
         e = t.element(0, (good,))
         assert e == t.element(0, (3,)) and type(e.k[0]) is int
+
+
+def test_element_refuses_a_point_index_outside_the_group():
+    """A point index is an int in range(order): a negative one is not
+    read from the end, one past the group does not wait for an
+    IndexError, and a boolean, float, numpy int or string is refused, all
+    with ValueError; so a library mask keyed by such an index is refused
+    before any solver reads it."""
+    t = catalog_triple("p1", 1)
+    pm_t = catalog_triple("pm", 2)
+    for triple in (t, pm_t):
+        for bad in (-1, triple.order, 5, True, False, 0.0, np.int64(0),
+                    "0", None):
+            with pytest.raises(ValueError, match="point index"):
+                triple.element(bad, (0,) * triple.d)
+        for g in range(triple.order):
+            assert triple.element(g, (0,) * triple.d).g == g
+    with pytest.raises(ValueError, match="point index"):
+        Mask.scalar(t, {(-1, (0,)): 1, 1: 1})

@@ -52,6 +52,8 @@ from crystacc.linalg import QC, Mat, SparseRows
 from crystacc.mask import Mask, lift_scalar_to_matrix
 from crystacc.multiidx import dim_degree
 
+from conftest import coset_differences, stacked_block_row
+
 SOURCES = sorted(Path(crystacc.__file__).parent.glob("*.py"))
 
 
@@ -244,37 +246,89 @@ def _shape_cases():
             "lifted-hat": (lifted, lat_dil, 3)}
 
 
+# the degrees below which the coset moments of each shape case agree
+AGREE_BELOW = {"cubic": 4, "diagonal": 4, "lifted-hat": 2}
+
+
 @pytest.mark.parametrize("case", ["cubic", "diagonal", "lifted-hat"])
 def test_each_degree_is_eliminated_once(case, monkeypatch):
     """max_accuracy hands solve_affine one block row per degree, reduced
-    against the kernel carried from the degree below: m dim_degree(d, s) r
-    rows and (kernel dimension at s - 1) + dim_degree(d, s) r columns."""
+    against the kernel carried from the degree below.  The block row is
+    the stacked reference's coset blocks put through coset_differences,
+    entry for entry: digit coset 0's block, then the non-empty rows of
+    each other coset's difference from it.  So the system has
+    dim_degree(d, s) r rows where the coset moments agree, more
+    elsewhere, no difference row empty (a row of coset 0 is, at degree 0
+    under the sum rule), and (kernel dimension at s - 1)
+    + dim_degree(d, s) r columns."""
     mask, dil, p_max = _shape_cases()[case]
-    shapes = []
-    solve = accuracy.solve_affine
+    shapes, built = [], []
+    solve, block_row = accuracy.solve_affine, accuracy._block_row
 
     def spy(system, basis):
         shapes.append(system.shape)
         return solve(system, basis)
 
+    def rows(*args, **kwargs):
+        built.append(block_row(*args, **kwargs))
+        return built[-1]
+
     monkeypatch.setattr(accuracy, "solve_affine", spy)
+    monkeypatch.setattr(accuracy, "_block_row", rows)
     cert = accuracy.max_accuracy(mask, mask.triple, dil, p_max)
     dims = cert.diagnostics["kernel_dims"]
-    assert len(shapes) == len(dims) > 1
-    for s, shape in enumerate(shapes):
+    table = accuracy._moments(mask, dil, p_max)
+    assert len(shapes) == len(built) == len(dims) > 1
+    for s, (shape, got) in enumerate(zip(shapes, built)):
         width = dim_degree(mask.triple.d, s) * mask.r
-        assert shape == (dil.m * width, dims.get(s - 1, 0) + width)
+        assert got == coset_differences(
+            stacked_block_row(mask, dil, table, s), dil.m)
+        assert all(got[width:])
+        assert shape == (len(got), dims.get(s - 1, 0) + width)
+        assert (len(got) == width) if s < AGREE_BELOW[case] else \
+            (len(got) > width)
+
+
+def test_moment_differences_are_built_once_per_table(monkeypatch):
+    """The coset moment differences are built with the moment table, once
+    per mask and dilation: two scans and a sum-rule test build one table,
+    and every block row reads the differences kept in it (with them
+    emptied, a block row is coset 0's block alone), none rebuilds them."""
+    mask, dil, p_max = _shape_cases()["cubic"]
+    tables = []
+    make = accuracy._MomentTable
+
+    def spy(*args):
+        tables.append(make(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(accuracy, "_MomentTable", spy)
+    accuracy.max_accuracy(mask, mask.triple, dil, p_max)
+    accuracy.sufficient_check(mask, mask.triple, dil, p_max - 2)
+    accuracy.max_accuracy(mask, mask.triple, dil, p_max - 1)
+    assert len(tables) == 1 and mask._moment_tables == {dil: tables[0]}
+    table = tables[0]
+    assert table.diffs
+    full = [accuracy._block_row(mask, dil, table, s) for s in range(p_max)]
+    table.diffs = {}
+    for s, rows in enumerate(full):
+        assert accuracy._block_row(mask, dil, table, s) == \
+            rows[:dim_degree(mask.triple.d, s) * mask.r]
+    assert any(len(rows) > dim_degree(mask.triple.d, s) * mask.r
+               for s, rows in enumerate(full))
 
 
 @pytest.mark.parametrize("case", ["cubic", "lifted-hat"])
 def test_constraint_rows_are_built_on_ints(case):
     """On R = I with real coefficients, every entry of every block row is
-    a Python int, not a Fraction or a QC: the rows are built over the
-    table's common denominator."""
+    a Python int, not a Fraction or a QC, the rows of the coset
+    differences (present at the first failing degree) among them: the
+    rows are built over the table's common denominator."""
     mask, dil, p_max = _shape_cases()[case]
     table = accuracy._moments(mask, dil, p_max)
-    kinds = {type(x) for s in range(p_max)
-             for row in accuracy._block_row(mask, dil, table, s)
+    rows = [accuracy._block_row(mask, dil, table, s) for s in range(p_max)]
+    assert len(rows[-1]) > dim_degree(mask.triple.d, p_max - 1) * mask.r
+    kinds = {type(x) for block in rows for row in block
              for x in row.values()}
     assert kinds == {int}
 
@@ -327,12 +381,14 @@ def _is_row_update(node) -> bool:
 
 
 def _repeated_row_cases():
-    """One copy of each system: the lifted p4m hat's block row at degree
-    2, whose m = 4 digit-coset blocks coincide, and seeded rational rows,
-    among them a copy of a row up to an integer scaling."""
+    """One copy of each system: the lifted p4m hat's stacked block row at
+    degree 2 (the m = 4 digit-coset blocks that the exact solver no
+    longer stacks, built by the reference in conftest), and seeded
+    rational rows, among them a copy of a row up to an integer
+    scaling."""
     mask, dil, p_max = _shape_cases()["lifted-hat"]
     table = accuracy._moments(mask, dil, p_max)
-    lifted = accuracy._block_row(mask, dil, table, 2)
+    lifted = stacked_block_row(mask, dil, table, 2)
     rng = random.Random(2026)
     seeded = [{j: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                for j in range(7) if rng.random() < 0.6} for _ in range(5)]
