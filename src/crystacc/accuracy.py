@@ -6,18 +6,20 @@ the dilation, in the unknown coefficient vectors v_[0], ..., v_[s].
 :func:`max_accuracy` solves the stacked system exactly and certifies the
 largest degree with a usable witness; the system is block triangular in the
 degree, so each degree's block row is built and eliminated once, against the
-kernel carried from the degrees below.  A block row holds digit coset 0's
-block and, for every other coset, only the non-zero rows of its difference from
-that block, built from the moment differences kept with the table; the two
-forms have one row space, and below the accuracy, where the sum rules make the
-coset moments agree, the differences are empty.  :func:`sufficient_check`
-evaluates the cheaper sum-rule criterion and builds its explicit witness chain,
-one plain elimination per degree.  Both read one table of per-coset moments,
-:func:`_moments`, scaled by the common denominator D of the mask's
-coefficients, with the leads (b^{-1})_[t] A_[t] built once per table.  The
-table is kept with the mask, one per dilation, built for the largest degree
-asked for and read as it is for a smaller one, so a sum-rule test after a scan
-of the same mask and dilation builds nothing.  On an integral lattice with real
+kernel carried from the degrees below.  Both solvers read one table of
+moments, :func:`_moments`, scaled by the common denominator D of the mask's
+coefficients, which keeps each moment once: digit coset 0's, and every other
+coset's non-zero differences from them, as the sum rules ask those to vanish
+below the accuracy.  A block row is one pass over that table
+(:func:`_block_row`): coset 0's block, then the non-empty rows of each other
+coset's difference from it, which have the row space of the m stacked coset
+blocks, and below the accuracy coset 0's block alone.
+:func:`sufficient_check` evaluates the cheaper sum-rule criterion on the same
+table and block rows and builds its explicit witness chain, one plain
+elimination per degree.  The table, with the leads (b^{-1})_[t] A_[t], is
+kept with the mask, one per dilation, built for the largest degree asked for
+and read as it is for a smaller one, so a sum-rule test after a scan of the
+same mask and dilation builds nothing.  On an integral lattice with real
 coefficients the table, the constraint rows, their reduction and the
 elimination with its carried kernel, in coprime ints, run on Python ints (the
 fraction-free idea of Bareiss, Math. Comp. 22, 1968), and they fall back to
@@ -254,40 +256,39 @@ def condition_d_residuals(mask: Mask, dilation: Dilation, v: VCollection,
 @dataclass
 class _MomentTable:
     """The degree bound ``p_max``, the common denominator D (``scale``),
-    the D-scaled moments (``sums``), their differences from coset 0
-    (``diffs``) and the ``leads`` of :func:`_moments`."""
+    the D-scaled ``moments`` and the ``leads`` of :func:`_moments`."""
 
     p_max: int
     scale: int
-    sums: dict
-    diffs: dict
+    moments: dict
     leads: dict
 
 
 def _moments(mask: Mask, dilation: Dilation, p_max: int) -> _MomentTable:
     """The mask's moments below degree p_max, by digit coset and point part.
 
-    ``sums`` maps (i, b) to {mu: N_mu D} for the |mu| < p_max reached, where
-    N_mu = sum (-l)^mu d_(b,l)^T over the support elements (b, l) whose
-    inverse lies in digit coset i, l the true translation R k, and D is the
-    common denominator of the mask's plain view (:meth:`Mask.plain`), whose
-    D-scaled non-zero entries are read as they are.  The inverse
-    (b^{-1}, -b k) lies in the coset of -k, and the monomials are products of
-    powers of -l's coordinates.  A translation coordinate is read as an int
-    where it is one, so the entries are Python ints on an integral lattice and
-    fall back to Fractions (R not integral) or QCs (complex masks) by
-    themselves.  The coset, R k and the non-zero monomials are read once per
-    lattice point, for every b on it.  Each (i, b, mu) is summed in one dense
-    list of r r entries, index a r + c, and kept as the dict (a, c) -> entry of
-    its non-zero entries; a zero N_mu is left out, so a missing N_mu is zero.
-    These are the per-coset sums of the sum rules (Jia, Math. Comp. 67, 1998;
-    Cabrelli, Heil and Molter, J. Approx. Theory 95, 1998).  ``diffs`` maps
-    (i, b), 0 < i < m, to the differences {mu: (N_mu(i, b) - N_mu(0, b)) D}
-    in the same form, the zero ones left out, and holds no key where they all
-    are: where the coset moments agree, as the sum rules ask below the
-    accuracy, it is empty.  ``leads`` maps (b, t), t < p_max, to the rows of
-    (b^{-1})_[t] A_[t] = (b^{-1} A)_[t], each a list of (column, non-zero
-    entry) pairs.  All three are built once per table.
+    Let N_mu(i, b) = sum (-l)^mu d_(b,l)^T over the support elements (b, l)
+    whose inverse lies in digit coset i, l the true translation R k, for
+    the |mu| < p_max reached.  These are the per-coset sums of the sum rules
+    (Jia, Math. Comp. 67, 1998; Cabrelli, Heil and Molter, J. Approx.
+    Theory 95, 1998), which ask that below the accuracy every coset's
+    agree with coset 0's.  ``moments`` keeps each once: (0, b) maps to
+    {mu: N_mu(0, b) D}, and (i, b), 0 < i < m, to the differences
+    {mu: (N_mu(i, b) - N_mu(0, b)) D}, D the common denominator of the
+    mask's plain view (:meth:`Mask.plain`), whose D-scaled non-zero entries
+    are read as they are.  Each N_mu is kept as the dict (a, c) -> entry of
+    its non-zero entries; a zero one is left out, so a missing one is zero,
+    and a key is kept only where one is left: where the coset moments agree,
+    the keys are coset 0's alone.  The inverse (b^{-1}, -b k) lies in the
+    coset of -k, and the monomials are products of powers of -l's
+    coordinates.  A translation coordinate is read as an int where it is
+    one, so the entries are Python ints on an integral lattice and fall back
+    to Fractions (R not integral) or QCs (complex masks) by themselves.  The
+    coset, R k and the non-zero monomials are read once per lattice point,
+    for every b on it, and each (i, b, mu) is summed in one dense list of
+    r r entries, index a r + c.  ``leads`` maps (b, t), t < p_max, to the
+    rows of (b^{-1})_[t] A_[t] = (b^{-1} A)_[t], each a list of (column,
+    non-zero entry) pairs.  Both are built once per table.
 
     The table is kept with the mask, one per dilation, and built for the
     largest p_max asked for: a request for a smaller p_max gets the kept table
@@ -317,28 +318,20 @@ def _moments(mask: Mask, dilation: Dilation, p_max: int) -> _MomentTable:
             for n, x in terms:
                 acc[n] += w * x
     pairs = [divmod(n, r) for n in range(r * r)]
-
-    def sparse(moments):
-        if r == 1:  # one entry per moment: no inner dict to filter
-            return {mu: {(0, 0): acc[0]} for mu, acc in moments.items()
-                    if acc[0] != 0}
-        return {mu: n_mu for mu, acc in moments.items()
-                if (n_mu := {pairs[n]: y for n, y in enumerate(acc)
-                             if y != 0})}
-
-    sums = {key: sparse(moments) for key, moments in dense.items()}
     parts = dict.fromkeys(b for _, b in dense)
-    zero, diffs = [0] * (r * r), {}
-    for i in range(1, dilation.m):
+    zero, moments = [0] * (r * r), {}
+    for i in range(dilation.m):
         for b in parts:
-            ours, base = dense.get((i, b), {}), dense.get((0, b), {})
+            ours = dense.get((i, b), {})
+            base = dense.get((0, b), {}) if i else {}
             delta = {}
             for mu in mus:
                 n_i, n_0 = ours.get(mu, zero), base.get(mu, zero)
                 if n_i != n_0:
-                    delta[mu] = [x - y for x, y in zip(n_i, n_0)]
+                    delta[mu] = {pairs[n]: x - y for n, (x, y)
+                                 in enumerate(zip(n_i, n_0)) if x != y}
             if delta:
-                diffs[(i, b)] = sparse(delta)
+                moments[(i, b)] = delta
     leads = {}
     for b in parts:
         # (b^{-1})_[t] A_[t] = (b^{-1} A)_[t], as X_[t] is multiplicative
@@ -346,21 +339,21 @@ def _moments(mask: Mask, dilation: Dilation, p_max: int) -> _MomentTable:
         for t in range(p_max):
             leads[(b, t)] = [[(k, x) for k, x in enumerate(row) if x]
                              for row in build_A_s(b_inv_a, t).plain()]
-    table = _MomentTable(p_max, view.scale, sums, diffs, leads)
+    table = _MomentTable(p_max, view.scale, moments, leads)
     mask._moment_tables[dilation] = table
     return table
 
 
 def _block_row(mask: Mask, dilation: Dilation, table: _MomentTable,
-               s: int, coset: int | None = None) -> list[dict]:
+               s: int) -> list[dict]:
     """Block row s of the constraint system, scaled by the table's D, as
     sparse rows: one dict (column -> non-zero exact value: an int on
-    integral data, else a Fraction or a QC) per row.  With ``coset``, the
-    block B_i of that digit coset i; without, the block B_0 of coset 0
-    followed, for each coset i > 0 in turn, by the non-empty rows of
-    B_i - B_0.  [B_0; B_1; ...] and [B_0; B_1 - B_0; ...] have one row
-    space, so one kernel, and where the coset moments agree, as the sum
-    rules ask below the accuracy, the second is B_0 alone.
+    integral data, else a Fraction or a QC) per row.  It is the block B_0
+    of digit coset 0, then, for each coset i > 0 in turn, the non-empty
+    rows of B_i - B_0, read in one pass over the table's moments.
+    [B_0; B_1; ...] and [B_0; B_1 - B_0; ...] have one row space, so one
+    kernel, and where the coset moments agree, as the sum rules ask below
+    the accuracy, the second is B_0 alone.
 
     The unknowns are vec(v_[0]), vec(v_[1]), ..., row-major within each
     block.  A product B v_[t] C acts on vec(v_[t]) as kron(B, C^T), so the
@@ -372,7 +365,7 @@ def _block_row(mask: Mask, dilation: Dilation, table: _MomentTable,
     part b sum to its moments N (:func:`_moments`): entry
     ((alpha, a), (beta', c)) loses sum_beta binom(alpha, beta)
     B[beta, beta'] N_(alpha-beta)[a, c] D, B = (b^{-1})_[t] A_[t] the
-    table's lead.  B_i - B_0 is built the same way from the table's moment
+    table's lead.  B_i - B_0 is built the same way from coset i's moment
     differences, without the diagonal D I, which cancels.  The
     (beta, binom(alpha, beta), alpha - beta) of each row alpha are the
     polynomial shift's own (``multiidx._shift_pattern``), and an empty
@@ -386,13 +379,8 @@ def _block_row(mask: Mask, dilation: Dilation, table: _MomentTable,
         starts.append(starts[-1] + dim_degree(d, t) * r)
     patterns = [_shift_pattern(d, s, t) for t in range(s + 1)]
     size = dim_degree(d, s) * r
-    first = coset or 0
-    rows = {first: [{starts[s] + k: table.scale} for k in range(size)]}
-    work = [(i, b, moment) for (i, b), moment in table.sums.items()
-            if i == first]
-    if coset is None:
-        work += [(i, b, delta) for (i, b), delta in table.diffs.items()]
-    for i, b, moment in work:
+    rows = {0: [{starts[s] + k: table.scale} for k in range(size)]}
+    for (i, b), moment in table.moments.items():
         block = rows.get(i)
         if block is None:
             block = rows[i] = [{} for _ in range(size)]
@@ -413,7 +401,7 @@ def _block_row(mask: Mask, dilation: Dilation, table: _MomentTable,
                             else:
                                 row[col0 + c] = value
     return [row for i, block in rows.items() for row in block
-            if row or i == first]
+            if row or i == 0]
 
 
 def _unpack_witness(vector: dict, d: int, r: int, s_max: int) -> VCollection:
@@ -535,12 +523,14 @@ def sufficient_check(mask: Mask, triple: CrystalTriple, dilation: Dilation,
     Every stage runs on plain values over the mask's common denominator
     D (:meth:`Mask.plain`), ints on real rational data.  The sums of (ii)
     are the rows of g_[s] applied to the moments of :func:`_moments`, as
-    the inverse of (g, l) is (g^{-1}, -g l); they are divided by D once
-    each, as they enter the report.  Block row s of :func:`_block_row` on
-    the first coset, the only one built, is D times the left side of
+    the inverse of (g, l) is (g^{-1}, -g l): coset 0's sum in every coset,
+    plus that coset's difference from it; they are divided by D once each,
+    as they enter the report.  When they agree, every moment difference of
+    degree below p is zero, as g_[s] is invertible, so block row s < p of
+    :func:`_block_row` is coset 0's block alone: D times the left side of
     (I - M_[s,s] A_[s]) v_[s] - sum_{t<s} M_[s,t] A_[t] v_[t] = 0,
-    with M_[s,t] the binomial moment matrices of the mask; when the moments
-    agree, M_[s,s] A_[s] is the matrix of (iii).  One elimination per
+    with M_[s,t] the binomial moment matrices of the mask, and
+    M_[s,s] A_[s] is the matrix of (iii).  One elimination per
     degree (:func:`~crystacc.linalg._rref`) of the diagonal block, with
     the right side appended while the chain goes on, decides (iii) by its
     pivots and gives the witness chain v_[0] = 1,
@@ -568,13 +558,16 @@ def sufficient_check(mask: Mask, triple: CrystalTriple, dilation: Dilation,
     sums = {(b, a): [0] * m for b in range(triple.order)
             for s in range(p) for a in enumerate_degree(d, s)}
     act = cache(lambda g, s: build_A_s(triple.group[g], s).plain())
-    for (i, g), moment in table.sums.items():
+    for (i, g), moment in table.moments.items():
         b = triple.inverse_table[g]
         for s in range(p):
             alphas = enumerate_degree(d, s)
             for a, row in zip(alphas, act(g, s)):
-                sums[(b, a)][i] = sum(x * moment.get(alphas[k], {}).get(
-                    (0, 0), 0) for k, x in enumerate(row) if x)
+                y = sum(x * moment.get(alphas[k], {}).get((0, 0), 0)
+                        for k, x in enumerate(row) if x)
+                xs = sums[(b, a)]
+                for c in (range(m) if i == 0 else (i,)):
+                    xs[c] += y
     per_coset = {key: [_exact(x, view.scale) for x in xs]
                  for key, xs in sums.items()}
     beta = {key: xs[0] for key, xs in per_coset.items() if len(set(xs)) == 1}
@@ -601,8 +594,9 @@ def sufficient_check(mask: Mask, triple: CrystalTriple, dilation: Dilation,
                          "coefficient indexings; the coset permutation "
                          "argument failed for this input")
 
-    # coset-0 block rows of degrees 1..p-1: their diagonal blocks
-    # I - M_[s,s] A_[s], with the chain's right sides while it goes on
+    # block rows of degrees 1..p-1, coset 0's alone as the moments agree:
+    # their diagonal blocks I - M_[s,s] A_[s], with the chain's right sides
+    # while it goes on
     eigen_flags = {}
     chain = [[1]] if sum_rule_ok and beta0_consistent else None
     if moments_ok:
@@ -611,7 +605,7 @@ def sufficient_check(mask: Mask, triple: CrystalTriple, dilation: Dilation,
             ds = dim_degree(d, s)
             flat = [x for blk in chain or () for x in blk]
             system = []
-            for row in _block_row(mask, dilation, table, s, coset=0):
+            for row in _block_row(mask, dilation, table, s):
                 line = {j - start: x for j, x in row.items() if j >= start}
                 if chain is not None:
                     line[ds] = -sum(x * flat[j] for j, x in row.items()
@@ -639,12 +633,10 @@ def sufficient_check(mask: Mask, triple: CrystalTriple, dilation: Dilation,
                          "inconsistency")
 
     passed = bool(conditions_ok and chain_zero)
-    return SufficientReport(
-        p=p, sum_total=_exact(total, view.scale), sum_rule_ok=sum_rule_ok,
-        beta=beta, per_coset=per_coset, moments_ok=moments_ok,
-        eigen_flags=eigen_flags, eigen_ok=eigen_ok,
-        beta0_consistent=beta0_consistent, v_chain=v_chain,
-        chain_residual_zero=chain_zero, passed=passed, notes=tuple(notes))
+    return SufficientReport(p, _exact(total, view.scale), sum_rule_ok, beta,
+                            per_coset, moments_ok, eigen_flags, eigen_ok,
+                            beta0_consistent, v_chain, chain_zero, passed,
+                            tuple(notes))
 
 
 def verify_equivalence(mask: Mask, dilation: Dilation, v: VCollection | None,

@@ -124,9 +124,12 @@ def _option(cfg: dict, name: str, default, kind=int, minimum=None):
                    minimum)
 
 
-def _build_triple(cfg: dict) -> CrystalTriple:
-    """The triple of the config; every shape is checked against
-    ``dimension`` before anything of that size is built."""
+def _build_setting(cfg: dict) -> tuple[CrystalTriple, Dilation]:
+    """The triple and the dilation of the config.  The group's generators,
+    the lattice and the dilation are checked against ``dimension`` before
+    anything of that size is built, so a config costs no more than its own
+    size: a dilation of the wrong size is refused as the admissibility test
+    would refuse it."""
     if "dimension" not in cfg:
         raise CliError(EXIT_MALFORMED, "config needs an integer 'dimension'")
     dim = _number(cfg["dimension"], "'dimension'", minimum=1)
@@ -135,33 +138,32 @@ def _build_triple(cfg: dict) -> CrystalTriple:
     if not isinstance(group, (str, list)):
         raise CliError(EXIT_MALFORMED, "'group' must be a catalog name or a "
                        "list of generator matrices")
+    if isinstance(group, str) and group not in catalog_names(dim):
+        raise CliError(EXIT_BAD_GROUP, f"unknown catalog group {group!r} in "
+                       f"dimension {dim}")
     try:
-        if isinstance(group, str):
-            if group not in catalog_names(dim):
-                raise CliError(EXIT_BAD_GROUP,
-                               f"unknown catalog group {group!r} in "
-                               f"dimension {dim}")
+        points = None if isinstance(group, str) else generate_group(
+            [_parse_matrix(g, "group generator", dim) for g in group])
+        r_mat = None if lattice is None else _parse_matrix(lattice,
+                                                           "lattice", dim)
+        if "dilation" not in cfg:
+            raise CliError(EXIT_MALFORMED, "config needs a 'dilation' matrix")
+        a_mat = _parse_matrix(cfg["dilation"], "dilation")
+        if a_mat.shape != (dim, dim):
+            raise CliError(EXIT_INADMISSIBLE, "inadmissible dilation: "
+                           "dilation must be an exact d x d matrix")
+        if points is None:
             triple = catalog_triple(group, dim)
-            if lattice is not None:
-                r_mat = _parse_matrix(lattice, "lattice", dim)
+            if r_mat is not None:
                 triple = validate_triple(r_mat, triple.group, group)
         else:
-            points = generate_group([_parse_matrix(g, "group generator", dim)
-                                     for g in group])
-            r_mat = (Mat.identity(dim) if lattice is None
-                     else _parse_matrix(lattice, "lattice", dim))
-            triple = validate_triple(r_mat, points, "custom")
+            triple = validate_triple(
+                Mat.identity(dim) if r_mat is None else r_mat, points,
+                "custom")
     except GroupValidationError as exc:
         raise CliError(EXIT_BAD_GROUP, f"invalid group: {exc}")
-    return triple
-
-
-def _build_dilation(cfg: dict, triple: CrystalTriple) -> Dilation:
-    if "dilation" not in cfg:
-        raise CliError(EXIT_MALFORMED, "config needs a 'dilation' matrix")
-    a_mat = _parse_matrix(cfg["dilation"], "dilation")
     try:
-        return check_admissible(a_mat, triple)
+        return triple, check_admissible(a_mat, triple)
     except AdmissibilityError as exc:
         raise CliError(EXIT_INADMISSIBLE, f"inadmissible dilation: {exc}")
 
@@ -253,8 +255,7 @@ def _emit(report: dict) -> None:
 
 def cmd_check_group(args) -> int:
     cfg = _load_config(args.config)
-    triple = _build_triple(cfg)
-    dilation = _build_dilation(cfg, triple)
+    triple, dilation = _build_setting(cfg)
     report = {
         "schema_version": SCHEMA_VERSION,
         "group": triple.name,
@@ -271,8 +272,7 @@ def cmd_check_group(args) -> int:
 
 def cmd_accuracy(args) -> int:
     cfg = _load_config(args.config)
-    triple = _build_triple(cfg)
-    dilation = _build_dilation(cfg, triple)
+    triple, dilation = _build_setting(cfg)
     mask = _build_mask(cfg, triple)
     if args.p_max is not None and args.p_max < 1:
         raise CliError(EXIT_MALFORMED, "--p-max must be at least 1")
@@ -323,8 +323,7 @@ def cmd_accuracy(args) -> int:
 
 def cmd_cascade(args) -> int:
     cfg = _load_config(args.config)
-    triple = _build_triple(cfg)
-    dilation = _build_dilation(cfg, triple)
+    triple, dilation = _build_setting(cfg)
     mask = _build_mask(cfg, triple)
     if args.iters is not None and args.iters < 1:
         raise CliError(EXIT_MALFORMED, "--iters must be at least 1")
@@ -432,8 +431,7 @@ def _dump_field_csv(field, path: str) -> None:
 
 def cmd_lift(args) -> int:
     cfg = _load_config(args.config)
-    triple = _build_triple(cfg)
-    dilation = _build_dilation(cfg, triple)
+    triple, dilation = _build_setting(cfg)
     mask = _build_mask(cfg, triple)
     _emit(_mask_json(lift_scalar_to_matrix(mask, dilation)))
     return EXIT_OK
@@ -441,8 +439,7 @@ def cmd_lift(args) -> int:
 
 def cmd_extract(args) -> int:
     cfg = _load_config(args.config)
-    triple = _build_triple(cfg)
-    dilation = _build_dilation(cfg, triple)
+    triple, dilation = _build_setting(cfg)
     lat = lattice_triple(triple)
     raw_mask = _build_mask({"mask": cfg.get("mask"), "dimension": triple.d},
                            lat)

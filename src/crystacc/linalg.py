@@ -22,18 +22,19 @@ One Gauss-Jordan elimination, ``_rref``, serves :func:`rank`,
 ``[A | I]``) and :func:`solve_affine`.  It runs on sparse rows, one dict column
 -> value per row, and is fraction-free: each row is scaled to integers by the
 lcm of its denominators (a row of ints as it is) and kept divided by its
-content, a row equal to one already read is dropped (so coset blocks that
-coincide are eliminated once), only the rows with a non-zero in the pivot
-column are updated, the pivot row is the unused candidate with the fewest
-non-zeros (Markowitz), and the pivot rows are divided by their pivots once, at
-the end, but for :func:`_kernel`, whose vectors are positive multiples of the
-rref ones, coprime ints on real data.  Real data run on Python ints, complex
-data on QCs with integer parts, through the same loop.  The columns are taken
-in order, so the rref is the textbook one.  The determinant is tracked through
-the row scalings and the order of the pivot rows.  :class:`Mat` is the dense
-exact matrix of the public API; :class:`SparseRows` carries the exact solver's
-rows and kernels as plain values in sparse form.  :meth:`QC.is_zero` (with
-:meth:`Mat.is_zero`) is the one zero test of the public scalars.
+content, a row equal to one already read is dropped (so the exact solver's
+repeated coset difference rows are eliminated once), only the rows with a
+non-zero in the pivot column are updated, the pivot row is the unused
+candidate with the fewest non-zeros (Markowitz), and the pivot rows are
+divided by their pivots once, at the end, but for :func:`_kernel`, whose
+vectors are positive multiples of the rref ones, coprime ints on real data.
+Real data run on Python ints, complex data on QCs with integer parts, through
+the same loop.  The columns are taken in order, so the rref is the textbook
+one.  The determinant is tracked through the row scalings and the order of the
+pivot rows.  :class:`Mat` is the dense exact matrix of the public API;
+:class:`SparseRows` carries the exact solver's rows and kernels as plain
+values in sparse form.  :meth:`QC.is_zero` (with :meth:`Mat.is_zero`) is the
+one zero test of the public scalars.
 """
 
 from __future__ import annotations
@@ -434,7 +435,8 @@ def _rref(rows: list[dict], n_cols: int, with_det: bool = False,
     dropped: the row space, so the rref, the pivots and every kernel, stays the
     same, and each distinct constraint is eliminated once (on the lifted p4m
     hat, the exact solver's degree-2 block row has 56 rows, 25 of them
-    distinct).  A dropped row makes the leading square block singular, and
+    distinct: coset 0's 24, and one row that each of the 32 coset difference
+    rows repeats).  A dropped row makes the leading square block singular, and
     the determinant is then None.
     The columns are taken in their order, so the rref, which is unique for a
     fixed column order, is that of the textbook elimination.  Among the rows

@@ -1,15 +1,20 @@
 """Shared fixtures: catalog triples, dilations, and the classic 1D masks."""
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from math import prod
+from operator import getitem
 
 import pytest
 
-from crystacc import cascade
+from crystacc import accuracy, cascade
 from crystacc.crystal import catalog_triple, check_admissible
 from crystacc.linalg import Mat, SparseRows, _qc, _rref
-from crystacc.mask import Mask
-from crystacc.multiidx import _acted_rows, _shift_pattern, dim_degree
+from crystacc.mask import Mask, MaskShapeError
+from crystacc.multiidx import (VCollection, _acted_rows, _shift_pattern,
+                               build_A_s, dim_degree, enumerate_degree)
 
 
 def rand_fraction(rng, num=9, den=5):
@@ -66,23 +71,103 @@ def rref_solve_affine(k, basis):
     return SparseRows(out, start + k.cols - n)
 
 
-def stacked_block_row(mask, dilation, table, s, coset=None):
-    """accuracy._block_row as it was before it built the coset
-    differences, kept as the reference: D times block row s of the
-    stacked system, one block per digit coset (or that of ``coset``
-    only), each with its diagonal D I, read off the moment table's sums."""
+@dataclass
+class TwoFieldTable:
+    """The moment table as it was kept before it held each moment once:
+    every coset's D-scaled moments (``sums``) and their differences from
+    coset 0 (``diffs``), besides the degree bound, D and the leads."""
+
+    p_max: int
+    scale: int
+    sums: dict
+    diffs: dict
+    leads: dict
+
+
+def two_field_moments(mask, dilation, p_max):
+    """accuracy._moments as it was before it kept each moment once, kept as
+    the reference: every coset's sums in ``sums``, summed in dense lists
+    once per lattice point, and their differences from coset 0 in
+    ``diffs``.  Unlike the solver's, the table is not kept with the mask."""
+    tri, d, r = mask.triple, mask.triple.d, mask.r
+    view = mask.plain()
+    mus = [mu for s in range(p_max) for mu in enumerate_degree(d, s)]
+    dense, points = {}, {}
+    for e, entries in view.entries:
+        if e.k not in points:
+            powers = [[(-y) ** n for n in range(p_max)]
+                      for y in e.true_translation()]
+            points[e.k] = (dilation.translation_coset([-x for x in e.k]),
+                           [(mu, w) for mu in mus
+                            if (w := prod(map(getitem, powers, mu)))])
+        i, weights = points[e.k]
+        moments = dense.setdefault((i, e.g), {})
+        terms = [(a * r + c, x) for c, a, x in entries]
+        for mu, w in weights:
+            acc = moments.get(mu)
+            if acc is None:
+                acc = moments[mu] = [0] * (r * r)
+            for n, x in terms:
+                acc[n] += w * x
+    pairs = [divmod(n, r) for n in range(r * r)]
+
+    def sparse(moments):
+        if r == 1:
+            return {mu: {(0, 0): acc[0]} for mu, acc in moments.items()
+                    if acc[0] != 0}
+        return {mu: n_mu for mu, acc in moments.items()
+                if (n_mu := {pairs[n]: y for n, y in enumerate(acc)
+                             if y != 0})}
+
+    sums = {key: sparse(moments) for key, moments in dense.items()}
+    parts = dict.fromkeys(b for _, b in dense)
+    zero, diffs = [0] * (r * r), {}
+    for i in range(1, dilation.m):
+        for b in parts:
+            ours, base = dense.get((i, b), {}), dense.get((0, b), {})
+            delta = {}
+            for mu in mus:
+                n_i, n_0 = ours.get(mu, zero), base.get(mu, zero)
+                if n_i != n_0:
+                    delta[mu] = [x - y for x, y in zip(n_i, n_0)]
+            if delta:
+                diffs[(i, b)] = sparse(delta)
+    return TwoFieldTable(p_max, view.scale, sums, diffs, _leads(
+        tri, dilation, parts, p_max))
+
+
+def _leads(tri, dilation, parts, p_max):
+    """(b, t) -> the rows of (b^{-1} A)_[t] as (column, non-zero) pairs."""
+    leads = {}
+    for b in parts:
+        b_inv_a = tri.group[tri.inverse_table[b]] @ dilation.A
+        for t in range(p_max):
+            leads[(b, t)] = [[(k, x) for k, x in enumerate(row) if x]
+                             for row in build_A_s(b_inv_a, t).plain()]
+    return leads
+
+
+def two_field_block_row(mask, dilation, table, s, coset=None):
+    """accuracy._block_row as it was on the two-field table, kept as the
+    reference: with ``coset``, the plain block B_i of that digit coset,
+    read off ``sums``; without, B_0 followed, for each coset i > 0 in
+    turn, by the non-empty rows of B_i - B_0, read off ``diffs``."""
     d, r = mask.triple.d, mask.r
     starts = [0]
     for t in range(s):
         starts.append(starts[-1] + dim_degree(d, t) * r)
     patterns = [_shift_pattern(d, s, t) for t in range(s + 1)]
-    rows = {i: [{starts[s] + k: table.scale}
-                for k in range(dim_degree(d, s) * r)]
-            for i in (range(dilation.m) if coset is None else (coset,))}
-    for (i, b), moment in table.sums.items():
+    size = dim_degree(d, s) * r
+    first = coset or 0
+    rows = {first: [{starts[s] + k: table.scale} for k in range(size)]}
+    work = [(i, b, moment) for (i, b), moment in table.sums.items()
+            if i == first]
+    if coset is None:
+        work += [(i, b, delta) for (i, b), delta in table.diffs.items()]
+    for i, b, moment in work:
         block = rows.get(i)
         if block is None:
-            continue
+            block = rows[i] = [{} for _ in range(size)]
         for t, pattern in enumerate(patterns):
             leads = table.leads[(b, t)]
             for row0, terms in enumerate(pattern):
@@ -99,7 +184,163 @@ def stacked_block_row(mask, dilation, table, s, coset=None):
                                 row.pop(col0 + c, None)
                             else:
                                 row[col0 + c] = value
-    return [row for block in rows.values() for row in block]
+    return [row for i, block in rows.items() for row in block
+            if row or i == first]
+
+
+def two_field_sufficient_check(mask, triple, dilation, p):
+    """accuracy.sufficient_check as it was on the two-field table, kept as
+    the reference: each coset's sums read off ``sums``, and the block
+    rows of coset 0 alone (``coset=0``)."""
+    if mask.r != 1:
+        raise MaskShapeError("the sum-rule test applies to multiplicity-1 "
+                             f"masks, got r={mask.r}")
+    if triple is not mask.triple or dilation.triple is not triple:
+        raise ValueError("mask, triple and dilation must match")
+    if p < 1:
+        raise ValueError("target accuracy must be at least 1")
+    d, m = triple.d, dilation.m
+    notes = ["degree-s eigenvalue screen runs over 1 <= s < p; at s = 0 "
+             "the screened matrix equals the scalar 1 whenever the sum "
+             "rule holds"]
+    view = mask.plain()
+    total = sum(x for _, entries in view.entries for _, _, x in entries)
+    sum_rule_ok = total == m * view.scale
+
+    table = two_field_moments(mask, dilation, p)
+    sums = {(b, a): [0] * m for b in range(triple.order)
+            for s in range(p) for a in enumerate_degree(d, s)}
+    act = cache(lambda g, s: build_A_s(triple.group[g], s).plain())
+    for (i, g), moment in table.sums.items():
+        b = triple.inverse_table[g]
+        for s in range(p):
+            alphas = enumerate_degree(d, s)
+            for a, row in zip(alphas, act(g, s)):
+                sums[(b, a)][i] = sum(x * moment.get(alphas[k], {}).get(
+                    (0, 0), 0) for k, x in enumerate(row) if x)
+    per_coset = {key: [accuracy._exact(x, view.scale) for x in xs]
+                 for key, xs in sums.items()}
+    beta = {key: xs[0] for key, xs in per_coset.items() if len(set(xs)) == 1}
+    moments_ok = len(beta) == len(per_coset)
+    if not moments_ok:
+        notes.append("per-coset moments disagree; see per_coset for the "
+                     "offending sums")
+
+    zero_alpha = (0,) * d
+    beta0_consistent = True
+    if moments_ok and sum_rule_ok:
+        direct = {b: [0] * m for b in range(triple.order)}
+        for e, entries in view.entries:
+            i = dilation.translation_coset(e.k)
+            for _, _, x in entries:
+                direct[triple.inverse_table[e.g]][i] += x
+        beta0_consistent = all(x == sums[(b, zero_alpha)][0]
+                               for b, xs in direct.items() for x in xs)
+        if not beta0_consistent:
+            notes.append("alpha = 0 moments disagree between the two "
+                         "coefficient indexings; the coset permutation "
+                         "argument failed for this input")
+
+    eigen_flags = {}
+    chain = [[1]] if sum_rule_ok and beta0_consistent else None
+    if moments_ok:
+        start = 1
+        for s in range(1, p):
+            ds = dim_degree(d, s)
+            flat = [x for blk in chain or () for x in blk]
+            system = []
+            for row in two_field_block_row(mask, dilation, table, s, coset=0):
+                line = {j - start: x for j, x in row.items() if j >= start}
+                if chain is not None:
+                    line[ds] = -sum(x * flat[j] for j, x in row.items()
+                                    if j < start)
+                system.append(line)
+            rref, pivots, _ = _rref(system, ds + 1)
+            eigen_flags[s] = pivots[:ds] == list(range(ds))
+            chain = (chain + [[line.get(ds, 0) for line in rref[:ds]]]
+                     if chain is not None and eigen_flags[s] else None)
+            start += ds
+    eigen_ok = all(eigen_flags.values())
+
+    v_chain = None
+    chain_zero = None
+    conditions_ok = (sum_rule_ok and moments_ok and eigen_ok
+                     and beta0_consistent)
+    if conditions_ok:
+        v_chain = VCollection(d, tuple(Mat.column(blk) for blk in chain))
+        _, walk = accuracy._residual_walk(mask, dilation, v_chain, range(p))
+        chain_zero = all(x == 0 for cosets in walk.values()
+                         for rows in cosets for row in rows for x in row)
+        if not chain_zero:
+            notes.append("the recursive witness fails the per-coset "
+                         "conditions; this indicates an internal "
+                         "inconsistency")
+
+    passed = bool(conditions_ok and chain_zero)
+    return accuracy.SufficientReport(
+        p=p, sum_total=accuracy._exact(total, view.scale),
+        sum_rule_ok=sum_rule_ok, beta=beta, per_coset=per_coset,
+        moments_ok=moments_ok, eigen_flags=eigen_flags, eigen_ok=eigen_ok,
+        beta0_consistent=beta0_consistent, v_chain=v_chain,
+        chain_residual_zero=chain_zero, passed=passed, notes=tuple(notes))
+
+
+def per_element_moments(mask, dilation, p_max):
+    """accuracy._moments as it was before it read each lattice point once,
+    kept as the reference: the coset of -k, R k and every monomial weight
+    are recomputed for each support element, and each (coset, point part)
+    starts with an empty N_mu for every mu; the differences from coset 0
+    are taken entry by entry (:func:`_reference_diffs`)."""
+    d = mask.triple.d
+    view = mask.plain()
+    mus = [mu for s in range(p_max) for mu in enumerate_degree(d, s)]
+    sums = {}
+    for e, entries in view.entries:
+        key = (dilation.translation_coset([-x for x in e.k]), e.g)
+        moments = sums.setdefault(key, {mu: {} for mu in mus})
+        powers = [[(-y) ** n for n in range(p_max)]
+                  for y in e.true_translation()]
+        for mu in mus:
+            w = prod(p[n] for p, n in zip(powers, mu))
+            if w == 0:
+                continue
+            n_mu = moments[mu]
+            for c, a, x in entries:
+                n_mu[(a, c)] = n_mu.get((a, c), 0) + w * x
+    return TwoFieldTable(p_max, view.scale, sums,
+                         _reference_diffs(sums, dilation.m),
+                         _leads(mask.triple, dilation,
+                                {b for _, b in sums}, p_max))
+
+
+def _reference_diffs(sums, m):
+    """(i, b) -> {mu: N_mu(i, b) - N_mu(0, b)} for 0 < i < m, from a
+    moment table's sums, entry by entry, without the zero entries, the
+    zero moments and the keys left with none."""
+    out = {}
+    for i in range(1, m):
+        for b in {b for _, b in sums}:
+            ours, base = sums.get((i, b), {}), sums.get((0, b), {})
+            delta = {}
+            for mu in {**ours, **base}:
+                n_i, n_0 = ours.get(mu, {}), base.get(mu, {})
+                n = {ac: x for ac in {**n_i, **n_0}
+                     if (x := n_i.get(ac, 0) - n_0.get(ac, 0)) != 0}
+                if n:
+                    delta[mu] = n
+            if delta:
+                out[(i, b)] = delta
+    return out
+
+
+def stacked_block_row(mask, dilation, table, s):
+    """accuracy._block_row as it was before it built the coset
+    differences, kept as the reference: D times block row s of the
+    stacked system, one block per digit coset, each with its diagonal
+    D I, read off the per-coset sums of :func:`per_element_moments`."""
+    sums = per_element_moments(mask, dilation, table.p_max)
+    return [row for i in range(dilation.m)
+            for row in two_field_block_row(mask, dilation, sums, s, i)]
 
 
 def coset_differences(rows, m):

@@ -24,8 +24,10 @@ from crystacc.multiidx import (VCollection, build_A_s, build_Q_st,
                                build_Q_tilde, dim_degree, enumerate_degree,
                                eval_X)
 
-from conftest import (coset_differences, rref_solve_affine,
-                      stacked_block_row)
+from conftest import (coset_differences, per_element_moments,
+                      rref_solve_affine, stacked_block_row,
+                      two_field_block_row, two_field_moments,
+                      two_field_sufficient_check)
 
 
 def _witness_entries(cert):
@@ -768,8 +770,8 @@ def _spread(where, lattice_mask):
 def _scalar_bases(line, p1m, pm):
     """(triple, dilation, {element: scalar}) of masks with accuracy 2 to
     4, so that the scan reaches the higher degrees, and the tile of the
-    digits of p2-cyclic.  The 2D tensor hat is invariant under every
-    point group here, so its spreads keep accuracy 2, on a scaled
+    digits of p2-cyclic.  The 2D and 3D tensor hats are invariant under
+    every point group here, so their spreads keep accuracy 2, on a scaled
     lattice too; the hat under A = 3 has accuracy 2."""
     h = Fraction(1, 2)
     cubic = {(-2,): Fraction(1, 8), (-1,): h, (0,): Fraction(3, 4),
@@ -777,6 +779,8 @@ def _scalar_bases(line, p1m, pm):
     hat = {(-1,): h, (0,): Fraction(1), (1,): h}
     hat2 = {(i, j): a * b for (i,), a in hat.items()
             for (j,), b in hat.items()}
+    hat3 = {(i, *k): a * b for (i,), a in hat.items()
+            for k, b in hat2.items()}
     return {
         "line": _spread(line, cubic),
         "p1m": _spread(p1m, hat),
@@ -788,6 +792,8 @@ def _scalar_bases(line, p1m, pm):
                                    for k in range(-2, 3)}),
         "p2-cyclic": _spread(P2_CYCLIC, {
             k: Fraction(1) for k in P2_CYCLIC[1].lattice_digits}),
+        "p1-3d": _spread(P1_3D, hat3),
+        "pm-3d": _spread(PM_3D, hat3),
     }
 
 
@@ -869,12 +875,34 @@ def _fraction_moments(mask, dilation, p_max):
 
 
 def _nonzero(sums):
-    """A moment table's sums without their zero entries and zero moments:
-    the table keeps the non-zero entries of each N_mu only, and an N_mu
-    only where one is left."""
-    return {key: {mu: n for mu, entries in moments.items()
-                  if (n := {ac: x for ac, x in entries.items() if x != 0})}
-            for key, moments in sums.items()}
+    """A moment table's sums without their zero entries, zero moments and
+    empty keys: the table keeps the non-zero entries of each N_mu only, an
+    N_mu only where one is left, and a key only where an N_mu is."""
+    out = {key: {mu: n for mu, entries in moments.items()
+                 if (n := {ac: x for ac, x in entries.items() if x != 0})}
+           for key, moments in sums.items()}
+    return {key: moments for key, moments in out.items() if moments}
+
+
+def _coset_sums(table, m):
+    """Every digit coset's moments read off the one moment dict, in the
+    form of :func:`_nonzero`: coset 0's, plus coset i's differences from
+    them, entry by entry."""
+    out = {}
+    for i in range(m):
+        for b in {b for _, b in table.moments}:
+            base = table.moments.get((0, b), {})
+            delta = table.moments.get((i, b), {}) if i else {}
+            sums = {}
+            for mu in {**base, **delta}:
+                n_0, n_i = base.get(mu, {}), delta.get(mu, {})
+                n = {ac: x for ac in {**n_0, **n_i}
+                     if (x := n_0.get(ac, 0) + n_i.get(ac, 0)) != 0}
+                if n:
+                    sums[mu] = n
+            if sums:
+                out[(i, b)] = sums
+    return out
 
 
 def _fraction_block_row(mask, dilation, moments, s):
@@ -950,9 +978,9 @@ def test_integer_rows_are_the_fraction_rows_times_the_denominator(
         line, p1m, pm, where, r, real, data):
     """The moment table and the block rows built on the common
     denominator D equal D times the Fraction ones, exactly (the rows put
-    through :func:`coset_differences`, the table without its zero
-    entries), and D is the
-    lcm of the denominators of the coefficients.  Real and complex masks
+    through :func:`coset_differences`, every coset's moments read off the
+    one dict by :func:`_coset_sums`, without their zero entries), and D
+    is the lcm of the denominators of the coefficients.  Real and complex masks
     with r = 1, 2 (a scalar base times the identity) and r = 8 (the
     lifted p4m hat), with a few drawn entries changed, over R = I, pm on
     diag(1/2, 1/3) and p2 on a sheared lattice, and under A = 3 and
@@ -963,7 +991,7 @@ def test_integer_rows_are_the_fraction_rows_times_the_denominator(
     table = accuracy_mod._moments(mask, dil, s_top + 1)
     reference = _fraction_moments(mask, dil, s_top + 1)
     assert table.scale == scale
-    assert table.sums == {
+    assert _coset_sums(table, dil.m) == {
         key: {mu: {ac: scale * x for ac, x in n.items()}
               for mu, n in moments.items()}
         for key, moments in _nonzero(reference).items()}
@@ -1325,9 +1353,9 @@ def test_sufficient_check_walks_the_support_once(line, bspline4,
 # -- the sum-rule test on plain values against the QC one it replaced -------
 
 def _reference_sufficient_check(mask, triple, dilation, p):
-    """sufficient_check as it was on QC Mats: per-coset sums from a
-    build_A_s @ Mat.column product and a QC division per entry, every
-    coset's block rows built, det of each diagonal block, then
+    """sufficient_check as it was on QC Mats: per-coset sums of the
+    per-element moments from a build_A_s @ Mat.column product and a QC
+    division per entry, every coset's block rows built, det of each diagonal block, then
     lhs.inverse() @ rhs for the chain, re-checked per degree against the
     dense per-coset reference (:func:`_condition_d_reference`)."""
     if mask.r != 1:
@@ -1349,7 +1377,8 @@ def _reference_sufficient_check(mask, triple, dilation, p):
     table = accuracy_mod._moments(mask, dilation, p)
     per_coset = {(b, a): [QC(0)] * m for b in range(r)
                  for s in range(p) for a in enumerate_degree(d, s)}
-    for (i, g), moment in table.sums.items():
+    for (i, g), moment in per_element_moments(mask, dilation,
+                                              p).sums.items():
         for s in range(p):
             alphas = enumerate_degree(d, s)
             col = build_A_s(triple.group[g], s) @ Mat.column(
@@ -1512,21 +1541,22 @@ def test_sufficient_report_equals_the_qc_reference_on_the_screen_cases(
 
 # -- block rows on the shared shift pattern, and the kept moment table ------
 
-def _inline_block_row(mask, dilation, table, s, coset=None):
+def _inline_block_row(mask, dilation, table, s):
     """Block row s as _block_row built it before it read the shift
-    pattern: the test beta <= alpha, alpha - beta and the binomial
-    recomputed for every (coset, point part, t, beta, alpha)."""
+    pattern, every coset's block stacked: the test beta <= alpha,
+    alpha - beta and the binomial recomputed for every (coset, point
+    part, t, beta, alpha), the per-coset sums read off
+    :func:`per_element_moments`."""
     d, r = mask.triple.d, mask.r
     starts = [0]
     for t in range(s):
         starts.append(starts[-1] + dim_degree(d, t) * r)
     alphas = enumerate_degree(d, s)
-    rows = {i: [{starts[s] + k: table.scale} for k in range(len(alphas) * r)]
-            for i in (range(dilation.m) if coset is None else (coset,))}
-    for (i, b), moment in table.sums.items():
-        block = rows.get(i)
-        if block is None:
-            continue
+    rows = [[{starts[s] + k: table.scale} for k in range(len(alphas) * r)]
+            for _ in range(dilation.m)]
+    sums = per_element_moments(mask, dilation, table.p_max).sums
+    for (i, b), moment in sums.items():
+        block = rows[i]
         for t in range(s + 1):
             for beta, lead in zip(enumerate_degree(d, t),
                                   table.leads[(b, t)]):
@@ -1545,7 +1575,7 @@ def _inline_block_row(mask, dilation, table, s, coset=None):
                                 row.pop(col0 + c, None)
                             else:
                                 row[col0 + c] = value
-    return [row for block in rows.values() for row in block]
+    return [row for block in rows for row in block]
 
 
 P1_3D = validate_triple(Mat.identity(3), [Mat.identity(3)], name="p1")
@@ -1595,9 +1625,8 @@ def _random_blocks(t, r, kind, rnd):
 def test_block_rows_on_the_shift_pattern_match_the_inline_loop(
         line, p1m, where, r, kind, rnd):
     """_block_row, which reads the binomial shift's pattern and skips an
-    empty N_mu, equals the inline loop it replaced, for every degree
-    s < 5 and every coset, and for all cosets at once the inline loop's
-    stacked blocks put through :func:`coset_differences`, on d = 1, 2
+    empty N_mu, equals for every degree s < 5 the inline loop it replaced,
+    its stacked blocks put through :func:`coset_differences`, on d = 1, 2
     and 3, r = 1 and 2, int, rational and complex masks, R = I and
     R != I."""
     t, dil = _kept_case(line, p1m, where)
@@ -1607,9 +1636,6 @@ def test_block_rows_on_the_shift_pattern_match_the_inline_loop(
         assert accuracy_mod._block_row(mask, dil, table, s) == \
             coset_differences(_inline_block_row(mask, dil, table, s),
                               dil.m)
-        for coset in range(dil.m):
-            assert accuracy_mod._block_row(mask, dil, table, s, coset) == \
-                _inline_block_row(mask, dil, table, s, coset)
 
 
 @seed(2026)
@@ -1622,9 +1648,9 @@ def test_the_kept_table_serves_every_smaller_degree_bound(line, p1m, where,
                                                           rnd):
     """The table kept with a mask for p_max is what every request for
     p <= p_max gets, and it gives the block rows of every degree s < p
-    and every coset (and all cosets at once) that a table a fresh mask
-    with the same coefficients builds for p gives; a larger request
-    builds a table equal to a fresh one and keeps it."""
+    that a table a fresh mask with the same coefficients builds for p
+    gives; a larger request builds a table equal to a fresh one and keeps
+    it."""
     t, dil = _kept_case(line, p1m, where)
     blocks = _random_blocks(t, r, kind, rnd)
     mask = Mask(t, blocks, r=r)
@@ -1634,10 +1660,8 @@ def test_the_kept_table_serves_every_smaller_degree_bound(line, p1m, where,
         fresh_mask = Mask(t, blocks, r=r)
         fresh = accuracy_mod._moments(fresh_mask, dil, p)
         for s in range(p):
-            for coset in [None, *range(dil.m)]:
-                assert (accuracy_mod._block_row(mask, dil, kept, s, coset)
-                        == accuracy_mod._block_row(fresh_mask, dil, fresh, s,
-                                                   coset))
+            assert (accuracy_mod._block_row(mask, dil, kept, s)
+                    == accuracy_mod._block_row(fresh_mask, dil, fresh, s))
     assert mask._moment_tables == {dil: kept}
     more = accuracy_mod._moments(mask, dil, p_max + 1)
     assert more == accuracy_mod._moments(Mask(t, blocks, r=r), dil,
@@ -1647,57 +1671,6 @@ def test_the_kept_table_serves_every_smaller_degree_bound(line, p1m, where,
 
 # -- moments once per lattice point, and the integral carried kernel --------
 
-def _per_element_moments(mask, dilation, p_max):
-    """accuracy._moments as it was before it read each lattice point once,
-    kept as the reference: the coset of -k, R k and every monomial weight
-    are recomputed for each support element, and each (coset, point part)
-    starts with an empty N_mu for every mu."""
-    tri, d = mask.triple, mask.triple.d
-    view = mask.plain()
-    mus = [mu for s in range(p_max) for mu in enumerate_degree(d, s)]
-    sums = {}
-    for e, entries in view.entries:
-        key = (dilation.translation_coset([-x for x in e.k]), e.g)
-        moments = sums.setdefault(key, {mu: {} for mu in mus})
-        powers = [[(-y) ** n for n in range(p_max)]
-                  for y in e.true_translation()]
-        for mu in mus:
-            w = prod(p[n] for p, n in zip(powers, mu))
-            if w == 0:
-                continue
-            n_mu = moments[mu]
-            for c, a, x in entries:
-                n_mu[(a, c)] = n_mu.get((a, c), 0) + w * x
-    leads = {}
-    for b in {b for _, b in sums}:
-        b_inv_a = tri.group[tri.inverse_table[b]] @ dilation.A
-        for t in range(p_max):
-            leads[(b, t)] = [[(k, x) for k, x in enumerate(row) if x]
-                             for row in build_A_s(b_inv_a, t).plain()]
-    return accuracy_mod._MomentTable(
-        p_max, view.scale, sums, _reference_diffs(sums, dilation.m), leads)
-
-
-def _reference_diffs(sums, m):
-    """(i, b) -> {mu: N_mu(i, b) - N_mu(0, b)} for 0 < i < m, from a
-    moment table's sums, entry by entry, without the zero entries, the
-    zero moments and the keys left with none."""
-    out = {}
-    for i in range(1, m):
-        for b in {b for _, b in sums}:
-            ours, base = sums.get((i, b), {}), sums.get((0, b), {})
-            delta = {}
-            for mu in {**ours, **base}:
-                n_i, n_0 = ours.get(mu, {}), base.get(mu, {})
-                n = {ac: x for ac in {**n_i, **n_0}
-                     if (x := n_i.get(ac, 0) - n_0.get(ac, 0)) != 0}
-                if n:
-                    delta[mu] = n
-            if delta:
-                out[(i, b)] = delta
-    return out
-
-
 @seed(2026)
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(KEPT_CASES), st.sampled_from([1, 2]),
@@ -1706,24 +1679,26 @@ def _reference_diffs(sums, m):
 def test_moments_per_lattice_point_match_the_per_element_loop(
         line, p1m, where, r, kind, p_max, rnd):
     """The moment table read once per lattice point, summed in dense
-    lists, has the non-zero sums (the per-element loop kept an empty N_mu
-    for every mu and every exact-zero sum it reached), leads and scale of
-    the per-element loop it replaced, and the coset differences of those
-    sums, entry by entry: d = 1, 2 and 3, r = 1 and 2, int, rational and
-    complex masks, R = I and R != I, with several point parts on one
-    lattice point."""
+    lists, has the leads and scale of the per-element loop it replaced,
+    and one dict of moments: coset 0's non-zero sums (the per-element loop
+    kept an empty N_mu for every mu and every exact-zero sum it reached),
+    and every other coset's differences from them, entry by entry.  Coset
+    0's sum plus a coset's difference is that coset's sum, for every
+    coset: d = 1, 2 and 3, r = 1 and 2, int, rational and complex masks,
+    R = I and R != I, with several point parts on one lattice point."""
     t, dil = _kept_case(line, p1m, where)
     blocks = _random_blocks(t, r, kind, rnd)
     for e in list(blocks):
         blocks[t.element(rnd.randrange(t.order), e.k)] = blocks[e]
     mask = Mask(t, blocks, r=r)
     table = accuracy_mod._moments(mask, dil, p_max)
-    ref = _per_element_moments(mask, dil, p_max)
+    ref = per_element_moments(mask, dil, p_max)
     assert (table.p_max, table.scale, table.leads) == \
         (ref.p_max, ref.scale, ref.leads)
-    assert table.sums.keys() == ref.sums.keys()
-    assert table.sums == _nonzero(ref.sums)
-    assert table.diffs == ref.diffs
+    coset_0 = {key: moments for key, moments in _nonzero(ref.sums).items()
+               if key[0] == 0}
+    assert table.moments == {**coset_0, **ref.diffs}
+    assert _coset_sums(table, dil.m) == _nonzero(ref.sums)
 
 
 def _assert_same_certificate(cert, ref):
@@ -1819,3 +1794,51 @@ def test_coset_differences_match_the_stacked_coset_blocks(
     ref, ref_bases = scan(stacked_block_row)
     _assert_same_certificate(cert, ref)
     assert bases == ref_bases
+
+
+@seed(2026)
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(KEPT_CASES + ["lifted"]), st.sampled_from([1, 2]),
+       st.booleans(), st.data())
+def test_one_moment_dict_matches_the_two_field_table(line, p1m, pm, where,
+                                                     r, real, data):
+    """The one moment dict and the one-pass block row give, for all cosets
+    at once, the rows of the two-field table and the coset-forked block
+    row they replace (both kept in conftest), and max_accuracy and
+    sufficient_check on them give the certificate, the carried bases and
+    the report, field for field and type for type, that they give on the
+    two-field path: masks of accuracy 2 to 4 with drawn entries changed,
+    real and complex, r = 1, 2 and 8 (the lifted p4m hat), on d = 1, 2
+    and 3, R = I and R != I, and under A = 3 and M = [[2, 1], [0, 2]].
+    The report is checked at every p up to the scan's bound, on the
+    table the scan kept, built for a larger degree than most p ask."""
+    t, dil, mask = _changed_mask(line, p1m, pm, where, r, real, data)
+    p_max = 4 if t.d == 1 else 3
+    old = two_field_moments(mask, dil, p_max)
+    new = accuracy_mod._moments(mask, dil, p_max)
+    for s in range(p_max):
+        assert accuracy_mod._block_row(mask, dil, new, s) == \
+            two_field_block_row(mask, dil, old, s)
+
+    def scan(moments, block_row):
+        bases = []
+
+        def spy(system, basis):
+            bases.append(solve_affine(system, basis))
+            return bases[-1]
+
+        with mock.patch.object(accuracy_mod, "solve_affine", spy), \
+                mock.patch.object(accuracy_mod, "_moments", moments), \
+                mock.patch.object(accuracy_mod, "_block_row", block_row):
+            cert = max_accuracy(Mask(t, dict(mask.items()), r=mask.r), t,
+                                dil, p_max)
+        return cert, [(b.cols, _typed(b.data)) for b in bases]
+
+    cert, bases = scan(accuracy_mod._moments, accuracy_mod._block_row)
+    ref, ref_bases = scan(two_field_moments, two_field_block_row)
+    _assert_same_certificate(cert, ref)
+    assert bases == ref_bases
+    if mask.r == 1:
+        for p in range(1, p_max + 1):
+            _assert_same_report(sufficient_check(mask, t, dil, p),
+                                two_field_sufficient_check(mask, t, dil, p))

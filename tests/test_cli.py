@@ -21,7 +21,7 @@ import crystacc.mask as mask_mod
 from crystacc.cli import (DEFAULT_SEED, EXIT_BAD_GROUP, EXIT_INADMISSIBLE,
                           EXIT_MALFORMED, EXIT_NO_CONVERGENCE, EXIT_OK,
                           EXIT_SHAPE, SEED_ENV_VAR, build_parser, main)
-from crystacc.linalg import read_scalar
+from crystacc.linalg import Mat, read_scalar
 from crystacc.mask import Mask
 
 HAT_CFG = {
@@ -378,7 +378,7 @@ def test_each_distinct_literal_is_parsed_once(monkeypatch):
     monkeypatch.setattr(mask_mod, "read_scalar", spy)
     cfg = _diagonal_hat([[1, 0.0], [0, 1.0]])
     cfg["mask"].append({"k": [2], "coef": [[["1/2", 0], 0], [0, "1/2"]]})
-    triple = cli_mod._build_triple(cfg)
+    triple, _ = cli_mod._build_setting(cfg)
     mask = cli_mod._build_mask(cfg, triple)
     assert mask.r == 2
     parsed = [x for x in calls if isinstance(x, (str, float, list))]
@@ -891,6 +891,32 @@ def test_malformed_shapes_end_in_a_json_error(tmp_path, capsys, command, cfg,
     captured = capsys.readouterr()
     assert "error" in json.loads(captured.out)
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("cfg,code", [
+    ({"dimension": 200, "dilation": [[2]]}, EXIT_INADMISSIBLE),
+    ({"dimension": 10 ** 5, "dilation": [[2]]}, EXIT_INADMISSIBLE),
+    ({"dimension": 10 ** 5, "dilation": None}, EXIT_MALFORMED),
+    ({"dimension": 10 ** 5, "dilation": [[2, 0], [0]]}, EXIT_MALFORMED),
+    ({"dimension": 10 ** 5, "lattice": [[1]], "dilation": [[2]]},
+     EXIT_BAD_GROUP),
+    ({"dimension": 10 ** 5, "group": [[[-1]]], "dilation": [[2]]},
+     EXIT_BAD_GROUP),
+])
+@pytest.mark.parametrize("command", ["check-group", "accuracy"])
+def test_a_large_dimension_is_refused_before_it_is_built(
+        tmp_path, capsys, monkeypatch, command, cfg, code):
+    """A config whose lattice, dilation or generators do not have the size
+    its dimension asks for, or that has no dilation, is refused with the
+    exit code of that one fault before any d x d matrix is built: no
+    catalog triple and no identity.  (None drops a field.)"""
+    def refused(*args):
+        raise AssertionError("a d x d matrix was built")
+
+    monkeypatch.setattr(cli_mod, "catalog_triple", refused)
+    monkeypatch.setattr(Mat, "identity", staticmethod(refused))
+    cfg = {k: v for k, v in {**HAT_CFG, **cfg}.items() if v is not None}
+    assert run_cli(tmp_path, capsys, cfg, [command, "CFG"])[0] == code
 
 
 @pytest.mark.parametrize("forms", [

@@ -292,8 +292,9 @@ def test_each_degree_is_eliminated_once(case, monkeypatch):
 def test_moment_differences_are_built_once_per_table(monkeypatch):
     """The coset moment differences are built with the moment table, once
     per mask and dilation: two scans and a sum-rule test build one table,
-    and every block row reads the differences kept in it (with them
-    emptied, a block row is coset 0's block alone), none rebuilds them."""
+    and every block row reads the differences kept in it (with them taken
+    out of the one dict, a block row is coset 0's block alone), none
+    rebuilds them."""
     mask, dil, p_max = _shape_cases()["cubic"]
     tables = []
     make = accuracy._MomentTable
@@ -308,9 +309,10 @@ def test_moment_differences_are_built_once_per_table(monkeypatch):
     accuracy.max_accuracy(mask, mask.triple, dil, p_max - 1)
     assert len(tables) == 1 and mask._moment_tables == {dil: tables[0]}
     table = tables[0]
-    assert table.diffs
+    assert any(i for i, _ in table.moments)
     full = [accuracy._block_row(mask, dil, table, s) for s in range(p_max)]
-    table.diffs = {}
+    table.moments = {key: moment for key, moment in table.moments.items()
+                     if key[0] == 0}
     for s, rows in enumerate(full):
         assert accuracy._block_row(mask, dil, table, s) == \
             rows[:dim_degree(mask.triple.d, s) * mask.r]
@@ -399,10 +401,11 @@ def _repeated_row_cases():
 @pytest.mark.parametrize("case", ["lifted-hat", "seeded"])
 @pytest.mark.parametrize("k", [2, 5])
 def test_repeated_rows_are_eliminated_once(case, k, monkeypatch):
-    """_rref reads a row equal to one already read once, as the exact
-    solver's coset blocks coincide wherever the per-coset moments agree:
-    on rows stacked k times it makes no more row updates than on one copy,
-    and gives the same rref.  Each row read and each row update takes one
+    """_rref reads a row equal to one already read once, as the stacked
+    coset blocks coincide wherever the per-coset moments agree, and the
+    exact solver's coset difference rows repeat: on rows stacked k times
+    it makes no more row updates than on one copy, and gives the same
+    rref.  Each row read and each row update takes one
     content gcd, so the updates are the gcds less the rows read."""
     rows = _repeated_row_cases()[case]
     n_cols = 1 + max(j for row in rows for j in row)
@@ -719,10 +722,11 @@ def test_no_reader_builds_q_tilde_blocks(monkeypatch):
 def test_sum_rule_test_runs_on_plain_values(case, monkeypatch):
     """On a real rational mask, sufficient_check calls neither
     _det_inverse nor Mat.inverse (one plain elimination per degree
-    screens and solves),
-    builds the block rows of the first coset only, and re-checks its
-    witness chain in one walk of the support for every degree below p,
-    without condition_d_residuals."""
+    screens and solves), reads block rows of exactly dim_degree(d, s)
+    rows (the first coset's, as the moments agree, so every moment
+    difference it reads is zero), and re-checks its witness chain in one
+    walk of the support for every degree below p, without
+    condition_d_residuals."""
     if case == "cubic":
         mask, dil, p = _shape_cases()["cubic"]
         p -= 1
@@ -734,7 +738,7 @@ def test_sum_rule_test_runs_on_plain_values(case, monkeypatch):
                                for i, a in hat.items()
                                for j, b in hat.items()})
         p = 2
-    calls, walks, cosets = [], [], []
+    calls, walks, sizes = [], [], []
 
     def refused(name):
         def spy(*args, **kwargs):
@@ -748,9 +752,9 @@ def test_sum_rule_test_runs_on_plain_values(case, monkeypatch):
         walks.append(list(args[3]))
         return real_walk(*args)
 
-    def rows(*args, **kwargs):
-        cosets.append(kwargs.get("coset"))
-        return real_rows(*args, **kwargs)
+    def rows(*args):
+        sizes.append((args[3], len(real_rows(*args))))
+        return real_rows(*args)
 
     monkeypatch.setattr(accuracy, "_det_inverse", refused("_det_inverse"))
     monkeypatch.setattr(Mat, "inverse", refused("Mat.inverse"))
@@ -762,7 +766,7 @@ def test_sum_rule_test_runs_on_plain_values(case, monkeypatch):
     assert rep.passed and rep.chain_residual_zero
     assert calls == []
     assert walks == [list(range(p))]
-    assert cosets == [0] * (p - 1)
+    assert sizes == [(s, dim_degree(mask.triple.d, s)) for s in range(1, p)]
 
 
 def test_the_oracle_walks_its_sample_once(monkeypatch):
