@@ -350,10 +350,13 @@ def _block_row(mask: Mask, dilation: Dilation, table: _MomentTable,
     sparse rows: one dict (column -> non-zero exact value: an int on
     integral data, else a Fraction or a QC) per row.  It is the block B_0
     of digit coset 0, then, for each coset i > 0 in turn, the non-empty
-    rows of B_i - B_0, read in one pass over the table's moments.
-    [B_0; B_1; ...] and [B_0; B_1 - B_0; ...] have one row space, so one
-    kernel, and where the coset moments agree, as the sum rules ask below
-    the accuracy, the second is B_0 alone.
+    rows of B_i - B_0, read in one pass over the table's moments, less
+    any row equal to one already emitted (B_0 is kept whole, the square
+    block that :func:`sufficient_check` reads).  [B_0; B_1; ...] and
+    [B_0; B_1 - B_0; ...] have one row space, so one kernel, and where the
+    coset moments agree, as the sum rules ask below the accuracy, the
+    second is B_0 alone.  On the lifted p4m hat at degree 2 the 32
+    difference rows are copies of one row: 25 rows are built, not 56.
 
     The unknowns are vec(v_[0]), vec(v_[1]), ..., row-major within each
     block.  A product B v_[t] C acts on vec(v_[t]) as kron(B, C^T), so the
@@ -400,8 +403,15 @@ def _block_row(mask: Mask, dilation: Dilation, table: _MomentTable,
                                 row.pop(col0 + c, None)
                             else:
                                 row[col0 + c] = value
-    return [row for i, block in rows.items() for row in block
-            if row or i == 0]
+    out, seen = rows.pop(0), None
+    for row in (row for block in rows.values() for row in block if row):
+        if seen is None:
+            seen = {frozenset(x.items()) for x in out}
+        key = frozenset(row.items())
+        if key not in seen:
+            seen.add(key)
+            out.append(row)
+    return out
 
 
 def _unpack_witness(vector: dict, d: int, r: int, s_max: int) -> VCollection:

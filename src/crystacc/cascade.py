@@ -23,7 +23,18 @@ shifted copies u = sum_k f(. - 2^q k) d_(g,k)^T by slice adds, then
 reads u at G_{g^{-1}} M J: one integer gather, and one index array, per
 point part.  Point parts with equal element lists share one u, built
 once per step (the cubic hat spread over its 48 point parts builds one u
-from 27 elements and gathers it 48 times).  The oracle reads the
+from 27 elements and gathers it 48 times).  Admissibility makes
+G_{g^{-1}} M Z^d = M Z^d, so every gather reads u on the sublattice
+M Z^d alone, and u is built there only, indexed by z = M^{-1} X: the
+polyphase form of subdivision, split by the residue of a node modulo M
+(the same paper).  Element k then reads the field on one coset of
+M Z^d; each such coset is gathered once per step onto its own grid, and
+each element adds its product by one slice add (:func:`_placement`).
+Under A = 2I at q >= 1 every element reads the even nodes, so a step
+multiplies 1/m of the field per element and builds u on about the box,
+not on the box widened by 2^q times the hull of the shifts.  Where M is
+not diagonal the cosets' bounding grids save nothing, and u stays on
+that widened box, with the field read in place.  The oracle reads the
 finished field at nodes only and refuses any other point.  It walks the
 gamma cover of its sample nodes once for every degree it checks
 (:func:`verify_degrees`): the witness degrees share the degree-0 sums, C
@@ -54,7 +65,7 @@ from operator import index, mul
 import numpy as np
 
 from .accuracy import fhat0, max_accuracy
-from .crystal import CrystalTriple, Dilation
+from .crystal import CrystalTriple, Dilation, _int_product
 from .mask import Mask
 from .multiidx import (VCollection, _acted_rows, _y_rows, build_A_s,
                        dim_degree, enumerate_degree)
@@ -356,22 +367,25 @@ def _rows(first: np.ndarray, shape: tuple, J: np.ndarray) -> np.ndarray:
 
 
 def grid_bytes(d: int, r: int, n_parts: int, n_nodes: int,
-               buffer_nodes: int, itemsize: int) -> int:
+               buffer_nodes: int, coset_nodes: int, itemsize: int) -> int:
     """Estimated peak bytes of a cascade run on ``n_nodes`` grid nodes: per
-    node, the integer node (d int64), four live iterates (the current and
-    next one, the plan's term and a difference, r entries of ``itemsize``
-    bytes each: 8 on float64, 16 on complex128) and one int64 read index
-    per point part; plus the one buffer of shifted copies, r entries on
-    each of its ``buffer_nodes`` nodes (:func:`_plan`).
+    node, d int64 for the plan's integer work, four live iterates (the
+    current and next one, the plan's term and a difference, r entries of
+    ``itemsize`` bytes each: 8 on float64, 16 on complex128) and one int64
+    read index per point part; plus the one buffer u, r entries on each of
+    its ``buffer_nodes`` nodes, and the copies of the field's cosets, r
+    entries and one int64 index on each of their ``coset_nodes`` nodes
+    (:func:`_placement`).
 
-    The buffer is the box widened by 2^q times the hull of a point part's
-    shifts, so it does not grow with the number of elements but with the
-    spread of their shifts: about |lambda|^d box nodes for A = lambda I.
-    One int64 index per element and node, as a gather per element would
-    need, is the cheaper of the two only for a few elements spread over a
-    wide hull."""
+    u lives on the nodes its gathers read, one coset of the sublattice
+    M Z^d, so under a diagonal M it holds about 1/m of the box widened by
+    2^q times the hull of a point part's shifts: about the box itself for
+    A = lambda I, where the whole widened box is about |lambda|^d box
+    nodes.  Where the coset's bounding grid saves nothing (the quincunx and
+    rotation dilations) u is that widened box, and no coset is copied."""
     per_node = 8 * d + 4 * itemsize * r + 8 * n_parts
-    return n_nodes * per_node + itemsize * r * buffer_nodes
+    return (n_nodes * per_node + itemsize * r * buffer_nodes
+            + (8 + itemsize * r) * coset_nodes)
 
 
 def memory_budget() -> int:
@@ -386,23 +400,199 @@ def _gib(n: int) -> str:
     return f"{tenths // 10}.{tenths % 10} GiB"
 
 
-def _shifted_grid(shape: tuple, elements: list, q: int) -> tuple:
-    """Lowest shift k_min of a point part's elements and the node counts
-    of its buffer u: the box widened by 2^q times the hull of the shifts
-    k, on Python ints."""
-    axes = list(zip(*(k for k, _ in elements)))
-    low = tuple(min(axis) for axis in axes)
-    return low, tuple(n + ((max(axis) - lo) << q)
-                      for n, axis, lo in zip(shape, axes, low))
+def _grid_rows(lin, offset, src_first, src_shape, first,
+               shape) -> np.ndarray:
+    """Row of y = lin x + offset on the grid of node counts ``shape`` from
+    node ``first`` (its flat index, or the zero row past its last node
+    when y is off that grid) for every node x of the grid of node counts
+    ``src_shape`` from node ``src_first``, in that grid's row order.  lin
+    is an integer matrix; one int64 coordinate of y is formed at a time,
+    and no node array is built."""
+    d = len(src_shape)
+    axes = [np.arange(a, a + n, dtype=np.int64).reshape(
+        [n if j == i else 1 for j in range(d)])
+        for i, (a, n) in enumerate(zip(src_first, src_shape))]
+    flat = np.zeros(src_shape, dtype=np.int64)
+    inside = np.ones(src_shape, dtype=bool)
+    y = np.empty(src_shape, dtype=np.int64)
+    for row, c, f, n in zip(lin, offset, first, shape):
+        y.fill(c - f)
+        for a, axis in zip(row, axes):
+            if a:
+                y += a * axis
+        inside &= y >= 0
+        inside &= y < n
+        flat *= n
+        flat += y
+    flat[~inside] = math.prod(shape)
+    return flat.reshape(-1)
+
+
+@dataclass
+class _Placement:
+    """Where a cascade step reads and writes on the box of node counts
+    ``shape`` from node ``first``, before any grid array is allocated
+    (:func:`_placement`).
+
+    ``basis`` S is M or the identity, and u is kept on the nodes Sz.
+    ``cosets`` holds one (rho, lo, shape) per coset rho + S Z^d of field
+    nodes that some element reads: the grid of z from lo whose nodes
+    rho + S z cover the coset's box nodes.  ``parts`` holds one
+    (lo, shape, adds, reads) per distinct element list: u's grid of z,
+    one (coset, start, d_(g,k)) per element, adding the coset's copy
+    times d_(g,k)^T to u from z = lo + start, and one integer matrix
+    S^{-1} G_{g^{-1}} M per point part g carrying the list, the node z of
+    u that box node J reads.  ``products`` counts the coset nodes that
+    the elements' products cover, all lists together.  With the identity
+    basis (``inplace``) there is one coset, the box itself, read in
+    place."""
+
+    first: tuple
+    shape: tuple
+    basis: list
+    inplace: bool
+    cosets: list
+    parts: list
+    products: int
+
+    def u_nodes(self) -> int:
+        """Nodes of the largest u, without its zero row."""
+        return max((math.prod(shape) for _, shape, _, _ in self.parts),
+                   default=0)
+
+    def coset_nodes(self) -> int:
+        """Nodes of the field's coset copies: none when read in place."""
+        return 0 if self.inplace else sum(math.prod(shape)
+                                          for _, _, shape in self.cosets)
+
+    def work(self) -> int:
+        """Nodes a step touches outside the gathers: every coset copied,
+        every u cleared, and every element's product and add."""
+        return (self.coset_nodes() + self.products
+                + sum(math.prod(shape) for _, shape, _, _ in self.parts))
+
+
+def _placement(parts: dict, dilation: Dilation, first, shape: tuple,
+               q: int) -> _Placement:
+    """Where a step on the box of node counts ``shape`` from node ``first``
+    keeps u: on the coset of M Z^d that its gathers read, unless the
+    identity basis (u on the whole box widened by 2^q times the hull of
+    the shifts, the field read in place) touches fewer nodes per step
+    (:meth:`_Placement.work`), as it does where M is not diagonal and the
+    coset grids are the bounding grids of slanted cosets, or unless a
+    coset grid would outgrow the box, whose term holds every product.
+
+    Node J reads u at X = G_{g^{-1}} M J, and admissibility makes
+    G_{g^{-1}} M Z^d = M Z^d: every gather reads u on the coset M Z^d
+    itself, at z = M^{-1} X = (M^{-1} G_{g^{-1}} M) J, an integer map
+    (Cavaretta, Dahmen and Micchelli's polyphase split of subdivision by
+    the residue of a node modulo M).  u(M z) = sum_k f(M z - 2^q k)
+    d_(g,k)^T reads, for element k, the field on the one coset
+    rho_k = -2^q k + M Z^d of the box, at w = z - M^{-1}(rho_k + 2^q k):
+    each used field coset is copied once per step onto its grid of w, and
+    each element adds its product by one slice add at the integer offset
+    M^{-1}(rho_k + 2^q k)."""
+    split, whole = _placements(parts, dilation, first, shape, q)
+    n = math.prod(shape)
+    if split.work() < whole.work() and all(
+            math.prod(grid) <= n for _, _, grid in split.cosets):
+        return split
+    return whole
+
+
+def _placements(parts: dict, dilation: Dilation, first, shape: tuple,
+                q: int) -> tuple:
+    """The two placements :func:`_placement` chooses from: u on the nodes
+    of M Z^d, and on every node (the identity basis).  Point parts whose
+    element lists, shifts and converted blocks in support order, are
+    equal build the same u, so it is placed once and gathered for each of
+    them."""
+    d, m = len(shape), dilation.m
+    lists = {}
+    for g, elements in parts.items():
+        key = tuple((k, blk.tobytes()) for k, blk in elements)
+        lists.setdefault(key, (elements, []))[1].append(g)
+    lists = list(lists.values())
+    adj = [[int(x * m) for x in row] for row in dilation.M_inv.plain()]
+    eye = [[int(i == j) for j in range(d)] for i in range(d)]
+    return (_coset_placement(lists, dilation, dilation.M, adj, m, first,
+                             shape, q),
+            _coset_placement(lists, dilation, eye, eye, 1, first, shape, q))
+
+
+def _coset_placement(lists: list, dilation: Dilation, basis: list,
+                     adj: list, det: int, first, shape: tuple,
+                     q: int) -> _Placement:
+    """:func:`_placement` with u on the nodes S z of the given basis S, adj
+    = det S^{-1} integral.  Element k reads the field on the coset of
+    y = -2^q k, whose representative is rho = y - S floor(S^{-1} y) (that
+    of ``Dilation.residue``), at the offset S^{-1}(rho + 2^q k) =
+    -floor(S^{-1} y).  The shifts of a list are read as one small array
+    of Python ints (object dtype: exact, whatever the shifts, as the
+    memory estimate that reads this placement must be), so the calls per
+    list do not grow with its elements; an element whose coset holds no
+    box node adds nothing and is left out."""
+    t = dilation.triple
+    s, a = np.array(basis, dtype=object), np.array(adj, dtype=object)
+    box = [(f, f + n - 1) for f, n in zip(first, shape)]
+    index, cosets, out, products = {}, [], [], 0
+    for elements, gs in lists:
+        y = -(np.array([k for k, _ in elements], dtype=object) << q)
+        floor = (y @ a.T) // det
+        ids = []
+        for rho in map(tuple, (y - floor @ s.T).tolist()):
+            i = index.get(rho)
+            if i is None:
+                image = _box_image(adj, [(0, 0)] * len(shape),
+                                   [(lo - c, hi - c)
+                                    for (lo, hi), c in zip(box, rho)])
+                lo = tuple(-(-x // det) for x, _ in image)
+                i = index[rho] = len(cosets)
+                cosets.append((rho, lo, tuple(
+                    b // det - x + 1 for x, (_, b) in zip(lo, image))))
+            ids.append(i)
+        grid = np.array([c[2] for c in cosets], dtype=object)[ids]
+        keep = grid.prod(axis=1) > 0
+        start = (np.array([c[1] for c in cosets], dtype=object)[ids]
+                 - floor)[keep]
+        grid = grid[keep]
+        products += int(grid.prod(axis=1).sum())
+        low = high = np.array(first, dtype=object)
+        if keep.any():
+            low, high = start.min(axis=0), (start + grid).max(axis=0)
+        reads = [[[x // det for x in row] for row in _int_product(
+            _int_product(adj, t.int_reps[t.inverse_table[g]]),
+            dilation.M)] for g in gs]
+        blocks = [blk for (_, blk), kept in zip(elements, keep.tolist())
+                  if kept]
+        out.append((tuple(low.tolist()), tuple((high - low).tolist()),
+                    list(zip(np.array(ids)[keep].tolist(),
+                             map(tuple, (start - low).tolist()), blocks)),
+                    reads))
+    return _Placement(tuple(first), tuple(shape), basis, det == 1, cosets,
+                      out, products)
+
+
+@dataclass
+class _Coset:
+    """One field coset as a step reads it: its grid's node counts, and
+    the padded-field row of each grid node with the copy it is gathered
+    into once per step, or None for both when the field is read in
+    place."""
+
+    shape: tuple
+    rows: np.ndarray | None
+    copy: np.ndarray | None
 
 
 @dataclass
 class _Part:
     """The reads of one distinct element list [(k, d_(g,k)), ...] and of
-    the point parts g that carry it: ``adds`` holds the window of u that
-    each element adds the field to, with d_(g,k)^T, and ``rows`` one int64
+    the point parts g that carry it: u's grid of node counts ``shape``,
+    ``adds`` one (window of u, coset, d_(g,k)^T) per element, adding the
+    coset's copy times d_(g,k)^T to that window, and ``rows`` one int64
     index array per such point part g, the row of u (flat, with the zero
-    row past its last node) that every node J reads, G_{g^{-1}} M J."""
+    row past its last node) that every box node J reads."""
 
     shape: tuple
     adds: list
@@ -412,74 +602,79 @@ class _Part:
 @dataclass
 class _Plan:
     """The cascade's reads on a box of node counts ``shape``, in the
-    field's one dtype: one :class:`_Part` per distinct element list, the
-    one buffer the parts share, sized for the largest u plus its zero
-    row, and one term the size of the field, which each product
-    d_(g,k)^T and each gather reuses."""
+    field's one dtype: the field cosets the elements read, one
+    :class:`_Part` per distinct element list, the one buffer the parts
+    share, sized for the largest u plus its zero row, and one term the
+    size of the field, which each product d_(g,k)^T and each gather
+    reuses."""
 
     shape: tuple
+    cosets: list
     parts: list
     buffer: np.ndarray
     term: np.ndarray
 
 
-def _plan(parts: dict, dilation: Dilation, first: np.ndarray, shape: tuple,
-          q: int, r: int, dtype) -> _Plan:
-    """The reads of every mask element gamma = (g, k) on the box grid, for
-    a field of the given dtype.
-
-    Node J reads G_{g^{-1}} M J - 2^q k (gamma^{-1}(A x) in lattice
-    coordinates), so the elements of one point part g read the same
-    node of u = sum_k f(. - 2^q k) d_(g,k)^T, the field's copies shifted
-    by 2^q k: u is built by slice adds on the box widened by 2^q times
-    the hull of the shifts, and read by one gather at G_{g^{-1}} M J.  A
-    read off u's grid lands on its zero row.  Point parts whose element
-    lists, shifts and converted blocks in support order, are equal build
-    the same u, so it is planned once and gathered for each of them."""
-    t = dilation.triple
-    m = np.array(dilation.M, dtype=np.int64)
-    nodes = _node_grid(first, shape)
-    shared, largest = {}, 0
-    for g, elements in parts.items():
-        blocks = [(k, _as(d.T, dtype)) for k, d in elements]
-        key = tuple((k, b.tobytes()) for k, b in blocks)
-        low, grid = _shifted_grid(shape, elements, q)
-        if key not in shared:
-            adds = [(tuple(slice((kj - lj) << q, ((kj - lj) << q) + n)
-                           for kj, lj, n in zip(k, low, shape)), b)
-                    for k, b in blocks]
-            shared[key] = _Part(grid, adds, [])
-            largest = max(largest, math.prod(grid))
-        lin = np.array(t.int_reps[t.inverse_table[g]], dtype=np.int64) @ m
-        shift = np.array(low, dtype=np.int64) << q
-        shared[key].rows.append(_rows(first + shift, grid, nodes @ lin.T))
-    return _Plan(shape, list(shared.values()),
-                 np.zeros((largest + 1, r), dtype=dtype),
-                 np.empty((len(nodes), r), dtype=dtype))
+def _plan(placement: _Placement, r: int, dtype) -> _Plan:
+    """The arrays of a :func:`_placement` for a field of r columns in the
+    given dtype: the box row of every node of each field coset's grid, u's
+    row that every box node reads for each point part (a read off u's grid
+    lands on its zero row), the slice windows of the elements' adds, and
+    the buffers.  The box's term is allocated last, after the integer work
+    of the index arrays."""
+    first, shape = placement.first, placement.shape
+    cosets = []
+    for rho, lo, grid in placement.cosets:
+        if placement.inplace:
+            cosets.append(_Coset(shape, None, None))
+        else:
+            rows = _grid_rows(placement.basis, rho, lo, grid, first, shape)
+            cosets.append(_Coset(grid, rows,
+                                 np.empty((len(rows), r), dtype=dtype)))
+    parts = []
+    for lo, grid, adds, reads in placement.parts:
+        windows = [(tuple(slice(s, s + n)
+                          for s, n in zip(start, cosets[i].shape)),
+                    i, _as(blk.T, dtype)) for i, start, blk in adds]
+        rows = [_grid_rows(lin, (0,) * len(shape), first, shape, lo, grid)
+                for lin in reads]
+        parts.append(_Part(grid, windows, rows))
+    buffer = np.zeros((placement.u_nodes() + 1, r), dtype=dtype)
+    return _Plan(shape, cosets, parts, buffer,
+                 np.empty((math.prod(shape), r), dtype=dtype))
 
 
 def _step(plan: _Plan, padded: np.ndarray) -> np.ndarray:
-    """One refinement step of a padded field in the plan's dtype: one u
-    per distinct element list, one gather per point part; the zero row
-    stays zero."""
+    """One refinement step of a padded field in the plan's dtype: each
+    field coset gathered once (or read in place), one u per distinct
+    element list, built by one product and one slice add per element, and
+    one gather per point part; the zero row stays zero."""
     out = np.zeros_like(padded)
-    field, term = padded[:-1], plan.term
+    term = plan.term
     r = term.shape[1]
-    shaped = term.reshape(*plan.shape, r)
+    sources = []
+    for coset in plan.cosets:
+        # every row lies in the padded field, so "clip" changes no index;
+        # unlike "raise" it writes into the copy without a temporary
+        src = (padded[:-1] if coset.rows is None else
+               np.take(padded, coset.rows, axis=0, out=coset.copy,
+                       mode="clip"))
+        flat = term[:len(src)]
+        sources.append((src, flat, flat.reshape(*coset.shape, r)))
+    gather = term[:len(padded) - 1]
     for part in plan.parts:
         u = plan.buffer[:math.prod(part.shape) + 1]
         u.fill(0)
         grid = u[:-1].reshape(*part.shape, r)
-        for window, d_t in part.adds:
+        for window, i, d_t in part.adds:
+            src, flat, shaped = sources[i]
             # np.dot, not np.matmul: the faster of the two on these
             # products
-            np.dot(field, d_t, out=term)
+            np.dot(src, d_t, out=flat)
             grid[window] += shaped
         for rows in part.rows:
-            # every row lies in u (_rows), so "clip" changes no index;
-            # unlike "raise" it writes into term without a temporary copy
-            np.take(u, rows, axis=0, out=term, mode="clip")
-            out[:-1] += term
+            np.take(u, rows, axis=0, out=gather, mode="clip")
+            out[:-1] += gather
     return out
 
 
@@ -518,8 +713,8 @@ def cascade_iterate(mask: Mask, triple: CrystalTriple, dilation: Dilation,
     itemsize = np.dtype(dtype).itemsize
     budget = memory_budget()
     least = (scale + 1) ** d
-    if grid_bytes(d, mask.r, len(parts), least, least + 1,
-                  itemsize) > budget:
+    # a lower bound of the box's estimate: u holds at least its zero row
+    if grid_bytes(d, mask.r, len(parts), least, 1, 0, itemsize) > budget:
         raise CascadeError(
             f"a grid of spacing 2^-{q} has at least (2^{q} + 1)^{d} nodes "
             f"(its box holds [0, 1]^{d}), more than half of physical memory "
@@ -528,9 +723,10 @@ def cascade_iterate(mask: Mask, triple: CrystalTriple, dilation: Dilation,
     first = [int(lo * scale) for lo, _ in box]
     shape = tuple(int((hi - lo) * scale) + 1 for lo, hi in box)
     n_nodes = math.prod(shape)
-    largest = max((math.prod(_shifted_grid(shape, elements, q)[1])
-                   for elements in parts.values()), default=0)
-    need = grid_bytes(d, mask.r, len(parts), n_nodes, largest + 1, itemsize)
+    placement = _placement(parts, dilation, first, shape, q)
+    need = grid_bytes(d, mask.r, len(parts), n_nodes,
+                      placement.u_nodes() + 1, placement.coset_nodes(),
+                      itemsize)
     if need > budget:
         raise CascadeError(
             f"a grid of {n_nodes} nodes (spacing 2^-{q}) needs about "
@@ -541,7 +737,7 @@ def cascade_iterate(mask: Mask, triple: CrystalTriple, dilation: Dilation,
     # the box holds the cell [0, 1]^d: its nodes 0 <= J < 2^q form a slice
     cell = tuple(slice(-f, scale - f) for f in first)
     data[:-1].reshape(*shape, mask.r)[cell] = _as(direction, dtype)
-    plan = _plan(parts, dilation, first, shape, q, mask.r, dtype)
+    plan = _plan(placement, mask.r, dtype)
     sup_diffs = []
     for _ in range(iterations):
         nxt = _step(plan, data)
@@ -567,8 +763,9 @@ def refinement_residual(field: GridField, mask: Mask,
     parts = _point_parts(mask)
     padded = field._padded
     dtype = np.result_type(padded, _dtype(_blocks(parts)))
-    plan = _plan(parts, dilation, field.first, field.shape, field.q, mask.r,
-                 dtype)
+    first = tuple(int(x) for x in field.first)
+    plan = _plan(_placement(parts, dilation, first, field.shape, field.q),
+                 mask.r, dtype)
     padded = padded.astype(dtype, copy=False)
     return float(np.max(np.abs(_step(plan, padded) - padded)))
 

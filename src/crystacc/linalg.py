@@ -22,8 +22,8 @@ One Gauss-Jordan elimination, ``_rref``, serves :func:`rank`,
 ``[A | I]``) and :func:`solve_affine`.  It runs on sparse rows, one dict column
 -> value per row, and is fraction-free: each row is scaled to integers by the
 lcm of its denominators (a row of ints as it is) and kept divided by its
-content, a row equal to one already read is dropped (so the exact solver's
-repeated coset difference rows are eliminated once), only the rows with a
+content, a row equal to one already read is dropped (so a row that repeats
+another up to a positive scale is eliminated once), only the rows with a
 non-zero in the pivot column are updated, the pivot row is the unused
 candidate with the fewest non-zeros (Markowitz), and the pivot rows are
 divided by their pivots once, at the end, but for :func:`_kernel`, whose
@@ -433,10 +433,10 @@ def _rref(rows: list[dict], n_cols: int, with_det: bool = False,
     ints on real data is read as it is) and divided by its content, the gcd of
     all its real and imaginary parts.  A row equal to one already read is then
     dropped: the row space, so the rref, the pivots and every kernel, stays the
-    same, and each distinct constraint is eliminated once (on the lifted p4m
-    hat, the exact solver's degree-2 block row has 56 rows, 25 of them
-    distinct: coset 0's 24, and one row that each of the 32 coset difference
-    rows repeats).  A dropped row makes the leading square block singular, and
+    same, and each distinct constraint is eliminated once (the exact solver's
+    block rows leave out exact repeats themselves; the rows that reach here
+    may still repeat up to scale, or once reduced against the carried
+    kernel).  A dropped row makes the leading square block singular, and
     the determinant is then None.
     The columns are taken in their order, so the rref, which is unique for a
     fixed column order, is that of the textbook elimination.  Among the rows

@@ -7,6 +7,7 @@ from functools import cache
 from math import prod
 from operator import getitem
 
+import numpy as np
 import pytest
 
 from crystacc import accuracy, cascade
@@ -347,15 +348,24 @@ def coset_differences(rows, m):
     """Stacked rows [B_0; B_1; ...; B_(m-1)] of m equal-sized coset blocks
     as [B_0; B_1 - B_0; ...]: the block of coset 0 as it is, then for
     each coset i > 0 in turn the rows of B_i - B_0, without their zero
-    entries, the empty ones left out."""
+    entries, the empty ones left out (:func:`without_repeats`)."""
     size = len(rows) // m
     out = list(rows[:size])
     for i in range(1, m):
-        for ours, base in zip(rows[i * size:(i + 1) * size], out[:size]):
-            row = {j: x for j in {**ours, **base}
-                   if (x := ours.get(j, 0) - base.get(j, 0)) != 0}
-            if row:
-                out.append(row)
+        for ours, base in zip(rows[i * size:(i + 1) * size], rows[:size]):
+            out.append({j: x for j in {**ours, **base}
+                        if (x := ours.get(j, 0) - base.get(j, 0)) != 0})
+    return without_repeats(out, size)
+
+
+def without_repeats(rows, size):
+    """rows with its first ``size`` rows (coset 0's block) kept as they
+    are, and every later row that is empty or equal to an earlier one
+    left out."""
+    out = list(rows[:size])
+    for row in rows[size:]:
+        if row and row not in out:
+            out.append(row)
     return out
 
 
@@ -368,6 +378,80 @@ def positive_multiple(v, ref):
     ratio = _qc(v[j]) / _qc(ref[j])
     return (ratio.im == 0 and ratio.re > 0
             and all(_qc(v[i]) == _qc(x) * ratio.re for i, x in ref.items()))
+
+
+# The cascade step as it was before u moved onto the one coset of M Z^d
+# that its gathers read, kept as the reference: u on the whole box widened
+# by 2^q times the hull of a point part's shifts, every element's product
+# taken over the whole field.
+
+def _former_shifted_grid(shape, elements, q):
+    """Lowest shift k_min of a point part's elements and the node counts
+    of its u: the box widened by 2^q times the hull of the shifts k."""
+    axes = list(zip(*(k for k, _ in elements)))
+    low = tuple(min(axis) for axis in axes)
+    return low, tuple(n + ((max(axis) - lo) << q)
+                      for n, axis, lo in zip(shape, axes, low))
+
+
+@dataclass
+class FormerPart:
+    shape: tuple
+    adds: list
+    rows: list
+
+
+@dataclass
+class FormerPlan:
+    shape: tuple
+    parts: list
+    buffer: np.ndarray
+    term: np.ndarray
+
+
+def former_plan(parts, dilation, first, shape, q, r, dtype):
+    """cascade._plan as it was: one u per distinct element list on the
+    widened box, read by one gather per point part at G_{g^{-1}} M J."""
+    t = dilation.triple
+    m = np.array(dilation.M, dtype=np.int64)
+    nodes = cascade._node_grid(first, shape)
+    shared, largest = {}, 0
+    for g, elements in parts.items():
+        blocks = [(k, cascade._as(d.T, dtype)) for k, d in elements]
+        key = tuple((k, b.tobytes()) for k, b in blocks)
+        low, grid = _former_shifted_grid(shape, elements, q)
+        if key not in shared:
+            adds = [(tuple(slice((kj - lj) << q, ((kj - lj) << q) + n)
+                           for kj, lj, n in zip(k, low, shape)), b)
+                    for k, b in blocks]
+            shared[key] = FormerPart(grid, adds, [])
+            largest = max(largest, prod(grid))
+        lin = np.array(t.int_reps[t.inverse_table[g]], dtype=np.int64) @ m
+        shift = np.array(low, dtype=np.int64) << q
+        shared[key].rows.append(
+            cascade._rows(first + shift, grid, nodes @ lin.T))
+    return FormerPlan(shape, list(shared.values()),
+                      np.zeros((largest + 1, r), dtype=dtype),
+                      np.empty((len(nodes), r), dtype=dtype))
+
+
+def former_step(plan, padded):
+    """cascade._step as it was, on a :func:`former_plan`."""
+    out = np.zeros_like(padded)
+    field, term = padded[:-1], plan.term
+    r = term.shape[1]
+    shaped = term.reshape(*plan.shape, r)
+    for part in plan.parts:
+        u = plan.buffer[:prod(part.shape) + 1]
+        u.fill(0)
+        grid = u[:-1].reshape(*part.shape, r)
+        for window, d_t in part.adds:
+            np.dot(field, d_t, out=term)
+            grid[window] += shaped
+        for rows in part.rows:
+            np.take(u, rows, axis=0, out=term, mode="clip")
+            out[:-1] += term
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +24,7 @@ from crystacc.linalg import Mat
 from crystacc.mask import Mask, lift_scalar_to_matrix
 from crystacc.multiidx import _acted_rows, build_A_s, dim_degree
 
-from conftest import reproduction_values
+from conftest import former_plan, former_step, reproduction_values
 
 
 def _sample(field, points):
@@ -338,23 +340,29 @@ def test_2d_tensor_hat(plane):
 
 
 def test_grid_bytes_estimate():
-    """Per node, integer nodes, four live iterates (r entries of 8 bytes on
-    float64, 16 on complex128) and one int64 read index per point part;
-    plus the one buffer of shifted copies, in the iterates' dtype.  The 2D
+    """Per node, d int64 of integer work, four live iterates (r entries of
+    8 bytes on float64, 16 on complex128) and one int64 read index per
+    point part; plus the one buffer u, in the iterates' dtype, and per
+    node of a field coset's copy r entries and one int64 index.  The 2D
     tensor quadratic B-spline (one point part, shifts 0..3 per axis, real)
     on its certified box [0, 3]^2 at the default spacing 2^-8 has 769^2
-    nodes and a buffer of 1537^2 nodes and one zero row, and is estimated
-    at about 52 MB on float64, 90 MB on complex128."""
-    assert grid_bytes(1, 1, 3, 10, 0, 16) == 10 * (8 + 64 + 3 * 8)
-    assert grid_bytes(1, 1, 3, 10, 0, 8) == 10 * (8 + 32 + 3 * 8)
-    assert grid_bytes(2, 3, 5, 7, 11, 16) == \
-        7 * (16 + 3 * 64 + 5 * 8) + 11 * 48
-    assert grid_bytes(2, 3, 5, 7, 11, 8) == 7 * (16 + 3 * 32 + 5 * 8) + 11 * 24
-    n, u = 769 ** 2, 1537 ** 2 + 1
-    assert grid_bytes(2, 1, 1, n, u, 16) == n * (16 + 64 + 8) + 16 * u
-    assert 0.089e9 < grid_bytes(2, 1, 1, n, u, 16) < 0.091e9
-    assert grid_bytes(2, 1, 1, n, u, 8) == n * (16 + 32 + 8) + 8 * u
-    assert 0.051e9 < grid_bytes(2, 1, 1, n, u, 8) < 0.053e9
+    nodes, reads its even nodes, 385^2 of them, and keeps u on the even
+    nodes of the widened box, 769^2 of them and one zero row: about 40 MB
+    on float64, 65 MB on complex128 (52 and 90 MB with u on the whole
+    widened box, 1537^2 nodes)."""
+    assert grid_bytes(1, 1, 3, 10, 0, 0, 16) == 10 * (8 + 64 + 3 * 8)
+    assert grid_bytes(1, 1, 3, 10, 0, 0, 8) == 10 * (8 + 32 + 3 * 8)
+    assert grid_bytes(2, 3, 5, 7, 11, 13, 16) == \
+        7 * (16 + 3 * 64 + 5 * 8) + 11 * 48 + 13 * (8 + 48)
+    assert grid_bytes(2, 3, 5, 7, 11, 13, 8) == \
+        7 * (16 + 3 * 32 + 5 * 8) + 11 * 24 + 13 * (8 + 24)
+    n, u, c = 769 ** 2, 769 ** 2 + 1, 385 ** 2
+    assert grid_bytes(2, 1, 1, n, u, c, 16) == \
+        n * (16 + 64 + 8) + 16 * u + 24 * c
+    assert 0.064e9 < grid_bytes(2, 1, 1, n, u, c, 16) < 0.066e9
+    assert grid_bytes(2, 1, 1, n, u, c, 8) == \
+        n * (16 + 32 + 8) + 8 * u + 16 * c
+    assert 0.039e9 < grid_bytes(2, 1, 1, n, u, c, 8) < 0.041e9
 
 
 def _quadratic_bspline_2d(t):
@@ -389,13 +397,15 @@ def test_default_grid_of_the_quadratic_bspline_fits_in_1_gib(plane,
                                                              monkeypatch):
     """The default --grid 8 is sized through cascade_iterate's own path, on
     float64 for this real mask: a zero budget refuses the least grid,
-    257^2 nodes on [0, 1]^2, before the box is certified, and a budget
-    that holds that grid refuses the certified box's estimate, both
-    before anything is allocated."""
+    257^2 nodes on [0, 1]^2, before the box is certified (with u at
+    least its zero row and no coset copied), and a budget that holds that
+    grid refuses the certified box's estimate (u on the 769^2 even nodes
+    of the widened box, the 385^2 even box nodes copied), both before
+    anything is allocated."""
     t, dil = plane
     mask = _quadratic_bspline_2d(t)
     assert support_box(mask, dil, 2.0 ** -8) == [(0, 3), (0, 3)]
-    least = (2, 1, 1, 257 ** 2, 257 ** 2 + 1, 8)
+    least = (2, 1, 1, 257 ** 2, 1, 0, 8)
     seen, boxes = _spy_on_the_estimate(monkeypatch, 0)
     with pytest.raises(CascadeError, match="memory"):
         cascade_iterate(mask, t, dil, iterations=12, grid_exponent=8)
@@ -403,32 +413,34 @@ def test_default_grid_of_the_quadratic_bspline_fits_in_1_gib(plane,
     seen, boxes = _spy_on_the_estimate(monkeypatch, grid_bytes(*least))
     with pytest.raises(CascadeError, match="memory"):
         cascade_iterate(mask, t, dil, iterations=12, grid_exponent=8)
-    assert seen == [least, (2, 1, 1, 769 ** 2, 1537 ** 2 + 1, 8)]
+    assert seen == [least, (2, 1, 1, 769 ** 2, 769 ** 2 + 1, 385 ** 2, 8)]
     assert len(boxes) == 1
     assert grid_bytes(*seen[1]) < 2 ** 30
 
 
 def test_sparse_wide_hull_mask_pays_for_its_buffer(plane, monkeypatch):
     """Four elements at the corners of [0, 3]^2 under A = 4I: the box is
-    [0, 1]^2, but the buffer of shifted copies spans [0, 4]^2, so it
-    outweighs the four int64 indices per node that a gather per element
-    would hold, and the estimate counts it before the refusal."""
+    [0, 1]^2 and the shifted copies span [0, 4]^2, but u lives on the
+    nodes 4z its gathers read, the 65^2 of them in that span, and the
+    copy holds the 17^2 box nodes 4w the elements read: u is about the
+    box, not 16 times it, and costs less than the four int64 indices per
+    node that a gather per element would hold.  The estimate counts u
+    and the copy before the refusal."""
     t, _ = plane
     dil = check_admissible(Mat.from_rows([[4, 0], [0, 4]]), t)
     mask = Mask.scalar(t, {(i, j): 4 for i in (0, 3) for j in (0, 3)})
     assert support_box(mask, dil, 2.0 ** -6) == [(0, 1), (0, 1)]
-    n, u = 65 ** 2, (65 + 3 * 64) ** 2 + 1
+    n, u, c = 65 ** 2, 65 ** 2 + 1, 17 ** 2
     # the box is the least grid [0, 1]^2: a budget that holds that grid
-    # and its smallest buffer is refused for the wide one
-    least = (2, 1, 1, n, n + 1, 8)
+    # and u's zero row is refused for u and the copy
+    least = (2, 1, 1, n, 1, 0, 8)
     seen, _ = _spy_on_the_estimate(monkeypatch, grid_bytes(*least))
     with pytest.raises(CascadeError, match="memory"):
         cascade_iterate(mask, t, dil, iterations=2, grid_exponent=6)
-    assert seen == [least, (2, 1, 1, n, u, 8)]
-    assert grid_bytes(*seen[1]) == n * (16 + 32 + 8) + 8 * u
-    # the float64 buffer costs more than three times the per-element
-    # indices
-    assert 8 * u > 3 * (4 * 8 * n)
+    assert seen == [least, (2, 1, 1, n, u, c, 8)]
+    assert grid_bytes(*seen[1]) == n * (16 + 32 + 8) + 8 * u + 16 * c
+    # the float64 buffer costs less than the per-element indices
+    assert 8 * u < 4 * 8 * n
 
 
 # -- the certified box against a reference cascade --------------------------
@@ -644,6 +656,13 @@ def _step_mask(case, rnd, shared=False):
     return Mask(t, blocks, r=r), dil, rnd.randint(1, 3)
 
 
+def _new_plan(parts, dil, first, shape, q, r, dtype):
+    """cascade._plan of the placement on a box given by its first node (an
+    int64 array) and node counts."""
+    return cascade_mod._plan(cascade_mod._placement(
+        parts, dil, tuple(int(x) for x in first), shape, q), r, dtype)
+
+
 def _box_grid(mask, dil, q):
     """First node and per-axis node counts of the certified box."""
     box = support_box(mask, dil, Fraction(1, 2 ** q))
@@ -674,7 +693,7 @@ def test_point_part_step_matches_the_per_element_step(case, rnd):
     first, shape = _box_grid(mask, dil, q)
     parts = cascade_mod._point_parts(mask)
     dtype = cascade_mod._dtype(cascade_mod._blocks(parts))
-    plan = cascade_mod._plan(parts, dil, first, shape, q, r, dtype)
+    plan = _new_plan(parts, dil, first, shape, q, r, dtype)
     assert sum(len(part.rows) for part in plan.parts) == \
         len({e.g for e in mask.support()})
     reads = _per_element_reads(mask, dil, first, shape, q)
@@ -753,7 +772,7 @@ def test_step_in_the_mask_dtype_matches_the_complex_step(case, shared, rnd):
     real = all(not blk.np().imag.any() for _, blk in mask.items())
     dtype = cascade_mod._dtype(cascade_mod._blocks(parts))
     assert dtype == (np.float64 if real else np.complex128)
-    plan = cascade_mod._plan(parts, dil, first, shape, q, r, dtype)
+    plan = _new_plan(parts, dil, first, shape, q, r, dtype)
     lists = {tuple((e.k, blk) for e, blk in mask.items() if e.g == g)
              for g in parts}
     assert len(plan.parts) == len(lists)
@@ -777,6 +796,148 @@ def test_step_in_the_mask_dtype_matches_the_complex_step(case, shared, rnd):
         field = cascade_mod.GridField(t, q, first, shape, values)
         assert abs(refinement_residual(field, mask, dil) - defect) <= \
             1e-12 * max(1.0, defect)
+
+
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+@seed(2026)
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(STEP_CASES)), st.booleans(),
+       st.randoms(use_true_random=False))
+def test_coset_step_matches_the_former_step_bit_for_bit(case, shared, rnd):
+    """The step with u on the coset of M Z^d that its gathers read, and
+    the same step with u on every node and the field read in place (the
+    two placements _placement chooses from), give bit for bit the
+    iterates of the former step, u on the whole widened box (conftest),
+    over four steps: real and complex masks, r = 1 and 2, point parts
+    that share their element list or not, a field in the mask's dtype
+    and, for a real mask, a complex field too.  The coset placement is
+    checked wherever its coset grids fit in the box, as _placement asks.
+    refinement_residual gives the former step's defect exactly."""
+    mask, dil, q = _step_mask(case, rnd, shared)
+    t, r = mask.triple, mask.r
+    first, shape = _box_grid(mask, dil, q)
+    parts = cascade_mod._point_parts(mask)
+    dtype = cascade_mod._dtype(cascade_mod._blocks(parts))
+    start = tuple(int(x) for x in first)
+    split, whole = cascade_mod._placements(parts, dil, start, shape, q)
+    assert whole.inplace and not split.inplace
+    fits = all(math.prod(grid) <= math.prod(shape)
+               for _, _, grid in split.cosets)
+    chosen = cascade_mod._placement(parts, dil, start, shape, q)
+    assert chosen.inplace == (not fits or split.work() >= whole.work())
+    placements = [whole, split] if fits else [whole]
+    gen = np.random.default_rng(rnd.randrange(2 ** 32))
+    fields = [_random_field(gen, shape, r, dtype)]
+    if dtype == np.float64:
+        fields.append(_random_field(gen, shape, r, np.complex128))
+    for values in fields:
+        ref = former_plan(parts, dil, first, shape, q, r, values.dtype)
+        for placement in placements:
+            plan = cascade_mod._plan(placement, r, values.dtype)
+            got, want = values, values
+            for _ in range(4):
+                got = cascade_mod._step(plan, got)
+                want = former_step(ref, want)
+                assert _bits(got) == _bits(want)
+        field = cascade_mod.GridField(t, q, first, shape, values)
+        defect = float(np.max(np.abs(former_step(ref, values) - values)))
+        assert refinement_residual(field, mask, dil) == defect
+
+
+def _former_buffer(mask, dil, q):
+    """Rows of the former step's u, on the whole widened box."""
+    first, shape = _box_grid(mask, dil, q)
+    parts = cascade_mod._point_parts(mask)
+    return len(former_plan(parts, dil, first, shape, q, mask.r,
+                           np.float64).buffer)
+
+
+def _plan_of(mask, dil, q):
+    first, shape = _box_grid(mask, dil, q)
+    parts = cascade_mod._point_parts(mask)
+    return _new_plan(parts, dil, first, shape, q, mask.r, np.float64)
+
+
+def test_u_of_the_quadratic_bspline_lives_on_its_even_nodes(plane):
+    """The 2D quadratic B-spline at h = 2^-5 (the cascade-grid benchmark's
+    grid, 97^2 box nodes): 2^5 k is even, so every element reads the 49^2
+    even box nodes, copied once per step, and u lives on the 97^2 even
+    nodes of the box widened by 2^5 * 3 per axis: 97^2 + 1 rows, not
+    193^2 + 1."""
+    t, dil = plane
+    mask = _quadratic_bspline_2d(t)
+    plan = _plan_of(mask, dil, 5)
+    assert plan.shape == (97, 97)
+    [coset] = plan.cosets
+    assert coset.shape == (49, 49) and len(coset.rows) == 49 ** 2
+    assert len(plan.buffer) == 97 ** 2 + 1
+    assert _former_buffer(mask, dil, 5) == 193 ** 2 + 1
+    assert len(plan.parts[0].adds) == 16
+
+
+def test_u_of_the_four_corner_mask_is_about_its_box(plane):
+    """The four corners of [0, 3]^2 under A = 4I at h = 2^-6: the box is
+    [0, 1]^2, 65^2 nodes, and u holds the 65^2 nodes 4z of [0, 4]^2, not
+    the 257^2 nodes of that square."""
+    t, _ = plane
+    dil = check_admissible(Mat.from_rows([[4, 0], [0, 4]]), t)
+    mask = Mask.scalar(t, {(i, j): 4 for i in (0, 3) for j in (0, 3)})
+    plan = _plan_of(mask, dil, 6)
+    assert plan.shape == (65, 65)
+    assert len(plan.buffer) == 65 ** 2 + 1
+    assert _former_buffer(mask, dil, 6) == 257 ** 2 + 1
+
+
+@pytest.mark.parametrize("a", [QUINCUNX, ROTATION])
+@pytest.mark.parametrize("elements", [
+    {(0, 0): 1, (1, 0): 1},
+    {(i, j): Fraction(4 - 2 * abs(i) - 2 * abs(j) + abs(i * j), 8)
+     for i in (-1, 0, 1) for j in (-1, 0, 1)}])
+def test_u_under_slanted_dilations_is_no_larger(elements, a):
+    """Under the quincunx and rotation dilations the cosets of M Z^d are
+    slanted, their bounding grids save nothing, and u is no larger than
+    the former step's."""
+    t = catalog_triple("p1", 2)
+    dil = check_admissible(Mat.from_rows(a), t)
+    mask = Mask.scalar(t, elements)
+    for q in (3, 5):
+        assert len(_plan_of(mask, dil, q).buffer) <= \
+            _former_buffer(mask, dil, q)
+
+
+@pytest.mark.parametrize("case", sorted(STEP_CASES))
+def test_grid_bytes_bounds_the_traced_peak(case):
+    """The estimate cascade_iterate makes before it allocates bounds the
+    peak that tracemalloc sees over the whole call, plan and iterations,
+    on seeded masks of every STEP_CASES case (quincunx and complex ones
+    among them), shared element lists or not, at h = 2^-11 in 1D and
+    2^-6 in 2D, where the box has at least 2^11 and 65^2 nodes.  The
+    estimate counts the grid's arrays: the few kB of Python objects a
+    run also makes (the box, the seed, the plan's lists) are left to the
+    margin, which such a grid leaves them."""
+    estimates = []
+
+    def spy(*args):
+        estimates.append(grid_bytes(*args))
+        return estimates[-1]
+
+    rnd = random.Random(f"peak {case}")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cascade_mod, "grid_bytes", spy)
+        for shared in (False, True):
+            mask, dil, _ = _step_mask(case, rnd, shared)
+            q = 11 if mask.triple.d == 1 else 6
+            estimates.clear()
+            tracemalloc.start()
+            try:
+                cascade_iterate(mask, mask.triple, dil, 2, grid_exponent=q)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(estimates) == 2 and peak <= estimates[-1]
 
 
 @pytest.fixture(scope="module")
@@ -847,8 +1008,9 @@ def test_cascade_refuses_a_grid_beyond_the_memory_budget(line, hat,
                                                          monkeypatch):
     t, dil = line
     # the hat (support box [-1, 1]) at spacing 2^-6: 2 * 64 + 1 nodes, one
-    # point part, its buffer widened by 2 * 64 nodes for the shifts -1..1
-    need = grid_bytes(1, 1, 1, 129, 257 + 1, 8)
+    # point part reading its 65 even nodes, u on the 129 even nodes of the
+    # box widened by 2 * 64 nodes for the shifts -1..1
+    need = grid_bytes(1, 1, 1, 129, 129 + 1, 65, 8)
     monkeypatch.setattr(cascade_mod, "memory_budget", lambda: need - 1)
     with pytest.raises(CascadeError, match="memory"):
         cascade_iterate(hat, t, dil, iterations=2, grid_exponent=6)

@@ -256,10 +256,12 @@ def test_each_degree_is_eliminated_once(case, monkeypatch):
     against the kernel carried from the degree below.  The block row is
     the stacked reference's coset blocks put through coset_differences,
     entry for entry: digit coset 0's block, then the non-empty rows of
-    each other coset's difference from it.  So the system has
-    dim_degree(d, s) r rows where the coset moments agree, more
-    elsewhere, no difference row empty (a row of coset 0 is, at degree 0
-    under the sum rule), and (kernel dimension at s - 1)
+    each other coset's difference from it, none equal to a row before
+    it.  So the system has dim_degree(d, s) r rows where the coset
+    moments agree, more elsewhere, no difference row empty (a row of
+    coset 0 is, at degree 0 under the sum rule) or repeated (on the
+    lifted p4m hat at degree 2 the 32 difference rows are copies of one
+    row: 25 rows, not 56), and (kernel dimension at s - 1)
     + dim_degree(d, s) r columns."""
     mask, dil, p_max = _shape_cases()[case]
     shapes, built = [], []
@@ -284,9 +286,13 @@ def test_each_degree_is_eliminated_once(case, monkeypatch):
         assert got == coset_differences(
             stacked_block_row(mask, dil, table, s), dil.m)
         assert all(got[width:])
+        assert all(row not in got[:width + j]
+                   for j, row in enumerate(got[width:]))
         assert shape == (len(got), dims.get(s - 1, 0) + width)
         assert (len(got) == width) if s < AGREE_BELOW[case] else \
             (len(got) > width)
+    if case == "lifted-hat":
+        assert [len(rows) for rows in built] == [8, 16, 25]
 
 
 def test_moment_differences_are_built_once_per_table(monkeypatch):
@@ -402,8 +408,8 @@ def _repeated_row_cases():
 @pytest.mark.parametrize("k", [2, 5])
 def test_repeated_rows_are_eliminated_once(case, k, monkeypatch):
     """_rref reads a row equal to one already read once, as the stacked
-    coset blocks coincide wherever the per-coset moments agree, and the
-    exact solver's coset difference rows repeat: on rows stacked k times
+    coset blocks coincide wherever the per-coset moments agree: on rows
+    stacked k times
     it makes no more row updates than on one copy, and gives the same
     rref.  Each row read and each row update takes one
     content gcd, so the updates are the gcds less the rows read."""
@@ -633,8 +639,10 @@ def test_cascade_plan_holds_one_index_array_per_point_part():
     """The p4m hat spread (8 point parts, each with the same 9 shifts and
     blocks, 72 elements) plans one u for its one distinct element list,
     built by 9 adds of float64 blocks, and one int64 read index per point
-    part, each one entry per box node, and no other index array: the
-    shifts of a part are slice windows."""
+    part, each one entry per box node; the one other index array is the
+    even box nodes' rows, the one field coset that its elements read at
+    h = 2^-4 (2^4 k is even), one entry per node of that coset's grid:
+    the shifts of a part are slice windows."""
     t = catalog_triple("p4m", 2)
     dil = check_admissible(Mat.from_rows([[2, 0], [0, 2]]), t)
     hat = {-1: 1, 0: 2, 1: 1}
@@ -643,8 +651,8 @@ def test_cascade_plan_holds_one_index_array_per_point_part():
     parts = cascade._point_parts(mask)
     assert len(parts) == 8 and len(mask.support()) == 72
     assert cascade._dtype(cascade._blocks(parts)) == np.float64
-    first, shape = np.array([-16, -16]), (33, 33)
-    plan = cascade._plan(parts, dil, first, shape, 4, 1, np.float64)
+    plan = cascade._plan(cascade._placement(parts, dil, (-16, -16), (33, 33),
+                                         4), 1, np.float64)
     assert len(plan.parts) == 1
     part = plan.parts[0]
     assert [x for x in vars(part).values()
@@ -653,8 +661,37 @@ def test_cascade_plan_holds_one_index_array_per_point_part():
     assert all(a.dtype == np.int64 and a.shape == (33 * 33,)
                for a in part.rows)
     assert len(part.adds) == 9
-    assert all(d_t.dtype == np.float64 for _, d_t in part.adds)
-    assert plan.buffer.dtype == plan.term.dtype == np.float64
+    assert all(d_t.dtype == np.float64 for *_, d_t in part.adds)
+    [coset] = plan.cosets
+    assert coset.shape == (17, 17)
+    assert coset.rows.dtype == np.int64 and coset.rows.shape == (17 * 17,)
+    assert plan.buffer.dtype == plan.term.dtype == coset.copy.dtype == \
+        np.float64
+
+
+def test_the_cascade_has_one_step_and_one_plan():
+    """cascade.py defines one step, _step, and one plan, _plan with its
+    _Plan: u on every node with the field read in place is a placement
+    of that plan and runs through that step, not a second pair.  The
+    former pair, u on the whole widened box, lives in tests/conftest.py
+    only, as the reference."""
+    def names(path):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        return [node.name for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+
+    ours = names(Path(cascade.__file__))
+    assert [x for x in ours if "step" in x.lower()] == ["_step"]
+    assert sorted(x for x in ours if "plan" in x.lower()) == \
+        ["_Plan", "_plan"]
+    former = ["former_plan", "former_step"]
+    tests = Path(__file__).parent
+    assert [p.name for p in sorted(tests.glob("*.py"))
+            if set(former) & set(names(p))] == ["conftest.py"]
+    assert set(former) <= set(names(tests / "conftest.py"))
+    assert not any(re.search(r"\bformer_(plan|step)\b",
+                             p.read_text(encoding="utf-8"))
+                   for p in SOURCES)
 
 
 def test_q_tilde_blocks_are_built_on_ints(monkeypatch):
