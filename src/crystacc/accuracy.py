@@ -16,14 +16,15 @@ coset's difference from it, which have the row space of the m stacked coset
 blocks, and below the accuracy coset 0's block alone.
 :func:`sufficient_check` evaluates the cheaper sum-rule criterion on the same
 table and block rows and builds its explicit witness chain, one plain
-elimination per degree.  The table, with the leads (b^{-1})_[t] A_[t], is
-kept with the mask, one per dilation, built for the largest degree asked for
-and read as it is for a smaller one, so a sum-rule test after a scan of the
-same mask and dilation builds nothing.  On an integral lattice with real
-coefficients the table, the constraint rows, their reduction and the
-elimination with its carried kernel, in coprime ints, run on Python ints (the
-fraction-free idea of Bareiss, Math. Comp. 22, 1968), and they fall back to
-Fractions or QCs by themselves where the data are not integral.
+elimination per degree.  The table is kept with the mask, one per dilation,
+built for the largest degree asked for and read as it is for a smaller one,
+so a sum-rule test after a scan of the same mask and dilation builds nothing;
+its leads (b^{-1})_[t] A_[t] are built when a block row first reads them.
+On an integral lattice with real coefficients the table, the constraint rows,
+their reduction and the elimination with its carried kernel, in coprime ints,
+run on Python ints (the fraction-free idea of Bareiss, Math. Comp. 22, 1968),
+and they fall back to Fractions or QCs by themselves where the data are not
+integral.
 :func:`verify_equivalence` re-derives the witness relations in three
 independent forms, element by element, which is the main guard against index
 bookkeeping bugs.  Its per-coset form, :func:`condition_d_residuals`, is also
@@ -44,8 +45,8 @@ from operator import getitem
 from .crystal import CrystalTriple, Dilation, compose
 # kron and build_Q_tilde are unused here: perfbench/tracing.py wraps them
 # by name in this module
-from .linalg import (Mat, QC, SparseRows, _det_inverse, _rref, kernel_basis,
-                     kron, solve_affine)
+from .linalg import (Mat, SparseRows, _det_inverse, _parts, _rref, _stored,
+                     kernel_basis, kron, solve_affine)
 from .mask import Mask, MaskShapeError
 from .multiidx import (VCollection, _acted_rows, _shift_pattern, _shift_rows,
                        _y_rows, build_A_s, build_Q_tilde, dim_degree,
@@ -189,10 +190,10 @@ _NO_GATE = {
 }
 
 
-def _exact(x, scale: int) -> QC:
-    """The plain value x divided by scale, as a QC."""
-    return (QC(x.re / scale, x.im / scale) if isinstance(x, QC)
-            else QC(Fraction(x, scale)))
+def _exact(x, scale: int):
+    """The plain value x divided by scale, in the stored form of a
+    :class:`Mat` entry."""
+    return _stored(x * Fraction(1, scale))
 
 
 def _residual_walk(mask: Mask, dilation: Dilation, v: VCollection,
@@ -220,8 +221,7 @@ def _residual_walk(mask: Mask, dilation: Dilation, v: VCollection,
     view = mask.plain()
     blocks = v.blocks[:top + 1]
     lv = lcm(*(q.denominator for b in blocks for row in b.plain()
-               for x in row
-               for q in ((x.re, x.im) if isinstance(x, QC) else (x,))))
+               for x in row for q in _parts(x)))
     vs = [b.scale(lv).plain() for b in blocks]
     out = {s: [[[x * view.scale for x in row] for row in vs[s]]
                for _ in range(dilation.m)] for s in degrees}
@@ -256,7 +256,8 @@ def condition_d_residuals(mask: Mask, dilation: Dilation, v: VCollection,
 @dataclass
 class _MomentTable:
     """The degree bound ``p_max``, the common denominator D (``scale``),
-    the D-scaled ``moments`` and the ``leads`` of :func:`_moments`."""
+    the D-scaled ``moments`` of :func:`_moments` and the ``leads`` that
+    :func:`_block_row` has read."""
 
     p_max: int
     scale: int
@@ -286,15 +287,17 @@ def _moments(mask: Mask, dilation: Dilation, p_max: int) -> _MomentTable:
     to Fractions (R not integral) or QCs (complex masks) by themselves.  The
     coset, R k and the non-zero monomials are read once per lattice point,
     for every b on it, and each (i, b, mu) is summed in one dense list of
-    r r entries, index a r + c.  ``leads`` maps (b, t), t < p_max, to the
-    rows of (b^{-1})_[t] A_[t] = (b^{-1} A)_[t], each a list of (column,
-    non-zero entry) pairs.  Both are built once per table.
+    r r entries, index a r + c, once per table.  ``leads`` maps (b, t) to
+    the rows of (b^{-1})_[t] A_[t] = (b^{-1} A)_[t], each a list of
+    (column, non-zero entry) pairs; it starts empty, and a lead is built
+    when :func:`_block_row` first reads it, so a scan that stops at its
+    first failing degree builds none above it.
 
     The table is kept with the mask, one per dilation, and built for the
     largest p_max asked for: a request for a smaller p_max gets the kept table
     itself, as every reader indexes only the degrees it needs.
     """
-    tri, d, r = mask.triple, mask.triple.d, mask.r
+    d, r = mask.triple.d, mask.r
     kept = mask._moment_tables.get(dilation)
     if kept is not None and kept.p_max >= p_max:
         return kept
@@ -332,14 +335,7 @@ def _moments(mask: Mask, dilation: Dilation, p_max: int) -> _MomentTable:
                                  in enumerate(zip(n_i, n_0)) if x != y}
             if delta:
                 moments[(i, b)] = delta
-    leads = {}
-    for b in parts:
-        # (b^{-1})_[t] A_[t] = (b^{-1} A)_[t], as X_[t] is multiplicative
-        b_inv_a = tri.group[tri.inverse_table[b]] @ dilation.A
-        for t in range(p_max):
-            leads[(b, t)] = [[(k, x) for k, x in enumerate(row) if x]
-                             for row in build_A_s(b_inv_a, t).plain()]
-    table = _MomentTable(p_max, view.scale, moments, leads)
+    table = _MomentTable(p_max, view.scale, moments, {})
     mask._moment_tables[dilation] = table
     return table
 
@@ -376,7 +372,7 @@ def _block_row(mask: Mask, dilation: Dilation, table: _MomentTable,
     whatever the highest degree, so block row s serves every system of
     degree s or more.
     """
-    d, r = mask.triple.d, mask.r
+    tri, d, r = mask.triple, mask.triple.d, mask.r
     starts = [0]
     for t in range(s):
         starts.append(starts[-1] + dim_degree(d, t) * r)
@@ -388,7 +384,14 @@ def _block_row(mask: Mask, dilation: Dilation, table: _MomentTable,
         if block is None:
             block = rows[i] = [{} for _ in range(size)]
         for t, pattern in enumerate(patterns):
-            leads = table.leads[(b, t)]
+            leads = table.leads.get((b, t))
+            if leads is None:
+                # (b^{-1})_[t] A_[t] = (b^{-1} A)_[t], as X_[t] is
+                # multiplicative
+                b_inv_a = tri.group[tri.inverse_table[b]] @ dilation.A
+                leads = table.leads[(b, t)] = [
+                    [(k, x) for k, x in enumerate(row) if x]
+                    for row in build_A_s(b_inv_a, t).plain()]
             for row0, terms in enumerate(pattern):
                 for j, binom, mu in terms:
                     n_mu = moment.get(mu)

@@ -896,8 +896,11 @@ def reproduce(field: GridField, v: tuple, sample_points,
     are computed once.  C is the mean of the degree-0 sums (exact
     reproduction makes them constant), the very sums the s = 0 test
     compares with it, so with fewer than two kept nodes that test shows
-    nothing and never passes."""
+    nothing and never passes.  An empty sample raises ``ValueError``, a
+    sample whose every node may be cut :class:`CascadeError`."""
     pts = np.asarray(sample_points, dtype=float).reshape(-1, field.d)
+    if not len(pts):
+        raise ValueError("no sample points")
     reads, excluded = (walk if walk is not None
                        else _walk(field, field.node_index(pts)))
     keep = ~excluded

@@ -220,8 +220,6 @@ def _scalar_json(x):
     if isinstance(x, (int, Fraction)):
         return str(x)
     if isinstance(x, QC):
-        if x.im == 0:
-            return str(x.re)
         return [str(x.re), str(x.im)]
     z = complex(x)
     if z.imag == 0.0:

@@ -244,12 +244,12 @@ def inverse(e: CrystalElement) -> CrystalElement:
 
 
 def apply_element(e: CrystalElement, x) -> tuple:
-    """Evaluate the isometry at an exact point; exact in, exact out."""
+    """Evaluate the isometry at an exact point; exact in, exact out: each
+    coordinate in the stored form of a :class:`Mat` entry."""
     t = e.triple
     shifted = [v + ti for (v,), ti in zip(Mat.column(x).plain(),
                                           e.true_translation())]
-    col = t.group[e.g] @ Mat.column(shifted)
-    return tuple(col.entry(i, 0) for i in range(t.d))
+    return tuple(y for y, in (t.group[e.g] @ Mat.column(shifted)).plain())
 
 
 def elements_in_ball(triple: CrystalTriple, radius: int) -> list[CrystalElement]:

@@ -4,13 +4,14 @@ One matrix type, :class:`Mat`, and every operation on it is exact.  It stores
 each entry as a plain value: an int where it is integral, a Fraction where it
 is real, and a complex number with rational parts (:class:`QC`) only where its
 imaginary part is non-zero.  :meth:`Mat.plain` gives those rows, the one exact
-way in for the package's solvers.  The public QC face is :meth:`Mat.entry`,
-:meth:`Mat.row_list`, :func:`det` and the report scalars of
-:mod:`crystacc.accuracy`; elsewhere the package builds a QC only for a value
-with a non-zero imaginary part.  Floats cross the boundary once in each
-direction: :meth:`Mat.np` is the one way out (the cascade oracle computes on
-those arrays), and :func:`read_scalar`, the reader of every scalar literal, the
-one way in: it keeps exact parts and reads each float part with
+way in for the package's solvers, and every scalar the package hands out,
+:meth:`Mat.entry`, :func:`det`, ``crystal.apply_element`` and the report
+scalars of :mod:`crystacc.accuracy` alike, is a value in that form: a QC means
+a complex value.  :meth:`Mat.row_list` alone wraps a real entry in a QC, for
+the one reader that reads ``x.re`` off it.  Floats cross the boundary once in
+each direction: :meth:`Mat.np` is the one way out (the cascade oracle computes
+on those arrays), and :func:`read_scalar`, the reader of every scalar literal,
+the one way in: it keeps exact parts and reads each float part with
 :func:`read_float`, which reads a finite float ``x`` as the rational closest to
 it with denominator at most ``FLOAT_DENOMINATOR_CAP`` (10**6), kept only when
 its nearest double is ``x`` itself, so the change is at most half an ulp;
@@ -33,8 +34,8 @@ the same loop.  The columns are taken in order, so the rref is the textbook
 one.  The determinant is tracked through the row scalings and the order of the
 pivot rows.  :class:`Mat` is the dense exact matrix of the public API;
 :class:`SparseRows` carries the exact solver's rows and kernels as plain
-values in sparse form.  :meth:`QC.is_zero` (with :meth:`Mat.is_zero`) is the
-one zero test of the public scalars.
+values in sparse form.  A public scalar is zero when it ``== 0``, and a
+matrix when :meth:`Mat.is_zero`.
 """
 
 from __future__ import annotations
@@ -195,9 +196,6 @@ def _quotient(a: tuple, b: tuple) -> QC:
               (a_im * b_re - a_re * b_im) / den)
 
 
-QC_ZERO = QC(0)
-
-
 def _stored(x):
     """A scalar as :class:`Mat` stores it: an int where it is integral, a
     Fraction where it is real, else a QC; a literal is read by
@@ -211,11 +209,6 @@ def _stored(x):
     return read_scalar(x, floats=False)[0]
 
 
-def _qc(x) -> QC:
-    """A stored entry as a QC, the type of :meth:`Mat.entry`."""
-    return x if isinstance(x, QC) else QC(x)
-
-
 class Mat:
     """Dense exact matrix.
 
@@ -224,10 +217,10 @@ class Mat:
     non-zero.  Entries are brought to that form once, where they enter
     (:meth:`from_rows`) or are computed, so equal matrices store equal
     rows.  :meth:`plain` is the one exact way in to those rows, as
-    :meth:`np` is the one way out to floats; :meth:`entry` and
-    :meth:`row_list` give the entries as QCs, the public face.
-    :meth:`row_list` has no reader in the package: it stays because the
-    benchmark (``perfbench/worker.py``) reads ``x.re`` from it.
+    :meth:`np` is the one way out to floats; :meth:`entry` gives an entry
+    as it is stored.  :meth:`row_list` gives a row as QCs, real entries
+    too: it has no reader in the package and stays because the benchmark
+    (``perfbench/worker.py``) reads ``x.re`` from it.
     """
 
     __slots__ = ("rows", "cols", "_data")
@@ -282,11 +275,11 @@ class Mat:
         """The stored rows, a tuple of row tuples of plain values."""
         return self._data
 
-    def entry(self, i: int, j: int) -> QC:
-        return _qc(self._data[i][j])
+    def entry(self, i: int, j: int):
+        return self._data[i][j]
 
-    def row_list(self, i: int) -> list:
-        return [_qc(x) for x in self._data[i]]
+    def row_list(self, i: int) -> list[QC]:
+        return [x if isinstance(x, QC) else QC(x) for x in self._data[i]]
 
     def np(self) -> np.ndarray:
         """complex128 copy of the matrix: the one exact-to-float step."""
@@ -593,12 +586,13 @@ def kernel_basis(m: Mat) -> list[Mat]:
         Fraction(1, v[max(v)])) for v in _kernel(_dict_rows(m), m.cols)]
 
 
-def det(m: Mat) -> QC:
-    """Exact determinant."""
+def det(m: Mat):
+    """Exact determinant, in the stored form of an entry (0 when m is
+    singular)."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
     value = _rref(_dict_rows(m), m.cols, with_det=True)[2]
-    return QC_ZERO if value is None else _qc(value)
+    return 0 if value is None else _stored(value)
 
 
 def _det_inverse(rows) -> tuple:

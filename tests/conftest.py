@@ -1,7 +1,7 @@
 """Shared fixtures: catalog triples, dilations, and the classic 1D masks."""
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
 from math import prod
@@ -12,7 +12,7 @@ import pytest
 
 from crystacc import accuracy, cascade
 from crystacc.crystal import catalog_triple, check_admissible
-from crystacc.linalg import Mat, SparseRows, _qc, _rref
+from crystacc.linalg import QC, Mat, SparseRows, _rref
 from crystacc.mask import Mask, MaskShapeError
 from crystacc.multiidx import (VCollection, _acted_rows, _shift_pattern,
                                build_A_s, dim_degree, enumerate_degree)
@@ -133,11 +133,11 @@ def two_field_moments(mask, dilation, p_max):
                     delta[mu] = [x - y for x, y in zip(n_i, n_0)]
             if delta:
                 diffs[(i, b)] = sparse(delta)
-    return TwoFieldTable(p_max, view.scale, sums, diffs, _leads(
+    return TwoFieldTable(p_max, view.scale, sums, diffs, reference_leads(
         tri, dilation, parts, p_max))
 
 
-def _leads(tri, dilation, parts, p_max):
+def reference_leads(tri, dilation, parts, p_max):
     """(b, t) -> the rows of (b^{-1} A)_[t] as (column, non-zero) pairs."""
     leads = {}
     for b in parts:
@@ -310,8 +310,8 @@ def per_element_moments(mask, dilation, p_max):
                 n_mu[(a, c)] = n_mu.get((a, c), 0) + w * x
     return TwoFieldTable(p_max, view.scale, sums,
                          _reference_diffs(sums, dilation.m),
-                         _leads(mask.triple, dilation,
-                                {b for _, b in sums}, p_max))
+                         reference_leads(mask.triple, dilation,
+                                         {b for _, b in sums}, p_max))
 
 
 def _reference_diffs(sums, m):
@@ -375,9 +375,68 @@ def positive_multiple(v, ref):
     if set(v) != set(ref):
         return False
     j = next(iter(ref))
-    ratio = _qc(v[j]) / _qc(ref[j])
+    ratio = qc_face(v[j]) / qc_face(ref[j])
     return (ratio.im == 0 and ratio.re > 0
-            and all(_qc(v[i]) == _qc(x) * ratio.re for i, x in ref.items()))
+            and all(v[i] == x * ratio.re for i, x in ref.items()))
+
+
+# The public face as it was before it handed out stored values, kept as
+# the reference: Mat.entry, det, apply_element and the report scalars gave
+# every value as a QC, a real one too.
+
+def qc_face(x):
+    """A stored value as the former face gave it: a QC, real or not."""
+    return x if isinstance(x, QC) else QC(x)
+
+
+def stored_value(x):
+    """A QC of the former face as the library hands it out now: an int
+    where it is integral, a Fraction where it is real, else the QC."""
+    if x.im != 0:
+        return x
+    return x.re.numerator if x.re.denominator == 1 else x.re
+
+
+def former_det(m):
+    """linalg.det as it was: QC(0) for a singular matrix, else a QC."""
+    rows = [{j: x for j, x in enumerate(row) if x} for row in m.plain()]
+    value = _rref(rows, m.cols, with_det=True)[2]
+    return QC(0) if value is None else qc_face(value)
+
+
+def former_apply_element(e, x):
+    """crystal.apply_element as it was: each coordinate a QC."""
+    t = e.triple
+    shifted = [v + ti for (v,), ti in zip(Mat.column(x).plain(),
+                                          e.true_translation())]
+    col = t.group[e.g] @ Mat.column(shifted)
+    return tuple(qc_face(y) for y, in col.plain())
+
+
+def former_gate(mask, dilation, witness):
+    """The gate v_[0] . fhat(0) of max_accuracy as it was: a QC."""
+    fh = accuracy.fhat0(mask, dilation.m)
+    return qc_face((witness.block(0) @ fh.vector).plain()[0][0])
+
+
+def stored_report(rep):
+    """A SufficientReport of the former face, its sum_total, beta and
+    per_coset QCs mapped to the values the library hands out now."""
+    return replace(
+        rep, sum_total=stored_value(rep.sum_total),
+        beta={key: stored_value(x) for key, x in rep.beta.items()},
+        per_coset={key: [stored_value(x) for x in xs]
+                   for key, xs in rep.per_coset.items()})
+
+
+def assert_stored_face(got, former):
+    """got is the former face's QC as a stored value: equal to it, an int
+    or Fraction where it is real, and a QC with a non-zero imaginary part
+    otherwise, type for type as :func:`stored_value` maps it."""
+    assert type(former) is QC
+    want = stored_value(former)
+    assert got == former and type(got) is type(want), (got, former)
+    assert not isinstance(got, QC) or got.im != 0
 
 
 # The cascade step as it was before u moved onto the one coset of M Z^d

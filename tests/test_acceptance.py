@@ -48,7 +48,7 @@ def test_criterion_1_monomial_operator_identities(capsys):
             x = rand_point(rng, d)
             y = rand_point(rng, d)
             z = rand_point(rng, d)
-            az = tuple(sum((A.entry(i, j).re * z[j] for j in range(d)),
+            az = tuple(sum((A.entry(i, j) * z[j] for j in range(d)),
                            Fraction(0)) for i in range(d))
             for s in range(5):
                 shifted = eval_X(tuple(a - b for a, b in zip(x, y)), s)

@@ -15,8 +15,8 @@ import crystacc.accuracy as accuracy_mod
 import crystacc.multiidx as multiidx_mod
 from crystacc.accuracy import (condition_d_residuals, fhat0, max_accuracy,
                                sufficient_check, verify_equivalence)
-from crystacc.crystal import (Dilation, catalog_triple, check_admissible,
-                              inverse, validate_triple)
+from crystacc.crystal import (Dilation, apply_element, catalog_triple,
+                              check_admissible, inverse, validate_triple)
 from crystacc.linalg import (Mat, QC, _rref, det, kernel_basis, kron, rank,
                              solve_affine)
 from crystacc.mask import Mask, MaskShapeError, lift_scalar_to_matrix
@@ -24,14 +24,16 @@ from crystacc.multiidx import (VCollection, build_A_s, build_Q_st,
                                build_Q_tilde, dim_degree, enumerate_degree,
                                eval_X)
 
-from conftest import (coset_differences, per_element_moments,
-                      rref_solve_affine, stacked_block_row,
+from conftest import (assert_stored_face, coset_differences,
+                      former_apply_element, former_det, former_gate,
+                      per_element_moments, qc_face, reference_leads,
+                      rref_solve_affine, stacked_block_row, stored_report,
                       two_field_block_row, two_field_moments,
                       two_field_sufficient_check, without_repeats)
 
 
 def _witness_entries(cert):
-    """Flatten a 1D multiplicity-1 witness into a tuple of QC entries."""
+    """Flatten a 1D multiplicity-1 witness into a tuple of its entries."""
     return tuple(cert.witness.block(s).entry(0, 0)
                  for s in range(cert.witness.p))
 
@@ -41,7 +43,7 @@ def test_fhat0_haar(line, haar):
     res = fhat0(haar, dil.m)
     assert res.status == "ok"
     assert res.dimension == 1
-    assert not res.vector.entry(0, 0).is_zero()
+    assert res.vector.entry(0, 0) != 0
 
 
 def test_fhat0_empty_for_unnormalized_sum(line, ones3):
@@ -59,7 +61,7 @@ def test_fhat0_of_lifted_mask_is_constant_vector(p1m, sym_hat):
     assert res.status == "ok"
     v = res.vector
     assert v.entry(0, 0) == v.entry(1, 0)
-    assert not v.entry(0, 0).is_zero()
+    assert v.entry(0, 0) != 0
 
 
 def _diagonal_mask(t, components):
@@ -95,7 +97,7 @@ def test_uncoupled_box_and_hat_decide_the_gate_exactly(line):
     assert res.vector == Mat.column([1, 1])
     cert = max_accuracy(mask, t, dil, p_max=3)
     assert cert.p == 2
-    assert isinstance(cert.gate, QC) and cert.gate == QC(1)
+    assert type(cert.gate) is int and cert.gate == 1
     assert "gate_estimate" not in cert.diagnostics
     assert cert.diagnostics["fhat0_status"] == "indeterminate"
 
@@ -110,7 +112,7 @@ def test_growing_component_leaves_the_gate_on_the_eigenspace(line):
     assert res.vector == Mat.column([1, 1, 0])
     cert = max_accuracy(mask, t, dil, p_max=3)
     assert cert.p >= 1
-    assert not cert.gate.is_zero()
+    assert cert.gate != 0
 
 
 def test_defective_eigenvalue_one_has_no_gate(line):
@@ -148,7 +150,7 @@ def test_exact_gate_vector_matches_power_iteration(line, r, data):
     s_rows = [[data.draw(st.integers(-2, 2)) for _ in range(r)]
               for _ in range(r)]
     s_mat = Mat.from_rows(s_rows)
-    assume(not det(s_mat).is_zero())
+    assume(det(s_mat) != 0)
     lams = [data.draw(st.integers(-3, 3)) for _ in range(r - 2)]
     diag = Mat.from_rows([[(1 if i < 2 else Fraction(lams[i - 2], 4))
                            if i == j else 0 for j in range(r)]
@@ -184,7 +186,7 @@ def _fhat0_reference(mask, m):
     k = Mat.hstack(basis)
     w = Mat.hstack(kernel_basis(n_op.transpose())).transpose()
     wk = w @ k
-    if det(wk).is_zero():
+    if det(wk) == 0:
         return None, "defective", len(basis)
     ones = Mat.column([1] * mask.r)
     return k @ wk.inverse() @ (w @ ones), "indeterminate", len(basis)
@@ -222,7 +224,7 @@ def test_fhat0_matches_the_dense_sum_on_every_status(line, status, kind, r,
     s_rows = [[QC(data.draw(part), data.draw(part) if kind == "complex"
                   else 0) for _ in range(r)] for _ in range(r)]
     s_mat = Mat.from_rows(s_rows)
-    assume(not det(s_mat).is_zero())
+    assume(det(s_mat) != 0)
     lams = [data.draw(st.fractions(Fraction(-3, 4), Fraction(3, 4),
                                    max_denominator=4))
             for _ in range(r - ones)]
@@ -386,12 +388,12 @@ def test_sufficient_check_hat(line, hat):
     t, dil = line
     rep = sufficient_check(hat, t, dil, p=2)
     assert rep.passed
-    assert rep.sum_total == QC(2)
+    assert rep.sum_total == 2 and type(rep.sum_total) is int
     assert rep.sum_rule_ok and rep.moments_ok and rep.eigen_ok
     assert rep.beta0_consistent
     assert rep.eigen_flags == {1: True}
-    assert rep.beta[(0, (0,))] == QC(1)
-    assert rep.beta[(0, (1,))] == QC(0)
+    assert rep.beta == {(0, (0,)): 1, (0, (1,)): 0}
+    assert all(type(x) is int for x in rep.beta.values())
     assert rep.chain_residual_zero is True
     chain = tuple(rep.v_chain.block(s).entry(0, 0) for s in range(2))
     assert chain == (QC(1), QC(0))
@@ -430,7 +432,7 @@ def test_sufficient_check_point_symmetric_hat(p1m, sym_hat):
     t, dil = p1m
     rep = sufficient_check(sym_hat, t, dil, p=2)
     assert rep.passed
-    half = QC(Fraction(1, 2))
+    half = Fraction(1, 2)
     assert rep.beta[(0, (0,))] == half
     assert rep.beta[(1, (0,))] == half
     assert rep.beta[(0, (1,))] == QC(0)
@@ -438,6 +440,38 @@ def test_sufficient_check_point_symmetric_hat(p1m, sym_hat):
     assert rep.eigen_flags == {1: True}
     chain = tuple(rep.v_chain.block(s).entry(0, 0) for s in range(2))
     assert chain == (QC(1), QC(0))
+
+
+def test_sufficient_check_refuses_a_mismatched_triple(line, pm, hat):
+    """The mask, the triple and the dilation must belong together."""
+    t, dil = line
+    u, dil_u = pm
+    for triple, dilation in ((u, dil_u), (t, dil_u)):
+        with pytest.raises(ValueError, match="must match"):
+            sufficient_check(hat, triple, dilation, p=2)
+
+
+def test_sufficient_check_notes_a_chain_that_fails_the_walk(line, hat,
+                                                           monkeypatch):
+    """The walk of the support that re-checks the witness chain guards
+    against an internal inconsistency: when it reports a non-zero
+    residual, the report fails with its note, though every condition it
+    screens holds."""
+    t, dil = line
+    walk = accuracy_mod._residual_walk
+
+    def off_by_one(mask, dilation, v, degrees):
+        scale, out = walk(mask, dilation, v, degrees)
+        out[max(degrees)][0][0][0] += 1
+        return scale, out
+
+    monkeypatch.setattr(accuracy_mod, "_residual_walk", off_by_one)
+    rep = sufficient_check(hat, t, dil, p=2)
+    assert rep.sum_rule_ok and rep.moments_ok and rep.eigen_ok
+    assert rep.beta0_consistent and rep.v_chain is not None
+    assert rep.chain_residual_zero is False and not rep.passed
+    assert rep.notes[-1].startswith("the recursive witness fails the "
+                                    "per-coset conditions")
 
 
 def test_sufficient_check_rejects_matrix_masks(p1m, sym_hat):
@@ -554,7 +588,7 @@ def test_float_copy_reaches_the_exact_verdicts(line, bspline4):
     t, dil = line
     exact = max_accuracy(bspline4, t, dil, p_max=6)
     assert exact.p == 4
-    assert isinstance(exact.gate, QC)
+    assert type(exact.gate) is int and exact.gate == 1
     fmask = bspline4.to_float()
     assert fmask == bspline4
     cert = max_accuracy(fmask, t, dil, p_max=6)
@@ -1371,7 +1405,8 @@ def _reference_sufficient_check(mask, triple, dilation, p):
              "the screened matrix equals the scalar 1 whenever the sum "
              "rule holds"]
 
-    total = sum((blk.entry(0, 0) for _, blk in mask.items()), QC(0))
+    total = sum((qc_face(blk.entry(0, 0)) for _, blk in mask.items()),
+                QC(0))
     sum_rule_ok = total == m
 
     table = accuracy_mod._moments(mask, dilation, p)
@@ -1385,7 +1420,7 @@ def _reference_sufficient_check(mask, triple, dilation, p):
                 [moment.get(a, {}).get((0, 0), 0) for a in alphas])
             for j, a in enumerate(alphas):
                 key = (triple.inverse_table[g], a)
-                per_coset[key][i] = col.entry(j, 0) / table.scale
+                per_coset[key][i] = qc_face(col.entry(j, 0)) / table.scale
     beta = {key: sums[0] for key, sums in per_coset.items()
             if len(set(sums)) == 1}
     moments_ok = len(beta) == len(per_coset)
@@ -1400,7 +1435,7 @@ def _reference_sufficient_check(mask, triple, dilation, p):
         for e, blk in mask.items():
             b = triple.inverse_table[e.g]
             i = dilation.translation_coset(e.k)
-            direct[b][i] = direct[b][i] + blk.entry(0, 0)
+            direct[b][i] = direct[b][i] + qc_face(blk.entry(0, 0))
         beta0_consistent = all(
             len(set(direct[b] + [beta[(b, zero_alpha)]])) == 1
             for b in range(r))
@@ -1418,7 +1453,7 @@ def _reference_sufficient_check(mask, triple, dilation, p):
             rows = accuracy_mod._block_row(mask, dilation, table, s)[:ds]
             lhs = Mat.from_rows([[row.get(start + k, 0) for k in range(ds)]
                                  for row in rows])
-            eigen_flags[s] = not det(lhs).is_zero()
+            eigen_flags[s] = det(lhs) != 0
             degree_rows.append((start, rows, lhs))
             start += ds
     eigen_ok = all(eigen_flags.values())
@@ -1434,7 +1469,8 @@ def _reference_sufficient_check(mask, triple, dilation, p):
             rhs = Mat.column([sum((-x * chain[j] for j, x in row.items()
                                    if j < start), QC(0)) for row in rows])
             blocks.append(lhs.inverse() @ rhs)
-            chain += [blocks[-1].entry(k, 0) for k in range(lhs.rows)]
+            chain += [qc_face(blocks[-1].entry(k, 0))
+                      for k in range(lhs.rows)]
         v_chain = VCollection(d, tuple(blocks))
         chain_zero = all(
             _condition_d_reference(mask, dilation, v_chain, s, i).is_zero()
@@ -1454,15 +1490,18 @@ def _reference_sufficient_check(mask, triple, dilation, p):
 
 
 def _assert_same_report(got, want):
-    """Every SufficientReport field equal, and of the same type: QCs in
-    sum_total, beta and per_coset, a VCollection of Mats or None in
-    v_chain, bools in the flags."""
+    """Every SufficientReport field equal, and of the same type: in
+    sum_total, beta and per_coset each scalar of the type of want's, a
+    VCollection of Mats or None in v_chain, bools in the flags.  A QC
+    reference is compared as :func:`stored_report` maps it: ints or
+    Fractions where a scalar is real, QCs where it is complex."""
     assert vars(got) == vars(want)
     for name, value in vars(want).items():
         assert type(getattr(got, name)) is type(value), name
-    assert type(got.sum_total) is QC
-    assert all(type(x) is QC for x in got.beta.values())
-    assert all(type(x) is QC for xs in got.per_coset.values() for x in xs)
+    assert all(type(got.beta[key]) is type(x)
+               for key, x in want.beta.items())
+    assert all(type(x) is type(y) for key, ys in want.per_coset.items()
+               for x, y in zip(got.per_coset[key], ys, strict=True))
     assert all(type(x) is bool for x in got.eigen_flags.values())
     if got.v_chain is not None:
         assert all(type(blk) is Mat for blk in got.v_chain.blocks)
@@ -1515,8 +1554,8 @@ def test_sufficient_report_equals_the_qc_reference(line, p1m, pm, change,
                 value), min_size=1, max_size=2)):
             entries[e] = x
     mask = Mask.scalar(t, entries)
-    _assert_same_report(sufficient_check(mask, t, dil, p),
-                        _reference_sufficient_check(mask, t, dil, p))
+    _assert_same_report(sufficient_check(mask, t, dil, p), stored_report(
+        _reference_sufficient_check(mask, t, dil, p)))
 
 
 @pytest.mark.parametrize("where", sorted(SCREEN_CASES))
@@ -1536,7 +1575,53 @@ def test_sufficient_report_equals_the_qc_reference_on_the_screen_cases(
                                for k, c in base.items()})
         for p in (2, 3):
             _assert_same_report(sufficient_check(mask, t, dil, p),
-                                _reference_sufficient_check(mask, t, dil, p))
+                                stored_report(_reference_sufficient_check(
+                                    mask, t, dil, p)))
+
+
+@seed(2026)
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["line", "p1m", "pm", "p4m", "pm-scaled",
+                        "p2-sheared"]),
+       st.sampled_from([1, 2]), st.booleans(), st.data())
+def test_public_scalars_are_the_stored_values_of_the_former_qc_face(
+        line, p1m, pm, where, r, real, data):
+    """Mat.entry, det (of a mask block, of a block with a repeated row
+    and of zero), apply_element (at a real or complex point), the gate
+    and, for r = 1, the sum-rule report's sum_total, beta and per_coset
+    hand out the values the former QC face gave (kept in conftest), as
+    Mat stores them: an int or Fraction where a value is real, a QC with
+    a non-zero imaginary part otherwise.  Real and complex masks with
+    r = 1, 2 of :func:`_changed_mask`, over R = I, pm on diag(1/2, 1/3)
+    and p2 on a sheared lattice."""
+    t, dil, mask = _changed_mask(line, p1m, pm, where, r, real, data)
+    part = st.fractions(-2, 2, max_denominator=4)
+    coordinate = part if real else st.builds(QC, part, part)
+    for e, blk in mask.items():
+        for i in range(r):
+            for j in range(r):
+                assert_stored_face(blk.entry(i, j), qc_face(blk.plain()[i][j]))
+        for m in (blk, Mat.from_rows([blk.plain()[0]] * r), Mat.zeros(r, r)):
+            assert_stored_face(det(m), former_det(m))
+        x = [data.draw(coordinate) for _ in range(t.d)]
+        for got, former in zip(apply_element(e, x),
+                               former_apply_element(e, x), strict=True):
+            assert_stored_face(got, former)
+    cert = max_accuracy(mask, t, dil, p_max=2)
+    if cert.witness is not None:
+        assert_stored_face(cert.gate, former_gate(mask, dil, cert.witness))
+    if r == 1:
+        p = data.draw(st.integers(1, 2))
+        rep = sufficient_check(mask, t, dil, p)
+        ref = _reference_sufficient_check(mask, t, dil, p)
+        assert_stored_face(rep.sum_total, ref.sum_total)
+        assert rep.beta.keys() == ref.beta.keys()
+        for key, former in ref.beta.items():
+            assert_stored_face(rep.beta[key], former)
+        assert rep.per_coset.keys() == ref.per_coset.keys()
+        for key, formers in ref.per_coset.items():
+            for got, former in zip(rep.per_coset[key], formers, strict=True):
+                assert_stored_face(got, former)
 
 
 # -- block rows on the shared shift pattern, and the kept moment table ------
@@ -1555,11 +1640,12 @@ def _inline_block_row(mask, dilation, table, s):
     rows = [[{starts[s] + k: table.scale} for k in range(len(alphas) * r)]
             for _ in range(dilation.m)]
     sums = per_element_moments(mask, dilation, table.p_max).sums
+    leads = reference_leads(mask.triple, dilation, {b for _, b in sums},
+                            s + 1)
     for (i, b), moment in sums.items():
         block = rows[i]
         for t in range(s + 1):
-            for beta, lead in zip(enumerate_degree(d, t),
-                                  table.leads[(b, t)]):
+            for beta, lead in zip(enumerate_degree(d, t), leads[(b, t)]):
                 for row0, alpha in enumerate(alphas):
                     if any(k > n for n, k in zip(alpha, beta)):
                         continue
@@ -1669,6 +1755,26 @@ def test_the_kept_table_serves_every_smaller_degree_bound(line, p1m, where,
     assert mask._moment_tables == {dil: more}
 
 
+def test_the_scan_builds_the_leads_of_the_degrees_it_reads(line, p1m, pm):
+    """max_accuracy on the p4m hat at p_max 40 stops at its first failing
+    degree, 2, and the table it keeps holds the leads of t <= 2 only, for
+    every point part it reads: a lead is built when a block row first
+    reads it.  The certificate is the one of p_max 6."""
+    t, dil, entries = _scalar_bases(line, p1m, pm)["p4m"]
+    certs = []
+    for p_max in (6, 40):
+        mask = Mask.scalar(t, entries)
+        certs.append(max_accuracy(mask, t, dil, p_max))
+        table = mask._moment_tables[dil]
+        assert table.p_max == p_max
+        assert set(table.leads) == {(b, s) for b in {b for _, b in
+                                                     table.moments}
+                                    for s in range(3)}
+    small, large = ((c.p, c.witness, c.gate, c.diagnostics["kernel_dims"],
+                     c.diagnostics["first_failing_degree"]) for c in certs)
+    assert large == small and large[0] == 2 and large[4] == 2
+
+
 # -- moments once per lattice point, and the integral carried kernel --------
 
 @seed(2026)
@@ -1679,8 +1785,9 @@ def test_the_kept_table_serves_every_smaller_degree_bound(line, p1m, where,
 def test_moments_per_lattice_point_match_the_per_element_loop(
         line, p1m, where, r, kind, p_max, rnd):
     """The moment table read once per lattice point, summed in dense
-    lists, has the leads and scale of the per-element loop it replaced,
-    and one dict of moments: coset 0's non-zero sums (the per-element loop
+    lists, has the scale of the per-element loop it replaced, no leads
+    until the block rows read them and that loop's leads after, and one
+    dict of moments: coset 0's non-zero sums (the per-element loop
     kept an empty N_mu for every mu and every exact-zero sum it reached),
     and every other coset's differences from them, entry by entry.  Coset
     0's sum plus a coset's difference is that coset's sum, for every
@@ -1694,11 +1801,16 @@ def test_moments_per_lattice_point_match_the_per_element_loop(
     table = accuracy_mod._moments(mask, dil, p_max)
     ref = per_element_moments(mask, dil, p_max)
     assert (table.p_max, table.scale, table.leads) == \
-        (ref.p_max, ref.scale, ref.leads)
+        (ref.p_max, ref.scale, {})
     coset_0 = {key: moments for key, moments in _nonzero(ref.sums).items()
                if key[0] == 0}
     assert table.moments == {**coset_0, **ref.diffs}
     assert _coset_sums(table, dil.m) == _nonzero(ref.sums)
+    for s in range(p_max):
+        accuracy_mod._block_row(mask, dil, table, s)
+    assert table.leads == {(b, t): ref.leads[(b, t)]
+                           for b in {b for _, b in table.moments}
+                           for t in range(p_max)}
 
 
 def _assert_same_certificate(cert, ref):

@@ -219,6 +219,24 @@ def test_reproduction_marks_truncated_points(line, hat):
         _sample(res.field, [[0.03125]])
 
 
+def test_reproduce_refuses_a_sample_with_nothing_to_compare(line, hat):
+    """An empty sample is refused as such, before any walk; a sample
+    whose every node may be cut (the node 1/16 of the 4-step hat, whose
+    translate lands one node off the box) loses its coverage."""
+    t, dil = line
+    res = cascade_iterate(hat, t, dil, iterations=8, grid_exponent=4)
+    v = _float_witness(max_accuracy(hat, t, dil, p_max=2))
+    with pytest.raises(ValueError, match="^no sample points$") as info:
+        reproduce(res.field, v, [])
+    assert not isinstance(info.value, CascadeError)
+    walk = cascade_mod._walk(res.field, res.field.node_index([[0.0625]]))
+    assert walk[1].tolist() == [True]
+    for given_walk in (None, walk):
+        with pytest.raises(CascadeError, match="every sample point lost "
+                           "coverage"):
+            reproduce(res.field, v, [[0.0625]], walk=given_walk)
+
+
 def test_reproduce_haar_partition_of_unity(line, haar, haar_field):
     t, dil = line
     cert = max_accuracy(haar, t, dil, p_max=1)
@@ -527,7 +545,7 @@ def _reference_cascade(mask, dil, q, iterations, first, n):
         ok = np.all((idx >= 0) & (idx < n), axis=1)
         flat = np.ravel_multi_index(tuple(np.where(ok[:, None], idx, 0).T),
                                     (n,) * d)
-        reads.append((ok, flat, float(blk.entry(0, 0).re)))
+        reads.append((ok, flat, float(blk.entry(0, 0))))
     for _ in range(iterations):
         f = sum(np.where(ok, c * f[flat], 0.0) for ok, flat, c in reads)
     return pos, f

@@ -124,6 +124,15 @@ def test_inadmissible_dilation_exits_3(tmp_path, capsys):
     assert "error" in out
 
 
+def test_an_unreadable_matrix_entry_exits_1(tmp_path, capsys):
+    """A lattice, dilation or generator entry that is no rational is
+    malformed input, and the error names it."""
+    cfg = {"group": "p1", "dimension": 1, "dilation": [["two"]]}
+    code, out = run_cli(tmp_path, capsys, cfg, ["check-group", "CFG"])
+    assert code == EXIT_MALFORMED
+    assert out["error"].startswith("bad rational 'two': ")
+
+
 def test_sufficient_on_matrix_mask_exits_4(tmp_path, capsys):
     cfg = dict(PM_CFG)
     cfg["mask"] = [{"g": 0, "k": [0, 0], "coef": [[1, 0], [0, 1]]}]
@@ -412,6 +421,20 @@ def test_cascade_hat_full_report(tmp_path, capsys):
     assert reports[2]["verdict"] is False
     assert reports[2]["residual"] > 1e-2
     assert out["empirical_accuracy"] == 2
+
+
+def test_a_complex_float_c_is_written_as_a_pair(tmp_path, capsys):
+    """A float C with a non-zero imaginary part is written as [re, im]:
+    on the complex p1 mask {0: 1/2 + i/4, 1: 1, 2: 1/2 - i/4}, A = 2, the
+    cascade's C is 1 up to an imaginary part of rounding size."""
+    mask = [{"k": [0], "coef": ["1/2", "1/4"]}, {"k": [1], "coef": 1},
+            {"k": [2], "coef": ["1/2", "-1/4"]}]
+    code, out = run_cli(tmp_path, capsys, dict(HAT_CFG, mask=mask),
+                        ["cascade", "CFG", "--grid", "6", "--iters", "30"])
+    assert code == EXIT_OK and out["solver_accuracy"] == 1
+    (report,) = out["reports"]
+    re_part, im_part = report["C"]
+    assert abs(re_part - 1) < 1e-12 and 0 < abs(im_part) < 1e-15
 
 
 def test_cascade_zero_mask_degenerate(tmp_path, capsys):

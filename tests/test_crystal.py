@@ -243,7 +243,7 @@ def _bare_dilation(rows) -> Dilation:
     t = validate_triple(Mat.identity(d), [Mat.identity(d)])
     m_mat = Mat.from_rows(rows)
     return Dilation(t, m_mat, m_mat.inverse(), rows, (0,),
-                    int(det(m_mat).re))
+                    det(m_mat))
 
 
 def test_sheared_dilation_digits_take_no_box_scan():
@@ -272,10 +272,10 @@ def test_digits_are_the_lattice_points_of_the_unit_parallelepiped(data):
     rows = data.draw(st.lists(
         st.lists(st.integers(-5, 5), min_size=d, max_size=d),
         min_size=d, max_size=d).filter(
-            lambda m: not det(Mat.from_rows(m)).is_zero()))
+            lambda m: det(Mat.from_rows(m)) != 0))
     dil = _bare_dilation(rows)
     m_inv = [[x.re for x in dil.M_inv.row_list(i)] for i in range(d)]
-    assert len(dil.digits) == dil.m == abs(det(dil.M_mat).re)
+    assert len(dil.digits) == dil.m == abs(det(dil.M_mat))
     assert dil.lattice_digits[0] == (0,) * d
     assert list(dil.lattice_digits[1:]) == sorted(dil.lattice_digits[1:])
     for _ in range(5):
@@ -367,7 +367,7 @@ def test_point_parts_preserve_dilated_lattice(pm):
         prod = m_inv @ b_int @ m_mat
         for a in range(t.d):
             for b in range(t.d):
-                assert prod.entry(a, b).re.denominator == 1
+                assert type(prod.entry(a, b)) is int
 
 
 def test_h_and_rho_are_permutations():
@@ -471,12 +471,12 @@ def _qc_outcome(R, group, A):
     first refusal, or (R^{-1}, A^{-1}, M^{-1}, adj M, det M).  Each
     determinant is also checked against the permutation expansion."""
     assert det(R) == _leibniz_det(R) and det(A) == _leibniz_det(A)
-    if det(R).is_zero():
+    if det(R) == 0:
         return "lattice basis is singular"
     R_inv = R.inverse()
     if any(integer_rows(R_inv @ g @ R) is None for g in group):
         return "does not preserve the lattice"
-    if det(A).is_zero():
+    if det(A) == 0:
         return "dilation is singular"
     A_inv = A.inverse()
     power, n = A_inv, 1
@@ -490,7 +490,7 @@ def _qc_outcome(R, group, A):
         return "does not map the lattice into itself"
     if any(A @ g @ A_inv not in group for g in group):
         return "outside the group"
-    det_m = int(det(A).re)
+    det_m = int(det(A))
     M_inv = M.inverse()
     return R_inv, A_inv, M_inv, integer_rows(M_inv.scale(QC(det_m))), det_m
 
@@ -613,9 +613,10 @@ def test_apply_element_exactness(pm, seed):
                       (rng.randint(-5, 5), rng.randint(-5, 5)))
     x = rand_point(rng, 2)
     y = apply_element(gamma, x)
-    assert all(c.im == 0 for c in y)  # exact rational coordinates
+    # exact rational coordinates
+    assert all(type(c) in (int, Fraction) for c in y)
     back = apply_element(inverse(gamma), y)
-    assert tuple(c.re for c in back) == tuple(x)
+    assert back == tuple(x)
 
 
 def test_element_refuses_boolean_and_non_integral_coordinates():

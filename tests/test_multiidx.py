@@ -47,9 +47,9 @@ def test_eval_X_basics():
     assert eval_X((Fraction(7, 3),), 0).entry(0, 0) == QC(1)
     x = (Fraction(2), Fraction(-5, 2))
     col = eval_X(x, 1)
-    assert [col.entry(i, 0).re for i in range(2)] == list(x)
+    assert [col.entry(i, 0) for i in range(2)] == list(x)
     col2 = eval_X((Fraction(2), Fraction(3)), 2)
-    assert [col2.entry(i, 0).re for i in range(3)] == [4, 6, 9]
+    assert [col2.entry(i, 0) for i in range(3)] == [4, 6, 9]
 
 
 def test_build_A_s_examples():
@@ -144,10 +144,10 @@ def test_q_dilation_covariance(d, s, seed):
         a = Mat.from_rows([[rand_fraction(rng, 3, 2) for _ in range(d)]
                            for _ in range(d)])
         from crystacc.linalg import det
-        if det(a) != QC(0):
+        if det(a) != 0:
             break
     z = rand_point(rng, d)
-    az = tuple((a @ Mat.column(list(z))).entry(i, 0).re for i in range(d))
+    az = tuple((a @ Mat.column(list(z))).entry(i, 0) for i in range(d))
     for t in range(s + 1):
         lhs = build_Q_st(az, s, t)
         rhs = build_A_s(a, s) @ build_Q_st(z, s, t) @ build_A_s(a, t).inverse()
