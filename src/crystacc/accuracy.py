@@ -225,7 +225,7 @@ def _residual_walk(mask: Mask, dilation: Dilation, v: VCollection,
     vs = [b.scale(lv).plain() for b in blocks]
     out = {s: [[[x * view.scale for x in row] for row in vs[s]]
                for _ in range(dilation.m)] for s in degrees}
-    w = _acted_rows(mask.triple, vs, dilation.A)
+    w = _acted_rows(dilation.inverse_times_A, vs)
     for e, entries in view.entries:
         i = dilation.translation_coset([-x for x in e.k])
         neg = [-x for x in e.true_translation()]
@@ -372,7 +372,7 @@ def _block_row(mask: Mask, dilation: Dilation, table: _MomentTable,
     whatever the highest degree, so block row s serves every system of
     degree s or more.
     """
-    tri, d, r = mask.triple, mask.triple.d, mask.r
+    d, r = mask.triple.d, mask.r
     starts = [0]
     for t in range(s):
         starts.append(starts[-1] + dim_degree(d, t) * r)
@@ -388,10 +388,9 @@ def _block_row(mask: Mask, dilation: Dilation, table: _MomentTable,
             if leads is None:
                 # (b^{-1})_[t] A_[t] = (b^{-1} A)_[t], as X_[t] is
                 # multiplicative
-                b_inv_a = tri.group[tri.inverse_table[b]] @ dilation.A
                 leads = table.leads[(b, t)] = [
-                    [(k, x) for k, x in enumerate(row) if x]
-                    for row in build_A_s(b_inv_a, t).plain()]
+                    [(k, x) for k, x in enumerate(row) if x] for row in
+                    build_A_s(dilation.inverse_times_A[b], t).plain()]
             for row0, terms in enumerate(pattern):
                 for j, binom, mu in terms:
                     n_mu = moment.get(mu)
@@ -692,7 +691,7 @@ def verify_equivalence(mask: Mask, dilation: Dilation, v: VCollection | None,
                 terms.append((gamma, d_blk))
         return terms
 
-    acted = _acted_rows(mask.triple, v.plain(v.p - 1))
+    acted = _acted_rows(mask.triple.inverses, v.plain(v.p - 1))
 
     def y(gamma, s):
         return Mat.from_rows(_y_rows(gamma, acted(gamma.g), s), cols=v.r)

@@ -25,16 +25,18 @@ point part.  Point parts with equal element lists share one u, built
 once per step (the cubic hat spread over its 48 point parts builds one u
 from 27 elements and gathers it 48 times).  Admissibility makes
 G_{g^{-1}} M Z^d = M Z^d, so every gather reads u on the sublattice
-M Z^d alone, and u is built there only, indexed by z = M^{-1} X: the
-polyphase form of subdivision, split by the residue of a node modulo M
-(the same paper).  Element k then reads the field on one coset of
-M Z^d; each such coset is gathered once per step onto its own grid, and
-each element adds its product by one slice add (:func:`_placement`).
-Under A = 2I at q >= 1 every element reads the even nodes, so a step
-multiplies 1/m of the field per element and builds u on about the box,
-not on the box widened by 2^q times the hull of the shifts.  Where M is
-not diagonal the cosets' bounding grids save nothing, and u stays on
-that widened box, with the field read in place.  The oracle reads the
+M Z^d alone.  Where M is diagonal, M Z^d = |M| Z^d for the diagonal
+|M| = diag(|M_11|, ..., |M_dd|), and u is built there only, indexed by
+z = |M|^{-1} X: the polyphase form of subdivision, split by the residue
+of a node modulo M (the same paper).  Element k then reads the field on
+one coset of |M| Z^d, a strided slice of the box, copied once per step
+onto its own grid, and each element adds its product by one slice add
+(:func:`_placement`).  Under A = 2I at q >= 1 every element reads the
+even nodes, so a step multiplies 1/m of the field per element and builds
+u on about the box, not on the box widened by 2^q times the hull of the
+shifts.  Where M is not diagonal the cosets are slanted, their bounding
+grids would save nothing, and u stays on that widened box, with the
+field read in place.  The oracle reads the
 finished field at nodes only and refuses any other point.  It walks the
 gamma cover of its sample nodes once for every degree it checks
 (:func:`verify_degrees`): the witness degrees share the degree-0 sums, C
@@ -60,6 +62,7 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from operator import index, mul
 
 import numpy as np
@@ -374,18 +377,15 @@ def grid_bytes(d: int, r: int, n_parts: int, n_nodes: int,
     ``itemsize`` bytes each: 8 on float64, 16 on complex128) and one int64
     read index per point part; plus the one buffer u, r entries on each of
     its ``buffer_nodes`` nodes, and the copies of the field's cosets, r
-    entries and one int64 index on each of their ``coset_nodes`` nodes
-    (:func:`_placement`).
+    entries on each of their ``coset_nodes`` nodes (:func:`_placement`).
 
-    u lives on the nodes its gathers read, one coset of the sublattice
-    M Z^d, so under a diagonal M it holds about 1/m of the box widened by
-    2^q times the hull of a point part's shifts: about the box itself for
-    A = lambda I, where the whole widened box is about |lambda|^d box
-    nodes.  Where the coset's bounding grid saves nothing (the quincunx and
+    Under a diagonal M, u lives on the nodes |M| z its gathers read, about
+    1/m of the box widened by 2^q times the hull of a point part's shifts:
+    about the box itself for A = lambda I, where the whole widened box is
+    about |lambda|^d box nodes.  Where M is not diagonal (the quincunx and
     rotation dilations) u is that widened box, and no coset is copied."""
     per_node = 8 * d + 4 * itemsize * r + 8 * n_parts
-    return (n_nodes * per_node + itemsize * r * buffer_nodes
-            + (8 + itemsize * r) * coset_nodes)
+    return n_nodes * per_node + itemsize * r * (buffer_nodes + coset_nodes)
 
 
 def memory_budget() -> int:
@@ -400,11 +400,10 @@ def _gib(n: int) -> str:
     return f"{tenths // 10}.{tenths % 10} GiB"
 
 
-def _grid_rows(lin, offset, src_first, src_shape, first,
-               shape) -> np.ndarray:
-    """Row of y = lin x + offset on the grid of node counts ``shape`` from
-    node ``first`` (its flat index, or the zero row past its last node
-    when y is off that grid) for every node x of the grid of node counts
+def _grid_rows(lin, src_first, src_shape, first, shape) -> np.ndarray:
+    """Row of y = lin x on the grid of node counts ``shape`` from node
+    ``first`` (its flat index, or the zero row past its last node when y
+    is off that grid) for every node x of the grid of node counts
     ``src_shape`` from node ``src_first``, in that grid's row order.  lin
     is an integer matrix; one int64 coordinate of y is formed at a time,
     and no node array is built."""
@@ -415,8 +414,8 @@ def _grid_rows(lin, offset, src_first, src_shape, first,
     flat = np.zeros(src_shape, dtype=np.int64)
     inside = np.ones(src_shape, dtype=bool)
     y = np.empty(src_shape, dtype=np.int64)
-    for row, c, f, n in zip(lin, offset, first, shape):
-        y.fill(c - f)
+    for row, f, n in zip(lin, first, shape):
+        y.fill(-f)
         for a, axis in zip(row, axes):
             if a:
                 y += a * axis
@@ -434,26 +433,26 @@ class _Placement:
     ``shape`` from node ``first``, before any grid array is allocated
     (:func:`_placement`).
 
-    ``basis`` S is M or the identity, and u is kept on the nodes Sz.
-    ``cosets`` holds one (rho, lo, shape) per coset rho + S Z^d of field
-    nodes that some element reads: the grid of z from lo whose nodes
-    rho + S z cover the coset's box nodes.  ``parts`` holds one
-    (lo, shape, adds, reads) per distinct element list: u's grid of z,
-    one (coset, start, d_(g,k)) per element, adding the coset's copy
-    times d_(g,k)^T to u from z = lo + start, and one integer matrix
-    S^{-1} G_{g^{-1}} M per point part g carrying the list, the node z of
-    u that box node J reads.  ``products`` counts the coset nodes that
-    the elements' products cover, all lists together.  With the identity
-    basis (``inplace``) there is one coset, the box itself, read in
-    place."""
+    ``basis`` holds the diagonal (s_1, ..., s_d) of the basis S, and u is
+    kept on the nodes S z.  ``cosets`` holds one (rho, lo, shape) per coset
+    rho + S Z^d of field nodes that some element reads: its box nodes are
+    rho + S w for the w of the grid of node counts shape from lo.
+    ``parts`` holds one (lo, shape, adds, reads) per distinct element
+    list: u's grid of z, one (coset, start, d_(g,k)) per element, adding
+    the coset's copy times d_(g,k)^T to u from z = lo + start, and one
+    integer matrix S^{-1} G_{g^{-1}} M per point part g carrying the list,
+    the node z of u that box node J reads.  With S = I (``inplace``) there
+    is one coset, the box itself, read in place."""
 
     first: tuple
     shape: tuple
-    basis: list
-    inplace: bool
+    basis: tuple
     cosets: list
     parts: list
-    products: int
+
+    @property
+    def inplace(self) -> bool:
+        return all(s == 1 for s in self.basis)
 
     def u_nodes(self) -> int:
         """Nodes of the largest u, without its zero row."""
@@ -465,123 +464,81 @@ class _Placement:
         return 0 if self.inplace else sum(math.prod(shape)
                                           for _, _, shape in self.cosets)
 
-    def work(self) -> int:
-        """Nodes a step touches outside the gathers: every coset copied,
-        every u cleared, and every element's product and add."""
-        return (self.coset_nodes() + self.products
-                + sum(math.prod(shape) for _, shape, _, _ in self.parts))
-
 
 def _placement(parts: dict, dilation: Dilation, first, shape: tuple,
                q: int) -> _Placement:
     """Where a step on the box of node counts ``shape`` from node ``first``
-    keeps u: on the coset of M Z^d that its gathers read, unless the
-    identity basis (u on the whole box widened by 2^q times the hull of
-    the shifts, the field read in place) touches fewer nodes per step
-    (:meth:`_Placement.work`), as it does where M is not diagonal and the
-    coset grids are the bounding grids of slanted cosets, or unless a
-    coset grid would outgrow the box, whose term holds every product.
+    keeps u: on the nodes S z of S = diag(|M_11|, ..., |M_dd|) when M is
+    diagonal, as |M| Z^d = M Z^d, and otherwise on every node (S = I: u
+    on the whole box widened by 2^q times the hull of the shifts, the
+    field read in place), as the bounding grids of the slanted cosets of
+    M Z^d save nothing.
 
     Node J reads u at X = G_{g^{-1}} M J, and admissibility makes
-    G_{g^{-1}} M Z^d = M Z^d: every gather reads u on the coset M Z^d
-    itself, at z = M^{-1} X = (M^{-1} G_{g^{-1}} M) J, an integer map
-    (Cavaretta, Dahmen and Micchelli's polyphase split of subdivision by
-    the residue of a node modulo M).  u(M z) = sum_k f(M z - 2^q k)
-    d_(g,k)^T reads, for element k, the field on the one coset
-    rho_k = -2^q k + M Z^d of the box, at w = z - M^{-1}(rho_k + 2^q k):
-    each used field coset is copied once per step onto its grid of w, and
-    each element adds its product by one slice add at the integer offset
-    M^{-1}(rho_k + 2^q k)."""
-    split, whole = _placements(parts, dilation, first, shape, q)
-    n = math.prod(shape)
-    if split.work() < whole.work() and all(
-            math.prod(grid) <= n for _, _, grid in split.cosets):
-        return split
-    return whole
-
-
-def _placements(parts: dict, dilation: Dilation, first, shape: tuple,
-                q: int) -> tuple:
-    """The two placements :func:`_placement` chooses from: u on the nodes
-    of M Z^d, and on every node (the identity basis).  Point parts whose
-    element lists, shifts and converted blocks in support order, are
-    equal build the same u, so it is placed once and gathered for each of
-    them."""
-    d, m = len(shape), dilation.m
+    G_{g^{-1}} M Z^d = M Z^d: every gather reads u on M Z^d itself, at
+    z = S^{-1} X = (S^{-1} G_{g^{-1}} M) J, an integer map (Cavaretta,
+    Dahmen and Micchelli's polyphase split of subdivision by the residue
+    of a node modulo M).  u(S z) = sum_k f(S z - 2^q k) d_(g,k)^T reads,
+    for element k, the field on the one coset rho + S Z^d of
+    y = -2^q k, rho = y - S floor(S^{-1} y), at w = z + floor(S^{-1} y):
+    each used field coset is copied once per step onto its grid of w,
+    ceil((first - rho) / s) ... floor((last - rho) / s) on an axis of
+    step s, no more nodes than the box has there, and each element adds
+    its product by one slice add at the offset -floor(S^{-1} y).  S is
+    diagonal, so all of it is formed axis by axis on Python ints.  Point
+    parts whose element lists, shifts and converted blocks in support
+    order, are equal build the same u, so it is placed once and gathered
+    for each of them; an element whose coset holds no box node adds
+    nothing and is left out."""
+    t, m, d = dilation.triple, dilation.M, len(shape)
+    diagonal = all(m[i][j] == 0 for i in range(d) for j in range(d) if i != j)
+    basis = tuple(abs(m[i][i]) if diagonal else 1 for i in range(d))
+    last = [f + n - 1 for f, n in zip(first, shape)]
     lists = {}
     for g, elements in parts.items():
         key = tuple((k, blk.tobytes()) for k, blk in elements)
         lists.setdefault(key, (elements, []))[1].append(g)
-    lists = list(lists.values())
-    adj = [[int(x * m) for x in row] for row in dilation.M_inv.plain()]
-    eye = [[int(i == j) for j in range(d)] for i in range(d)]
-    return (_coset_placement(lists, dilation, dilation.M, adj, m, first,
-                             shape, q),
-            _coset_placement(lists, dilation, eye, eye, 1, first, shape, q))
-
-
-def _coset_placement(lists: list, dilation: Dilation, basis: list,
-                     adj: list, det: int, first, shape: tuple,
-                     q: int) -> _Placement:
-    """:func:`_placement` with u on the nodes S z of the given basis S, adj
-    = det S^{-1} integral.  Element k reads the field on the coset of
-    y = -2^q k, whose representative is rho = y - S floor(S^{-1} y) (that
-    of ``Dilation.residue``), at the offset S^{-1}(rho + 2^q k) =
-    -floor(S^{-1} y).  The shifts of a list are read as one small array
-    of Python ints (object dtype: exact, whatever the shifts, as the
-    memory estimate that reads this placement must be), so the calls per
-    list do not grow with its elements; an element whose coset holds no
-    box node adds nothing and is left out."""
-    t = dilation.triple
-    s, a = np.array(basis, dtype=object), np.array(adj, dtype=object)
-    box = [(f, f + n - 1) for f, n in zip(first, shape)]
-    index, cosets, out, products = {}, [], [], 0
-    for elements, gs in lists:
-        y = -(np.array([k for k, _ in elements], dtype=object) << q)
-        floor = (y @ a.T) // det
-        ids = []
-        for rho in map(tuple, (y - floor @ s.T).tolist()):
+    index, cosets, out = {}, [], []
+    for elements, gs in lists.values():
+        adds = []
+        for k, blk in elements:
+            y = [-x << q for x in k]
+            floor = [a // s for a, s in zip(y, basis)]
+            rho = tuple(a - s * f for a, s, f in zip(y, basis, floor))
             i = index.get(rho)
             if i is None:
-                image = _box_image(adj, [(0, 0)] * len(shape),
-                                   [(lo - c, hi - c)
-                                    for (lo, hi), c in zip(box, rho)])
-                lo = tuple(-(-x // det) for x, _ in image)
+                lo = tuple(-((c - a) // s)
+                           for a, c, s in zip(first, rho, basis))
                 i = index[rho] = len(cosets)
                 cosets.append((rho, lo, tuple(
-                    b // det - x + 1 for x, (_, b) in zip(lo, image))))
-            ids.append(i)
-        grid = np.array([c[2] for c in cosets], dtype=object)[ids]
-        keep = grid.prod(axis=1) > 0
-        start = (np.array([c[1] for c in cosets], dtype=object)[ids]
-                 - floor)[keep]
-        grid = grid[keep]
-        products += int(grid.prod(axis=1).sum())
-        low = high = np.array(first, dtype=object)
-        if keep.any():
-            low, high = start.min(axis=0), (start + grid).max(axis=0)
-        reads = [[[x // det for x in row] for row in _int_product(
-            _int_product(adj, t.int_reps[t.inverse_table[g]]),
-            dilation.M)] for g in gs]
-        blocks = [blk for (_, blk), kept in zip(elements, keep.tolist())
-                  if kept]
-        out.append((tuple(low.tolist()), tuple((high - low).tolist()),
-                    list(zip(np.array(ids)[keep].tolist(),
-                             map(tuple, (start - low).tolist()), blocks)),
-                    reads))
-    return _Placement(tuple(first), tuple(shape), basis, det == 1, cosets,
-                      out, products)
+                    (b - c) // s - w + 1
+                    for b, c, s, w in zip(last, rho, basis, lo))))
+            _, lo, grid = cosets[i]
+            if math.prod(grid):
+                adds.append((i, [w - f for w, f in zip(lo, floor)], blk))
+        low = high = tuple(first)
+        if adds:
+            low = [min(axis) for axis in zip(*(a for _, a, _ in adds))]
+            high = [max(axis) for axis in zip(*(
+                [a + n for a, n in zip(start, cosets[i][2])]
+                for i, start, _ in adds))]
+        reads = [[[x // s for x in row] for row, s in zip(_int_product(
+            t.int_reps[t.inverse_table[g]], m), basis)] for g in gs]
+        out.append((tuple(low), tuple(b - a for a, b in zip(low, high)),
+                    [(i, tuple(a - b for a, b in zip(start, low)), blk)
+                     for i, start, blk in adds], reads))
+    return _Placement(tuple(first), tuple(shape), basis, cosets, out)
 
 
 @dataclass
 class _Coset:
-    """One field coset as a step reads it: its grid's node counts, and
-    the padded-field row of each grid node with the copy it is gathered
-    into once per step, or None for both when the field is read in
+    """One field coset as a step reads it: its grid's node counts, the
+    strided slices of the box that hold its nodes and the copy they are
+    taken into once per step, or None for both when the field is read in
     place."""
 
     shape: tuple
-    rows: np.ndarray | None
+    window: tuple | None
     copy: np.ndarray | None
 
 
@@ -617,27 +574,28 @@ class _Plan:
 
 def _plan(placement: _Placement, r: int, dtype) -> _Plan:
     """The arrays of a :func:`_placement` for a field of r columns in the
-    given dtype: the box row of every node of each field coset's grid, u's
-    row that every box node reads for each point part (a read off u's grid
-    lands on its zero row), the slice windows of the elements' adds, and
-    the buffers.  The box's term is allocated last, after the integer work
-    of the index arrays."""
+    given dtype: each field coset's slices of the box and its copy, u's
+    row that every box node reads for each point part (a read off u's
+    grid lands on its zero row), the slice windows of the elements' adds,
+    and the buffers.  The box's term is allocated last, after the integer
+    work of the index arrays."""
     first, shape = placement.first, placement.shape
     cosets = []
     for rho, lo, grid in placement.cosets:
         if placement.inplace:
             cosets.append(_Coset(shape, None, None))
         else:
-            rows = _grid_rows(placement.basis, rho, lo, grid, first, shape)
-            cosets.append(_Coset(grid, rows,
-                                 np.empty((len(rows), r), dtype=dtype)))
+            # rho + s lo is the coset's first box node on each axis
+            window = tuple(slice(c + s * w - f, None, s) for c, s, w, f
+                           in zip(rho, placement.basis, lo, first))
+            cosets.append(_Coset(grid, window,
+                                 np.empty((*grid, r), dtype=dtype)))
     parts = []
     for lo, grid, adds, reads in placement.parts:
         windows = [(tuple(slice(s, s + n)
                           for s, n in zip(start, cosets[i].shape)),
                     i, _as(blk.T, dtype)) for i, start, blk in adds]
-        rows = [_grid_rows(lin, (0,) * len(shape), first, shape, lo, grid)
-                for lin in reads]
+        rows = [_grid_rows(lin, first, shape, lo, grid) for lin in reads]
         parts.append(_Part(grid, windows, rows))
     buffer = np.zeros((placement.u_nodes() + 1, r), dtype=dtype)
     return _Plan(shape, cosets, parts, buffer,
@@ -646,19 +604,19 @@ def _plan(placement: _Placement, r: int, dtype) -> _Plan:
 
 def _step(plan: _Plan, padded: np.ndarray) -> np.ndarray:
     """One refinement step of a padded field in the plan's dtype: each
-    field coset gathered once (or read in place), one u per distinct
-    element list, built by one product and one slice add per element, and
-    one gather per point part; the zero row stays zero."""
+    field coset copied once by strided slices (or read in place), one u
+    per distinct element list, built by one product and one slice add per
+    element, and one gather per point part; the zero row stays zero."""
     out = np.zeros_like(padded)
     term = plan.term
     r = term.shape[1]
+    box = padded[:-1].reshape(*plan.shape, r)
     sources = []
     for coset in plan.cosets:
-        # every row lies in the padded field, so "clip" changes no index;
-        # unlike "raise" it writes into the copy without a temporary
-        src = (padded[:-1] if coset.rows is None else
-               np.take(padded, coset.rows, axis=0, out=coset.copy,
-                       mode="clip"))
+        src = padded[:-1]
+        if coset.copy is not None:
+            coset.copy[...] = box[coset.window]
+            src = coset.copy.reshape(-1, r)
         flat = term[:len(src)]
         sources.append((src, flat, flat.reshape(*coset.shape, r)))
     gather = term[:len(padded) - 1]
@@ -907,7 +865,7 @@ def reproduce(field: GridField, v: tuple, sample_points,
     if not keep.any():
         raise CascadeError("every sample point lost coverage; enlarge the "
                            "grid or shrink the sample region")
-    acted = _acted_rows(field.triple, [b.tolist() for b in v])
+    acted = _acted_rows(field.triple.inverses, [b.tolist() for b in v])
     sums = [_sums(field, reads, len(pts), s, acted) for s in range(len(v))]
     C = complex(np.mean(sums[0][keep, 0]))
 
@@ -951,17 +909,17 @@ def _probe_block(field: GridField, reads: list, v: tuple | None, s: int,
     d_s, r, n = dim_degree(field.d, s), field.r, len(pts)
     base = np.zeros((n, d_s), dtype=complex)
     design = np.zeros((n, d_s, d_s * r), dtype=complex)
-    acted = (_acted_rows(field.triple, [b.tolist() for b in v[:s]])
+    acted = (_acted_rows(field.triple.inverses, [b.tolist() for b in v[:s]])
              if v is not None and s > 0 else None)
+    # Qt_[s,s] = (b^{-1})_[s], as Q_[s,s] = I: one float block per part
+    lead = cache(lambda g: build_A_s(field.triple.inverses[g], s).np())
     for e, vals, _ in reads:
         if acted is not None:
             terms = [vals @ y.T for y in _y_terms(e, s, acted)]
             base += sum(terms[1:], terms[0])
-        # unknown W is d_s x r; the gamma term is Qt_[s,s] @ W @ vals[x],
-        # and Qt_[s,s] = (b^{-1})_[s] as Q_[s,s] = I
-        q_ss = build_A_s(e.point_matrix_inverse(), s).np()
-        design += np.einsum("ab,nc->nabc", q_ss, vals).reshape(n, d_s,
-                                                               d_s * r)
+        # unknown W is d_s x r; the gamma term is Qt_[s,s] @ W @ vals[x]
+        design += np.einsum("ab,nc->nabc", lead(e.g), vals).reshape(
+            n, d_s, d_s * r)
     target = (np.ones((n, 1), dtype=complex) if C is None
               else C * _monomial_matrix(pts, s))
     lhs = design.reshape(n * d_s, d_s * r)

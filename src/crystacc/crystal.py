@@ -95,6 +95,8 @@ class CrystalTriple:
             if ident not in row:
                 raise GroupValidationError(f"no inverse for point element {i}")
             self.inverse_table.append(row.index(ident))
+        # g^{-1} for each point index g
+        self.inverses = [self.group[i] for i in self.inverse_table]
         # the rows of R, entries ints where integral, for true_translation
         self.R_rows = R.plain()
 
@@ -213,7 +215,7 @@ class CrystalElement:
     k: tuple[int, ...]
 
     def point_matrix_inverse(self) -> Mat:
-        return self.triple.group[self.triple.inverse_table[self.g]]
+        return self.triple.inverses[self.g]
 
     def true_translation(self) -> tuple:
         """R·k, the translation as a point of R^d, on plain values: one dot
@@ -279,6 +281,9 @@ class Dilation:
         self.A_inv = A_inv
         self.M = M
         self.M_mat = Mat.from_rows(M)
+        # b^{-1} A for each point part b, formed once: the moment table's
+        # leads and the witness walk's acted rows read these products
+        self.inverse_times_A = [b @ A for b in triple.inverses]
         m_inv = _det_inverse(M)[1]
         self.M_inv = Mat.from_rows(m_inv)
         # adj M = det M · M^{-1} is integral, so M^{-1} k = (adj M · k) / det M

@@ -175,17 +175,16 @@ def _shift_rows(neg, s: int, blocks: dict) -> list:
     return out
 
 
-def _acted_rows(triple, vs: list, a: Mat | None = None):
-    """g -> {t: the rows of m_[t] v_[t]}, m = b^{-1} (b^{-1} a when a is
-    given) for the point part b = g of the triple, formed once per part:
-    the blocks :func:`_shift_rows` shifts, for vs the rows of the blocks
-    v_[t] (plain values, or Python complex in the cascade oracle)."""
+def _acted_rows(mats, vs: list):
+    """g -> {t: the rows of (mats[g])_[t] v_[t]}, formed once per point
+    part g: the blocks :func:`_shift_rows` shifts, for mats the point
+    parts' b^{-1} (``CrystalTriple.inverses``) or b^{-1} A
+    (``Dilation.inverse_times_A``) and vs the rows of the blocks v_[t]
+    (plain values, or Python complex in the cascade oracle)."""
     def rows(g):
-        m = triple.group[triple.inverse_table[g]]
-        m = m if a is None else m @ a
         return {t: [[sum((x * vt[k][c] for k, x in enumerate(row) if x), 0)
                      for c in range(len(vt[0]))]
-                    for row in build_A_s(m, t).plain()]
+                    for row in build_A_s(mats[g], t).plain()]
                 for t, vt in enumerate(vs)}
     return cache(rows)
 
@@ -257,5 +256,5 @@ def eval_y(gamma, v: VCollection, s: int) -> Mat:
     the binomial shift by l of the rows of (b^{-1})_[t] v_[t]."""
     if s >= v.p:
         raise ValueError(f"degree {s} needs v blocks up to {s}")
-    acted = _acted_rows(gamma.triple, v.plain(s))(gamma.g)
+    acted = _acted_rows(gamma.triple.inverses, v.plain(s))(gamma.g)
     return Mat.from_rows(_y_rows(gamma, acted, s), cols=v.r)

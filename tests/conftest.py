@@ -37,7 +37,7 @@ def reproduction_values(field, v, s, points):
     truncated; a point that is not a grid node raises ValueError.  Kept
     in the tests, as no library code reads it."""
     reads, excluded = cascade._walk(field, field.node_index(points))
-    acted = _acted_rows(field.triple, [b.tolist() for b in v[:s + 1]])
+    acted = _acted_rows(field.triple.inverses, [b.tolist() for b in v[:s + 1]])
     return cascade._sums(field, reads, len(excluded), s, acted), excluded
 
 

@@ -361,26 +361,26 @@ def test_grid_bytes_estimate():
     """Per node, d int64 of integer work, four live iterates (r entries of
     8 bytes on float64, 16 on complex128) and one int64 read index per
     point part; plus the one buffer u, in the iterates' dtype, and per
-    node of a field coset's copy r entries and one int64 index.  The 2D
-    tensor quadratic B-spline (one point part, shifts 0..3 per axis, real)
-    on its certified box [0, 3]^2 at the default spacing 2^-8 has 769^2
-    nodes, reads its even nodes, 385^2 of them, and keeps u on the even
-    nodes of the widened box, 769^2 of them and one zero row: about 40 MB
-    on float64, 65 MB on complex128 (52 and 90 MB with u on the whole
-    widened box, 1537^2 nodes)."""
+    node of a field coset's copy r entries, taken by strided slices with
+    no index.  The 2D tensor quadratic B-spline (one point part, shifts
+    0..3 per axis, real) on its certified box [0, 3]^2 at the default
+    spacing 2^-8 has 769^2 nodes, reads its even nodes, 385^2 of them,
+    and keeps u on the even nodes of the widened box, 769^2 of them and
+    one zero row: about 39 MB on float64, 64 MB on complex128 (52 and
+    90 MB with u on the whole widened box, 1537^2 nodes)."""
     assert grid_bytes(1, 1, 3, 10, 0, 0, 16) == 10 * (8 + 64 + 3 * 8)
     assert grid_bytes(1, 1, 3, 10, 0, 0, 8) == 10 * (8 + 32 + 3 * 8)
     assert grid_bytes(2, 3, 5, 7, 11, 13, 16) == \
-        7 * (16 + 3 * 64 + 5 * 8) + 11 * 48 + 13 * (8 + 48)
+        7 * (16 + 3 * 64 + 5 * 8) + 11 * 48 + 13 * 48
     assert grid_bytes(2, 3, 5, 7, 11, 13, 8) == \
-        7 * (16 + 3 * 32 + 5 * 8) + 11 * 24 + 13 * (8 + 24)
+        7 * (16 + 3 * 32 + 5 * 8) + 11 * 24 + 13 * 24
     n, u, c = 769 ** 2, 769 ** 2 + 1, 385 ** 2
     assert grid_bytes(2, 1, 1, n, u, c, 16) == \
-        n * (16 + 64 + 8) + 16 * u + 24 * c
-    assert 0.064e9 < grid_bytes(2, 1, 1, n, u, c, 16) < 0.066e9
+        n * (16 + 64 + 8) + 16 * u + 16 * c
+    assert 0.063e9 < grid_bytes(2, 1, 1, n, u, c, 16) < 0.064e9
     assert grid_bytes(2, 1, 1, n, u, c, 8) == \
-        n * (16 + 32 + 8) + 8 * u + 16 * c
-    assert 0.039e9 < grid_bytes(2, 1, 1, n, u, c, 8) < 0.041e9
+        n * (16 + 32 + 8) + 8 * u + 8 * c
+    assert 0.039e9 < grid_bytes(2, 1, 1, n, u, c, 8) < 0.0391e9
 
 
 def _quadratic_bspline_2d(t):
@@ -418,8 +418,8 @@ def test_default_grid_of_the_quadratic_bspline_fits_in_1_gib(plane,
     257^2 nodes on [0, 1]^2, before the box is certified (with u at
     least its zero row and no coset copied), and a budget that holds that
     grid refuses the certified box's estimate (u on the 769^2 even nodes
-    of the widened box, the 385^2 even box nodes copied), both before
-    anything is allocated."""
+    of the widened box, the 385^2 even box nodes copied, 8 bytes each:
+    about 39 MB), both before anything is allocated."""
     t, dil = plane
     mask = _quadratic_bspline_2d(t)
     assert support_box(mask, dil, 2.0 ** -8) == [(0, 3), (0, 3)]
@@ -433,7 +433,8 @@ def test_default_grid_of_the_quadratic_bspline_fits_in_1_gib(plane,
         cascade_iterate(mask, t, dil, iterations=12, grid_exponent=8)
     assert seen == [least, (2, 1, 1, 769 ** 2, 769 ** 2 + 1, 385 ** 2, 8)]
     assert len(boxes) == 1
-    assert grid_bytes(*seen[1]) < 2 ** 30
+    assert grid_bytes(*seen[1]) == 769 ** 2 * (16 + 32 + 8) + \
+        8 * (769 ** 2 + 1) + 8 * 385 ** 2 < 2 ** 30
 
 
 def test_sparse_wide_hull_mask_pays_for_its_buffer(plane, monkeypatch):
@@ -456,7 +457,7 @@ def test_sparse_wide_hull_mask_pays_for_its_buffer(plane, monkeypatch):
     with pytest.raises(CascadeError, match="memory"):
         cascade_iterate(mask, t, dil, iterations=2, grid_exponent=6)
     assert seen == [least, (2, 1, 1, n, u, c, 8)]
-    assert grid_bytes(*seen[1]) == n * (16 + 32 + 8) + 8 * u + 16 * c
+    assert grid_bytes(*seen[1]) == n * (16 + 32 + 8) + 8 * u + 8 * c
     # the float64 buffer costs less than the per-element indices
     assert 8 * u < 4 * 8 * n
 
@@ -642,6 +643,11 @@ STEP_CASES = {
     "complex-1d": ("p1", 1, None, [[2]], 2),
     "complex-pm": ("pm", 2, None, [[2, 0], [0, 2]], 2),
     "complex-p4m": ("p4m", 2, None, [[2, 0], [0, 2]], 2),
+    # diagonal dilations with unequal or negative entries: S = |M|
+    "p1-diag-2-3": ("p1", 2, None, [[2, 0], [0, 3]], 1),
+    "pm-diag-neg": ("pm", 2, None, [[-2, 0], [0, 2]], 1),
+    "complex-p4m-neg": ("p4m", 2, None, [[-2, 0], [0, -2]], 2),
+    "p1m-neg3": ("p1m", 1, None, [[-3]], 1),
 }
 
 
@@ -825,41 +831,40 @@ def _bits(a):
 @given(st.sampled_from(sorted(STEP_CASES)), st.booleans(),
        st.randoms(use_true_random=False))
 def test_coset_step_matches_the_former_step_bit_for_bit(case, shared, rnd):
-    """The step with u on the coset of M Z^d that its gathers read, and
-    the same step with u on every node and the field read in place (the
-    two placements _placement chooses from), give bit for bit the
-    iterates of the former step, u on the whole widened box (conftest),
-    over four steps: real and complex masks, r = 1 and 2, point parts
-    that share their element list or not, a field in the mask's dtype
-    and, for a real mask, a complex field too.  The coset placement is
-    checked wherever its coset grids fit in the box, as _placement asks.
-    refinement_residual gives the former step's defect exactly."""
+    """The step of _placement's one placement, u on the nodes |M| z that
+    its gathers read when M is diagonal and on every node with the field
+    read in place otherwise, gives bit for bit the iterates of the former
+    step, u on the whole widened box (conftest), over four steps: real and
+    complex masks, r = 1 and 2, point parts that share their element list
+    or not, a field in the mask's dtype and, for a real mask, a complex
+    field too.  Every coset grid fits in the box.  refinement_residual
+    gives the former step's defect exactly."""
     mask, dil, q = _step_mask(case, rnd, shared)
     t, r = mask.triple, mask.r
     first, shape = _box_grid(mask, dil, q)
     parts = cascade_mod._point_parts(mask)
     dtype = cascade_mod._dtype(cascade_mod._blocks(parts))
-    start = tuple(int(x) for x in first)
-    split, whole = cascade_mod._placements(parts, dil, start, shape, q)
-    assert whole.inplace and not split.inplace
-    fits = all(math.prod(grid) <= math.prod(shape)
-               for _, _, grid in split.cosets)
-    chosen = cascade_mod._placement(parts, dil, start, shape, q)
-    assert chosen.inplace == (not fits or split.work() >= whole.work())
-    placements = [whole, split] if fits else [whole]
+    placement = cascade_mod._placement(
+        parts, dil, tuple(int(x) for x in first), shape, q)
+    m = np.array(dil.M)
+    diagonal = np.array_equal(m, np.diag(np.diag(m)))
+    assert placement.basis == (tuple(abs(int(x)) for x in np.diag(m))
+                               if diagonal else (1,) * t.d)
+    assert placement.inplace == (not diagonal)
+    assert all(n <= b for _, _, grid in placement.cosets
+               for n, b in zip(grid, shape))
     gen = np.random.default_rng(rnd.randrange(2 ** 32))
     fields = [_random_field(gen, shape, r, dtype)]
     if dtype == np.float64:
         fields.append(_random_field(gen, shape, r, np.complex128))
     for values in fields:
         ref = former_plan(parts, dil, first, shape, q, r, values.dtype)
-        for placement in placements:
-            plan = cascade_mod._plan(placement, r, values.dtype)
-            got, want = values, values
-            for _ in range(4):
-                got = cascade_mod._step(plan, got)
-                want = former_step(ref, want)
-                assert _bits(got) == _bits(want)
+        plan = cascade_mod._plan(placement, r, values.dtype)
+        got, want = values, values
+        for _ in range(4):
+            got = cascade_mod._step(plan, got)
+            want = former_step(ref, want)
+            assert _bits(got) == _bits(want)
         field = cascade_mod.GridField(t, q, first, shape, values)
         defect = float(np.max(np.abs(former_step(ref, values) - values)))
         assert refinement_residual(field, mask, dil) == defect
@@ -882,15 +887,16 @@ def _plan_of(mask, dil, q):
 def test_u_of_the_quadratic_bspline_lives_on_its_even_nodes(plane):
     """The 2D quadratic B-spline at h = 2^-5 (the cascade-grid benchmark's
     grid, 97^2 box nodes): 2^5 k is even, so every element reads the 49^2
-    even box nodes, copied once per step, and u lives on the 97^2 even
-    nodes of the box widened by 2^5 * 3 per axis: 97^2 + 1 rows, not
-    193^2 + 1."""
+    even box nodes, copied once per step by a slice of step 2 from box
+    node 0, and u lives on the 97^2 even nodes of the box widened by
+    2^5 * 3 per axis: 97^2 + 1 rows, not 193^2 + 1."""
     t, dil = plane
     mask = _quadratic_bspline_2d(t)
     plan = _plan_of(mask, dil, 5)
     assert plan.shape == (97, 97)
     [coset] = plan.cosets
-    assert coset.shape == (49, 49) and len(coset.rows) == 49 ** 2
+    assert coset.shape == (49, 49) and coset.copy.shape == (49, 49, 1)
+    assert coset.window == (slice(0, None, 2),) * 2
     assert len(plan.buffer) == 97 ** 2 + 1
     assert _former_buffer(mask, dil, 5) == 193 ** 2 + 1
     assert len(plan.parts[0].adds) == 16
@@ -1022,6 +1028,35 @@ def test_probe_block_skips_zero_reads(plane, monkeypatch):
     assert len(calls) == 2 * n_default
 
 
+def test_probe_block_builds_one_block_per_point_part(monkeypatch):
+    """_probe_block converts (b^{-1})_[s] once for each point part b that
+    its reads hold, not once per gamma: the p4m hat spread over its 8
+    point parts reads many more gammas than 8."""
+    t = catalog_triple("p4m", 2)
+    dil = check_admissible(Mat.from_rows([[2, 0], [0, 2]]), t)
+    hat = {-1: 1, 0: 2, 1: 1}
+    mask = Mask.scalar(t, {(g, (i, j)): Fraction(a * b, 32) for g in range(8)
+                           for i, a in hat.items() for j, b in hat.items()})
+    field = cascade_iterate(mask, t, dil, iterations=2,
+                            grid_exponent=3).field
+    pts = sample_points(field, count=6)
+    reads = cascade_mod._walk(field, field.node_index(pts))[0]
+    parts = {e.g for e, _, _ in reads}
+    assert len(parts) == 8 < len(reads)
+    calls = []
+    real_a = cascade_mod.build_A_s
+
+    def counting_a(m, s):
+        calls.append(s)
+        return real_a(m, s)
+
+    monkeypatch.setattr(cascade_mod, "build_A_s", counting_a)
+    _, v, C = _probe_block(field, reads, None, 0, pts, None)
+    assert calls == [0] * 8
+    _probe_block(field, reads, v, 1, pts, C)
+    assert calls == [0] * 8 + [1] * 8
+
+
 def test_cascade_refuses_a_grid_beyond_the_memory_budget(line, hat,
                                                          monkeypatch):
     t, dil = line
@@ -1122,7 +1157,7 @@ def _old_reproduction_values(field, v, s, points):
     J = field.node_index(points)
     out = np.zeros((len(J), dim_degree(field.d, s)), dtype=complex)
     excluded = np.zeros(len(J), dtype=bool)
-    acted = _acted_rows(field.triple, [b.tolist() for b in v[:s + 1]])
+    acted = _acted_rows(field.triple.inverses, [b.tolist() for b in v[:s + 1]])
     for e in cascade_mod._gamma_cover(field, J):
         moved = cascade_mod._translate(field, e, J)
         inside = cascade_mod._near(field, moved, 0)
@@ -1172,7 +1207,7 @@ def _old_probe_block(field, v, s, pts, C):
     n = len(J)
     base = np.zeros((n, d_s), dtype=complex)
     design = np.zeros((n, d_s, d_s * r), dtype=complex)
-    acted = (_acted_rows(field.triple, [b.tolist() for b in v[:s]])
+    acted = (_acted_rows(field.triple.inverses, [b.tolist() for b in v[:s]])
              if v is not None and s > 0 else None)
     for e in cascade_mod._gamma_cover(field, J):
         moved = cascade_mod._translate(field, e, J)

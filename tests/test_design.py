@@ -15,10 +15,12 @@ plain view of a mask's coefficients (fhat0 sums it on ints, built once
 per mask), no parse cache in the CLI, one reader of every scalar literal
 (linalg.read_scalar, the one place where a float is read or refused), a
 cascade plan with one u per distinct element list and one read index per
-point part, Q-tilde blocks built on ints where the data are integral and read through the binomial shift only (no
-reader builds them, and no triple caches them), a float oracle that
-walks its sample's gamma cover once for every degree it checks, and every
-name the benchmark's tracer wraps, with the benchmark's read of lifted
+point part, and no other index (its coset copies are strided slices),
+the products b^{-1} A formed once per dilation, Q-tilde blocks built on
+ints where the data are integral and read through the binomial shift
+only (no reader builds them, and no triple caches them), a float oracle
+that walks its sample's gamma cover once for every degree it checks, and
+every name the benchmark's tracer wraps, with the benchmark's read of lifted
 mask entries through Mat.row_list; Mat storage read through Mat.plain()
 with no converter back to plain values; a sum-rule test on plain values,
 with no det or Mat.inverse and one walk of the support for its witness
@@ -641,10 +643,11 @@ def test_cascade_plan_holds_one_index_array_per_point_part():
     """The p4m hat spread (8 point parts, each with the same 9 shifts and
     blocks, 72 elements) plans one u for its one distinct element list,
     built by 9 adds of float64 blocks, and one int64 read index per point
-    part, each one entry per box node; the one other index array is the
-    even box nodes' rows, the one field coset that its elements read at
-    h = 2^-4 (2^4 k is even), one entry per node of that coset's grid:
-    the shifts of a part are slice windows."""
+    part, each one entry per box node; these 8 are the plan's only index
+    arrays.  The one field coset that its elements read at h = 2^-4, the
+    even box nodes (2^4 k is even), is a strided slice of the box copied
+    into a float64 array of its grid, and the shifts of a part are slice
+    windows."""
     t = catalog_triple("p4m", 2)
     dil = check_admissible(Mat.from_rows([[2, 0], [0, 2]]), t)
     hat = {-1: 1, 0: 2, 1: 1}
@@ -666,9 +669,36 @@ def test_cascade_plan_holds_one_index_array_per_point_part():
     assert all(d_t.dtype == np.float64 for *_, d_t in part.adds)
     [coset] = plan.cosets
     assert coset.shape == (17, 17)
-    assert coset.rows.dtype == np.int64 and coset.rows.shape == (17 * 17,)
+    assert coset.window == (slice(0, None, 2),) * 2
+    assert coset.copy.shape == (17, 17, 1)
     assert plan.buffer.dtype == plan.term.dtype == coset.copy.dtype == \
         np.float64
+    [copy] = [x for x in vars(coset).values() if isinstance(x, np.ndarray)]
+    assert copy is coset.copy
+
+
+def test_products_with_a_are_formed_once_per_dilation(monkeypatch):
+    """Dilation.inverse_times_A holds b^{-1} A for every point part b, and
+    the moment table's leads and the witness walk read it: max_accuracy
+    multiplies no matrix by A.  On the p4m hat spread to p_max 4 its one
+    Mat product is the gate's."""
+    t = catalog_triple("p4m", 2)
+    dil = check_admissible(Mat.from_rows([[2, 0], [0, 2]]), t)
+    assert dil.inverse_times_A == [t.group[t.inverse_table[g]] @ dil.A
+                                   for g in range(t.order)]
+    hat = {-1: 1, 0: 2, 1: 1}
+    mask = Mask.scalar(t, {(g, (i, j)): Fraction(a * b, 32) for g in range(8)
+                           for i, a in hat.items() for j, b in hat.items()})
+    products = []
+    matmul = Mat.__matmul__
+
+    def counted(self, other):
+        products.append(other is dil.A)
+        return matmul(self, other)
+
+    monkeypatch.setattr(Mat, "__matmul__", counted)
+    assert accuracy.max_accuracy(mask, t, dil, 4).p == 2
+    assert products == [False]
 
 
 def test_the_cascade_has_one_step_and_one_plan():

@@ -272,7 +272,7 @@ def test_eval_y_equals_the_dense_q_tilde_sum(case, s, r, complex_v, rnd):
         want = term if want is None else want + term
     assert eval_y(gamma, v, s) == want
     fv = tuple(b.np() for b in v.blocks)
-    acted = _acted_rows(t, [b.tolist() for b in fv])
+    acted = _acted_rows(t.inverses, [b.tolist() for b in fv])
     got = sum(cascade._y_terms(gamma, s, acted))
     ref = sum(build_Q_tilde(gamma, s, tt).np() @ fv[tt]
               for tt in range(s + 1))
