@@ -1,7 +1,9 @@
 """Command-line interface: JSON problem configs in, JSON reports out.
 
 Commands: check-group, accuracy, cascade, lift, extract.  Exit codes:
-0 success, 1 malformed input, 2 invalid group, 3 inadmissible dilation,
+0 success, 1 malformed input, 2 invalid group or a command-line usage
+error (this one prints the usage and the error on stderr and nothing on
+stdout; -h prints the usage and exits 0), 3 inadmissible dilation,
 4 mask shape/multiplicity mismatch (also a matrix mask given to extract
 that is no lift), 5 cascade failure (non-convergence under --strict, a
 support box that does not certify within the step bound, a grid too
@@ -22,12 +24,12 @@ group defaults to p1, in any dimension.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import json
 import math
 import os
 import sys
+import types
 from fractions import Fraction
 
 from .accuracy import max_accuracy, sufficient_check
@@ -50,6 +52,18 @@ EXIT_BAD_GROUP = 2
 EXIT_INADMISSIBLE = 3
 EXIT_SHAPE = 4
 EXIT_NO_CONVERGENCE = 5
+EXIT_USAGE = 2
+
+USAGE = (
+    "crystacc [--seed N] check-group CONFIG\n"
+    "crystacc [--seed N] accuracy CONFIG"
+    " [--method condition-d|sufficient|both] [--p-max N]\n"
+    "crystacc [--seed N] cascade CONFIG [--iters N] [--grid Q] [--verify-p P]"
+    " [--strict] [--out FIELD.csv]\n"
+    "crystacc [--seed N] lift CONFIG\n"
+    "crystacc [--seed N] extract CONFIG\n"
+    "crystacc -h\n"
+    "Options: exact names only, as --name VALUE or --name=VALUE.\n")
 
 
 class CliError(Exception):
@@ -456,48 +470,77 @@ def _default_seed() -> int:
     return seed if seed >= 0 else DEFAULT_SEED
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="crystacc",
-        description="Accuracy of refinable functions over crystal groups")
-    parser.add_argument("--seed", type=int, default=_default_seed(),
-                        help="seed for randomized sampling "
-                             f"(env {SEED_ENV_VAR})")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _option_like(token: str) -> bool:
+    """A leading '-', but not a lone '-' or a negative integer."""
+    return token[:1] == "-" and not token[1:].isdecimal() and token != "-"
 
-    p = sub.add_parser("check-group", help="validate group and dilation")
-    p.add_argument("config")
-    p.set_defaults(func=cmd_check_group)
 
-    p = sub.add_parser("accuracy", help="exact accuracy certificates")
-    p.add_argument("config")
-    p.add_argument("--method", choices=("condition-d", "sufficient", "both"),
-                   default="condition-d")
-    p.add_argument("--p-max", type=int, default=None)
-    p.set_defaults(func=cmd_accuracy)
-
-    p = sub.add_parser("cascade", help="floating-point oracle")
-    p.add_argument("config")
-    p.add_argument("--iters", type=int, default=None)
-    p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--verify-p", type=int, default=None)
-    p.add_argument("--strict", action="store_true")
-    p.add_argument("--out", default=None, help="CSV dump of the field")
-    p.set_defaults(func=cmd_cascade)
-
-    p = sub.add_parser("lift", help="scalar mask to matrix lattice mask")
-    p.add_argument("config")
-    p.set_defaults(func=cmd_lift)
-
-    p = sub.add_parser("extract", help="matrix lattice mask to scalar mask")
-    p.add_argument("config")
-    p.set_defaults(func=cmd_extract)
-    return parser
+def parse_args(argv) -> types.SimpleNamespace | None:
+    """The namespace the commands read from ``argv``, as :data:`USAGE`
+    spells it, or None for -h or --help.  A value is the next token as it
+    stands unless it reads as an option; ``--`` ends the options.  A usage
+    error raises a CliError with code EXIT_USAGE."""
+    commands = {"check-group": (cmd_check_group, ()),
+                "accuracy": (cmd_accuracy, ("--method", "--p-max")),
+                "cascade": (cmd_cascade, ("--iters", "--grid", "--verify-p",
+                                          "--strict", "--out")),
+                "lift": (cmd_lift, ()), "extract": (cmd_extract, ())}
+    args = types.SimpleNamespace(
+        seed=_default_seed(), config=None, func=None, method="condition-d",
+        p_max=None, iters=None, grid=None, verify_p=None, strict=False,
+        out=None)
+    options, positionals, tokens = ("--seed",), [], iter(argv)
+    for token in tokens:
+        if token == "--" and args.func:
+            positionals += tokens
+            continue
+        if not _option_like(token):
+            if args.func:
+                positionals.append(token)
+            elif token in commands:
+                args.func, options = commands[token]
+            else:
+                raise CliError(EXIT_USAGE, f"invalid command {token!r}")
+            continue
+        name, explicit, value = token.partition("=")
+        if name in ("-h", "--help"):
+            return None
+        if name not in options or (explicit and name == "--strict"):
+            raise CliError(EXIT_USAGE, f"unrecognized option {token!r}")
+        if name == "--strict":
+            value = True
+        elif not explicit:
+            value = next(tokens, None)
+            if value is None or _option_like(value):
+                raise CliError(EXIT_USAGE, f"{name} expects a value")
+        if name == "--method" and value not in ("condition-d", "sufficient",
+                                                "both"):
+            raise CliError(EXIT_USAGE, f"invalid --method {value!r}")
+        if name not in ("--method", "--out", "--strict"):
+            try:
+                value = int(value)
+            except ValueError:
+                raise CliError(EXIT_USAGE, f"{name} takes an integer")
+        setattr(args, name[2:].replace("-", "_"), value)
+    if not args.func:
+        raise CliError(EXIT_USAGE, "a command is required")
+    if len(positionals) != 1:
+        raise CliError(EXIT_USAGE, f"one CONFIG is required, got "
+                       f"{positionals}")
+    args.config = positionals[0]
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except CliError as exc:
+        print("usage: crystacc [-h] [--seed N] COMMAND CONFIG [OPTIONS]\n"
+              f"crystacc: error: {exc}", file=sys.stderr)
+        return exc.code
+    if args is None:
+        print(USAGE, end="")
+        return EXIT_OK
     try:
         return args.func(args)
     except (CliError, MaskShapeError, cascade_mod.CascadeError) as exc:

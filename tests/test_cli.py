@@ -20,7 +20,7 @@ import crystacc.cli as cli_mod
 import crystacc.mask as mask_mod
 from crystacc.cli import (DEFAULT_SEED, EXIT_BAD_GROUP, EXIT_INADMISSIBLE,
                           EXIT_MALFORMED, EXIT_NO_CONVERGENCE, EXIT_OK,
-                          EXIT_SHAPE, SEED_ENV_VAR, build_parser, main)
+                          EXIT_SHAPE, SEED_ENV_VAR, main, parse_args)
 from crystacc.linalg import Mat, read_scalar
 from crystacc.mask import Mask
 
@@ -618,14 +618,23 @@ def test_cascade_walks_the_sample_once_for_every_degree(capsys,
     assert len(walks) == 1
 
 
-def test_commands_import_no_further_numpy_module():
-    """In a fresh interpreter that has imported crystacc.cli, cascade on
-    the quadratic B-spline (--grid 5 --iters 21 --verify-p 4) and
-    accuracy --method both import no numpy module that was not loaded
-    already: the sample is drawn without numpy.random, whose import
-    would cost each call more than its 21 cascade steps."""
+def _run_python(args: list) -> subprocess.CompletedProcess:
+    """A fresh interpreter run on crystacc's sources with no seed in its
+    environment."""
+    src = str(Path(cli_mod.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != SEED_ENV_VAR}
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def _command_calls_script(report: str) -> str:
+    """A script that imports crystacc.cli, runs cascade on the quadratic
+    B-spline (--grid 5 --iters 21 --verify-p 4) and accuracy --method
+    both, and prints ``report`` of the modules loaded before the calls
+    (``before``) and after them (``after``)."""
     config = str(GOLDEN / "quadratic_bspline_2d.json")
-    script = textwrap.dedent(f"""
+    return textwrap.dedent(f"""
         import contextlib, io, sys
         from crystacc.cli import main
         before = set(sys.modules)
@@ -633,29 +642,64 @@ def test_commands_import_no_further_numpy_module():
             assert main(["cascade", {config!r}, "--grid", "5", "--iters",
                          "21", "--verify-p", "4"]) == 0
             assert main(["accuracy", {config!r}, "--method", "both"]) == 0
-        print(sorted(m for m in set(sys.modules) - before
-                     if m.split(".")[0] == "numpy"))
+        after = set(sys.modules)
+        print({report})
     """)
-    src = str(Path(cli_mod.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != SEED_ENV_VAR}
-    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
-    done = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+
+
+def test_commands_import_no_further_numpy_module():
+    """In a fresh interpreter that has imported crystacc.cli, cascade on
+    the quadratic B-spline (--grid 5 --iters 21 --verify-p 4) and
+    accuracy --method both import no numpy module that was not loaded
+    already: the sample is drawn without numpy.random, whose import
+    would cost each call more than its 21 cascade steps."""
+    done = _run_python(["-c", _command_calls_script(
+        'sorted(m for m in after - before if m.split(".")[0] == "numpy")')])
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
 
 
+def test_commands_import_no_argparse_and_no_locale():
+    """Importing crystacc.cli loads neither argparse nor gettext, and the
+    cascade and accuracy --method both calls above load no locale, which
+    argparse's gettext imports at its first parser."""
+    done = _run_python(["-c", _command_calls_script(
+        'sorted(before & {"argparse", "gettext"}), '
+        'sorted(after & {"locale", "_locale"})')])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[] []\n"
+
+
+def test_the_entry_point_passes_on_the_exit_code():
+    """python -m crystacc.cli exits 2 on a usage error and 0 on -h."""
+    bad = _run_python(["-m", "crystacc.cli", "accuracy"])
+    assert (bad.returncode, bad.stdout) == (2, "")
+    assert "CONFIG" in bad.stderr
+    usage = _run_python(["-m", "crystacc.cli", "-h"])
+    assert (usage.returncode, usage.stdout) == (0, cli_mod.USAGE)
+
+
+def test_help_prints_the_readme_command_line_block(capsys):
+    """-h prints the code block under the README's "Command line"
+    heading, character for character."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    block = readme.split("\n## Command line\n", 1)[1].split("```\n")[1]
+    assert main(["-h"]) == EXIT_OK
+    assert capsys.readouterr().out == block
+
+
 def test_seed_from_environment(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(SEED_ENV_VAR, "4242")
-    assert build_parser().get_default("seed") == 4242
+    assert parse_args(["cascade", "CFG"]).seed == 4242
     code, out = run_cli(tmp_path, capsys, HAT_CFG,
                         ["cascade", "CFG", "--grid", "6", "--iters", "8"])
     assert code == EXIT_OK
     assert out["seed"] == 4242
     monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
-    assert build_parser().get_default("seed") == DEFAULT_SEED
+    assert parse_args(["cascade", "CFG"]).seed == DEFAULT_SEED
     monkeypatch.setenv(SEED_ENV_VAR, "-3")
-    assert build_parser().get_default("seed") == DEFAULT_SEED
+    assert parse_args(["cascade", "CFG"]).seed == DEFAULT_SEED
     code, out = run_cli(tmp_path, capsys, HAT_CFG,
                         ["cascade", "CFG", "--grid", "6", "--iters", "8"])
     assert code == EXIT_OK
@@ -677,6 +721,83 @@ def test_seed_flag_overrides_environment(tmp_path, capsys, monkeypatch):
                          "--iters", "8"])
     assert code == EXIT_OK
     assert out["seed"] == 7
+
+
+def _exit_code(argv):
+    """main(argv), with a SystemExit that ends the parse read as its
+    exit code."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv, named", [
+    ([], "command"),
+    (["--seed", "3"], "command"),
+    (["bogus", "CFG"], "bogus"),
+    (["accuracy"], "config"),
+    (["cascade", "--grid", "4"], "config"),
+    (["accuracy", "CFG", "extra"], "extra"),
+    (["accuracy", "CFG", "--iters", "3"], "--iters"),
+    (["check-group", "CFG", "--p-max", "2"], "--p-max"),
+    (["cascade", "CFG", "--bogus"], "--bogus"),
+    (["--bogus", "accuracy", "CFG"], "--bogus"),
+    (["accuracy", "CFG", "--p-max"], "--p-max"),
+    (["cascade", "CFG", "--out"], "--out"),
+    (["cascade", "CFG", "--out", "--strict"], "--out"),
+    (["accuracy", "CFG", "--p-max", "two"], "--p-max"),
+    (["cascade", "CFG", "--grid=1.5"], "--grid"),
+    (["cascade", "CFG", "--iters", ""], "--iters"),
+    (["--seed", "x", "cascade", "CFG"], "--seed"),
+    (["accuracy", "CFG", "--method", "exact"], "--method"),
+    (["accuracy", "CFG", "--seed", "3"], "--seed"),
+    (["cascade", "CFG", "--strict=1"], "--strict"),
+])
+def test_usage_errors_exit_2_with_nothing_on_stdout(tmp_path, capsys, argv,
+                                                    named):
+    """A command line that does not parse ends in exit 2 before any config
+    is read: stdout stays empty, and stderr shows the usage, then an error
+    that names the option or command at fault."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(HAT_CFG), encoding="utf-8")
+    code = _exit_code([str(path) if a == "CFG" else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage:")
+    error = captured.err.splitlines()[-1]
+    assert "error:" in error and named.lower() in error.lower()
+
+
+@pytest.mark.parametrize("argv, code, field, value", [
+    (["accuracy", "CFG", "--p-max=2"], EXIT_OK, "p_max", 2),
+    (["accuracy", "--p-max", "2", "CFG"], EXIT_OK, "p_max", 2),
+    (["accuracy", "--method=both", "CFG"], EXIT_OK, "method", "both"),
+    (["accuracy", "--", "CFG"], EXIT_OK, "p_max", 4),
+    (["--seed=3", "accuracy", "CFG"], EXIT_OK, "method", "condition-d"),
+    (["--seed=3", "cascade", "--grid", "6", "CFG", "--iters=8"], EXIT_OK,
+     "seed", 3),
+    (["--seed", "-3", "cascade", "CFG"], EXIT_MALFORMED, "error",
+     "--seed must be nonnegative"),
+])
+def test_accepted_command_lines(tmp_path, capsys, argv, code, field, value):
+    """Options go before or after CONFIG, as --name VALUE or --name=VALUE,
+    --seed before the command; a value is the next token as it stands, so
+    a negative --seed reaches the command's own check."""
+    cfg = dict(HAT_CFG, options={"p_max": 4})
+    got, out = run_cli(tmp_path, capsys, cfg, argv)
+    assert got == code
+    assert out[field] == value
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["accuracy", "-h"],
+                                  ["cascade", "CFG", "--help"],
+                                  ["--seed", "3", "-h"]])
+def test_help_exits_0(capsys, argv):
+    assert _exit_code(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert "crystacc" in captured.out and captured.err == ""
 
 
 QUADRATIC_BSPLINE_2D_CFG = {
