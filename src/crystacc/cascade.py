@@ -29,15 +29,14 @@ M Z^d alone.  Where M is diagonal, M Z^d = |M| Z^d for the diagonal
 |M| = diag(|M_11|, ..., |M_dd|), and u is built there only, indexed by
 z = |M|^{-1} X: the polyphase form of subdivision, split by the residue
 of a node modulo M (the same paper).  Element k then reads the field on
-one coset of |M| Z^d, a strided slice of the box, copied once per step
-onto its own grid, and each element adds its product by one slice add
-(:func:`_placement`).  Under A = 2I at q >= 1 every element reads the
-even nodes, so a step multiplies 1/m of the field per element and builds
-u on about the box, not on the box widened by 2^q times the hull of the
-shifts.  Where M is not diagonal the cosets are slanted, their bounding
-grids would save nothing, and u stays on that widened box, with the
-field read in place.  The oracle reads the
-finished field at nodes only and refuses any other point.  It walks the
+one coset of |M| Z^d, a strided slice of the box, and each element adds
+its product by one slice add (:func:`_placement`).  Under A = 2I at
+q >= 1 every element reads the even nodes, so a step multiplies 1/m of
+the field per element and builds u on about the box, not on the box
+widened by 2^q times the hull of the shifts.  Where M is not diagonal the
+cosets are slanted, their bounding grids would save nothing, and u stays
+on that widened box, with the one coset the box itself.  The oracle reads
+the finished field at nodes only and refuses any other point.  It walks the
 gamma cover of its sample nodes once for every degree it checks
 (:func:`verify_degrees`): the witness degrees share the degree-0 sums, C
 and the two closed forms, each s >= 1 adds one sum, and each fitted
@@ -250,8 +249,7 @@ def _certified_box(parts: dict, dilation: Dilation, h: Fraction) -> list:
     adj = [[int(x * m) for x in row] for row in dilation.M_inv.plain()]
     step = {}
     for g, elements in parts.items():
-        lin = tuple(tuple(sum(map(mul, row, col))
-                          for col in zip(*t.int_reps[g])) for row in adj)
+        lin = _int_product(adj, t.int_reps[g])
         step[lin] = [(min(v), max(v))
                      for v in ([sum(map(mul, row, k)) for k, _ in elements]
                                for row in lin)]
@@ -313,8 +311,7 @@ def _compose(outer: dict, inner: dict, scale: int) -> dict:
     out = {}
     for l1, c1 in outer.items():
         for l2, c2 in inner.items():
-            lin = tuple(tuple(sum(a * b for a, b in zip(row, col))
-                              for col in zip(*l2)) for row in l1)
+            lin = _int_product(l1, l2)
             shifts = _box_image(l1, _over(c1, scale), c2)
             out[lin] = _hull([out[lin], shifts]) if lin in out else shifts
     return out
@@ -376,14 +373,16 @@ def grid_bytes(d: int, r: int, n_parts: int, n_nodes: int,
     current and next one, the plan's term and a difference, r entries of
     ``itemsize`` bytes each: 8 on float64, 16 on complex128) and one int64
     read index per point part; plus the one buffer u, r entries on each of
-    its ``buffer_nodes`` nodes, and the copies of the field's cosets, r
-    entries on each of their ``coset_nodes`` nodes (:func:`_placement`).
+    its ``buffer_nodes`` nodes, and the copies of the field's cosets that
+    a step takes, r entries on each of their ``coset_nodes`` nodes
+    (:func:`_placement`).
 
     Under a diagonal M, u lives on the nodes |M| z its gathers read, about
     1/m of the box widened by 2^q times the hull of a point part's shifts:
     about the box itself for A = lambda I, where the whole widened box is
     about |lambda|^d box nodes.  Where M is not diagonal (the quincunx and
-    rotation dilations) u is that widened box, and no coset is copied."""
+    rotation dilations) u is that widened box, and the one coset, the box
+    itself, is read without a copy."""
     per_node = 8 * d + 4 * itemsize * r + 8 * n_parts
     return n_nodes * per_node + itemsize * r * (buffer_nodes + coset_nodes)
 
@@ -434,15 +433,16 @@ class _Placement:
     (:func:`_placement`).
 
     ``basis`` holds the diagonal (s_1, ..., s_d) of the basis S, and u is
-    kept on the nodes S z.  ``cosets`` holds one (rho, lo, shape) per coset
+    kept on the nodes S z.  ``cosets`` holds one (grid, window) per coset
     rho + S Z^d of field nodes that some element reads: its box nodes are
-    rho + S w for the w of the grid of node counts shape from lo.
-    ``parts`` holds one (lo, shape, adds, reads) per distinct element
-    list: u's grid of z, one (coset, start, d_(g,k)) per element, adding
-    the coset's copy times d_(g,k)^T to u from z = lo + start, and one
-    integer matrix S^{-1} G_{g^{-1}} M per point part g carrying the list,
-    the node z of u that box node J reads.  With S = I (``inplace``) there
-    is one coset, the box itself, read in place."""
+    rho + S w for the w of a grid of node counts ``grid``, and ``window``
+    holds the strided slices of the box that select them.  ``parts`` holds
+    one (lo, shape, adds, reads) per distinct element list: u's grid of z,
+    one (window of u, coset, d_(g,k)) per element, adding the coset times
+    d_(g,k)^T to that window, and one integer matrix S^{-1} G_{g^{-1}} M
+    per point part g carrying the list, the node z of u that box node J
+    reads.  With S = I there is one coset, the box itself, and its window
+    is a unit-step slice of every axis."""
 
     first: tuple
     shape: tuple
@@ -450,19 +450,17 @@ class _Placement:
     cosets: list
     parts: list
 
-    @property
-    def inplace(self) -> bool:
-        return all(s == 1 for s in self.basis)
-
     def u_nodes(self) -> int:
         """Nodes of the largest u, without its zero row."""
         return max((math.prod(shape) for _, shape, _, _ in self.parts),
                    default=0)
 
     def coset_nodes(self) -> int:
-        """Nodes of the field's coset copies: none when read in place."""
-        return 0 if self.inplace else sum(math.prod(shape)
-                                          for _, _, shape in self.cosets)
+        """Nodes of the coset copies a step takes: none when S = I, where
+        the one coset is the box itself."""
+        if all(s == 1 for s in self.basis):
+            return 0
+        return sum(math.prod(grid) for grid, _ in self.cosets)
 
 
 def _placement(parts: dict, dilation: Dilation, first, shape: tuple,
@@ -470,8 +468,8 @@ def _placement(parts: dict, dilation: Dilation, first, shape: tuple,
     """Where a step on the box of node counts ``shape`` from node ``first``
     keeps u: on the nodes S z of S = diag(|M_11|, ..., |M_dd|) when M is
     diagonal, as |M| Z^d = M Z^d, and otherwise on every node (S = I: u
-    on the whole box widened by 2^q times the hull of the shifts, the
-    field read in place), as the bounding grids of the slanted cosets of
+    on the whole box widened by 2^q times the hull of the shifts, the one
+    coset the box itself), as the bounding grids of the slanted cosets of
     M Z^d save nothing.
 
     Node J reads u at X = G_{g^{-1}} M J, and admissibility makes
@@ -481,8 +479,9 @@ def _placement(parts: dict, dilation: Dilation, first, shape: tuple,
     of a node modulo M).  u(S z) = sum_k f(S z - 2^q k) d_(g,k)^T reads,
     for element k, the field on the one coset rho + S Z^d of
     y = -2^q k, rho = y - S floor(S^{-1} y), at w = z + floor(S^{-1} y):
-    each used field coset is copied once per step onto its grid of w,
-    ceil((first - rho) / s) ... floor((last - rho) / s) on an axis of
+    each used field coset is read through the strided slices of the box
+    from its first box node rho + s lo, onto its grid of w,
+    lo = ceil((first - rho) / s) ... floor((last - rho) / s) on an axis of
     step s, no more nodes than the box has there, and each element adds
     its product by one slice add at the offset -floor(S^{-1} y).  S is
     diagonal, so all of it is formed axis by axis on Python ints.  Point
@@ -505,41 +504,32 @@ def _placement(parts: dict, dilation: Dilation, first, shape: tuple,
             y = [-x << q for x in k]
             floor = [a // s for a, s in zip(y, basis)]
             rho = tuple(a - s * f for a, s, f in zip(y, basis, floor))
-            i = index.get(rho)
-            if i is None:
-                lo = tuple(-((c - a) // s)
-                           for a, c, s in zip(first, rho, basis))
-                i = index[rho] = len(cosets)
-                cosets.append((rho, lo, tuple(
-                    (b - c) // s - w + 1
-                    for b, c, s, w in zip(last, rho, basis, lo))))
-            _, lo, grid = cosets[i]
+            if rho not in index:
+                lo = [-((c - a) // s) for a, c, s in zip(first, rho, basis)]
+                grid = tuple((b - c) // s - w + 1
+                             for b, c, s, w in zip(last, rho, basis, lo))
+                # rho + s lo is the coset's first box node on each axis
+                window = tuple(slice(c + s * w - f, None, s)
+                               for c, s, w, f in zip(rho, basis, lo, first))
+                index[rho] = len(cosets), lo
+                cosets.append((grid, window))
+            i, lo = index[rho]
+            grid = cosets[i][0]
             if math.prod(grid):
-                adds.append((i, [w - f for w, f in zip(lo, floor)], blk))
+                adds.append((i, [w - f for w, f in zip(lo, floor)], grid, blk))
         low = high = tuple(first)
         if adds:
-            low = [min(axis) for axis in zip(*(a for _, a, _ in adds))]
+            low = [min(axis) for axis in zip(*(a for _, a, _, _ in adds))]
             high = [max(axis) for axis in zip(*(
-                [a + n for a, n in zip(start, cosets[i][2])]
-                for i, start, _ in adds))]
+                [a + n for a, n in zip(start, grid)]
+                for _, start, grid, _ in adds))]
         reads = [[[x // s for x in row] for row, s in zip(_int_product(
             t.int_reps[t.inverse_table[g]], m), basis)] for g in gs]
         out.append((tuple(low), tuple(b - a for a, b in zip(low, high)),
-                    [(i, tuple(a - b for a, b in zip(start, low)), blk)
-                     for i, start, blk in adds], reads))
+                    [(tuple(slice(a - b, a - b + n)
+                            for a, b, n in zip(start, low, grid)), i, blk)
+                     for i, start, grid, blk in adds], reads))
     return _Placement(tuple(first), tuple(shape), basis, cosets, out)
-
-
-@dataclass
-class _Coset:
-    """One field coset as a step reads it: its grid's node counts, the
-    strided slices of the box that hold its nodes and the copy they are
-    taken into once per step, or None for both when the field is read in
-    place."""
-
-    shape: tuple
-    window: tuple | None
-    copy: np.ndarray | None
 
 
 @dataclass
@@ -547,9 +537,9 @@ class _Part:
     """The reads of one distinct element list [(k, d_(g,k)), ...] and of
     the point parts g that carry it: u's grid of node counts ``shape``,
     ``adds`` one (window of u, coset, d_(g,k)^T) per element, adding the
-    coset's copy times d_(g,k)^T to that window, and ``rows`` one int64
-    index array per such point part g, the row of u (flat, with the zero
-    row past its last node) that every box node J reads."""
+    coset times d_(g,k)^T to that window, and ``rows`` one int64 index
+    array per such point part g, the row of u (flat, with the zero row
+    past its last node) that every box node J reads."""
 
     shape: tuple
     adds: list
@@ -559,11 +549,11 @@ class _Part:
 @dataclass
 class _Plan:
     """The cascade's reads on a box of node counts ``shape``, in the
-    field's one dtype: the field cosets the elements read, one
-    :class:`_Part` per distinct element list, the one buffer the parts
-    share, sized for the largest u plus its zero row, and one term the
-    size of the field, which each product d_(g,k)^T and each gather
-    reuses."""
+    field's one dtype: the (grid, window) of each field coset the
+    elements read, one :class:`_Part` per distinct element list, the one
+    buffer the parts share, sized for the largest u plus its zero row, and
+    one term the size of the field, which each product d_(g,k)^T and each
+    gather reuses."""
 
     shape: tuple
     cosets: list
@@ -574,51 +564,35 @@ class _Plan:
 
 def _plan(placement: _Placement, r: int, dtype) -> _Plan:
     """The arrays of a :func:`_placement` for a field of r columns in the
-    given dtype: each field coset's slices of the box and its copy, u's
-    row that every box node reads for each point part (a read off u's
-    grid lands on its zero row), the slice windows of the elements' adds,
-    and the buffers.  The box's term is allocated last, after the integer
+    given dtype: the blocks d_(g,k)^T, u's row that every box node reads
+    for each point part (a read off u's grid lands on its zero row), and
+    the buffers.  The box's term is allocated last, after the integer
     work of the index arrays."""
     first, shape = placement.first, placement.shape
-    cosets = []
-    for rho, lo, grid in placement.cosets:
-        if placement.inplace:
-            cosets.append(_Coset(shape, None, None))
-        else:
-            # rho + s lo is the coset's first box node on each axis
-            window = tuple(slice(c + s * w - f, None, s) for c, s, w, f
-                           in zip(rho, placement.basis, lo, first))
-            cosets.append(_Coset(grid, window,
-                                 np.empty((*grid, r), dtype=dtype)))
-    parts = []
-    for lo, grid, adds, reads in placement.parts:
-        windows = [(tuple(slice(s, s + n)
-                          for s, n in zip(start, cosets[i].shape)),
-                    i, _as(blk.T, dtype)) for i, start, blk in adds]
-        rows = [_grid_rows(lin, first, shape, lo, grid) for lin in reads]
-        parts.append(_Part(grid, windows, rows))
+    parts = [_Part(grid, [(window, i, _as(blk.T, dtype))
+                          for window, i, blk in adds],
+                   [_grid_rows(lin, first, shape, lo, grid) for lin in reads])
+             for lo, grid, adds, reads in placement.parts]
     buffer = np.zeros((placement.u_nodes() + 1, r), dtype=dtype)
-    return _Plan(shape, cosets, parts, buffer,
+    return _Plan(shape, placement.cosets, parts, buffer,
                  np.empty((math.prod(shape), r), dtype=dtype))
 
 
 def _step(plan: _Plan, padded: np.ndarray) -> np.ndarray:
     """One refinement step of a padded field in the plan's dtype: each
-    field coset copied once by strided slices (or read in place), one u
-    per distinct element list, built by one product and one slice add per
-    element, and one gather per point part; the zero row stays zero."""
+    field coset read through its window of the box, one u per distinct
+    element list, built by one product and one slice add per element, and
+    one gather per point part; the zero row stays zero."""
     out = np.zeros_like(padded)
     term = plan.term
     r = term.shape[1]
     box = padded[:-1].reshape(*plan.shape, r)
     sources = []
-    for coset in plan.cosets:
-        src = padded[:-1]
-        if coset.copy is not None:
-            coset.copy[...] = box[coset.window]
-            src = coset.copy.reshape(-1, r)
+    for grid, window in plan.cosets:
+        # a copy of a strided coset, the box itself under unit steps
+        src = box[window].reshape(-1, r)
         flat = term[:len(src)]
-        sources.append((src, flat, flat.reshape(*coset.shape, r)))
+        sources.append((src, flat, flat.reshape(*grid, r)))
     gather = term[:len(padded) - 1]
     for part in plan.parts:
         u = plan.buffer[:math.prod(part.shape) + 1]
@@ -736,9 +710,8 @@ def sample_points(field: GridField, count: int = 32,
     diagonal, from the cell boundary in y.
 
     The nodes are drawn by Python's ``random.Random(seed)``, so a seed
-    gives the same sample on a given Python version, as it did on a given
-    numpy version when numpy's generator drew it; the same seed picks
-    other nodes than it did then.  A seed must be a nonnegative integer.
+    gives the same sample on a given Python version.  A seed must be a
+    nonnegative integer.
     The oracle reads the field at nodes only: from a node every translate
     gamma(x) is again a node, so the comparison measures the cascade
     itself.

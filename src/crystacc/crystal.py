@@ -106,12 +106,15 @@ class CrystalTriple:
 
     def element(self, g: int, k) -> "CrystalElement":
         """(g, k); a point index g that is not an int in range(order) (a
-        bool or a numpy int is not), or a bool or non-integral coordinate,
-        raises ValueError."""
+        bool or a numpy int is not), a lattice point k of length other
+        than d, or a bool or non-integral coordinate, raises ValueError."""
         if type(g) is not int or not 0 <= g < self.order:
             raise ValueError(f"not a point index of order {self.order}: "
                              f"{g!r}")
         k = tuple(k)
+        if len(k) != self.d:
+            raise ValueError(f"not a lattice point of dimension {self.d}: "
+                             f"{k!r}")
         if not all(type(x) is int for x in k):
             if any(isinstance(x, bool) or int(x) != x for x in k):
                 raise ValueError(f"not an integral lattice point: {k!r}")

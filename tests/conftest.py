@@ -1,7 +1,7 @@
 """Shared fixtures: catalog triples, dilations, and the classic 1D masks."""
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, is_dataclass, replace
 from fractions import Fraction
 from functools import cache
 from math import prod
@@ -437,6 +437,18 @@ def assert_stored_face(got, former):
     want = stored_value(former)
     assert got == former and type(got) is type(want), (got, former)
     assert not isinstance(got, QC) or got.im != 0
+
+
+def held_arrays(x):
+    """Every numpy array that x holds, through dataclass fields, lists and
+    tuples, in field order."""
+    if isinstance(x, np.ndarray):
+        return [x]
+    if is_dataclass(x):
+        x = list(vars(x).values())
+    if isinstance(x, (list, tuple)):
+        return [a for y in x for a in held_arrays(y)]
+    return []
 
 
 # The cascade step as it was before u moved onto the one coset of M Z^d

@@ -24,7 +24,8 @@ from crystacc.linalg import Mat
 from crystacc.mask import Mask, lift_scalar_to_matrix
 from crystacc.multiidx import _acted_rows, build_A_s, dim_degree
 
-from conftest import former_plan, former_step, reproduction_values
+from conftest import (former_plan, former_step, held_arrays,
+                      reproduction_values)
 
 
 def _sample(field, points):
@@ -832,13 +833,14 @@ def _bits(a):
        st.randoms(use_true_random=False))
 def test_coset_step_matches_the_former_step_bit_for_bit(case, shared, rnd):
     """The step of _placement's one placement, u on the nodes |M| z that
-    its gathers read when M is diagonal and on every node with the field
-    read in place otherwise, gives bit for bit the iterates of the former
-    step, u on the whole widened box (conftest), over four steps: real and
-    complex masks, r = 1 and 2, point parts that share their element list
-    or not, a field in the mask's dtype and, for a real mask, a complex
-    field too.  Every coset grid fits in the box.  refinement_residual
-    gives the former step's defect exactly."""
+    its gathers read when M is diagonal and on every node otherwise, with
+    the one coset's window a unit-step slice of the whole box, gives bit
+    for bit the iterates of the former step, u on the whole widened box
+    (conftest), over four steps: real and complex masks, r = 1 and 2,
+    point parts that share their element list or not, a field in the
+    mask's dtype and, for a real mask, a complex field too.  Every coset
+    grid fits in the box.  refinement_residual gives the former step's
+    defect exactly."""
     mask, dil, q = _step_mask(case, rnd, shared)
     t, r = mask.triple, mask.r
     first, shape = _box_grid(mask, dil, q)
@@ -850,8 +852,11 @@ def test_coset_step_matches_the_former_step_bit_for_bit(case, shared, rnd):
     diagonal = np.array_equal(m, np.diag(np.diag(m)))
     assert placement.basis == (tuple(abs(int(x)) for x in np.diag(m))
                                if diagonal else (1,) * t.d)
-    assert placement.inplace == (not diagonal)
-    assert all(n <= b for _, _, grid in placement.cosets
+    unit = [window == (slice(0, None, 1),) * t.d
+            for _, window in placement.cosets]
+    assert unit == [not diagonal] * len(placement.cosets)
+    assert diagonal or len(placement.cosets) == 1
+    assert all(n <= b for grid, _ in placement.cosets
                for n, b in zip(grid, shape))
     gen = np.random.default_rng(rnd.randrange(2 ** 32))
     fields = [_random_field(gen, shape, r, dtype)]
@@ -887,19 +892,60 @@ def _plan_of(mask, dil, q):
 def test_u_of_the_quadratic_bspline_lives_on_its_even_nodes(plane):
     """The 2D quadratic B-spline at h = 2^-5 (the cascade-grid benchmark's
     grid, 97^2 box nodes): 2^5 k is even, so every element reads the 49^2
-    even box nodes, copied once per step by a slice of step 2 from box
-    node 0, and u lives on the 97^2 even nodes of the box widened by
-    2^5 * 3 per axis: 97^2 + 1 rows, not 193^2 + 1."""
+    even box nodes, read by a slice of step 2 from box node 0, and u lives
+    on the 97^2 even nodes of the box widened by 2^5 * 3 per axis:
+    97^2 + 1 rows, not 193^2 + 1."""
     t, dil = plane
     mask = _quadratic_bspline_2d(t)
     plan = _plan_of(mask, dil, 5)
     assert plan.shape == (97, 97)
-    [coset] = plan.cosets
-    assert coset.shape == (49, 49) and coset.copy.shape == (49, 49, 1)
-    assert coset.window == (slice(0, None, 2),) * 2
+    [(grid, window)] = plan.cosets
+    assert grid == (49, 49) and window == (slice(0, None, 2),) * 2
+    box = np.zeros((*plan.shape, 1))
+    assert box[window].shape == (49, 49, 1)
     assert len(plan.buffer) == 97 ** 2 + 1
     assert _former_buffer(mask, dil, 5) == 193 ** 2 + 1
     assert len(plan.parts[0].adds) == 16
+
+
+@pytest.mark.parametrize("a, q, n_cosets", [(QUINCUNX, 3, 1),
+                                             ([[2, 0], [0, 2]], 0, 4)])
+def test_step_reads_each_coset_through_its_window(a, q, n_cosets,
+                                                  monkeypatch):
+    """A step reads each field coset as box[window].reshape(-1, r), the
+    rows its products multiply.  Under the quincunx the one coset is the
+    box itself, and the products read the field in place.  Under A = 2I
+    at q = 0, the quadratic B-spline's shifts 0..3 read the four cosets of
+    2 Z^2, and each is read into a new array of its grid's nodes: a
+    temporary of its step, sharing memory with neither the field, nor any
+    array the plan holds, nor an earlier step's copy."""
+    t = catalog_triple("p1", 2)
+    dil = check_admissible(Mat.from_rows(a), t)
+    plan = _plan_of(_quadratic_bspline_2d(t), dil, q)
+    sources, dot = [], np.dot
+
+    def spy(src, d_t, out):
+        sources.append(src)
+        return dot(src, d_t, out=out)
+
+    monkeypatch.setattr(np, "dot", spy)
+    field = _random_field(np.random.default_rng(5), plan.shape, 1,
+                          np.float64)
+    kept = []
+    for _ in range(2):
+        sources.clear()
+        nxt = cascade_mod._step(plan, field)
+        srcs = list({id(src): src for src in sources}.values())
+        assert len(srcs) == len(plan.cosets) == n_cosets
+        assert sorted(src.shape for src in srcs) == \
+            sorted((math.prod(grid), 1) for grid, _ in plan.cosets)
+        if n_cosets == 1:
+            assert np.shares_memory(srcs[0], field)
+        else:
+            assert not any(np.shares_memory(src, x) for src in srcs
+                           for x in [field] + held_arrays(plan) + kept)
+        kept += srcs
+        field = nxt
 
 
 def test_u_of_the_four_corner_mask_is_about_its_box(plane):

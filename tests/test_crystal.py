@@ -1,6 +1,7 @@
 """Crystal triples, element arithmetic, admissible dilations and digits."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -651,3 +652,70 @@ def test_element_refuses_a_point_index_outside_the_group():
             assert triple.element(g, (0,) * triple.d).g == g
     with pytest.raises(ValueError, match="point index"):
         Mask.scalar(t, {(-1, (0,)): 1, 1: 1})
+
+
+def test_element_refuses_a_lattice_point_of_another_dimension():
+    """A lattice point has d coordinates: a shorter or longer one raises
+    ValueError, so a library mask keyed by one is refused when it is
+    built, not read by the solver as another point (in 2D, (1,) was read
+    as (1, 0) and max_accuracy died on a KeyError)."""
+    t = catalog_triple("p1", 2)
+    for bad in ((), (1,), (1, 0, 0)):
+        with pytest.raises(ValueError, match="dimension 2"):
+            t.element(0, bad)
+    with pytest.raises(ValueError, match="dimension 2"):
+        Mask.scalar(t, {(0, (0,)): 1, (0, (1,)): 1, (0, (0, 1)): 1,
+                        (0, (1, 1)): 1})
+    with pytest.raises(ValueError, match="dimension 1"):
+        catalog_triple("p1", 1).translation((0, 0))
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    pytest.param(lambda: validate_triple(Mat.from_rows([[1, 0]]),
+                                         [Mat.identity(1)]),
+                 GroupValidationError,
+                 "lattice basis must be a square exact matrix",
+                 id="non-square-lattice"),
+    pytest.param(lambda: validate_triple(Mat.identity(2), []),
+                 GroupValidationError, "point group is empty",
+                 id="empty-group"),
+    pytest.param(lambda: validate_triple(Mat.from_rows([[QC(1, 1)]]),
+                                         [Mat.identity(1)]),
+                 GroupValidationError, "lattice basis must be real",
+                 id="complex-lattice"),
+    pytest.param(lambda: validate_triple(Mat.identity(1),
+                                         [Mat.from_rows([[-1]]),
+                                          Mat.identity(1)]),
+                 GroupValidationError,
+                 "point group must list the identity first",
+                 id="identity-not-first"),
+    pytest.param(lambda: validate_triple(Mat.identity(1),
+                                         [Mat.identity(1),
+                                          Mat.identity(1)]),
+                 GroupValidationError, "point element 1 is a duplicate",
+                 id="duplicate-element"),
+    pytest.param(lambda: generate_group([Mat.identity(1), Mat.identity(2)]),
+                 GroupValidationError,
+                 "generators must be square matrices of one size",
+                 id="generators-of-two-sizes"),
+    pytest.param(lambda: compose(catalog_triple("p1", 1).identity(),
+                                 catalog_triple("p1m", 1).identity()),
+                 ValueError, "elements from different triples",
+                 id="compose-across-triples"),
+    pytest.param(lambda: check_admissible(Mat.identity(2),
+                                          catalog_triple("p1", 1)),
+                 AdmissibilityError,
+                 "dilation must be an exact d x d matrix",
+                 id="dilation-of-wrong-shape"),
+    pytest.param(lambda: check_admissible(Mat.from_rows([[QC(2, 1)]]),
+                                          catalog_triple("p1", 1)),
+                 AdmissibilityError, "dilation must be real",
+                 id="complex-dilation"),
+])
+def test_library_refusals(call, exc, message):
+    """The library refuses malformed triples, groups, elements and
+    dilations with its own exception type and message, where a library
+    caller reaches it past the CLI's own checks."""
+    with pytest.raises(exc, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert info.type is exc

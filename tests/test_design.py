@@ -15,7 +15,7 @@ plain view of a mask's coefficients (fhat0 sums it on ints, built once
 per mask), no parse cache in the CLI, one reader of every scalar literal
 (linalg.read_scalar, the one place where a float is read or refused), a
 cascade plan with one u per distinct element list and one read index per
-point part, and no other index (its coset copies are strided slices),
+point part, and no other index (it holds no coset array),
 the products b^{-1} A formed once per dilation, Q-tilde blocks built on
 ints where the data are integral and read through the binomial shift
 only (no reader builds them, and no triple caches them), a float oracle
@@ -56,7 +56,7 @@ from crystacc.linalg import QC, Mat, SparseRows
 from crystacc.mask import Mask, lift_scalar_to_matrix
 from crystacc.multiidx import dim_degree
 
-from conftest import coset_differences, stacked_block_row
+from conftest import coset_differences, held_arrays, stacked_block_row
 
 SOURCES = sorted(Path(crystacc.__file__).parent.glob("*.py"))
 
@@ -645,9 +645,9 @@ def test_cascade_plan_holds_one_index_array_per_point_part():
     built by 9 adds of float64 blocks, and one int64 read index per point
     part, each one entry per box node; these 8 are the plan's only index
     arrays.  The one field coset that its elements read at h = 2^-4, the
-    even box nodes (2^4 k is even), is a strided slice of the box copied
-    into a float64 array of its grid, and the shifts of a part are slice
-    windows."""
+    even box nodes (2^4 k is even), is a strided slice of the box, and the
+    plan holds no array for it: a step reads it through that window.  The
+    shifts of a part are slice windows."""
     t = catalog_triple("p4m", 2)
     dil = check_admissible(Mat.from_rows([[2, 0], [0, 2]]), t)
     hat = {-1: 1, 0: 2, 1: 1}
@@ -667,14 +667,13 @@ def test_cascade_plan_holds_one_index_array_per_point_part():
                for a in part.rows)
     assert len(part.adds) == 9
     assert all(d_t.dtype == np.float64 for *_, d_t in part.adds)
-    [coset] = plan.cosets
-    assert coset.shape == (17, 17)
-    assert coset.window == (slice(0, None, 2),) * 2
-    assert coset.copy.shape == (17, 17, 1)
-    assert plan.buffer.dtype == plan.term.dtype == coset.copy.dtype == \
-        np.float64
-    [copy] = [x for x in vars(coset).values() if isinstance(x, np.ndarray)]
-    assert copy is coset.copy
+    assert plan.cosets == [((17, 17), (slice(0, None, 2),) * 2)]
+    assert held_arrays(plan.cosets) == []
+    assert plan.buffer.dtype == plan.term.dtype == np.float64
+    held = held_arrays(plan)
+    assert len(held) == 2 + 9 + 8
+    assert [id(a) for a in held if a.dtype == np.int64] == \
+        [id(a) for a in part.rows]
 
 
 def test_products_with_a_are_formed_once_per_dilation(monkeypatch):

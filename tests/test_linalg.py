@@ -4,6 +4,7 @@ import itertools
 import math
 import operator
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -1038,3 +1039,47 @@ def test_a_carried_vector_is_divided_by_its_content():
     assert got.data == [{0: -11, 1: -8, 2: -10, 3: 1},
                         {0: -7, 1: -4, 2: -6, 4: 1},
                         {0: -3, 1: -3, 2: -3, 5: 1}] == want.data
+
+
+def _assign_to_qc():
+    QC(1).re = 2
+
+
+@pytest.mark.parametrize("call, exc, message", [
+    pytest.param(lambda: Mat.from_rows([]), ValueError,
+                 "cols required for an empty matrix", id="empty-no-cols"),
+    pytest.param(lambda: Mat.from_rows([[1, 2], [3]]), ValueError,
+                 "ragged rows", id="ragged-rows"),
+    pytest.param(lambda: Mat.from_rows([[1, 2]]) @ Mat.from_rows([[1, 2]]),
+                 ValueError, "shape mismatch (1, 2) @ (1, 2)",
+                 id="matmul-mismatch"),
+    pytest.param(lambda: Mat.from_rows([[1, 2]]) + Mat.from_rows([[1]]),
+                 ValueError, "shape mismatch (1, 2) + (1, 1)",
+                 id="add-mismatch"),
+    pytest.param(lambda: Mat.from_rows([[1, 2]]) - Mat.from_rows([[1]]),
+                 ValueError, "shape mismatch (1, 2) - (1, 1)",
+                 id="sub-mismatch"),
+    pytest.param(lambda: Mat.vstack([]), ValueError, "nothing to stack",
+                 id="vstack-empty"),
+    pytest.param(lambda: Mat.vstack([Mat.identity(1), Mat.identity(2)]),
+                 ValueError, "incompatible blocks", id="vstack-mismatch"),
+    pytest.param(lambda: Mat.hstack([]), ValueError, "nothing to stack",
+                 id="hstack-empty"),
+    pytest.param(lambda: Mat.hstack([Mat.identity(1), Mat.identity(2)]),
+                 ValueError, "incompatible blocks", id="hstack-mismatch"),
+    pytest.param(lambda: Mat.from_rows([[1, 2]]).inverse(), ValueError,
+                 "inverse of a non-square matrix", id="inverse-non-square"),
+    pytest.param(lambda: det(Mat.from_rows([[1, 2]])), ValueError,
+                 "determinant of a non-square matrix", id="det-non-square"),
+    pytest.param(_assign_to_qc, AttributeError, "QC is immutable",
+                 id="qc-assignment"),
+    pytest.param(lambda: QC(1, 1) / 0, ZeroDivisionError,
+                 "division by zero", id="qc-division-by-zero"),
+])
+def test_library_refusals(call, exc, message):
+    """Mat and QC refuse malformed shapes, empty stacks and exact division
+    by zero with the exception type and message a library caller can
+    read."""
+    with pytest.raises(exc, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert info.type is exc

@@ -462,3 +462,15 @@ def test_mask_rows_against_the_mat_per_element_mask(group, r, kind, as_mat,
         assert (Mask(t, a, r=r) == Mask(t, b, r=r)) == \
             (_ReferenceMask(t, a, r=r) == _ReferenceMask(t, b, r=r))
     assert (mask == floats) == (ref == ref_floats)
+
+
+def test_extract_refuses_a_dilation_of_another_triple(line, p1m):
+    """extract_scalar reads the dilation of the triple it is given: one of
+    another triple is refused with MaskShapeError, once the multiplicity
+    matches the group order."""
+    t, _ = line
+    _, other = p1m
+    mask = Mask.scalar(t, {0: 1, 1: 1})
+    with pytest.raises(MaskShapeError,
+                       match="^dilation belongs to a different triple$"):
+        extract_scalar(mask, t, other)

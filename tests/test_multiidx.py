@@ -2,6 +2,7 @@
 
 import gc
 import random
+import re
 import weakref
 from fractions import Fraction
 
@@ -298,3 +299,32 @@ def test_dropped_triple_is_garbage_collected():
     del t, dil, mask
     gc.collect()
     assert ref() is None
+
+
+def _v(*blocks):
+    return VCollection(1, tuple(Mat.from_rows(b) for b in blocks))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: enumerate_degree(0, 1),
+                 "dimension must be positive", id="dimension-0"),
+    pytest.param(lambda: enumerate_degree(1, -1),
+                 "degree must be nonnegative", id="negative-degree"),
+    pytest.param(lambda: build_A_s(Mat.from_rows([[1, 2]]), 1),
+                 "square matrix required", id="non-square-action"),
+    pytest.param(lambda: build_Q_tilde(
+        catalog_triple("p1", 1).identity(), 0, 1),
+                 "Q~_[s,t] requires t <= s", id="q-tilde-above-s"),
+    pytest.param(lambda: _v(), "empty collection", id="empty-collection"),
+    pytest.param(lambda: _v([[1]], [[1, 2]]), "inconsistent blocks",
+                 id="blocks-of-two-widths"),
+    pytest.param(lambda: eval_y(catalog_triple("p1", 1).identity(),
+                                _v([[1]]), 1),
+                 "degree 1 needs v blocks up to 1", id="y-above-v"),
+])
+def test_library_refusals(call, message):
+    """The degree builders, VCollection and eval_y refuse arguments out of
+    their range with ValueError and their own message."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+        call()
+    assert info.type is ValueError
