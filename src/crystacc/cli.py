@@ -1,13 +1,17 @@
 """Command-line interface: JSON problem configs in, JSON reports out.
 
 Commands: check-group, accuracy, cascade, lift, extract.  Exit codes:
-0 success, 1 malformed input, 2 invalid group or a command-line usage
-error (this one prints the usage and the error on stderr and nothing on
-stdout; -h prints the usage and exits 0), 3 inadmissible dilation,
-4 mask shape/multiplicity mismatch (also a matrix mask given to extract
-that is no lift), 5 cascade failure (non-convergence under --strict, a
-support box that does not certify within the step bound, a grid too
-coarse to sample, or a grid whose estimated memory exceeds half of
+0 success, 1 malformed input (also a config that is not UTF-8, nests too
+deep for the JSON parser or holds an integer of more digits than
+``sys.get_int_max_str_digits()``, a literal whose decimal exponent exceeds
+that limit, and an exact output too long to print), 2 invalid group or a
+command-line usage error (this one prints the usage and the error on
+stderr and nothing on stdout; -h prints the usage and exits 0), 3
+inadmissible dilation, 4 mask shape/multiplicity mismatch (also a matrix
+mask given to extract that is no lift), 5 cascade failure
+(non-convergence under --strict, a support box that does not certify
+within the step bound, a grid too coarse to sample, or a grid whose
+estimated memory exceeds half of
 physical memory).  Without --strict, a cascade that did
 not converge reports a null empirical accuracy; so does a field that
 does not vanish identically when the exact gate says its integral must
@@ -98,12 +102,15 @@ def _parse_matrix(rows, what: str, dim: int | None = None) -> Mat:
 
 
 def _load_config(path: str) -> dict:
+    """The config object at path.  A file that cannot be read, is not
+    UTF-8, is not JSON, nests too deep for the parser or holds an integer
+    longer than ``sys.get_int_max_str_digits()`` is malformed input."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
     except OSError as exc:
         raise CliError(EXIT_MALFORMED, f"cannot read config: {exc}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise CliError(EXIT_MALFORMED, f"malformed JSON: {exc}")
     if not isinstance(cfg, dict):
         raise CliError(EXIT_MALFORMED, "config must be a JSON object")
@@ -231,10 +238,20 @@ def _build_mask(cfg: dict, triple: CrystalTriple) -> Mask:
 # ------------------------------------------------------------ serialization
 
 def _scalar_json(x):
-    if isinstance(x, (int, Fraction)):
-        return str(x)
-    if isinstance(x, QC):
-        return [str(x.re), str(x.im)]
+    """An output scalar: an exact one as a "p/q" string (an [re, im] pair
+    of them where it is complex), a float as a number (a pair where it is
+    complex).  An exact value too long to print, with a numerator or
+    denominator of more digits than ``sys.get_int_max_str_digits()``,
+    ends the command as malformed input."""
+    try:
+        if isinstance(x, (int, Fraction)):
+            return str(x)
+        if isinstance(x, QC):
+            return [str(x.re), str(x.im)]
+    except ValueError:
+        raise CliError(EXIT_MALFORMED, "an exact output value has more than "
+                       f"{sys.get_int_max_str_digits()} digits, the limit "
+                       "of int to str conversion") from None
     z = complex(x)
     if z.imag == 0.0:
         return z.real

@@ -16,7 +16,8 @@ the one way in: it keeps exact parts and reads each float part with
 it with denominator at most ``FLOAT_DENOMINATOR_CAP`` (10**6), kept only when
 its nearest double is ``x`` itself, so the change is at most half an ulp;
 otherwise as the exact dyadic value of ``x``.  Booleans, NaN and infinities are
-refused.
+refused, and so is a string whose decimal exponent exceeds the interpreter's
+int digit limit, ``sys.get_int_max_str_digits()``, in magnitude.
 
 One Gauss-Jordan elimination, ``_rref``, serves :func:`rank`,
 :func:`kernel_basis`, :func:`det`, :meth:`Mat.inverse` (the rref of
@@ -42,12 +43,16 @@ from __future__ import annotations
 
 import math
 import operator
+import re
+import sys
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
 FLOAT_DENOMINATOR_CAP = 10 ** 6
+# the decimal exponent of a literal as Fraction reads it
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 
 def read_float(x: float) -> Fraction:
@@ -97,13 +102,21 @@ def read_scalar(x, floats: bool = True) -> tuple:
 
 
 def _parse_part(p):
-    """A real part of a literal: a float as it is, else a Fraction."""
+    """A real part of a literal: a float as it is, else a Fraction.  A
+    string whose decimal exponent exceeds ``sys.get_int_max_str_digits()``
+    in magnitude is refused, as a literal of more digits is, before
+    ``Fraction`` builds the power of ten."""
     if isinstance(p, bool):
         raise ValueError("boolean is not a coefficient")
     if isinstance(p, float):
         return p
     if isinstance(p, (int, Fraction, str)):
         try:
+            exponent = isinstance(p, str) and _EXPONENT.search(p)
+            limit = sys.get_int_max_str_digits()
+            if exponent and limit and abs(int(exponent[1])) > limit:
+                raise ValueError(f"Exceeds the limit ({limit} digits) for "
+                                 "a decimal exponent")
             return Fraction(p)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad rational {p!r}: {exc}") from None

@@ -1,21 +1,30 @@
-"""Shared fixtures: catalog triples, dilations, and the classic 1D masks."""
+"""Shared fixtures: catalog triples, dilations, and the classic 1D masks;
+and the one reference of each exact kernel, written from its definition:
+the elimination (:func:`_rref_reference`, :func:`_reference_kernel`,
+:func:`_leibniz_det`), the constraint rows and the scan
+(:func:`_assemble_reference`, :func:`_reference_scan`, the per-element
+moments :func:`_fraction_moments` and the row form
+:func:`coset_differences`), the sum-rule test
+(:func:`_sum_rule_reference`) and the scalar face
+(:func:`_reference_reading`, :func:`assert_stored_face`).  No reference
+calls the code it checks (``tests/test_design.py`` reads them)."""
 
 import random
 from dataclasses import dataclass, is_dataclass, replace
 from fractions import Fraction
-from functools import cache
-from math import prod
-from operator import getitem
+from itertools import permutations
+from math import lcm, prod
 
 import numpy as np
 import pytest
 
 from crystacc import accuracy, cascade
-from crystacc.crystal import catalog_triple, check_admissible
-from crystacc.linalg import QC, Mat, SparseRows, _rref
-from crystacc.mask import Mask, MaskShapeError
-from crystacc.multiidx import (VCollection, _acted_rows, _shift_pattern,
-                               build_A_s, dim_degree, enumerate_degree)
+from crystacc.crystal import catalog_triple, check_admissible, inverse
+from crystacc.linalg import QC, Mat, det, kernel_basis, kron, read_float
+from crystacc.mask import Mask
+from crystacc.multiidx import (VCollection, _acted_rows, build_A_s,
+                               build_Q_st, build_Q_tilde, dim_degree,
+                               enumerate_degree, eval_X)
 
 
 def rand_fraction(rng, num=9, den=5):
@@ -41,307 +50,216 @@ def reproduction_values(field, v, s, points):
     return cascade._sums(field, reads, len(excluded), s, acted), excluded
 
 
-def rref_kernel(rows, n_cols):
-    """The kernel routine as it was before its vectors were made
-    integral, kept as the reference: for each free column f of the rref,
-    1 at f and minus the rref's column f at the pivot columns."""
-    rref, pivots, _ = _rref(rows, n_cols)
-    taken = set(pivots)
-    basis = {f: {f: 1} for f in range(n_cols) if f not in taken}
-    for row, col in zip(rref, pivots):
-        for j, x in row.items():
-            if j != col:
-                basis[j][col] = -x
-    return list(basis.values())
+# -- the elimination: rref, kernel and determinant ---------------------------
+
+def _rref_reference(rows, n_cols):
+    """Reference rref: textbook Gauss-Jordan on QC values, dividing each
+    pivot row by its pivot and clearing the column with fractions.
+    Returns (the rref's rows, zero rows included; the pivot columns; the
+    product of the pivots and the row swaps' signs, the determinant of a
+    square input with a pivot in every column)."""
+    a = [list(row) for row in rows]
+    pivots, sign, r = [], QC(1), 0
+    for col in range(n_cols):
+        pivot = next((i for i in range(r, len(a)) if a[i][col] != QC(0)),
+                     None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            a[r], a[pivot] = a[pivot], a[r]
+            sign = -sign
+        p = a[r][col]
+        sign = sign * p
+        a[r] = [x / p for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][col] != QC(0):
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+        r += 1
+    return a, pivots, sign
 
 
-def rref_solve_affine(k, basis):
-    """linalg.solve_affine as it was on :func:`rref_kernel`, kept as the
-    reference: (B c, v) for each rref kernel vector (c, v) of k."""
-    n, start = basis.rows, basis.cols
-    out = []
-    for x in rref_kernel(k.data, k.cols):
-        v = {}
-        for c, y in x.items():
-            if c < n:
-                for j, b in basis.data[c].items():
-                    v[j] = v.get(j, 0) + y * b
-            else:
-                v[start + c - n] = y
-        out.append({j: e for j, e in v.items() if e != 0})
-    return SparseRows(out, start + k.cols - n)
+def _reference_kernel(rows, n_cols):
+    """The rref kernel basis of QC rows, from :func:`_rref_reference`:
+    one dense vector per free column f, in order, 1 at f and minus the
+    rref's column f at the pivots."""
+    rref, pivots, _ = _rref_reference(rows, n_cols)
+    basis = []
+    for f in range(n_cols):
+        if f in pivots:
+            continue
+        v = [QC(0)] * n_cols
+        v[f] = QC(1)
+        for row, col in zip(rref, pivots):
+            v[col] = -row[f]
+        basis.append(v)
+    return basis
 
 
-@dataclass
-class TwoFieldTable:
-    """The moment table as it was kept before it held each moment once:
-    every coset's D-scaled moments (``sums``) and their differences from
-    coset 0 (``diffs``), besides the degree bound, D and the leads."""
-
-    p_max: int
-    scale: int
-    sums: dict
-    diffs: dict
-    leads: dict
-
-
-def two_field_moments(mask, dilation, p_max):
-    """accuracy._moments as it was before it kept each moment once, kept as
-    the reference: every coset's sums in ``sums``, summed in dense lists
-    once per lattice point, and their differences from coset 0 in
-    ``diffs``.  Unlike the solver's, the table is not kept with the mask."""
-    tri, d, r = mask.triple, mask.triple.d, mask.r
-    view = mask.plain()
-    mus = [mu for s in range(p_max) for mu in enumerate_degree(d, s)]
-    dense, points = {}, {}
-    for e, entries in view.entries:
-        if e.k not in points:
-            powers = [[(-y) ** n for n in range(p_max)]
-                      for y in e.true_translation()]
-            points[e.k] = (dilation.translation_coset([-x for x in e.k]),
-                           [(mu, w) for mu in mus
-                            if (w := prod(map(getitem, powers, mu)))])
-        i, weights = points[e.k]
-        moments = dense.setdefault((i, e.g), {})
-        terms = [(a * r + c, x) for c, a, x in entries]
-        for mu, w in weights:
-            acc = moments.get(mu)
-            if acc is None:
-                acc = moments[mu] = [0] * (r * r)
-            for n, x in terms:
-                acc[n] += w * x
-    pairs = [divmod(n, r) for n in range(r * r)]
-
-    def sparse(moments):
-        if r == 1:
-            return {mu: {(0, 0): acc[0]} for mu, acc in moments.items()
-                    if acc[0] != 0}
-        return {mu: n_mu for mu, acc in moments.items()
-                if (n_mu := {pairs[n]: y for n, y in enumerate(acc)
-                             if y != 0})}
-
-    sums = {key: sparse(moments) for key, moments in dense.items()}
-    parts = dict.fromkeys(b for _, b in dense)
-    zero, diffs = [0] * (r * r), {}
-    for i in range(1, dilation.m):
-        for b in parts:
-            ours, base = dense.get((i, b), {}), dense.get((0, b), {})
-            delta = {}
-            for mu in mus:
-                n_i, n_0 = ours.get(mu, zero), base.get(mu, zero)
-                if n_i != n_0:
-                    delta[mu] = [x - y for x, y in zip(n_i, n_0)]
-            if delta:
-                diffs[(i, b)] = sparse(delta)
-    return TwoFieldTable(p_max, view.scale, sums, diffs, reference_leads(
-        tri, dilation, parts, p_max))
+def _leibniz_det(rows) -> QC:
+    """Reference determinant of square rows of exact values: the sum over
+    permutations, no elimination."""
+    n = len(rows)
+    total = QC(0)
+    for perm in permutations(range(n)):
+        odd = sum(perm[i] > perm[j]
+                  for i in range(n) for j in range(i + 1, n)) % 2
+        term = QC(-1 if odd else 1)
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total + term
+    return total
 
 
-def reference_leads(tri, dilation, parts, p_max):
-    """(b, t) -> the rows of (b^{-1} A)_[t] as (column, non-zero) pairs."""
-    leads = {}
-    for b in parts:
-        b_inv_a = tri.group[tri.inverse_table[b]] @ dilation.A
-        for t in range(p_max):
-            leads[(b, t)] = [[(k, x) for k, x in enumerate(row) if x]
-                             for row in build_A_s(b_inv_a, t).plain()]
-    return leads
+def positive_multiple(v, ref):
+    """Whether the sparse vector v is a positive rational multiple of the
+    non-zero sparse vector ref (entries ints, Fractions or QCs)."""
+    if set(v) != set(ref):
+        return False
+    j = next(iter(ref))
+    ratio = qc_face(v[j]) / qc_face(ref[j])
+    return (ratio.im == 0 and ratio.re > 0
+            and all(v[i] == x * ratio.re for i, x in ref.items()))
 
 
-def two_field_block_row(mask, dilation, table, s, coset=None):
-    """accuracy._block_row as it was on the two-field table, kept as the
-    reference: with ``coset``, the plain block B_i of that digit coset,
-    read off ``sums``; without, B_0 followed, for each coset i > 0 in
-    turn, by the non-empty rows of B_i - B_0, read off ``diffs``."""
+# -- the scalar face: values as Mat stores them, and the literal reader ------
+
+def qc_face(x):
+    """An exact value as a QC, real or not."""
+    return x if isinstance(x, QC) else QC(x)
+
+
+def stored_value(x):
+    """An exact value in the form Mat stores it: an int where it is
+    integral, a Fraction where it is real, else a QC."""
+    x = qc_face(x)
+    if x.im != 0:
+        return x
+    return x.re.numerator if x.re.denominator == 1 else x.re
+
+
+def assert_stored_face(got, want):
+    """got equals the reference value want and is of the type Mat stores
+    it as (:func:`stored_value`): an int or a Fraction where it is real, a
+    QC with a non-zero imaginary part otherwise."""
+    assert got == want and type(got) is type(stored_value(want)), (got, want)
+
+
+def _stores_plain_values(m: Mat) -> bool:
+    """Every stored entry is an int where it is integral, a Fraction
+    where it is real, and a QC only where its imaginary part is
+    non-zero."""
+    return all(type(x) is int
+               or (type(x) is Fraction and x.denominator != 1)
+               or (type(x) is QC and x.im != 0)
+               for row in m.plain() for x in row)
+
+
+def _reference_reading(x):
+    """A scalar literal read from its definition on Fractions and QCs: an
+    int, Fraction or QC as it is; a complex, an [re, im] list or tuple, or
+    one real part (float, int, Fraction or "p/q" string) read part by part,
+    a float part by ``read_float``.  Returns (the value as Mat stores it,
+    |read - given| / |given| where a part was a float and the value is not
+    zero, else None), or the text of the refusal: of the first boolean,
+    bad string or part that is no number, in part order, of a pair that is
+    not two parts, or of a part that is not finite."""
+    if type(x) is int or isinstance(x, (Fraction, QC)):
+        return stored_value(x), None
+    if isinstance(x, complex):
+        parts = [x.real, x.imag or 0]
+    elif isinstance(x, (list, tuple)):
+        if len(x) != 2 or any(isinstance(p, (list, tuple)) for p in x):
+            return f"cannot read coefficient {x!r}"
+        parts = list(x)
+    else:
+        parts = [x, 0]
+    given = []
+    for p in parts:
+        if isinstance(p, bool):
+            return "boolean is not a coefficient"
+        if not isinstance(p, (float, int, Fraction, str)):
+            return f"cannot read coefficient {p!r}"
+        try:
+            given.append(p if isinstance(p, float) else Fraction(p))
+        except (ValueError, ZeroDivisionError) as exc:
+            return f"bad rational {p!r}: {exc}"
+    try:
+        read = [read_float(p) if isinstance(p, float) else p for p in given]
+    except ValueError as exc:
+        return f"bad coefficient: {exc}"
+    change = None
+    if any(isinstance(p, float) for p in given):
+        exact = [Fraction(p) for p in given]
+        size = sum(p * p for p in exact)
+        if size:
+            change = float(sum((a - b) ** 2 for a, b in zip(read, exact))
+                           / size) ** 0.5
+    return stored_value(QC(*read)), change
+
+
+def stored_report(rep):
+    """A SufficientReport of :func:`_sum_rule_reference` with its
+    sum_total, beta and per_coset values in the form Mat stores them."""
+    return replace(
+        rep, sum_total=stored_value(rep.sum_total),
+        beta={key: stored_value(x) for key, x in rep.beta.items()},
+        per_coset={key: [stored_value(x) for x in xs]
+                   for key, xs in rep.per_coset.items()})
+
+
+# -- the constraint rows, the scan and the moments ----------------------------
+
+def _common_denominator(mask):
+    """D: the lcm of the denominators of the real and imaginary parts of
+    every coefficient of the mask."""
+    return lcm(*(q.denominator for _, blk in mask.items()
+                 for i in range(blk.rows) for j in range(blk.cols)
+                 for x in (qc_face(blk.entry(i, j)),) for q in (x.re, x.im)))
+
+
+def _assemble_reference(mask, dilation, s_max, s_min=0):
+    """Dense stacked constraint matrix of the degrees s_min..s_max over
+    vec(v_[0]), ..., vec(v_[s_max]): the block in row (s, i) and column t
+    is delta_{t,s} I minus the sum over the support terms whose inverse
+    lies in digit coset i of kron(Qt_[s,t] A_[t], d^T), built with dense
+    zero blocks and one subtraction per entry."""
     d, r = mask.triple.d, mask.r
-    starts = [0]
-    for t in range(s):
-        starts.append(starts[-1] + dim_degree(d, t) * r)
-    patterns = [_shift_pattern(d, s, t) for t in range(s + 1)]
-    size = dim_degree(d, s) * r
-    first = coset or 0
-    rows = {first: [{starts[s] + k: table.scale} for k in range(size)]}
-    work = [(i, b, moment) for (i, b), moment in table.sums.items()
-            if i == first]
-    if coset is None:
-        work += [(i, b, delta) for (i, b), delta in table.diffs.items()]
-    for i, b, moment in work:
-        block = rows.get(i)
-        if block is None:
-            block = rows[i] = [{} for _ in range(size)]
-        for t, pattern in enumerate(patterns):
-            leads = table.leads[(b, t)]
-            for row0, terms in enumerate(pattern):
-                for j, binom, mu in terms:
-                    n_mu = moment.get(mu)
-                    if not n_mu:
+    A = dilation.A
+    widths = [dim_degree(d, t) * r for t in range(s_max + 1)]
+    coset_of = {alpha: dilation.coset_index(inverse(alpha))
+                for alpha, _ in mask.items()}
+    rows = []
+    for s in range(s_min, s_max + 1):
+        ds = dim_degree(d, s)
+        for i in range(dilation.m):
+            blocks = []
+            for t in range(s_max + 1):
+                if t > s:
+                    blocks.append(Mat.zeros(ds * r, widths[t]))
+                    continue
+                acc = (Mat.identity(ds * r) if t == s
+                       else Mat.zeros(ds * r, widths[t]))
+                for alpha, d_blk in mask.items():
+                    if coset_of[alpha] != i:
                         continue
-                    for k, x in leads[j]:
-                        col0, bx = starts[t] + k * r, binom * x
-                        for (a, c), y in n_mu.items():
-                            row = block[row0 * r + a]
-                            value = row.get(col0 + c, 0) - bx * y
-                            if value == 0:
-                                row.pop(col0 + c, None)
-                            else:
-                                row[col0 + c] = value
-    return [row for i, block in rows.items() for row in block
-            if row or i == first]
+                    lead = build_Q_tilde(alpha, s, t) @ build_A_s(A, t)
+                    acc = acc - kron(lead, d_blk.transpose())
+                blocks.append(acc)
+            rows.append(Mat.hstack(blocks))
+    return Mat.vstack(rows)
 
 
-def two_field_sufficient_check(mask, triple, dilation, p):
-    """accuracy.sufficient_check as it was on the two-field table, kept as
-    the reference: each coset's sums read off ``sums``, and the block
-    rows of coset 0 alone (``coset=0``)."""
-    if mask.r != 1:
-        raise MaskShapeError("the sum-rule test applies to multiplicity-1 "
-                             f"masks, got r={mask.r}")
-    if triple is not mask.triple or dilation.triple is not triple:
-        raise ValueError("mask, triple and dilation must match")
-    if p < 1:
-        raise ValueError("target accuracy must be at least 1")
-    d, m = triple.d, dilation.m
-    notes = ["degree-s eigenvalue screen runs over 1 <= s < p; at s = 0 "
-             "the screened matrix equals the scalar 1 whenever the sum "
-             "rule holds"]
-    view = mask.plain()
-    total = sum(x for _, entries in view.entries for _, _, x in entries)
-    sum_rule_ok = total == m * view.scale
-
-    table = two_field_moments(mask, dilation, p)
-    sums = {(b, a): [0] * m for b in range(triple.order)
-            for s in range(p) for a in enumerate_degree(d, s)}
-    act = cache(lambda g, s: build_A_s(triple.group[g], s).plain())
-    for (i, g), moment in table.sums.items():
-        b = triple.inverse_table[g]
-        for s in range(p):
-            alphas = enumerate_degree(d, s)
-            for a, row in zip(alphas, act(g, s)):
-                sums[(b, a)][i] = sum(x * moment.get(alphas[k], {}).get(
-                    (0, 0), 0) for k, x in enumerate(row) if x)
-    per_coset = {key: [accuracy._exact(x, view.scale) for x in xs]
-                 for key, xs in sums.items()}
-    beta = {key: xs[0] for key, xs in per_coset.items() if len(set(xs)) == 1}
-    moments_ok = len(beta) == len(per_coset)
-    if not moments_ok:
-        notes.append("per-coset moments disagree; see per_coset for the "
-                     "offending sums")
-
-    zero_alpha = (0,) * d
-    beta0_consistent = True
-    if moments_ok and sum_rule_ok:
-        direct = {b: [0] * m for b in range(triple.order)}
-        for e, entries in view.entries:
-            i = dilation.translation_coset(e.k)
-            for _, _, x in entries:
-                direct[triple.inverse_table[e.g]][i] += x
-        beta0_consistent = all(x == sums[(b, zero_alpha)][0]
-                               for b, xs in direct.items() for x in xs)
-        if not beta0_consistent:
-            notes.append("alpha = 0 moments disagree between the two "
-                         "coefficient indexings; the coset permutation "
-                         "argument failed for this input")
-
-    eigen_flags = {}
-    chain = [[1]] if sum_rule_ok and beta0_consistent else None
-    if moments_ok:
-        start = 1
-        for s in range(1, p):
-            ds = dim_degree(d, s)
-            flat = [x for blk in chain or () for x in blk]
-            system = []
-            for row in two_field_block_row(mask, dilation, table, s, coset=0):
-                line = {j - start: x for j, x in row.items() if j >= start}
-                if chain is not None:
-                    line[ds] = -sum(x * flat[j] for j, x in row.items()
-                                    if j < start)
-                system.append(line)
-            rref, pivots, _ = _rref(system, ds + 1)
-            eigen_flags[s] = pivots[:ds] == list(range(ds))
-            chain = (chain + [[line.get(ds, 0) for line in rref[:ds]]]
-                     if chain is not None and eigen_flags[s] else None)
-            start += ds
-    eigen_ok = all(eigen_flags.values())
-
-    v_chain = None
-    chain_zero = None
-    conditions_ok = (sum_rule_ok and moments_ok and eigen_ok
-                     and beta0_consistent)
-    if conditions_ok:
-        v_chain = VCollection(d, tuple(Mat.column(blk) for blk in chain))
-        _, walk = accuracy._residual_walk(mask, dilation, v_chain, range(p))
-        chain_zero = all(x == 0 for cosets in walk.values()
-                         for rows in cosets for row in rows for x in row)
-        if not chain_zero:
-            notes.append("the recursive witness fails the per-coset "
-                         "conditions; this indicates an internal "
-                         "inconsistency")
-
-    passed = bool(conditions_ok and chain_zero)
-    return accuracy.SufficientReport(
-        p=p, sum_total=accuracy._exact(total, view.scale),
-        sum_rule_ok=sum_rule_ok, beta=beta, per_coset=per_coset,
-        moments_ok=moments_ok, eigen_flags=eigen_flags, eigen_ok=eigen_ok,
-        beta0_consistent=beta0_consistent, v_chain=v_chain,
-        chain_residual_zero=chain_zero, passed=passed, notes=tuple(notes))
-
-
-def per_element_moments(mask, dilation, p_max):
-    """accuracy._moments as it was before it read each lattice point once,
-    kept as the reference: the coset of -k, R k and every monomial weight
-    are recomputed for each support element, and each (coset, point part)
-    starts with an empty N_mu for every mu; the differences from coset 0
-    are taken entry by entry (:func:`_reference_diffs`)."""
-    d = mask.triple.d
-    view = mask.plain()
-    mus = [mu for s in range(p_max) for mu in enumerate_degree(d, s)]
-    sums = {}
-    for e, entries in view.entries:
-        key = (dilation.translation_coset([-x for x in e.k]), e.g)
-        moments = sums.setdefault(key, {mu: {} for mu in mus})
-        powers = [[(-y) ** n for n in range(p_max)]
-                  for y in e.true_translation()]
-        for mu in mus:
-            w = prod(p[n] for p, n in zip(powers, mu))
-            if w == 0:
-                continue
-            n_mu = moments[mu]
-            for c, a, x in entries:
-                n_mu[(a, c)] = n_mu.get((a, c), 0) + w * x
-    return TwoFieldTable(p_max, view.scale, sums,
-                         _reference_diffs(sums, dilation.m),
-                         reference_leads(mask.triple, dilation,
-                                         {b for _, b in sums}, p_max))
-
-
-def _reference_diffs(sums, m):
-    """(i, b) -> {mu: N_mu(i, b) - N_mu(0, b)} for 0 < i < m, from a
-    moment table's sums, entry by entry, without the zero entries, the
-    zero moments and the keys left with none."""
-    out = {}
-    for i in range(1, m):
-        for b in {b for _, b in sums}:
-            ours, base = sums.get((i, b), {}), sums.get((0, b), {})
-            delta = {}
-            for mu in {**ours, **base}:
-                n_i, n_0 = ours.get(mu, {}), base.get(mu, {})
-                n = {ac: x for ac in {**n_i, **n_0}
-                     if (x := n_i.get(ac, 0) - n_0.get(ac, 0)) != 0}
-                if n:
-                    delta[mu] = n
-            if delta:
-                out[(i, b)] = delta
-    return out
-
-
-def stacked_block_row(mask, dilation, table, s):
-    """accuracy._block_row as it was before it built the coset
-    differences, kept as the reference: D times block row s of the
-    stacked system, one block per digit coset, each with its diagonal
-    D I, read off the per-coset sums of :func:`per_element_moments`."""
-    sums = per_element_moments(mask, dilation, table.p_max)
-    return [row for i in range(dilation.m)
-            for row in two_field_block_row(mask, dilation, sums, s, i)]
+def _reference_block_row(mask, dilation, s):
+    """D times block row s of :func:`_assemble_reference`, its m coset
+    blocks stacked, as sparse rows of the non-zero entries (an empty one
+    for a zero row), D the common denominator of the coefficients."""
+    block = _assemble_reference(mask, dilation, s, s).scale(
+        _common_denominator(mask))
+    return [{j: x for j in range(block.cols)
+             if (x := block.entry(i, j)) != 0}
+            for i in range(block.rows)]
 
 
 def coset_differences(rows, m):
@@ -369,74 +287,180 @@ def without_repeats(rows, size):
     return out
 
 
-def positive_multiple(v, ref):
-    """Whether the sparse vector v is a positive rational multiple of the
-    non-zero sparse vector ref (entries ints, Fractions or QCs)."""
-    if set(v) != set(ref):
-        return False
-    j = next(iter(ref))
-    ratio = qc_face(v[j]) / qc_face(ref[j])
-    return (ratio.im == 0 and ratio.re > 0
-            and all(v[i] == x * ratio.re for i, x in ref.items()))
+def _reference_scan(mask, dilation, s_top):
+    """The scan of max_accuracy from its definition: the rref kernel basis
+    of the whole dense reference system at every degree s <= s_top, and
+    the first basis column whose first r entries (v_[0]) meet the gate
+    against fhat0, scaled so its first non-zero degree-0 entry is 1.
+    Returns the kernels and the certificate fields
+    (p, witness, gate, kernel_dims, first_failing_degree)."""
+    d, r = mask.triple.d, mask.r
+    fh = accuracy.fhat0(mask, dilation.m).vector
+    if fh is None:
+        return [], (0, None, None, {}, 0)
+    kernels, dims, chosen, failing, rows = [], {}, None, None, []
+    for s in range(s_top + 1):
+        new = _assemble_reference(mask, dilation, s, s)
+        rows = [Mat.hstack([b, Mat.zeros(b.rows, new.cols - b.cols)])
+                for b in rows] + [new]
+        basis = kernel_basis(Mat.vstack(rows))
+        kernels.append(basis)
+        dims[s] = len(basis)
+        pick = next((b for b in basis if sum(
+            (b.entry(j, 0) * fh.entry(j, 0) for j in range(r)),
+            QC(0)) != 0), None)
+        if pick is None:
+            failing = s
+            break
+        entries = [pick.entry(i, 0) for i in range(pick.rows)]
+        blocks, off = [], 0
+        for t in range(s + 1):
+            dt = dim_degree(d, t)
+            blocks.append(Mat.from_rows(
+                [entries[off + a * r:off + (a + 1) * r] for a in range(dt)]))
+            off += dt * r
+        chosen = VCollection(d, tuple(blocks))
+    if chosen is None:
+        return kernels, (0, None, None, dims, failing)
+    lead = next(x for j in range(r)
+                if (x := chosen.block(0).entry(0, j)) != 0)
+    witness = chosen.scale(Fraction(1) / lead)
+    gate = sum((witness.block(0).entry(0, j) * fh.entry(j, 0)
+                for j in range(r)), QC(0))
+    return kernels, (witness.p, witness, gate, dims, failing)
 
 
-# The public face as it was before it handed out stored values, kept as
-# the reference: Mat.entry, det, apply_element and the report scalars gave
-# every value as a QC, a real one too.
-
-def qc_face(x):
-    """A stored value as the former face gave it: a QC, real or not."""
-    return x if isinstance(x, QC) else QC(x)
-
-
-def stored_value(x):
-    """A QC of the former face as the library hands it out now: an int
-    where it is integral, a Fraction where it is real, else the QC."""
-    if x.im != 0:
-        return x
-    return x.re.numerator if x.re.denominator == 1 else x.re
-
-
-def former_det(m):
-    """linalg.det as it was: QC(0) for a singular matrix, else a QC."""
-    rows = [{j: x for j, x in enumerate(row) if x} for row in m.plain()]
-    value = _rref(rows, m.cols, with_det=True)[2]
-    return QC(0) if value is None else qc_face(value)
-
-
-def former_apply_element(e, x):
-    """crystal.apply_element as it was: each coordinate a QC."""
-    t = e.triple
-    shifted = [v + ti for (v,), ti in zip(Mat.column(x).plain(),
-                                          e.true_translation())]
-    col = t.group[e.g] @ Mat.column(shifted)
-    return tuple(qc_face(y) for y, in col.plain())
+def _fraction_moments(mask, dilation, p_max):
+    """The moment table from its definition: (i, b) -> {mu: {(a, c): N_mu}}
+    for every |mu| < p_max, N_mu the sum of (-l)^mu d^T over the support
+    elements (b, l) whose inverse lies in digit coset i, entries Fractions,
+    or QCs where not real, one multiply-add per element and entry."""
+    d, r = mask.triple.d, mask.r
+    mus = [mu for s in range(p_max) for mu in enumerate_degree(d, s)]
+    table = {}
+    for e, blk in mask.items():
+        key = (dilation.coset_index(inverse(e)), e.g)
+        moments = table.setdefault(key, {mu: {} for mu in mus})
+        neg = [-x for x in e.true_translation()]
+        d_t = [(a, c, blk.entry(c, a)) for c in range(r) for a in range(r)
+               if blk.entry(c, a) != 0]
+        for mu in mus:
+            w = prod(y ** n for y, n in zip(neg, mu))
+            if w == 0:
+                continue
+            n_mu = moments[mu]
+            for a, c, x in d_t:
+                n_mu[(a, c)] = n_mu.get((a, c), 0) + w * x
+    return table
 
 
-def former_gate(mask, dilation, witness):
-    """The gate v_[0] . fhat(0) of max_accuracy as it was: a QC."""
-    fh = accuracy.fhat0(mask, dilation.m)
-    return qc_face((witness.block(0) @ fh.vector).plain()[0][0])
+# -- the sum-rule test --------------------------------------------------------
+
+def _condition_d_reference(mask, dilation, v, s, i):
+    """The defect of the degree-s constraint on digit coset i: v_[s] minus
+    the sum, over the support elements whose inverse lies in coset i, of
+    Qt_[s,t](alpha) (A_[t] v_[t]) d_alpha, with Qt a dense block."""
+    acc = v.block(s)
+    av = [build_A_s(dilation.A, t) @ v.block(t) for t in range(s + 1)]
+    for alpha, d_blk in mask.items():
+        if dilation.coset_index(inverse(alpha)) != i:
+            continue
+        for t in range(s + 1):
+            acc = acc - build_Q_tilde(alpha, s, t) @ av[t] @ d_blk
+    return acc
 
 
-def stored_report(rep):
-    """A SufficientReport of the former face, its sum_total, beta and
-    per_coset QCs mapped to the values the library hands out now."""
-    return replace(
-        rep, sum_total=stored_value(rep.sum_total),
-        beta={key: stored_value(x) for key, x in rep.beta.items()},
-        per_coset={key: [stored_value(x) for x in xs]
-                   for key, xs in rep.per_coset.items()})
+def _reference_sums(mask, triple, dilation, p):
+    """The per-coset sums and the moment matrices M_[s,t] of the sum-rule
+    test of a multiplicity-1 mask, element by element: per_coset[(b,
+    alpha)][i] sums X_[s](l)[alpha] c over the support elements whose
+    inverse sigma = (b, l) lies in digit coset i, c the coefficient, and
+    M_[s,t] sums c Q_[s,t](l) (b^{-1})_[t] over the support elements
+    (b, l) whose inverse lies in coset 0."""
+    d, m = triple.d, dilation.m
+    per_coset = {(b, a): [QC(0)] * m for b in range(triple.order)
+                 for s in range(p) for a in enumerate_degree(d, s)}
+    mats = {(s, t): Mat.zeros(dim_degree(d, s), dim_degree(d, t))
+            for s in range(p) for t in range(s + 1)}
+    for e, blk in mask.items():
+        sigma, c = inverse(e), blk.entry(0, 0)
+        i = dilation.coset_index(sigma)
+        for s in range(p):
+            x_s = eval_X(sigma.true_translation(), s)
+            for j, a in enumerate(enumerate_degree(d, s)):
+                per_coset[(sigma.g, a)][i] += x_s.entry(j, 0) * c
+        if i == 0:
+            b_inv = triple.group[triple.inverse_table[e.g]]
+            for s, t in mats:
+                mats[(s, t)] += build_Q_st(e.true_translation(), s, t) \
+                    .scale(c) @ build_A_s(b_inv, t)
+    return per_coset, mats
 
 
-def assert_stored_face(got, former):
-    """got is the former face's QC as a stored value: equal to it, an int
-    or Fraction where it is real, and a QC with a non-zero imaginary part
-    otherwise, type for type as :func:`stored_value` maps it."""
-    assert type(former) is QC
-    want = stored_value(former)
-    assert got == former and type(got) is type(want), (got, former)
-    assert not isinstance(got, QC) or got.im != 0
+def _sum_rule_reference(mask, triple, dilation, p):
+    """sufficient_check from its definition, on Fractions, QCs and Mats:
+    the sum rule (the coefficients sum to m), the per-coset sums and
+    M_[s,t] of :func:`_reference_sums` (beta where every coset's sum
+    agrees), the alpha = 0 sums over the cosets of the translations, the
+    screen det(I - M_[s,s] A_[s]) != 0 for 1 <= s < p, and the chain
+    v_[0] = 1, v_[s] = (I - M_[s,s] A_[s])^{-1} sum_{t<s} M_[s,t] A_[t]
+    v_[t] by Mat.inverse, checked by :func:`_condition_d_reference`.  The
+    report's scalars are the sums as computed, QCs and Fractions
+    (:func:`stored_report` maps them)."""
+    d, m, A = triple.d, dilation.m, dilation.A
+    notes = ["degree-s eigenvalue screen runs over 1 <= s < p; at s = 0 "
+             "the screened matrix equals the scalar 1 whenever the sum "
+             "rule holds"]
+    total = sum((blk.entry(0, 0) for _, blk in mask.items()), QC(0))
+    sum_rule_ok = total == m
+    per_coset, mats = _reference_sums(mask, triple, dilation, p)
+    beta = {key: xs[0] for key, xs in per_coset.items() if len(set(xs)) == 1}
+    moments_ok = len(beta) == len(per_coset)
+    if not moments_ok:
+        notes.append("per-coset moments disagree; see per_coset for the "
+                     "offending sums")
+    beta0_consistent = True
+    if moments_ok and sum_rule_ok:
+        direct = {}
+        for e, blk in mask.items():
+            key = (triple.inverse_table[e.g], dilation.translation_coset(e.k))
+            direct[key] = direct.get(key, 0) + blk.entry(0, 0)
+        beta0_consistent = all(direct.get((b, i), 0) == beta[(b, (0,) * d)]
+                               for b in range(triple.order)
+                               for i in range(m))
+        if not beta0_consistent:
+            notes.append("alpha = 0 moments disagree between the two "
+                         "coefficient indexings; the coset permutation "
+                         "argument failed for this input")
+    screened = {s: Mat.identity(dim_degree(d, s))
+                - mats[(s, s)] @ build_A_s(A, s) for s in range(1, p)}
+    eigen_flags = ({s: det(lhs) != 0 for s, lhs in screened.items()}
+                   if moments_ok else {})
+    eigen_ok = all(eigen_flags.values())
+    v_chain = chain_zero = None
+    conditions_ok = (sum_rule_ok and moments_ok and eigen_ok
+                     and beta0_consistent)
+    if conditions_ok:
+        blocks = [Mat.identity(1)]
+        for s, lhs in screened.items():
+            rhs = Mat.zeros(lhs.rows, 1)
+            for t in range(s):
+                rhs = rhs + mats[(s, t)] @ build_A_s(A, t) @ blocks[t]
+            blocks.append(lhs.inverse() @ rhs)
+        v_chain = VCollection(d, tuple(blocks))
+        chain_zero = all(
+            _condition_d_reference(mask, dilation, v_chain, s, i).is_zero()
+            for s in range(p) for i in range(m))
+        if not chain_zero:
+            notes.append("the recursive witness fails the per-coset "
+                         "conditions; this indicates an internal "
+                         "inconsistency")
+    return accuracy.SufficientReport(
+        p=p, sum_total=total, sum_rule_ok=sum_rule_ok, beta=beta,
+        per_coset=per_coset, moments_ok=moments_ok, eigen_flags=eigen_flags,
+        eigen_ok=eigen_ok, beta0_consistent=beta0_consistent,
+        v_chain=v_chain, chain_residual_zero=chain_zero,
+        passed=bool(conditions_ok and chain_zero), notes=tuple(notes))
 
 
 def held_arrays(x):

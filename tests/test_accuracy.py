@@ -1,9 +1,8 @@
 """Accuracy solvers: exact kernels, sum rules, and cross-verification."""
 
-from collections import Counter
 from fractions import Fraction
 from functools import cache
-from math import comb, lcm, prod
+from math import gcd, lcm
 from unittest import mock
 
 import numpy as np
@@ -16,20 +15,18 @@ import crystacc.multiidx as multiidx_mod
 from crystacc.accuracy import (condition_d_residuals, fhat0, max_accuracy,
                                sufficient_check, verify_equivalence)
 from crystacc.crystal import (Dilation, apply_element, catalog_triple,
-                              check_admissible, inverse, validate_triple)
-from crystacc.linalg import (Mat, QC, _rref, det, kernel_basis, kron, rank,
+                              check_admissible, validate_triple)
+from crystacc.linalg import (Mat, QC, _rref, det, kernel_basis, rank,
                              solve_affine)
 from crystacc.mask import Mask, MaskShapeError, lift_scalar_to_matrix
-from crystacc.multiidx import (VCollection, build_A_s, build_Q_st,
-                               build_Q_tilde, dim_degree, enumerate_degree,
-                               eval_X)
+from crystacc.multiidx import (VCollection, build_A_s, build_Q_tilde,
+                               dim_degree)
 
-from conftest import (assert_stored_face, coset_differences,
-                      former_apply_element, former_det, former_gate,
-                      per_element_moments, qc_face, reference_leads,
-                      rref_solve_affine, stacked_block_row, stored_report,
-                      two_field_block_row, two_field_moments,
-                      two_field_sufficient_check, without_repeats)
+from conftest import (_common_denominator, _condition_d_reference,
+                      _fraction_moments, _leibniz_det, _reference_block_row,
+                      _reference_scan, _reference_sums, _sum_rule_reference,
+                      assert_stored_face, coset_differences,
+                      positive_multiple, qc_face, stored_report)
 
 
 def _witness_entries(cert):
@@ -339,21 +336,6 @@ def test_max_accuracy_input_checks(line, pm, hat):
         max_accuracy(hat, t, dil_u, p_max=2)
 
 
-def _condition_d_reference(mask, dilation, v, s, i):
-    """The defect of the degree-s constraint on digit coset i as it was
-    computed before one walk served every coset: v_[s] minus the sum,
-    over the support elements whose inverse lies in coset i, of
-    Qt_[s,t](alpha) (A_[t] v_[t]) d_alpha, with Qt a dense QC block."""
-    acc = v.block(s)
-    av = [build_A_s(dilation.A, t) @ v.block(t) for t in range(s + 1)]
-    for alpha, d_blk in mask.items():
-        if dilation.coset_index(inverse(alpha)) != i:
-            continue
-        for t in range(s + 1):
-            acc = acc - build_Q_tilde(alpha, s, t) @ av[t] @ d_blk
-    return acc
-
-
 def test_witness_satisfies_per_coset_conditions(line, bspline4):
     t, dil = line
     cert = max_accuracy(bspline4, t, dil, p_max=4)
@@ -636,105 +618,10 @@ def test_float_order_6_mask_certifies_6(line):
 
 # -- the sparse block rows against the dense assembly they replace ----------
 
-def _assemble_reference(mask, dilation, s_max):
-    """Dense stacked constraint matrix over vec(v_[0]), ..., vec(v_[s_max]):
-    the block in row (s, i) and column t is delta_{t,s} I minus the sum
-    over coset-i support terms of kron(Qt_[s,t] A_[t], d^T), built with
-    dense zero blocks and one subtraction per entry."""
-    tri = mask.triple
-    d, r = tri.d, mask.r
-    A = dilation.A
-    widths = [dim_degree(d, t) * r for t in range(s_max + 1)]
-    coset_of = {alpha: dilation.coset_index(inverse(alpha))
-                for alpha, _ in mask.items()}
-    rows = []
-    for s in range(s_max + 1):
-        ds = dim_degree(d, s)
-        for i in range(dilation.m):
-            blocks = []
-            for t in range(s_max + 1):
-                if t > s:
-                    blocks.append(Mat.zeros(ds * r, widths[t]))
-                    continue
-                acc = (Mat.identity(ds * r) if t == s
-                       else Mat.zeros(ds * r, widths[t]))
-                for alpha, d_blk in mask.items():
-                    if coset_of[alpha] != i:
-                        continue
-                    lead = build_Q_tilde(alpha, s, t) @ build_A_s(A, t)
-                    acc = acc - kron(lead, d_blk.transpose())
-                blocks.append(acc)
-            rows.append(Mat.hstack(blocks))
-    return Mat.vstack(rows)
-
-
 def _dense(rows, width):
     """Sparse rows as a dense Mat with ``width`` columns."""
     return Mat.from_rows([[row.get(j, 0) for j in range(width)]
                           for row in rows], cols=width)
-
-
-def _reference_scan(mask, dilation, s_top):
-    """max_accuracy's scan as it was before the kernel was carried: the
-    rref kernel basis of the whole dense reference system at every degree,
-    and the first basis column whose first r entries (v_[0]) meet the
-    gate.  Returns the kernels and the certificate fields
-    (p, witness, gate, kernel_dims, first_failing_degree)."""
-    d, r = mask.triple.d, mask.r
-    fh = fhat0(mask, dilation.m)
-    if fh.vector is None:
-        return [], (0, None, None, {}, 0)
-    kernels, dims, chosen, failing = [], {}, None, None
-    for s in range(s_top + 1):
-        basis = kernel_basis(_assemble_reference(mask, dilation, s))
-        kernels.append(basis)
-        dims[s] = len(basis)
-        pick = next((b for b in basis if not sum(
-            (b.entry(j, 0) * fh.vector.entry(j, 0) for j in range(r)),
-            QC(0)).is_zero()), None)
-        if pick is None:
-            failing = s
-            break
-        entries = [pick.entry(i, 0) for i in range(pick.rows)]
-        blocks, off = [], 0
-        for t in range(s + 1):
-            dt = dim_degree(d, t)
-            blocks.append(Mat.from_rows(
-                [entries[off + a * r:off + (a + 1) * r] for a in range(dt)]))
-            off += dt * r
-        chosen = VCollection(d, tuple(blocks))
-    if chosen is None:
-        return kernels, (0, None, None, dims, failing)
-    lead = next(x for x in chosen.block(0).row_list(0) if not x.is_zero())
-    witness = chosen.scale(1 / lead)
-    gate = sum((witness.block(0).entry(0, j) * fh.vector.entry(j, 0)
-                for j in range(r)), QC(0))
-    return kernels, (witness.p, witness, gate, dims, failing)
-
-
-def _common_denominator(mask):
-    """D: the lcm of the denominators of the real and imaginary parts of
-    every coefficient of the mask."""
-    return lcm(*(q.denominator for _, blk in mask.items()
-                 for i in range(blk.rows) for x in blk.row_list(i)
-                 for q in (x.re, x.im)))
-
-
-def _sparse(mat):
-    """The rows of a Mat as sparse rows of their non-zero plain values."""
-    return [{j: x for j, x in enumerate(row) if x != 0}
-            for row in mat.plain()]
-
-
-def _coset_differences_by_degree(rows, d, r, m, s_top):
-    """Stacked rows of degrees 0..s_top, m coset blocks per degree, with
-    each degree's block row put through :func:`coset_differences`."""
-    out, start = [], 0
-    for s in range(s_top + 1):
-        size = m * dim_degree(d, s) * r
-        out += coset_differences(rows[start:start + size], m)
-        start += size
-    return out
 
 
 def _assert_matches_dense_assembly(mask, triple, dilation, s_top):
@@ -746,18 +633,15 @@ def _assert_matches_dense_assembly(mask, triple, dilation, s_top):
     carries out of solve_affine equals, column for column, the rref
     kernel basis of the whole reference system at every degree; and the
     certificate equals the one read off the reference kernels."""
-    d, r = triple.d, mask.r
     table = accuracy_mod._moments(mask, dilation, s_top + 1)
-    scale = _common_denominator(mask)
-    rows, width = [], 0
+    rows, reference, width = [], [], 0
     for s in range(s_top + 1):
         rows += accuracy_mod._block_row(mask, dilation, table, s)
-        width += dim_degree(d, s) * r
+        reference += coset_differences(
+            _reference_block_row(mask, dilation, s), dilation.m)
+        width += dim_degree(triple.d, s) * mask.r
         assert all(x != 0 for row in rows for x in row.values())
-        reference = _sparse(_assemble_reference(mask, dilation, s)
-                            .scale(scale))
-        assert _dense(rows, width) == _dense(_coset_differences_by_degree(
-            reference, d, r, dilation.m, s), width)
+        assert _dense(rows, width) == _dense(reference, width)
 
     carried = []
 
@@ -883,30 +767,7 @@ def test_lifted_hat_block_rows_match_the_dense_assembly():
     _assert_matches_dense_assembly(lifted, lat, lat_dil, 3)
 
 
-# -- the integer moment table against the Fraction one it replaced ----------
-
-def _fraction_moments(mask, dilation, p_max):
-    """The moment table as it was built before the common denominator:
-    (i, b) -> {mu: {(a, c): N_mu}}, entries Fractions, or QCs where not
-    real, accumulated one Fraction multiply-add at a time."""
-    d, r = mask.triple.d, mask.r
-    mus = [mu for s in range(p_max) for mu in enumerate_degree(d, s)]
-    table = {}
-    for e, blk in mask.items():
-        key = (dilation.coset_index(inverse(e)), e.g)
-        moments = table.setdefault(key, {mu: {} for mu in mus})
-        neg = [-x for x in e.true_translation()]
-        d_t = [(a, c, x.re if x.im == 0 else x) for c in range(r)
-               for a, x in enumerate(blk.row_list(c)) if not x.is_zero()]
-        for mu in mus:
-            w = prod(y ** n for y, n in zip(neg, mu))
-            if w == 0:
-                continue
-            n_mu = moments[mu]
-            for a, c, x in d_t:
-                n_mu[(a, c)] = n_mu.get((a, c), 0) + w * x
-    return table
-
+# -- the integer moment table against the per-element Fraction moments -----
 
 def _nonzero(sums):
     """A moment table's sums without their zero entries, zero moments and
@@ -916,6 +777,13 @@ def _nonzero(sums):
                  if (n := {ac: x for ac, x in entries.items() if x != 0})}
            for key, moments in sums.items()}
     return {key: moments for key, moments in out.items() if moments}
+
+
+def _scaled(sums, scale):
+    """A moment table's sums, each entry times scale."""
+    return {key: {mu: {ac: scale * x for ac, x in n.items()}
+                  for mu, n in moments.items()}
+            for key, moments in sums.items()}
 
 
 def _coset_sums(table, m):
@@ -939,43 +807,6 @@ def _coset_sums(table, m):
     return out
 
 
-def _fraction_block_row(mask, dilation, moments, s):
-    """Block row s from the Fraction moment table, with 1 on the diagonal
-    and the leads (b^{-1})_[t] A_[t] rebuilt for every coset and point
-    part, as it was built before the common denominator."""
-    tri = mask.triple
-    d, r = tri.d, mask.r
-    starts = [0]
-    for t in range(s):
-        starts.append(starts[-1] + dim_degree(d, t) * r)
-    alphas = enumerate_degree(d, s)
-    rows = [[{starts[s] + k: Fraction(1)} for k in range(len(alphas) * r)]
-            for _ in range(dilation.m)]
-    for (i, b), moment in moments.items():
-        block = rows[i]
-        for t in range(s + 1):
-            lead = (build_A_s(tri.group[tri.inverse_table[b]], t)
-                    @ build_A_s(dilation.A, t))
-            for j, beta in enumerate(enumerate_degree(d, t)):
-                cols = [(starts[t] + k * r, x.re)
-                        for k, x in enumerate(lead.row_list(j))
-                        if not x.is_zero()]
-                for row0, alpha in enumerate(alphas):
-                    if any(k > n for n, k in zip(alpha, beta)):
-                        continue
-                    n_mu = moment[tuple(n - k for n, k in zip(alpha, beta))]
-                    binom = prod(comb(n, k) for n, k in zip(alpha, beta))
-                    for col0, x in cols:
-                        for (a, c), y in n_mu.items():
-                            row = block[row0 * r + a]
-                            value = row.get(col0 + c, 0) - binom * x * y
-                            if value == 0:
-                                row.pop(col0 + c, None)
-                            else:
-                                row[col0 + c] = value
-    return [row for block in rows for row in block]
-
-
 def _changed_mask(line, p1m, pm, where, r, real, data):
     """(triple, dilation, mask): a scalar base of :func:`_scalar_bases`
     times the r x r identity, or the lifted p4m hat (r = 8) when
@@ -983,7 +814,7 @@ def _changed_mask(line, p1m, pm, where, r, real, data):
     values, or to complex ones (at least one) when ``real`` is false."""
     if where == "lifted":
         t, dil, lifted = _lifted_hat()
-        blocks = {e: [blk.row_list(a) for a in range(blk.rows)]
+        blocks = {e: [list(row) for row in blk.plain()]
                   for e, blk in lifted.items()}
         r = lifted.r
     else:
@@ -1011,10 +842,12 @@ def _changed_mask(line, p1m, pm, where, r, real, data):
 def test_integer_rows_are_the_fraction_rows_times_the_denominator(
         line, p1m, pm, where, r, real, data):
     """The moment table and the block rows built on the common
-    denominator D equal D times the Fraction ones, exactly (the rows put
-    through :func:`coset_differences`, every coset's moments read off the
-    one dict by :func:`_coset_sums`, without their zero entries), and D
-    is the lcm of the denominators of the coefficients.  Real and complex masks
+    denominator D equal, exactly, D times the per-element Fraction
+    moments (every coset's moments read off the one dict by
+    :func:`_coset_sums`, without their zero entries) and D times the
+    block rows of the dense reference system (put through
+    :func:`coset_differences`), and D is the lcm of the denominators of
+    the coefficients.  Real and complex masks
     with r = 1, 2 (a scalar base times the identity) and r = 8 (the
     lifted p4m hat), with a few drawn entries changed, over R = I, pm on
     diag(1/2, 1/3) and p2 on a sheared lattice, and under A = 3 and
@@ -1025,59 +858,13 @@ def test_integer_rows_are_the_fraction_rows_times_the_denominator(
     table = accuracy_mod._moments(mask, dil, s_top + 1)
     reference = _fraction_moments(mask, dil, s_top + 1)
     assert table.scale == scale
-    assert _coset_sums(table, dil.m) == {
-        key: {mu: {ac: scale * x for ac, x in n.items()}
-              for mu, n in moments.items()}
-        for key, moments in _nonzero(reference).items()}
+    assert _coset_sums(table, dil.m) == _scaled(_nonzero(reference), scale)
     for s in range(s_top + 1):
         assert accuracy_mod._block_row(mask, dil, table, s) == \
-            coset_differences([{j: scale * x for j, x in row.items()}
-                               for row in _fraction_block_row(
-                                   mask, dil, reference, s)], dil.m)
+            coset_differences(_reference_block_row(mask, dil, s), dil.m)
 
 
-# -- the sum-rule test's moments against the per-element loops they replace --
-
-def _reference_sums(mask, triple, dilation, p):
-    """The per-coset sums and the moment matrices M_[s,t] of the sum-rule
-    test, accumulated element by element as sufficient_check did before
-    it read the moment table: per_coset over the coset of the inverse's
-    bare translation, and M_[s,t] = sum_b inner_b b_[t] from the sums on
-    the coset of the translation itself (label 0 on both sides is the
-    coset of the lattice M Z^d)."""
-    d, r, m = triple.d, triple.order, dilation.m
-    per_coset = {(b, a): [QC(0)] * m for b in range(r)
-                 for s in range(p) for a in enumerate_degree(d, s)}
-    inner = {}
-    for e, blk in mask.items():
-        sigma = inverse(e)
-        i = dilation.translation_coset(sigma.k)
-        c = blk.entry(0, 0)
-        for s in range(p):
-            x_s = eval_X(sigma.true_translation(), s)
-            for j, a in enumerate(enumerate_degree(d, s)):
-                key = (sigma.g, a)
-                per_coset[key][i] = per_coset[key][i] + x_s.entry(j, 0) * c
-        b = triple.inverse_table[e.g]
-        i = dilation.translation_coset(e.k)
-        for s in range(p):
-            for t in range(s + 1):
-                parts = inner.setdefault((b, s, t), [
-                    Mat.zeros(dim_degree(d, s), dim_degree(d, t))
-                    for _ in range(m)])
-                q = build_Q_st(e.true_translation(), s, t)
-                parts[i] = parts[i] + q.scale(c)
-    mats = {}
-    for s in range(p):
-        for t in range(s + 1):
-            acc = Mat.zeros(dim_degree(d, s), dim_degree(d, t))
-            for b in range(r):
-                if (b, s, t) in inner:
-                    acc = acc + (inner[(b, s, t)][0]
-                                 @ build_A_s(triple.group[b], t))
-            mats[(s, t)] = acc
-    return per_coset, mats
-
+# -- the sum-rule test's moments against the per-element loops -------------
 
 @seed(2026)
 @settings(max_examples=60, deadline=None)
@@ -1086,13 +873,11 @@ def _reference_sums(mask, triple, dilation, p):
        st.integers(1, 3), st.booleans(), st.data())
 def test_sum_rule_moments_match_the_per_element_loops(line, p1m, pm, where,
                                                       p, real, data):
-    """sufficient_check's per-coset sums (per key, as multisets: the
-    table labels a coset by the element, the reference by its bare
-    translation), beta and moments_ok equal the per-element reference,
-    and the first coset's block rows are D (I - M_[s,s] A_[s]) and
-    -D M_[s,t] A_[t] for the reference moment matrices, D the common
-    denominator of the coefficients.  Scalar bases of
-    accuracy 2 to 4 with up to three entries changed, so that the
+    """sufficient_check's per-coset sums, beta and moments_ok equal the
+    per-element reference, and the first coset's block rows are
+    D (I - M_[s,s] A_[s]) and -D M_[s,t] A_[t] for the reference moment
+    matrices, D the common denominator of the coefficients.  Scalar bases
+    of accuracy 2 to 4 with up to three entries changed, so that the
     moments often disagree across cosets, on lattices with R = I and
     R != I."""
     t, dil, base = _scalar_bases(line, p1m, pm)[where]
@@ -1108,9 +893,7 @@ def test_sum_rule_moments_match_the_per_element_loops(line, p1m, pm, where,
     rep = sufficient_check(mask, t, dil, p)
     per_coset, mats = _reference_sums(mask, t, dil, p)
 
-    assert rep.per_coset.keys() == per_coset.keys()
-    assert all(Counter(rep.per_coset[key]) == Counter(sums)
-               for key, sums in per_coset.items())
+    assert rep.per_coset == per_coset
     agree = all(len(set(sums)) == 1 for sums in per_coset.values())
     assert rep.moments_ok == agree
     assert rep.beta == {key: sums[0] for key, sums in per_coset.items()
@@ -1245,7 +1028,7 @@ def _guard_case(line, p1m, pm, where, real, use_witness, reweight, data):
     residuals are not zero."""
     if where == "lifted":
         t, dil, lifted = _lifted_hat()
-        blocks = {e: [blk.row_list(a) for a in range(blk.rows)]
+        blocks = {e: [list(row) for row in blk.plain()]
                   for e, blk in lifted.items()}
         r = lifted.r
     else:
@@ -1319,8 +1102,8 @@ def test_one_walk_for_every_degree_equals_the_walk_per_degree(
     scale, walk = accuracy_mod._residual_walk(mask, dil, v, range(v.p))
     assert list(walk) == list(range(v.p))
     assert scale == _common_denominator(mask) * lcm(*(
-        q.denominator for blk in v.blocks for i in range(blk.rows)
-        for x in blk.row_list(i) for q in (x.re, x.im)))
+        q.denominator for blk in v.blocks for row in blk.plain()
+        for x in map(qc_face, row) for q in (x.re, x.im)))
     for s in range(v.p):
         per_degree = condition_d_residuals(mask, dil, v, s)
         assert accuracy_mod._residual_mats(scale, walk[s], mask.r) == \
@@ -1384,115 +1167,12 @@ def test_sufficient_check_walks_the_support_once(line, bspline4,
     assert q_calls == []
 
 
-# -- the sum-rule test on plain values against the QC one it replaced -------
-
-def _reference_sufficient_check(mask, triple, dilation, p):
-    """sufficient_check as it was on QC Mats: per-coset sums of the
-    per-element moments from a build_A_s @ Mat.column product and a QC
-    division per entry, every coset's block rows built, det of each diagonal block, then
-    lhs.inverse() @ rhs for the chain, re-checked per degree against the
-    dense per-coset reference (:func:`_condition_d_reference`)."""
-    if mask.r != 1:
-        raise MaskShapeError("the sum-rule test applies to multiplicity-1 "
-                             f"masks, got r={mask.r}")
-    if triple is not mask.triple or dilation.triple is not triple:
-        raise ValueError("mask, triple and dilation must match")
-    if p < 1:
-        raise ValueError("target accuracy must be at least 1")
-    d, r = triple.d, triple.order
-    m = dilation.m
-    notes = ["degree-s eigenvalue screen runs over 1 <= s < p; at s = 0 "
-             "the screened matrix equals the scalar 1 whenever the sum "
-             "rule holds"]
-
-    total = sum((qc_face(blk.entry(0, 0)) for _, blk in mask.items()),
-                QC(0))
-    sum_rule_ok = total == m
-
-    table = accuracy_mod._moments(mask, dilation, p)
-    per_coset = {(b, a): [QC(0)] * m for b in range(r)
-                 for s in range(p) for a in enumerate_degree(d, s)}
-    for (i, g), moment in per_element_moments(mask, dilation,
-                                              p).sums.items():
-        for s in range(p):
-            alphas = enumerate_degree(d, s)
-            col = build_A_s(triple.group[g], s) @ Mat.column(
-                [moment.get(a, {}).get((0, 0), 0) for a in alphas])
-            for j, a in enumerate(alphas):
-                key = (triple.inverse_table[g], a)
-                per_coset[key][i] = qc_face(col.entry(j, 0)) / table.scale
-    beta = {key: sums[0] for key, sums in per_coset.items()
-            if len(set(sums)) == 1}
-    moments_ok = len(beta) == len(per_coset)
-    if not moments_ok:
-        notes.append("per-coset moments disagree; see per_coset for the "
-                     "offending sums")
-
-    zero_alpha = (0,) * d
-    beta0_consistent = True
-    if moments_ok and sum_rule_ok:
-        direct = {b: [QC(0)] * m for b in range(r)}
-        for e, blk in mask.items():
-            b = triple.inverse_table[e.g]
-            i = dilation.translation_coset(e.k)
-            direct[b][i] = direct[b][i] + qc_face(blk.entry(0, 0))
-        beta0_consistent = all(
-            len(set(direct[b] + [beta[(b, zero_alpha)]])) == 1
-            for b in range(r))
-        if not beta0_consistent:
-            notes.append("alpha = 0 moments disagree between the two "
-                         "coefficient indexings; the coset permutation "
-                         "argument failed for this input")
-
-    eigen_flags = {}
-    degree_rows = []
-    if moments_ok:
-        start = 1
-        for s in range(1, p):
-            ds = dim_degree(d, s)
-            rows = accuracy_mod._block_row(mask, dilation, table, s)[:ds]
-            lhs = Mat.from_rows([[row.get(start + k, 0) for k in range(ds)]
-                                 for row in rows])
-            eigen_flags[s] = det(lhs) != 0
-            degree_rows.append((start, rows, lhs))
-            start += ds
-    eigen_ok = all(eigen_flags.values())
-
-    v_chain = None
-    chain_zero = None
-    conditions_ok = (sum_rule_ok and moments_ok and eigen_ok
-                     and beta0_consistent)
-    if conditions_ok:
-        blocks = [Mat.identity(1)]
-        chain = [QC(1)]
-        for start, rows, lhs in degree_rows:
-            rhs = Mat.column([sum((-x * chain[j] for j, x in row.items()
-                                   if j < start), QC(0)) for row in rows])
-            blocks.append(lhs.inverse() @ rhs)
-            chain += [qc_face(blocks[-1].entry(k, 0))
-                      for k in range(lhs.rows)]
-        v_chain = VCollection(d, tuple(blocks))
-        chain_zero = all(
-            _condition_d_reference(mask, dilation, v_chain, s, i).is_zero()
-            for s in range(p) for i in range(m))
-        if not chain_zero:
-            notes.append("the recursive witness fails the per-coset "
-                         "conditions; this indicates an internal "
-                         "inconsistency")
-
-    passed = bool(conditions_ok and chain_zero)
-    return accuracy_mod.SufficientReport(
-        p=p, sum_total=total, sum_rule_ok=sum_rule_ok, beta=beta,
-        per_coset=per_coset, moments_ok=moments_ok,
-        eigen_flags=eigen_flags, eigen_ok=eigen_ok,
-        beta0_consistent=beta0_consistent, v_chain=v_chain,
-        chain_residual_zero=chain_zero, passed=passed, notes=tuple(notes))
-
+# -- the sum-rule test against the one from its definition ------------------
 
 def _assert_same_report(got, want):
     """Every SufficientReport field equal, and of the same type: in
     sum_total, beta and per_coset each scalar of the type of want's, a
-    VCollection of Mats or None in v_chain, bools in the flags.  A QC
+    VCollection of Mats or None in v_chain, bools in the flags.  The
     reference is compared as :func:`stored_report` maps it: ints or
     Fractions where a scalar is real, QCs where it is complex."""
     assert vars(got) == vars(want)
@@ -1523,8 +1203,9 @@ REPORT_WEIGHTS = [Fraction(-1, 2), Fraction(1, 2), Fraction(3, 2),
        p=st.integers(1, 4), reweight=st.booleans(), data=st.data())
 def test_sufficient_report_equals_the_qc_reference(line, p1m, pm, change,
                                                    where, p, reweight, data):
-    """sufficient_check on plain values gives the report of the QC
-    reference, field for field and type for type.  A scalar base of
+    """sufficient_check on plain values gives the report of the test
+    from its definition (:func:`conftest._sum_rule_reference`), field for
+    field and type for type.  A scalar base of
     :func:`_scalar_bases` (R = I and R != I; under A = 3 and
     M = [[2, 1], [0, 2]] the cosets of k and -k differ); with
     reweight, point part g is scaled by a drawn weight w_g, real or
@@ -1555,7 +1236,7 @@ def test_sufficient_report_equals_the_qc_reference(line, p1m, pm, change,
             entries[e] = x
     mask = Mask.scalar(t, entries)
     _assert_same_report(sufficient_check(mask, t, dil, p), stored_report(
-        _reference_sufficient_check(mask, t, dil, p)))
+        _sum_rule_reference(mask, t, dil, p)))
 
 
 @pytest.mark.parametrize("where", sorted(SCREEN_CASES))
@@ -1563,8 +1244,8 @@ def test_sufficient_report_equals_the_qc_reference_on_the_screen_cases(
         where):
     """The masks of the eigenvalue-screen cases, with weights that make
     the screen fail and pass, under 2I and the quincunx, over Z^2 and
-    over non-integer lattices: the report equals the QC reference's,
-    field for field."""
+    over non-integer lattices: the report equals the reference's, field
+    for field."""
     t, dil = SCREEN_CASES[where]
     base = _screen_base(dil)
     for w0 in (Fraction(1, 2), Fraction(3, 2), 1):
@@ -1575,7 +1256,7 @@ def test_sufficient_report_equals_the_qc_reference_on_the_screen_cases(
                                for k, c in base.items()})
         for p in (2, 3):
             _assert_same_report(sufficient_check(mask, t, dil, p),
-                                stored_report(_reference_sufficient_check(
+                                stored_report(_sum_rule_reference(
                                     mask, t, dil, p)))
 
 
@@ -1589,7 +1270,8 @@ def test_public_scalars_are_the_stored_values_of_the_former_qc_face(
     """Mat.entry, det (of a mask block, of a block with a repeated row
     and of zero), apply_element (at a real or complex point), the gate
     and, for r = 1, the sum-rule report's sum_total, beta and per_coset
-    hand out the values the former QC face gave (kept in conftest), as
+    hand out the values computed on Fractions and QCs (the permutation
+    expansion, R (x + l), v_[0] . fhat0 and the sum-rule reference), as
     Mat stores them: an int or Fraction where a value is real, a QC with
     a non-zero imaginary part otherwise.  Real and complex masks with
     r = 1, 2 of :func:`_changed_mask`, over R = I, pm on diag(1/2, 1/3)
@@ -1600,69 +1282,38 @@ def test_public_scalars_are_the_stored_values_of_the_former_qc_face(
     for e, blk in mask.items():
         for i in range(r):
             for j in range(r):
-                assert_stored_face(blk.entry(i, j), qc_face(blk.plain()[i][j]))
+                assert_stored_face(blk.entry(i, j), blk.plain()[i][j])
         for m in (blk, Mat.from_rows([blk.plain()[0]] * r), Mat.zeros(r, r)):
-            assert_stored_face(det(m), former_det(m))
+            assert_stored_face(det(m), _leibniz_det(m.plain()))
         x = [data.draw(coordinate) for _ in range(t.d)]
-        for got, former in zip(apply_element(e, x),
-                               former_apply_element(e, x), strict=True):
-            assert_stored_face(got, former)
+        shifted = [y + l for y, l in zip(map(qc_face, x),
+                                         e.true_translation())]
+        g = t.group[e.g]
+        want = [sum((g.entry(i, j) * y for j, y in enumerate(shifted)),
+                    QC(0)) for i in range(t.d)]
+        for got, w in zip(apply_element(e, x), want, strict=True):
+            assert_stored_face(got, w)
     cert = max_accuracy(mask, t, dil, p_max=2)
     if cert.witness is not None:
-        assert_stored_face(cert.gate, former_gate(mask, dil, cert.witness))
+        fh = fhat0(mask, dil.m).vector
+        assert_stored_face(cert.gate, sum(
+            (cert.witness.block(0).entry(0, j) * fh.entry(j, 0)
+             for j in range(r)), QC(0)))
     if r == 1:
         p = data.draw(st.integers(1, 2))
         rep = sufficient_check(mask, t, dil, p)
-        ref = _reference_sufficient_check(mask, t, dil, p)
+        ref = _sum_rule_reference(mask, t, dil, p)
         assert_stored_face(rep.sum_total, ref.sum_total)
         assert rep.beta.keys() == ref.beta.keys()
-        for key, former in ref.beta.items():
-            assert_stored_face(rep.beta[key], former)
+        for key, want in ref.beta.items():
+            assert_stored_face(rep.beta[key], want)
         assert rep.per_coset.keys() == ref.per_coset.keys()
-        for key, formers in ref.per_coset.items():
-            for got, former in zip(rep.per_coset[key], formers, strict=True):
-                assert_stored_face(got, former)
+        for key, wants in ref.per_coset.items():
+            for got, want in zip(rep.per_coset[key], wants, strict=True):
+                assert_stored_face(got, want)
 
 
 # -- block rows on the shared shift pattern, and the kept moment table ------
-
-def _inline_block_row(mask, dilation, table, s):
-    """Block row s as _block_row built it before it read the shift
-    pattern, every coset's block stacked: the test beta <= alpha,
-    alpha - beta and the binomial recomputed for every (coset, point
-    part, t, beta, alpha), the per-coset sums read off
-    :func:`per_element_moments`."""
-    d, r = mask.triple.d, mask.r
-    starts = [0]
-    for t in range(s):
-        starts.append(starts[-1] + dim_degree(d, t) * r)
-    alphas = enumerate_degree(d, s)
-    rows = [[{starts[s] + k: table.scale} for k in range(len(alphas) * r)]
-            for _ in range(dilation.m)]
-    sums = per_element_moments(mask, dilation, table.p_max).sums
-    leads = reference_leads(mask.triple, dilation, {b for _, b in sums},
-                            s + 1)
-    for (i, b), moment in sums.items():
-        block = rows[i]
-        for t in range(s + 1):
-            for beta, lead in zip(enumerate_degree(d, t), leads[(b, t)]):
-                for row0, alpha in enumerate(alphas):
-                    if any(k > n for n, k in zip(alpha, beta)):
-                        continue
-                    n_mu = moment.get(
-                        tuple(n - k for n, k in zip(alpha, beta)), {})
-                    binom = prod(comb(n, k) for n, k in zip(alpha, beta))
-                    for k, x in lead:
-                        col0, bx = starts[t] + k * r, binom * x
-                        for (a, c), y in n_mu.items():
-                            row = block[row0 * r + a]
-                            value = row.get(col0 + c, 0) - bx * y
-                            if value == 0:
-                                row.pop(col0 + c, None)
-                            else:
-                                row[col0 + c] = value
-    return [row for block in rows for row in block]
-
 
 P1_3D = validate_triple(Mat.identity(3), [Mat.identity(3)], name="p1")
 P1_3D = (P1_3D, check_admissible(Mat.from_rows([[2, 0, 0], [0, 2, 0],
@@ -1711,17 +1362,16 @@ def _random_blocks(t, r, kind, rnd):
 def test_block_rows_on_the_shift_pattern_match_the_inline_loop(
         line, p1m, where, r, kind, rnd):
     """_block_row, which reads the binomial shift's pattern and skips an
-    empty N_mu, equals for every degree s < 5 the inline loop it replaced,
-    its stacked blocks put through :func:`coset_differences`, on d = 1, 2
-    and 3, r = 1 and 2, int, rational and complex masks, R = I and
-    R != I."""
+    empty N_mu, equals for every degree s < 5 D times the block row of the
+    dense reference system, its stacked coset blocks put through
+    :func:`coset_differences`, on d = 1, 2 and 3, r = 1 and 2, int,
+    rational and complex masks, R = I and R != I."""
     t, dil = _kept_case(line, p1m, where)
     mask = Mask(t, _random_blocks(t, r, kind, rnd), r=r)
     table = accuracy_mod._moments(mask, dil, 5)
     for s in range(5):
         assert accuracy_mod._block_row(mask, dil, table, s) == \
-            coset_differences(_inline_block_row(mask, dil, table, s),
-                              dil.m)
+            coset_differences(_reference_block_row(mask, dil, s), dil.m)
 
 
 @seed(2026)
@@ -1785,38 +1435,68 @@ def test_the_scan_builds_the_leads_of_the_degrees_it_reads(line, p1m, pm):
 def test_moments_per_lattice_point_match_the_per_element_loop(
         line, p1m, where, r, kind, p_max, rnd):
     """The moment table read once per lattice point, summed in dense
-    lists, has the scale of the per-element loop it replaced, no leads
-    until the block rows read them and that loop's leads after, and one
-    dict of moments: coset 0's non-zero sums (the per-element loop
-    kept an empty N_mu for every mu and every exact-zero sum it reached),
-    and every other coset's differences from them, entry by entry.  Coset
-    0's sum plus a coset's difference is that coset's sum, for every
-    coset: d = 1, 2 and 3, r = 1 and 2, int, rational and complex masks,
-    R = I and R != I, with several point parts on one lattice point."""
+    lists, has the scale D, the common denominator of the coefficients,
+    no leads until the block rows read them and the rows of
+    (b^{-1} A)_[t] after, and one dict of moments, without zero entries,
+    zero moments or empty keys: coset 0's sums, D times the per-element
+    moments (:func:`conftest._fraction_moments`), and every other coset's
+    differences from them, entry by entry, so that coset 0's sum plus a
+    coset's difference is that coset's sum, for every coset: d = 1, 2 and
+    3, r = 1 and 2, int, rational and complex masks, R = I and R != I,
+    with several point parts on one lattice point."""
     t, dil = _kept_case(line, p1m, where)
     blocks = _random_blocks(t, r, kind, rnd)
     for e in list(blocks):
         blocks[t.element(rnd.randrange(t.order), e.k)] = blocks[e]
     mask = Mask(t, blocks, r=r)
     table = accuracy_mod._moments(mask, dil, p_max)
-    ref = per_element_moments(mask, dil, p_max)
-    assert (table.p_max, table.scale, table.leads) == \
-        (ref.p_max, ref.scale, {})
-    coset_0 = {key: moments for key, moments in _nonzero(ref.sums).items()
-               if key[0] == 0}
-    assert table.moments == {**coset_0, **ref.diffs}
-    assert _coset_sums(table, dil.m) == _nonzero(ref.sums)
+    scale = _common_denominator(mask)
+    ref = _scaled(_nonzero(_fraction_moments(mask, dil, p_max)), scale)
+    assert (table.p_max, table.scale, table.leads) == (p_max, scale, {})
+    assert _nonzero(table.moments) == table.moments
+    assert {key: n for key, n in table.moments.items() if key[0] == 0} \
+        == {key: n for key, n in ref.items() if key[0] == 0}
+    assert _coset_sums(table, dil.m) == ref
     for s in range(p_max):
         accuracy_mod._block_row(mask, dil, table, s)
-    assert table.leads == {(b, t): ref.leads[(b, t)]
-                           for b in {b for _, b in table.moments}
-                           for t in range(p_max)}
+    assert table.leads == {
+        (b, s): [[(k, x) for k, x in enumerate(row) if x] for row in
+                 build_A_s(t.group[t.inverse_table[b]] @ dil.A, s).plain()]
+        for b in {b for _, b in table.moments} for s in range(p_max)}
 
 
-def _assert_same_certificate(cert, ref):
-    assert cert.p == ref.p and cert.gate == ref.gate
-    assert cert.witness == ref.witness
-    assert cert.diagnostics == ref.diagnostics
+def _assert_scan_matches_the_reference(mask, triple, dilation, p_max):
+    """max_accuracy gives the accuracy, witness, gate, kernel dimensions
+    and first failing degree read off the rref kernels of the dense
+    reference system (:func:`conftest._reference_scan`), and carries, at
+    every degree, a positive multiple of each of those kernel vectors, in
+    order, with integral parts: coprime ints on real masks."""
+    carried = []
+
+    def spy(system, basis):
+        carried.append(solve_affine(system, basis))
+        return carried[-1]
+
+    with mock.patch.object(accuracy_mod, "solve_affine", spy):
+        cert = max_accuracy(mask, triple, dilation, p_max)
+    kernels, ref = _reference_scan(mask, dilation, p_max - 1)
+    assert (cert.p, cert.witness, cert.gate,
+            cert.diagnostics["kernel_dims"],
+            cert.diagnostics["first_failing_degree"]) == ref
+    real = all(qc_face(x).im == 0 for _, blk in mask.items()
+               for row in blk.plain() for x in row)
+    assert [basis.shape for basis in carried] == [
+        (len(kernel), sum(dim_degree(triple.d, t) for t in range(s + 1))
+         * mask.r) for s, kernel in enumerate(kernels)]
+    for basis, kernel in zip(carried, kernels):
+        for v, want in zip(basis.data, kernel):
+            assert positive_multiple(v, {j: x for j in range(want.rows)
+                                         if (x := want.entry(j, 0)) != 0})
+            parts = [q for x in map(qc_face, v.values()) for q in (x.re, x.im)]
+            assert all(q.denominator == 1 for q in parts)
+            if real:
+                assert {type(x) for x in v.values()} == {int}
+                assert gcd(*v.values()) == 1
 
 
 @seed(2026)
@@ -1827,17 +1507,14 @@ def _assert_same_certificate(cert, ref):
 def test_max_accuracy_on_the_integral_kernel_matches_the_rref_kernel(
         line, p1m, pm, where, r, real, data):
     """max_accuracy carrying the integral kernel gives the accuracy,
-    kernel dimensions, first failing degree, witness and gate that it gave
-    carrying the rref kernel (the reference solve_affine): masks of
-    accuracy 2 to 4 with drawn entries changed, real and complex, r = 1
-    and 2, over p1, p1m, pm, p4m, a scaled pm lattice and a sheared p2
-    one."""
+    kernel dimensions, first failing degree, witness and gate of the rref
+    kernels of the dense reference system, and carries positive
+    multiples of them (:func:`_assert_scan_matches_the_reference`):
+    masks of accuracy 2 to 4 with drawn entries changed, real and
+    complex, r = 1 and 2, over p1, p1m, pm, p4m, a scaled pm lattice and
+    a sheared p2 one."""
     t, dil, mask = _changed_mask(line, p1m, pm, where, r, real, data)
-    p_max = 4 if t.d == 1 else 3
-    cert = max_accuracy(mask, t, dil, p_max)
-    with mock.patch.object(accuracy_mod, "solve_affine", rref_solve_affine):
-        ref = max_accuracy(Mask(t, dict(mask.items()), r=r), t, dil, p_max)
-    _assert_same_certificate(cert, ref)
+    _assert_scan_matches_the_reference(mask, t, dil, 4 if t.d == 1 else 3)
 
 
 @seed(2026)
@@ -1850,19 +1527,11 @@ def test_max_accuracy_on_random_masks_matches_the_rref_kernel(
     """As above, on masks of drawn blocks, mostly of accuracy 0, whose
     kernels are wider than those of the designed masks."""
     t, dil = _kept_case(line, p1m, where)
-    blocks = _random_blocks(t, r, kind, rnd)
-    cert = max_accuracy(Mask(t, blocks, r=r), t, dil, 3)
-    with mock.patch.object(accuracy_mod, "solve_affine", rref_solve_affine):
-        ref = max_accuracy(Mask(t, blocks, r=r), t, dil, 3)
-    _assert_same_certificate(cert, ref)
+    _assert_scan_matches_the_reference(
+        Mask(t, _random_blocks(t, r, kind, rnd), r=r), t, dil, 3)
 
 
-# -- coset 0 and the coset differences against the stacked coset blocks ----
-
-def _typed(rows):
-    """Sparse rows with each value paired with its type."""
-    return [{j: (type(x), x) for j, x in row.items()} for row in rows]
-
+# -- coset 0 and the coset differences against the dense reference --------
 
 @seed(2026)
 @settings(max_examples=40, deadline=None)
@@ -1872,11 +1541,12 @@ def _typed(rows):
 def test_coset_differences_match_the_stacked_coset_blocks(
         line, p1m, pm, where, r, real, data):
     """The block rows of coset 0 and of the coset differences span the
-    row space of the m stacked coset blocks they replace (the systems up
-    to every degree have one rref), and max_accuracy on them gives the
-    certificate and, type for type, the carried bases it gives on the
-    stacked blocks (the reference _block_row): masks of accuracy 2 to 4
-    with drawn entries changed, real and complex, r = 1, 2 and 8 (the
+    row space of the m stacked coset blocks of the dense reference system
+    (the systems up to every degree have one rref), and max_accuracy on
+    them gives the certificate of that system's rref kernels and carries
+    positive multiples of them, coprime ints on real masks
+    (:func:`_assert_scan_matches_the_reference`): masks of accuracy 2 to
+    4 with drawn entries changed, real and complex, r = 1, 2 and 8 (the
     lifted p4m hat), over p1, p1m, pm, p4m, a scaled pm lattice and a
     sheared p2 one, and under A = 3 and M = [[2, 1], [0, 2]]."""
     t, dil, mask = _changed_mask(line, p1m, pm, where, r, real, data)
@@ -1885,27 +1555,10 @@ def test_coset_differences_match_the_stacked_coset_blocks(
     rows, stacked, width = [], [], 0
     for s in range(s_top + 1):
         rows += accuracy_mod._block_row(mask, dil, table, s)
-        stacked += stacked_block_row(mask, dil, table, s)
+        stacked += _reference_block_row(mask, dil, s)
         width += dim_degree(t.d, s) * mask.r
         assert _rref(rows, width) == _rref(stacked, width)
-
-    def scan(block_row):
-        bases = []
-
-        def spy(system, basis):
-            bases.append(solve_affine(system, basis))
-            return bases[-1]
-
-        with mock.patch.object(accuracy_mod, "solve_affine", spy), \
-                mock.patch.object(accuracy_mod, "_block_row", block_row):
-            cert = max_accuracy(Mask(t, dict(mask.items()), r=mask.r), t,
-                                dil, s_top + 1)
-        return cert, [(b.cols, _typed(b.data)) for b in bases]
-
-    cert, bases = scan(accuracy_mod._block_row)
-    ref, ref_bases = scan(stacked_block_row)
-    _assert_same_certificate(cert, ref)
-    assert bases == ref_bases
+    _assert_scan_matches_the_reference(mask, t, dil, s_top + 1)
 
 
 @seed(2026)
@@ -1915,43 +1568,25 @@ def test_coset_differences_match_the_stacked_coset_blocks(
 def test_one_moment_dict_matches_the_two_field_table(line, p1m, pm, where,
                                                      r, real, data):
     """The one moment dict and the one-pass block row give, for all cosets
-    at once, the rows of the two-field table and the coset-forked block
-    row they replace (both kept in conftest), and max_accuracy and
-    sufficient_check on them give the certificate, the carried bases and
-    the report, field for field and type for type, that they give on the
-    two-field path: masks of accuracy 2 to 4 with drawn entries changed,
-    real and complex, r = 1, 2 and 8 (the lifted p4m hat), on d = 1, 2
-    and 3, R = I and R != I, and under A = 3 and M = [[2, 1], [0, 2]].
-    The report is checked at every p up to the scan's bound, on the
-    table the scan kept, built for a larger degree than most p ask."""
+    at once, D times the block rows of the dense reference system put
+    through :func:`coset_differences`, and max_accuracy and
+    sufficient_check on them give the certificate and carried bases of
+    the reference scan (:func:`_assert_scan_matches_the_reference`) and
+    the report of the sum-rule reference, field for field and type for
+    type: masks of accuracy 2 to 4 with drawn entries changed, real and
+    complex, r = 1, 2 and 8 (the lifted p4m hat), on d = 1, 2 and 3,
+    R = I and R != I, and under A = 3 and M = [[2, 1], [0, 2]].  The
+    report is checked at every p up to the scan's bound, on the table
+    the scan kept, built for a larger degree than most p ask."""
     t, dil, mask = _changed_mask(line, p1m, pm, where, r, real, data)
     p_max = 4 if t.d == 1 else 3
-    old = two_field_moments(mask, dil, p_max)
-    new = accuracy_mod._moments(mask, dil, p_max)
+    table = accuracy_mod._moments(mask, dil, p_max)
     for s in range(p_max):
-        assert accuracy_mod._block_row(mask, dil, new, s) == \
-            without_repeats(two_field_block_row(mask, dil, old, s),
-                            dim_degree(t.d, s) * mask.r)
-
-    def scan(moments, block_row):
-        bases = []
-
-        def spy(system, basis):
-            bases.append(solve_affine(system, basis))
-            return bases[-1]
-
-        with mock.patch.object(accuracy_mod, "solve_affine", spy), \
-                mock.patch.object(accuracy_mod, "_moments", moments), \
-                mock.patch.object(accuracy_mod, "_block_row", block_row):
-            cert = max_accuracy(Mask(t, dict(mask.items()), r=mask.r), t,
-                                dil, p_max)
-        return cert, [(b.cols, _typed(b.data)) for b in bases]
-
-    cert, bases = scan(accuracy_mod._moments, accuracy_mod._block_row)
-    ref, ref_bases = scan(two_field_moments, two_field_block_row)
-    _assert_same_certificate(cert, ref)
-    assert bases == ref_bases
+        assert accuracy_mod._block_row(mask, dil, table, s) == \
+            coset_differences(_reference_block_row(mask, dil, s), dil.m)
+    _assert_scan_matches_the_reference(mask, t, dil, p_max)
     if mask.r == 1:
         for p in range(1, p_max + 1):
             _assert_same_report(sufficient_check(mask, t, dil, p),
-                                two_field_sufficient_check(mask, t, dil, p))
+                                stored_report(_sum_rule_reference(
+                                    mask, t, dil, p)))

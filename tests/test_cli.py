@@ -98,9 +98,35 @@ def test_check_group_custom_generators(tmp_path, capsys):
 
 
 def test_malformed_json_exits_1(tmp_path, capsys):
-    code, out = run_cli(tmp_path, capsys, "{not json", ["check-group", "CFG"])
+    """A config that is not JSON, is not UTF-8, nests deeper than the
+    parser recurses or holds an integer of more digits than
+    sys.get_int_max_str_digits() ends in exit 1 with a JSON error, not a
+    traceback."""
+    digits = sys.get_int_max_str_digits() + 700
+    for text in (b"{not json", b'{"dimension": 1, "group": "p1\xff"}',
+                 b"[" * 200000, b'{"dimension": 1' + b"0" * digits + b"}"):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(text)
+        code = main(["accuracy", str(path)])
+        out = json.loads(capsys.readouterr().out)
+        assert code == EXIT_MALFORMED
+        assert out["error"].startswith("malformed JSON: "), text[:40]
+
+
+def test_an_exact_output_too_long_to_print_exits_1(tmp_path, capsys):
+    """The hat with coefficients 10^4000 at k = -1 and 10^-4000 at k = 1
+    under the sum-rule test: sum_total's numerator has 8001 digits, more
+    than str prints, so the command ends in exit 1 with a JSON error that
+    names the digit limit, not a traceback."""
+    cfg = json.loads((GOLDEN / "hat.json").read_text(encoding="utf-8"))
+    cfg["mask"][0]["coef"], cfg["mask"][2]["coef"] = "1e4000", "1e-4000"
+    code, out = run_cli(tmp_path, capsys, cfg,
+                        ["accuracy", "CFG", "--method", "sufficient"])
     assert code == EXIT_MALFORMED
-    assert "error" in out
+    assert out["error"] == (
+        "an exact output value has more than "
+        f"{sys.get_int_max_str_digits()} digits, the limit of int to str "
+        "conversion")
 
 
 def test_missing_dilation_exits_1(tmp_path, capsys):

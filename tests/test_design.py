@@ -29,8 +29,9 @@ the binomial shift's own pattern; an elimination that reads each distinct
 row once; on real data, no QC built, as every scalar is handed out as
 Mat stores it (Mat.row_list, which no package code reads, is the one
 accessor that wraps a real value), and QC arithmetic that reads a real
-operand's parts without wrapping it in a QC; and a README library
-example that runs as it is written."""
+operand's parts without wrapping it in a QC; a README library
+example that runs as it is written; and one reference per exact kernel
+in tests/conftest.py, none of which calls the code it checks."""
 
 import ast
 import importlib.util
@@ -56,7 +57,7 @@ from crystacc.linalg import QC, Mat, SparseRows
 from crystacc.mask import Mask, lift_scalar_to_matrix
 from crystacc.multiidx import dim_degree
 
-from conftest import coset_differences, held_arrays, stacked_block_row
+from conftest import _reference_block_row, coset_differences, held_arrays
 
 SOURCES = sorted(Path(crystacc.__file__).parent.glob("*.py"))
 
@@ -258,8 +259,9 @@ AGREE_BELOW = {"cubic": 4, "diagonal": 4, "lifted-hat": 2}
 def test_each_degree_is_eliminated_once(case, monkeypatch):
     """max_accuracy hands solve_affine one block row per degree, reduced
     against the kernel carried from the degree below.  The block row is
-    the stacked reference's coset blocks put through coset_differences,
-    entry for entry: digit coset 0's block, then the non-empty rows of
+    the dense reference's coset blocks (D times block row s of the
+    stacked system) put through coset_differences, entry for entry:
+    digit coset 0's block, then the non-empty rows of
     each other coset's difference from it, none equal to a row before
     it.  So the system has dim_degree(d, s) r rows where the coset
     moments agree, more elsewhere, no difference row empty (a row of
@@ -283,12 +285,11 @@ def test_each_degree_is_eliminated_once(case, monkeypatch):
     monkeypatch.setattr(accuracy, "_block_row", rows)
     cert = accuracy.max_accuracy(mask, mask.triple, dil, p_max)
     dims = cert.diagnostics["kernel_dims"]
-    table = accuracy._moments(mask, dil, p_max)
     assert len(shapes) == len(built) == len(dims) > 1
     for s, (shape, got) in enumerate(zip(shapes, built)):
         width = dim_degree(mask.triple.d, s) * mask.r
-        assert got == coset_differences(
-            stacked_block_row(mask, dil, table, s), dil.m)
+        assert got == coset_differences(_reference_block_row(mask, dil, s),
+                                        dil.m)
         assert all(got[width:])
         assert all(row not in got[:width + j]
                    for j, row in enumerate(got[width:]))
@@ -395,12 +396,11 @@ def _is_row_update(node) -> bool:
 def _repeated_row_cases():
     """One copy of each system: the lifted p4m hat's stacked block row at
     degree 2 (the m = 4 digit-coset blocks that the exact solver no
-    longer stacks, built by the reference in conftest), and seeded
+    longer stacks, of the dense reference system in conftest), and seeded
     rational rows, among them a copy of a row up to an integer
     scaling."""
-    mask, dil, p_max = _shape_cases()["lifted-hat"]
-    table = accuracy._moments(mask, dil, p_max)
-    lifted = stacked_block_row(mask, dil, table, 2)
+    mask, dil, _ = _shape_cases()["lifted-hat"]
+    lifted = _reference_block_row(mask, dil, 2)
     rng = random.Random(2026)
     seeded = [{j: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                for j in range(7) if rng.random() < 0.6} for _ in range(5)]
@@ -702,8 +702,8 @@ def test_products_with_a_are_formed_once_per_dilation(monkeypatch):
 
 def test_the_cascade_has_one_step_and_one_plan():
     """cascade.py defines one step, _step, and one plan, _plan with its
-    _Plan: u on every node with the field read in place is a placement
-    of that plan and runs through that step, not a second pair.  The
+    _Plan: u on every node (under a non-diagonal M) is a placement of
+    that plan and runs through that step, not a second pair.  The
     former pair, u on the whole widened box, lives in tests/conftest.py
     only, as the reference."""
     def names(path):
@@ -723,6 +723,55 @@ def test_the_cascade_has_one_step_and_one_plan():
     assert not any(re.search(r"\bformer_(plan|step)\b",
                              p.read_text(encoding="utf-8"))
                    for p in SOURCES)
+
+
+# each exact kernel's references in tests/conftest.py, and the names of
+# the code they check, which none of them calls (a reference may call a
+# kernel that another one checks: _reference_scan calls kernel_basis)
+REFERENCES = {
+    "elimination": (
+        ("_rref_reference", "_reference_kernel", "_leibniz_det"),
+        {"_rref", "_kernel", "solve_affine", "kernel_basis", "det",
+         "_det_inverse", "inverse"}),
+    "table-and-rows": (
+        ("_common_denominator", "_assemble_reference", "_reference_block_row",
+         "coset_differences", "without_repeats", "_reference_scan",
+         "_fraction_moments"),
+        {"_moments", "_block_row", "plain", "max_accuracy"}),
+    "sum-rule": (
+        ("_condition_d_reference", "_reference_sums", "_sum_rule_reference"),
+        {"sufficient_check", "_moments", "_block_row", "_residual_walk"}),
+    "scalars": (
+        ("qc_face", "stored_value", "assert_stored_face",
+         "_stores_plain_values", "_reference_reading", "stored_report"),
+        {"read_scalar", "_stored", "_parse_part"}),
+}
+
+
+def _defined_functions(path: Path) -> dict:
+    """Name -> definition of each module-level function of a file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
+
+
+@pytest.mark.parametrize("kernel", sorted(REFERENCES))
+def test_each_reference_is_independent_of_the_code_it_checks(kernel):
+    """Each exact kernel's references are defined once in the tests, in
+    tests/conftest.py, and no reference's body calls a name of the code
+    it checks (as a function or a method): a reference that ran the
+    kernel it checks would agree with any change of it."""
+    names, checked = REFERENCES[kernel]
+    tests = Path(__file__).parent
+    ours = _defined_functions(tests / "conftest.py")
+    for name in names:
+        assert [p.name for p in sorted(tests.glob("*.py"))
+                if name in _defined_functions(p)] == ["conftest.py"], name
+        called = {node.func.id if isinstance(node.func, ast.Name)
+                  else getattr(node.func, "attr", None)
+                  for node in ast.walk(ours[name])
+                  if isinstance(node, ast.Call)}
+        assert not called & checked, (name, called & checked)
 
 
 def test_q_tilde_blocks_are_built_on_ints(monkeypatch):

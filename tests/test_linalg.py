@@ -2,21 +2,24 @@
 
 import itertools
 import math
-import operator
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from crystacc.crystal import catalog_triple
 from crystacc.linalg import (FLOAT_DENOMINATOR_CAP, Mat, QC, SparseRows,
                              _kernel, _parts, _rref, det, kernel_basis, kron,
                              rank, read_float, read_scalar, solve_affine)
+from crystacc.mask import Mask
 
-from conftest import (assert_stored_face, positive_multiple, qc_face,
-                      rref_kernel, rref_solve_affine)
+from conftest import (_leibniz_det, _reference_kernel, _reference_reading,
+                      _rref_reference, _stores_plain_values,
+                      assert_stored_face, positive_multiple, qc_face)
 
 
 def test_qc_exact_arithmetic():
@@ -122,102 +125,8 @@ def test_read_float_edge_values():
             read_float(bad)
 
 
-# -- the reading chains that read_scalar replaced, kept as the reference ----
-
-
-class _Refused(Exception):
-    """A refusal of the former CLI reader, with the text it printed."""
-
-
-def _former_as_fraction(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x.strip())
-    raise TypeError(f"not an exact rational: {x!r}")
-
-
-def _former_qc_parse(obj):
-    if isinstance(obj, QC):
-        return obj
-    if isinstance(obj, (list, tuple)):
-        if len(obj) != 2:
-            raise ValueError(f"complex literal needs two parts: {obj!r}")
-        return QC(_former_as_fraction(obj[0]), _former_as_fraction(obj[1]))
-    return QC(_former_as_fraction(obj))
-
-
-def _former_stored(x):
-    """linalg._stored as it read literals through QC.parse."""
-    if type(x) is int:
-        return x
-    if isinstance(x, Fraction):
-        return x.numerator if x.denominator == 1 else x
-    if isinstance(x, QC):
-        return x if x.im != 0 else _former_stored(x.re)
-    if isinstance(x, str):
-        return _former_stored(_former_as_fraction(x))
-    return _former_stored(_former_qc_parse(x))
-
-
-def _former_read_entry(x, changes):
-    """mask._read_entry: float parts read one by one."""
-    parts = ((x, 0) if isinstance(x, float)
-             else (x.real, x.imag or 0) if isinstance(x, complex) else x)
-    if not (isinstance(parts, (list, tuple))
-            and any(isinstance(p, float) for p in parts)):
-        return x
-    (re, given_re), (im, given_im) = (
-        (read_float(p), Fraction(p)) if isinstance(p, float)
-        else (p, p) if isinstance(p, (int, Fraction)) else (Fraction(p),) * 2
-        for p in parts)
-    size = given_re * given_re + given_im * given_im
-    if size:
-        changes.append(float(((re - given_re) ** 2 + (im - given_im) ** 2)
-                             / size) ** 0.5)
-    return QC(re, im) if im else re
-
-
-def _former_parse_scalar(value):
-    """cli._parse_scalar: one JSON coefficient, floats left to the mask."""
-    if isinstance(value, bool):
-        raise _Refused("boolean is not a coefficient")
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise _Refused(f"bad rational {value!r}: {exc}")
-    if isinstance(value, (int, float)):
-        return value
-    if (isinstance(value, list) and len(value) == 2
-            and not any(isinstance(v, list) for v in value)):
-        re, im = map(_former_parse_scalar, value)
-        if isinstance(re, float) or isinstance(im, float):
-            return re, im
-        return QC(re, im) if im else re
-    raise _Refused(f"cannot read coefficient {value!r}")
-
-
-def _former_library(x):
-    """(stored, change) by mask._read_entry then linalg._stored."""
-    changes = []
-    return _former_stored(_former_read_entry(x, changes)), \
-        (changes[0] if changes else None)
-
-
-def _former_cli(x):
-    """(stored, change) by the CLI chain, or the error text it printed."""
-    try:
-        return _former_library(_former_parse_scalar(x))
-    except _Refused as exc:
-        return str(exc)
-    except ValueError as exc:  # the mask's refusal, as the CLI wrapped it
-        return f"bad coefficient: {exc}"
-
-
-def _new_cli(x):
+def _reading(x):
+    """read_scalar(x), or the text of its refusal."""
     try:
         return read_scalar(x)
     except ValueError as exc:
@@ -283,61 +192,48 @@ def _random_literal(rng: random.Random, depth: int = 0):
                                             0.0, rng.uniform(-1, 1)])]
 
 
-def _json_literal(x) -> bool:
-    """Whether x is a value json.load can give: no tuple, complex,
-    Fraction, QC or other object, at any depth."""
-    if isinstance(x, list):
-        return all(map(_json_literal, x))
-    if isinstance(x, dict):
-        return all(map(_json_literal, x.values()))
-    return x is None or isinstance(x, (bool, int, float, str))
-
-
-def _has_boolean(x) -> bool:
-    return isinstance(x, bool) or (isinstance(x, (list, tuple))
-                                   and any(map(_has_boolean, x)))
-
-
 def test_read_scalar_matches_the_former_reading_chains():
-    """read_scalar against the chains it replaced, on 24 000 seeded
-    literals.  On what the CLI reads (JSON values), the former
-    cli._parse_scalar -> mask._read_entry -> linalg._stored chain and
-    read_scalar give the same stored type and value and the same change
-    bits, or refuse with the same text.  On anything, the former library
-    chain (mask._read_entry -> linalg._stored) and read_scalar agree the
-    same way, and every literal it refused is refused, as is now every
-    literal with a boolean in it; with floats=False, a float part is
-    refused by TypeError, as Mat.from_rows refused it."""
+    """read_scalar against the reading from the definition
+    (:func:`conftest._reference_reading`: Fraction and QC arithmetic, float
+    parts by read_float) on 24 000 seeded literals: the same stored type
+    and value and the same change bits, or a refusal with the same text;
+    with floats=False, a float part is refused by TypeError, as
+    Mat.from_rows refuses it, and any other literal is read alike."""
     rng = random.Random(2026)
-    cli_read = library_read = 0
+    read = refused = 0
     for _ in range(24000):
         x = _random_literal(rng)
-        if _json_literal(x):
-            assert _same_reading(_new_cli(x), _former_cli(x)), x
-            cli_read += 1
-        try:
-            want = _former_library(x)
-        except Exception:
-            want = None
-        try:
-            got = read_scalar(x)
-        except ValueError:
-            got = None
-        if want is None or _has_boolean(x):
-            assert got is None, x
-        else:
-            assert _same_reading(got, want), x
-            library_read += 1
+        got, want = _reading(x), _reference_reading(x)
+        assert _same_reading(got, want), x
+        refused += isinstance(want, str)
+        read += not isinstance(want, str)
         try:
             exact = read_scalar(x, floats=False)
         except TypeError:
             assert isinstance(x, (float, complex)) or any(
                 isinstance(p, float) for p in x), x
         except ValueError:
-            assert got is None
+            assert isinstance(want, str), x
         else:
-            assert exact == got and exact[1] is None
-    assert cli_read > 8000 and library_read > 8000
+            assert exact == got and exact[1] is None, x
+    assert read > 8000 and refused > 4000
+
+
+def test_a_decimal_exponent_beyond_the_digit_limit_is_refused():
+    """A literal whose decimal exponent exceeds sys.get_int_max_str_digits()
+    in magnitude is refused with the text of a literal of too many
+    digits, by read_scalar, Mat.from_rows and Mask alike, before Fraction
+    builds the power of ten; one at the limit is read exactly."""
+    limit = sys.get_int_max_str_digits()
+    assert read_scalar(f"1e{limit}") == (10 ** limit, None)
+    assert read_scalar(f"1e-{limit}") == (Fraction(1, 10 ** limit), None)
+    triple = catalog_triple("p1", 1)
+    for bad in (f"1e{limit + 1}", "1e-999999999"):
+        text = f"^bad rational '{bad}': Exceeds the limit \\({limit} digits\\)"
+        for read in (read_scalar, lambda x: Mat.from_rows([[x]]),
+                     lambda x: Mask.scalar(triple, {0: x})):
+            with pytest.raises(ValueError, match=text):
+                read(bad)
 
 
 def _sparse(rows):
@@ -407,20 +303,6 @@ def test_rank_nullity(rows, cols, data):
     assert rank(m) + len(kernel_basis(m)) == cols
 
 
-def _leibniz_det(rows) -> QC:
-    """Reference determinant: the sum over permutations, no elimination."""
-    n = len(rows)
-    total = QC(0)
-    for perm in itertools.permutations(range(n)):
-        odd = sum(perm[i] > perm[j]
-                  for i in range(n) for j in range(i + 1, n)) % 2
-        term = QC(-1 if odd else 1)
-        for i, j in enumerate(perm):
-            term = term * rows[i][j]
-        total = total + term
-    return total
-
-
 small_qc = st.one_of(st.just(QC(0)), st.builds(QC, small_fraction),
                      st.builds(QC, small_fraction, small_fraction))
 
@@ -445,31 +327,6 @@ def test_elimination_against_leibniz(n, repeat_row, data):
         inv = m.inverse()
         assert m @ inv == Mat.identity(n)
         assert inv @ m == Mat.identity(n)
-
-
-def _rref_reference(rows, n_cols):
-    """Reference rref: textbook Gauss-Jordan on QC values, dividing each
-    pivot row by its pivot and clearing the column with fractions."""
-    a = [list(row) for row in rows]
-    pivots, prod, r = [], QC(1), 0
-    for col in range(n_cols):
-        pivot = next((i for i in range(r, len(a)) if a[i][col] != QC(0)),
-                     None)
-        if pivot is None:
-            continue
-        if pivot != r:
-            a[r], a[pivot] = a[pivot], a[r]
-            prod = -prod
-        p = a[r][col]
-        prod = prod * p
-        a[r] = [x / p for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][col] != QC(0):
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(col)
-        r += 1
-    return a, pivots, prod
 
 
 @seed(2026)
@@ -511,57 +368,6 @@ def _dense(rref, n_rows, n_cols):
             + [[QC(0)] * n_cols for _ in range(len(rref), n_rows)])
 
 
-def _dense_bareiss(m: Mat) -> tuple[list[list[QC]], list[int], QC]:
-    """The package's former elimination, kept as the reference: dense
-    fraction-free Gauss-Jordan (Bareiss) on the integer-scaled rows.
-    After pivot ``p`` every other row ``x`` becomes
-    ``(p*x - f*y) / prev``, with ``y`` the pivot row, ``f`` the row's
-    entry in the pivot column and ``prev`` the previous pivot; a row with
-    ``f = 0`` is still rescaled by ``p / prev``, and one division by the
-    last pivot at the end gives the rref.  Returns (rows, pivot columns,
-    determinant)."""
-    rows = [m.row_list(i) for i in range(m.rows)]
-    scales = [math.lcm(*(q.denominator for x in row for q in (x.re, x.im)))
-              for row in rows]
-    real = all(x.im == 0 for row in rows for x in row)
-    if real:
-        zero, div = 0, operator.floordiv
-        a = [[x.re.numerator * (s // x.re.denominator) for x in row]
-             for row, s in zip(rows, scales)]
-    else:
-        zero, div = QC(0), operator.truediv
-        a = [[x * s for x in row] for row, s in zip(rows, scales)]
-    pivots = []
-    sign, prev, r = 1, 1, 0
-    for col in range(m.cols):
-        pivot = next((i for i in range(r, m.rows) if a[i][col] != zero),
-                     None)
-        if pivot is None:
-            continue
-        if pivot != r:
-            a[r], a[pivot] = a[pivot], a[r]
-            sign = -sign
-        y = a[r]
-        p = y[col]
-        for i, x in enumerate(a):
-            if i == r:
-                continue
-            f = x[col]
-            if f == zero:
-                a[i] = [div(p * e, prev) for e in x]
-            else:
-                a[i] = [div(p * e - f * g, prev) for e, g in zip(x, y)]
-        prev = p
-        pivots.append(col)
-        r += 1
-        if r == m.rows:
-            break
-    out = [[QC(0) if e == zero else QC(Fraction(e, prev)) if real
-            else e / prev for e in x] for x in a[:r]]
-    out += [[QC(0)] * m.cols for _ in range(r, m.rows)]
-    return out, pivots, QC(Fraction(sign, math.prod(scales))) * prev
-
-
 small_int = st.integers(-5, 5)
 real_entry = st.one_of(small_int, small_fraction,
                        st.builds(QC, small_fraction))
@@ -577,9 +383,9 @@ complex_entry = st.one_of(real_entry,
 def test_sparse_elimination_against_dense_bareiss(n_rows, n_cols, real,
                                                   shape, data):
     """The sparse routine gives the rref, pivots, determinant and inverse
-    of the former dense Bareiss elimination and of a textbook
-    Gauss-Jordan one, on int, Fraction and QC entries, real or complex,
-    for square, tall, wide, rank-deficient and mostly-zero matrices."""
+    of the textbook Gauss-Jordan elimination (the inverse as the rref of
+    [A | I]), on int, Fraction and QC entries, real or complex, for
+    square, tall, wide, rank-deficient and mostly-zero matrices."""
     entry = real_entry if real else complex_entry
     if shape == "square":
         n_cols = n_rows
@@ -603,19 +409,20 @@ def test_sparse_elimination_against_dense_bareiss(n_rows, n_cols, real,
     m = Mat.from_rows(rows)
     got, pivots, got_det = _rref(_sparse(rows).data, n_cols,
                                  with_det=True)
-    dense, dense_pivots, dense_det = _dense_bareiss(m)
-    want, want_pivots, prod = _rref_reference(
-        [m.row_list(i) for i in range(n_rows)], n_cols)
-    assert pivots == dense_pivots == want_pivots
-    assert _dense(got, n_rows, n_cols) == dense == want
+    q = [[qc_face(x) for x in row] for row in m.plain()]
+    want, want_pivots, prod = _rref_reference(q, n_cols)
+    assert pivots == want_pivots
+    assert _dense(got, n_rows, n_cols) == want
     assert rank(m) == len(pivots)
     if n_rows != n_cols:
         return
     full = len(pivots) == n_rows
-    assert_stored_face(det(m), dense_det if full else QC(0))
+    assert_stored_face(det(m), prod if full else 0)
     assert got_det == (prod if full else None)
     if full:
-        inverse, _, _ = _dense_bareiss(Mat.hstack([m, Mat.identity(n_rows)]))
+        inverse, _, _ = _rref_reference(
+            [row + [QC(int(i == j)) for j in range(n_rows)]
+             for i, row in enumerate(q)], 2 * n_rows)
         assert m.inverse() == Mat.from_rows([row[n_rows:]
                                              for row in inverse])
     else:
@@ -642,41 +449,14 @@ def test_kron_against_its_definition(m, n, p, q, data):
 
 
 def _qc_rows(m: Mat) -> list:
-    """The entries of m through its QC face."""
-    return [m.row_list(i) for i in range(m.rows)]
-
-
-def _stores_plain_values(m: Mat) -> bool:
-    """Every stored entry is an int where it is integral, a Fraction
-    where it is real, and a QC only where its imaginary part is
-    non-zero."""
-    return all(type(x) is int
-               or (type(x) is Fraction and x.denominator != 1)
-               or (type(x) is QC and x.im != 0)
-               for row in m.plain() for x in row)
+    """The entries of m as QCs."""
+    return [[qc_face(x) for x in row] for row in m.plain()]
 
 
 def _reference_product(a, b):
     """a @ b on QC lists, the textbook sum."""
     return [[sum((x * y for x, y in zip(row, col)), QC(0))
              for col in zip(*b)] for row in a]
-
-
-def _reference_kernel(rows, n_cols):
-    """The rref kernel basis of QC rows, from :func:`_rref_reference`:
-    one vector per free column f, 1 at f and minus the rref's column f at
-    the pivots."""
-    rref, pivots, _ = _rref_reference(rows, n_cols)
-    basis = []
-    for f in range(n_cols):
-        if f in pivots:
-            continue
-        v = [QC(0)] * n_cols
-        v[f] = QC(1)
-        for row, col in zip(rref, pivots):
-            v[col] = -row[f]
-        basis.append(v)
-    return basis
 
 
 @seed(2026)
@@ -743,97 +523,6 @@ def test_mat_against_qc_lists(n, k, j, kind, data):
     assert all(_stores_plain_values(v) for v in basis)
 
 
-def _rref_every_row(rows, n_cols, with_det=False):
-    """The elimination as it was before repeated rows were dropped at
-    intake, kept as the reference: every row, repeated or not, is scaled
-    to integers through its parts, divided by its content and eliminated.
-    Returns what :func:`_rref` returns."""
-    real = all(_parts(x)[1] == 0 for row in rows for x in row.values())
-    if real:
-        def content(x):
-            return math.gcd(*x.values())
-
-        def divide(e, c):
-            return e // c
-
-        def ratio(e, p):
-            q = Fraction(e, p)
-            return q.numerator if q.denominator == 1 else q
-    else:
-        def content(x):
-            return math.gcd(*(q.numerator for e in x.values()
-                              for q in (e.re, e.im)))
-
-        def divide(e, c):
-            return QC(e.re.numerator // c, e.im.numerator // c)
-
-        def ratio(e, p):
-            return e / p
-    track = with_det and len(rows) <= n_cols
-    grown, shrunk = 1, 1
-    a = []
-    for row in rows:
-        parts = [(j, *_parts(x)) for j, x in row.items()]
-        s = math.lcm(*(q.denominator for _, re, im in parts
-                       for q in (re, im)))
-        if real:
-            x = {j: re.numerator * (s // re.denominator)
-                 for j, re, _ in parts if re != 0}
-        else:
-            x = {j: QC(re * s, im * s) for j, re, im in parts
-                 if re != 0 or im != 0}
-        c = content(x) or 1
-        if c > 1:
-            x = {j: divide(e, c) for j, e in x.items()}
-        a.append(x)
-        grown, shrunk = grown * s, shrunk * c
-    used = [False] * len(a)
-    pivots: list[int] = []
-    owners: list[int] = []
-    for col in range(n_cols):
-        hits = [i for i, x in enumerate(a) if col in x]
-        k = min((i for i in hits if not used[i]), key=lambda i: len(a[i]),
-                default=None)
-        if k is None:
-            continue
-        y = a[k]
-        p = y[col]
-        for i in hits:
-            if i == k:
-                continue
-            x = a[i]
-            f = x[col]
-            z = {j: p * e for j, e in x.items()}
-            for j, g in y.items():
-                e = z.get(j, 0) - f * g
-                if e != 0:
-                    z[j] = e
-                else:
-                    del z[j]
-            c = content(z)
-            if c > 1:
-                z = {j: divide(e, c) for j, e in z.items()}
-            a[i] = z
-            if track:
-                grown, shrunk = grown * p, shrunk * c
-        used[k] = True
-        pivots.append(col)
-        owners.append(k)
-        if len(owners) == len(a):
-            break
-    out = []
-    for col, k in zip(pivots, owners):
-        p = a[k][col]
-        out.append({j: ratio(e, p) for j, e in a[k].items()})
-    det = None
-    if track and pivots == list(range(len(a))):
-        odd = sum(owners[i] > owners[j] for i in range(len(a))
-                  for j in range(i + 1, len(a))) % 2
-        scaled = math.prod(a[k][col] for col, k in zip(pivots, owners))
-        det = ratio((-shrunk if odd else shrunk) * scaled, grown)
-    return out, pivots, det
-
-
 def _copy(row, kind, data):
     """A row that the intake reads as a repeat of ``row`` (an exact copy,
     a positive multiple, or one that is equal only after scaling to
@@ -859,7 +548,9 @@ def _copy(row, kind, data):
 def test_repeated_rows_read_once_against_every_row(n_rows, n_cols, copies,
                                                    kind, repeat, data):
     """_rref, which drops a row equal to one already read, gives the rref,
-    pivots and determinant of the elimination that reads every row, on
+    pivots and determinant (of the leading square block, None where it is
+    singular or the rows outnumber the columns) of the textbook
+    Gauss-Jordan elimination, which reads every row, on
     int, rational and complex rows: square blocks with one repeated row,
     and tall block-row-shaped systems (one block stacked ``copies`` times,
     each copy an exact repeat, a positive multiple, a multiple that
@@ -887,17 +578,22 @@ def test_repeated_rows_read_once_against_every_row(n_rows, n_cols, copies,
     for rows in (block, square, tall):
         if rows is None:
             continue
+        q = [[qc_face(x) for x in row] for row in rows]
+        want, want_pivots, prod = _rref_reference(q, n_cols)
+        n = len(rows)
+        full = n <= n_cols and want_pivots == list(range(n))
         # sparse rows, and dense ones whose zeros the intake drops
         for given_rows in (_sparse(rows).data,
                            [dict(enumerate(row)) for row in rows]):
             for with_det in (False, True):
-                want = _rref_every_row(given_rows, n_cols, with_det)
-                assert _rref(given_rows, n_cols, with_det) == want
+                got, pivots, got_det = _rref(given_rows, n_cols, with_det)
+                assert pivots == want_pivots
+                assert _dense(got, n, n_cols) == want
+                assert got_det == (prod if with_det and full else None)
         m = Mat.from_rows(rows)
-        assert rank(m) == len(want[1])
+        assert rank(m) == len(want_pivots)
         assert [[v.entry(t, 0) for t in range(n_cols)]
-                for v in kernel_basis(m)] == _reference_kernel(
-                    [[qc_face(x) for x in row] for row in rows], n_cols)
+                for v in kernel_basis(m)] == _reference_kernel(q, n_cols)
     if square is not None:
         m = Mat.from_rows(square)
         assert _rref(_sparse(square).data, n_cols, True)[2] is None
@@ -940,6 +636,14 @@ def _sparse_rows(n_rows, n_cols, entry, shape, data):
     return rows
 
 
+def _sparse_reference_kernel(rows, n_cols):
+    """The rref kernel basis of sparse rows (:func:`_reference_kernel`),
+    as sparse vectors."""
+    dense = [[qc_face(row.get(j, 0)) for j in range(n_cols)] for row in rows]
+    return [{j: x for j, x in enumerate(v) if x != 0}
+            for v in _reference_kernel(dense, n_cols)]
+
+
 def _assert_integral(v, real):
     """Real entries are coprime ints; complex ones have integral parts."""
     parts = [q for x in v.values() for q in _parts(x)]
@@ -963,7 +667,7 @@ def test_integral_kernel_against_the_rref_kernel(n_rows, n_cols, kind, shape,
     entry = {"int": small_int, "rational": real_entry,
              "complex": complex_entry}[kind]
     rows = _sparse_rows(n_rows, n_cols, entry, shape, data)
-    got, want = _kernel(rows, n_cols), rref_kernel(rows, n_cols)
+    got, want = _kernel(rows, n_cols), _sparse_reference_kernel(rows, n_cols)
     assert len(got) == len(want)
     real = all(_parts(x)[1] == 0 for row in rows for x in row.values())
     for v, ref in zip(got, want):
@@ -1003,22 +707,23 @@ def _reduced(rows, basis, start, cols):
 def test_carried_kernel_against_the_rref_kernel(stages, kind, shape, data):
     """Block rows solved one after the other against the carried kernel,
     as max_accuracy does: each carried basis of solve_affine is, in order,
-    a positive multiple of the one the rref kernel gives, and on real rows
-    every carried vector is coprime ints."""
+    a positive multiple of the rref kernel basis of all the rows so far,
+    and on real rows every carried vector is coprime ints."""
     entry = {"int": small_int, "rational": real_entry,
              "complex": complex_entry}[kind]
-    got = want = SparseRows([], 0)
+    got, stacked = SparseRows([], 0), []
     start, real = 0, True
     for n_rows, width in stages:
         cols = start + width
         rows = _sparse_rows(n_rows, cols, entry, shape, data)
         got = solve_affine(_reduced(rows, got, start, cols), got)
-        want = rref_solve_affine(_reduced(rows, want, start, cols), want)
+        stacked += rows
+        want = _sparse_reference_kernel(stacked, cols)
         start = cols
-        assert got.shape == want.shape
+        assert got.shape == (len(want), cols)
         real = real and all(_parts(x)[1] == 0 for row in rows
                             for x in row.values())
-        for v, ref in zip(got.data, want.data):
+        for v, ref in zip(got.data, want):
             assert positive_multiple(v, ref)
             if real:
                 _assert_integral(v, True)
@@ -1032,13 +737,13 @@ def test_a_carried_vector_is_divided_by_its_content():
     first = [{0: -2, 1: -1, 2: 3}]
     second = [{0: -2, 1: 3, 3: 2, 4: -2, 5: 3},
               {0: -1, 1: -2, 2: 3, 3: 3, 4: 3}]
-    got = want = SparseRows([], 0)
+    got = SparseRows([], 0)
     for rows, start, cols in ((first, 0, 3), (second, 3, 6)):
         got = solve_affine(_reduced(rows, got, start, cols), got)
-        want = rref_solve_affine(_reduced(rows, want, start, cols), want)
     assert got.data == [{0: -11, 1: -8, 2: -10, 3: 1},
                         {0: -7, 1: -4, 2: -6, 4: 1},
-                        {0: -3, 1: -3, 2: -3, 5: 1}] == want.data
+                        {0: -3, 1: -3, 2: -3, 5: 1}] \
+        == _sparse_reference_kernel(first + second, 6)
 
 
 def _assign_to_qc():
